@@ -59,21 +59,16 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
-// taskData is the per-task CFS bookkeeping kept in Task.PolicyData.
+// taskData is the per-task CFS bookkeeping kept in Task.PolicyData. The
+// runqueue node is embedded, so queueing a task allocates nothing, and the
+// record itself is engine-owned: drawn from the engine's free list on
+// first enqueue, zeroed and returned there at TASK_DEAD or Evict.
 type taskData struct {
+	node         queue.Node // runqueue link; Value is the task
+	queued       bool       // node is linked into core's tree
 	vruntime     time.Duration
-	node         *queue.Node    // non-nil while queued in a tree
 	core         simkern.CoreID // runqueue the task belongs to
 	lastConsumed time.Duration  // Task CPU consumption at dispatch
-}
-
-func data(t *simkern.Task) *taskData {
-	d, ok := t.PolicyData.(*taskData)
-	if !ok {
-		d = &taskData{}
-		t.PolicyData = d
-	}
-	return d
 }
 
 // runqueue is one core's CFS state.
@@ -104,6 +99,7 @@ type Engine struct {
 	byCore []*runqueue      // indexed by CoreID; nil = core not in group
 	list   []*runqueue      // stable iteration order
 	cores  []simkern.CoreID // Cores() view, rebuilt on membership change
+	free   []*taskData      // released records, reused by data
 }
 
 // NewEngine returns a CFS engine over the given cores.
@@ -116,6 +112,55 @@ func NewEngine(env *ghost.Env, cores []simkern.CoreID, params Params) *Engine {
 		e.AddCore(c)
 	}
 	return e
+}
+
+// data returns t's CFS record, attaching a clean one from the free list
+// when t has none yet.
+func (e *Engine) data(t *simkern.Task) *taskData {
+	if d, ok := t.PolicyData.(*taskData); ok {
+		return d
+	}
+	var d *taskData
+	if n := len(e.free); n > 0 {
+		d = e.free[n-1]
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
+	} else {
+		d = &taskData{}
+	}
+	t.PolicyData = d
+	return d
+}
+
+// release detaches t's record, zeroes it and returns it to the free list.
+// The engine must hold no further reference to t: it is neither queued
+// nor rq.curr anywhere.
+func (e *Engine) release(t *simkern.Task) {
+	d, ok := t.PolicyData.(*taskData)
+	if !ok {
+		return
+	}
+	if d.queued {
+		panic("cfs: releasing a queued task")
+	}
+	*d = taskData{}
+	t.PolicyData = nil
+	e.free = append(e.free, d)
+}
+
+// link queues t on rq's tree under its current vruntime.
+func (rq *runqueue) link(t *simkern.Task, d *taskData) {
+	d.core = rq.id
+	d.node.Key = queue.Key{Weight: int64(d.vruntime), ID: uint64(t.ID)}
+	d.node.Value = t
+	d.queued = true
+	rq.tree.Insert(&d.node)
+}
+
+// unlink removes d's node from rq's tree.
+func (rq *runqueue) unlink(d *taskData) {
+	rq.tree.Delete(&d.node)
+	d.queued = false
 }
 
 // rq resolves core c's runqueue, nil when c is not in the group.
@@ -190,7 +235,7 @@ func (e *Engine) RemoveCore(c simkern.CoreID) []*simkern.Task {
 	}
 	rq.tree.InOrder(func(n *queue.Node) bool {
 		t := n.Value.(*simkern.Task)
-		data(t).node = nil
+		e.data(t).queued = false // the tree is dropped whole
 		out = append(out, t)
 		return true
 	})
@@ -231,12 +276,11 @@ func (e *Engine) EnqueueOn(c simkern.CoreID, t *simkern.Task) {
 	if rq == nil {
 		panic("cfs: EnqueueOn unknown core")
 	}
-	d := data(t)
+	d := e.data(t)
 	if d.vruntime < rq.minV {
 		d.vruntime = rq.minV
 	}
-	d.core = c
-	d.node = rq.tree.Insert(queue.Key{Weight: int64(d.vruntime), ID: uint64(t.ID)}, t)
+	rq.link(t, d)
 	if rq.curr == nil {
 		e.pickNext(rq)
 		return
@@ -247,7 +291,7 @@ func (e *Engine) EnqueueOn(c simkern.CoreID, t *simkern.Task) {
 // maybeWakeupPreempt preempts the runner if the newly queued task is
 // entitled to run by more than the wakeup granularity.
 func (e *Engine) maybeWakeupPreempt(rq *runqueue, newcomer *taskData) {
-	currD := data(rq.curr)
+	currD := e.data(rq.curr)
 	currV := currD.vruntime + (e.env.TaskCPUConsumed(rq.curr) - currD.lastConsumed)
 	if newcomer.vruntime+e.params.WakeupGranularity >= currV {
 		return
@@ -258,7 +302,7 @@ func (e *Engine) maybeWakeupPreempt(rq *runqueue, newcomer *taskData) {
 		return
 	}
 	e.chargeRuntime(got)
-	e.requeue(rq, got)
+	rq.link(got, e.data(got))
 	rq.curr = nil
 	e.pickNext(rq)
 }
@@ -266,16 +310,9 @@ func (e *Engine) maybeWakeupPreempt(rq *runqueue, newcomer *taskData) {
 // chargeRuntime advances a preempted task's vruntime by the CPU it
 // consumed in the segment that just ended.
 func (e *Engine) chargeRuntime(t *simkern.Task) {
-	d := data(t)
+	d := e.data(t)
 	d.vruntime += t.CPUConsumed() - d.lastConsumed
 	d.lastConsumed = t.CPUConsumed()
-}
-
-// requeue inserts a preempted task back into rq's tree.
-func (e *Engine) requeue(rq *runqueue, t *simkern.Task) {
-	d := data(t)
-	d.core = rq.id
-	d.node = rq.tree.Insert(queue.Key{Weight: int64(d.vruntime), ID: uint64(t.ID)}, t)
 }
 
 // pickNext dispatches the leftmost task on rq, stealing from the busiest
@@ -284,14 +321,12 @@ func (e *Engine) pickNext(rq *runqueue) {
 	if rq.tree.Len() == 0 && !e.stealInto(rq) {
 		return
 	}
-	node := rq.tree.Min()
-	t := node.Value.(*simkern.Task)
-	d := data(t)
-	rq.tree.Delete(node)
-	d.node = nil
+	t := rq.tree.Min().Value.(*simkern.Task)
+	d := e.data(t)
+	rq.unlink(d)
 	if err := e.env.CommitRun(rq.id, t); err != nil {
 		// Kernel-side race (should not happen in-sim); requeue and bail.
-		e.requeue(rq, t)
+		rq.link(t, d)
 		return
 	}
 	rq.curr = t
@@ -317,17 +352,15 @@ func (e *Engine) stealInto(rq *runqueue) bool {
 	if busiest == nil {
 		return false
 	}
-	node := busiest.tree.Max()
-	t := node.Value.(*simkern.Task)
-	d := data(t)
-	busiest.tree.Delete(node)
+	t := busiest.tree.Max().Value.(*simkern.Task)
+	d := e.data(t)
+	busiest.unlink(d)
 	// Re-base vruntime across queues, as migrate_task_rq_fair does.
 	d.vruntime = d.vruntime - busiest.minV + rq.minV
 	if d.vruntime < 0 {
 		d.vruntime = 0
 	}
-	d.core = rq.id
-	d.node = rq.tree.Insert(queue.Key{Weight: int64(d.vruntime), ID: uint64(t.ID)}, t)
+	rq.link(t, d)
 	return true
 }
 
@@ -336,7 +369,7 @@ func (e *Engine) stealInto(rq *runqueue) bool {
 // whether the engine owned it. A false return means t is not here,
 // typically because its completion message is in flight. Implements the
 // engine half of ghost.TaskEvictor. The evicted task's vruntime is not
-// charged: the caller aborts it, so its CFS bookkeeping is dead state.
+// charged: the caller aborts it, so its CFS record is released unread.
 func (e *Engine) Evict(t *simkern.Task) bool {
 	d, ok := t.PolicyData.(*taskData)
 	if !ok {
@@ -346,9 +379,9 @@ func (e *Engine) Evict(t *simkern.Task) bool {
 	if rq == nil {
 		return false
 	}
-	if d.node != nil {
-		rq.tree.Delete(d.node)
-		d.node = nil
+	if d.queued {
+		rq.unlink(d)
+		e.release(t)
 		return true
 	}
 	if rq.curr == t {
@@ -357,13 +390,15 @@ func (e *Engine) Evict(t *simkern.Task) bool {
 		}
 		rq.curr = nil
 		e.pickNext(rq)
+		e.release(t)
 		return true
 	}
 	return false
 }
 
-// TaskDead handles a completion on core c.
+// TaskDead handles a completion on core c and releases t's CFS record.
 func (e *Engine) TaskDead(t *simkern.Task, c simkern.CoreID) {
+	e.release(t)
 	rq := e.rq(c)
 	if rq == nil {
 		// The core migrated away between completion and message delivery.
@@ -398,7 +433,7 @@ func (e *Engine) Tick() {
 			continue // completion in flight
 		}
 		e.chargeRuntime(got)
-		e.requeue(rq, got)
+		rq.link(got, e.data(got))
 		rq.curr = nil
 		e.pickNext(rq)
 	}
@@ -460,7 +495,9 @@ func (e *Engine) slice(rq *runqueue) time.Duration {
 	return s
 }
 
-// Vruntime exposes a task's current vruntime (tests and debugging).
+// Vruntime exposes a task's current vruntime (tests and debugging). It is
+// meaningful only while the task is live: the engine releases the record
+// at TASK_DEAD and Evict, after which Vruntime reports 0.
 func Vruntime(t *simkern.Task) time.Duration {
 	if d, ok := t.PolicyData.(*taskData); ok {
 		return d.vruntime

@@ -99,13 +99,77 @@ func TestCFSExecutionWorseFIFOResponseBetter(t *testing.T) {
 	}
 }
 
+// TestVruntimeMonotone samples every live task's vruntime each
+// millisecond: on one core (no migration re-basing) a task's vruntime
+// never goes negative or backwards, and time sharing must advance it.
+// Samples are taken while tasks are live because the engine releases a
+// task's CFS record at TASK_DEAD, after which Vruntime reads 0.
 func TestVruntimeMonotone(t *testing.T) {
+	k, err := simkern.New(simkern.Config{Cores: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ghost.NewEnclave(k, cfs.New(cfs.Params{}), ghost.Config{NoLatency: true}); err != nil {
+		t.Fatal(err)
+	}
 	w := policytest.Uniform(10, 0, 100*time.Millisecond)
-	k := policytest.Run(t, 2, cfs.New(cfs.Params{}), w)
-	for _, task := range k.Tasks() {
-		if v := cfs.Vruntime(task); v < 0 {
-			t.Errorf("task %d vruntime %v < 0", task.ID, v)
+	for _, task := range w.Tasks {
+		if err := k.AddTask(task); err != nil {
+			t.Fatal(err)
 		}
+	}
+	last := make(map[simkern.TaskID]time.Duration)
+	var sample func()
+	sample = func() {
+		for _, task := range w.Tasks {
+			if s := task.State(); s != simkern.StateRunnable && s != simkern.StateRunning {
+				continue
+			}
+			v := cfs.Vruntime(task)
+			if v < 0 {
+				t.Errorf("task %d vruntime %v < 0", task.ID, v)
+			}
+			if v < last[task.ID] {
+				t.Errorf("task %d vruntime went back from %v to %v", task.ID, last[task.ID], v)
+			}
+			last[task.ID] = v
+		}
+		if k.Outstanding() > 0 {
+			k.SetTimer(k.Now()+time.Millisecond, sample)
+		}
+	}
+	k.SetTimer(time.Millisecond, sample)
+	if _, err := k.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	policytest.AssertAllFinished(t, k)
+	for _, task := range w.Tasks {
+		if last[task.ID] <= 0 {
+			t.Errorf("task %d: no positive vruntime sampled while live", task.ID)
+		}
+		if v := cfs.Vruntime(task); v != 0 {
+			t.Errorf("task %d: vruntime %v after TASK_DEAD, want 0 (record released)", task.ID, v)
+		}
+	}
+}
+
+// TestEngineCycleAllocationFree: once warmed, an enqueue → tick-preempt
+// → TASK_DEAD cycle over pooled tasks allocates nothing — runqueue nodes
+// are embedded in the per-task records, and the records are recycled
+// through the engine's free list.
+func TestEngineCycleAllocationFree(t *testing.T) {
+	work := make([]time.Duration, 6)
+	for i := range work {
+		work[i] = 20 * time.Millisecond
+	}
+	r := policytest.NewRerun(t, 2, cfs.New(cfs.Params{}), work)
+	for i := 0; i < 3; i++ {
+		if r.Cycle() == 0 {
+			t.Fatal("cycle saw no preemptions; the tick-preempt path is untested")
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { r.Cycle() }); allocs != 0 {
+		t.Errorf("warmed CFS cycle allocates %.1f/run, want 0", allocs)
 	}
 }
 

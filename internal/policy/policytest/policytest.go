@@ -182,3 +182,71 @@ func TotalPreemptions(k *simkern.Kernel) int {
 	}
 	return n
 }
+
+// Rerun drives one kernel+enclave through repeated cycles over a fixed
+// set of pooled tasks: each Cycle recycles every task, re-admits it with
+// its original demand just after the current instant, and runs the
+// kernel dry. After a few warm-up cycles every queue, pool and free list
+// is at steady capacity, so testing.AllocsPerRun over Cycle measures the
+// steady-state per-invocation allocations of the policy under test.
+type Rerun struct {
+	t     testing.TB
+	k     *simkern.Kernel
+	tasks []*simkern.Task
+	work  []time.Duration
+}
+
+// NewRerun wires policy into a kernel of the given size (task table off,
+// as in fleet replays) and pools one task per entry of work. Message
+// latency is disabled so cycles are exact.
+func NewRerun(t testing.TB, cores int, policy ghost.Policy, work []time.Duration) *Rerun {
+	t.Helper()
+	k, err := simkern.New(simkern.Config{
+		Cores:        cores,
+		SwitchCost:   5 * time.Microsecond,
+		CachePenalty: 50 * time.Microsecond,
+		DiscardTasks: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ghost.NewEnclave(k, policy, ghost.Config{NoLatency: true}); err != nil {
+		t.Fatal(err)
+	}
+	r := &Rerun{t: t, k: k, work: work, tasks: make([]*simkern.Task, len(work))}
+	for i := range r.tasks {
+		r.tasks[i] = &simkern.Task{}
+	}
+	return r
+}
+
+// Cycle re-admits every pooled task (IDs 1..n, one microsecond apart),
+// runs the kernel until its event queue drains, and returns the total
+// preemptions the cycle's tasks suffered.
+func (r *Rerun) Cycle() int {
+	now := r.k.Now()
+	for i, task := range r.tasks {
+		if task.State() != 0 && !task.Recycle() {
+			r.t.Fatalf("task %d still live at cycle start (state %v)", i+1, task.State())
+		}
+		task.ID = simkern.TaskID(i + 1)
+		task.Kind = simkern.KindFunction
+		task.Arrival = now + time.Duration(i+1)*time.Microsecond
+		task.Work = r.work[i]
+		task.MemMB = 128
+		if err := r.k.AddTask(task); err != nil {
+			r.t.Fatal(err)
+		}
+	}
+	if _, err := r.k.Run(0); err != nil {
+		r.t.Fatal(err)
+	}
+	preemptions := 0
+	for i, task := range r.tasks {
+		if task.State() != simkern.StateFinished {
+			r.t.Fatalf("task %d state %v after the cycle", i+1, task.State())
+		}
+		preemptions += task.Preemptions()
+	}
+	return preemptions
+}

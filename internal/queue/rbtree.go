@@ -24,8 +24,12 @@ const (
 	black color = true
 )
 
-// Node is a red-black tree node. Nodes are owned by the tree; callers keep
-// the pointer returned by Insert to Delete in O(log n) without a lookup.
+// Node is an intrusive red-black tree node. The caller owns it — typically
+// embedded in the record it orders — sets Key and Value, and links it with
+// Insert; Delete unlinks it in O(log n) without a lookup. A node is in at
+// most one tree at a time, and once deleted (or abandoned together with
+// its tree) it may be inserted again, into the same tree or another: the
+// tree never allocates.
 type Node struct {
 	Key   Key
 	Value any
@@ -72,12 +76,13 @@ func (t *RBTree) Max() *Node {
 	return n
 }
 
-// Insert adds a node with the given key and value and returns it.
-// Duplicate keys are a programmer error (IDs are unique by construction);
-// Insert panics if one is encountered, because a silent duplicate would
-// corrupt scheduling order.
-func (t *RBTree) Insert(key Key, value any) *Node {
-	node := &Node{Key: key, Value: value, color: red}
+// Insert links node into the tree under node.Key. The node's previous
+// links, if any, are discarded, so a node deleted from (or abandoned with)
+// another tree can be reused directly. Duplicate keys are a programmer
+// error (IDs are unique by construction); Insert panics if one is
+// encountered, because a silent duplicate would corrupt scheduling order.
+func (t *RBTree) Insert(node *Node) {
+	key := node.Key
 	var parent *Node
 	cur := t.root
 	for cur != nil {
@@ -91,7 +96,7 @@ func (t *RBTree) Insert(key Key, value any) *Node {
 			panic("queue: duplicate key inserted into RBTree")
 		}
 	}
-	node.parent = parent
+	node.parent, node.left, node.right, node.color = parent, nil, nil, red
 	switch {
 	case parent == nil:
 		t.root = node
@@ -102,11 +107,10 @@ func (t *RBTree) Insert(key Key, value any) *Node {
 	}
 	t.n++
 	t.insertFixup(node)
-	return node
 }
 
-// Delete removes node from the tree. The node must currently be in the
-// tree (it is the caller's pointer from Insert).
+// Delete unlinks node from the tree. The node must currently be in this
+// tree. Its links are cleared, so the caller may insert it again.
 func (t *RBTree) Delete(node *Node) {
 	t.n--
 	var fixAt *Node

@@ -7,6 +7,13 @@ import (
 	"testing/quick"
 )
 
+// insert links a fresh node carrying key and value into tr.
+func insert(tr *RBTree, key Key, value any) *Node {
+	n := &Node{Key: key, Value: value}
+	tr.Insert(n)
+	return n
+}
+
 func TestRBTreeEmpty(t *testing.T) {
 	var tr RBTree
 	if tr.Len() != 0 || tr.Min() != nil || tr.Max() != nil {
@@ -19,7 +26,7 @@ func TestRBTreeInsertMinMax(t *testing.T) {
 	var tr RBTree
 	keys := []int64{50, 20, 80, 10, 30, 70, 90}
 	for i, w := range keys {
-		tr.Insert(Key{Weight: w, ID: uint64(i)}, w)
+		insert(&tr, Key{Weight: w, ID: uint64(i)}, w)
 		tr.CheckInvariants()
 	}
 	if tr.Len() != len(keys) {
@@ -35,20 +42,20 @@ func TestRBTreeInsertMinMax(t *testing.T) {
 
 func TestRBTreeDuplicatePanics(t *testing.T) {
 	var tr RBTree
-	tr.Insert(Key{Weight: 1, ID: 1}, nil)
+	insert(&tr, Key{Weight: 1, ID: 1}, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate insert did not panic")
 		}
 	}()
-	tr.Insert(Key{Weight: 1, ID: 1}, nil)
+	insert(&tr, Key{Weight: 1, ID: 1}, nil)
 }
 
 func TestRBTreeTiebreakByID(t *testing.T) {
 	var tr RBTree
-	tr.Insert(Key{Weight: 5, ID: 2}, "b")
-	tr.Insert(Key{Weight: 5, ID: 1}, "a")
-	tr.Insert(Key{Weight: 5, ID: 3}, "c")
+	insert(&tr, Key{Weight: 5, ID: 2}, "b")
+	insert(&tr, Key{Weight: 5, ID: 1}, "a")
+	insert(&tr, Key{Weight: 5, ID: 3}, "c")
 	var got []string
 	tr.InOrder(func(n *Node) bool {
 		got = append(got, n.Value.(string))
@@ -67,7 +74,7 @@ func TestRBTreeDeleteAllPermutations(t *testing.T) {
 		const n = 40
 		nodes := make([]*Node, 0, n)
 		for i := 0; i < n; i++ {
-			nodes = append(nodes, tr.Insert(Key{Weight: int64(rng.Intn(15)), ID: uint64(i)}, i))
+			nodes = append(nodes, insert(&tr, Key{Weight: int64(rng.Intn(15)), ID: uint64(i)}, i))
 		}
 		rng.Shuffle(len(nodes), func(i, j int) { nodes[i], nodes[j] = nodes[j], nodes[i] })
 		for i, nd := range nodes {
@@ -86,7 +93,7 @@ func TestRBTreeDeleteAllPermutations(t *testing.T) {
 func TestRBTreeInOrderEarlyStop(t *testing.T) {
 	var tr RBTree
 	for i := 0; i < 10; i++ {
-		tr.Insert(Key{Weight: int64(i), ID: uint64(i)}, i)
+		insert(&tr, Key{Weight: int64(i), ID: uint64(i)}, i)
 	}
 	count := 0
 	tr.InOrder(func(*Node) bool {
@@ -98,8 +105,69 @@ func TestRBTreeInOrderEarlyStop(t *testing.T) {
 	}
 }
 
+// TestRBTreeReinsertIntoSecondTree: a node deleted from one tree carries
+// no links into the other, and the tree it left stays intact.
+func TestRBTreeReinsertIntoSecondTree(t *testing.T) {
+	var a, b RBTree
+	nodes := make([]*Node, 0, 20)
+	for i := 0; i < 20; i++ {
+		nodes = append(nodes, insert(&a, Key{Weight: int64(i * 7 % 11), ID: uint64(i)}, i))
+	}
+	for i := 0; i < 20; i += 2 {
+		a.Delete(nodes[i])
+		nodes[i].Key.Weight += 100
+		b.Insert(nodes[i])
+		a.CheckInvariants()
+		b.CheckInvariants()
+	}
+	if a.Len() != 10 || b.Len() != 10 {
+		t.Fatalf("Len = %d/%d, want 10/10", a.Len(), b.Len())
+	}
+	for tr, odd := range map[*RBTree]int{&a: 1, &b: 0} {
+		seen := 0
+		tr.InOrder(func(n *Node) bool {
+			if n.Value.(int)%2 != odd {
+				t.Errorf("node %v in the wrong tree", n.Value)
+			}
+			seen++
+			return true
+		})
+		if seen != 10 {
+			t.Errorf("walk saw %d nodes, want 10", seen)
+		}
+	}
+}
+
+// TestRBTreeReinsertAbandonedNodes: nodes of a tree that is dropped
+// without deleting them (a removed runqueue) keep stale links, which
+// Insert must overwrite.
+func TestRBTreeReinsertAbandonedNodes(t *testing.T) {
+	var old RBTree
+	nodes := make([]*Node, 0, 30)
+	for i := 0; i < 30; i++ {
+		nodes = append(nodes, insert(&old, Key{Weight: int64(i % 4), ID: uint64(i)}, i))
+	}
+	var fresh RBTree
+	for i := len(nodes) - 1; i >= 0; i-- {
+		fresh.Insert(nodes[i])
+		fresh.CheckInvariants()
+	}
+	prev := Key{Weight: -1}
+	fresh.InOrder(func(n *Node) bool {
+		if !prev.Less(n.Key) {
+			t.Fatalf("InOrder out of order: %v after %v", n.Key, prev)
+		}
+		prev = n.Key
+		return true
+	})
+	if fresh.Len() != len(nodes) {
+		t.Fatalf("Len = %d, want %d", fresh.Len(), len(nodes))
+	}
+}
+
 // Property: for any sequence of inserts and deletes, in-order traversal
-// equals the sorted reference and invariants hold.
+// equals the sorted reference and invariants hold. Deleted nodes go to a
+// free list that later inserts draw from first, so node reuse is covered.
 func TestRBTreeMatchesSortedReferenceProperty(t *testing.T) {
 	type op struct {
 		Weight int8
@@ -109,6 +177,7 @@ func TestRBTreeMatchesSortedReferenceProperty(t *testing.T) {
 		var tr RBTree
 		live := map[uint64]*Node{}
 		ref := map[uint64]int64{}
+		var free []*Node
 		var nextID uint64
 		liveIDs := []uint64{}
 		for _, o := range ops {
@@ -117,12 +186,18 @@ func TestRBTreeMatchesSortedReferenceProperty(t *testing.T) {
 				id := liveIDs[0]
 				liveIDs = liveIDs[1:]
 				tr.Delete(live[id])
+				free = append(free, live[id])
 				delete(live, id)
 				delete(ref, id)
 			} else {
 				id := nextID
 				nextID++
-				nd := tr.Insert(Key{Weight: int64(o.Weight), ID: id}, id)
+				nd := &Node{}
+				if n := len(free); n > 0 {
+					nd, free = free[n-1], free[:n-1]
+				}
+				nd.Key, nd.Value = Key{Weight: int64(o.Weight), ID: id}, id
+				tr.Insert(nd)
 				live[id] = nd
 				ref[id] = int64(o.Weight)
 				liveIDs = append(liveIDs, id)
@@ -158,17 +233,21 @@ func TestRBTreeMatchesSortedReferenceProperty(t *testing.T) {
 	}
 }
 
+// BenchmarkRBTreeInsertDelete re-keys and re-inserts each deleted node,
+// the CFS requeue pattern; scripts/bench_smoke.sh requires 0 allocs/op.
 func BenchmarkRBTreeInsertDelete(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	var tr RBTree
 	nodes := make([]*Node, 0, 1024)
 	for i := 0; i < 1024; i++ {
-		nodes = append(nodes, tr.Insert(Key{Weight: rng.Int63(), ID: uint64(i)}, nil))
+		nodes = append(nodes, insert(&tr, Key{Weight: rng.Int63(), ID: uint64(i)}, nil))
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		idx := i % len(nodes)
-		tr.Delete(nodes[idx])
-		nodes[idx] = tr.Insert(Key{Weight: rng.Int63(), ID: uint64(1024 + i)}, nil)
+		nd := nodes[i%len(nodes)]
+		tr.Delete(nd)
+		nd.Key = Key{Weight: rng.Int63(), ID: uint64(1024 + i)}
+		tr.Insert(nd)
 	}
 }

@@ -8,9 +8,11 @@ package workload
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -119,16 +121,10 @@ func (b Builder) Stream(tr *trace.Trace, startMinute, minutes int) (Source, erro
 			}
 			// "After sorting the invocations of all functions within that
 			// minute, the time difference between adjacent invocations is
-			// the inter-arrival time."
-			sort.SliceStable(buf, func(i, j int) bool {
-				if buf[i].Arrival != buf[j].Arrival {
-					return buf[i].Arrival < buf[j].Arrival
-				}
-				if buf[i].FibN != buf[j].FibN {
-					return buf[i].FibN < buf[j].FibN
-				}
-				return buf[i].MemMB < buf[j].MemMB
-			})
+			// the inter-arrival time." The key is a strict total order —
+			// buckets are unique by (FibN, MemMB) and a bucket's arrivals
+			// are distinct — so an unstable sort yields the stable order.
+			slices.SortFunc(buf, compareInvocations)
 			for _, inv := range buf {
 				if !yield(inv) {
 					return
@@ -136,6 +132,16 @@ func (b Builder) Stream(tr *trace.Trace, startMinute, minutes int) (Source, erro
 			}
 		}
 	}, nil
+}
+
+// compareInvocations orders a minute's invocations by (Arrival, FibN,
+// MemMB), Stream's sort key.
+func compareInvocations(a, b Invocation) int {
+	return cmp.Or(
+		cmp.Compare(a.Arrival, b.Arrival),
+		cmp.Compare(a.FibN, b.FibN),
+		cmp.Compare(a.MemMB, b.MemMB),
+	)
 }
 
 // ReadSource is Read's streaming sibling: it validates the header up
@@ -259,28 +265,14 @@ func Materialize(src Source) []Invocation {
 
 // TaskPool builds simulator tasks from invocations and recycles finished
 // ones, so a streaming run allocates task structs proportional to its
-// peak concurrency rather than its total invocation count. Labels are
-// cached per Fibonacci bucket (the label is a pure function of FibN). A
-// pool is not safe for concurrent use; cluster runs use one per server.
+// peak concurrency rather than its total invocation count. A pool is not
+// safe for concurrent use; cluster runs use one per server.
 type TaskPool struct {
-	free   []*simkern.Task
-	labels map[int]string
+	free []*simkern.Task
 }
 
 // NewTaskPool returns an empty pool.
-func NewTaskPool() *TaskPool {
-	return &TaskPool{labels: make(map[int]string)}
-}
-
-// Label returns the cached fib(n) label for a bucket.
-func (p *TaskPool) Label(fibN int) string {
-	l, ok := p.labels[fibN]
-	if !ok {
-		l = fmt.Sprintf("fib(%d)", fibN)
-		p.labels[fibN] = l
-	}
-	return l
-}
+func NewTaskPool() *TaskPool { return &TaskPool{} }
 
 // Get returns a task carrying inv under the given id, reusing a recycled
 // struct when one is free.
@@ -294,7 +286,7 @@ func (p *TaskPool) Get(inv Invocation, id simkern.TaskID) *simkern.Task {
 		t = &simkern.Task{}
 	}
 	t.ID = id
-	t.Label = p.Label(inv.FibN)
+	t.Label = FibLabel(inv.FibN)
 	t.Kind = simkern.KindFunction
 	t.Arrival = inv.Arrival
 	t.Work = inv.Duration

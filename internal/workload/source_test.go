@@ -1,8 +1,11 @@
 package workload
 
 import (
+	"fmt"
 	"testing"
 	"time"
+
+	"github.com/faassched/faassched/internal/fib"
 )
 
 // TestStreamMatchesBuild pins the tentpole equivalence at the source
@@ -153,7 +156,8 @@ func TestSampleInvariants(t *testing.T) {
 	}
 }
 
-// TestTaskPoolReuse: Get/Put cycles reuse structs and labels.
+// TestTaskPoolReuse: a pooled task carries the invocation's fields and
+// its bucket label, and a live task is refused by Put.
 func TestTaskPoolReuse(t *testing.T) {
 	p := NewTaskPool()
 	inv := Invocation{Arrival: time.Second, FibN: 30, Duration: time.Millisecond, MemMB: 128}
@@ -164,7 +168,46 @@ func TestTaskPoolReuse(t *testing.T) {
 	if p.Put(t1) {
 		t.Fatal("pool accepted a live task")
 	}
-	if p.Label(30) != t1.Label {
-		t.Error("label cache miss")
+	if t1.Label != FibLabel(30) {
+		t.Errorf("pool label %q, want FibLabel(30) = %q", t1.Label, FibLabel(30))
+	}
+}
+
+// TestFibLabel: the table and the formatted fallback agree with the
+// "fib(n)" spelling on both sides of the table's bounds.
+func TestFibLabel(t *testing.T) {
+	for _, n := range []int{-1, 0, 1, fib.MinN, fib.MaxN, fib.MaxN + 1, 1000} {
+		if got, want := FibLabel(n), fmt.Sprintf("fib(%d)", n); got != want {
+			t.Errorf("FibLabel(%d) = %q, want %q", n, got, want)
+		}
+	}
+}
+
+// TestStreamStrictlyOrdered: Stream's (Arrival, FibN, MemMB) sort key is
+// a strict total order over its output, which is what lets each minute
+// sort unstably without changing the sequence. Minute starts put every
+// bucket's first arrival on the same instant, so the FibN/MemMB
+// tiebreaks are exercised.
+func TestStreamStrictlyOrdered(t *testing.T) {
+	tr := testTrace(t, 4)
+	src, err := Builder{}.Stream(tr, 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	invs := Materialize(src)
+	if len(invs) < 2 {
+		t.Fatalf("stream too short: %d invocations", len(invs))
+	}
+	ties := 0
+	for i := 1; i < len(invs); i++ {
+		if compareInvocations(invs[i-1], invs[i]) >= 0 {
+			t.Fatalf("invocation %d %+v does not follow %+v under the sort key", i, invs[i], invs[i-1])
+		}
+		if invs[i-1].Arrival == invs[i].Arrival {
+			ties++
+		}
+	}
+	if ties == 0 {
+		t.Error("no same-instant arrivals; the tiebreak went untested")
 	}
 }

@@ -6,7 +6,8 @@
 #   ./scripts/bench_baseline.sh /dev/stdout  # print without rewriting
 #
 # The set below pairs the substrate micro-benchmarks (dispatch mechanism,
-# end-to-end CFS event throughput, workload pipeline, facade) with a few
+# CFS runqueue insert/delete, end-to-end CFS event throughput, workload
+# pipeline, facade) with a few
 # figure benchmarks as end-to-end sentinels, plus the sharded-fleet group:
 # the provider-scale replay (including the 24 h ×10 cases at 1,000 and
 # 10,000 servers, gated behind FAASSCHED_BIGBENCH and minutes-to-hours
@@ -26,6 +27,7 @@ FIGS='BenchmarkFig06Hybrid$|BenchmarkTable1Summary$|BenchmarkFig13Preemptions$|B
 # noisy on shared hardware to gate on. The 24 h case stays 1 iteration.
 {
   go test -run '^$' -bench "$MICRO" -benchmem .
+  go test -run '^$' -bench 'BenchmarkRBTreeInsertDelete$' -benchmem ./internal/queue
   # Fixed-b.N protocol shared with scripts/bench_smoke.sh: the pick
   # stream is deterministic, so a pinned iteration count times the
   # identical instruction stream on both sides of the diff.

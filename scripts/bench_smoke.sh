@@ -25,9 +25,11 @@
 # accidental O(servers) scan per event), not percent-level drift — on a
 # noisy box pass a looser second argument.
 #
-# Gate 3 — obs-disabled zero-alloc (DESIGN.md §13): asserts every
-# BenchmarkDispatchPick row reports allocs/op == 0, pinning the
-# observability seams' inertness guarantee at the allocation level.
+# Gate 3 — zero-alloc hot paths: asserts every BenchmarkDispatchPick row
+# reports allocs/op == 0, pinning the observability seams' inertness
+# guarantee at the allocation level (DESIGN.md §13), and that
+# BenchmarkRBTreeInsertDelete does too — CFS runqueues link caller-owned
+# nodes, so a delete + re-insert must never allocate (DESIGN.md §15).
 #
 #   ./scripts/bench_smoke.sh              # default ceiling + 20% gate
 #   ./scripts/bench_smoke.sh 60000 35     # custom ceiling, 35% gate
@@ -63,26 +65,30 @@ fi
 # it the ramp-up vs steady-state mix, which swamps the gate on sub-µs
 # rows). Captured separately because the output also feeds gate 3.
 dispatch=$(go test -run '^$' -bench 'BenchmarkDispatchPick' -benchtime 2000000x -timeout 20m .)
+rbtree=$(go test -run '^$' -bench 'BenchmarkRBTreeInsertDelete$' ./internal/queue)
+printf '%s\n' "$rbtree"
 
-# Gate 3 — obs-disabled zero-alloc (DESIGN.md §13): with no Obs wired
-# in, the hot dispatch path must not allocate. Every DispatchPick row
-# reports allocs/op (b.ReportAllocs); any nonzero value means an obs
-# seam leaked an allocation onto the per-arrival path.
-printf '%s\n' "$dispatch" | awk '
-  /^BenchmarkDispatchPick/ {
+# Gate 3 — zero-alloc hot paths. With no Obs wired in, the hot dispatch
+# path must not allocate (DESIGN.md §13); nor may a runqueue delete +
+# re-insert (DESIGN.md §15). Every gated row reports allocs/op
+# (b.ReportAllocs); any nonzero value means an allocation leaked onto a
+# per-arrival or per-preemption path.
+printf '%s\n%s\n' "$dispatch" "$rbtree" | awk '
+  /^Benchmark(DispatchPick|RBTreeInsertDelete)/ {
     allocs = ""
     for (i = 1; i < NF; i++) if ($(i+1) == "allocs/op") allocs = $i
     if (allocs == "") { printf "bench_smoke: %s reports no allocs/op\n", $1; exit 1 }
-    n++
+    if ($1 ~ /^BenchmarkDispatchPick/) pick++; else tree++
     if (allocs + 0 != 0) {
-      printf "bench_smoke: %s allocs/op=%s, want 0 — obs-disabled hot path allocates\n", $1, allocs
+      printf "bench_smoke: %s allocs/op=%s, want 0 — hot path allocates\n", $1, allocs
       bad = 1
     }
   }
   END {
-    if (n == 0) { print "bench_smoke: no DispatchPick rows for zero-alloc gate"; exit 1 }
+    if (pick == 0) { print "bench_smoke: no DispatchPick rows for zero-alloc gate"; exit 1 }
+    if (tree == 0) { print "bench_smoke: no RBTreeInsertDelete row for zero-alloc gate"; exit 1 }
     if (bad) exit 1
-    printf "bench_smoke: %d DispatchPick rows allocation-free (obs-disabled zero-alloc gate)\n", n
+    printf "bench_smoke: %d DispatchPick rows and %d RBTreeInsertDelete row allocation-free (zero-alloc gate)\n", pick, tree
   }'
 
 tmp=$(mktemp)
