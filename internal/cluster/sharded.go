@@ -34,9 +34,9 @@ import (
 	"github.com/faassched/faassched/internal/workload"
 )
 
-// shardMsg is one router→shard handoff: either a routed arrival for one
-// of the shard's servers, or a watermark releasing the shard to advance
-// every server's clock to mark.
+// shardMsg is one entry of a router→shard handoff batch: either a routed
+// arrival for one of the shard's servers, or a watermark releasing the
+// shard to advance every server's clock to mark.
 type shardMsg struct {
 	r      Routed
 	server int
@@ -44,9 +44,26 @@ type shardMsg struct {
 	isMark bool
 }
 
-// shardChanBuf bounds each shard's in-flight handoffs. Watermarks act as
-// barriers, so the buffer only smooths bursts within one chunk.
-const shardChanBuf = 256
+// The router hands each shard its messages in batches rather than one
+// channel send per arrival (DESIGN.md §16). A batch is sent when it holds
+// shardBatch messages, when a watermark has just been appended to it, and
+// at close; the shard applies it in order, so per-shard admission order
+// and watermark placement are those of the unbatched stream.
+const (
+	// shardBatch is the handoff batch capacity, in messages.
+	shardBatch = 64
+	// shardChanBuf bounds each shard's in-flight batches: at most
+	// shardChanBuf·shardBatch = 256 routed arrivals wait in a shard's
+	// channel, the bound of the unbatched channel this replaces.
+	// Watermarks act as barriers, so the buffer only smooths bursts
+	// within one chunk.
+	shardChanBuf = 4
+	// shardBatchPool is how many batches circulate per shard: the
+	// channel's, one being applied by the shard and one being filled by
+	// the router. Applied batches return through the shard's free list,
+	// so a run allocates at most this many per shard.
+	shardBatchPool = shardChanBuf + 2
+)
 
 // shardedServer is one live machine inside a shard worker. Servers are
 // created on first arrival, so fleet slots that never receive traffic
@@ -68,7 +85,8 @@ type shardWorker struct {
 	exact    bool
 	acc      *metrics.WindowedAccumulator // windowed mode's shard-local sink
 	servers  []*shardedServer
-	ch       chan shardMsg
+	ch       chan []shardMsg // handoff batches, in routing order
+	free     chan []shardMsg // applied batches, emptied for reuse
 	err      error
 	makespan time.Duration
 	stats    ghost.Stats
@@ -81,20 +99,20 @@ type shardWorker struct {
 	reg *obs.Registry
 }
 
-// run consumes the shard's handoff stream until the router closes it,
-// then drains every machine. After a failure it keeps consuming (and
-// discarding) messages so the router never blocks on a dead shard.
+// run consumes the shard's handoff batches until the router closes the
+// channel, then drains every machine. After a failure it keeps consuming
+// (and discarding) batches so the router never blocks on a dead shard.
 func (w *shardWorker) run(done chan<- struct{}) {
 	defer func() { done <- struct{}{} }()
-	for msg := range w.ch {
-		if w.err != nil {
-			continue
+	for batch := range w.ch {
+		for i := 0; i < len(batch) && w.err == nil; i++ {
+			if msg := &batch[i]; msg.isMark {
+				w.runTo(msg.mark)
+			} else {
+				w.admit(msg.server, msg.r)
+			}
 		}
-		if msg.isMark {
-			w.runTo(msg.mark)
-		} else {
-			w.admit(msg.server, msg.r)
-		}
+		w.free <- batch[:0] // never blocks: the pool holds every batch
 	}
 	if w.err != nil {
 		return
@@ -371,7 +389,8 @@ func runSharded(cfg Config, src workload.Source, exact bool, tariff pricing.Tari
 			policies: policies,
 			exact:    exact,
 			servers:  make([]*shardedServer, rg[1]-rg[0]),
-			ch:       make(chan shardMsg, shardChanBuf),
+			ch:       make(chan []shardMsg, shardChanBuf),
+			free:     make(chan []shardMsg, shardBatchPool),
 		}
 		if cfg.Obs.Registry() != nil {
 			w.reg = obs.NewRegistry()
@@ -389,8 +408,26 @@ func runSharded(cfg Config, src workload.Source, exact bool, tariff pricing.Tari
 	for _, w := range workers {
 		go w.run(done)
 	}
+	// batches[i] is the batch the router is filling for shard i.
+	batches := make([][]shardMsg, len(workers))
+	for i := range batches {
+		batches[i] = make([]shardMsg, 0, shardBatch)
+	}
+	// send hands shard i its batch and takes an emptied one to fill next.
+	send := func(i int) {
+		w := workers[i]
+		w.ch <- batches[i]
+		select {
+		case batches[i] = <-w.free:
+		default:
+			batches[i] = make([]shardMsg, 0, shardBatch)
+		}
+	}
 	closeAll := func() {
-		for _, w := range workers {
+		for i, w := range workers {
+			if len(batches[i]) > 0 {
+				w.ch <- batches[i]
+			}
 			close(w.ch)
 		}
 		for range workers {
@@ -449,8 +486,9 @@ func runSharded(cfg Config, src workload.Source, exact bool, tariff pricing.Tari
 		// A watermark T is only safe once an arrival strictly beyond T
 		// proves every arrival ≤ T has been handed over.
 		for inv.Arrival > nextMark {
-			for _, w := range workers {
-				w.ch <- shardMsg{mark: nextMark, isMark: true}
+			for i := range workers {
+				batches[i] = append(batches[i], shardMsg{mark: nextMark, isMark: true})
+				send(i)
 			}
 			if wmCount != nil {
 				wmCount.Inc()
@@ -499,7 +537,11 @@ func runSharded(cfg Config, src workload.Source, exact bool, tariff pricing.Tari
 		if exact {
 			assignment = append(assignment, s)
 		}
-		workers[serverShard[s]].ch <- shardMsg{r: Routed{Inv: inv, Idx: idx, ColdStart: cold, Slow: slow}, server: s}
+		sh := serverShard[s]
+		batches[sh] = append(batches[sh], shardMsg{r: Routed{Inv: inv, Idx: idx, ColdStart: cold, Slow: slow}, server: s})
+		if len(batches[sh]) == shardBatch {
+			send(sh)
+		}
 		idx++
 		if pg != nil {
 			pg.Routed.Add(1)

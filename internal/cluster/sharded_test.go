@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -101,33 +102,109 @@ func TestShardedExactMatchesFlat(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					if len(got.Set.Records) != len(flat.Set.Records) {
-						t.Fatalf("%s: %d records, flat has %d", name, len(got.Set.Records), len(flat.Set.Records))
-					}
-					for i := range flat.Set.Records {
-						if got.Set.Records[i] != flat.Set.Records[i] {
-							t.Fatalf("%s: record %d differs:\nsharded %+v\nflat    %+v",
-								name, i, got.Set.Records[i], flat.Set.Records[i])
-						}
-					}
-					if got.Makespan != flat.Makespan || got.Preemptions != flat.Preemptions {
-						t.Errorf("%s: aggregates differ (makespan %v/%v, preempt %d/%d)",
-							name, got.Makespan, flat.Makespan, got.Preemptions, flat.Preemptions)
-					}
-					for i := range flat.Assignment {
-						if got.Assignment[i] != flat.Assignment[i] {
-							t.Fatalf("%s: invocation %d routed to server %d, flat routed to %d",
-								name, i, got.Assignment[i], flat.Assignment[i])
-						}
-					}
-					for s := range flat.PerServer {
-						fs, gs := flat.PerServer[s], got.PerServer[s]
-						if gs.Invocations != fs.Invocations || gs.Makespan != fs.Makespan || gs.Preemptions != fs.Preemptions {
-							t.Errorf("%s: server %d shape differs", name, s)
-						}
-					}
+					requireMatchesFlat(t, name, got, flat)
 				}
 			}
+		}
+	}
+}
+
+// requireMatchesFlat fails unless a sharded exact run reproduces the
+// flat fleet's records, aggregates, routing and per-server shape.
+func requireMatchesFlat(t *testing.T, name string, got, flat *Result) {
+	t.Helper()
+	if len(got.Set.Records) != len(flat.Set.Records) {
+		t.Fatalf("%s: %d records, flat has %d", name, len(got.Set.Records), len(flat.Set.Records))
+	}
+	for i := range flat.Set.Records {
+		if got.Set.Records[i] != flat.Set.Records[i] {
+			t.Fatalf("%s: record %d differs:\nsharded %+v\nflat    %+v",
+				name, i, got.Set.Records[i], flat.Set.Records[i])
+		}
+	}
+	if got.Makespan != flat.Makespan || got.Preemptions != flat.Preemptions {
+		t.Errorf("%s: aggregates differ (makespan %v/%v, preempt %d/%d)",
+			name, got.Makespan, flat.Makespan, got.Preemptions, flat.Preemptions)
+	}
+	for i := range flat.Assignment {
+		if got.Assignment[i] != flat.Assignment[i] {
+			t.Fatalf("%s: invocation %d routed to server %d, flat routed to %d",
+				name, i, got.Assignment[i], flat.Assignment[i])
+		}
+	}
+	for s := range flat.PerServer {
+		fs, gs := flat.PerServer[s], got.PerServer[s]
+		if gs.Invocations != fs.Invocations || gs.Makespan != fs.Makespan || gs.Preemptions != fs.Preemptions {
+			t.Errorf("%s: server %d shape differs", name, s)
+		}
+	}
+}
+
+// TestShardedBatchBoundaries: between consecutive watermarks the busy
+// shard receives 0, 1, B−1, B, B+1 and 3B arrivals (B = shardBatch), so
+// a watermark lands on an empty batch, a partial one, a full one, one
+// past full, and after several full batches; the final partial batch is
+// handed over at close. Every other shard receives nothing. The run must
+// equal the flat fleet at every shard count.
+func TestShardedBatchBoundaries(t *testing.T) {
+	const chunk = time.Second
+	var invs []workload.Invocation
+	for w, n := range []int{0, 1, shardBatch - 1, shardBatch, shardBatch + 1, 3 * shardBatch, 0, 2} {
+		for i := 0; i < n; i++ {
+			invs = append(invs, workload.Invocation{
+				Arrival:  time.Duration(w)*chunk + time.Duration(i+1)*2*time.Millisecond,
+				FibN:     30,
+				Duration: time.Millisecond,
+				MemMB:    128,
+			})
+		}
+	}
+	cfg := testConfig(7, DispatchLeastLoaded)
+	cfg.Policy = func() ghost.Policy { return cfs.New(cfs.Params{}) }
+	cfg.Seed = 1
+	cfg.Window = chunk
+	flat, err := Simulate(cfg, invs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each arrival finds server 0 idle, so least-loaded sends all of them
+	// to it and the per-window counts above are exactly its shard's.
+	if flat.PerServer[0].Invocations != len(invs) {
+		t.Fatalf("server 0 got %d of %d arrivals; the boundary counts do not hold", flat.PerServer[0].Invocations, len(invs))
+	}
+	for _, shards := range []int{1, 3, 7} {
+		cfg.Shards, cfg.Workers = shards, 2
+		got, err := SimulateShardedExact(cfg, workload.SliceSource(invs))
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		requireMatchesFlat(t, fmt.Sprintf("shards=%d", shards), got, flat)
+	}
+}
+
+// TestShardedFailingShardReportsError: a shard that fails on its first
+// arrival keeps consuming its handoff batches, so the router — with many
+// times the shard's channel capacity still to route — finishes instead of
+// blocking, and the run returns the shard's error.
+func TestShardedFailingShardReportsError(t *testing.T) {
+	invs := synthWorkload(20*shardChanBuf*shardBatch, time.Millisecond, time.Millisecond)
+	invs[3].Duration = 0 // round-robin sends it to server 3; admission rejects it
+	for _, tc := range []struct{ shards, bad int }{{1, 0}, {7, 3}} {
+		cfg := testConfig(7, DispatchRoundRobin)
+		cfg.Shards, cfg.Workers = tc.shards, 2
+		done := make(chan error, 1)
+		go func() {
+			_, err := SimulateShardedExact(cfg, workload.SliceSource(invs))
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			want := fmt.Sprintf("shard %d ", tc.bad)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("shards=%d: err = %v, want one naming %q", tc.shards, err, want)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("shards=%d: run with a failed shard did not return", tc.shards)
 		}
 	}
 }

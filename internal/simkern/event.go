@@ -17,7 +17,6 @@ const (
 	evArrival              // Task reached its arrival time and becomes runnable
 	evCompletion           // the running Task finishes its current segment's work
 	evTimer                // SetTimer callback: policy ticks, delegation batches
-	evSample               // per-core utilization sampler period
 )
 
 // Event ordering classes. In a fully materialized run every arrival event
@@ -149,16 +148,17 @@ func (l *eventLoop) next() *event {
 	return ev
 }
 
-// peekTime returns the time of the earliest pending event.
-func (l *eventLoop) peekTime() (time.Duration, bool) {
+// peek returns the earliest pending event without removing it, or nil
+// when drained.
+func (l *eventLoop) peek() *event {
 	ev, ok := l.heap.Peek()
 	if !ok {
-		return 0, false
+		return nil
 	}
-	return ev.at, true
+	return ev
 }
 
-// activeLen returns the number of pending events.
+// activeLen returns the number of pending events (heap-bound tests).
 func (l *eventLoop) activeLen() int { return l.heap.Len() }
 
 // freeLen returns the current free-list size (pool-reuse tests).

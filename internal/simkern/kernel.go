@@ -34,7 +34,10 @@ type Config struct {
 	// Nil means the enclave owns its cores outright.
 	Interference Interference
 	// SampleEvery enables per-core utilization sampling at this period.
-	// Zero disables sampling.
+	// Zero disables sampling. The sampler is virtual: its grid points are
+	// not heap events, so they add nothing to EventSeq or to Run's count,
+	// yet each point is published exactly where a periodic event armed at
+	// the previous point would have fired (DESIGN.md §16).
 	SampleEvery time.Duration
 	// RecordUtil keeps the full per-core utilization history (needed by
 	// the utilization-over-time figures). Requires SampleEvery > 0.
@@ -131,7 +134,13 @@ type Kernel struct {
 	makespan    time.Duration
 	timers      map[TimerID]*event
 	nextTimerID TimerID
-	sampling    bool
+
+	// Virtual sampler (DESIGN.md §16): while sampling, the next grid point
+	// is sampleAt and it orders like a classRun event with sequence number
+	// just above sampleSeq, the loop's seq when the point was armed.
+	sampling  bool
+	sampleAt  time.Duration
+	sampleSeq uint64
 }
 
 // New validates cfg and returns a kernel.
@@ -241,26 +250,47 @@ func (k *Kernel) addTask(t *Task, class uint8) error {
 
 // Run processes events until the event queue drains or the horizon is
 // reached (horizon 0 means no limit). It returns the number of events
-// processed.
+// processed; sampler grid points are not events and do not count.
+//
+// With sampling enabled, Run arms the sampler at now+SampleEvery unless
+// it is still armed from an earlier call, and publishes each grid point
+// before any real event it precedes in (time, class, seq) order. The
+// sampler stops at the first point where no real event is pending and no
+// task is outstanding; Run then returns with the clock on that point.
+// A Run(0) whose pending events are gone while tasks are still
+// outstanding — a handler that never dispatched them — returns at once
+// instead of sampling forever; the caller sees Outstanding() > 0.
 func (k *Kernel) Run(horizon time.Duration) (int, error) {
 	if k.handler == nil {
 		return 0, ErrNoHandler
 	}
 	if k.cfg.SampleEvery > 0 && !k.sampling {
 		k.sampling = true
-		k.scheduleSample()
+		k.sampleAt = k.now + k.cfg.SampleEvery
+		k.sampleSeq = k.loop.seq
 	}
 	processed := 0
 	for {
-		at, ok := k.loop.peekTime()
-		if !ok {
+		ev := k.loop.peek()
+		if k.sampling && k.sampleFirst(ev) {
+			if horizon > 0 && k.sampleAt > horizon {
+				k.now = horizon
+				break
+			}
+			if ev == nil && horizon == 0 && k.Outstanding() > 0 {
+				break // nothing left can ever run the outstanding tasks
+			}
+			k.sample(ev, horizon)
+			continue
+		}
+		if ev == nil {
 			break
 		}
-		if horizon > 0 && at > horizon {
+		if horizon > 0 && ev.at > horizon {
 			k.now = horizon
 			break
 		}
-		ev := k.loop.next()
+		k.loop.next()
 		k.now = ev.at
 		k.dispatch(ev)
 		processed++
@@ -289,8 +319,6 @@ func (k *Kernel) dispatch(ev *event) {
 			delete(k.timers, id)
 		}
 		fn()
-	case evSample:
-		k.sample()
 	}
 }
 
@@ -446,10 +474,11 @@ func (k *Kernel) SetFaultTimer(at time.Duration, fn func()) TimerID {
 }
 
 // EventSeq returns the sequence number of the most recently scheduled
-// event. The delegation layer compares snapshots of it to prove that no
-// event was scheduled between two message emissions, which is the
-// condition under which their deliveries may share one batch without
-// perturbing the (time, seq) firing order.
+// event, which is the count of events scheduled so far: the virtual
+// sampler schedules none. The delegation layer compares snapshots of it
+// to prove that no event was scheduled between two message emissions,
+// which is the condition under which their deliveries may share one
+// batch without perturbing the (time, seq) firing order.
 func (k *Kernel) EventSeq() uint64 { return k.loop.seq }
 
 // ScheduleFn schedules fn at time at (clamped to now) with no
@@ -507,11 +536,7 @@ func (k *Kernel) CoreBusy(c CoreID) time.Duration {
 	if err != nil {
 		return 0
 	}
-	busy := cr.busyAccum
-	if cr.task != nil {
-		busy += k.now - cr.busySince
-	}
-	return busy
+	return cr.busyAt(k.now)
 }
 
 // CoreSwitches returns how many dispatches core c has performed.
@@ -560,29 +585,82 @@ func (k *Kernel) core(c CoreID) (*core, error) {
 	return k.cores[c], nil
 }
 
-func (k *Kernel) scheduleSample() {
-	k.loop.schedule(k.now+k.cfg.SampleEvery, evSample)
+// sampleFirst reports whether the armed grid point fires before ev, the
+// earliest pending real event (nil when there is none): it does when it
+// is earlier, or at the same instant when ev is a fault timer or a
+// classRun event scheduled after the point was armed.
+func (k *Kernel) sampleFirst(ev *event) bool {
+	if ev == nil || k.sampleAt < ev.at {
+		return true
+	}
+	if k.sampleAt > ev.at {
+		return false
+	}
+	return ev.class > classRun || (ev.class == classRun && ev.seq > k.sampleSeq)
 }
 
-// sample publishes per-core utilization for the window that just closed
-// (the simulated psutil daemon readout) and re-arms the sampler.
-func (k *Kernel) sample() {
-	for _, cr := range k.cores {
-		busy := cr.busyAccum
-		if cr.task != nil {
-			busy += k.now - cr.busySince
+// sample publishes the armed grid point (the simulated psutil daemon
+// readout) together with every later point that also precedes ev and
+// lies within the horizon, then re-arms the sampler — or stops it when
+// nothing is pending and nothing is outstanding. No core changes state
+// between those points, so only the last window sets UtilLast; with
+// RecordUtil every point is still appended. A re-armed point carries the
+// loop's current seq, so it loses a same-instant tie to ev unless ev is
+// a fault timer.
+func (k *Kernel) sample(ev *event, horizon time.Duration) {
+	every := k.cfg.SampleEvery
+	first, last := k.sampleAt, k.sampleAt
+	stop := ev == nil && k.Outstanding() == 0
+	if !stop {
+		limit := horizon // > 0 here: Run breaks on a stuck Run(0)
+		if ev != nil {
+			limit = ev.at
+			if ev.class <= classRun {
+				limit--
+			}
+			if horizon > 0 && horizon < limit {
+				limit = horizon
+			}
 		}
-		cr.lastUtil = float64(busy-cr.lastSampleBusy) / float64(k.cfg.SampleEvery)
-		cr.lastSampleBusy = busy
-		if cr.utilHist != nil {
-			cr.utilHist.Append(k.now, cr.lastUtil)
+		if limit > first {
+			last += (limit - first) / every * every
 		}
 	}
-	// Stop sampling once the machine is drained so the event loop can
-	// terminate; Run restarts it lazily if more work arrives.
-	if k.Outstanding() > 0 || k.loop.activeLen() > 0 {
-		k.scheduleSample()
-	} else {
+	for _, cr := range k.cores {
+		if cr.utilHist != nil {
+			for at := first; at <= last; at += every {
+				cr.publish(at, every)
+			}
+			continue
+		}
+		if last > first {
+			cr.lastSampleBusy = cr.busyAt(last - every)
+		}
+		cr.publish(last, every)
+	}
+	k.now = last
+	k.sampleAt = last + every
+	k.sampleSeq = k.loop.seq
+	if stop {
 		k.sampling = false
+	}
+}
+
+// busyAt returns the core's cumulative busy time at instant at, which must
+// not precede its last state change.
+func (cr *core) busyAt(at time.Duration) time.Duration {
+	if cr.task != nil {
+		return cr.busyAccum + at - cr.busySince
+	}
+	return cr.busyAccum
+}
+
+// publish closes the sampling window ending at at.
+func (cr *core) publish(at, every time.Duration) {
+	busy := cr.busyAt(at)
+	cr.lastUtil = float64(busy-cr.lastSampleBusy) / float64(every)
+	cr.lastSampleBusy = busy
+	if cr.utilHist != nil {
+		cr.utilHist.Append(at, cr.lastUtil)
 	}
 }

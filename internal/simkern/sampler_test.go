@@ -176,3 +176,40 @@ func TestSamplerIdleSpanPublishesEveryPoint(t *testing.T) {
 		t.Errorf("drained at %v, want 1s", k.Now())
 	}
 }
+
+// TestRunReturnsOnUndispatchedTask: a handler that never dispatches
+// leaves a task outstanding with no event pending. Run(0) must return
+// rather than sample forever, leaving Outstanding() > 0 for the caller's
+// unfinished-task check; a bounded Run still samples up to its horizon.
+func TestRunReturnsOnUndispatchedTask(t *testing.T) {
+	k, err := New(Config{Cores: 1, SampleEvery: testSampleEvery, RecordUtil: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.SetHandler(nopHandler{})
+	if err := k.AddTask(&Task{ID: 1, Work: time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := k.Run(0)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run(0) did not return with an undispatched task outstanding")
+	}
+	if k.Outstanding() != 1 || k.Now() != 0 || samplesSoFar(k) != 0 {
+		t.Fatalf("after Run(0): outstanding %d, now %v, %d points; want 1, 0s, 0", k.Outstanding(), k.Now(), samplesSoFar(k))
+	}
+	if _, err := k.Run(95 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if k.Now() != 95*time.Millisecond || samplesSoFar(k) != 9 {
+		t.Fatalf("after Run(95ms): now %v with %d points, want 95ms with 9", k.Now(), samplesSoFar(k))
+	}
+}

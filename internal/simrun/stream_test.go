@@ -2,6 +2,7 @@ package simrun
 
 import (
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -136,5 +137,44 @@ func makeTasks(arrivals []time.Duration) TaskSource {
 			Arrival: arrivals[i-1],
 			Work:    time.Millisecond,
 		}, true
+	}
+}
+
+// idlePolicy hears every message and dispatches nothing.
+type idlePolicy struct{}
+
+func (idlePolicy) Name() string            { return "idle" }
+func (idlePolicy) Attach(*ghost.Env)       {}
+func (idlePolicy) OnMessage(ghost.Message) {}
+
+// TestUndispatchedTaskReportsUnfinished: a policy that never dispatches
+// must surface as the drivers' unfinished-task error, not a run that
+// never returns.
+func TestUndispatchedTaskReportsUnfinished(t *testing.T) {
+	invs := testInvocations(t, 3)
+	done := make(chan error, 2)
+	go func() {
+		_, err := Exec(simkern.DefaultConfig(1), idlePolicy{}, ghost.Config{}, AddTasks(workload.Tasks(invs)))
+		done <- err
+	}()
+	go func() {
+		inc, err := NewIncremental(simkern.DefaultConfig(1), idlePolicy{}, ghost.Config{}, &metrics.Set{})
+		if err == nil {
+			err = inc.Admit(inc.Pool().Get(invs[0], 1))
+		}
+		if err == nil {
+			err = inc.Drain()
+		}
+		done <- err
+	}()
+	for range 2 {
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "unfinished") {
+				t.Errorf("err = %v, want an unfinished-task error", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("run with an undispatched task did not return")
+		}
 	}
 }

@@ -5,7 +5,7 @@
 # and fails if its events/run metric climbs back above a generous
 # ceiling — i.e. if a change accidentally reintroduces the
 # every-boundary tick pump. The elided kernel runs the 500-task
-# benchmark in ~4k events; the naive pump needs ~137k; the default
+# benchmark in ~2.3k events; the naive pump needs ~137k; the default
 # ceiling of 40000 leaves ~10x headroom for legitimate workload or
 # policy changes while still catching a pump regression outright.
 #
@@ -31,12 +31,20 @@
 # BenchmarkRBTreeInsertDelete does too — CFS runqueues link caller-owned
 # nodes, so a delete + re-insert must never allocate (DESIGN.md §15).
 #
-#   ./scripts/bench_smoke.sh              # default ceiling + 20% gate
-#   ./scripts/bench_smoke.sh 60000 35     # custom ceiling, 35% gate
+# Gate 4 — sampler events (DESIGN.md §16): the 100-server sharded
+# replay's kernel events per invocation must stay under EVCEILING. The
+# utilization sampler is virtual, so its 100 ms grid points schedule no
+# kernel event; the row reads 9.34 events/inv with the virtual sampler
+# and 18.16 with the heap-event sampler it replaced, so the default
+# ceiling of 12 fails if sampler periods come back as kernel events.
+#
+#   ./scripts/bench_smoke.sh              # default ceilings + 20% gate
+#   ./scripts/bench_smoke.sh 60000 35 14  # custom ceilings, 35% gate
 set -e
 cd "$(dirname "$0")/.."
 CEILING="${1:-40000}"
 MAXPCT="${2:-20}"
+EVCEILING="${3:-12}"
 
 out=$(go test -run '^$' -bench 'BenchmarkCFSSimulation$' -benchtime 1x .)
 printf '%s\n' "$out"
@@ -91,10 +99,27 @@ printf '%s\n%s\n' "$dispatch" "$rbtree" | awk '
     printf "bench_smoke: %d DispatchPick rows and %d RBTreeInsertDelete row allocation-free (zero-alloc gate)\n", pick, tree
   }'
 
+sharded=$(go test -run '^$' -bench 'BenchmarkShardedFleetReplay/100servers_x1_2h$' -benchtime 3x -timeout 20m .)
+printf '%s\n' "$sharded"
+
+# Gate 4 — sampler events per invocation on the 100-server replay.
+printf '%s\n' "$sharded" | awk -v ceiling="$EVCEILING" '
+  /^BenchmarkShardedFleetReplay\/100servers_x1_2h/ {
+    for (i = 1; i < NF; i++) if ($(i+1) == "events/inv") v = $i
+  }
+  END {
+    if (v == "") { print "bench_smoke: no events/inv metric on the 100-server replay"; exit 1 }
+    if (v + 0 > ceiling + 0) {
+      printf "bench_smoke: events/inv %s exceeds ceiling %s — sampler periods back on the event heap?\n", v, ceiling
+      exit 1
+    }
+    printf "bench_smoke: 100-server replay events/inv %s within ceiling %s\n", v, ceiling
+  }'
+
 tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT
 {
-  go test -run '^$' -bench 'BenchmarkShardedFleetReplay/100servers_x1_2h$' -benchtime 3x -timeout 20m .
+  printf '%s\n' "$sharded"
   go test -run '^$' -bench 'BenchmarkSweepRunner$' -benchtime 3x -timeout 20m .
   go test -run '^$' -bench 'BenchmarkFaultyReplay$' -benchtime 3x -timeout 20m .
   printf '%s\n' "$dispatch"
