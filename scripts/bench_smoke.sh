@@ -32,19 +32,18 @@
 # nodes, so a delete + re-insert must never allocate (DESIGN.md §15).
 #
 # Gate 4 — sampler events (DESIGN.md §16): the 100-server sharded
-# replay's kernel events per invocation must stay under EVCEILING. The
+# replay's kernel events per invocation must stay at or under 12. The
 # utilization sampler is virtual, so its 100 ms grid points schedule no
 # kernel event; the row reads 9.34 events/inv with the virtual sampler
-# and 18.16 with the heap-event sampler it replaced, so the default
-# ceiling of 12 fails if sampler periods come back as kernel events.
+# and 18.16 with the heap-event sampler it replaced, so the ceiling fails
+# if sampler periods come back as kernel events.
 #
-#   ./scripts/bench_smoke.sh              # default ceilings + 20% gate
-#   ./scripts/bench_smoke.sh 60000 35 14  # custom ceilings, 35% gate
+#   ./scripts/bench_smoke.sh              # default ceiling + 20% gate
+#   ./scripts/bench_smoke.sh 60000 35     # custom ceiling, 35% gate
 set -e
 cd "$(dirname "$0")/.."
 CEILING="${1:-40000}"
 MAXPCT="${2:-20}"
-EVCEILING="${3:-12}"
 
 out=$(go test -run '^$' -bench 'BenchmarkCFSSimulation$' -benchtime 1x .)
 printf '%s\n' "$out"
@@ -103,7 +102,8 @@ sharded=$(go test -run '^$' -bench 'BenchmarkShardedFleetReplay/100servers_x1_2h
 printf '%s\n' "$sharded"
 
 # Gate 4 — sampler events per invocation on the 100-server replay.
-printf '%s\n' "$sharded" | awk -v ceiling="$EVCEILING" '
+printf '%s\n' "$sharded" | awk '
+  BEGIN { ceiling = 12 }
   /^BenchmarkShardedFleetReplay\/100servers_x1_2h/ {
     for (i = 1; i < NF; i++) if ($(i+1) == "events/inv") v = $i
   }
