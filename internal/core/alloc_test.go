@@ -31,10 +31,10 @@ func TestSpillCycleAllocationFree(t *testing.T) {
 	if h.Spills() == 0 {
 		t.Fatal("no FIFO→CFS spills")
 	}
-	// AllocsPerRun reports whole allocations per cycle. The monitor's
-	// four metric series grow by amortized doubling once per monitor
-	// period, which stays far below one per cycle; a per-task allocation
-	// anywhere on the spill path would cost at least six.
+	// The kernel records no utilization and the limit is static, so the
+	// hybrid runs no monitor and keeps no duration window: nothing on the
+	// cycle may allocate. A per-task allocation anywhere on the spill path
+	// would cost at least six per cycle.
 	if allocs := testing.AllocsPerRun(20, func() { r.Cycle() }); allocs != 0 {
 		t.Errorf("warmed hybrid spill cycle allocates %.1f/run, want 0", allocs)
 	}

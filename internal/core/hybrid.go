@@ -15,6 +15,11 @@
 //     utilization of the two groups and migrates one core across when the
 //     gap exceeds a threshold, using the paper's lock → preempt → migrate
 //     tasks → switch policy → unlock protocol.
+//
+// Each mechanism costs only where something reads it (DESIGN.md §17): the
+// duration window exists only under an adaptive limit, the monitor timer
+// runs only under rightsizing or on a kernel that records utilization,
+// and the monitor's series grow only on such a recording kernel.
 package core
 
 import (
@@ -96,7 +101,9 @@ type Config struct {
 	// Tick is the global agent's scan period; zero defaults to DefaultTick.
 	Tick time.Duration
 	// MonitorEvery is the utilization/limit monitor period; zero defaults
-	// to DefaultMonitorEvery.
+	// to DefaultMonitorEvery. The monitor runs only when Rightsize is
+	// enabled or the kernel records utilization (simkern.Config.RecordUtil);
+	// otherwise nothing reads it and no monitor timer is armed.
 	MonitorEvery time.Duration
 	// MigrationDelay is the modeled cost of moving a core between groups;
 	// zero defaults to DefaultMigrationDelay.
@@ -177,20 +184,24 @@ type Hybrid struct {
 	groups  map[simkern.TaskID]group
 
 	limit   time.Duration
-	window  *stats.Window
-	rrSpill int // round-robin cursor over CFS cores for spills
+	window  *stats.Window // nil unless the limit adapts (Percentile > 0)
+	rrSpill int           // round-robin cursor over CFS cores for spills
 
-	monitorOn     bool
-	monitorFn     func() // persistent monitor callback (no per-period closure)
+	monitorOn bool
+	// monitorFn is the persistent monitor callback (no per-period
+	// closure). It stays nil — and the monitor off — unless rightsizing
+	// or a recording kernel reads the monitor.
+	monitorFn     func()
+	recording     bool // the kernel records utilization: append the series
 	lastMigration time.Duration
 	migrating     bool
 
 	spills int64 // tasks preempted FIFO→CFS
 
-	limitSeries     *stats.Series
-	fifoUtilSeries  *stats.Series
-	cfsUtilSeries   *stats.Series
-	fifoCountSeries *stats.Series
+	limitSeries     stats.Series
+	fifoUtilSeries  stats.Series
+	cfsUtilSeries   stats.Series
+	fifoCountSeries stats.Series
 }
 
 var (
@@ -203,16 +214,19 @@ var (
 // enclave size first; Attach clamps silently otherwise.
 func New(cfg Config) *Hybrid {
 	cfg = cfg.withDefaults()
-	return &Hybrid{
+	h := &Hybrid{
 		cfg:             cfg,
 		groups:          make(map[simkern.TaskID]group),
 		limit:           cfg.TimeLimit.Static,
-		window:          stats.NewWindow(cfg.TimeLimit.WindowSize),
-		limitSeries:     stats.NewSeries("time-limit"),
-		fifoUtilSeries:  stats.NewSeries("fifo-util"),
-		cfsUtilSeries:   stats.NewSeries("cfs-util"),
-		fifoCountSeries: stats.NewSeries("fifo-cores"),
+		limitSeries:     stats.MakeSeries("time-limit"),
+		fifoUtilSeries:  stats.MakeSeries("fifo-util"),
+		cfsUtilSeries:   stats.MakeSeries("cfs-util"),
+		fifoCountSeries: stats.MakeSeries("fifo-cores"),
 	}
+	if cfg.TimeLimit.Percentile > 0 {
+		h.window = stats.NewWindow(cfg.TimeLimit.WindowSize)
+	}
+	return h
 }
 
 // Name implements ghost.Policy.
@@ -240,6 +254,10 @@ func (h *Hybrid) Attach(env *ghost.Env) {
 	}
 	h.fifoEng = fifo.NewEngine(env, fifoCores, 0 /* run-to-completion */)
 	h.cfsEng = cfs.NewEngine(env, cfsCores, h.cfg.CFS)
+	h.recording = env.RecordsUtil()
+	if !h.recording && !h.cfg.Rightsize.Enabled {
+		return // nothing reads the monitor
+	}
 	h.monitorFn = func() {
 		h.monitor()
 		if h.env.Outstanding() > 0 {
@@ -308,16 +326,16 @@ func isAuxThread(t *simkern.Task) bool {
 	return t.Kind == simkern.KindVMM || t.Kind == simkern.KindIO
 }
 
-// recordCompletion feeds the sliding window behind the adaptive limit.
-// Only function-like work counts; microVM housekeeping threads would skew
-// the duration distribution.
+// recordCompletion feeds the sliding window behind the adaptive limit; a
+// static limit keeps no window. Only function-like work counts; microVM
+// housekeeping threads would skew the duration distribution.
 func (h *Hybrid) recordCompletion(t *simkern.Task) {
-	if t.Kind != simkern.KindFunction && t.Kind != simkern.KindVCPU {
+	if h.window == nil || (t.Kind != simkern.KindFunction && t.Kind != simkern.KindVCPU) {
 		return
 	}
 	h.window.Add(float64(t.CPUConsumed()) / float64(time.Millisecond))
-	if p := h.cfg.TimeLimit.Percentile; p > 0 && h.window.Len() >= minAdaptiveSamples {
-		if v, ok := h.window.Percentile(p); ok {
+	if h.window.Len() >= minAdaptiveSamples {
+		if v, ok := h.window.Percentile(h.cfg.TimeLimit.Percentile); ok {
 			h.limit = time.Duration(v * float64(time.Millisecond))
 		}
 	}
@@ -422,21 +440,26 @@ func (h *Hybrid) FIFOCores() []simkern.CoreID { return h.fifoEng.Cores() }
 // CFSCores returns the current CFS group.
 func (h *Hybrid) CFSCores() []simkern.CoreID { return h.cfsEng.Cores() }
 
+// The four monitor series below are recorded only on a kernel built with
+// simkern.Config.RecordUtil (the utilization-over-time figures' switch);
+// otherwise they stay empty but usable.
+
 // LimitSeries returns the recorded (time, limit-in-ms) monitor series.
-func (h *Hybrid) LimitSeries() *stats.Series { return h.limitSeries }
+func (h *Hybrid) LimitSeries() *stats.Series { return &h.limitSeries }
 
 // FIFOUtilSeries returns the FIFO group's average-utilization series.
-func (h *Hybrid) FIFOUtilSeries() *stats.Series { return h.fifoUtilSeries }
+func (h *Hybrid) FIFOUtilSeries() *stats.Series { return &h.fifoUtilSeries }
 
 // CFSUtilSeries returns the CFS group's average-utilization series.
-func (h *Hybrid) CFSUtilSeries() *stats.Series { return h.cfsUtilSeries }
+func (h *Hybrid) CFSUtilSeries() *stats.Series { return &h.cfsUtilSeries }
 
 // FIFOCountSeries returns the recorded (time, #FIFO cores) series.
-func (h *Hybrid) FIFOCountSeries() *stats.Series { return h.fifoCountSeries }
+func (h *Hybrid) FIFOCountSeries() *stats.Series { return &h.fifoCountSeries }
 
-// ensureMonitor starts the periodic monitor loop on first arrival.
+// ensureMonitor starts the periodic monitor loop on first arrival. It is a
+// no-op when nothing reads the monitor (monitorFn is nil).
 func (h *Hybrid) ensureMonitor() {
-	if h.monitorOn {
+	if h.monitorOn || h.monitorFn == nil {
 		return
 	}
 	h.monitorOn = true
@@ -448,17 +471,19 @@ func (h *Hybrid) scheduleMonitor() {
 }
 
 // monitor records the group-utilization, limit, and core-count series
-// (Figs 14, 16, 17, 19) and drives rightsizing. It reads per-core
-// utilization from the kernel's sampler — the stand-in for the paper's
-// psutil daemon publishing through shared memory.
+// (Figs 14, 16, 17, 19) on a recording kernel and drives rightsizing. It
+// reads per-core utilization from the kernel's sampler — the stand-in for
+// the paper's psutil daemon publishing through shared memory.
 func (h *Hybrid) monitor() {
 	now := h.env.Now()
 	fifoUtil := h.groupUtil(h.fifoEng.Cores())
 	cfsUtil := h.groupUtil(h.cfsEng.Cores())
-	h.fifoUtilSeries.Append(now, fifoUtil)
-	h.cfsUtilSeries.Append(now, cfsUtil)
-	h.limitSeries.Append(now, float64(h.limit)/float64(time.Millisecond))
-	h.fifoCountSeries.Append(now, float64(len(h.fifoEng.Cores())))
+	if h.recording {
+		h.fifoUtilSeries.Append(now, fifoUtil)
+		h.cfsUtilSeries.Append(now, cfsUtil)
+		h.limitSeries.Append(now, float64(h.limit)/float64(time.Millisecond))
+		h.fifoCountSeries.Append(now, float64(len(h.fifoEng.Cores())))
+	}
 
 	if !h.cfg.Rightsize.Enabled || h.migrating {
 		return

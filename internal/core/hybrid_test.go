@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/faassched/faassched/internal/core"
+	"github.com/faassched/faassched/internal/ghost"
 	"github.com/faassched/faassched/internal/policy/cfs"
 	"github.com/faassched/faassched/internal/policy/fifo"
 	"github.com/faassched/faassched/internal/policy/policytest"
@@ -183,6 +184,9 @@ func TestAdaptiveLimitBootstrapsFromStatic(t *testing.T) {
 	}
 }
 
+// TestMonitorRecordsSeries: on a kernel that records utilization (the
+// utilization-over-time figures' switch) the monitor appends all four
+// series every period.
 func TestMonitorRecordsSeries(t *testing.T) {
 	h := core.New(core.Config{
 		FIFOCores:    2,
@@ -190,7 +194,10 @@ func TestMonitorRecordsSeries(t *testing.T) {
 		MonitorEvery: 20 * time.Millisecond,
 	})
 	w := policytest.Mixed(80, time.Millisecond, 10*time.Millisecond, 200*time.Millisecond)
-	policytest.Run(t, 4, h, w)
+	kcfg := policytest.KernelConfig(4)
+	kcfg.RecordUtil = true
+	k := policytest.RunKernel(t, kcfg, h, w, ghost.Config{NoLatency: true})
+	policytest.AssertAllFinished(t, k)
 	if h.FIFOUtilSeries().Len() == 0 || h.CFSUtilSeries().Len() == 0 {
 		t.Fatal("monitor recorded no utilization samples")
 	}

@@ -431,3 +431,29 @@ func TestExtColdStartTrend(t *testing.T) {
 		}
 	}
 }
+
+// TestFig10Deterministic: fig10 renders its three duration CDFs in a
+// fixed series order, so two renders are byte-identical.
+func TestFig10Deterministic(t *testing.T) {
+	e := testEnv(t)
+	first, err := Run(e, "fig10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := Run(e, "fig10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.CSV() != second.CSV() {
+		t.Error("fig10 CSV differs between two renders")
+	}
+	var order []string
+	for _, row := range first.Rows {
+		if len(order) == 0 || order[len(order)-1] != row[0] {
+			order = append(order, row[0])
+		}
+	}
+	if want := []string{"full_trace", "sampled_window", "sampled_bucketed"}; fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Errorf("fig10 series order %v, want %v", order, want)
+	}
+}

@@ -131,13 +131,16 @@ func Fig10(e *Env) (*Figure, error) {
 	}
 	fig := NewFigure("fig10", "Full-trace vs sampled-workload duration CDFs",
 		"series", "duration_ms", "cum_frac")
-	for name, c := range map[string]stats.CDF{
-		"full_trace":       full,
-		"sampled_window":   window,
-		"sampled_bucketed": sampled,
+	for _, s := range []struct {
+		name string
+		cdf  stats.CDF
+	}{
+		{"full_trace", full},
+		{"sampled_window", window},
+		{"sampled_bucketed", sampled},
 	} {
-		for _, p := range c.Curve(cdfPoints) {
-			fig.AddRow(name, fmt.Sprintf("%.2f", p.X), fmt.Sprintf("%.4f", p.Y))
+		for _, p := range s.cdf.Curve(cdfPoints) {
+			fig.AddRow(s.name, fmt.Sprintf("%.2f", p.X), fmt.Sprintf("%.4f", p.Y))
 		}
 	}
 	fig.Note("KS(window, full) = %.4f — the curves overlap as in the paper", stats.KSDistance(window, full))

@@ -538,6 +538,11 @@ func (v *Env) UtilLast(c simkern.CoreID) float64 {
 	return v.enclave.kernel.UtilLast(c)
 }
 
+// RecordsUtil reports whether the kernel records utilization over time
+// (simkern.Config.RecordUtil): a policy's own time series are read only
+// then, so it should record them only then.
+func (v *Env) RecordsUtil() bool { return v.enclave.kernel.RecordsUtil() }
+
 // Outstanding returns the number of unfinished tasks in the kernel.
 func (v *Env) Outstanding() int { return v.enclave.kernel.Outstanding() }
 

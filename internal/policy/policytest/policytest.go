@@ -82,12 +82,25 @@ func RunWithLatency(t *testing.T, cores int, policy ghost.Policy, w Workload, la
 // config and runs the workload to completion of the event loop.
 func RunGhostConfig(t *testing.T, cores int, policy ghost.Policy, w Workload, gcfg ghost.Config) *simkern.Kernel {
 	t.Helper()
-	k, err := simkern.New(simkern.Config{
+	return RunKernel(t, KernelConfig(cores), policy, w, gcfg)
+}
+
+// KernelConfig returns the kernel configuration of the Run helpers: 5 µs
+// switches, 50 µs cache penalty and 100 ms utilization sampling.
+func KernelConfig(cores int) simkern.Config {
+	return simkern.Config{
 		Cores:        cores,
 		SwitchCost:   5 * time.Microsecond,
 		CachePenalty: 50 * time.Microsecond,
 		SampleEvery:  100 * time.Millisecond,
-	})
+	}
+}
+
+// RunKernel is RunGhostConfig on an explicit kernel configuration, e.g.
+// KernelConfig with RecordUtil set.
+func RunKernel(t *testing.T, kcfg simkern.Config, policy ghost.Policy, w Workload, gcfg ghost.Config) *simkern.Kernel {
+	t.Helper()
+	k, err := simkern.New(kcfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,11 @@ type Config struct {
 	// the previous point would have fired (DESIGN.md §16).
 	SampleEvery time.Duration
 	// RecordUtil keeps the full per-core utilization history (needed by
-	// the utilization-over-time figures). Requires SampleEvery > 0.
+	// the utilization-over-time figures). Requires SampleEvery > 0. It is
+	// also the switch for policies' own utilization-over-time series:
+	// policies read it through Kernel.RecordsUtil, and the hybrid records
+	// its monitor series — and, without rightsizing, runs its monitor at
+	// all — only when it is set.
 	RecordUtil bool
 	// DiscardTasks stops the kernel from retaining the task table: Tasks()
 	// returns nil and finished tasks hold no kernel reference, so callers
@@ -191,6 +195,10 @@ func (k *Kernel) Now() time.Duration { return k.now }
 
 // CoreCount returns the number of cores.
 func (k *Kernel) CoreCount() int { return len(k.cores) }
+
+// RecordsUtil reports whether the kernel was built with RecordUtil: the
+// run feeds utilization-over-time figures, so observers should record.
+func (k *Kernel) RecordsUtil() bool { return k.cfg.RecordUtil }
 
 // Outstanding returns the number of added tasks that have not finished.
 func (k *Kernel) Outstanding() int { return k.added - k.finished }

@@ -21,8 +21,13 @@ type Series struct {
 
 // NewSeries returns an empty named series.
 func NewSeries(name string) *Series {
-	return &Series{name: name}
+	s := MakeSeries(name)
+	return &s
 }
+
+// MakeSeries returns an empty named series by value, for owners that hold
+// their series inline instead of allocating each one.
+func MakeSeries(name string) Series { return Series{name: name} }
 
 // Name returns the series name used in rendered output.
 func (s *Series) Name() string { return s.name }

@@ -38,6 +38,14 @@
 # and 18.16 with the heap-event sampler it replaced, so the ceiling fails
 # if sampler periods come back as kernel events.
 #
+# Gate 5 — replay memory (DESIGN.md §17): the same 100-server row, run
+# with -benchmem, must allocate at most 64 bytes per invocation
+# (B/op ÷ invocations). The hybrid's monitor records its series and keeps
+# its duration window only where something reads them; the row reads
+# 12.6 B/inv that way and 260 B/inv with the series on every server, so
+# the ceiling fails if per-period monitor storage comes back on a fleet
+# replay.
+#
 #   ./scripts/bench_smoke.sh              # default ceiling + 20% gate
 #   ./scripts/bench_smoke.sh 60000 35     # custom ceiling, 35% gate
 set -e
@@ -98,7 +106,7 @@ printf '%s\n%s\n' "$dispatch" "$rbtree" | awk '
     printf "bench_smoke: %d DispatchPick rows and %d RBTreeInsertDelete row allocation-free (zero-alloc gate)\n", pick, tree
   }'
 
-sharded=$(go test -run '^$' -bench 'BenchmarkShardedFleetReplay/100servers_x1_2h$' -benchtime 3x -timeout 20m .)
+sharded=$(go test -run '^$' -bench 'BenchmarkShardedFleetReplay/100servers_x1_2h$' -benchtime 3x -benchmem -timeout 20m .)
 printf '%s\n' "$sharded"
 
 # Gate 4 — sampler events per invocation on the 100-server replay.
@@ -114,6 +122,25 @@ printf '%s\n' "$sharded" | awk '
       exit 1
     }
     printf "bench_smoke: 100-server replay events/inv %s within ceiling %s\n", v, ceiling
+  }'
+
+# Gate 5 — bytes allocated per invocation on the 100-server replay.
+printf '%s\n' "$sharded" | awk '
+  BEGIN { ceiling = 64 }
+  /^BenchmarkShardedFleetReplay\/100servers_x1_2h/ {
+    for (i = 1; i < NF; i++) {
+      if ($(i+1) == "B/op") bytes = $i
+      if ($(i+1) == "invocations") inv = $i
+    }
+  }
+  END {
+    if (bytes == "" || inv == "") { print "bench_smoke: no B/op or invocations metric on the 100-server replay"; exit 1 }
+    v = bytes / inv
+    if (v > ceiling) {
+      printf "bench_smoke: %.1f B/inv exceeds ceiling %d — monitor series back on fleet replays?\n", v, ceiling
+      exit 1
+    }
+    printf "bench_smoke: 100-server replay %.1f B/inv within ceiling %d\n", v, ceiling
   }'
 
 tmp=$(mktemp)
