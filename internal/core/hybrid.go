@@ -15,11 +15,6 @@
 //     utilization of the two groups and migrates one core across when the
 //     gap exceeds a threshold, using the paper's lock → preempt → migrate
 //     tasks → switch policy → unlock protocol.
-//
-// Each mechanism costs only where something reads it (DESIGN.md §17): the
-// duration window exists only under an adaptive limit, the monitor timer
-// runs only under rightsizing or on a kernel that records utilization,
-// and the monitor's series grow only on such a recording kernel.
 package core
 
 import (
@@ -103,7 +98,8 @@ type Config struct {
 	// MonitorEvery is the utilization/limit monitor period; zero defaults
 	// to DefaultMonitorEvery. The monitor runs only when Rightsize is
 	// enabled or the kernel records utilization (simkern.Config.RecordUtil);
-	// otherwise nothing reads it and no monitor timer is armed.
+	// otherwise nothing reads it and no monitor timer is armed
+	// (DESIGN.md §17).
 	MonitorEvery time.Duration
 	// MigrationDelay is the modeled cost of moving a core between groups;
 	// zero defaults to DefaultMigrationDelay.
@@ -192,7 +188,6 @@ type Hybrid struct {
 	// closure). It stays nil — and the monitor off — unless rightsizing
 	// or a recording kernel reads the monitor.
 	monitorFn     func()
-	recording     bool // the kernel records utilization: append the series
 	lastMigration time.Duration
 	migrating     bool
 
@@ -254,8 +249,7 @@ func (h *Hybrid) Attach(env *ghost.Env) {
 	}
 	h.fifoEng = fifo.NewEngine(env, fifoCores, 0 /* run-to-completion */)
 	h.cfsEng = cfs.NewEngine(env, cfsCores, h.cfg.CFS)
-	h.recording = env.RecordsUtil()
-	if !h.recording && !h.cfg.Rightsize.Enabled {
+	if !env.RecordsUtil() && !h.cfg.Rightsize.Enabled {
 		return // nothing reads the monitor
 	}
 	h.monitorFn = func() {
@@ -478,7 +472,7 @@ func (h *Hybrid) monitor() {
 	now := h.env.Now()
 	fifoUtil := h.groupUtil(h.fifoEng.Cores())
 	cfsUtil := h.groupUtil(h.cfsEng.Cores())
-	if h.recording {
+	if h.env.RecordsUtil() {
 		h.fifoUtilSeries.Append(now, fifoUtil)
 		h.cfsUtilSeries.Append(now, cfsUtil)
 		h.limitSeries.Append(now, float64(h.limit)/float64(time.Millisecond))

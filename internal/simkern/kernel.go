@@ -40,11 +40,9 @@ type Config struct {
 	// the previous point would have fired (DESIGN.md §16).
 	SampleEvery time.Duration
 	// RecordUtil keeps the full per-core utilization history (needed by
-	// the utilization-over-time figures). Requires SampleEvery > 0. It is
-	// also the switch for policies' own utilization-over-time series:
-	// policies read it through Kernel.RecordsUtil, and the hybrid records
-	// its monitor series — and, without rightsizing, runs its monitor at
-	// all — only when it is set.
+	// the utilization-over-time figures). Requires SampleEvery > 0.
+	// Policies read it through Kernel.RecordsUtil: the hybrid records its
+	// monitor series only when it is set (DESIGN.md §17).
 	RecordUtil bool
 	// DiscardTasks stops the kernel from retaining the task table: Tasks()
 	// returns nil and finished tasks hold no kernel reference, so callers

@@ -21,8 +21,7 @@ type Series struct {
 
 // NewSeries returns an empty named series.
 func NewSeries(name string) *Series {
-	s := MakeSeries(name)
-	return &s
+	return &Series{name: name}
 }
 
 // MakeSeries returns an empty named series by value, for owners that hold
