@@ -319,13 +319,14 @@ func BenchmarkStreamedFullscale(b *testing.B) {
 func fifoPolicy() ghost.Policy { return fifo.New(fifo.Config{}) }
 
 // BenchmarkShardedFleetReplay drives the sharded lockstep fleet engine
-// (DESIGN.md §11) at two scales. The small case keeps `go test -bench=.`
-// friendly; the large case is the engine's landing criterion — a full
-// 24 h diurnal window at ×10 the Azure-calibrated volume (~90M
-// invocations) across a 1,000-server fleet — and only makes sense under
-// -benchtime 1x (scripts/bench_baseline.sh runs it that way). Dispatch is
-// round-robin: an O(servers) least-loaded scan per pick is exactly the
-// kind of cost that does not survive 90M picks over 1,000 servers.
+// (DESIGN.md §11) at three scales. The 1 h and 2 h cases keep `go test
+// -bench=.` friendly; the 24 h cases are the engine's landing criterion —
+// a full diurnal window at ×10 the Azure-calibrated volume (~90M
+// invocations) across 1,000 and 10,000 servers — and only make sense
+// under -benchtime 1x (scripts/bench_baseline.sh runs them that way).
+// Dispatch is round-robin on the 1,000-server row: an O(servers)
+// least-loaded scan per pick is exactly the kind of cost that does not
+// survive 90M picks over 1,000 servers.
 func BenchmarkShardedFleetReplay(b *testing.B) {
 	cases := []struct {
 		name             string
@@ -334,6 +335,11 @@ func BenchmarkShardedFleetReplay(b *testing.B) {
 		dispatch         Dispatch
 	}{
 		{"100servers_x1_2h", 100, 120, 1, DispatchRoundRobin},
+		// The idle fleet: 10,000 servers at ×1 leave ~160 live and put
+		// them all in the first shard, so the row times how well the
+		// router overlaps with one hot shard (DESIGN.md §16). Its -cpu 2
+		// row is the one that shows it.
+		{"10000servers_x1_1h", 10000, 60, 1, DispatchLeastLoaded},
 		{"1000servers_x10_24h", 1000, 1440, 10, DispatchRoundRobin},
 		// The 10k row routes least-loaded: the policy whose former
 		// O(servers) scan made the router the bottleneck at this scale,
@@ -342,8 +348,8 @@ func BenchmarkShardedFleetReplay(b *testing.B) {
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
-			if tc.servers >= 1000 && os.Getenv("FAASSCHED_BIGBENCH") == "" {
-				b.Skip("set FAASSCHED_BIGBENCH=1 for the 24 h ×10 1,000+-server replays (~90M invocations, minutes of wall time; scripts/bench_baseline.sh does)")
+			if tc.minutes >= 24*60 && os.Getenv("FAASSCHED_BIGBENCH") == "" {
+				b.Skip("set FAASSCHED_BIGBENCH=1 for the 24 h ×10 replays (~90M invocations, minutes of wall time; scripts/bench_baseline.sh does)")
 			}
 			cfg := trace.DefaultConfig()
 			cfg.Seed = 1

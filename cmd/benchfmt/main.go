@@ -49,6 +49,7 @@ type Result struct {
 	Name       string             `json:"name"`
 	Iterations int64              `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"`
+	procs      int                // GOMAXPROCS of the run, from the name suffix
 }
 
 // File is the BENCH_baseline.json schema.
@@ -210,7 +211,11 @@ func formatDelta(oldV, newV float64) string {
 //	BenchmarkFoo-8   120   9876543 ns/op   123456 B/op   789 allocs/op
 //
 // with an optional trailing run of custom metric pairs from
-// b.ReportMetric. Non-benchmark lines are ignored.
+// b.ReportMetric. Non-benchmark lines are ignored. The -GOMAXPROCS suffix
+// is stripped, so rows recorded on hosts of different sizes compare by
+// name; a benchmark the input holds at several GOMAXPROCS values (go test
+// -cpu 1,2) keeps a -N suffix on every row, -1 included, so each stays a
+// row of its own.
 func Parse(r io.Reader) ([]Result, error) {
 	var results []Result
 	b, err := io.ReadAll(r)
@@ -221,6 +226,18 @@ func Parse(r io.Reader) ([]Result, error) {
 		res, ok := parseLine(line)
 		if ok {
 			results = append(results, res)
+		}
+	}
+	procs := map[string]map[int]bool{}
+	for _, res := range results {
+		if procs[res.Name] == nil {
+			procs[res.Name] = map[int]bool{}
+		}
+		procs[res.Name][res.procs] = true
+	}
+	for i, res := range results {
+		if len(procs[res.Name]) > 1 {
+			results[i].Name = fmt.Sprintf("%s-%d", res.Name, res.procs)
 		}
 	}
 	return results, nil
@@ -238,12 +255,14 @@ func parseLine(line string) (Result, bool) {
 	}
 	// Strip the -GOMAXPROCS suffix (absent when GOMAXPROCS=1), but only a
 	// purely numeric one: sub-benchmark names may contain hyphens.
+	procs := 1
 	for i := len(name) - 1; i > 0; i-- {
 		c := name[i]
 		if c >= '0' && c <= '9' {
 			continue
 		}
 		if c == '-' && i < len(name)-1 {
+			fmt.Sscanf(name[i+1:], "%d", &procs)
 			name = name[:i]
 		}
 		break
@@ -252,7 +271,7 @@ func parseLine(line string) (Result, bool) {
 	if _, err := fmt.Sscanf(fields[1], "%d", &iters); err != nil || iters <= 0 {
 		return Result{}, false
 	}
-	res := Result{Name: name, Iterations: iters, Metrics: map[string]float64{}}
+	res := Result{Name: name, Iterations: iters, Metrics: map[string]float64{}, procs: procs}
 	for i := 2; i+1 < len(fields); i += 2 {
 		var v float64
 		if _, err := fmt.Sscanf(fields[i], "%g", &v); err != nil {

@@ -42,6 +42,32 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// TestParseKeepsProcsApart: one benchmark run at two GOMAXPROCS values
+// (go test -cpu 1,2) keeps a suffix on both rows, while a benchmark run
+// once is still stripped.
+func TestParseKeepsProcsApart(t *testing.T) {
+	in := `BenchmarkReplay/10k 	 3	 900 ns/op
+BenchmarkReplay/10k-2 	 3	 600 ns/op
+BenchmarkKernelDispatch-2 	 10	 5 ns/op
+`
+	results, err := Parse(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"BenchmarkReplay/10k-1", "BenchmarkReplay/10k-2", "BenchmarkKernelDispatch"}
+	if len(results) != len(want) {
+		t.Fatalf("parsed %d results, want %d", len(results), len(want))
+	}
+	for i, w := range want {
+		if results[i].Name != w {
+			t.Errorf("row %d named %q, want %q", i, results[i].Name, w)
+		}
+	}
+	if results[0].Metrics["ns/op"] != 900 || results[1].Metrics["ns/op"] != 600 {
+		t.Errorf("rows swapped: %+v", results[:2])
+	}
+}
+
 func TestRunRejectsEmptyInput(t *testing.T) {
 	var out strings.Builder
 	if err := run(strings.NewReader("no benchmarks here\n"), &out); err == nil {
