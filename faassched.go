@@ -764,9 +764,6 @@ type ShardedStats struct {
 	Makespan time.Duration
 	// Ghost aggregates the fleet's full delegation counters.
 	Ghost GhostStats
-	// TicksFired / TicksElided mirror Ghost.Ticks / Ghost.TicksElided
-	// (kept for existing callers).
-	TicksFired, TicksElided int64
 	// KernelEvents sums scheduled kernel events across servers.
 	KernelEvents uint64
 	// PerShard reports each shard's server range and share of
@@ -860,8 +857,6 @@ func SimulateShardedReplay(opts ClusterOptions, src Source) (*ShardedStats, erro
 		Invocations:  rep.Invocations,
 		Makespan:     rep.Makespan,
 		Ghost:        rep.Stats,
-		TicksFired:   rep.TicksFired,
-		TicksElided:  rep.TicksElided,
 		KernelEvents: rep.Events,
 		PerShard:     rep.PerShard,
 		Faults:       rep.Faults,

@@ -227,9 +227,6 @@ type Result struct {
 	// Stats aggregates the per-server enclaves' full delegation counters
 	// (messages, commits, fired vs elided ticks, migrations).
 	Stats ghost.Stats
-	// TicksFired / TicksElided mirror Stats.Ticks / Stats.TicksElided
-	// (kept for existing callers).
-	TicksFired, TicksElided int64
 	// KernelEvents sums scheduled kernel events across servers.
 	KernelEvents uint64
 	// PoolWorkers is how many pooled worker goroutines hosted the
@@ -1042,7 +1039,6 @@ func (c *controller) finish(routed int) (*Result, error) {
 		res.Servers = append(res.Servers, sv.Server)
 	}
 	res.Faults.Crashes = c.crashes
-	res.TicksFired, res.TicksElided = res.Stats.Ticks, res.Stats.TicksElided
 
 	sort.SliceStable(events, func(i, j int) bool {
 		if events[i].Time != events[j].Time {

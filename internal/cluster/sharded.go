@@ -16,6 +16,12 @@
 // windowed replay; an id-sorted record merge for the exact mode), so the
 // result is bit-for-bit independent of how the shard goroutines were
 // scheduled. See DESIGN.md §11.
+//
+// Watermarks order each shard's work but do not make the router wait: the
+// router keeps routing past a watermark while shards are still simulating
+// up to it, bounded only by a fleet-wide pool of handoff batches. On a
+// fleet whose load sits in one shard, that lets the router route the next
+// chunk while the hot shard simulates the last (DESIGN.md §16).
 
 package cluster
 
@@ -49,21 +55,61 @@ type shardMsg struct {
 // shardBatch messages, when a watermark has just been appended to it, and
 // at close; the shard applies it in order, so per-shard admission order
 // and watermark placement are those of the unbatched stream.
+//
+// Batches come from one fleet-wide pool, not one per shard (batchPool).
+// The pool is the only place the router blocks, so a hot shard may hold
+// almost every batch while idle shards, which receive little but
+// watermarks, hold only the mark-only batches they have yet to apply.
 const (
-	// shardBatch is the handoff batch capacity, in messages.
+	// shardBatch is the handoff batch capacity, in messages: enough to
+	// amortize a channel send and its wake-up over many arrivals, small
+	// enough that a shard starts on a chunk's arrivals long before the
+	// router has routed the whole chunk.
 	shardBatch = 64
-	// shardChanBuf bounds each shard's in-flight batches: at most
-	// shardChanBuf·shardBatch = 256 routed arrivals wait in a shard's
-	// channel, the bound of the unbatched channel this replaces.
-	// Watermarks act as barriers, so the buffer only smooths bursts
-	// within one chunk.
-	shardChanBuf = 4
-	// shardBatchPool is how many batches circulate per shard: the
-	// channel's, one being applied by the shard and one being filled by
-	// the router. Applied batches return through the shard's free list,
-	// so a run allocates at most this many per shard.
-	shardBatchPool = shardChanBuf + 2
+	// handoffRunAhead is how many batches beyond one per shard the fleet
+	// keeps in flight. handoffRunAhead·shardBatch = 4,096 messages covers
+	// one default 30 s watermark chunk on the hot shard of the 10k-server
+	// idle fleet (~3.2k arrivals), so the router routes the next chunk
+	// while that shard simulates the last instead of taking turns with
+	// it. Fewer batches bring the turns back, more buy little and cost
+	// memory (DESIGN.md §16 has the sweep). At 96 B a message these
+	// batches take ≈390 KB, plus 6 KB for each shard's own.
+	handoffRunAhead = 64
 )
+
+// batchPool is the fleet-wide pool of handoff batches. The router takes a
+// batch whenever it starts filling one for a shard; a shard puts each
+// batch back once applied. At most cap(free) = shards+handoffRunAhead
+// batches exist, made on demand, and every shard channel is that deep, so
+// a channel send never blocks: the router waits only in get, when every
+// batch is in flight.
+type batchPool struct {
+	free chan []shardMsg
+	made int // batches allocated so far; touched by the router only
+}
+
+func newBatchPool(shards int) *batchPool {
+	return &batchPool{free: make(chan []shardMsg, shards+handoffRunAhead)}
+}
+
+// get returns an empty batch, reusing an applied one when there is one,
+// allocating while under the bound, and otherwise waiting for a shard to
+// put one back.
+func (p *batchPool) get() []shardMsg {
+	select {
+	case b := <-p.free:
+		return b
+	default:
+	}
+	if p.made < cap(p.free) {
+		p.made++
+		return make([]shardMsg, 0, shardBatch)
+	}
+	return <-p.free
+}
+
+// put returns an applied batch. It never blocks: free holds every batch.
+func (p *batchPool) put(b []shardMsg) { p.free <- b[:0] }
 
 // shardedServer is one live machine inside a shard worker. Servers are
 // created on first arrival, so fleet slots that never receive traffic
@@ -86,7 +132,7 @@ type shardWorker struct {
 	acc      *metrics.WindowedAccumulator // windowed mode's shard-local sink
 	servers  []*shardedServer
 	ch       chan []shardMsg // handoff batches, in routing order
-	free     chan []shardMsg // applied batches, emptied for reuse
+	pool     *batchPool      // where applied batches go back
 	err      error
 	makespan time.Duration
 	stats    ghost.Stats
@@ -112,7 +158,7 @@ func (w *shardWorker) run(done chan<- struct{}) {
 				w.admit(msg.server, msg.r)
 			}
 		}
-		w.free <- batch[:0] // never blocks: the pool holds every batch
+		w.pool.put(batch)
 	}
 	if w.err != nil {
 		return
@@ -225,9 +271,6 @@ type ShardedReplay struct {
 	// (messages, commits, fired vs elided ticks, migrations) across the
 	// fleet.
 	Stats ghost.Stats
-	// TicksFired / TicksElided mirror Stats.Ticks / Stats.TicksElided
-	// (kept for existing callers).
-	TicksFired, TicksElided int64
 	// Events sums scheduled kernel events across servers.
 	Events uint64
 	// PerShard breaks invocations and events down by shard, in shard
@@ -269,8 +312,6 @@ func SimulateShardedWindowed(cfg Config, src workload.Source, tariff pricing.Tar
 		rep.Faults.Accumulate(w.faults)
 		rep.PerShard[i] = obs.ShardUtil{Shard: i, Servers: w.hi - w.lo, Invocations: w.invs, Events: w.events}
 	}
-	rep.TicksFired = rep.Stats.Ticks
-	rep.TicksElided = rep.Stats.TicksElided
 	if rep.Windowed, err = metrics.MergeTree(accs); err != nil {
 		return nil, err
 	}
@@ -378,6 +419,7 @@ func runSharded(cfg Config, src workload.Source, exact bool, tariff pricing.Tari
 	}
 
 	workers := make([]*shardWorker, len(shards))
+	pool := newBatchPool(len(shards))
 	serverShard := make([]int, cfg.Servers)
 	done := make(chan struct{})
 	for i, rg := range shards {
@@ -389,8 +431,8 @@ func runSharded(cfg Config, src workload.Source, exact bool, tariff pricing.Tari
 			policies: policies,
 			exact:    exact,
 			servers:  make([]*shardedServer, rg[1]-rg[0]),
-			ch:       make(chan []shardMsg, shardChanBuf),
-			free:     make(chan []shardMsg, shardBatchPool),
+			ch:       make(chan []shardMsg, cap(pool.free)), // holds every batch: a send never blocks
+			pool:     pool,
 		}
 		if cfg.Obs.Registry() != nil {
 			w.reg = obs.NewRegistry()
@@ -408,20 +450,18 @@ func runSharded(cfg Config, src workload.Source, exact bool, tariff pricing.Tari
 	for _, w := range workers {
 		go w.run(done)
 	}
-	// batches[i] is the batch the router is filling for shard i.
+	// batches[i] is the batch the router is filling for shard i, nil
+	// until its first message since the last send.
 	batches := make([][]shardMsg, len(workers))
-	for i := range batches {
-		batches[i] = make([]shardMsg, 0, shardBatch)
-	}
-	// send hands shard i its batch and takes an emptied one to fill next.
-	send := func(i int) {
-		w := workers[i]
-		w.ch <- batches[i]
-		select {
-		case batches[i] = <-w.free:
-		default:
-			batches[i] = make([]shardMsg, 0, shardBatch)
+	push := func(i int, msg shardMsg) {
+		if batches[i] == nil {
+			batches[i] = pool.get()
 		}
+		batches[i] = append(batches[i], msg)
+	}
+	send := func(i int) {
+		workers[i].ch <- batches[i]
+		batches[i] = nil
 	}
 	closeAll := func() {
 		for i, w := range workers {
@@ -487,7 +527,7 @@ func runSharded(cfg Config, src workload.Source, exact bool, tariff pricing.Tari
 		// proves every arrival ≤ T has been handed over.
 		for inv.Arrival > nextMark {
 			for i := range workers {
-				batches[i] = append(batches[i], shardMsg{mark: nextMark, isMark: true})
+				push(i, shardMsg{mark: nextMark, isMark: true})
 				send(i)
 			}
 			if wmCount != nil {
@@ -538,7 +578,7 @@ func runSharded(cfg Config, src workload.Source, exact bool, tariff pricing.Tari
 			assignment = append(assignment, s)
 		}
 		sh := serverShard[s]
-		batches[sh] = append(batches[sh], shardMsg{r: Routed{Inv: inv, Idx: idx, ColdStart: cold, Slow: slow}, server: s})
+		push(sh, shardMsg{r: Routed{Inv: inv, Idx: idx, ColdStart: cold, Slow: slow}, server: s})
 		if len(batches[sh]) == shardBatch {
 			send(sh)
 		}

@@ -182,12 +182,16 @@ func TestShardedBatchBoundaries(t *testing.T) {
 	}
 }
 
+// handoffBound is the most messages the router can have handed to shards
+// or be filling at once: every batch of the fleet-wide pool, full.
+func handoffBound(shards int) int { return (shards + handoffRunAhead) * shardBatch }
+
 // TestShardedFailingShardReportsError: a shard that fails on its first
 // arrival keeps consuming its handoff batches, so the router — with many
-// times the shard's channel capacity still to route — finishes instead of
-// blocking, and the run returns the shard's error.
+// times the fleet's handoff bound still to route — finishes instead of
+// blocking on the batch pool, and the run returns the shard's error.
 func TestShardedFailingShardReportsError(t *testing.T) {
-	invs := synthWorkload(20*shardChanBuf*shardBatch, time.Millisecond, time.Millisecond)
+	invs := synthWorkload(8*handoffBound(7), time.Millisecond, time.Millisecond)
 	invs[3].Duration = 0 // round-robin sends it to server 3; admission rejects it
 	for _, tc := range []struct{ shards, bad int }{{1, 0}, {7, 3}} {
 		cfg := testConfig(7, DispatchRoundRobin)
@@ -206,6 +210,87 @@ func TestShardedFailingShardReportsError(t *testing.T) {
 		case <-time.After(20 * time.Second):
 			t.Fatalf("shards=%d: run with a failed shard did not return", tc.shards)
 		}
+	}
+}
+
+// TestShardedHotShardRunAhead: between two watermarks one hot server
+// receives more than twice the in-flight bound of a 16-shard fleet, so
+// the router cannot route that chunk without the hot shard handing
+// batches back, and waits on the pool whenever it gets ahead, while the
+// idle shards hold only mark-only batches. The run must equal the flat
+// fleet at every shard count, and the pool must never make more than
+// shards+handoffRunAhead batches.
+func TestShardedHotShardRunAhead(t *testing.T) {
+	const chunk = 30 * time.Second
+	perChunk := []int{5, 2*handoffBound(16) + shardBatch/2, 1, 0, 3*shardBatch + 1}
+	var invs []workload.Invocation
+	for w, n := range perChunk {
+		gap := chunk / time.Duration(n+1)
+		for i := 0; i < n; i++ {
+			invs = append(invs, workload.Invocation{
+				Arrival:  time.Duration(w)*chunk + time.Duration(i+1)*gap,
+				FibN:     30,
+				Duration: gap / 2,
+				MemMB:    128,
+			})
+		}
+	}
+	cfg := testConfig(16, DispatchLeastLoaded)
+	cfg.Seed = 1
+	cfg.Window = chunk
+	flat, err := Simulate(cfg, invs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each arrival finds server 0 idle, so least-loaded sends all of them
+	// to it: one shard is hot and every other shard sees only watermarks.
+	if flat.PerServer[0].Invocations != len(invs) {
+		t.Fatalf("server 0 got %d of %d arrivals; the hot-shard shape does not hold", flat.PerServer[0].Invocations, len(invs))
+	}
+	for _, shards := range []int{1, 3, 7, 16} {
+		name := fmt.Sprintf("shards=%d", shards)
+		cfg.Shards, cfg.Workers = shards, 2
+		got, err := SimulateShardedExact(cfg, workload.SliceSource(invs))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		requireMatchesFlat(t, name, got, flat)
+		workers, _, _, _, err := runSharded(cfg, workload.SliceSource(invs), true, pricing.Tariff{}, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if made, bound := workers[0].pool.made, shards+handoffRunAhead; made > bound {
+			t.Errorf("%s: %d handoff batches allocated, bound is %d", name, made, bound)
+		}
+	}
+}
+
+// TestBatchPoolBound: the pool makes batches until it holds
+// shards+handoffRunAhead, reuses returned ones before making more, and
+// once every batch is out, get waits for a put.
+func TestBatchPoolBound(t *testing.T) {
+	const shards = 3
+	p := newBatchPool(shards)
+	out := make([][]shardMsg, 0, shards+handoffRunAhead)
+	for len(out) < cap(out) {
+		out = append(out, p.get())
+	}
+	if p.made != cap(out) {
+		t.Fatalf("made %d batches for %d gets", p.made, cap(out))
+	}
+	got := make(chan []shardMsg)
+	go func() { got <- p.get() }()
+	select {
+	case <-got:
+		t.Fatal("get returned with every batch out")
+	case <-time.After(20 * time.Millisecond):
+	}
+	p.put(append(out[0], shardMsg{isMark: true}))
+	if b := <-got; len(b) != 0 || cap(b) != shardBatch {
+		t.Errorf("recycled batch has len %d cap %d, want 0 and %d", len(b), cap(b), shardBatch)
+	}
+	if p.made != cap(out) {
+		t.Errorf("made %d batches, want %d", p.made, cap(out))
 	}
 }
 

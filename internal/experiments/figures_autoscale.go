@@ -153,7 +153,7 @@ func ExtAutoscale(e *Env) (*Figure, error) {
 			fmtUSD(serverTariff.Cost(res.ServerSeconds)))
 		c.Note("%s/%s fleet: %s | peak=%d launched=%d drained=%d | fleet@%v edges: %s | agent ticks: %s",
 			s.name, sc.name, res.Timeline(10), res.PeakServers, res.Launched(), res.Drained(),
-			width, fleetAtEdges(res, width, win.Windows()), tickNote(res.TicksFired, res.TicksElided))
+			width, fleetAtEdges(res, width, win.Windows()), tickNote(res.Stats.Ticks, res.Stats.TicksElided))
 		return nil
 	})
 	if err != nil {
