@@ -56,8 +56,7 @@ func run(args []string, stdout io.Writer) error {
 		compare   = fs.Bool("compare", false, "sweep every dispatch policy instead of running one")
 		file      = fs.String("workload", "", "replay a workload file instead of synthesizing")
 		csvPath   = fs.String("csv", "", "also write the result table as CSV to this path")
-		shards    = fs.Int("shards", 0, "partition the fleet into this many shard work units (0 = 4× workers)")
-		workers   = fs.Int("workers", 0, "bound the fleet execution worker pool (0 = GOMAXPROCS)")
+		shards    = fs.Int("shards", 0, "partition the fleet into this many shards, one worker goroutine each (0 = 4×GOMAXPROCS)")
 
 		shardMode   = fs.Bool("sharded", false, "run the sharded windowed replay (lockstep routing, O(shards×windows) memory) instead of the exact fixed fleet")
 		shardWindow = fs.Duration("shard-window", time.Hour, "sharded replay: per-window metrics width")
@@ -91,10 +90,7 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("-warm-first and -coldstart-pool-mb need the cold-start model: set -coldstart-latency > 0")
 	}
 	if *shards < 0 {
-		return fmt.Errorf("-shards %d must be >= 0 (0 = 4× workers)", *shards)
-	}
-	if *workers < 0 {
-		return fmt.Errorf("-workers %d must be >= 0 (0 = GOMAXPROCS)", *workers)
+		return fmt.Errorf("-shards %d must be >= 0 (0 = 4×GOMAXPROCS)", *shards)
 	}
 	if *shardMode {
 		if *asMode {
@@ -176,7 +172,7 @@ func run(args []string, stdout io.Writer) error {
 			servers: *servers, cores: *cores,
 			dispatch: faassched.Dispatch(*dispatch), sched: faassched.Scheduler(*sched),
 			seed: *seed, fifoCores: *fifoCores, limit: *limit,
-			shards: *shards, workers: *workers, window: *shardWindow,
+			shards: *shards, window: *shardWindow,
 			csvPath: *csvPath, coldStart: coldStart, faults: faultCfg, rig: rig,
 		}); err != nil {
 			return err
@@ -231,7 +227,6 @@ func run(args []string, stdout io.Writer) error {
 			ColdStart:      coldStart,
 			Faults:         faultCfg,
 			Shards:         *shards,
-			Workers:        *workers,
 			Obs:            rig.Obs,
 		}, invs)
 		if err != nil {
@@ -388,18 +383,18 @@ func runAutoscale(stdout io.Writer, invs []faassched.Invocation, a autoscaleArgs
 
 // shardedArgs bundles the resolved -sharded flags.
 type shardedArgs struct {
-	servers, cores  int
-	dispatch        faassched.Dispatch
-	sched           faassched.Scheduler
-	seed            int64
-	fifoCores       int
-	limit           time.Duration
-	shards, workers int
-	window          time.Duration
-	csvPath         string
-	coldStart       faassched.ColdStartOptions
-	faults          faassched.FaultOptions
-	rig             *cliutil.ObsRig
+	servers, cores int
+	dispatch       faassched.Dispatch
+	sched          faassched.Scheduler
+	seed           int64
+	fifoCores      int
+	limit          time.Duration
+	shards         int
+	window         time.Duration
+	csvPath        string
+	coldStart      faassched.ColdStartOptions
+	faults         faassched.FaultOptions
+	rig            *cliutil.ObsRig
 }
 
 // runSharded is the sharded windowed replay entry point: lockstep
@@ -415,7 +410,6 @@ func runSharded(stdout io.Writer, src faassched.Source, a shardedArgs) error {
 		FIFOCores:      a.fifoCores,
 		TimeLimit:      a.limit,
 		Shards:         a.shards,
-		Workers:        a.workers,
 		MetricsWindow:  a.window,
 		ColdStart:      a.coldStart,
 		Faults:         a.faults,

@@ -397,13 +397,10 @@ func streamOpts(opts Options) (Options, ghost.Policy, error) {
 // SimulateStreamed runs src through the streaming dataflow — lazy arrival
 // admission, completion-sink retirement, task recycling — with the exact
 // in-memory record sink, and is observationally identical to Simulate on
-// the materialized equivalent of src (TestGoldenDigests pins this per
-// scheduler), with one caveat: exact identity for tick-driven schedulers
-// additionally requires every fully idle traffic gap to be shorter than
-// the look-ahead window, or the paused tick grid re-phases at the next
-// arrival (DESIGN.md §7). Memory for the record set is still
-// O(invocations); use SimulateAccumulated when the horizon makes even
-// that too much.
+// the materialized equivalent of src, idle gaps included (DESIGN.md §7;
+// TestGoldenDigests pins this per scheduler). Memory for the record set
+// is still O(invocations); use SimulateAccumulated when the horizon makes
+// even that too much.
 func SimulateStreamed(opts Options, src Source) (*Result, error) {
 	opts, policy, err := streamOpts(opts)
 	if err != nil {
@@ -607,23 +604,14 @@ type ClusterOptions struct {
 	FIFOCores int
 	// TimeLimit overrides the hybrid's static preemption limit.
 	TimeLimit time.Duration
-	// Streamed drives every server through the lazy-admission streaming
-	// dataflow with a per-server sink and task pool. Results are
-	// bit-for-bit identical to the materialized path (subject to the idle
-	// gap caveat on SimulateStreamed); per-server peak memory drops to
-	// active tasks + look-ahead window.
-	Streamed bool
 	// ColdStart configures the per-function warm-instance model. The zero
 	// value disables it and reproduces the pre-model results exactly.
 	ColdStart ColdStartOptions
-	// Shards partitions the fleet into contiguous server ranges executed
-	// as work units by the bounded worker pool (DESIGN.md §11). Zero
-	// means 4× the worker count. Results are bit-for-bit identical at any
-	// setting.
+	// Shards partitions the fleet into contiguous server ranges, each
+	// simulated by one worker goroutine of the lockstep engine (DESIGN.md
+	// §11). Zero means 4×GOMAXPROCS, capped at Servers. Results are
+	// bit-for-bit identical at any setting.
 	Shards int
-	// Workers bounds the fleet execution worker pool. Zero means
-	// GOMAXPROCS.
-	Workers int
 	// MetricsWindow is the sharded replay's per-window accumulator width
 	// (SimulateShardedReplay only). Zero means one hour.
 	MetricsWindow time.Duration
@@ -632,8 +620,7 @@ type ClusterOptions struct {
 	// alters simulated behavior (DESIGN.md §13).
 	Obs *obs.Obs
 	// Faults is the deterministic fault plan (crashes, stragglers,
-	// timeouts, retries; DESIGN.md §14). A non-zero plan forces the
-	// streaming dataflow. The zero value changes nothing.
+	// timeouts, retries; DESIGN.md §14). The zero value changes nothing.
 	Faults FaultOptions
 }
 
@@ -670,22 +657,21 @@ func (r *ClusterResult) Summary() string {
 	return fmt.Sprintf("cluster[%d×%d %s] %s", r.Servers, r.CoresPerServer, r.Dispatch, r.Result.Summary())
 }
 
-// SimulateCluster routes invs across a fleet and simulates the servers
-// on a bounded worker pool over contiguous shards (Shards/Workers;
-// results are deterministic for given inputs regardless of worker count
-// or interleaving).
-func SimulateCluster(opts ClusterOptions, invs []Invocation) (*ClusterResult, error) {
+// clusterConfig resolves opts into the fleet engine's config — the one
+// resolver behind both fixed-fleet entry points, so they default and
+// reject options alike.
+func clusterConfig(opts ClusterOptions) (ClusterOptions, cluster.Config, error) {
 	if opts.Servers == 0 {
 		opts.Servers = 4
 	}
 	if opts.Servers < 1 {
-		return nil, fmt.Errorf("faassched: Servers must be >= 1, got %d", opts.Servers)
+		return opts, cluster.Config{}, fmt.Errorf("faassched: Servers must be >= 1, got %d", opts.Servers)
 	}
 	if opts.CoresPerServer == 0 {
 		opts.CoresPerServer = 8
 	}
 	if opts.CoresPerServer < 2 {
-		return nil, fmt.Errorf("faassched: need at least 2 cores per server, got %d", opts.CoresPerServer)
+		return opts, cluster.Config{}, fmt.Errorf("faassched: need at least 2 cores per server, got %d", opts.CoresPerServer)
 	}
 	if opts.Scheduler == "" {
 		opts.Scheduler = SchedulerHybrid
@@ -693,8 +679,8 @@ func SimulateCluster(opts ClusterOptions, invs []Invocation) (*ClusterResult, er
 	if opts.Dispatch == "" {
 		opts.Dispatch = DispatchLeastLoaded
 	}
-	if len(invs) == 0 {
-		return nil, fmt.Errorf("faassched: empty workload")
+	if opts.MetricsWindow == 0 {
+		opts.MetricsWindow = time.Hour
 	}
 	serverOpts := Options{
 		Cores:     opts.CoresPerServer,
@@ -704,16 +690,14 @@ func SimulateCluster(opts ClusterOptions, invs []Invocation) (*ClusterResult, er
 	}
 	// Validate the per-server configuration once, up front.
 	if _, err := newPolicy(serverOpts); err != nil {
-		return nil, err
+		return opts, cluster.Config{}, err
 	}
-	cres, err := cluster.Simulate(cluster.Config{
+	return opts, cluster.Config{
 		Servers:   opts.Servers,
 		Dispatch:  opts.Dispatch,
 		Seed:      opts.Seed,
-		Streamed:  opts.Streamed,
 		ColdStart: opts.ColdStart,
 		Shards:    opts.Shards,
-		Workers:   opts.Workers,
 		Obs:       opts.Obs,
 		Faults:    opts.Faults,
 		Kernel:    simkern.DefaultConfig(opts.CoresPerServer),
@@ -724,7 +708,21 @@ func SimulateCluster(opts ClusterOptions, invs []Invocation) (*ClusterResult, er
 			}
 			return p
 		},
-	}, invs)
+	}, nil
+}
+
+// SimulateCluster routes invs across a fleet and simulates the servers on
+// the lockstep engine (DESIGN.md §11). Results are deterministic for given
+// inputs regardless of the shard count or goroutine interleaving.
+func SimulateCluster(opts ClusterOptions, invs []Invocation) (*ClusterResult, error) {
+	opts, cfg, err := clusterConfig(opts)
+	if err != nil {
+		return nil, err
+	}
+	if len(invs) == 0 {
+		return nil, fmt.Errorf("faassched: empty workload")
+	}
+	cres, err := cluster.Simulate(cfg, workload.SliceSource(invs))
 	if err != nil {
 		return nil, err
 	}
@@ -799,53 +797,16 @@ func (s *ShardedStats) Summary() string {
 // windowed accumulator, and the shard accumulators merge pairwise in
 // shard order. Memory is O(shards × windows + active tasks) regardless of
 // the workload length — the entry point for provider-scale replays
-// (1,000 servers, multi-day ×10-volume traces) where even the streamed
-// fixed fleet would materialize gigabytes of routed slices. Results are
-// bit-for-bit identical at any Shards/Workers setting.
+// (1,000 servers, multi-day ×10-volume traces) where SimulateCluster's
+// exact record set would not fit. It runs the same engine as
+// SimulateCluster, and results are bit-for-bit identical at any Shards
+// setting.
 func SimulateShardedReplay(opts ClusterOptions, src Source) (*ShardedStats, error) {
-	if opts.Servers == 0 {
-		opts.Servers = 4
-	}
-	if opts.CoresPerServer == 0 {
-		opts.CoresPerServer = 8
-	}
-	if opts.Scheduler == "" {
-		opts.Scheduler = SchedulerHybrid
-	}
-	if opts.Dispatch == "" {
-		opts.Dispatch = DispatchLeastLoaded
-	}
-	if opts.MetricsWindow == 0 {
-		opts.MetricsWindow = time.Hour
-	}
-	serverOpts := Options{
-		Cores:     opts.CoresPerServer,
-		Scheduler: opts.Scheduler,
-		FIFOCores: opts.FIFOCores,
-		TimeLimit: opts.TimeLimit,
-	}
-	// Validate the per-server configuration once, up front.
-	if _, err := newPolicy(serverOpts); err != nil {
+	opts, cfg, err := clusterConfig(opts)
+	if err != nil {
 		return nil, err
 	}
-	rep, err := cluster.SimulateShardedWindowed(cluster.Config{
-		Servers:   opts.Servers,
-		Dispatch:  opts.Dispatch,
-		Seed:      opts.Seed,
-		ColdStart: opts.ColdStart,
-		Shards:    opts.Shards,
-		Workers:   opts.Workers,
-		Obs:       opts.Obs,
-		Faults:    opts.Faults,
-		Kernel:    simkern.DefaultConfig(opts.CoresPerServer),
-		Policy: func() ghost.Policy {
-			p, err := newPolicy(serverOpts)
-			if err != nil {
-				return nil // unreachable: serverOpts validated above
-			}
-			return p
-		},
-	}, workload.Source(src), pricing.Default(), opts.MetricsWindow)
+	rep, err := cluster.SimulateShardedWindowed(cfg, workload.Source(src), pricing.Default(), opts.MetricsWindow)
 	if err != nil {
 		return nil, err
 	}
@@ -1098,7 +1059,7 @@ func SimulateAutoscaled(opts AutoscaleOptions, src Source) (*AutoscaleStats, err
 // sinks, packaged as a ClusterResult (merged record set, per-server
 // breakdown, full assignment). Memory is O(invocations) — it exists for
 // validation: pinned to MinServers == MaxServers == N it reproduces
-// SimulateCluster's Streamed results bit for bit (the golden digests pin
+// SimulateCluster's results bit for bit (the golden digests pin
 // this per dispatch policy).
 func SimulateAutoscaledExact(opts AutoscaleOptions, src Source) (*ClusterResult, error) {
 	opts, cfg, err := autoscaleConfig(opts)

@@ -128,26 +128,41 @@ func TestSimulateDeterministic(t *testing.T) {
 	}
 }
 
+// TestSimulateClusterValidation: both fixed-fleet entry points resolve
+// ClusterOptions through one resolver and run one engine, so they reject
+// the same invalid options with the same error.
 func TestSimulateClusterValidation(t *testing.T) {
 	invs := smallWorkload(t)
 	cases := []struct {
 		name string
 		opts ClusterOptions
-		invs []Invocation
 	}{
-		{"negative servers", ClusterOptions{Servers: -1}, invs},
-		{"1 core per server", ClusterOptions{CoresPerServer: 1}, invs},
-		{"unknown scheduler", ClusterOptions{Scheduler: "bogus"}, invs},
-		{"unknown dispatch", ClusterOptions{Dispatch: "bogus"}, invs},
-		{"empty workload", ClusterOptions{}, nil},
-		{"hybrid with no CFS cores", ClusterOptions{CoresPerServer: 4, FIFOCores: 4}, invs},
+		{"negative servers", ClusterOptions{Servers: -1}},
+		{"1 core per server", ClusterOptions{CoresPerServer: 1}},
+		{"1-core FIFO fleet", ClusterOptions{CoresPerServer: 1, Scheduler: SchedulerFIFO}},
+		{"unknown scheduler", ClusterOptions{Scheduler: "bogus"}},
+		{"unknown dispatch", ClusterOptions{Dispatch: "bogus"}},
+		{"hybrid with no CFS cores", ClusterOptions{CoresPerServer: 4, FIFOCores: 4}},
+		{"negative shards", ClusterOptions{Shards: -1}},
+		{"negative fault rate", ClusterOptions{Faults: FaultOptions{CrashMTBF: -time.Second}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := SimulateCluster(tc.opts, tc.invs); err == nil {
-				t.Errorf("%s accepted", tc.name)
+			_, err := SimulateCluster(tc.opts, invs)
+			if err == nil {
+				t.Fatalf("SimulateCluster accepted %s", tc.name)
+			}
+			_, rerr := SimulateShardedReplay(tc.opts, SliceSource(invs))
+			if rerr == nil || rerr.Error() != err.Error() {
+				t.Errorf("SimulateShardedReplay: err = %v, SimulateCluster's is %v", rerr, err)
 			}
 		})
+	}
+	if _, err := SimulateCluster(ClusterOptions{}, nil); err == nil {
+		t.Error("SimulateCluster accepted an empty workload")
+	}
+	if _, err := SimulateShardedReplay(ClusterOptions{}, SliceSource(nil)); err == nil {
+		t.Error("SimulateShardedReplay accepted an empty workload")
 	}
 }
 

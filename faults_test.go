@@ -3,8 +3,8 @@ package faassched
 // Fault-injection determinism and inertness (DESIGN.md §14). Two claims
 // carry the feature: (1) the fault seam is inert — threading it with
 // every rate zero (Instrument) reproduces the fault-free byte stream —
-// and (2) a non-empty plan is deterministic ACROSS dataflows: the flat
-// streamed fleet and the sharded replay at any shard count derive the
+// and (2) a non-empty plan is deterministic across shard counts and
+// entry points: the exact fleet and the windowed replay derive the
 // identical crash/straggler/retry timeline, because every hazard draw is
 // a pure function of (fault seed, server index) and crash sweeps enter
 // the kernel under the dedicated fault ordering class.
@@ -27,17 +27,16 @@ func crashPlan() FaultOptions {
 	}
 }
 
-// TestFaultsDisabledIsInert: Instrument threads machines, routing hooks,
-// and the streamed dataflow with every rate zero; the record stream must
-// be bit-identical to the plain fault-free run and all fault counters
-// zero.
+// TestFaultsDisabledIsInert: Instrument threads machines and routing
+// hooks with every rate zero; the record stream must be bit-identical to
+// the plain fault-free run and all fault counters zero.
 func TestFaultsDisabledIsInert(t *testing.T) {
 	t.Parallel()
 	invs := goldenWorkload(t)
 	for _, sched := range []Scheduler{SchedulerHybrid, SchedulerCFS} {
 		base := ClusterOptions{
 			Servers: 3, CoresPerServer: 4, Dispatch: DispatchLeastLoaded,
-			Scheduler: sched, Seed: 1, Streamed: true,
+			Scheduler: sched, Seed: 1,
 		}
 		plain, err := SimulateCluster(base, invs)
 		if err != nil {
@@ -58,10 +57,10 @@ func TestFaultsDisabledIsInert(t *testing.T) {
 }
 
 // TestFaultDeterminismAcrossShards: with a non-empty crash+timeout+retry
-// plan, the flat fleet and the sharded fleet at shard counts 1, 3, and 7
-// must produce identical record streams — and the plan must actually
-// fire (crashes, kills, retries, give-ups all nonzero) or the equality
-// proves nothing.
+// plan, the fleet at the default shard count and at shard counts 1, 3,
+// and 7 must produce identical record streams — and the plan must
+// actually fire (crashes, kills, retries, give-ups all nonzero) or the
+// equality proves nothing.
 func TestFaultDeterminismAcrossShards(t *testing.T) {
 	t.Parallel()
 	invs := goldenWorkload(t)
@@ -70,39 +69,66 @@ func TestFaultDeterminismAcrossShards(t *testing.T) {
 			Servers: 3, CoresPerServer: 4, Dispatch: DispatchLeastLoaded,
 			Scheduler: sched, Seed: 1, Faults: crashPlan(),
 		}
-		flat, err := SimulateCluster(opts, invs)
+		ref, err := SimulateCluster(opts, invs)
 		if err != nil {
-			t.Fatalf("%s flat: %v", sched, err)
+			t.Fatalf("%s: %v", sched, err)
 		}
-		if flat.Faults.Crashes == 0 || flat.Faults.Kills == 0 || flat.Faults.Retries == 0 {
-			t.Fatalf("%s: plan never fired: %+v", sched, flat.Faults)
+		if ref.Faults.Crashes == 0 || ref.Faults.Kills == 0 || ref.Faults.Retries == 0 {
+			t.Fatalf("%s: plan never fired: %+v", sched, ref.Faults)
 		}
 		// Every routed invocation retires exactly one final record:
 		// completed, or Failed when the retry budget ran out.
-		if len(flat.Set.Records) != len(invs) {
-			t.Errorf("%s: %d final records for %d invocations", sched, len(flat.Set.Records), len(invs))
+		if len(ref.Set.Records) != len(invs) {
+			t.Errorf("%s: %d final records for %d invocations", sched, len(ref.Set.Records), len(invs))
 		}
-		want := digestCluster(flat)
+		want := digestCluster(ref)
 		for _, shards := range []int{1, 3, 7} {
-			opts.Shards, opts.Workers = shards, 2
+			opts.Shards = shards
 			res, err := SimulateCluster(opts, invs)
 			if err != nil {
 				t.Fatalf("%s shards=%d: %v", sched, shards, err)
 			}
 			if got := digestCluster(res); got != want {
-				t.Errorf("%s shards=%d: digest %.12s… != flat %.12s…", sched, shards, got, want)
+				t.Errorf("%s shards=%d: digest %.12s… != default shards' %.12s…", sched, shards, got, want)
 			}
-			if res.Faults != flat.Faults {
-				t.Errorf("%s shards=%d: fault stats %+v != flat %+v", sched, shards, res.Faults, flat.Faults)
+			if res.Faults != ref.Faults {
+				t.Errorf("%s shards=%d: fault stats %+v != default shards' %+v", sched, shards, res.Faults, ref.Faults)
 			}
 		}
-		opts.Shards, opts.Workers = 0, 0
+	}
+}
+
+// TestPerServerFaultStats: every machine's kills, retries and give-ups
+// show in its own ServerResult, and the per-server counters sum to the
+// fleet-wide ones.
+func TestPerServerFaultStats(t *testing.T) {
+	t.Parallel()
+	invs := goldenWorkload(t)
+	res, err := SimulateCluster(ClusterOptions{
+		Servers: 4, CoresPerServer: 4, Dispatch: DispatchRandom,
+		Scheduler: SchedulerHybrid, Seed: 1, Faults: crashPlan(),
+	}, invs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kills, retries, giveUps int64
+	for _, sr := range res.PerServer {
+		if sr.Invocations > 0 && sr.Faults.Kills == 0 {
+			t.Errorf("server %d ran %d invocations through crash windows but reports no kills", sr.Server, sr.Invocations)
+		}
+		kills += sr.Faults.Kills
+		retries += sr.Faults.Retries
+		giveUps += sr.Faults.GiveUps
+	}
+	if kills != res.Faults.Kills || retries != res.Faults.Retries || giveUps != res.Faults.GiveUps {
+		t.Errorf("per-server kills/retries/give-ups sum to %d/%d/%d, fleet reports %d/%d/%d",
+			kills, retries, giveUps, res.Faults.Kills, res.Faults.Retries, res.Faults.GiveUps)
 	}
 }
 
 // TestStragglerDeterminismAcrossShards: straggler-only plans (no kills,
 // so they run under any scheduler — FIFO included) must also agree
-// between flat and sharded, with the slowdown demonstrably applied.
+// across shard counts, with the slowdown demonstrably applied.
 func TestStragglerDeterminismAcrossShards(t *testing.T) {
 	t.Parallel()
 	invs := goldenWorkload(t)
@@ -116,11 +142,11 @@ func TestStragglerDeterminismAcrossShards(t *testing.T) {
 		Servers: 3, CoresPerServer: 4, Dispatch: DispatchRoundRobin,
 		Scheduler: SchedulerFIFO, Seed: 1, Faults: plan,
 	}
-	flat, err := SimulateCluster(opts, invs)
+	ref, err := SimulateCluster(opts, invs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if flat.Faults.StragglerWindows == 0 {
+	if ref.Faults.StragglerWindows == 0 {
 		t.Fatal("no straggler windows entered")
 	}
 	// The slowdown must be visible: same fleet without the plan finishes
@@ -131,18 +157,18 @@ func TestStragglerDeterminismAcrossShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if flat.Set.TotalExecution() <= clean.Set.TotalExecution() {
-		t.Errorf("straggled execution %v not above clean %v", flat.Set.TotalExecution(), clean.Set.TotalExecution())
+	if ref.Set.TotalExecution() <= clean.Set.TotalExecution() {
+		t.Errorf("straggled execution %v not above clean %v", ref.Set.TotalExecution(), clean.Set.TotalExecution())
 	}
-	want := digestCluster(flat)
+	want := digestCluster(ref)
 	for _, shards := range []int{1, 3, 7} {
-		opts.Shards, opts.Workers = shards, 2
+		opts.Shards = shards
 		res, err := SimulateCluster(opts, invs)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		if got := digestCluster(res); got != want {
-			t.Errorf("shards=%d: digest %.12s… != flat %.12s…", shards, got, want)
+			t.Errorf("shards=%d: digest %.12s… != default shards' %.12s…", shards, got, want)
 		}
 	}
 }
@@ -156,23 +182,23 @@ func TestShardedReplayFaultStats(t *testing.T) {
 		Servers: 3, CoresPerServer: 4, Dispatch: DispatchLeastLoaded,
 		Scheduler: SchedulerHybrid, Seed: 1, Faults: crashPlan(),
 	}
-	flat, err := SimulateCluster(opts, invs)
+	ref, err := SimulateCluster(opts, invs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Shards, opts.Workers, opts.MetricsWindow = 3, 2, 10*time.Second
+	opts.Shards, opts.MetricsWindow = 3, 10*time.Second
 	rep, err := SimulateShardedReplay(opts, SliceSource(invs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Faults != flat.Faults {
-		t.Errorf("replay fault stats %+v != cluster %+v", rep.Faults, flat.Faults)
+	if rep.Faults != ref.Faults {
+		t.Errorf("replay fault stats %+v != cluster %+v", rep.Faults, ref.Faults)
 	}
 	if got, want := rep.Total().Completed()+rep.Total().FailedCount(), len(invs); got != want {
 		t.Errorf("replay retired %d records, want %d", got, want)
 	}
-	if rep.Total().GiveUps() != int(flat.Faults.GiveUps) {
-		t.Errorf("replay accumulator give-ups %d != stats %d", rep.Total().GiveUps(), flat.Faults.GiveUps)
+	if rep.Total().GiveUps() != int(ref.Faults.GiveUps) {
+		t.Errorf("replay accumulator give-ups %d != stats %d", rep.Total().GiveUps(), ref.Faults.GiveUps)
 	}
 }
 

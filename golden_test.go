@@ -5,10 +5,11 @@ package faassched
 // hashed. The committed digests in testdata/golden_digests.json pin the
 // simulator's observable behavior bit-for-bit — a refactor of the event
 // core must not change a single one, because events must keep firing in
-// exactly the same (time, class, seq) order. Every scheduler and fleet
-// dispatch runs through BOTH dataflows — materialized (pre-seeded tasks,
-// end-of-run Collect) and streamed (lazy admission, completion sinks,
-// task recycling) — and both must hash to the same committed digest.
+// exactly the same (time, class, seq) order. Every scheduler runs through
+// BOTH dataflows — materialized (pre-seeded tasks, end-of-run Collect)
+// and streamed (lazy admission, completion sinks, task recycling) — and
+// every fleet both through the lockstep engine (lazy admission) and the
+// pre-seeded oracle; all must hash to the same committed digest.
 //
 // Regenerate (only when an intentional semantic change is made) with:
 //
@@ -88,8 +89,9 @@ func digestCluster(r *ClusterResult) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// computeDigests runs the full golden matrix through the materialized
-// dataflow (pre-seeded tasks, end-of-run Collect).
+// computeDigests runs the golden matrix: single machines through the
+// materialized dataflow (pre-seeded tasks, end-of-run Collect), fleets
+// through SimulateCluster's lockstep engine.
 func computeDigests(t *testing.T) map[string]string {
 	t.Helper()
 	invs := goldenWorkload(t)
@@ -112,33 +114,44 @@ func computeDigests(t *testing.T) map[string]string {
 	}
 	out["sim/hybrid+firecracker"] = digestResult(fcres)
 
-	for _, d := range Dispatches() {
-		cres, err := SimulateCluster(ClusterOptions{
-			Servers: 3, CoresPerServer: 4, Dispatch: d, Scheduler: SchedulerHybrid, Seed: 1, Obs: o,
-		}, invs)
+	for _, f := range goldenFleets() {
+		f.opts.Obs = o
+		cres, err := SimulateCluster(f.opts, invs)
 		if err != nil {
-			t.Fatalf("cluster %s: %v", d, err)
+			t.Fatalf("%s: %v", f.key, err)
 		}
-		out["cluster/hybrid/"+string(d)] = digestCluster(cres)
+		out[f.key] = digestCluster(cres)
 	}
-	// A CFS fleet covers the preemption-heavy cancel path at cluster scale.
-	cres, err := SimulateCluster(ClusterOptions{
-		Servers: 3, CoresPerServer: 4, Dispatch: DispatchLeastLoaded, Scheduler: SchedulerCFS, Seed: 1, Obs: o,
-	}, invs)
-	if err != nil {
-		t.Fatalf("cluster cfs: %v", err)
-	}
-	out["cluster/cfs/least-loaded"] = digestCluster(cres)
 	return out
 }
 
-// computeStreamedDigests reruns the golden matrix through the streaming
-// dataflow — lazy arrival admission, completion-sink retirement, task
-// recycling — under the SAME keys as computeDigests. The streaming
-// refactor's core claim is that both dataflows are observationally
-// identical, so every streamed digest must match the committed
-// materialized digest bit for bit. (The Firecracker entry has no streamed
-// analog: microVM launches need the materialized workload.)
+// goldenFleet is one fleet case of the golden matrix.
+type goldenFleet struct {
+	key  string
+	opts ClusterOptions
+}
+
+// goldenFleets is the fleet half of the golden matrix: a 3×4-core hybrid
+// fleet under every dispatch policy, and a CFS fleet for the
+// preemption-heavy cancel path at cluster scale.
+func goldenFleets() []goldenFleet {
+	var out []goldenFleet
+	for _, d := range Dispatches() {
+		out = append(out, goldenFleet{"cluster/hybrid/" + string(d), ClusterOptions{
+			Servers: 3, CoresPerServer: 4, Dispatch: d, Scheduler: SchedulerHybrid, Seed: 1,
+		}})
+	}
+	return append(out, goldenFleet{"cluster/cfs/least-loaded", ClusterOptions{
+		Servers: 3, CoresPerServer: 4, Dispatch: DispatchLeastLoaded, Scheduler: SchedulerCFS, Seed: 1,
+	}})
+}
+
+// computeStreamedDigests reruns the single-machine half of the golden
+// matrix through the streaming dataflow — lazy arrival admission,
+// completion-sink retirement, task recycling — under the SAME keys as
+// computeDigests: both dataflows must be observationally identical.
+// (The Firecracker entry has no streamed analog: microVM launches need
+// the materialized workload.)
 func computeStreamedDigests(t *testing.T) map[string]string {
 	t.Helper()
 	invs := goldenWorkload(t)
@@ -152,89 +165,70 @@ func computeStreamedDigests(t *testing.T) map[string]string {
 		}
 		out["sim/"+string(sched)] = digestResult(res)
 	}
-	for _, d := range Dispatches() {
-		cres, err := SimulateCluster(ClusterOptions{
-			Servers: 3, CoresPerServer: 4, Dispatch: d, Scheduler: SchedulerHybrid, Seed: 1, Streamed: true, Obs: o,
-		}, invs)
+	return out
+}
+
+// computePreSeededDigests replays the fleet half of the golden matrix
+// through the pre-seeded oracle: each server's share of the engine's
+// routing, fully pre-seeded. The fleet engine admits lazily in watermark
+// steps, so this is the fleet's proof that lazy admission is
+// observationally invisible.
+func computePreSeededDigests(t *testing.T) map[string]string {
+	t.Helper()
+	invs := goldenWorkload(t)
+	out := map[string]string{}
+	for _, f := range goldenFleets() {
+		cres, err := SimulateCluster(f.opts, invs)
 		if err != nil {
-			t.Fatalf("streamed cluster %s: %v", d, err)
+			t.Fatalf("%s: %v", f.key, err)
 		}
-		out["cluster/hybrid/"+string(d)] = digestCluster(cres)
+		out[f.key] = digestCluster(preSeeded(t, f.opts, invs, cres))
 	}
-	cres, err := SimulateCluster(ClusterOptions{
-		Servers: 3, CoresPerServer: 4, Dispatch: DispatchLeastLoaded, Scheduler: SchedulerCFS, Seed: 1, Streamed: true, Obs: o,
-	}, invs)
-	if err != nil {
-		t.Fatalf("streamed cluster cfs: %v", err)
-	}
-	out["cluster/cfs/least-loaded"] = digestCluster(cres)
 	return out
 }
 
 // computeAutoscaledDigests reruns the fleet half of the golden matrix
 // through the elastic autoscaler pinned to MinServers == MaxServers — no
 // scaling decision can fire, so the streaming dispatcher must route,
-// simulate, and merge exactly like the fixed streamed fleet. The digests
-// are compared against the SAME committed cluster keys: the autoscaler
-// earns no digests of its own, it must reproduce the existing ones.
+// simulate, and merge exactly like the fixed fleet. The digests are
+// compared against the SAME committed cluster keys: the autoscaler earns
+// no digests of its own, it must reproduce the existing ones.
 func computeAutoscaledDigests(t *testing.T) map[string]string {
 	t.Helper()
 	invs := goldenWorkload(t)
 	out := map[string]string{}
 	o := goldenObs(t)
-
-	for _, d := range Dispatches() {
+	for _, f := range goldenFleets() {
 		cres, err := SimulateAutoscaledExact(AutoscaleOptions{
-			MinServers: 3, MaxServers: 3, CoresPerServer: 4,
-			Dispatch: d, Scheduler: SchedulerHybrid, Seed: 1, Obs: o,
+			MinServers: f.opts.Servers, MaxServers: f.opts.Servers, CoresPerServer: f.opts.CoresPerServer,
+			Dispatch: f.opts.Dispatch, Scheduler: f.opts.Scheduler, Seed: f.opts.Seed, Obs: o,
 		}, SliceSource(invs))
 		if err != nil {
-			t.Fatalf("autoscaled %s: %v", d, err)
+			t.Fatalf("autoscaled %s: %v", f.key, err)
 		}
-		out["cluster/hybrid/"+string(d)] = digestCluster(cres)
+		out[f.key] = digestCluster(cres)
 	}
-	cres, err := SimulateAutoscaledExact(AutoscaleOptions{
-		MinServers: 3, MaxServers: 3, CoresPerServer: 4,
-		Dispatch: DispatchLeastLoaded, Scheduler: SchedulerCFS, Seed: 1, Obs: o,
-	}, SliceSource(invs))
-	if err != nil {
-		t.Fatalf("autoscaled cfs: %v", err)
-	}
-	out["cluster/cfs/least-loaded"] = digestCluster(cres)
 	return out
 }
 
 // computeInstrumentedDigests reruns the fleet half of the golden matrix
 // with the fault seam threaded but every fault rate zero (Instrument:
-// true — machines constructed, routing hooks installed, the streamed
-// dataflow forced). The digests are compared against the SAME committed
-// cluster keys: the fault layer must be byte-for-byte inert when its
-// plan is empty (DESIGN.md §14).
+// true — machines constructed, routing hooks installed). The digests are
+// compared against the SAME committed cluster keys: the fault layer must
+// be byte-for-byte inert when its plan is empty (DESIGN.md §14).
 func computeInstrumentedDigests(t *testing.T) map[string]string {
 	t.Helper()
 	invs := goldenWorkload(t)
 	out := map[string]string{}
 	o := goldenObs(t)
-	seam := FaultOptions{Instrument: true}
-
-	for _, d := range Dispatches() {
-		cres, err := SimulateCluster(ClusterOptions{
-			Servers: 3, CoresPerServer: 4, Dispatch: d, Scheduler: SchedulerHybrid,
-			Seed: 1, Faults: seam, Obs: o,
-		}, invs)
+	for _, f := range goldenFleets() {
+		f.opts.Faults, f.opts.Obs = FaultOptions{Instrument: true}, o
+		cres, err := SimulateCluster(f.opts, invs)
 		if err != nil {
-			t.Fatalf("instrumented cluster %s: %v", d, err)
+			t.Fatalf("instrumented %s: %v", f.key, err)
 		}
-		out["cluster/hybrid/"+string(d)] = digestCluster(cres)
+		out[f.key] = digestCluster(cres)
 	}
-	cres, err := SimulateCluster(ClusterOptions{
-		Servers: 3, CoresPerServer: 4, Dispatch: DispatchLeastLoaded, Scheduler: SchedulerCFS,
-		Seed: 1, Faults: seam, Obs: o,
-	}, invs)
-	if err != nil {
-		t.Fatalf("instrumented cluster cfs: %v", err)
-	}
-	out["cluster/cfs/least-loaded"] = digestCluster(cres)
 	return out
 }
 
@@ -242,13 +236,18 @@ func TestGoldenDigests(t *testing.T) {
 	got := computeDigests(t)
 
 	// The streamed dataflow must reproduce the materialized digests for
-	// every scheduler and every fleet dispatch — this is the proof that
-	// lazy admission + sink retirement + task recycling are
-	// observationally invisible.
+	// every scheduler, and the fleet engine the pre-seeded replay of its
+	// routing for every fleet — the proof that lazy admission + sink
+	// retirement + task recycling are observationally invisible.
 	streamed := computeStreamedDigests(t)
 	for k, v := range streamed {
 		if got[k] != v {
 			t.Errorf("streamed dataflow diverges from materialized on %s:\n  streamed     %.12s…\n  materialized %.12s…", k, v, got[k])
+		}
+	}
+	for k, v := range computePreSeededDigests(t) {
+		if got[k] != v {
+			t.Errorf("fleet engine diverges from the pre-seeded oracle on %s:\n  pre-seeded %.12s…\n  engine     %.12s…", k, v, got[k])
 		}
 	}
 

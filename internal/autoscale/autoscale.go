@@ -15,10 +15,11 @@
 // are identical regardless of how the per-server goroutines interleave.
 // Scale events follow a fixed per-arrival ordering (activations due, then
 // routing, then scale-up, then scale-down), and every per-server
-// simulation is cluster.RunStreamedServer — the same computation the
-// fixed fleet runs. An autoscaler pinned to Min = Max = N therefore
-// reproduces cluster.Config{Streamed: true} results bit for bit, which
-// the golden digests prove. See DESIGN.md §8.
+// simulation is cluster.RunStreamedServer, whose lazy admission equals a
+// pre-seeded run of the server's share (DESIGN.md §7) — as the fixed
+// fleet's lockstep machines do. An autoscaler pinned to Min = Max = N
+// therefore reproduces cluster.Simulate results bit for bit, which the
+// golden digests prove. See DESIGN.md §8.
 package autoscale
 
 import (

@@ -106,11 +106,11 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestPinnedFleetMatchesClusterStreamed is the package-level half of the
+// TestPinnedFleetMatchesCluster is the package-level half of the
 // min=max golden claim: an autoscaler that cannot scale must reproduce
-// the fixed streamed fleet bit for bit — same routing, same per-server
+// the fixed fleet bit for bit — same routing, same per-server
 // shares, same records — for every dispatch policy.
-func TestPinnedFleetMatchesClusterStreamed(t *testing.T) {
+func TestPinnedFleetMatchesCluster(t *testing.T) {
 	invs := steady(400, 700*time.Microsecond, 4*time.Millisecond)
 	for _, d := range cluster.Dispatches() {
 		d := d
@@ -122,8 +122,7 @@ func TestPinnedFleetMatchesClusterStreamed(t *testing.T) {
 				Seed:     7,
 				Kernel:   simkern.DefaultConfig(2),
 				Policy:   cfsFactory,
-				Streamed: true,
-			}, invs)
+			}, workload.SliceSource(invs))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -404,7 +403,7 @@ func TestCanceledBootServesNothing(t *testing.T) {
 
 // TestPinnedFleetColdStartMatchesCluster extends the min=max equivalence
 // claim to the warm-instance model: with identical ColdStartConfig, a
-// pinned autoscaler and the fixed streamed fleet must make the same
+// pinned autoscaler and the fixed fleet must make the same
 // cold/warm calls and produce identical records.
 func TestPinnedFleetColdStartMatchesCluster(t *testing.T) {
 	cs := cluster.ColdStartConfig{
@@ -419,9 +418,8 @@ func TestPinnedFleetColdStartMatchesCluster(t *testing.T) {
 		Seed:      7,
 		Kernel:    simkern.DefaultConfig(2),
 		Policy:    cfsFactory,
-		Streamed:  true,
 		ColdStart: cs,
-	}, invs)
+	}, workload.SliceSource(invs))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,7 @@ func TestConfigValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Simulate(tc.cfg, tc.invs); err == nil {
+			if _, err := Simulate(tc.cfg, workload.SliceSource(tc.invs)); err == nil {
 				t.Errorf("%s accepted", tc.name)
 			}
 		})
@@ -74,14 +74,14 @@ func TestConfigValidation(t *testing.T) {
 
 	unsorted := synthWorkload(3, time.Millisecond, time.Millisecond)
 	unsorted[0].Arrival = 5 * time.Millisecond
-	if _, err := Simulate(testConfig(2, DispatchRoundRobin), unsorted); err == nil {
+	if _, err := Simulate(testConfig(2, DispatchRoundRobin), workload.SliceSource(unsorted)); err == nil {
 		t.Error("unsorted workload accepted")
 	}
 }
 
 func TestRoundRobinAssignment(t *testing.T) {
 	invs := synthWorkload(12, 10*time.Millisecond, time.Millisecond)
-	res, err := Simulate(testConfig(3, DispatchRoundRobin), invs)
+	res, err := Simulate(testConfig(3, DispatchRoundRobin), workload.SliceSource(invs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestAllInvocationsCompleteAndMergeInOrder(t *testing.T) {
 		d := d
 		t.Run(string(d), func(t *testing.T) {
 			t.Parallel()
-			res, err := Simulate(testConfig(4, d), invs)
+			res, err := Simulate(testConfig(4, d), workload.SliceSource(invs))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,11 +133,11 @@ func TestAllInvocationsCompleteAndMergeInOrder(t *testing.T) {
 // more even than seeded random under uniform work.
 func TestLeastLoadedBalances(t *testing.T) {
 	invs := synthWorkload(400, time.Millisecond, 10*time.Millisecond)
-	ll, err := Simulate(testConfig(8, DispatchLeastLoaded), invs)
+	ll, err := Simulate(testConfig(8, DispatchLeastLoaded), workload.SliceSource(invs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rnd, err := Simulate(testConfig(8, DispatchRandom), invs)
+	rnd, err := Simulate(testConfig(8, DispatchRandom), workload.SliceSource(invs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestLeastLoadedBalances(t *testing.T) {
 // longest-idle-first and never queues behind a busy server.
 func TestJoinIdleQueuePrefersIdle(t *testing.T) {
 	invs := synthWorkload(50, 20*time.Millisecond, 5*time.Millisecond)
-	res, err := Simulate(testConfig(4, DispatchJoinIdleQueue), invs)
+	res, err := Simulate(testConfig(4, DispatchJoinIdleQueue), workload.SliceSource(invs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestFleetModel(t *testing.T) {
 
 // TestSimulateDeterministic runs a 16-server fleet twice per dispatch
 // policy and demands bit-for-bit identical summaries despite the
-// goroutine-per-server execution.
+// concurrently running shard workers.
 func TestSimulateDeterministic(t *testing.T) {
 	invs := synthWorkload(300, time.Millisecond, 6*time.Millisecond)
 	for _, d := range Dispatches() {
@@ -219,7 +219,7 @@ func TestSimulateDeterministic(t *testing.T) {
 			cfg.Seed = 7
 			cfg.Policy = func() ghost.Policy { return cfs.New(cfs.Params{}) }
 			digest := func() string {
-				res, err := Simulate(cfg, invs)
+				res, err := Simulate(cfg, workload.SliceSource(invs))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -243,7 +243,7 @@ func TestSimulateDeterministic(t *testing.T) {
 // servers stay idle; the merge must cope.
 func TestEmptyServerTolerated(t *testing.T) {
 	invs := synthWorkload(3, time.Millisecond, time.Millisecond)
-	res, err := Simulate(testConfig(8, DispatchRoundRobin), invs)
+	res, err := Simulate(testConfig(8, DispatchRoundRobin), workload.SliceSource(invs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,54 +254,5 @@ func TestEmptyServerTolerated(t *testing.T) {
 		if res.PerServer[s].Invocations != 0 {
 			t.Errorf("server %d should be empty", s)
 		}
-	}
-}
-
-// TestStreamedMatchesMaterialized: every dispatch policy must produce
-// bit-for-bit identical fleet results whether servers materialize their
-// share up front or stream it through lazy admission with per-server
-// sinks — the cluster-layer half of the streaming equivalence guarantee.
-func TestStreamedMatchesMaterialized(t *testing.T) {
-	invs := synthWorkload(400, 3*time.Millisecond, 9*time.Millisecond)
-	for _, d := range Dispatches() {
-		t.Run(string(d), func(t *testing.T) {
-			cfsFactory := func() ghost.Policy { return cfs.New(cfs.Params{}) }
-			base := testConfig(3, d)
-			base.Policy = cfsFactory
-			mat, err := Simulate(base, invs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			streamed := base
-			streamed.Streamed = true
-			streamed.Window = 50 * time.Millisecond // small window: exercise many chunks
-			st, err := Simulate(streamed, invs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(st.Set.Records) != len(mat.Set.Records) {
-				t.Fatalf("streamed %d records, materialized %d", len(st.Set.Records), len(mat.Set.Records))
-			}
-			for i := range mat.Set.Records {
-				if st.Set.Records[i] != mat.Set.Records[i] {
-					t.Fatalf("record %d differs:\nstreamed     %+v\nmaterialized %+v", i, st.Set.Records[i], mat.Set.Records[i])
-				}
-			}
-			if st.Makespan != mat.Makespan || st.Preemptions != mat.Preemptions {
-				t.Errorf("aggregates differ: makespan %v/%v preemptions %d/%d",
-					st.Makespan, mat.Makespan, st.Preemptions, mat.Preemptions)
-			}
-			for s := range mat.PerServer {
-				a, b := st.PerServer[s], mat.PerServer[s]
-				if a.Invocations != b.Invocations || a.Makespan != b.Makespan || a.Preemptions != b.Preemptions {
-					t.Errorf("server %d summaries differ: %+v vs %+v", s, a, b)
-				}
-			}
-			for i := range mat.Assignment {
-				if st.Assignment[i] != mat.Assignment[i] {
-					t.Fatalf("assignment %d differs", i)
-				}
-			}
-		})
 	}
 }

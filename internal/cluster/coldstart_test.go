@@ -132,37 +132,32 @@ func TestWarmPoolsMemoryBound(t *testing.T) {
 // TestWarmHitPaysNoLatency is the tentpole invariant end to end: with one
 // function arriving slower than it runs, only the first invocation per
 // server pays the cold start — and a warm hit's execution never includes
-// the start latency. The streamed path must agree record for record.
+// the start latency.
 func TestWarmHitPaysNoLatency(t *testing.T) {
 	const latency = 50 * time.Millisecond
 	cs := ColdStartConfig{Latency: latency, KeepAlive: time.Minute}
 	invs := oneFunc(6, 500*time.Millisecond, 10*time.Millisecond)
 
-	for _, streamed := range []bool{false, true} {
-		cfg := coldConfig(1, DispatchLeastLoaded, cs)
-		cfg.Streamed = streamed
-		res, err := Simulate(cfg, invs)
-		if err != nil {
-			t.Fatal(err)
+	res, err := Simulate(coldConfig(1, DispatchLeastLoaded, cs), workload.SliceSource(invs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Set.ColdStarts(); n != 1 {
+		t.Fatalf("%d cold starts, want 1", n)
+	}
+	recs := res.Set.Records
+	if recs[0].ColdStart != latency {
+		t.Errorf("first record ColdStart = %v, want %v", recs[0].ColdStart, latency)
+	}
+	for _, r := range recs[1:] {
+		if r.ColdStart != 0 {
+			t.Errorf("warm record %d carries ColdStart %v", r.ID, r.ColdStart)
 		}
-		if n := res.Set.ColdStarts(); n != 1 {
-			t.Fatalf("streamed=%v: %d cold starts, want 1", streamed, n)
-		}
-		recs := res.Set.Records
-		if recs[0].ColdStart != latency {
-			t.Errorf("streamed=%v: first record ColdStart = %v, want %v", streamed, recs[0].ColdStart, latency)
-		}
-		for _, r := range recs[1:] {
-			if r.ColdStart != 0 {
-				t.Errorf("streamed=%v: warm record %d carries ColdStart %v", streamed, r.ID, r.ColdStart)
-			}
-		}
-		// The cold record's execution carries exactly the extra latency
-		// relative to an identical warm hit (same demand, idle server).
-		d := recs[0].Execution() - recs[1].Execution()
-		if d != latency {
-			t.Errorf("streamed=%v: cold-warm execution delta = %v, want %v", streamed, d, latency)
-		}
+	}
+	// The cold record's execution carries exactly the extra latency
+	// relative to an identical warm hit (same demand, idle server).
+	if d := recs[0].Execution() - recs[1].Execution(); d != latency {
+		t.Errorf("cold-warm execution delta = %v, want %v", d, latency)
 	}
 }
 
@@ -173,7 +168,7 @@ func TestColdStartRateFallsWithTTL(t *testing.T) {
 	invs := oneFunc(8, 2*time.Second, 10*time.Millisecond)
 	cold := func(ttl time.Duration) int {
 		cfg := coldConfig(1, DispatchLeastLoaded, ColdStartConfig{Latency: 100 * time.Millisecond, KeepAlive: ttl})
-		res, err := Simulate(cfg, invs)
+		res, err := Simulate(cfg, workload.SliceSource(invs))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +192,7 @@ func TestColdStartRateFallsWithTTL(t *testing.T) {
 func TestWarmFirstDispatch(t *testing.T) {
 	invs := oneFunc(6, 500*time.Millisecond, 10*time.Millisecond)
 	base := coldConfig(2, DispatchRoundRobin, ColdStartConfig{Latency: 50 * time.Millisecond, KeepAlive: time.Minute})
-	res, err := Simulate(base, invs)
+	res, err := Simulate(base, workload.SliceSource(invs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +202,7 @@ func TestWarmFirstDispatch(t *testing.T) {
 
 	warm := base
 	warm.ColdStart.WarmFirst = true
-	wres, err := Simulate(warm, invs)
+	wres, err := Simulate(warm, workload.SliceSource(invs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +222,7 @@ func TestWarmFirstDispatch(t *testing.T) {
 // for bit (the golden digests pin the same claim fleet-wide).
 func TestColdStartDisabledIsInert(t *testing.T) {
 	invs := synthWorkload(40, 5*time.Millisecond, 8*time.Millisecond)
-	plain, err := Simulate(testConfig(3, DispatchLeastLoaded), invs)
+	plain, err := Simulate(testConfig(3, DispatchLeastLoaded), workload.SliceSource(invs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +230,7 @@ func TestColdStartDisabledIsInert(t *testing.T) {
 	if disabled.ColdStart.Enabled() {
 		t.Fatal("zero-latency config reports enabled")
 	}
-	dres, err := Simulate(disabled, invs)
+	dres, err := Simulate(disabled, workload.SliceSource(invs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +259,7 @@ func TestColdStartBucketFallback(t *testing.T) {
 		{Arrival: time.Second, FibN: 30, Duration: 10 * time.Millisecond, MemMB: 256}, // other bucket
 	}
 	cfg := coldConfig(1, DispatchLeastLoaded, ColdStartConfig{Latency: 50 * time.Millisecond, KeepAlive: time.Minute})
-	res, err := Simulate(cfg, invs)
+	res, err := Simulate(cfg, workload.SliceSource(invs))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,9 @@
-// Router-side fault handling, shared verbatim by the flat (Simulate) and
-// sharded (runSharded) routing loops so both dataflows make identical
-// decisions: the fault plan's crash transitions gate dispatch eligibility
-// (a down server takes no new work and loses its warm pool), straggler
-// windows surcharge routed demand, and when the whole fleet is down work
-// queues on the soonest-recovering server. Everything here runs on the
-// single routing thread.
+// Router-side fault handling for the fleet engine's routing loop
+// (runSharded): the fault plan's crash transitions gate dispatch
+// eligibility (a down server takes no new work and loses its warm pool),
+// straggler windows surcharge routed demand, and when the whole fleet is
+// down work queues on the soonest-recovering server. Everything here runs
+// on the single routing thread.
 
 package cluster
 

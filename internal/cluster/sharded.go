@@ -1,21 +1,19 @@
-// Sharded streaming fleet: the fixed fleet's streamed mode materializes
-// every server's routed share before simulating (perServer slices), which
-// at provider scale — 1,000 servers × a ×10 24 h Azure window ≈ 90M
-// invocations — is gigabytes of slices before the first event fires.
-// SimulateSharded* instead stream routing and simulation together in
-// lockstep: a single router goroutine owns the arrival order (dispatch
-// stays causally deterministic, exactly as Simulate's phase 1), hands
-// each Routed invocation to the shard owning its server, and broadcasts
-// a watermark T once every arrival ≤ T has been handed over. Each shard
-// worker owns its servers' machines outright: on an arrival it admits
-// the task (simkern.AdmitTask, same pre-seeding-equivalent admit class
-// the feeder path uses), on a watermark it advances its servers to T in
-// server-index order, folding completions into a shard-local sink. When
-// the source drains, shards drain their machines and the shard results
-// merge in shard-index order (a pairwise metrics.MergeTree for the
-// windowed replay; an id-sorted record merge for the exact mode), so the
-// result is bit-for-bit independent of how the shard goroutines were
-// scheduled. See DESIGN.md §11.
+// The lockstep fleet engine. A single router goroutine owns the arrival
+// order (dispatch is causally deterministic), hands each Routed
+// invocation to the shard owning its server, and broadcasts a watermark T
+// once every arrival ≤ T has been handed over. Each shard worker owns its
+// servers' machines outright: on an arrival it admits the task
+// (simrun.Incremental, whose open admission makes it equal to a fully
+// pre-seeded run of the server's share, DESIGN.md §7), on a watermark it
+// advances its servers to T in server-index order, folding completions
+// into a shard-local sink. When the source drains, shards drain their
+// machines and the shard results merge in shard-index order (a pairwise
+// metrics.MergeTree for the windowed replay; an id-sorted record merge
+// for Simulate), so the result is bit-for-bit independent of how the
+// shard goroutines were scheduled. Nothing is materialized up front, so
+// the windowed replay of a 1,000-server ×10 24 h window (~90M
+// invocations) runs in memory bounded by active tasks and windows. See
+// DESIGN.md §11.
 //
 // Watermarks order each shard's work but do not make the router wait: the
 // router keeps routing past a watermark while shards are still simulating
@@ -113,8 +111,7 @@ func (p *batchPool) put(b []shardMsg) { p.free <- b[:0] }
 
 // shardedServer is one live machine inside a shard worker. Servers are
 // created on first arrival, so fleet slots that never receive traffic
-// cost nothing — matching the flat path, where an empty share skips the
-// simulation entirely.
+// cost nothing.
 type shardedServer struct {
 	inc         *simrun.Incremental
 	set         *metrics.Set // exact mode only
@@ -128,7 +125,7 @@ type shardWorker struct {
 	shard    int
 	lo, hi   int
 	policies []ghost.Policy
-	exact    bool
+	exact    bool                         // Simulate's per-server record Sets, not a windowed sink
 	acc      *metrics.WindowedAccumulator // windowed mode's shard-local sink
 	servers  []*shardedServer
 	ch       chan []shardMsg // handoff batches, in routing order
@@ -321,13 +318,13 @@ func SimulateShardedWindowed(cfg Config, src workload.Source, tariff pricing.Tar
 	return rep, nil
 }
 
-// SimulateShardedExact streams src through a sharded fleet with an exact
-// per-server record Set, returning the same Result shape as Simulate —
-// records merged across shards and re-sorted by global invocation id, so
-// the output is bit-for-bit identical to the flat paths for any shard
-// count. This is the equivalence-test mode; it holds every record in
-// memory, so use the windowed entry point for long horizons.
-func SimulateShardedExact(cfg Config, src workload.Source) (*Result, error) {
+// Simulate routes src across the fleet and simulates every server on the
+// lockstep engine with an exact per-server record Set. Records merge
+// across servers in global invocation order (Record.ID is 1 + the
+// invocation's index in src), so the result is bit-for-bit independent
+// of the shard count. It holds every record in memory; use
+// SimulateShardedWindowed for long horizons.
+func Simulate(cfg Config, src workload.Source) (*Result, error) {
 	workers, _, assignment, rfStats, err := runSharded(cfg, src, true, pricing.Tariff{}, 0)
 	if err != nil {
 		return nil, err
@@ -362,6 +359,9 @@ func SimulateShardedExact(cfg Config, src workload.Source) (*Result, error) {
 			sr.Preemptions = sr.Set.TotalPreemptions()
 			sr.Stats = sv.inc.Stats()
 			sr.Events = sv.inc.Events()
+			if sv.fm != nil {
+				sr.Faults = sv.fm.Stats()
+			}
 			res.Preemptions += sr.Preemptions
 			res.Set.Records = append(res.Set.Records, sr.Set.Records...)
 		}
@@ -372,9 +372,10 @@ func SimulateShardedExact(cfg Config, src workload.Source) (*Result, error) {
 	return res, nil
 }
 
-// runSharded is the shared router + shard-worker engine. It returns the
-// finished workers (in shard order), the total invocation count, and the
-// per-invocation assignment (exact mode only).
+// runSharded is the router + shard-worker engine behind Simulate and
+// SimulateShardedWindowed. It returns the finished workers (in shard
+// order), the total invocation count, and the per-invocation assignment
+// (exact mode only).
 func runSharded(cfg Config, src workload.Source, exact bool, tariff pricing.Tariff, width time.Duration) ([]*shardWorker, int, []int, faults.Stats, error) {
 	if cfg.Servers < 1 {
 		return nil, 0, nil, faults.Stats{}, fmt.Errorf("cluster: Servers must be >= 1, got %d", cfg.Servers)
@@ -404,13 +405,13 @@ func runSharded(cfg Config, src workload.Source, exact bool, tariff pricing.Tari
 	if chunk == 0 {
 		chunk = simrun.DefaultWindow
 	}
-	shards, _, err := shardPlan(cfg.Servers, cfg.Shards, cfg.Workers)
+	shards, err := shardPlan(cfg.Servers, cfg.Shards)
 	if err != nil {
 		return nil, 0, nil, faults.Stats{}, err
 	}
 
 	// Policies are built sequentially up front so factories need not be
-	// goroutine-safe, exactly as on the flat path.
+	// goroutine-safe.
 	policies := make([]ghost.Policy, cfg.Servers)
 	for s := range policies {
 		if policies[s] = cfg.Policy(); policies[s] == nil {
@@ -475,9 +476,10 @@ func runSharded(cfg Config, src workload.Source, exact bool, tariff pricing.Tari
 		}
 	}
 
-	// The router replicates Simulate's phase 1 exactly — dispatch over
-	// the causal fleet model, warm-pool bookings — just one arrival at a
-	// time instead of over a materialized slice.
+	// The router: dispatch over the causal fleet model, then warm-pool
+	// bookings, one arrival at a time. The warm pools, like the fleet
+	// model, are causal front-end state, so every cold/warm decision is
+	// fixed before the arrival reaches a server.
 	model := NewFleetModel(cfg.Servers, cfg.Kernel.Cores)
 	disp, err := NewDispatcher(cfg.Dispatch, cfg.Seed, model)
 	if err != nil {

@@ -2,13 +2,19 @@ package cluster
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/faassched/faassched/internal/ghost"
+	"github.com/faassched/faassched/internal/metrics"
 	"github.com/faassched/faassched/internal/policy/cfs"
 	"github.com/faassched/faassched/internal/pricing"
+	"github.com/faassched/faassched/internal/simkern"
+	"github.com/faassched/faassched/internal/simrun"
 	"github.com/faassched/faassched/internal/workload"
 )
 
@@ -52,33 +58,82 @@ func TestShardRanges(t *testing.T) {
 }
 
 func TestShardPlanValidation(t *testing.T) {
-	if _, _, err := shardPlan(4, -1, 0); err == nil {
+	if _, err := shardPlan(4, -1); err == nil {
 		t.Error("negative shards accepted")
 	}
-	if _, _, err := shardPlan(4, 0, -1); err == nil {
-		t.Error("negative workers accepted")
-	}
-	ranges, workers, err := shardPlan(8, 0, 2)
+	ranges, err := shardPlan(3, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ranges) != 8 || workers != 2 { // 4×workers, capped at servers
-		t.Errorf("shardPlan(8,0,2) = %d ranges, %d workers", len(ranges), workers)
+	if len(ranges) != 3 { // capped at servers
+		t.Errorf("shardPlan(3,16) = %d ranges", len(ranges))
 	}
-	ranges, workers, err = shardPlan(3, 16, 16)
+	ranges, err = shardPlan(1000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ranges) != 3 || workers != 3 { // both capped at servers
-		t.Errorf("shardPlan(3,16,16) = %d ranges, %d workers", len(ranges), workers)
+	if want := 4 * runtime.GOMAXPROCS(0); len(ranges) != want {
+		t.Errorf("shardPlan(1000,0) = %d ranges, want 4×GOMAXPROCS = %d", len(ranges), want)
 	}
 }
 
-// TestShardedExactMatchesFlat is the lockstep engine's determinism bar:
-// for every dispatch policy, shard count, and worker bound, the sharded
-// streaming run must reproduce the flat fleet's records, routing, and
-// per-server shape bit for bit.
-func TestShardedExactMatchesFlat(t *testing.T) {
+// requirePreSeeded is the fleet engine's test oracle. It takes the
+// engine's routing — got.Assignment and each record's cold-start
+// latency — runs every server's share fully pre-seeded through
+// simrun.ExecStats, and fails unless the engine reproduced the records,
+// aggregates and per-server shape of those runs bit for bit.
+func requirePreSeeded(t *testing.T, name string, cfg Config, invs []workload.Invocation, got *Result) {
+	t.Helper()
+	if len(got.Set.Records) != len(invs) || len(got.Assignment) != len(invs) {
+		t.Fatalf("%s: %d records and %d assignments for %d invocations",
+			name, len(got.Set.Records), len(got.Assignment), len(invs))
+	}
+	shares := make([][]*simkern.Task, cfg.Servers)
+	for i, inv := range invs {
+		s := got.Assignment[i]
+		r := Routed{ColdStart: got.Set.Records[i].ColdStart}
+		shares[s] = append(shares[s], r.applyColdStart(workload.Task(inv, simkern.TaskID(i+1))))
+	}
+	var want metrics.Set
+	var makespan time.Duration
+	for s, tasks := range shares {
+		sr := got.PerServer[s]
+		if sr.Invocations != len(tasks) {
+			t.Errorf("%s: server %d reports %d invocations, was routed %d", name, s, sr.Invocations, len(tasks))
+		}
+		if len(tasks) == 0 {
+			continue
+		}
+		k, err := simrun.ExecStats(cfg.Kernel, cfg.Policy(), cfg.Ghost, simrun.AddTasks(tasks), nil)
+		if err != nil {
+			t.Fatalf("%s: pre-seeded server %d: %v", name, s, err)
+		}
+		set := metrics.Collect(k)
+		if sr.Makespan != k.Makespan() || sr.Preemptions != set.TotalPreemptions() {
+			t.Errorf("%s: server %d makespan %v preemptions %d, pre-seeded %v and %d",
+				name, s, sr.Makespan, sr.Preemptions, k.Makespan(), set.TotalPreemptions())
+		}
+		makespan = max(makespan, k.Makespan())
+		want.Records = append(want.Records, set.Records...)
+	}
+	sort.Slice(want.Records, func(i, j int) bool { return want.Records[i].ID < want.Records[j].ID })
+	for i := range want.Records {
+		if got.Set.Records[i] != want.Records[i] {
+			t.Fatalf("%s: record %d differs:\n  engine     %+v\n  pre-seeded %+v",
+				name, i, got.Set.Records[i], want.Records[i])
+		}
+	}
+	if got.Makespan != makespan || got.Preemptions != want.TotalPreemptions() {
+		t.Errorf("%s: aggregates differ (makespan %v/%v, preempt %d/%d)",
+			name, got.Makespan, makespan, got.Preemptions, want.TotalPreemptions())
+	}
+}
+
+// TestShardedMatchesPreSeeded is the engine's determinism bar: for
+// every dispatch policy and shard count, the lockstep run must equal
+// the pre-seeded runs of its servers' shares, and so be the same run
+// at every shard count.
+func TestShardedMatchesPreSeeded(t *testing.T) {
 	invs := synthWorkload(300, time.Millisecond, 20*time.Millisecond)
 	cfsFactory := func() ghost.Policy { return cfs.New(cfs.Params{}) }
 	for _, d := range Dispatches() {
@@ -86,56 +141,24 @@ func TestShardedExactMatchesFlat(t *testing.T) {
 			name    string
 			factory func() ghost.Policy
 		}{{"fifo", fifoFactory}, {"cfs", cfsFactory}} {
-			flatCfg := testConfig(5, d)
-			flatCfg.Policy = mk.factory
-			flatCfg.Seed = 1
-			flat, err := Simulate(flatCfg, invs)
-			if err != nil {
-				t.Fatal(err)
-			}
+			cfg := testConfig(5, d)
+			cfg.Policy = mk.factory
+			cfg.Seed = 1
+			var assignment []int
 			for _, shards := range []int{1, 3, 7} {
-				for _, workers := range []int{1, 3} {
-					name := fmt.Sprintf("%s/%s/shards=%d/workers=%d", d, mk.name, shards, workers)
-					cfg := flatCfg
-					cfg.Shards, cfg.Workers = shards, workers
-					got, err := SimulateShardedExact(cfg, workload.SliceSource(invs))
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					requireMatchesFlat(t, name, got, flat)
+				name := fmt.Sprintf("%s/%s/shards=%d", d, mk.name, shards)
+				cfg.Shards = shards
+				got, err := Simulate(cfg, workload.SliceSource(invs))
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				requirePreSeeded(t, name, cfg, invs, got)
+				if assignment == nil {
+					assignment = got.Assignment
+				} else if !slices.Equal(got.Assignment, assignment) {
+					t.Errorf("%s: routing depends on the shard count", name)
 				}
 			}
-		}
-	}
-}
-
-// requireMatchesFlat fails unless a sharded exact run reproduces the
-// flat fleet's records, aggregates, routing and per-server shape.
-func requireMatchesFlat(t *testing.T, name string, got, flat *Result) {
-	t.Helper()
-	if len(got.Set.Records) != len(flat.Set.Records) {
-		t.Fatalf("%s: %d records, flat has %d", name, len(got.Set.Records), len(flat.Set.Records))
-	}
-	for i := range flat.Set.Records {
-		if got.Set.Records[i] != flat.Set.Records[i] {
-			t.Fatalf("%s: record %d differs:\nsharded %+v\nflat    %+v",
-				name, i, got.Set.Records[i], flat.Set.Records[i])
-		}
-	}
-	if got.Makespan != flat.Makespan || got.Preemptions != flat.Preemptions {
-		t.Errorf("%s: aggregates differ (makespan %v/%v, preempt %d/%d)",
-			name, got.Makespan, flat.Makespan, got.Preemptions, flat.Preemptions)
-	}
-	for i := range flat.Assignment {
-		if got.Assignment[i] != flat.Assignment[i] {
-			t.Fatalf("%s: invocation %d routed to server %d, flat routed to %d",
-				name, i, got.Assignment[i], flat.Assignment[i])
-		}
-	}
-	for s := range flat.PerServer {
-		fs, gs := flat.PerServer[s], got.PerServer[s]
-		if gs.Invocations != fs.Invocations || gs.Makespan != fs.Makespan || gs.Preemptions != fs.Preemptions {
-			t.Errorf("%s: server %d shape differs", name, s)
 		}
 	}
 }
@@ -145,7 +168,7 @@ func requireMatchesFlat(t *testing.T, name string, got, flat *Result) {
 // a watermark lands on an empty batch, a partial one, a full one, one
 // past full, and after several full batches; the final partial batch is
 // handed over at close. Every other shard receives nothing. The run must
-// equal the flat fleet at every shard count.
+// equal the pre-seeded oracle at every shard count.
 func TestShardedBatchBoundaries(t *testing.T) {
 	const chunk = time.Second
 	var invs []workload.Invocation
@@ -163,22 +186,19 @@ func TestShardedBatchBoundaries(t *testing.T) {
 	cfg.Policy = func() ghost.Policy { return cfs.New(cfs.Params{}) }
 	cfg.Seed = 1
 	cfg.Window = chunk
-	flat, err := Simulate(cfg, invs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Each arrival finds server 0 idle, so least-loaded sends all of them
-	// to it and the per-window counts above are exactly its shard's.
-	if flat.PerServer[0].Invocations != len(invs) {
-		t.Fatalf("server 0 got %d of %d arrivals; the boundary counts do not hold", flat.PerServer[0].Invocations, len(invs))
-	}
 	for _, shards := range []int{1, 3, 7} {
-		cfg.Shards, cfg.Workers = shards, 2
-		got, err := SimulateShardedExact(cfg, workload.SliceSource(invs))
+		cfg.Shards = shards
+		got, err := Simulate(cfg, workload.SliceSource(invs))
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		requireMatchesFlat(t, fmt.Sprintf("shards=%d", shards), got, flat)
+		// Each arrival finds server 0 idle, so least-loaded sends all of
+		// them to it and the per-window counts above are exactly its
+		// shard's.
+		if got.PerServer[0].Invocations != len(invs) {
+			t.Fatalf("server 0 got %d of %d arrivals; the boundary counts do not hold", got.PerServer[0].Invocations, len(invs))
+		}
+		requirePreSeeded(t, fmt.Sprintf("shards=%d", shards), cfg, invs, got)
 	}
 }
 
@@ -195,10 +215,10 @@ func TestShardedFailingShardReportsError(t *testing.T) {
 	invs[3].Duration = 0 // round-robin sends it to server 3; admission rejects it
 	for _, tc := range []struct{ shards, bad int }{{1, 0}, {7, 3}} {
 		cfg := testConfig(7, DispatchRoundRobin)
-		cfg.Shards, cfg.Workers = tc.shards, 2
+		cfg.Shards = tc.shards
 		done := make(chan error, 1)
 		go func() {
-			_, err := SimulateShardedExact(cfg, workload.SliceSource(invs))
+			_, err := Simulate(cfg, workload.SliceSource(invs))
 			done <- err
 		}()
 		select {
@@ -217,9 +237,9 @@ func TestShardedFailingShardReportsError(t *testing.T) {
 // receives more than twice the in-flight bound of a 16-shard fleet, so
 // the router cannot route that chunk without the hot shard handing
 // batches back, and waits on the pool whenever it gets ahead, while the
-// idle shards hold only mark-only batches. The run must equal the flat
-// fleet at every shard count, and the pool must never make more than
-// shards+handoffRunAhead batches.
+// idle shards hold only mark-only batches. The run must equal the
+// pre-seeded oracle at every shard count, and the pool must never make
+// more than shards+handoffRunAhead batches.
 func TestShardedHotShardRunAhead(t *testing.T) {
 	const chunk = 30 * time.Second
 	perChunk := []int{5, 2*handoffBound(16) + shardBatch/2, 1, 0, 3*shardBatch + 1}
@@ -238,23 +258,20 @@ func TestShardedHotShardRunAhead(t *testing.T) {
 	cfg := testConfig(16, DispatchLeastLoaded)
 	cfg.Seed = 1
 	cfg.Window = chunk
-	flat, err := Simulate(cfg, invs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Each arrival finds server 0 idle, so least-loaded sends all of them
-	// to it: one shard is hot and every other shard sees only watermarks.
-	if flat.PerServer[0].Invocations != len(invs) {
-		t.Fatalf("server 0 got %d of %d arrivals; the hot-shard shape does not hold", flat.PerServer[0].Invocations, len(invs))
-	}
 	for _, shards := range []int{1, 3, 7, 16} {
 		name := fmt.Sprintf("shards=%d", shards)
-		cfg.Shards, cfg.Workers = shards, 2
-		got, err := SimulateShardedExact(cfg, workload.SliceSource(invs))
+		cfg.Shards = shards
+		got, err := Simulate(cfg, workload.SliceSource(invs))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		requireMatchesFlat(t, name, got, flat)
+		// Each arrival finds server 0 idle, so least-loaded sends all of
+		// them to it: one shard is hot and every other shard sees only
+		// watermarks.
+		if got.PerServer[0].Invocations != len(invs) {
+			t.Fatalf("server 0 got %d of %d arrivals; the hot-shard shape does not hold", got.PerServer[0].Invocations, len(invs))
+		}
+		requirePreSeeded(t, name, cfg, invs, got)
 		workers, _, _, _, err := runSharded(cfg, workload.SliceSource(invs), true, pricing.Tariff{}, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -302,8 +319,8 @@ func TestShardedWindowedMatchesExact(t *testing.T) {
 	width := 50 * time.Millisecond
 	tariff := pricing.Default()
 	cfg := testConfig(4, DispatchLeastLoaded)
-	cfg.Shards, cfg.Workers = 3, 2
-	exact, err := SimulateShardedExact(cfg, workload.SliceSource(invs))
+	cfg.Shards = 3
+	exact, err := Simulate(cfg, workload.SliceSource(invs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,17 +356,17 @@ func TestShardedWindowedMatchesExact(t *testing.T) {
 // TestShardedValidation covers the sharded engine's error paths.
 func TestShardedValidation(t *testing.T) {
 	cfg := testConfig(3, DispatchRoundRobin)
-	if _, err := SimulateShardedExact(cfg, workload.SliceSource(nil)); err == nil {
+	if _, err := Simulate(cfg, workload.SliceSource(nil)); err == nil {
 		t.Error("empty workload accepted")
 	}
 	bad := cfg
 	bad.Shards = -1
-	if _, err := SimulateShardedExact(bad, workload.SliceSource(synthWorkload(4, time.Millisecond, time.Millisecond))); err == nil {
+	if _, err := Simulate(bad, workload.SliceSource(synthWorkload(4, time.Millisecond, time.Millisecond))); err == nil {
 		t.Error("negative shards accepted")
 	}
 	bad = cfg
 	bad.Servers = 0
-	if _, err := SimulateShardedExact(bad, workload.SliceSource(synthWorkload(4, time.Millisecond, time.Millisecond))); err == nil {
+	if _, err := Simulate(bad, workload.SliceSource(synthWorkload(4, time.Millisecond, time.Millisecond))); err == nil {
 		t.Error("zero servers accepted")
 	}
 	if _, err := SimulateShardedWindowed(cfg, workload.SliceSource(synthWorkload(4, time.Millisecond, time.Millisecond)), pricing.Default(), -time.Second); err == nil {
@@ -357,10 +374,11 @@ func TestShardedValidation(t *testing.T) {
 	}
 }
 
-// TestShardedColdStartMatchesFlat: the router replicates the flat path's
-// warm-pool bookkeeping, so the cold-start model must survive sharding
-// unchanged (same cold-start flags on every record).
-func TestShardedColdStartMatchesFlat(t *testing.T) {
+// TestShardedColdStartMatchesPreSeeded: the router books the warm pools
+// before an arrival reaches its server, so the cold-start model must
+// survive sharding unchanged: the run equals the pre-seeded oracle, which
+// folds each record's start latency into its demand.
+func TestShardedColdStartMatchesPreSeeded(t *testing.T) {
 	invs := synthWorkload(200, 2*time.Millisecond, 10*time.Millisecond)
 	for i := range invs {
 		invs[i].FuncID = 1 + i%7
@@ -368,24 +386,13 @@ func TestShardedColdStartMatchesFlat(t *testing.T) {
 	cfg := testConfig(3, DispatchLeastLoaded)
 	cfg.Seed = 1
 	cfg.ColdStart = ColdStartConfig{Latency: 5 * time.Millisecond, KeepAlive: 30 * time.Millisecond, WarmFirst: true}
-	flat, err := Simulate(cfg, invs)
+	cfg.Shards = 3
+	got, err := Simulate(cfg, workload.SliceSource(invs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Shards, cfg.Workers = 3, 2
-	got, err := SimulateShardedExact(cfg, workload.SliceSource(invs))
-	if err != nil {
-		t.Fatal(err)
+	if got.Set.ColdStarts() == 0 {
+		t.Fatal("run has no cold starts; test is vacuous")
 	}
-	if flat.Set.ColdStarts() == 0 {
-		t.Fatal("flat run has no cold starts; test is vacuous")
-	}
-	if got.Set.ColdStarts() != flat.Set.ColdStarts() {
-		t.Fatalf("sharded cold starts %d, flat %d", got.Set.ColdStarts(), flat.Set.ColdStarts())
-	}
-	for i := range flat.Set.Records {
-		if got.Set.Records[i] != flat.Set.Records[i] {
-			t.Fatalf("record %d differs under the cold-start model", i)
-		}
-	}
+	requirePreSeeded(t, "cold-start", cfg, invs, got)
 }

@@ -8,6 +8,7 @@ import (
 	"github.com/faassched/faassched/internal/ghost"
 	"github.com/faassched/faassched/internal/metrics"
 	"github.com/faassched/faassched/internal/simkern"
+	"github.com/faassched/faassched/internal/workload"
 )
 
 // ExtClusterDispatch goes beyond the paper's single 8-core enclave: the
@@ -51,7 +52,7 @@ func ExtClusterDispatch(e *Env) (*Figure, error) {
 					Seed:     e.Seed,
 					Kernel:   simkern.DefaultConfig(coresPer),
 					Policy:   s.factory,
-				}, invs)
+				}, workload.SliceSource(invs))
 				if err != nil {
 					return nil, fmt.Errorf("%d×%s×%s: %w", servers, d, s.name, err)
 				}

@@ -9,6 +9,7 @@ import (
 	"github.com/faassched/faassched/internal/ghost"
 	"github.com/faassched/faassched/internal/metrics"
 	"github.com/faassched/faassched/internal/simkern"
+	"github.com/faassched/faassched/internal/workload"
 )
 
 // coldTTLs resolves the keep-alive sweep: the Env override pins a single
@@ -105,7 +106,7 @@ func ExtColdStart(e *Env) (*Figure, error) {
 				PoolMemMB: e.ColdPoolMB,
 				WarmFirst: d.warmFirst,
 			},
-		}, invs)
+		}, workload.SliceSource(invs))
 		if err != nil {
 			return fmt.Errorf("ttl=%s×%s×%s: %w", fmtTTL(ttl), d.name, s.name, err)
 		}

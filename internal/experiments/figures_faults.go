@@ -10,6 +10,7 @@ import (
 	"github.com/faassched/faassched/internal/ghost"
 	"github.com/faassched/faassched/internal/metrics"
 	"github.com/faassched/faassched/internal/simkern"
+	"github.com/faassched/faassched/internal/workload"
 )
 
 // faultPlan is one named point of the ext-faults reliability sweep.
@@ -97,11 +98,10 @@ func ExtFaults(e *Env) (*Figure, error) {
 			Servers:  servers,
 			Dispatch: cluster.DispatchLeastLoaded,
 			Seed:     e.Seed,
-			Streamed: true,
 			Faults:   plan.cfg,
 			Kernel:   simkern.DefaultConfig(coresPer),
 			Policy:   sched.factory,
-		}, invs)
+		}, workload.SliceSource(invs))
 		if err != nil {
 			return fmt.Errorf("%s×%s: %w", plan.name, sched.name, err)
 		}

@@ -133,6 +133,7 @@ type Kernel struct {
 	tasks       []*Task // nil when cfg.DiscardTasks
 	added       int
 	finished    int
+	admitting   bool // a lazy admitter may still admit (SetAdmissionOpen)
 	makespan    time.Duration
 	timers      map[TimerID]*event
 	nextTimerID TimerID
@@ -198,8 +199,25 @@ func (k *Kernel) CoreCount() int { return len(k.cores) }
 // run feeds utilization-over-time figures, so observers should record.
 func (k *Kernel) RecordsUtil() bool { return k.cfg.RecordUtil }
 
-// Outstanding returns the number of added tasks that have not finished.
-func (k *Kernel) Outstanding() int { return k.added - k.finished }
+// Outstanding returns the number of added tasks that have not finished,
+// plus one while admission is open (SetAdmissionOpen).
+func (k *Kernel) Outstanding() int {
+	if k.admitting {
+		return k.added - k.finished + 1
+	}
+	return k.added - k.finished
+}
+
+// SetAdmissionOpen declares whether a lazy admitter may still admit tasks.
+// A pre-seeded kernel counts its future arrivals as outstanding from the
+// start; while admission is open, Outstanding counts one task not yet
+// admitted in their place. Everything that keeps running only while work
+// is outstanding — the agent-tick grid, the hybrid's monitor, the
+// utilization sampler — then behaves as it would pre-seeded, so lazy
+// admission equals pre-seeding however long the machine idles between
+// admissions (DESIGN.md §7). Close admission once the last task is
+// admitted, before draining.
+func (k *Kernel) SetAdmissionOpen(open bool) { k.admitting = open }
 
 // Tasks returns all tasks ever added, in addition order — or nil when the
 // kernel was built with DiscardTasks. Callers must not mutate kernel-owned

@@ -1,12 +1,14 @@
-// Incremental runs: the sharded streaming fleet (cluster.SimulateSharded*)
-// replaces the per-server feeder timers with external admission control —
-// a router goroutine owns the arrival stream and tells every machine how
-// far it may advance (a watermark T is only emitted once every arrival
-// ≤ T has been handed over). Incremental packages the same kernel +
-// retirer-wrapped enclave wiring as ExecStream for that protocol: the
-// caller admits tasks, then steps the clock to each watermark with RunTo,
-// and finally Drain()s. Determinism follows from AdmitTask's pre-seeding
-// equivalence exactly as on the feeder path (DESIGN.md §7, §11).
+// Incremental runs: the fleet engine (cluster.Simulate and
+// cluster.SimulateShardedWindowed) replaces the per-server feeder timers
+// with external admission control — a router goroutine owns the arrival
+// stream and tells every machine how far it may advance (a watermark T is
+// only emitted once every arrival ≤ T has been handed over). Incremental
+// packages the same kernel + retirer-wrapped enclave wiring as ExecStream
+// for that protocol: the caller admits tasks, then steps the clock to
+// each watermark with RunTo, and finally Drain()s. Determinism follows
+// from AdmitTask's pre-seeding equivalence and from open admission
+// exactly as on the feeder path: the machine's admission stays open from
+// construction until Drain (DESIGN.md §7, §11).
 
 package simrun
 
@@ -50,6 +52,7 @@ func NewIncremental(kcfg simkern.Config, policy ghost.Policy, gcfg ghost.Config,
 	if err != nil {
 		return nil, err
 	}
+	k.SetAdmissionOpen(true)
 	return &Incremental{k: k, enc: enc, pool: pool, name: policy.Name()}, nil
 }
 
@@ -70,9 +73,10 @@ func (inc *Incremental) RunTo(watermark time.Duration) error {
 	return err
 }
 
-// Drain runs the machine to quiescence and verifies nothing is left
-// outstanding.
+// Drain closes admission, runs the machine to quiescence and verifies
+// nothing is left outstanding. No task may be admitted after it.
 func (inc *Incremental) Drain() error {
+	inc.k.SetAdmissionOpen(false)
 	if _, err := inc.k.Run(0); err != nil {
 		return err
 	}

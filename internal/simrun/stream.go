@@ -8,9 +8,14 @@
 // Determinism: the feeder admits through Kernel.AdmitTask, whose arrivals
 // order before any same-instant run-time event (simkern's admit class) —
 // exactly the tie-break a fully pre-seeded run produces — and every chunk
-// is admitted strictly before simulated time reaches its arrivals. A
-// streamed run is therefore observationally identical to the materialized
-// run of the same workload; TestGoldenDigests proves it per scheduler.
+// is admitted strictly before simulated time reaches its arrivals. The
+// feeder also keeps the kernel's admission open until its source is
+// exhausted, so the kernel counts the not-yet-admitted remainder as
+// outstanding just as a pre-seeded kernel counts its future arrivals
+// (DESIGN.md §7). A streamed run is therefore observationally identical
+// to the materialized run of the same workload, idle gaps included;
+// TestGoldenDigests and TestLazyAdmissionMatchesPreSeeding prove it per
+// scheduler.
 
 package simrun
 
@@ -90,6 +95,7 @@ func ExecStream(kcfg simkern.Config, policy ghost.Policy, gcfg ghost.Config, src
 	}
 	f := &feeder{k: k, next: src, window: cfg.Window}
 	f.fire = f.onTimer
+	k.SetAdmissionOpen(true)
 	if err := f.seed(); err != nil {
 		return nil, err
 	}
@@ -155,7 +161,7 @@ func (f *feeder) admitUpTo(horizon time.Duration) {
 			var ok bool
 			t, ok = f.next()
 			if !ok {
-				f.done = true
+				f.close()
 				return
 			}
 			if t == nil {
@@ -182,7 +188,13 @@ func (f *feeder) admitUpTo(horizon time.Duration) {
 
 func (f *feeder) fail(err error) {
 	f.err = err
+	f.close()
+}
+
+// close stops feeding and closes the kernel's admission.
+func (f *feeder) close() {
 	f.done = true
+	f.k.SetAdmissionOpen(false)
 }
 
 // retirer wraps the scheduling policy: after the policy has consumed a

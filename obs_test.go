@@ -45,17 +45,17 @@ func sortedTrace(t *testing.T, buf *bytes.Buffer) []string {
 
 // traceCluster runs the fixed fleet with tracing on and returns the
 // sorted event lines.
-func traceCluster(t *testing.T, invs []Invocation, shards int, streamed bool) []string {
+func traceCluster(t *testing.T, invs []Invocation, shards int) []string {
 	t.Helper()
 	var buf bytes.Buffer
 	tr := obs.NewTracer(&buf, obs.TraceConfig{Segments: true})
 	_, err := SimulateCluster(ClusterOptions{
 		Servers: 3, CoresPerServer: 4, Scheduler: SchedulerHybrid, Seed: 1,
-		Shards: shards, Streamed: streamed,
-		Obs: &obs.Obs{Trace: tr},
+		Shards: shards,
+		Obs:    &obs.Obs{Trace: tr},
 	}, invs)
 	if err != nil {
-		t.Fatalf("cluster shards=%d streamed=%t: %v", shards, streamed, err)
+		t.Fatalf("cluster shards=%d: %v", shards, err)
 	}
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
@@ -97,35 +97,21 @@ func diffLines(t *testing.T, label string, want, got []string) {
 }
 
 // TestTraceDeterministicAcrossShards pins the trace-export determinism
-// claim: the same run at shards {1,3,7}, through both fleet dataflows
-// and the sharded lockstep replay, produces byte-identical sorted trace
-// output.
+// claim: the same run at shards {1,3,7}, through the exact fleet and the
+// windowed replay, produces byte-identical sorted trace output.
 func TestTraceDeterministicAcrossShards(t *testing.T) {
 	invs := obsWorkload(t)
 
-	ref := traceCluster(t, invs, 1, false)
+	ref := traceCluster(t, invs, 1)
 	if len(ref) == 0 {
 		t.Fatal("reference trace is empty")
 	}
-	for _, shards := range []int{1, 3, 7} {
-		for _, streamed := range []bool{false, true} {
-			if shards == 1 && !streamed {
-				continue
-			}
-			got := traceCluster(t, invs, shards, streamed)
-			label := "cluster/materialized"
-			if streamed {
-				label = "cluster/streamed"
-			}
-			diffLines(t, label, ref, got)
-		}
-	}
-
-	// The sharded replay adds router watermark events, so it earns its
-	// own reference — invariant across its shard counts.
-	sref := traceSharded(t, invs, 1)
 	for _, shards := range []int{3, 7} {
-		diffLines(t, "sharded", sref, traceSharded(t, invs, shards))
+		diffLines(t, "cluster", ref, traceCluster(t, invs, shards))
+	}
+	// Both entry points run the same engine, so they trace alike.
+	for _, shards := range []int{1, 3, 7} {
+		diffLines(t, "sharded", ref, traceSharded(t, invs, shards))
 	}
 
 	// Every emitted line (comma-terminated event) must be valid JSON.

@@ -19,7 +19,7 @@ trap 'rm -rf "$tmpdir"' EXIT
 trace="$tmpdir/trace.json"
 report="$tmpdir/report.json"
 
-go run ./cmd/clustersim -sharded -servers 6 -shards 3 -workers 2 \
+go run ./cmd/clustersim -sharded -servers 6 -shards 3 \
   -minutes 2 -n 3000 -shard-window 30s \
   -trace-out "$trace" -run-report "$report"
 

@@ -1,19 +1,153 @@
 package faassched
 
-// Sharded execution must be invisible: the worker-pool fleet (Shards /
-// Workers on ClusterOptions) and the lockstep sharded replay must
-// reproduce the UNCHANGED committed golden digests — the same bytes the
-// flat one-goroutine-per-server implementation pinned — at every shard
-// count, through both dataflows. If sharding ever perturbs a single
-// event ordering, these digests catch it.
+// Sharded execution must be invisible. The fleet engine runs every
+// server's share under lazy admission, in watermark steps, on shard
+// worker goroutines; none of that may show in the result. The pre-seeded
+// oracle below replays each server's share the simplest way — every task
+// added before the clock starts, records collected at the end — and the
+// engine must match it bit for bit, at every shard count, on inputs with
+// idle gaps far longer than a watermark step. The committed golden
+// digests pin the same bytes.
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"sort"
 	"testing"
 	"time"
+
+	"github.com/faassched/faassched/internal/ghost"
+	"github.com/faassched/faassched/internal/metrics"
+	"github.com/faassched/faassched/internal/simkern"
+	"github.com/faassched/faassched/internal/simrun"
+	"github.com/faassched/faassched/internal/workload"
 )
+
+// preSeeded is the fleet engine's test oracle. It takes res's routing —
+// the Assignment and each record's cold-start latency — runs every
+// server's share fully pre-seeded through simrun.ExecStats, collects
+// the records, and returns the fleet result those runs make. The
+// engine's result must digest equal to it. Fault plans are out of its
+// reach: kills and retries need the engine's fault machines.
+func preSeeded(t *testing.T, opts ClusterOptions, invs []Invocation, res *ClusterResult) *ClusterResult {
+	t.Helper()
+	opts, cfg, err := clusterConfig(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Set.Records) != len(invs) || len(res.Assignment) != len(invs) {
+		t.Fatalf("%d records and %d assignments for %d invocations",
+			len(res.Set.Records), len(res.Assignment), len(invs))
+	}
+	shares := make([][]*simkern.Task, opts.Servers)
+	for i, inv := range invs {
+		task := workload.Task(inv, simkern.TaskID(i+1))
+		if cold := res.Set.Records[i].ColdStart; cold > 0 {
+			task.Work += cold
+			task.ColdStart = cold
+		}
+		shares[res.Assignment[i]] = append(shares[res.Assignment[i]], task)
+	}
+	out := &ClusterResult{
+		Result:         Result{Scheduler: opts.Scheduler},
+		Dispatch:       opts.Dispatch,
+		Servers:        opts.Servers,
+		CoresPerServer: opts.CoresPerServer,
+		PerServer:      make([]ServerResult, opts.Servers),
+		Assignment:     res.Assignment,
+	}
+	for s, tasks := range shares {
+		sr := &out.PerServer[s]
+		sr.Server, sr.Invocations = s, len(tasks)
+		if len(tasks) == 0 {
+			continue
+		}
+		k, err := simrun.ExecStats(cfg.Kernel, cfg.Policy(), ghost.Config{}, simrun.AddTasks(tasks), nil)
+		if err != nil {
+			t.Fatalf("pre-seeded server %d: %v", s, err)
+		}
+		sr.Set = metrics.Collect(k)
+		sr.Makespan, sr.Preemptions = k.Makespan(), sr.Set.TotalPreemptions()
+		out.Set.Records = append(out.Set.Records, sr.Set.Records...)
+		out.Makespan = max(out.Makespan, sr.Makespan)
+		out.Preemptions += sr.Preemptions
+	}
+	sort.Slice(out.Set.Records, func(i, j int) bool { return out.Set.Records[i].ID < out.Set.Records[j].ID })
+	return out
+}
+
+// requirePreSeeded fails unless res digests equal to the pre-seeded
+// oracle's replay of its routing, naming the first differing record.
+func requirePreSeeded(t *testing.T, name string, opts ClusterOptions, invs []Invocation, res *ClusterResult) {
+	t.Helper()
+	want := preSeeded(t, opts, invs, res)
+	if digestCluster(res) == digestCluster(want) {
+		return
+	}
+	for i, r := range want.Set.Records {
+		if res.Set.Records[i] != r {
+			t.Fatalf("%s: record %d differs:\n  engine     %+v\n  pre-seeded %+v", name, i, res.Set.Records[i], r)
+		}
+	}
+	t.Fatalf("%s: records agree but the fleet aggregates or per-server shape differ from the pre-seeded runs", name)
+}
+
+// idleGapWorkload is BuildWorkload{Seed: 1, Minutes: 2,
+// MaxInvocations: 800} followed by two copies of itself starting at 3
+// and 7 minutes: the fleet drains fully for a minute and then for two,
+// across many watermark steps.
+func idleGapWorkload(t *testing.T) []Invocation {
+	t.Helper()
+	base, err := BuildWorkload(WorkloadSpec{Seed: 1, Minutes: 2, MaxInvocations: 800})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := append([]Invocation(nil), base...)
+	for _, shift := range []time.Duration{3 * time.Minute, 7 * time.Minute} {
+		for _, inv := range base {
+			inv.Arrival += shift
+			out = append(out, inv)
+		}
+	}
+	return out
+}
+
+// TestIdleGapFleetMatchesPreSeeded runs every scheduler × dispatch over
+// a workload with minute-long idle gaps on a 4×4-core fleet. Each
+// server's agent-tick grid, monitor and sampler must live through the
+// gaps exactly as in a pre-seeded run of its share, so both fixed-fleet
+// entry points equal the pre-seeded oracle: SimulateCluster record for
+// record, SimulateShardedReplay on makespan, execution and cost.
+func TestIdleGapFleetMatchesPreSeeded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the scheduler × dispatch idle-gap matrix is not short")
+	}
+	t.Parallel()
+	invs := idleGapWorkload(t)
+	for _, sched := range Schedulers() {
+		for _, d := range Dispatches() {
+			name := fmt.Sprintf("%s/%s", sched, d)
+			opts := ClusterOptions{Servers: 4, CoresPerServer: 4, Dispatch: d, Scheduler: sched, Seed: 1}
+			res, err := SimulateCluster(opts, invs)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			requirePreSeeded(t, name, opts, invs, res)
+			rep, err := SimulateShardedReplay(opts, SliceSource(invs))
+			if err != nil {
+				t.Fatalf("%s replay: %v", name, err)
+			}
+			tot := rep.Total()
+			if rep.Makespan != res.Makespan || tot.TotalExecution() != res.Set.TotalExecution() ||
+				tot.TotalPreemptions() != res.Preemptions {
+				t.Errorf("%s: replay makespan %v execution %v preemptions %d, pre-seeded %v, %v and %d", name,
+					rep.Makespan, tot.TotalExecution(), tot.TotalPreemptions(),
+					res.Makespan, res.Set.TotalExecution(), res.Preemptions)
+			}
+		}
+	}
+}
 
 // committedDigests loads testdata/golden_digests.json.
 func committedDigests(t *testing.T) map[string]string {
@@ -30,10 +164,9 @@ func committedDigests(t *testing.T) map[string]string {
 }
 
 // TestShardedMergeMatchesFlat runs the fleet half of the golden matrix
-// with sharding enabled — shard counts 1, 3, and 7 over the 3-server
-// fleet, a 2-worker pool, both the materialized and the streamed
-// dataflow — and requires every digest to equal the committed flat
-// digest bit for bit.
+// at shard counts 1, 3 and 7 over the 3-server fleet, plain and with the
+// fault seam threaded, and requires every digest to equal the committed
+// one, which the pre-seeded oracle reproduces (TestGoldenDigests).
 func TestShardedMergeMatchesFlat(t *testing.T) {
 	t.Parallel()
 	invs := goldenWorkload(t)
@@ -49,49 +182,35 @@ func TestShardedMergeMatchesFlat(t *testing.T) {
 		}
 	}
 	for _, shards := range []int{1, 3, 7} {
-		for _, streamed := range []bool{false, true} {
-			flow := "materialized"
-			if streamed {
-				flow = "streamed"
+		// With the fault seam threaded and an empty plan (Instrument:
+		// true — machines and routing hooks live), every digest must
+		// stay untouched too (DESIGN.md §14).
+		for _, faults := range []FaultOptions{{}, {Instrument: true}} {
+			flow := "plain"
+			if faults.Instrument {
+				flow = "instrumented"
 			}
 			for _, d := range Dispatches() {
 				check("cluster/hybrid/"+string(d),
 					fmt.Sprintf("%s/hybrid/%s/shards=%d", flow, d, shards),
 					ClusterOptions{
 						Servers: 3, CoresPerServer: 4, Dispatch: d, Scheduler: SchedulerHybrid,
-						Seed: 1, Streamed: streamed, Shards: shards, Workers: 2,
+						Seed: 1, Shards: shards, Faults: faults,
 					})
 			}
 			check("cluster/cfs/least-loaded",
 				fmt.Sprintf("%s/cfs/least-loaded/shards=%d", flow, shards),
 				ClusterOptions{
 					Servers: 3, CoresPerServer: 4, Dispatch: DispatchLeastLoaded, Scheduler: SchedulerCFS,
-					Seed: 1, Streamed: streamed, Shards: shards, Workers: 2,
+					Seed: 1, Shards: shards, Faults: faults,
 				})
 		}
-		// The fault seam threaded with an empty plan (Instrument: true —
-		// machines, routing hooks, and the forced streamed dataflow all
-		// live) must leave every sharded digest untouched (DESIGN.md §14).
-		for _, d := range Dispatches() {
-			check("cluster/hybrid/"+string(d),
-				fmt.Sprintf("instrumented/hybrid/%s/shards=%d", d, shards),
-				ClusterOptions{
-					Servers: 3, CoresPerServer: 4, Dispatch: d, Scheduler: SchedulerHybrid,
-					Seed: 1, Faults: FaultOptions{Instrument: true}, Shards: shards, Workers: 2,
-				})
-		}
-		check("cluster/cfs/least-loaded",
-			fmt.Sprintf("instrumented/cfs/least-loaded/shards=%d", shards),
-			ClusterOptions{
-				Servers: 3, CoresPerServer: 4, Dispatch: DispatchLeastLoaded, Scheduler: SchedulerCFS,
-				Seed: 1, Faults: FaultOptions{Instrument: true}, Shards: shards, Workers: 2,
-			})
 	}
 }
 
 // TestTenKServerShardDigests is the at-scale form of the digest claim:
 // a 10,000-server fleet routed by the indexed dispatchers produces the
-// same digest flat and at shards {1, 7}. The committed golden file pins
+// same digest at the default shard count and at shards {1, 7}. The committed golden file pins
 // the 3-server matrix; this pins that the load index stays exact at the
 // fleet size it exists for, for both policies it serves (least-loaded
 // and join-idle-queue — warm-first rides the same index paths under
@@ -110,19 +229,19 @@ func TestTenKServerShardDigests(t *testing.T) {
 			Servers: 10000, CoresPerServer: 2, Dispatch: d,
 			Scheduler: SchedulerHybrid, Seed: 1,
 		}
-		flat, err := SimulateCluster(opts, invs)
+		ref, err := SimulateCluster(opts, invs)
 		if err != nil {
-			t.Fatalf("%s flat: %v", d, err)
+			t.Fatalf("%s default shards: %v", d, err)
 		}
-		want := digestCluster(flat)
+		want := digestCluster(ref)
 		for _, shards := range []int{1, 7} {
-			opts.Shards, opts.Workers = shards, 4
+			opts.Shards = shards
 			res, err := SimulateCluster(opts, invs)
 			if err != nil {
 				t.Fatalf("%s shards=%d: %v", d, shards, err)
 			}
 			if got := digestCluster(res); got != want {
-				t.Errorf("%s shards=%d: digest %.12s… != flat %.12s…", d, shards, got, want)
+				t.Errorf("%s shards=%d: digest %.12s… != default shards' %.12s…", d, shards, got, want)
 			}
 		}
 	}
@@ -142,7 +261,7 @@ func TestShardedReplayMatchesCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Shards, opts.Workers = 3, 2
+	opts.Shards = 3
 	opts.MetricsWindow = 10 * time.Second
 	stats, err := SimulateShardedReplay(opts, SliceSource(invs))
 	if err != nil {
