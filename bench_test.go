@@ -443,6 +443,106 @@ func BenchmarkWorkloadBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkWorkloadStream is BenchmarkWorkloadBuild's streaming row: it
+// drains Builder.Stream over the same trace without materializing it, so
+// ns/inv is the source layer's cost per yielded invocation.
+func BenchmarkWorkloadStream(b *testing.B) {
+	e := env(b)
+	tr, err := e.Trace()
+	if err != nil {
+		b.Fatal(err)
+	}
+	src, err := workload.Builder{}.Stream(tr, 0, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src(func(workload.Invocation) bool {
+			n++
+			return true
+		})
+	}
+	b.StopTimer()
+	if n == 0 {
+		b.Fatal("empty workload")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/inv")
+}
+
+// BenchmarkKernelAdmitRun times one server's kernel the way the fleet
+// engines drive it: each op admits one 30 s chunk of arrivals in arrival
+// order, then runs the machine to the chunk's end. The chunk is ~70% of
+// an 8-core hybrid server's capacity, repeated op after op, so the
+// machine reaches a steady state in which admission, the event loop and
+// the pooled tasks must not allocate. ns/event is the kernel event
+// loop's cost per event, policy work included.
+func BenchmarkKernelAdmitRun(b *testing.B) {
+	const chunk = 30 * time.Second
+	cfg := trace.DefaultConfig()
+	cfg.Seed = 1
+	cfg.Minutes = 1
+	cfg.RateScale = 1
+	tr, err := trace.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// ~6,200 invocations a minute of ~1 s mean work is ~100 busy cores;
+	// a 1-in-18 draw leaves ~5.6 of the server's 8.
+	src, err := workload.Builder{Downscale: 18}.Stream(tr, 0, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var invs []workload.Invocation
+	for inv := range src {
+		if inv.Arrival >= chunk {
+			break
+		}
+		invs = append(invs, inv)
+	}
+	policy, err := newPolicy(Options{Cores: 8, Scheduler: SchedulerHybrid})
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := simrun.NewIncremental(simkern.DefaultConfig(8), policy, ghost.Config{}, metrics.NewAccumulator(pricing.Default()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	id := simkern.TaskID(0)
+	admitRun := func(i int) {
+		base := time.Duration(i) * chunk
+		for _, inv := range invs {
+			inv.Arrival += base
+			id++
+			if err := m.Admit(m.Pool().Get(inv, id)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := m.RunTo(base + chunk); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// Warm the pools: the first chunks size the task pool, the event
+	// pool and the arrival FIFO.
+	const warm = 8
+	for i := 0; i < warm; i++ {
+		admitRun(i)
+	}
+	before := m.Events()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		admitRun(warm + i)
+	}
+	b.StopTimer()
+	events := m.Events() - before
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+	b.ReportMetric(float64(len(invs)), "invocations/op")
+}
+
 // BenchmarkFacadeSimulate measures the public API end to end.
 func BenchmarkFacadeSimulate(b *testing.B) {
 	invs, err := BuildWorkload(WorkloadSpec{Minutes: 1, MaxInvocations: 300})

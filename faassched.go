@@ -609,8 +609,11 @@ type ClusterOptions struct {
 	ColdStart ColdStartOptions
 	// Shards partitions the fleet into contiguous server ranges, each
 	// simulated by one worker goroutine of the lockstep engine (DESIGN.md
-	// §11). Zero means 4×GOMAXPROCS, capped at Servers. Results are
-	// bit-for-bit identical at any setting.
+	// §11). Zero means 4×GOMAXPROCS, capped at Servers. Records, counts
+	// and histograms are identical at any setting. SimulateCluster's cost
+	// is too; SimulateShardedReplay's windowed cost is a float sum each
+	// shard adds up in its own order, so it matches to within rounding
+	// (DESIGN.md §16).
 	Shards int
 	// MetricsWindow is the sharded replay's per-window accumulator width
 	// (SimulateShardedReplay only). Zero means one hour.
@@ -799,8 +802,10 @@ func (s *ShardedStats) Summary() string {
 // the workload length — the entry point for provider-scale replays
 // (1,000 servers, multi-day ×10-volume traces) where SimulateCluster's
 // exact record set would not fit. It runs the same engine as
-// SimulateCluster, and results are bit-for-bit identical at any Shards
-// setting.
+// SimulateCluster. At any Shards setting its counts, histograms,
+// makespan and kernel and delegation counters are identical, and its
+// cost matches to within rounding: each shard sums cost in its own
+// completion order, so the last bits depend on the partition.
 func SimulateShardedReplay(opts ClusterOptions, src Source) (*ShardedStats, error) {
 	opts, cfg, err := clusterConfig(opts)
 	if err != nil {

@@ -56,8 +56,10 @@ type Config struct {
 	// Shards partitions the fleet into contiguous server ranges, each
 	// simulated by one worker goroutine and folded into a shard-local
 	// result before the deterministic cross-shard merge. Zero picks
-	// min(Servers, 4×GOMAXPROCS). Results are bit-for-bit independent of
-	// the shard count (DESIGN.md §11).
+	// min(Servers, 4×GOMAXPROCS). Records, counts and histograms are
+	// independent of the shard count (DESIGN.md §11); the windowed
+	// replay's float cost, summed per shard in push order, matches only
+	// to within rounding (DESIGN.md §16).
 	Shards int
 	// Obs enables the observability layer (counters, trace export,
 	// progress). Nil disables it entirely; observation never alters

@@ -1,10 +1,6 @@
 package simkern
 
-import (
-	"time"
-
-	"github.com/faassched/faassched/internal/queue"
-)
+import "time"
 
 // eventKind discriminates the typed events the kernel loop dispatches.
 // The previous core stored one heap-allocated closure per event; kinds +
@@ -52,15 +48,13 @@ type event struct {
 	seq   uint64
 	kind  eventKind
 	class uint8
-	hidx  int // heap slot maintained by queue.IndexedHeap; NoHeapIndex when out
+	hidx  int // heap slot; -1 when not in the heap
+	fslot int // arrival FIFO ring slot; -1 when not in the FIFO
 
 	task *Task   // evArrival, evCompletion
 	fn   func()  // evTimer
 	id   TimerID // evTimer
 }
-
-// SetHeapIndex implements queue.HeapIndexed.
-func (e *event) SetHeapIndex(i int) { e.hidx = i }
 
 func eventLess(a, b *event) bool {
 	if a.at != b.at {
@@ -75,19 +69,36 @@ func eventLess(a, b *event) bool {
 // TimerID identifies a kernel timer created with SetTimer.
 type TimerID uint64
 
-// eventLoop owns the pending-event heap and the free list. Cancelled and
-// fired events return to the free list, so a long simulation reuses a
-// small working set of event structs; cancellation is an O(log n) heap
-// removal, keeping the heap at exactly the number of live events (the
-// tombstone scheme it replaces bloated the heap under preemption churn).
+// eventLoop owns the pending events and the free list. Pending events live
+// in one of two ordered containers:
+//
+//   - the arrival FIFO, a ring of arrival events in (time, class, seq)
+//     order. Every admission path admits in arrival order, so nearly all
+//     of them join its tail in O(1) instead of sifting through a heap of
+//     their own not-yet-due peers (DESIGN.md §18);
+//   - the heap, a binary min-heap of everything else: completions,
+//     timers, and the rare arrival that orders before the FIFO's tail (a
+//     fault retry, a clamped AddTask).
+//
+// peek takes the smaller of the two heads, so the pop order is
+// the one strict (time, class, seq) order whichever container an event
+// sits in. Cancelled and fired events return to the free list, so a long
+// simulation reuses a small working set of event structs; cancellation is
+// a true removal from either container, keeping the pending count at
+// exactly the number of live events (the tombstone scheme the heap
+// replaced bloated it under preemption churn).
 type eventLoop struct {
-	heap *queue.IndexedHeap[*event]
+	heap []*event
 	free []*event
 	seq  uint64
-}
 
-func newEventLoop() *eventLoop {
-	return &eventLoop{heap: queue.NewIndexedHeap[*event](eventLess)}
+	// fifo is a power-of-two ring. Its fcount slots from fhead hold flive
+	// events and, between them, nil holes left by cancellations; the head
+	// and tail slots always hold live events, so neither end is a hole.
+	fifo   []*event
+	fhead  int
+	fcount int
+	flive  int
 }
 
 // schedule enqueues a blank classRun event of the given kind at time at
@@ -108,20 +119,32 @@ func (l *eventLoop) scheduleClass(at time.Duration, kind eventKind, class uint8)
 		l.free[n-1] = nil
 		l.free = l.free[:n-1]
 	} else {
-		ev = &event{}
+		ev = &event{hidx: -1, fslot: -1}
 	}
 	ev.at = at
 	ev.seq = l.seq
 	ev.kind = kind
 	ev.class = class
-	l.heap.Push(ev)
+	// The new event holds the largest seq, so it orders after the tail
+	// unless its (time, class) is smaller.
+	if kind == evArrival && (l.flive == 0 || !eventLess(ev, l.fifo[(l.fhead+l.fcount-1)&(len(l.fifo)-1)])) {
+		l.pushFIFO(ev)
+	} else {
+		l.pushHeap(ev)
+	}
 	return ev
 }
 
-// cancel removes a pending event from the heap and recycles it. The caller
-// must drop its reference: the struct is reused by a later schedule.
+// cancel removes a pending event from its container and recycles it. The
+// caller must drop its reference: the struct is reused by a later
+// schedule.
 func (l *eventLoop) cancel(ev *event) {
-	if _, ok := l.heap.Remove(ev.hidx); !ok {
+	switch {
+	case ev.fslot >= 0:
+		l.removeFIFO(ev.fslot)
+	case ev.hidx >= 0:
+		l.removeHeap(ev.hidx)
+	default:
 		return
 	}
 	l.release(ev)
@@ -134,32 +157,151 @@ func (l *eventLoop) release(ev *event) {
 	ev.task = nil
 	ev.fn = nil
 	ev.id = 0
-	ev.hidx = queue.NoHeapIndex
 	l.free = append(l.free, ev)
 }
 
-// next pops the earliest pending event, or nil when drained. The caller
-// must release it after copying the payload out.
-func (l *eventLoop) next() *event {
-	ev, ok := l.heap.Pop()
-	if !ok {
-		return nil
+// pop removes ev, the event peek just returned, from the head of its
+// container. The caller must release it after copying the payload out.
+func (l *eventLoop) pop(ev *event) {
+	if ev.fslot >= 0 {
+		l.removeFIFO(l.fhead)
+	} else {
+		l.removeHeap(0)
 	}
-	return ev
 }
 
 // peek returns the earliest pending event without removing it, or nil
 // when drained.
 func (l *eventLoop) peek() *event {
-	ev, ok := l.heap.Peek()
-	if !ok {
-		return nil
+	var h *event
+	if len(l.heap) > 0 {
+		h = l.heap[0]
 	}
-	return ev
+	if l.flive == 0 {
+		return h
+	}
+	if f := l.fifo[l.fhead]; h == nil || eventLess(f, h) {
+		return f
+	}
+	return h
 }
 
 // activeLen returns the number of pending events (heap-bound tests).
-func (l *eventLoop) activeLen() int { return l.heap.Len() }
+func (l *eventLoop) activeLen() int { return len(l.heap) + l.flive }
 
 // freeLen returns the current free-list size (pool-reuse tests).
 func (l *eventLoop) freeLen() int { return len(l.free) }
+
+// pushFIFO appends ev at the ring's tail, doubling the ring when full.
+func (l *eventLoop) pushFIFO(ev *event) {
+	if l.fcount == len(l.fifo) {
+		l.growFIFO()
+	}
+	slot := (l.fhead + l.fcount) & (len(l.fifo) - 1)
+	l.fifo[slot] = ev
+	ev.fslot = slot
+	l.fcount++
+	l.flive++
+}
+
+// growFIFO moves the ring's slots, holes included, to the front of a ring
+// twice the size and renumbers the live events' slots.
+func (l *eventLoop) growFIFO() {
+	ring := make([]*event, max(2*len(l.fifo), 16))
+	mask := len(l.fifo) - 1
+	for i := 0; i < l.fcount; i++ {
+		ev := l.fifo[(l.fhead+i)&mask]
+		ring[i] = ev
+		if ev != nil {
+			ev.fslot = i
+		}
+	}
+	l.fifo = ring
+	l.fhead = 0
+}
+
+// removeFIFO takes the event at ring slot out of the FIFO. A middle slot
+// becomes a hole; removing the head or the tail also trims the holes
+// behind it, so both ends stay live.
+func (l *eventLoop) removeFIFO(slot int) {
+	l.fifo[slot].fslot = -1
+	l.fifo[slot] = nil
+	l.flive--
+	mask := len(l.fifo) - 1
+	for l.fcount > 0 && l.fifo[l.fhead] == nil {
+		l.fhead = (l.fhead + 1) & mask
+		l.fcount--
+	}
+	for l.fcount > 0 && l.fifo[(l.fhead+l.fcount-1)&mask] == nil {
+		l.fcount--
+	}
+}
+
+// pushHeap adds ev to the heap.
+func (l *eventLoop) pushHeap(ev *event) {
+	l.heap = append(l.heap, ev)
+	l.up(len(l.heap) - 1)
+}
+
+// removeHeap takes the event at heap slot i out of the heap: the last
+// event fills the slot and sifts whichever way restores heap order.
+func (l *eventLoop) removeHeap(i int) {
+	h := l.heap
+	h[i].hidx = -1
+	last := len(h) - 1
+	moved := h[last]
+	h[last] = nil
+	l.heap = h[:last]
+	if i < last {
+		h[i] = moved
+		moved.hidx = i
+		l.down(i)
+		l.up(moved.hidx)
+	}
+}
+
+// up and down sift with a hole instead of pairwise swaps: the displaced
+// event is held aside while others shift into the hole, so each moved
+// event gets exactly one slot write and one index write per level.
+
+func (l *eventLoop) up(i int) {
+	h := l.heap
+	ev := h[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		p := h[parent]
+		if !eventLess(ev, p) {
+			break
+		}
+		h[i] = p
+		p.hidx = i
+		i = parent
+	}
+	h[i] = ev
+	ev.hidx = i
+}
+
+func (l *eventLoop) down(i int) {
+	h := l.heap
+	n := len(h)
+	ev := h[i]
+	for {
+		left := 2*i + 1
+		if left >= n {
+			break
+		}
+		smallest := left
+		if right := left + 1; right < n && eventLess(h[right], h[left]) {
+			smallest = right
+		}
+		c := h[smallest]
+		if !eventLess(c, ev) {
+			break
+		}
+		h[i] = c
+		c.hidx = i
+		i = smallest
+	}
+	h[i] = ev
+	ev.hidx = i
+}

@@ -6,6 +6,8 @@ package simkern
 // entry per preempt/replace cycle under CFS churn).
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -246,5 +248,142 @@ func TestHeapBoundedUnderPreemptReplace(t *testing.T) {
 	// most). The tombstone core peaked at ~cycle count here.
 	if maxHeap > 8 {
 		t.Fatalf("heap peaked at %d events over %d preempt/replace cycles, want O(1)", maxHeap, cycles)
+	}
+}
+
+// TestEventLoopOracle drives the event loop with a seeded random mix of
+// in-order arrivals (which join the arrival FIFO), out-of-order arrivals
+// (which fall back to the heap), timers, fault-class timers, completions,
+// cancellations anywhere in either container, and pops, and checks every
+// pop against a naive reference: the pending set sorted by (at, class,
+// seq). The pending and free counts must match the reference throughout.
+func TestEventLoopOracle(t *testing.T) {
+	type ref struct {
+		at    time.Duration
+		class uint8
+		seq   uint64
+		ev    *event
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		l := &eventLoop{}
+		var pending []ref
+		var now, tail time.Duration
+		created, popped, fifoPushes, heapArrivals, midCancels := 0, 0, 0, 0, 0
+		schedule := func(at time.Duration, kind eventKind, class uint8) {
+			if l.freeLen() == 0 {
+				created++
+			}
+			ev := l.scheduleClass(at, kind, class)
+			if ev.fslot >= 0 {
+				fifoPushes++
+			} else if kind == evArrival {
+				heapArrivals++
+			}
+			pending = append(pending, ref{at, class, ev.seq, ev})
+		}
+		for op := 0; op < 4000; op++ {
+			switch r := rng.Intn(20); {
+			case r < 7: // in-order arrival
+				tail = max(tail, now) + time.Duration(rng.Intn(3))*time.Millisecond
+				schedule(tail, evArrival, uint8(rng.Intn(2))) // classAdmit or classRun
+			case r < 8: // out-of-order arrival: a retry or a clamped AddTask
+				schedule(now+time.Duration(rng.Intn(3))*time.Millisecond, evArrival, classRun)
+			case r < 10:
+				schedule(now+time.Duration(rng.Intn(5))*time.Millisecond, evTimer, classRun)
+			case r < 11:
+				schedule(now+time.Duration(rng.Intn(5))*time.Millisecond, evTimer, classFault)
+			case r < 12:
+				schedule(now+time.Duration(rng.Intn(5))*time.Millisecond, evCompletion, classRun)
+			case r < 14: // cancel any pending event, FIFO middle included
+				if len(pending) == 0 {
+					continue
+				}
+				i := rng.Intn(len(pending))
+				if slot := pending[i].ev.fslot; slot >= 0 && slot != l.fhead && slot != (l.fhead+l.fcount-1)&(len(l.fifo)-1) {
+					midCancels++
+				}
+				l.cancel(pending[i].ev)
+				pending = slices.Delete(pending, i, i+1)
+			default:
+				ev := l.peek()
+				if len(pending) == 0 {
+					if ev != nil {
+						t.Fatalf("seed %d op %d: peeked %+v in an empty loop", seed, op, ev)
+					}
+					continue
+				}
+				l.pop(ev)
+				best := 0
+				for i, p := range pending {
+					b := pending[best]
+					if p.at < b.at || p.at == b.at && (p.class < b.class || p.class == b.class && p.seq < b.seq) {
+						best = i
+					}
+				}
+				if ev != pending[best].ev {
+					t.Fatalf("seed %d op %d: popped (%v, %d, %d), want (%v, %d, %d)", seed, op,
+						ev.at, ev.class, ev.seq, pending[best].at, pending[best].class, pending[best].seq)
+				}
+				if ev.hidx != -1 || ev.fslot != -1 {
+					t.Fatalf("seed %d op %d: popped event still indexed (heap %d, fifo %d)", seed, op, ev.hidx, ev.fslot)
+				}
+				now = ev.at
+				pending = slices.Delete(pending, best, best+1)
+				l.release(ev)
+				popped++
+			}
+			if l.activeLen() != len(pending) {
+				t.Fatalf("seed %d op %d: activeLen %d, want %d", seed, op, l.activeLen(), len(pending))
+			}
+			if l.freeLen() != created-len(pending) {
+				t.Fatalf("seed %d op %d: freeLen %d, want %d", seed, op, l.freeLen(), created-len(pending))
+			}
+		}
+		if popped == 0 || fifoPushes == 0 || heapArrivals == 0 || midCancels == 0 {
+			t.Fatalf("seed %d degenerated: %d pops, %d FIFO pushes, %d heap arrivals, %d mid-FIFO cancels",
+				seed, popped, fifoPushes, heapArrivals, midCancels)
+		}
+	}
+}
+
+// TestAbortQueuedArrivalMidFIFO aborts admitted tasks whose arrivals sit
+// in the middle of the arrival FIFO: they must never arrive, their event
+// structs must return to the pool at once, and the survivors must arrive
+// in admission order.
+func TestAbortQueuedArrivalMidFIFO(t *testing.T) {
+	k := drainKernel(t)
+	var arrived []TaskID
+	k.SetHandler(handlerFns{
+		arrived:  func(tk *Task) { arrived = append(arrived, tk.ID) },
+		finished: func(*Task, CoreID) {},
+	})
+	tasks := make([]*Task, 10)
+	for i := range tasks {
+		tasks[i] = &Task{ID: TaskID(i + 1), Arrival: time.Duration(i) * time.Millisecond, Work: time.Millisecond}
+		if err := k.AdmitTask(tasks[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if k.loop.flive != 10 || len(k.loop.heap) != 0 {
+		t.Fatalf("in-order admissions: %d in the FIFO, %d in the heap; want all 10 in the FIFO", k.loop.flive, len(k.loop.heap))
+	}
+	for _, i := range []int{4, 5, 7} {
+		if err := k.AbortTask(tasks[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if k.loop.activeLen() != 7 || k.loop.freeLen() != 3 {
+		t.Fatalf("after 3 aborts: activeLen %d, freeLen %d; want 7 and 3", k.loop.activeLen(), k.loop.freeLen())
+	}
+	if _, err := k.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	want := []TaskID{1, 2, 3, 4, 7, 9, 10}
+	if !slices.Equal(arrived, want) {
+		t.Fatalf("arrived %v, want %v", arrived, want)
+	}
+	if k.loop.activeLen() != 0 || k.loop.freeLen() != 10 {
+		t.Fatalf("drained loop: activeLen %d, freeLen %d; want 0 and 10", k.loop.activeLen(), k.loop.freeLen())
 	}
 }

@@ -171,7 +171,7 @@ func New(cfg Config) (*Kernel, error) {
 	}
 	k := &Kernel{
 		cfg:    cfg,
-		loop:   newEventLoop(),
+		loop:   &eventLoop{},
 		interf: interf,
 		timers: make(map[TimerID]*event),
 	}
@@ -314,7 +314,7 @@ func (k *Kernel) Run(horizon time.Duration) (int, error) {
 			k.now = horizon
 			break
 		}
-		k.loop.next()
+		k.loop.pop(ev)
 		k.now = ev.at
 		k.dispatch(ev)
 		processed++
@@ -531,11 +531,10 @@ func (k *Kernel) CancelTimer(id TimerID) bool {
 
 // RunningTask returns the task currently on core c, or nil.
 func (k *Kernel) RunningTask(c CoreID) *Task {
-	cr, err := k.core(c)
-	if err != nil {
+	if c < 0 || int(c) >= len(k.cores) {
 		return nil
 	}
-	return cr.task
+	return k.cores[c].task
 }
 
 // TaskCPUConsumed returns t's CPU consumption as of the current instant,

@@ -8,11 +8,9 @@ package workload
 
 import (
 	"bufio"
-	"cmp"
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -39,11 +37,17 @@ type Source func(yield func(Invocation) bool)
 // Stream is the lazy equivalent of Build: it validates the request and
 // merges the trace's bucket counts up front (O(buckets × minutes), tiny),
 // but derives each minute's invocations only as the consumer reaches it.
-// The yielded sequence is exactly Build's output: arrivals within a minute
-// never cross minute boundaries, so sorting each minute independently with
-// Build's comparator reproduces its global stable sort, and within one
-// (fibN, memMB) bucket arrivals are strictly increasing, so no tie depends
-// on append order across minutes.
+//
+// Each minute is the (Arrival, FibN, MemMB)-ordered union of the buckets'
+// evenly spaced runs (§V-B "Workload Generation"). A bucket's run is
+// strictly increasing in Arrival, so the minute is a k-way merge of its
+// runs, keyed by (next arrival, bucket index): bucket indexes follow
+// (FibN, MemMB) order, so the key orders exactly as (Arrival, FibN,
+// MemMB), a strict total order, and the merge yields exactly the sorted
+// minute, one heap step per invocation and no per-minute buffer
+// (DESIGN.md §18). Arrivals never
+// cross minute boundaries, so the minutes concatenate into the sorted
+// whole.
 func (b Builder) Stream(tr *trace.Trace, startMinute, minutes int) (Source, error) {
 	b = b.withDefaults()
 	if err := b.Model.Validate(); err != nil {
@@ -82,66 +86,97 @@ func (b Builder) Stream(tr *trace.Trace, startMinute, minutes int) (Source, erro
 		}
 		return keys[i].memMB < keys[j].memMB
 	})
-
-	// Size the per-minute buffer once so steady-state iteration reuses it.
-	peak := 0
-	for m := 0; m < minutes; m++ {
-		n := 0
-		for _, key := range keys {
-			n += merged[key][m] / b.Downscale
-		}
-		if n > peak {
-			peak = n
+	buckets := make([]bucket, len(keys))
+	for ki, key := range keys {
+		buckets[ki] = bucket{
+			inv: Invocation{
+				FibN:     key.fibN,
+				Duration: b.Model.Duration(key.fibN),
+				MemMB:    key.memMB,
+				FuncID:   ki + 1, // stable over the sorted buckets
+			},
+			counts: merged[key],
 		}
 	}
 
 	return func(yield func(Invocation) bool) {
-		buf := make([]Invocation, 0, peak)
+		runs := make(runHeap, 0, len(buckets))
 		for m := 0; m < minutes; m++ {
 			// Downscale + evenly spaced arrivals per minute (§V-B
 			// "Workload Generation").
-			buf = buf[:0]
 			base := time.Duration(m) * time.Minute
-			for ki, key := range keys {
-				k := merged[key][m] / b.Downscale
+			runs = runs[:0]
+			for ki := range buckets {
+				k := buckets[ki].counts[m] / b.Downscale
 				if k <= 0 {
 					continue
 				}
-				duration := b.Model.Duration(key.fibN)
-				iat := time.Minute / time.Duration(k)
-				for i := 0; i < k; i++ {
-					buf = append(buf, Invocation{
-						Arrival:  base + time.Duration(i)*iat,
-						FibN:     key.fibN,
-						Duration: duration,
-						MemMB:    key.memMB,
-						FuncID:   ki + 1, // stable over the sorted buckets
-					})
-				}
+				runs = append(runs, run{next: base, iat: time.Minute / time.Duration(k), left: k, bucket: ki})
 			}
+			// Every run starts at base and they were appended in bucket
+			// order, so the slice is sorted by key: already a heap.
 			// "After sorting the invocations of all functions within that
 			// minute, the time difference between adjacent invocations is
-			// the inter-arrival time." The key is a strict total order —
-			// buckets are unique by (FibN, MemMB) and a bucket's arrivals
-			// are distinct — so an unstable sort yields the stable order.
-			slices.SortFunc(buf, compareInvocations)
-			for _, inv := range buf {
+			// the inter-arrival time."
+			for len(runs) > 0 {
+				r := &runs[0]
+				inv := buckets[r.bucket].inv
+				inv.Arrival = r.next
 				if !yield(inv) {
 					return
 				}
+				if r.left--; r.left > 0 {
+					r.next += r.iat
+				} else {
+					runs[0] = runs[len(runs)-1]
+					runs = runs[:len(runs)-1]
+				}
+				runs.down(0)
 			}
 		}
 	}, nil
 }
 
-// compareInvocations orders a minute's invocations by (Arrival, FibN,
-// MemMB), Stream's sort key.
-func compareInvocations(a, b Invocation) int {
-	return cmp.Or(
-		cmp.Compare(a.Arrival, b.Arrival),
-		cmp.Compare(a.FibN, b.FibN),
-		cmp.Compare(a.MemMB, b.MemMB),
-	)
+// bucket is one (FibN, MemMB) bucket of a Stream: the invocation fields
+// its arrivals share and its per-minute arrival counts.
+type bucket struct {
+	inv    Invocation
+	counts []int
+}
+
+// run is one bucket's remaining arrivals in the current minute: left
+// more, the next at next, each iat after the one before.
+type run struct {
+	next   time.Duration
+	iat    time.Duration
+	left   int
+	bucket int
+}
+
+func (r *run) less(o *run) bool {
+	return r.next < o.next || (r.next == o.next && r.bucket < o.bucket)
+}
+
+// runHeap is the merge's binary min-heap of runs under run.less.
+type runHeap []run
+
+// down sifts the run at slot i down to its place.
+func (h runHeap) down(i int) {
+	n := len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			return
+		}
+		if r := c + 1; r < n && h[r].less(&h[c]) {
+			c = r
+		}
+		if !h[c].less(&h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // ReadSource is Read's streaming sibling: it validates the header up

@@ -1,34 +1,163 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
 	"time"
 
 	"github.com/faassched/faassched/internal/fib"
+	"github.com/faassched/faassched/internal/trace"
 )
 
-// TestStreamMatchesBuild pins the tentpole equivalence at the source
-// layer: the lazy minute-by-minute stream must yield exactly the slice
-// Build materializes, element for element.
-func TestStreamMatchesBuild(t *testing.T) {
-	tr := testTrace(t, 4)
-	b := Builder{}
-	built, err := b.Build(tr, 0, 3)
+// oracleStream is an independent reference for Builder.Stream, written
+// the way §V-B describes the workload: bucket the clean rows by (fibN,
+// memMB), then for every minute generate each bucket's evenly spaced
+// arrivals and sort the whole minute.
+func oracleStream(tr *trace.Trace, b Builder, startMinute, minutes int) []Invocation {
+	b = b.withDefaults()
+	counts := map[bucketKey][]int{}
+	for _, row := range tr.Rows {
+		if row.AvgDuration <= 0 || row.AvgDuration > trace.MaxSaneDuration {
+			continue
+		}
+		key := bucketKey{fibN: b.Model.NearestN(row.AvgDuration), memMB: row.MemMB}
+		if counts[key] == nil {
+			counts[key] = make([]int, minutes)
+		}
+		for m := range minutes {
+			counts[key][m] += row.Counts[startMinute+m]
+		}
+	}
+	keys := slices.SortedFunc(maps.Keys(counts), func(x, y bucketKey) int {
+		return cmp.Or(cmp.Compare(x.fibN, y.fibN), cmp.Compare(x.memMB, y.memMB))
+	})
+	var out []Invocation
+	for m := range minutes {
+		var minute []Invocation
+		for i, key := range keys {
+			k := counts[key][m] / b.Downscale
+			for j := range k {
+				minute = append(minute, Invocation{
+					Arrival:  time.Duration(m)*time.Minute + time.Duration(j)*(time.Minute/time.Duration(k)),
+					FibN:     key.fibN,
+					Duration: b.Model.Duration(key.fibN),
+					MemMB:    key.memMB,
+					FuncID:   i + 1,
+				})
+			}
+		}
+		slices.SortFunc(minute, compareInvocations)
+		out = append(out, minute...)
+	}
+	return out
+}
+
+// compareInvocations orders invocations by (Arrival, FibN, MemMB), the
+// order §V-B sorts each minute in.
+func compareInvocations(a, b Invocation) int {
+	return cmp.Or(
+		cmp.Compare(a.Arrival, b.Arrival),
+		cmp.Compare(a.FibN, b.FibN),
+		cmp.Compare(a.MemMB, b.MemMB),
+	)
+}
+
+// edgeTrace is a hand-built trace for the source's edge cases: minute 2
+// is empty, several buckets hold a single arrival in some minute, two
+// rows merge into one bucket, two buckets share a FibN and differ only in
+// MemMB, and a garbage row must be cleaned away. At Downscale 3 the
+// counts of 1 and 2 round down to nothing and 3..5 to one arrival.
+func edgeTrace(t *testing.T) *trace.Trace {
+	t.Helper()
+	model := fib.DefaultModel()
+	d := model.Duration
+	return &trace.Trace{Minutes: 5, Rows: []trace.FunctionRow{
+		{ID: 1, AvgDuration: d(30), MemMB: 128, Counts: []int{1, 7, 0, 3, 60}},
+		{ID: 2, AvgDuration: d(30), MemMB: 256, Counts: []int{1, 1, 0, 0, 4}},
+		{ID: 3, AvgDuration: d(30), MemMB: 128, Counts: []int{2, 0, 0, 2, 1}}, // merges with row 1
+		{ID: 4, AvgDuration: d(25), MemMB: 512, Counts: []int{0, 5, 0, 1, 9}},
+		{ID: 5, AvgDuration: -time.Second, MemMB: 128, Counts: []int{9, 9, 9, 9, 9}}, // garbage
+		{ID: 6, AvgDuration: d(38), MemMB: 128, Counts: []int{3, 2, 0, 13, 1}},
+	}}
+}
+
+// TestStreamMatchesOracle pins Stream's output to the sort-each-minute
+// reference, invocation for invocation, on the calibrated trace and on
+// the edge-case trace, at Downscale 1 and 3 and from a nonzero start
+// minute.
+func TestStreamMatchesOracle(t *testing.T) {
+	// The calibrated trace at RateScale 1: the volume Downscale 1 replays
+	// in production, ~6,200 invocations a minute over ~60 buckets.
+	cfg := trace.DefaultConfig()
+	cfg.Minutes = 4
+	cfg.RateScale = 1
+	calibrated, err := trace.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := b.Stream(tr, 0, 3)
+	cases := []struct {
+		name          string
+		tr            *trace.Trace
+		start, minute int
+	}{
+		{"calibrated", calibrated, 1, 3},
+		{"edges", edgeTrace(t), 0, 5},
+		{"edges-from-empty-minute", edgeTrace(t), 2, 3},
+	}
+	for _, c := range cases {
+		for _, ds := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/downscale%d", c.name, ds), func(t *testing.T) {
+				b := Builder{Downscale: ds}
+				want := oracleStream(c.tr, b, c.start, c.minute)
+				src, err := b.Stream(c.tr, c.start, c.minute)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := Materialize(src)
+				if len(got) != len(want) {
+					t.Fatalf("streamed %d invocations, oracle %d", len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("invocation %d: streamed %+v, oracle %+v", i, got[i], want[i])
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestStreamEarlyStopMidMinute: a consumer that stops inside a minute
+// gets exactly the oracle's prefix, and the stream yields nothing more.
+func TestStreamEarlyStopMidMinute(t *testing.T) {
+	tr := edgeTrace(t)
+	b := Builder{Downscale: 1}
+	want := oracleStream(tr, b, 0, 5)
+	// Minute 4 starts after the first three minutes' arrivals; stop a few
+	// invocations into it, where several runs are still being merged.
+	stop := 0
+	for stop < len(want) && want[stop].Arrival < 4*time.Minute {
+		stop++
+	}
+	stop += 5
+	src, err := b.Stream(tr, 0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed := Materialize(src)
-	if len(streamed) != len(built) {
-		t.Fatalf("streamed %d invocations, built %d", len(streamed), len(built))
+	var got []Invocation
+	src(func(inv Invocation) bool {
+		got = append(got, inv)
+		return len(got) < stop
+	})
+	if len(got) != stop {
+		t.Fatalf("yielded %d invocations, want %d", len(got), stop)
 	}
-	for i := range built {
-		if streamed[i] != built[i] {
-			t.Fatalf("invocation %d differs: streamed %+v, built %+v", i, streamed[i], built[i])
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("invocation %d: streamed %+v, oracle %+v", i, got[i], want[i])
 		}
 	}
 }
@@ -183,9 +312,9 @@ func TestFibLabel(t *testing.T) {
 	}
 }
 
-// TestStreamStrictlyOrdered: Stream's (Arrival, FibN, MemMB) sort key is
-// a strict total order over its output, which is what lets each minute
-// sort unstably without changing the sequence. Minute starts put every
+// TestStreamStrictlyOrdered: Stream's (Arrival, FibN, MemMB) order is a
+// strict total order over its output, which is what lets the per-minute
+// merge reproduce the sorted minute exactly. Minute starts put every
 // bucket's first arrival on the same instant, so the FibN/MemMB
 // tiebreaks are exercised.
 func TestStreamStrictlyOrdered(t *testing.T) {

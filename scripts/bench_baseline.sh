@@ -6,8 +6,8 @@
 #   ./scripts/bench_baseline.sh /dev/stdout  # print without rewriting
 #
 # The set below pairs the substrate micro-benchmarks (dispatch mechanism,
-# CFS runqueue insert/delete, end-to-end CFS event throughput, workload
-# pipeline, facade) with a few
+# CFS runqueue insert/delete, one server's admit-then-run event loop,
+# end-to-end CFS event throughput, workload build and stream, facade) with a few
 # figure benchmarks as end-to-end sentinels, plus the sharded-fleet group:
 # the provider-scale replay (including the 24 h ×10 cases at 1,000 and
 # 10,000 servers, gated behind FAASSCHED_BIGBENCH and minutes-to-hours
@@ -18,7 +18,7 @@ set -e
 cd "$(dirname "$0")/.."
 OUT="${1:-BENCH_baseline.json}"
 
-MICRO='BenchmarkKernelDispatch$|BenchmarkCFSSimulation$|BenchmarkWorkloadBuild$|BenchmarkFacadeSimulate|BenchmarkColdStartDispatch'
+MICRO='BenchmarkKernelDispatch$|BenchmarkKernelAdmitRun$|BenchmarkCFSSimulation$|BenchmarkWorkloadBuild$|BenchmarkWorkloadStream$|BenchmarkFacadeSimulate|BenchmarkColdStartDispatch'
 FIGS='BenchmarkFig06Hybrid$|BenchmarkTable1Summary$|BenchmarkFig13Preemptions$|BenchmarkStreamedFullscale'
 
 # The CI-sized sharded rows run 3 iterations (mean-of-3) because

@@ -27,9 +27,12 @@
 #
 # Gate 3 — zero-alloc hot paths: asserts every BenchmarkDispatchPick row
 # reports allocs/op == 0, pinning the observability seams' inertness
-# guarantee at the allocation level (DESIGN.md §13), and that
+# guarantee at the allocation level (DESIGN.md §13), that
 # BenchmarkRBTreeInsertDelete does too — CFS runqueues link caller-owned
-# nodes, so a delete + re-insert must never allocate (DESIGN.md §15).
+# nodes, so a delete + re-insert must never allocate (DESIGN.md §15) —
+# and that BenchmarkKernelAdmitRun does: in steady state a server's
+# admission into the arrival FIFO and its event loop reuse pooled tasks,
+# events and ring slots (DESIGN.md §18).
 #
 # Gate 4 — sampler events (DESIGN.md §16): the 100-server sharded
 # replay's kernel events per invocation must stay at or under 12. The
@@ -82,18 +85,23 @@ fi
 dispatch=$(go test -run '^$' -bench 'BenchmarkDispatchPick' -benchtime 2000000x -timeout 20m .)
 rbtree=$(go test -run '^$' -bench 'BenchmarkRBTreeInsertDelete$' ./internal/queue)
 printf '%s\n' "$rbtree"
+admit=$(go test -run '^$' -bench 'BenchmarkKernelAdmitRun$' .)
+printf '%s\n' "$admit"
 
 # Gate 3 — zero-alloc hot paths. With no Obs wired in, the hot dispatch
 # path must not allocate (DESIGN.md §13); nor may a runqueue delete +
-# re-insert (DESIGN.md §15). Every gated row reports allocs/op
+# re-insert (DESIGN.md §15); nor may a server's steady-state admit and
+# run (DESIGN.md §18). Every gated row reports allocs/op
 # (b.ReportAllocs); any nonzero value means an allocation leaked onto a
-# per-arrival or per-preemption path.
-printf '%s\n%s\n' "$dispatch" "$rbtree" | awk '
-  /^Benchmark(DispatchPick|RBTreeInsertDelete)/ {
+# per-arrival, per-event or per-preemption path.
+printf '%s\n%s\n%s\n' "$dispatch" "$rbtree" "$admit" | awk '
+  /^Benchmark(DispatchPick|RBTreeInsertDelete|KernelAdmitRun)/ {
     allocs = ""
     for (i = 1; i < NF; i++) if ($(i+1) == "allocs/op") allocs = $i
     if (allocs == "") { printf "bench_smoke: %s reports no allocs/op\n", $1; exit 1 }
-    if ($1 ~ /^BenchmarkDispatchPick/) pick++; else tree++
+    if ($1 ~ /^BenchmarkDispatchPick/) pick++
+    else if ($1 ~ /^BenchmarkRBTreeInsertDelete/) tree++
+    else admit++
     if (allocs + 0 != 0) {
       printf "bench_smoke: %s allocs/op=%s, want 0 — hot path allocates\n", $1, allocs
       bad = 1
@@ -102,8 +110,9 @@ printf '%s\n%s\n' "$dispatch" "$rbtree" | awk '
   END {
     if (pick == 0) { print "bench_smoke: no DispatchPick rows for zero-alloc gate"; exit 1 }
     if (tree == 0) { print "bench_smoke: no RBTreeInsertDelete row for zero-alloc gate"; exit 1 }
+    if (admit == 0) { print "bench_smoke: no KernelAdmitRun row for zero-alloc gate"; exit 1 }
     if (bad) exit 1
-    printf "bench_smoke: %d DispatchPick rows and %d RBTreeInsertDelete row allocation-free (zero-alloc gate)\n", pick, tree
+    printf "bench_smoke: %d DispatchPick rows, %d RBTreeInsertDelete row and %d KernelAdmitRun row allocation-free (zero-alloc gate)\n", pick, tree, admit
   }'
 
 sharded=$(go test -run '^$' -bench 'BenchmarkShardedFleetReplay/100servers_x1_2h$' -benchtime 3x -benchmem -timeout 20m .)

@@ -12,6 +12,7 @@ package faassched
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"testing"
@@ -21,6 +22,7 @@ import (
 	"github.com/faassched/faassched/internal/metrics"
 	"github.com/faassched/faassched/internal/simkern"
 	"github.com/faassched/faassched/internal/simrun"
+	"github.com/faassched/faassched/internal/trace"
 	"github.com/faassched/faassched/internal/workload"
 )
 
@@ -285,5 +287,98 @@ func TestShardedReplayMatchesCluster(t *testing.T) {
 	}
 	if _, err := SimulateShardedReplay(ClusterOptions{Scheduler: "bogus"}, SliceSource(invs)); err == nil {
 		t.Error("bad scheduler accepted")
+	}
+}
+
+// TestShardedReplayShardScope pins what SimulateShardedReplay promises
+// across shard counts. Everything counted — invocations, completions,
+// preemptions, execution, kernel and delegation counters, makespan, and
+// every window's histograms — is identical at Shards 1, 3 and 8. Cost is
+// a float64 each shard sums in its own completion order before the
+// shards merge, so its last bits depend on the partition; it must agree
+// to within rounding.
+func TestShardedReplayShardScope(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fleet replays at three shard counts are not short")
+	}
+	t.Parallel()
+	cfg := trace.DefaultConfig()
+	cfg.Seed = 1
+	cfg.Minutes = 10
+	cfg.RateScale = 1
+	tr, err := trace.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay := func(shards int) *ShardedStats {
+		t.Helper()
+		src, err := workload.Builder{Downscale: 1}.Stream(tr, 0, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := SimulateShardedReplay(ClusterOptions{
+			Servers: 24, CoresPerServer: 8, Dispatch: DispatchLeastLoaded,
+			Scheduler: SchedulerHybrid, Seed: 1, Shards: shards,
+			MetricsWindow: time.Minute,
+		}, Source(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	// counted renders every integer-valued observable of one accumulator,
+	// histograms included (through a grid of quantiles per metric).
+	counted := func(a *metrics.Accumulator) string {
+		s := fmt.Sprintf("completed=%d failed=%d preempt=%d exec=%d cold=%d giveups=%d wasted=%d",
+			a.Completed(), a.FailedCount(), a.TotalPreemptions(), a.TotalExecution(),
+			a.ColdStarts(), a.GiveUps(), a.WastedCPU())
+		if a.Completed() == 0 {
+			return s
+		}
+		for _, m := range []Metric{Execution, Response, Turnaround} {
+			for q := 0.05; q < 1; q += 0.05 {
+				v, err := a.Quantile(m, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s += fmt.Sprintf(" %v@%.2f=%x", m, q, math.Float64bits(v))
+			}
+		}
+		return s
+	}
+	closeCost := func(got, want float64) bool { return math.Abs(got-want) <= 1e-9*math.Abs(want) }
+
+	ref := replay(1)
+	if ref.Total().Completed() == 0 || ref.WindowCount() < 10 {
+		t.Fatalf("degenerate replay: %d completions over %d windows", ref.Total().Completed(), ref.WindowCount())
+	}
+	for _, shards := range []int{3, 8} {
+		got := replay(shards)
+		if got.Shards != shards {
+			t.Fatalf("ran %d shards, want %d", got.Shards, shards)
+		}
+		if got.Invocations != ref.Invocations || got.Makespan != ref.Makespan ||
+			got.KernelEvents != ref.KernelEvents || got.Ghost != ref.Ghost || got.Faults != ref.Faults {
+			t.Errorf("shards=%d: fleet counters differ from shards=1:\n got %+v\nwant %+v", shards, got, ref)
+		}
+		if got.WindowCount() != ref.WindowCount() {
+			t.Fatalf("shards=%d: %d windows, shards=1 %d", shards, got.WindowCount(), ref.WindowCount())
+		}
+		if g, w := counted(got.Total()), counted(ref.Total()); g != w {
+			t.Errorf("shards=%d: totals differ:\n got %s\nwant %s", shards, g, w)
+		}
+		if g, w := got.Total().Cost(), ref.Total().Cost(); !closeCost(g, w) {
+			t.Errorf("shards=%d: cost %v, shards=1 %v: beyond rounding", shards, g, w)
+		}
+		for i := 0; i < ref.WindowCount(); i++ {
+			if g, w := counted(got.Window(i)), counted(ref.Window(i)); g != w {
+				t.Errorf("shards=%d window %d differs:\n got %s\nwant %s", shards, i, g, w)
+			}
+			if g, w := got.Window(i).Cost(), ref.Window(i).Cost(); !closeCost(g, w) {
+				t.Errorf("shards=%d window %d: cost %v, shards=1 %v: beyond rounding", shards, i, g, w)
+			}
+		}
+		t.Logf("shards=%d cost bits %x (shards=1 %x)", shards,
+			math.Float64bits(got.Total().Cost()), math.Float64bits(ref.Total().Cost()))
 	}
 }
