@@ -58,10 +58,14 @@ func DefaultModel() DurationModel {
 	return DurationModel{BaseN: MinN, Base: 120 * time.Millisecond}
 }
 
-// Duration returns the modeled service demand of fib(n).
+// Duration returns the modeled service demand of fib(n), or -1 when it
+// does not fit a time.Duration.
 func (m DurationModel) Duration(n int) time.Duration {
-	scale := math.Pow(Phi, float64(n-m.BaseN))
-	return time.Duration(float64(m.Base) * scale)
+	d := float64(m.Base) * math.Pow(Phi, float64(n-m.BaseN))
+	if d >= math.MaxInt64 {
+		return -1
+	}
+	return time.Duration(d)
 }
 
 // Table returns the modeled duration for every N in [MinN, MaxN],

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -236,7 +237,12 @@ func ReadSource(r io.Reader, model fib.DurationModel) (Source, func() error, err
 				readErr = err
 				return
 			}
-			arrival += inv.Arrival // parsed field holds the inter-arrival time
+			// The parsed field holds the inter-arrival time.
+			if inv.Arrival > math.MaxInt64-arrival {
+				readErr = fmt.Errorf("workload: line %d: arrival overflows %v", line, time.Duration(math.MaxInt64))
+				return
+			}
+			arrival += inv.Arrival
 			inv.Arrival = arrival
 			if !yield(inv) {
 				return
@@ -258,7 +264,7 @@ func parseInvocation(text string, line int, model fib.DurationModel) (Invocation
 		return Invocation{}, fmt.Errorf("workload: line %d: want 3 fields, got %d", line, len(fields))
 	}
 	iatUS, err := strconv.ParseInt(fields[0], 10, 64)
-	if err != nil || iatUS < 0 {
+	if err != nil || iatUS < 0 || iatUS > math.MaxInt64/int64(time.Microsecond) {
 		return Invocation{}, fmt.Errorf("workload: line %d: bad iat %q", line, fields[0])
 	}
 	n, err := strconv.Atoi(fields[1])
@@ -269,10 +275,14 @@ func parseInvocation(text string, line int, model fib.DurationModel) (Invocation
 	if err != nil || mem < 1 {
 		return Invocation{}, fmt.Errorf("workload: line %d: bad mem_mb %q", line, fields[2])
 	}
+	dur := model.Duration(n)
+	if dur <= 0 {
+		return Invocation{}, fmt.Errorf("workload: line %d: fib_n %d models no positive duration", line, n)
+	}
 	return Invocation{
 		Arrival:  time.Duration(iatUS) * time.Microsecond,
 		FibN:     n,
-		Duration: model.Duration(n),
+		Duration: dur,
 		MemMB:    mem,
 	}, nil
 }
