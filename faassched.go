@@ -1018,11 +1018,11 @@ func (s *AutoscaleStats) Summary() string {
 }
 
 // SimulateAutoscaled runs src through the elastic fleet with fixed-memory
-// windowed sinks: peak memory is O(active tasks + look-ahead window +
-// windows) no matter how long the workload runs, which is what lets the
-// diurnal horizon be sized by an elastic fleet at all. Per-server sinks
-// merge in server-index order, so results are deterministic for given
-// inputs regardless of goroutine interleaving.
+// windowed sinks: peak memory is O(active tasks + one watermark step of
+// arrivals + windows) no matter how long the workload runs, which is what
+// lets the diurnal horizon be sized by an elastic fleet at all. Per-server
+// sinks merge in server-index order, so results are deterministic for
+// given inputs regardless of goroutine interleaving.
 func SimulateAutoscaled(opts AutoscaleOptions, src Source) (*AutoscaleStats, error) {
 	opts, cfg, err := autoscaleConfig(opts)
 	if err != nil {

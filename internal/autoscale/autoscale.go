@@ -9,24 +9,30 @@
 // run reports an infrastructure cost (server-seconds) alongside the
 // paper's per-invocation execution cost.
 //
+// Execution. The servers run on the fixed fleet's lockstep engine
+// (cluster.Fleet) and are routed by its routing step (cluster.Router): a
+// server joins its shard at activation, carrying its policy, sink and
+// terminal fault machine, and a drain — or the closing of a crashed
+// server — retires it, which drains its machine at once. The controller
+// itself starts no goroutine.
+//
 // Determinism. The controller's decisions — routing, launches, drains —
 // depend only on the arrival stream and the dispatcher's causal lane
 // model (cluster.FleetModel), never on simulated server state, so they
-// are identical regardless of how the per-server goroutines interleave.
-// Scale events follow a fixed per-arrival ordering (activations due, then
-// routing, then scale-up, then scale-down), and every per-server
-// simulation is cluster.RunStreamedServer, whose lazy admission equals a
-// pre-seeded run of the server's share (DESIGN.md §7) — as the fixed
-// fleet's lockstep machines do. An autoscaler pinned to Min = Max = N
-// therefore reproduces cluster.Simulate results bit for bit, which the
-// golden digests prove. See DESIGN.md §8.
+// are identical regardless of how the shard goroutines interleave. Scale
+// events follow a fixed per-arrival ordering (activations due, then
+// routing, then scale-up, then scale-down), and every server is a
+// lockstep machine whose lazy admission equals a pre-seeded run of its
+// share (DESIGN.md §7), with a sink of its own, so neither the shard
+// count nor the partition changes a result. An autoscaler pinned to Min =
+// Max = N therefore reproduces cluster.Simulate results bit for bit,
+// which the golden digests prove. See DESIGN.md §8.
 package autoscale
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"github.com/faassched/faassched/internal/cluster"
@@ -41,11 +47,6 @@ import (
 // Never marks a lifecycle instant that has not happened (DrainAt on a
 // server alive at the end of the run).
 const Never = time.Duration(-1)
-
-// chanBuf is the per-server routing channel depth: enough to keep the
-// controller from stalling on a briefly busy server, small enough that
-// total buffered work stays a constant factor of the fleet size.
-const chanBuf = 256
 
 // Config configures an autoscaled fleet simulation.
 type Config struct {
@@ -82,8 +83,9 @@ type Config struct {
 	Sched func() ghost.Policy
 	// Ghost configures each server's delegation enclave.
 	Ghost ghost.Config
-	// Window overrides the streamed look-ahead half-window (zero means
-	// simrun.DefaultWindow).
+	// Window is the watermark step of the lockstep engine the servers run
+	// on (zero means simrun.DefaultWindow). Records do not depend on it
+	// (DESIGN.md §7).
 	Window time.Duration
 	// Sink, when non-nil, supplies each server's completion sink (called
 	// once per server at activation, in server-index order). When nil,
@@ -230,12 +232,6 @@ type Result struct {
 	Stats ghost.Stats
 	// KernelEvents sums scheduled kernel events across servers.
 	KernelEvents uint64
-	// PoolWorkers is how many pooled worker goroutines hosted the
-	// per-server runs — bounded by the peak live fleet, not by total
-	// launches (retired servers' workers are reused). This is a host
-	// execution observable and may vary between identical runs; the
-	// simulated outcome never depends on it.
-	PoolWorkers int
 	// Assignment maps each invocation index to its server, when
 	// Config.TrackAssignment was set.
 	Assignment []int
@@ -348,123 +344,17 @@ func (r *Result) Timeline(maxSteps int) string {
 	return string(b)
 }
 
-// workerPool reuses goroutines across server lifetimes. A long elastic
-// replay launches far more servers than are ever live at once; spawning
-// a raw goroutine per launch therefore scales the host cost with churn,
-// not with the fleet. submit runs fn on an idle pooled worker when one
-// exists and spawns a new one otherwise, so the goroutine count is
-// bounded by the peak number of concurrently live servers (every live
-// server must keep a dedicated worker — its channel-fed run blocks — so
-// no smaller bound is deadlock-free). Simulation results are unaffected:
-// which worker hosts a server cannot be observed by the run.
-type workerPool struct {
-	mu      sync.Mutex
-	idle    []chan func()
-	all     []chan func()
-	spawned int
-}
-
-// submit schedules fn on a pooled worker, preferring an idle one.
-func (p *workerPool) submit(fn func()) {
-	p.mu.Lock()
-	var w chan func()
-	if n := len(p.idle); n > 0 {
-		w = p.idle[n-1]
-		p.idle = p.idle[:n-1]
-		p.mu.Unlock()
-	} else {
-		w = make(chan func())
-		p.all = append(p.all, w)
-		p.spawned++
-		p.mu.Unlock()
-		go p.worker(w)
-	}
-	w <- fn
-}
-
-func (p *workerPool) worker(w chan func()) {
-	for fn := range w {
-		fn()
-		p.mu.Lock()
-		p.idle = append(p.idle, w)
-		p.mu.Unlock()
-	}
-}
-
-// close releases every pooled worker. Callers must not submit afterwards
-// and must have waited for all submitted work to finish.
-func (p *workerPool) close() {
-	p.mu.Lock()
-	for _, w := range p.all {
-		close(w)
-	}
-	p.mu.Unlock()
-}
-
-// countingSink wraps a server's completion sink with the bookkeeping the
-// controller needs regardless of what the caller collects.
-type countingSink struct {
-	inner                       metrics.Sink
-	completed, failed, preempts int
-}
-
-// Push implements metrics.Sink.
-func (c *countingSink) Push(r metrics.Record) {
-	if r.Failed {
-		c.failed++
-	} else {
-		c.completed++
-	}
-	c.preempts += r.Preemptions
-	if c.inner != nil {
-		c.inner.Push(r)
-	}
-}
-
 // serverState is a Server plus the controller's runtime handles.
 type serverState struct {
 	Server
-	ch        chan cluster.Routed
-	done      chan struct{}
-	started   bool
-	closed    bool
-	count     countingSink
-	err       error
-	simSpan   time.Duration // kernel makespan, read after done
-	tickStats ghost.Stats   // enclave delegation counters, read after done
-	events    uint64        // scheduled kernel events, read after done
+	// m is the server's lockstep-engine member, from activation on (nil
+	// for a boot canceled before it); its results are read after the
+	// engine closes.
+	m *cluster.Member
 	// crashAt is the slot's terminal crash instant from the fault plan
 	// (first scheduled crash strictly after ReadyAt), or Never. Fixed at
 	// launch; the controller and the in-kernel machine share it.
 	crashAt time.Duration
-	// fm is the per-server fault machine (terminal mode), built at
-	// activation and read (Stats) only after done. Nil without a plan.
-	fm *faults.Machine
-}
-
-// run is the per-server goroutine: the shared streamed runner pulling
-// from the routing channel. On error it keeps draining the channel so the
-// controller can never block on a dead server.
-func (sv *serverState) run(cfg Config, policy ghost.Policy) {
-	defer close(sv.done)
-	next := func() (cluster.Routed, bool) {
-		r, ok := <-sv.ch
-		return r, ok
-	}
-	kcfg, gcfg := cfg.Kernel, cfg.Ghost
-	if tr := cfg.Obs.Tracer(); tr != nil {
-		kcfg.Probe = tr.KernelProbe(sv.Index)
-		gcfg.Probe = tr.GhostProbe(sv.Index)
-	}
-	k, err := cluster.RunStreamedServer(kcfg, policy, gcfg, cfg.Window, sv.fm, next, &sv.count, &sv.tickStats)
-	if err != nil {
-		sv.err = err
-		for range sv.ch {
-		}
-		return
-	}
-	sv.simSpan = k.Makespan()
-	sv.events = k.EventSeq()
 }
 
 // controller is the streaming dispatcher's state, touched only from the
@@ -473,8 +363,9 @@ type controller struct {
 	cfg      Config
 	up, down float64
 	model    *cluster.FleetModel
-	pools    *cluster.WarmPools // nil unless cfg.ColdStart.Enabled()
-	disp     cluster.Dispatcher
+	router   *cluster.Router
+	pools    *cluster.WarmPools // the router's; nil unless cfg.ColdStart.Enabled()
+	fleet    *cluster.Fleet
 	servers  []*serverState
 	// candidates are the ready, non-draining server indices, ascending.
 	candidates []int
@@ -489,25 +380,16 @@ type controller struct {
 	lastDwn  time.Duration
 	events   []Event
 	assign   []int
-	// pool hosts the per-server runs: launched servers go onto reusable
-	// pooled workers, not raw goroutines, so host goroutine count tracks
-	// peak live fleet size rather than total launches.
-	pool workerPool
-	// warmHits/coldMisses tally the warm-pool outcome per routed
-	// invocation; nil unless both counting and the cold-start model are
-	// enabled (DESIGN.md §13).
-	warmHits, coldMisses *obs.Counter
-	pg                   *obs.Progress
 	// faultsOn caches cfg.Faults.Enabled().
 	faultsOn bool
 	// nextCrash is the earliest crashAt among current candidates (may be
 	// stale-low after removals, never stale-high): the cheap per-arrival
 	// gate on the crash sweep.
 	nextCrash time.Duration
-	// crashedOpen lists crashed servers whose routing channels are still
-	// open: while every candidate is down and replacements boot, arrivals
-	// queue on the most recent of these (delivery kills them in-kernel).
-	// Channels close as soon as a live candidate exists again.
+	// crashedOpen lists crashed servers not yet retired from the engine:
+	// while every candidate is down and replacements boot, arrivals queue
+	// on the most recent of these (delivery kills them in-kernel). They
+	// retire as soon as a live candidate exists again.
 	crashedOpen []int
 	// crashes counts unplanned retirements (Result.Faults.Crashes).
 	crashes  int64
@@ -530,6 +412,9 @@ func (cfg *Config) validate() (up, down float64, err error) {
 	}
 	if cfg.Sched == nil {
 		return 0, 0, fmt.Errorf("autoscale: nil Sched factory")
+	}
+	if cfg.Window < 0 {
+		return 0, 0, fmt.Errorf("autoscale: negative watermark step %v", cfg.Window)
 	}
 	if cfg.SpinUp < 0 || cfg.UpCooldown < 0 || cfg.DownCooldown < 0 {
 		return 0, 0, fmt.Errorf("autoscale: negative latency (spin-up %v, cooldowns %v/%v)",
@@ -587,25 +472,17 @@ func Run(cfg Config, src workload.Source) (*Result, error) {
 		faultsOn:  cfg.Faults.Enabled(),
 		nextCrash: farFuture,
 	}
-	if c.disp, err = cluster.NewDispatcher(cfg.Dispatch, cfg.Seed, c.model); err != nil {
+	if c.router, err = cluster.NewRouter(cfg.Dispatch, cfg.Seed, c.model, cfg.ColdStart, cfg.Obs); err != nil {
 		return nil, err
 	}
-	if cfg.ColdStart.Enabled() {
-		c.pools = cluster.NewWarmPools(cfg.ColdStart, 0)
-		if cfg.ColdStart.WarmFirst {
-			c.disp = cluster.WarmFirstDispatcher(c.disp, c.pools, c.model)
-		}
+	c.pools = c.router.Pools()
+	if reg := cfg.Obs.Registry(); reg != nil && c.faultsOn {
+		c.crashCtr = reg.Counter(obs.CScaleCrashes)
 	}
-	c.pg = cfg.Obs.Progress()
-	if reg := cfg.Obs.Registry(); reg != nil {
-		if c.pools != nil {
-			c.warmHits = reg.Counter(obs.CColdWarmHits)
-			c.coldMisses = reg.Counter(obs.CColdMisses)
-		}
-		if c.faultsOn {
-			c.crashCtr = reg.Counter(obs.CScaleCrashes)
-		}
-	}
+	// Launch indices spread round-robin over the shards; every server
+	// has a sink of its own, so the partition changes no result.
+	shards := cluster.DefaultShards(cfg.Max)
+	c.fleet = cluster.NewFleet(cfg.Kernel, cfg.Ghost, cfg.Obs, cfg.Window, shards, func(s int) int { return s % shards })
 	// The Min floor is provisioned before the run: launched and ready at
 	// time zero, exactly the fixed fleet's starting state.
 	for i := 0; i < cfg.Min; i++ {
@@ -632,34 +509,21 @@ func Run(cfg Config, src workload.Source) (*Result, error) {
 		runErr = fmt.Errorf("autoscale: empty workload")
 	}
 
-	// Drain-before-retire, fleet-wide: stop routing (close every channel)
-	// and let every server finish its in-flight share.
-	for _, sv := range c.servers {
-		if sv.started && !sv.closed {
-			close(sv.ch)
-			sv.closed = true
-		}
-	}
-	for _, sv := range c.servers {
-		if sv.started {
-			<-sv.done
-		}
-	}
-	c.pool.close()
-	for _, sv := range c.servers {
-		if runErr == nil && sv.err != nil {
-			runErr = fmt.Errorf("autoscale: server %d: %w", sv.Index, sv.err)
-		}
+	// Drain-before-retire, fleet-wide: stop routing and let every live
+	// server finish its in-flight share.
+	if err := c.fleet.Close(); err != nil && runErr == nil {
+		runErr = fmt.Errorf("autoscale: %w", err)
 	}
 	if runErr != nil {
 		return nil, runErr
 	}
-	return c.finish(idx)
+	return c.finish(idx), nil
 }
 
 // processArrival applies the fixed per-arrival scale-event ordering.
 func (c *controller) processArrival(inv workload.Invocation, idx int) error {
 	t := inv.Arrival
+	c.fleet.Advance(t)
 	if err := c.activate(t); err != nil {
 		return err
 	}
@@ -679,7 +543,7 @@ func (c *controller) processArrival(inv workload.Invocation, idx int) error {
 }
 
 // launch registers a new server: billing starts now, routing after
-// spin-up. The goroutine starts at activation, so a canceled boot costs
+// spin-up. Its machine is built at activation, so a canceled boot costs
 // nothing but its billed spin-up fraction.
 func (c *controller) launch(t, ready time.Duration) {
 	idx := len(c.servers)
@@ -704,7 +568,7 @@ func (c *controller) launch(t, ready time.Duration) {
 }
 
 // activate moves every server whose spin-up completed by t into the
-// candidate set, in launch order.
+// candidate set, in launch order, joining each to its engine shard.
 func (c *controller) activate(t time.Duration) error {
 	for len(c.pending) > 0 {
 		idx := c.pending[0]
@@ -717,20 +581,17 @@ func (c *controller) activate(t time.Duration) error {
 		if policy == nil {
 			return fmt.Errorf("autoscale: Sched factory returned nil for server %d", idx)
 		}
+		sv.m = &cluster.Member{Index: idx, Policy: policy}
 		if c.cfg.Sink != nil {
-			sv.count.inner = c.cfg.Sink(idx)
+			sv.m.Sink = c.cfg.Sink(idx)
 		} else {
 			sv.Set = &metrics.Set{}
-			sv.count.inner = sv.Set
+			sv.m.Sink = sv.Set
 		}
-		sv.count.inner = c.cfg.Obs.WrapSink(idx, sv.count.inner)
 		if c.faultsOn {
-			sv.fm = faults.NewTerminalMachine(c.cfg.Faults, idx, sv.crashAt)
+			sv.m.Faults = faults.NewTerminalMachine(c.cfg.Faults, idx, sv.crashAt)
 		}
-		sv.ch = make(chan cluster.Routed, chanBuf)
-		sv.done = make(chan struct{})
-		sv.started = true
-		c.pool.submit(func() { sv.run(c.cfg, policy) })
+		c.fleet.Join(sv.m)
 		c.candidates = append(c.candidates, idx)
 		if sv.crashAt != Never && sv.crashAt < c.nextCrash {
 			c.nextCrash = sv.crashAt
@@ -779,8 +640,8 @@ func (c *controller) sweepCrashes(t time.Duration) {
 
 // crash retires one server off-plan: billing stops at the crash instant,
 // routing eligibility ends now, the warm pool is gone. The in-kernel
-// machine (which shares crashAt) kills the residents; the routing channel
-// stays open until a live candidate exists, so a fully-down fleet can
+// machine (which shares crashAt) kills the residents; the server stays in
+// the engine until a live candidate exists, so a fully-down fleet can
 // still queue work here (killed on delivery).
 func (c *controller) crash(sv *serverState, t time.Duration) {
 	at := sv.crashAt
@@ -801,76 +662,46 @@ func (c *controller) crash(sv *serverState, t time.Duration) {
 	c.events = append(c.events, Event{Time: at, Kind: EventDrain, Server: sv.Index})
 }
 
-// closeCrashed closes crashed servers' routing channels once a live
+// closeCrashed retires crashed servers from the engine once a live
 // candidate exists again (they are no longer needed as the last-resort
-// queue), letting their kernels drain and retire.
+// queue), letting their kernels drain.
 func (c *controller) closeCrashed() {
 	if len(c.crashedOpen) == 0 || len(c.candidates) == 0 {
 		return
 	}
 	for _, s := range c.crashedOpen {
-		sv := c.servers[s]
-		close(sv.ch)
-		sv.closed = true
+		c.fleet.Retire(c.servers[s].m)
 	}
 	c.crashedOpen = c.crashedOpen[:0]
 }
 
-// route dispatches one invocation among the candidates and books it into
-// the causal model.
+// route dispatches one invocation among the candidates through the
+// fleet's routing step and hands it to the chosen server. When every
+// candidate crashed and the replacements are still booting, it queues on
+// the most recently crashed server: delivery kills the task in-kernel
+// (fail-fast) and the retry budget — futile against a terminal crash —
+// decides its give-up record, so the arrival is still accounted for.
 func (c *controller) route(inv workload.Invocation, idx int) error {
-	var s int
-	if len(c.candidates) == 0 && c.faultsOn {
-		// Every candidate crashed and the replacements are still booting:
-		// queue on the most recently crashed server. Delivery kills the
-		// task in-kernel (fail-fast) and the retry budget — futile against
-		// a terminal crash — decides its give-up record, so the arrival is
-		// still accounted for.
-		n := len(c.crashedOpen)
-		if n == 0 {
-			return fmt.Errorf("autoscale: no routable server at %v", inv.Arrival)
-		}
-		s = c.crashedOpen[n-1]
-	} else {
-		s = c.disp.Pick(inv, c.candidates)
-		i := sort.SearchInts(c.candidates, s)
-		if i >= len(c.candidates) || c.candidates[i] != s {
-			return fmt.Errorf("autoscale: dispatch %q picked non-candidate server %d", c.cfg.Dispatch, s)
-		}
+	fallback := -1
+	if n := len(c.crashedOpen); n > 0 {
+		fallback = c.crashedOpen[n-1]
 	}
-	var cold, finish time.Duration
-	if c.pools == nil {
-		finish = c.model.Assign(s, inv)
-	} else {
-		if c.pools.IsCold(s, inv, inv.Arrival) {
-			cold = c.cfg.ColdStart.Latency
-		}
-		finish = c.model.AssignDemand(s, inv.Arrival, inv.Duration+cold)
-		c.pools.Book(s, inv, inv.Arrival, finish, cold > 0)
-		if cold > 0 {
-			if c.coldMisses != nil {
-				c.coldMisses.Inc()
-			}
-		} else if c.warmHits != nil {
-			c.warmHits.Inc()
-		}
+	s, r, finish, err := c.router.Route(inv, idx, c.candidates, fallback)
+	if err != nil {
+		return err
 	}
 	if c.cfg.Policy == PolicyQueueDepth {
 		c.track.book(s, finish)
 	}
 	sv := c.servers[s]
 	sv.Routed++
-	if cold > 0 {
+	if r.ColdStart > 0 {
 		sv.ColdStarts++
 	}
 	if c.cfg.TrackAssignment {
 		c.assign = append(c.assign, s)
 	}
-	sv.ch <- cluster.Routed{Inv: inv, Idx: idx, ColdStart: cold}
-	if c.pg != nil {
-		c.pg.Routed.Add(1)
-		c.pg.Watermark.Store(int64(inv.Arrival))
-	}
+	c.fleet.Admit(sv.m, r)
 	return nil
 }
 
@@ -968,40 +799,32 @@ func (c *controller) evalDown(t time.Duration, justLaunched bool) {
 			// same as at retire time — and the warm state is gone for good.
 			c.pools.DropServer(best)
 		}
-		close(sv.ch)
-		sv.closed = true
+		c.fleet.Retire(sv.m)
 		c.events = append(c.events, Event{Time: t, Kind: EventDrain, Server: best})
 	}
 	c.lastDwn = t
 }
 
-// finish assembles the Result after every server goroutine has drained.
-func (c *controller) finish(routed int) (*Result, error) {
+// finish assembles the Result after the engine has drained every server.
+func (c *controller) finish(routed int) *Result {
 	res := &Result{
-		Dispatch:    c.cfg.Dispatch,
-		Policy:      c.cfg.Policy,
-		Routed:      routed,
-		Assignment:  c.assign,
-		PoolWorkers: c.pool.spawned,
+		Dispatch:   c.cfg.Dispatch,
+		Policy:     c.cfg.Policy,
+		Routed:     routed,
+		Assignment: c.assign,
 	}
 
 	// Fleet makespan first: surviving servers bill until it.
 	for _, sv := range c.servers {
-		sv.Makespan = sv.simSpan
-		if sv.Makespan > res.Makespan {
-			res.Makespan = sv.Makespan
+		if sv.m != nil {
+			sv.Makespan = sv.m.Makespan
+			sv.Completed, sv.Failed, sv.Preemptions = sv.m.Completed, sv.m.Failed, sv.m.Preemptions
 		}
+		res.Makespan = max(res.Makespan, sv.Makespan)
 	}
 
 	events := c.events
 	for _, sv := range c.servers {
-		sv.Completed = sv.count.completed
-		sv.Failed = sv.count.failed
-		sv.Preemptions = sv.count.preempts
-		if sv.Completed+sv.Failed != sv.Routed {
-			return nil, fmt.Errorf("autoscale: server %d retired %d of %d routed invocations",
-				sv.Index, sv.Completed+sv.Failed, sv.Routed)
-		}
 		if sv.Set != nil {
 			recs := sv.Set.Records
 			sort.Slice(recs, func(a, b int) bool { return recs[a].ID < recs[b].ID })
@@ -1032,10 +855,12 @@ func (c *controller) finish(routed int) (*Result, error) {
 		res.Preemptions += sv.Preemptions
 		res.ColdStarts += sv.ColdStarts
 		res.ServerSeconds += sv.BilledSeconds()
-		res.Stats.Accumulate(sv.tickStats)
-		res.KernelEvents += sv.events
-		if sv.fm != nil {
-			res.Faults.Accumulate(sv.fm.Stats())
+		if sv.m != nil {
+			res.Stats.Accumulate(sv.m.Stats)
+			res.KernelEvents += sv.m.Events
+			if sv.m.Faults != nil {
+				res.Faults.Accumulate(sv.m.Faults.Stats())
+			}
 		}
 		res.Servers = append(res.Servers, sv.Server)
 	}
@@ -1065,10 +890,9 @@ func (c *controller) finish(routed int) (*Result, error) {
 	}
 	res.Events = events
 
+	// The engine has counted the servers' kernel, enclave and fault
+	// machine work; the controller adds its own.
 	if reg := c.cfg.Obs.Registry(); reg != nil {
-		reg.AddGhostStats(res.Stats)
-		reg.Counter(obs.CKernEvents).Add(int64(res.KernelEvents))
-		reg.Counter(obs.CInvocations).Add(int64(routed))
 		reg.Gauge(obs.GServerSeconds).Add(res.ServerSeconds)
 		kinds := [...]*obs.Counter{
 			EventLaunch: reg.Counter(obs.CScaleLaunches),
@@ -1081,9 +905,6 @@ func (c *controller) finish(routed int) (*Result, error) {
 		}
 		if c.faultsOn {
 			reg.Counter(obs.CFaultCrashes).Add(res.Faults.Crashes)
-			reg.Counter(obs.CFaultKills).Add(res.Faults.Kills)
-			reg.Counter(obs.CFaultRetries).Add(res.Faults.Retries)
-			reg.Counter(obs.CFaultGiveUps).Add(res.Faults.GiveUps)
 		}
 	}
 	if tr := c.cfg.Obs.Tracer(); tr != nil {
@@ -1091,5 +912,5 @@ func (c *controller) finish(routed int) (*Result, error) {
 			tr.ScaleEvent(events[i].Kind.String(), events[i].Server, events[i].Time, events[i].Active)
 		}
 	}
-	return res, nil
+	return res
 }

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -200,5 +201,57 @@ func TestElasticGoldenDigests(t *testing.T) {
 		if got[name] != w {
 			t.Errorf("%s: digest %.12s…, committed %.12s…", name, got[name], w)
 		}
+	}
+}
+
+// TestElasticShardInvariance: elastic results do not depend on how the
+// servers are spread over the engine's shards. GOMAXPROCS moves the
+// default shard count (4×GOMAXPROCS, capped at Max); each scenario also
+// runs with Max raised to 16 so that every setting gives a different
+// count. Digests, enclave counters, kernel events and fault counters must
+// agree.
+func TestElasticShardInvariance(t *testing.T) {
+	type outcome struct {
+		digest string
+		stats  ghost.Stats
+		events uint64
+		faults faults.Stats
+	}
+	var scenarios []elasticScenario
+	for _, sc := range elasticScenarios() {
+		wide := sc
+		wide.name += "/max16"
+		wide.cfg.Max = 16
+		wide.check = func(r *Result) error {
+			if r.Launched() <= 1 {
+				return fmt.Errorf("launched %d: one server cannot spread over shards", r.Launched())
+			}
+			return nil
+		}
+		scenarios = append(scenarios, sc, wide)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var base map[string]outcome
+	shards := map[int]bool{}
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		shards[cluster.DefaultShards(16)] = true
+		got := map[string]outcome{}
+		for _, sc := range scenarios {
+			r := runElastic(t, sc)
+			got[sc.name] = outcome{digestElastic(r), r.Stats, r.KernelEvents, r.Faults}
+		}
+		if base == nil {
+			base = got
+			continue
+		}
+		for name, want := range base {
+			if got[name] != want {
+				t.Errorf("GOMAXPROCS=%d %s: %+v, want %+v (GOMAXPROCS=1)", procs, name, got[name], want)
+			}
+		}
+	}
+	if len(shards) != 3 {
+		t.Errorf("shard counts %v: GOMAXPROCS did not move the partition", shards)
 	}
 }

@@ -5,13 +5,14 @@
 //
 // Dispatch is fully deterministic (the dispatcher sees only its own
 // causal load model, never simulated server state), so the per-server
-// simulations are independent. One lockstep engine (sharded.go) runs
-// every fixed fleet: a router goroutine routes the arrival stream and
-// hands each invocation to the worker owning its server's shard, and
-// watermarks release the shards to advance their machines, concurrently,
-// in simulated-time steps. Per-server results merge in a fixed order, so
-// the result does not depend on the shard count or on goroutine
-// scheduling. See DESIGN.md §5 and §11.
+// simulations are independent. One routing step (Router, router.go) and
+// one lockstep engine (Fleet, sharded.go) run every fleet, fixed or
+// elastic (internal/autoscale): the routing goroutine routes the arrival
+// stream and hands each invocation to the worker owning its server's
+// shard, and watermarks release the shards to advance their machines,
+// concurrently, in simulated-time steps. Per-server results merge in a
+// fixed order, so the result does not depend on the shard count or on
+// goroutine scheduling. See DESIGN.md §5 and §11.
 package cluster
 
 import (
@@ -24,7 +25,6 @@ import (
 	"github.com/faassched/faassched/internal/metrics"
 	"github.com/faassched/faassched/internal/obs"
 	"github.com/faassched/faassched/internal/simkern"
-	"github.com/faassched/faassched/internal/simrun"
 	"github.com/faassched/faassched/internal/workload"
 )
 
@@ -98,10 +98,15 @@ func shardPlan(servers, shards int) ([][2]int, error) {
 		return nil, fmt.Errorf("cluster: Shards must be >= 0, got %d", shards)
 	}
 	if shards == 0 {
-		shards = 4 * runtime.GOMAXPROCS(0)
+		shards = DefaultShards(servers)
 	}
 	return shardRanges(servers, shards), nil
 }
+
+// DefaultShards is the shard count of a fleet of at most servers when
+// none is asked for: 4×GOMAXPROCS (small shards keep the cores busy when
+// load is uneven), capped at the fleet size.
+func DefaultShards(servers int) int { return max(1, min(servers, 4*runtime.GOMAXPROCS(0))) }
 
 // ServerResult is one server's share of a fleet simulation.
 type ServerResult struct {
@@ -193,8 +198,8 @@ type Routed struct {
 // task's service demand: instance init is CPU work on the instance
 // (which is exactly how OS scheduling and function start behavior
 // interact), and a straggler window stretches CPU work the same way.
-// The fixed fleet's shard workers and the autoscaler's per-server
-// runner apply the same fold.
+// The shard workers apply it to every admitted task, in every fleet
+// mode.
 func (r Routed) applyColdStart(t *simkern.Task) *simkern.Task {
 	if r.ColdStart > 0 {
 		t.Work += r.ColdStart
@@ -204,57 +209,4 @@ func (r Routed) applyColdStart(t *simkern.Task) *simkern.Task {
 		t.Work += r.Slow
 	}
 	return t
-}
-
-// obsConfigs returns per-server kernel/enclave config copies with the
-// trace probes attached. With tracing off the configs pass through with
-// nil probes, so the simulated machines are byte-identical either way.
-func obsConfigs(kcfg simkern.Config, gcfg ghost.Config, o *obs.Obs, server int) (simkern.Config, ghost.Config) {
-	if tr := o.Tracer(); tr != nil {
-		kcfg.Probe = tr.KernelProbe(server)
-		gcfg.Probe = tr.GhostProbe(server)
-	}
-	return kcfg, gcfg
-}
-
-// RunStreamedServer drives one server's routed share — pulled lazily from
-// next — through the streaming dataflow: a per-server task pool feeds the
-// lazy-admission feeder, tasks carry their global invocation id (Idx+1),
-// and every completion is pushed into sink in completion order. The
-// autoscale layer runs each server through it over a routing channel; the
-// fixed fleet's shard workers build the same machine through
-// simrun.Incremental, and both admission drivers equal pre-seeding
-// (DESIGN.md §7). fm, when non-nil, interposes the server's
-// fault machine on the policy, the sink, and the task build (crash
-// kills, timeouts, retries — DESIGN.md §14). stats, when non-nil,
-// receives the server enclave's delegation counters (fired vs elided
-// agent ticks) after the run drains.
-func RunStreamedServer(kcfg simkern.Config, policy ghost.Policy, gcfg ghost.Config,
-	window time.Duration, fm *faults.Machine, next func() (Routed, bool), sink metrics.Sink, stats *ghost.Stats) (*simkern.Kernel, error) {
-	pool := workload.NewTaskPool()
-	src := func() (*simkern.Task, bool) {
-		r, ok := next()
-		if !ok {
-			return nil, false
-		}
-		t := r.applyColdStart(pool.Get(r.Inv, simkern.TaskID(r.Idx+1)))
-		if fm != nil {
-			fm.Note(t, r.Inv.Duration, r.Inv.TimeoutMS)
-		}
-		return t, true
-	}
-	if fm != nil {
-		var err error
-		if policy, err = fm.WrapPolicy(policy); err != nil {
-			return nil, err
-		}
-		sink = fm.WrapSink(sink)
-		fm.SetRecycle(func(t *simkern.Task) { pool.Put(t) })
-	}
-	return simrun.ExecStream(kcfg, policy, gcfg, src, simrun.StreamConfig{
-		Window:  window,
-		Sink:    sink,
-		Recycle: func(t *simkern.Task) { pool.Put(t) },
-		Stats:   stats,
-	})
 }

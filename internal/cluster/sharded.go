@@ -1,17 +1,19 @@
-// The lockstep fleet engine. A single router goroutine owns the arrival
-// order (dispatch is causally deterministic), hands each Routed
+// The lockstep fleet engine (Fleet). A single router goroutine owns the
+// arrival order (dispatch is causally deterministic), hands each Routed
 // invocation to the shard owning its server, and broadcasts a watermark T
 // once every arrival ≤ T has been handed over. Each shard worker owns its
-// servers' machines outright: on an arrival it admits the task
+// servers' machines outright: a server joins its shard with its policy,
+// sink and fault machine; on an arrival the shard admits the task
 // (simrun.Incremental, whose open admission makes it equal to a fully
 // pre-seeded run of the server's share, DESIGN.md §7), on a watermark it
-// advances its servers to T in server-index order, folding completions
-// into a shard-local sink. When the source drains, shards drain their
-// machines and the shard results merge in shard-index order (a pairwise
-// metrics.MergeTree for the windowed replay; an id-sorted record merge
-// for Simulate), so the result is bit-for-bit independent of how the
-// shard goroutines were scheduled. Nothing is materialized up front, so
-// the windowed replay of a 1,000-server ×10 24 h window (~90M
+// advances its live servers to T in server-index order, and on a retire
+// it drains that server at once and drops it. When the source drains,
+// shards drain their remaining machines and the results merge in a fixed
+// order (a pairwise metrics.MergeTree over shards for the windowed
+// replay; an id-sorted record merge for Simulate; per-server sinks for
+// the elastic fleet), so the result is bit-for-bit independent of how
+// the shard goroutines were scheduled. Nothing is materialized up front,
+// so the windowed replay of a 1,000-server ×10 24 h window (~90M
 // invocations) runs in memory bounded by active tasks and windows. See
 // DESIGN.md §11.
 //
@@ -38,14 +40,22 @@ import (
 	"github.com/faassched/faassched/internal/workload"
 )
 
-// shardMsg is one entry of a router→shard handoff batch: either a routed
-// arrival for one of the shard's servers, or a watermark releasing the
-// shard to advance every server's clock to mark.
+// msgKind classifies a router→shard message.
+type msgKind uint8
+
+const (
+	msgAdmit  msgKind = iota // a routed arrival for m
+	msgMark                  // a watermark: advance every live server to mark
+	msgJoin                  // m joins the shard: build its machine
+	msgRetire                // m receives nothing more: drain it and drop it
+)
+
+// shardMsg is one entry of a router→shard handoff batch.
 type shardMsg struct {
-	r      Routed
-	server int
-	mark   time.Duration
-	isMark bool
+	r    Routed
+	m    *Member
+	mark time.Duration
+	kind msgKind
 }
 
 // The router hands each shard its messages in batches rather than one
@@ -109,147 +119,342 @@ func (p *batchPool) get() []shardMsg {
 // put returns an applied batch. It never blocks: free holds every batch.
 func (p *batchPool) put(b []shardMsg) { p.free <- b[:0] }
 
-// shardedServer is one live machine inside a shard worker. Servers are
-// created on first arrival, so fleet slots that never receive traffic
-// cost nothing.
-type shardedServer struct {
-	inc         *simrun.Incremental
-	set         *metrics.Set // exact mode only
-	fm          *faults.Machine
-	invocations int
+// Member is one server of a lockstep fleet: what it brings when it joins
+// its shard, and, once it has drained, its share of the run. The router
+// builds it and never touches it again; its shard owns it from the join
+// on; the results are read after Fleet.Close.
+type Member struct {
+	// Index is the server's fleet index.
+	Index int
+	// Policy is the server's scheduling policy.
+	Policy ghost.Policy
+	// Sink receives the server's completion records.
+	Sink metrics.Sink
+	// Faults, when non-nil, is the server's fault machine, interposed on
+	// the policy, the sink and every admitted task (DESIGN.md §14).
+	Faults *faults.Machine
+
+	// Routed counts admitted invocations; Completed and Failed count
+	// their records, and always sum to Routed once the server drained.
+	Routed, Completed, Failed int
+	// Preemptions sums preemption counts over the server's records.
+	Preemptions int
+	// Makespan is the server's last completion instant.
+	Makespan time.Duration
+	// Stats holds the server enclave's delegation counters.
+	Stats ghost.Stats
+	// Events is how many kernel events the server's run scheduled.
+	Events uint64
+
+	shard int
+	inc   *simrun.Incremental // nil before the join and after the drain
+	count countingSink
 }
 
-// shardWorker owns servers [lo, hi) of the fleet.
+// countingSink tallies a server's records on their way to its sink: the
+// bookkeeping the drain-time conservation check needs, whatever the
+// caller collects.
+type countingSink struct {
+	inner                       metrics.Sink
+	completed, failed, preempts int
+}
+
+// Push implements metrics.Sink.
+func (c *countingSink) Push(r metrics.Record) {
+	if r.Failed {
+		c.failed++
+	} else {
+		c.completed++
+	}
+	c.preempts += r.Preemptions
+	if c.inner != nil {
+		c.inner.Push(r)
+	}
+}
+
+// shardWorker owns the machines of the servers that joined its shard.
 type shardWorker struct {
-	cfg      *Config
-	shard    int
-	lo, hi   int
-	policies []ghost.Policy
-	exact    bool                         // Simulate's per-server record Sets, not a windowed sink
-	acc      *metrics.WindowedAccumulator // windowed mode's shard-local sink
-	servers  []*shardedServer
-	ch       chan []shardMsg // handoff batches, in routing order
-	pool     *batchPool      // where applied batches go back
-	err      error
-	makespan time.Duration
-	stats    ghost.Stats
-	events   uint64
-	invs     int
-	faults   faults.Stats
-	// reg is the shard-local counter registry (nil when counters are
-	// off); shard registries merge in shard-index order after the run,
-	// MergeTree-style, so totals are bit-stable at any shard count.
-	reg *obs.Registry
+	fleet *Fleet
+	shard int
+	// live are the joined, not yet drained servers, sorted by index: the
+	// fixed order in which a watermark advances them.
+	live []*Member
+	// members are every server that ever joined, in join order.
+	members []*Member
+	ch      chan []shardMsg // handoff batches, in routing order
+	err     error
 }
 
 // run consumes the shard's handoff batches until the router closes the
-// channel, then drains every machine. After a failure it keeps consuming
-// (and discarding) batches so the router never blocks on a dead shard.
-func (w *shardWorker) run(done chan<- struct{}) {
-	defer func() { done <- struct{}{} }()
+// channel, then drains every live machine. After a failure it keeps
+// consuming (and discarding) batches so the router never blocks on a dead
+// shard.
+func (w *shardWorker) run() {
+	defer func() { w.fleet.done <- struct{}{} }()
 	for batch := range w.ch {
 		for i := 0; i < len(batch) && w.err == nil; i++ {
-			if msg := &batch[i]; msg.isMark {
+			msg := &batch[i]
+			switch msg.kind {
+			case msgAdmit:
+				w.admit(msg.m, msg.r)
+			case msgMark:
 				w.runTo(msg.mark)
-			} else {
-				w.admit(msg.server, msg.r)
+			case msgJoin:
+				w.join(msg.m)
+			case msgRetire:
+				w.retire(msg.m)
 			}
 		}
-		w.pool.put(batch)
+		w.fleet.pool.put(batch)
 	}
-	if w.err != nil {
-		return
-	}
-	for _, sv := range w.servers {
-		if sv == nil {
-			continue
-		}
-		if err := sv.inc.Drain(); err != nil {
-			w.err = err
+	for _, m := range w.live {
+		if w.err != nil {
 			return
 		}
-		if m := sv.inc.Makespan(); m > w.makespan {
-			w.makespan = m
-		}
-		w.stats.Accumulate(sv.inc.Stats())
-		w.events += sv.inc.Events()
-		w.invs += sv.invocations
-		if sv.fm != nil {
-			w.faults.Accumulate(sv.fm.Stats())
-		}
+		w.drain(m)
 	}
-	if w.reg != nil {
-		w.reg.AddGhostStats(w.stats)
-		w.reg.Counter(obs.CKernEvents).Add(int64(w.events))
-		if w.cfg.Faults.Enabled() {
-			addFaultStats(w.reg, w.faults)
-		}
-	}
+	w.live = nil
 }
 
-// admit creates the server on first arrival and hands it the task.
-func (w *shardWorker) admit(server int, r Routed) {
-	local := server - w.lo
-	sv := w.servers[local]
-	if sv == nil {
-		sv = &shardedServer{}
-		var sink metrics.Sink
-		if w.exact {
-			sv.set = &metrics.Set{}
-			sink = sv.set
-		} else {
-			sink = w.acc
-		}
-		kcfg, gcfg := obsConfigs(w.cfg.Kernel, w.cfg.Ghost, w.cfg.Obs, server)
-		policy := w.policies[server]
-		wrapped := w.cfg.Obs.WrapSink(server, sink)
-		if w.cfg.Faults.Enabled() {
-			// Same interposition as RunStreamedServer: the machine sits
-			// between the retirer and the policy, and on the record path.
-			sv.fm = faults.NewMachine(w.cfg.Faults, server)
-			var err error
-			if policy, err = sv.fm.WrapPolicy(policy); err != nil {
-				w.err = err
-				return
-			}
-			wrapped = sv.fm.WrapSink(wrapped)
-		}
-		inc, err := simrun.NewIncremental(kcfg, policy, gcfg, wrapped)
-		if err != nil {
-			w.err = err
+// fail records the shard's first error, naming the server.
+func (w *shardWorker) fail(m *Member, err error) {
+	w.err = fmt.Errorf("server %d: %w", m.Index, err)
+}
+
+// join builds m's machine and adds it to the live list in index order.
+// The fault machine sits between the retirer and the policy, and on the
+// record path ahead of the counting sink.
+func (w *shardWorker) join(m *Member) {
+	f := w.fleet
+	kcfg, gcfg := f.kcfg, f.gcfg
+	if tr := f.obs.Tracer(); tr != nil {
+		kcfg.Probe = tr.KernelProbe(m.Index)
+		gcfg.Probe = tr.GhostProbe(m.Index)
+	}
+	policy := m.Policy
+	m.count.inner = f.obs.WrapSink(m.Index, m.Sink)
+	var sink metrics.Sink = &m.count
+	if m.Faults != nil {
+		var err error
+		if policy, err = m.Faults.WrapPolicy(policy); err != nil {
+			w.fail(m, err)
 			return
 		}
-		sv.inc = inc
-		if sv.fm != nil {
-			pool := inc.Pool()
-			sv.fm.SetRecycle(func(t *simkern.Task) { pool.Put(t) })
-		}
-		w.servers[local] = sv
+		sink = m.Faults.WrapSink(sink)
 	}
-	t := r.applyColdStart(sv.inc.Pool().Get(r.Inv, simkern.TaskID(r.Idx+1)))
-	if sv.fm != nil {
-		sv.fm.Note(t, r.Inv.Duration, r.Inv.TimeoutMS)
-	}
-	if err := sv.inc.Admit(t); err != nil {
-		w.err = err
+	inc, err := simrun.NewIncremental(kcfg, policy, gcfg, sink)
+	if err != nil {
+		w.fail(m, err)
 		return
 	}
-	sv.invocations++
+	m.inc = inc
+	if m.Faults != nil {
+		pool := inc.Pool()
+		m.Faults.SetRecycle(func(t *simkern.Task) { pool.Put(t) })
+	}
+	i := sort.Search(len(w.live), func(i int) bool { return w.live[i].Index > m.Index })
+	w.live = append(w.live, nil)
+	copy(w.live[i+1:], w.live[i:])
+	w.live[i] = m
+	w.members = append(w.members, m)
+}
+
+// admit hands m the routed task.
+func (w *shardWorker) admit(m *Member, r Routed) {
+	t := r.applyColdStart(m.inc.Pool().Get(r.Inv, simkern.TaskID(r.Idx+1)))
+	if m.Faults != nil {
+		m.Faults.Note(t, r.Inv.Duration, r.Inv.TimeoutMS)
+	}
+	if err := m.inc.Admit(t); err != nil {
+		w.fail(m, err)
+		return
+	}
+	m.Routed++
 }
 
 // runTo advances every live server to the watermark in server-index
-// order — the fixed iteration order that makes the shard-local sink's
-// push stream deterministic.
+// order — the fixed iteration order that makes a shard-local sink's push
+// stream deterministic.
 func (w *shardWorker) runTo(mark time.Duration) {
-	for _, sv := range w.servers {
-		if sv == nil {
-			continue
-		}
-		if err := sv.inc.RunTo(mark); err != nil {
-			w.err = err
+	for _, m := range w.live {
+		if err := m.inc.RunTo(mark); err != nil {
+			w.fail(m, err)
 			return
 		}
 	}
+}
+
+// retire drains m now and drops it from the live list. m receives
+// nothing after its retire, so draining it ahead of the watermarks
+// changes none of its records.
+func (w *shardWorker) retire(m *Member) {
+	i := sort.Search(len(w.live), func(i int) bool { return w.live[i].Index >= m.Index })
+	w.live = append(w.live[:i], w.live[i+1:]...)
+	w.drain(m)
+}
+
+// drain runs m to quiescence, checks that every routed invocation left
+// exactly one record, and keeps m's results.
+func (w *shardWorker) drain(m *Member) {
+	if err := m.inc.Drain(); err != nil {
+		w.fail(m, err)
+		return
+	}
+	m.Completed, m.Failed, m.Preemptions = m.count.completed, m.count.failed, m.count.preempts
+	if m.Completed+m.Failed != m.Routed {
+		w.fail(m, fmt.Errorf("retired %d of %d routed invocations", m.Completed+m.Failed, m.Routed))
+		return
+	}
+	m.Makespan = m.inc.Makespan()
+	m.Stats = m.inc.Stats()
+	m.Events = m.inc.Events()
+	m.inc = nil
+}
+
+// Fleet is the router's handle on the lockstep engine: it places joins,
+// arrivals and retires on the owning shard's handoff batch and emits the
+// watermarks. Its methods must be called from one goroutine, in routing
+// order, and Close must be called exactly once.
+type Fleet struct {
+	kcfg    simkern.Config
+	gcfg    ghost.Config
+	obs     *obs.Obs
+	shardOf func(server int) int
+	workers []*shardWorker
+	pool    *batchPool
+	// batches[i] is the batch the router is filling for shard i, nil
+	// until its first message since the last send.
+	batches  [][]shardMsg
+	done     chan struct{}
+	step     time.Duration
+	nextMark time.Duration
+	routed   int
+	// Router-side observation: watermark tallies and progress live on
+	// the routing goroutine, so they are shard-count invariant by
+	// construction.
+	wmCount *obs.Counter
+	tr      *obs.Tracer
+	pg      *obs.Progress
+}
+
+// NewFleet starts shards shard workers. Every server runs on kcfg and
+// gcfg with o's probes; shardOf maps a server index to its shard; window
+// (≥ 0) is the watermark step, zero meaning simrun.DefaultWindow. Records
+// depend on neither the partition nor the step (DESIGN.md §7, §11).
+func NewFleet(kcfg simkern.Config, gcfg ghost.Config, o *obs.Obs, window time.Duration, shards int, shardOf func(server int) int) *Fleet {
+	if window == 0 {
+		window = simrun.DefaultWindow
+	}
+	f := &Fleet{
+		kcfg: kcfg, gcfg: gcfg, obs: o, shardOf: shardOf,
+		workers:  make([]*shardWorker, shards),
+		pool:     newBatchPool(shards),
+		batches:  make([][]shardMsg, shards),
+		done:     make(chan struct{}),
+		step:     window,
+		nextMark: window,
+		tr:       o.Tracer(),
+		pg:       o.Progress(),
+	}
+	if reg := o.Registry(); reg != nil {
+		f.wmCount = reg.Counter(obs.CWatermarks)
+	}
+	for i := range f.workers {
+		f.workers[i] = &shardWorker{
+			fleet: f,
+			shard: i,
+			ch:    make(chan []shardMsg, cap(f.pool.free)), // holds every batch: a send never blocks
+		}
+	}
+	for _, w := range f.workers {
+		go w.run()
+	}
+	return f
+}
+
+// push appends msg to shard i's batch and sends the batch once it is
+// full or holds a watermark.
+func (f *Fleet) push(i int, msg shardMsg) {
+	if f.batches[i] == nil {
+		f.batches[i] = f.pool.get()
+	}
+	f.batches[i] = append(f.batches[i], msg)
+	if len(f.batches[i]) == shardBatch || msg.kind == msgMark {
+		f.workers[i].ch <- f.batches[i]
+		f.batches[i] = nil
+	}
+}
+
+// Advance broadcasts every watermark before arrival. A watermark T is
+// only safe once an arrival strictly beyond T proves every arrival ≤ T
+// has been handed over, so call it with each arrival before routing it.
+func (f *Fleet) Advance(arrival time.Duration) {
+	for arrival > f.nextMark {
+		for i := range f.workers {
+			f.push(i, shardMsg{mark: f.nextMark, kind: msgMark})
+		}
+		if f.wmCount != nil {
+			f.wmCount.Inc()
+		}
+		f.tr.Watermark(f.nextMark, int64(f.routed))
+		if f.pg != nil {
+			f.pg.Watermark.Store(int64(f.nextMark))
+		}
+		f.nextMark += f.step
+	}
+}
+
+// Join adds m to its shard; its machine is built there.
+func (f *Fleet) Join(m *Member) {
+	m.shard = f.shardOf(m.Index)
+	f.push(m.shard, shardMsg{m: m, kind: msgJoin})
+}
+
+// Admit hands the routed arrival r to the joined server m.
+func (f *Fleet) Admit(m *Member, r Routed) {
+	f.push(m.shard, shardMsg{r: r, m: m, kind: msgAdmit})
+	f.routed++
+}
+
+// Retire tells m's shard that m receives nothing more: the shard drains
+// it at once and drops it.
+func (f *Fleet) Retire(m *Member) {
+	f.push(m.shard, shardMsg{m: m, kind: msgRetire})
+}
+
+// Close ends routing: every shard drains its live servers, and Close
+// waits for all of them. It returns the first shard's error, or folds
+// the servers' counters into the obs registry.
+func (f *Fleet) Close() error {
+	for i, w := range f.workers {
+		if len(f.batches[i]) > 0 {
+			w.ch <- f.batches[i]
+		}
+		close(w.ch)
+	}
+	for range f.workers {
+		<-f.done
+	}
+	for _, w := range f.workers {
+		if w.err != nil {
+			return fmt.Errorf("shard %d %w", w.shard, w.err)
+		}
+	}
+	reg := f.obs.Registry()
+	if reg == nil {
+		return nil
+	}
+	reg.Counter(obs.CInvocations).Add(int64(f.routed))
+	for _, w := range f.workers {
+		for _, m := range w.members {
+			reg.AddGhostStats(m.Stats)
+			reg.Counter(obs.CKernEvents).Add(int64(m.Events))
+			if m.Faults != nil {
+				addFaultStats(reg, m.Faults.Stats())
+			}
+		}
+	}
+	return nil
 }
 
 // ShardedReplay summarizes a windowed streaming sharded fleet run.
@@ -286,30 +491,33 @@ type ShardedReplay struct {
 // the workload length — this is the entry point for the 1,000-server
 // ×10-volume multi-day replays.
 func SimulateShardedWindowed(cfg Config, src workload.Source, tariff pricing.Tariff, width time.Duration) (*ShardedReplay, error) {
-	workers, invocations, _, rfStats, err := runSharded(cfg, src, false, tariff, width)
+	run, err := runSharded(cfg, src, false, tariff, width)
 	if err != nil {
 		return nil, err
 	}
 	rep := &ShardedReplay{
 		Servers:     cfg.Servers,
-		Shards:      len(workers),
+		Shards:      len(run.ranges),
 		Dispatch:    cfg.Dispatch,
-		Invocations: invocations,
+		Invocations: run.fleet.routed,
+		PerShard:    make([]obs.ShardUtil, len(run.ranges)),
 	}
-	rep.Faults.Accumulate(rfStats)
-	accs := make([]*metrics.WindowedAccumulator, len(workers))
-	rep.PerShard = make([]obs.ShardUtil, len(workers))
-	for i, w := range workers {
-		accs[i] = w.acc
-		if w.makespan > rep.Makespan {
-			rep.Makespan = w.makespan
+	rep.Faults.Accumulate(run.faults)
+	for i, w := range run.fleet.workers {
+		su := obs.ShardUtil{Shard: i, Servers: run.ranges[i][1] - run.ranges[i][0]}
+		for _, m := range w.members {
+			rep.Makespan = max(rep.Makespan, m.Makespan)
+			rep.Stats.Accumulate(m.Stats)
+			if m.Faults != nil {
+				rep.Faults.Accumulate(m.Faults.Stats())
+			}
+			su.Invocations += m.Routed
+			su.Events += m.Events
 		}
-		rep.Stats.Accumulate(w.stats)
-		rep.Events += w.events
-		rep.Faults.Accumulate(w.faults)
-		rep.PerShard[i] = obs.ShardUtil{Shard: i, Servers: w.hi - w.lo, Invocations: w.invs, Events: w.events}
+		rep.Events += su.Events
+		rep.PerShard[i] = su
 	}
-	if rep.Windowed, err = metrics.MergeTree(accs); err != nil {
+	if rep.Windowed, err = metrics.MergeTree(run.accs); err != nil {
 		return nil, err
 	}
 	if rep.Windowed == nil {
@@ -325,7 +533,7 @@ func SimulateShardedWindowed(cfg Config, src workload.Source, tariff pricing.Tar
 // of the shard count. It holds every record in memory; use
 // SimulateShardedWindowed for long horizons.
 func Simulate(cfg Config, src workload.Source) (*Result, error) {
-	workers, _, assignment, rfStats, err := runSharded(cfg, src, true, pricing.Tariff{}, 0)
+	run, err := runSharded(cfg, src, true, pricing.Tariff{}, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -333,38 +541,33 @@ func Simulate(cfg Config, src workload.Source) (*Result, error) {
 		Dispatch:   cfg.Dispatch,
 		Servers:    cfg.Servers,
 		PerServer:  make([]ServerResult, cfg.Servers),
-		Assignment: assignment,
+		Assignment: run.assignment,
 	}
-	res.Faults.Accumulate(rfStats)
+	res.Faults.Accumulate(run.faults)
 	for s := range res.PerServer {
 		res.PerServer[s].Server = s
 	}
-	for _, w := range workers {
-		if w.makespan > res.Makespan {
-			res.Makespan = w.makespan
+	for _, m := range run.members {
+		if m == nil {
+			continue
 		}
-		res.Stats.Accumulate(w.stats)
-		res.Events += w.events
-		res.Faults.Accumulate(w.faults)
-		for local, sv := range w.servers {
-			if sv == nil {
-				continue
-			}
-			s := w.lo + local
-			sr := &res.PerServer[s]
-			sr.Invocations = sv.invocations
-			sr.Set = *sv.set
-			sort.Slice(sr.Set.Records, func(a, b int) bool { return sr.Set.Records[a].ID < sr.Set.Records[b].ID })
-			sr.Makespan = sv.inc.Makespan()
-			sr.Preemptions = sr.Set.TotalPreemptions()
-			sr.Stats = sv.inc.Stats()
-			sr.Events = sv.inc.Events()
-			if sv.fm != nil {
-				sr.Faults = sv.fm.Stats()
-			}
-			res.Preemptions += sr.Preemptions
-			res.Set.Records = append(res.Set.Records, sr.Set.Records...)
+		sr := &res.PerServer[m.Index]
+		sr.Invocations = m.Routed
+		sr.Set = *m.Sink.(*metrics.Set)
+		sort.Slice(sr.Set.Records, func(a, b int) bool { return sr.Set.Records[a].ID < sr.Set.Records[b].ID })
+		sr.Makespan = m.Makespan
+		sr.Preemptions = m.Preemptions
+		sr.Stats = m.Stats
+		sr.Events = m.Events
+		if m.Faults != nil {
+			sr.Faults = m.Faults.Stats()
 		}
+		res.Makespan = max(res.Makespan, m.Makespan)
+		res.Preemptions += sr.Preemptions
+		res.Stats.Accumulate(sr.Stats)
+		res.Events += sr.Events
+		res.Faults.Accumulate(sr.Faults)
+		res.Set.Records = append(res.Set.Records, sr.Set.Records...)
 	}
 	sort.Slice(res.Set.Records, func(i, j int) bool {
 		return res.Set.Records[i].ID < res.Set.Records[j].ID
@@ -372,22 +575,33 @@ func Simulate(cfg Config, src workload.Source) (*Result, error) {
 	return res, nil
 }
 
-// runSharded is the router + shard-worker engine behind Simulate and
-// SimulateShardedWindowed. It returns the finished workers (in shard
-// order), the total invocation count, and the per-invocation assignment
-// (exact mode only).
-func runSharded(cfg Config, src workload.Source, exact bool, tariff pricing.Tariff, width time.Duration) ([]*shardWorker, int, []int, faults.Stats, error) {
+// fixedRun is a finished fixed-fleet run.
+type fixedRun struct {
+	fleet      *Fleet
+	ranges     [][2]int                       // each shard's contiguous server range
+	members    []*Member                      // by server; nil where nothing was routed
+	accs       []*metrics.WindowedAccumulator // windowed mode's sinks, by shard
+	assignment []int                          // exact mode only
+	faults     faults.Stats                   // router-side crash and straggler windows
+}
+
+// runSharded is the fixed-fleet router behind Simulate and
+// SimulateShardedWindowed: it resolves the contiguous shard ranges and
+// routes src onto the lockstep engine. A server joins its shard on its
+// first arrival, with an exact record Set of its own in exact mode, and
+// otherwise its shard's windowed accumulator (width, billed at tariff).
+func runSharded(cfg Config, src workload.Source, exact bool, tariff pricing.Tariff, width time.Duration) (*fixedRun, error) {
 	if cfg.Servers < 1 {
-		return nil, 0, nil, faults.Stats{}, fmt.Errorf("cluster: Servers must be >= 1, got %d", cfg.Servers)
+		return nil, fmt.Errorf("cluster: Servers must be >= 1, got %d", cfg.Servers)
 	}
 	if cfg.Policy == nil {
-		return nil, 0, nil, faults.Stats{}, fmt.Errorf("cluster: nil Policy factory")
+		return nil, fmt.Errorf("cluster: nil Policy factory")
 	}
 	if cfg.Kernel.Cores < 1 {
-		return nil, 0, nil, faults.Stats{}, fmt.Errorf("cluster: Kernel.Cores must be >= 1, got %d", cfg.Kernel.Cores)
+		return nil, fmt.Errorf("cluster: Kernel.Cores must be >= 1, got %d", cfg.Kernel.Cores)
 	}
 	if src == nil {
-		return nil, 0, nil, faults.Stats{}, fmt.Errorf("cluster: nil workload source")
+		return nil, fmt.Errorf("cluster: nil workload source")
 	}
 	if cfg.Dispatch == "" {
 		cfg.Dispatch = DispatchLeastLoaded
@@ -396,18 +610,23 @@ func runSharded(cfg Config, src workload.Source, exact bool, tariff pricing.Tari
 		cfg.Seed = 1
 	}
 	if cfg.Window < 0 {
-		return nil, 0, nil, faults.Stats{}, fmt.Errorf("cluster: negative look-ahead window %v", cfg.Window)
+		return nil, fmt.Errorf("cluster: negative look-ahead window %v", cfg.Window)
 	}
 	if err := cfg.Faults.Validate(); err != nil {
-		return nil, 0, nil, faults.Stats{}, err
+		return nil, err
 	}
-	chunk := cfg.Window
-	if chunk == 0 {
-		chunk = simrun.DefaultWindow
-	}
-	shards, err := shardPlan(cfg.Servers, cfg.Shards)
+	ranges, err := shardPlan(cfg.Servers, cfg.Shards)
 	if err != nil {
-		return nil, 0, nil, faults.Stats{}, err
+		return nil, err
+	}
+	run := &fixedRun{ranges: ranges, members: make([]*Member, cfg.Servers)}
+	if !exact {
+		run.accs = make([]*metrics.WindowedAccumulator, len(ranges))
+		for i := range run.accs {
+			if run.accs[i], err = metrics.NewWindowedAccumulator(tariff, width); err != nil {
+				return nil, err
+			}
+		}
 	}
 
 	// Policies are built sequentially up front so factories need not be
@@ -415,208 +634,84 @@ func runSharded(cfg Config, src workload.Source, exact bool, tariff pricing.Tari
 	policies := make([]ghost.Policy, cfg.Servers)
 	for s := range policies {
 		if policies[s] = cfg.Policy(); policies[s] == nil {
-			return nil, 0, nil, faults.Stats{}, fmt.Errorf("cluster: Policy factory returned nil for server %d", s)
+			return nil, fmt.Errorf("cluster: Policy factory returned nil for server %d", s)
 		}
 	}
 
-	workers := make([]*shardWorker, len(shards))
-	pool := newBatchPool(len(shards))
-	serverShard := make([]int, cfg.Servers)
-	done := make(chan struct{})
-	for i, rg := range shards {
-		w := &shardWorker{
-			cfg:      &cfg,
-			shard:    i,
-			lo:       rg[0],
-			hi:       rg[1],
-			policies: policies,
-			exact:    exact,
-			servers:  make([]*shardedServer, rg[1]-rg[0]),
-			ch:       make(chan []shardMsg, cap(pool.free)), // holds every batch: a send never blocks
-			pool:     pool,
-		}
-		if cfg.Obs.Registry() != nil {
-			w.reg = obs.NewRegistry()
-		}
-		if !exact {
-			if w.acc, err = metrics.NewWindowedAccumulator(tariff, width); err != nil {
-				return nil, 0, nil, faults.Stats{}, err
-			}
-		}
-		for s := rg[0]; s < rg[1]; s++ {
-			serverShard[s] = i
-		}
-		workers[i] = w
-	}
-	for _, w := range workers {
-		go w.run(done)
-	}
-	// batches[i] is the batch the router is filling for shard i, nil
-	// until its first message since the last send.
-	batches := make([][]shardMsg, len(workers))
-	push := func(i int, msg shardMsg) {
-		if batches[i] == nil {
-			batches[i] = pool.get()
-		}
-		batches[i] = append(batches[i], msg)
-	}
-	send := func(i int) {
-		workers[i].ch <- batches[i]
-		batches[i] = nil
-	}
-	closeAll := func() {
-		for i, w := range workers {
-			if len(batches[i]) > 0 {
-				w.ch <- batches[i]
-			}
-			close(w.ch)
-		}
-		for range workers {
-			<-done
-		}
-	}
-
-	// The router: dispatch over the causal fleet model, then warm-pool
-	// bookings, one arrival at a time. The warm pools, like the fleet
-	// model, are causal front-end state, so every cold/warm decision is
-	// fixed before the arrival reaches a server.
 	model := NewFleetModel(cfg.Servers, cfg.Kernel.Cores)
-	disp, err := NewDispatcher(cfg.Dispatch, cfg.Seed, model)
+	router, err := NewRouter(cfg.Dispatch, cfg.Seed, model, cfg.ColdStart, cfg.Obs)
 	if err != nil {
-		closeAll()
-		return nil, 0, nil, faults.Stats{}, err
+		return nil, err
 	}
-	var pools *WarmPools
-	if cfg.ColdStart.Enabled() {
-		pools = NewWarmPools(cfg.ColdStart, cfg.Servers)
-		if cfg.ColdStart.WarmFirst {
-			disp = WarmFirstDispatcher(disp, pools, model)
-		}
-	}
+	rf := newRouteFaults(cfg.Faults, cfg.Servers, model, router.Pools(), cfg.Obs.Tracer())
+	router.faults = rf
 	candidates := make([]int, cfg.Servers)
 	for s := range candidates {
 		candidates[s] = s
 	}
-	rf := newRouteFaults(cfg.Faults, cfg.Servers, model, pools, cfg.Obs.Tracer())
-
-	// Router-side observation: watermark/cold-start tallies and progress
-	// live on this single goroutine, so they are shard-count invariant
-	// by construction; per-server enclave counters fold in via the shard
-	// registries instead.
-	tr := cfg.Obs.Tracer()
-	pg := cfg.Obs.Progress()
-	var wmCount, warmHits, coldMisses *obs.Counter
-	if reg := cfg.Obs.Registry(); reg != nil {
-		wmCount = reg.Counter(obs.CWatermarks)
-		if pools != nil {
-			warmHits = reg.Counter(obs.CColdWarmHits)
-			coldMisses = reg.Counter(obs.CColdMisses)
+	serverShard := make([]int, cfg.Servers)
+	for i, rg := range ranges {
+		for s := rg[0]; s < rg[1]; s++ {
+			serverShard[s] = i
 		}
 	}
+	run.fleet = NewFleet(cfg.Kernel, cfg.Ghost, cfg.Obs, cfg.Window, len(ranges), func(s int) int { return serverShard[s] })
 
-	var assignment []int
-	idx := 0
 	lastArr := time.Duration(-1)
-	nextMark := chunk
 	var routeErr error
 	src(func(inv workload.Invocation) bool {
 		if inv.Arrival < lastArr {
-			routeErr = fmt.Errorf("cluster: invocations not sorted by arrival at index %d", idx)
+			routeErr = fmt.Errorf("cluster: invocations not sorted by arrival at index %d", run.fleet.routed)
 			return false
 		}
 		lastArr = inv.Arrival
-		// A watermark T is only safe once an arrival strictly beyond T
-		// proves every arrival ≤ T has been handed over.
-		for inv.Arrival > nextMark {
-			for i := range workers {
-				push(i, shardMsg{mark: nextMark, isMark: true})
-				send(i)
-			}
-			if wmCount != nil {
-				wmCount.Inc()
-			}
-			tr.Watermark(nextMark, int64(idx))
-			if pg != nil {
-				pg.Watermark.Store(int64(nextMark))
-			}
-			nextMark += chunk
-		}
-		cand := candidates
+		run.fleet.Advance(inv.Arrival)
+		cand, fallback := candidates, -1
 		if rf != nil {
-			cand = rf.route(inv.Arrival)
+			if cand = rf.route(inv.Arrival); len(cand) == 0 {
+				fallback = rf.fallback()
+			}
 		}
-		var s int
-		if rf != nil && len(cand) == 0 {
-			s = rf.fallback()
-		} else {
-			s = disp.Pick(inv, cand)
-		}
-		if s < 0 || s >= cfg.Servers {
-			routeErr = fmt.Errorf("cluster: dispatch %q picked server %d of %d", cfg.Dispatch, s, cfg.Servers)
+		s, r, _, err := router.Route(inv, run.fleet.routed, cand, fallback)
+		if err != nil {
+			routeErr = err
 			return false
 		}
-		var slow time.Duration
-		if rf != nil {
-			slow = rf.slow(s, inv.Arrival, inv.Duration)
-		}
-		var cold time.Duration
-		if pools == nil {
-			model.AssignDemand(s, inv.Arrival, inv.Duration+slow)
-		} else {
-			if pools.IsCold(s, inv, inv.Arrival) {
-				cold = cfg.ColdStart.Latency
-			}
-			finish := model.AssignDemand(s, inv.Arrival, inv.Duration+cold+slow)
-			pools.Book(s, inv, inv.Arrival, finish, cold > 0)
-			if cold > 0 {
-				if coldMisses != nil {
-					coldMisses.Inc()
-				}
-			} else if warmHits != nil {
-				warmHits.Inc()
-			}
-		}
 		if exact {
-			assignment = append(assignment, s)
+			run.assignment = append(run.assignment, s)
 		}
-		sh := serverShard[s]
-		push(sh, shardMsg{r: Routed{Inv: inv, Idx: idx, ColdStart: cold, Slow: slow}, server: s})
-		if len(batches[sh]) == shardBatch {
-			send(sh)
+		m := run.members[s]
+		if m == nil {
+			m = &Member{Index: s, Policy: policies[s]}
+			if exact {
+				m.Sink = &metrics.Set{}
+			} else {
+				m.Sink = run.accs[serverShard[s]]
+			}
+			if cfg.Faults.Enabled() {
+				m.Faults = faults.NewMachine(cfg.Faults, s)
+			}
+			run.members[s] = m
+			run.fleet.Join(m)
 		}
-		idx++
-		if pg != nil {
-			pg.Routed.Add(1)
-		}
+		run.fleet.Admit(m, r)
 		return true
 	})
-	closeAll()
+	if err := run.fleet.Close(); err != nil && routeErr == nil {
+		routeErr = fmt.Errorf("cluster: %w", err)
+	}
 	if routeErr != nil {
-		return nil, 0, nil, faults.Stats{}, routeErr
+		return nil, routeErr
 	}
-	if idx == 0 {
-		return nil, 0, nil, faults.Stats{}, fmt.Errorf("cluster: empty workload")
+	if run.fleet.routed == 0 {
+		return nil, fmt.Errorf("cluster: empty workload")
 	}
-	for _, w := range workers {
-		if w.err != nil {
-			return nil, 0, nil, faults.Stats{}, fmt.Errorf("cluster: shard %d (servers %d-%d): %w", w.shard, w.lo, w.hi-1, w.err)
-		}
-	}
-	var rfStats faults.Stats
 	if rf != nil {
-		rfStats = rf.stats()
-	}
-	if reg := cfg.Obs.Registry(); reg != nil {
-		regs := make([]*obs.Registry, len(workers))
-		for i, w := range workers {
-			regs[i] = w.reg
-		}
-		reg.Merge(obs.MergeRegistryTree(regs))
-		reg.Counter(obs.CInvocations).Add(int64(idx))
-		if rf != nil {
-			reg.Counter(obs.CFaultCrashes).Add(rfStats.Crashes)
-			reg.Counter(obs.CFaultStragglers).Add(rfStats.StragglerWindows)
+		run.faults = rf.stats()
+		if reg := cfg.Obs.Registry(); reg != nil {
+			reg.Counter(obs.CFaultCrashes).Add(run.faults.Crashes)
+			reg.Counter(obs.CFaultStragglers).Add(run.faults.StragglerWindows)
 		}
 	}
-	return workers, idx, assignment, rfStats, nil
+	return run, nil
 }

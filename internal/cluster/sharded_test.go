@@ -272,11 +272,11 @@ func TestShardedHotShardRunAhead(t *testing.T) {
 			t.Fatalf("server 0 got %d of %d arrivals; the hot-shard shape does not hold", got.PerServer[0].Invocations, len(invs))
 		}
 		requirePreSeeded(t, name, cfg, invs, got)
-		workers, _, _, _, err := runSharded(cfg, workload.SliceSource(invs), true, pricing.Tariff{}, 0)
+		run, err := runSharded(cfg, workload.SliceSource(invs), true, pricing.Tariff{}, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if made, bound := workers[0].pool.made, shards+handoffRunAhead; made > bound {
+		if made, bound := run.fleet.pool.made, shards+handoffRunAhead; made > bound {
 			t.Errorf("%s: %d handoff batches allocated, bound is %d", name, made, bound)
 		}
 	}
@@ -302,7 +302,7 @@ func TestBatchPoolBound(t *testing.T) {
 		t.Fatal("get returned with every batch out")
 	case <-time.After(20 * time.Millisecond):
 	}
-	p.put(append(out[0], shardMsg{isMark: true}))
+	p.put(append(out[0], shardMsg{kind: msgMark}))
 	if b := <-got; len(b) != 0 || cap(b) != shardBatch {
 		t.Errorf("recycled batch has len %d cap %d, want 0 and %d", len(b), cap(b), shardBatch)
 	}
@@ -395,4 +395,66 @@ func TestShardedColdStartMatchesPreSeeded(t *testing.T) {
 		t.Fatal("run has no cold starts; test is vacuous")
 	}
 	requirePreSeeded(t, "cold-start", cfg, invs, got)
+}
+
+// abortingPolicy wraps fifo and fails one queued task through
+// Env.AbortTask, which retires it without a record: the lost record the
+// drain-time conservation check must catch.
+type abortingPolicy struct {
+	ghost.Policy
+	env   *ghost.Env
+	abort simkern.TaskID
+}
+
+func (p *abortingPolicy) Attach(env *ghost.Env) {
+	p.env = env
+	p.Policy.Attach(env)
+}
+
+func (p *abortingPolicy) OnMessage(msg ghost.Message) {
+	if msg.Type == ghost.MsgTaskNew && msg.Task.ID == p.abort {
+		if err := p.env.AbortTask(msg.Task); err != nil {
+			panic(err)
+		}
+		return
+	}
+	p.Policy.OnMessage(msg)
+}
+
+// TestLostRecordFailsRun: every routed invocation must end as exactly one
+// record. A task aborted without one makes both fixed-fleet entry points
+// fail with an error naming its server.
+func TestLostRecordFailsRun(t *testing.T) {
+	invs := synthWorkload(40, time.Millisecond, 5*time.Millisecond)
+	cfg := testConfig(2, DispatchRoundRobin)
+	// Round-robin sends invocation 4 (task ID 5) to server 0.
+	cfg.Policy = func() ghost.Policy { return &abortingPolicy{Policy: fifoFactory(), abort: 5} }
+	const want = "server 0: retired 19 of 20 routed invocations"
+	if _, err := Simulate(cfg, workload.SliceSource(invs)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Simulate: err = %v, want one containing %q", err, want)
+	}
+	if _, err := SimulateShardedWindowed(cfg, workload.SliceSource(invs), pricing.Default(), time.Second); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("SimulateShardedWindowed: err = %v, want one containing %q", err, want)
+	}
+}
+
+// TestHandoffBatchesStayBounded: joins share the handoff batches with
+// arrivals, so a join can fill a batch; the batch must then go out like
+// one an arrival filled. Random dispatch over many fresh servers puts
+// joins at every batch position. After the run every batch is back in the
+// pool, none grown past shardBatch.
+func TestHandoffBatchesStayBounded(t *testing.T) {
+	invs := synthWorkload(4000, time.Millisecond, time.Millisecond)
+	cfg := testConfig(300, DispatchRandom)
+	cfg.Shards = 1
+	run, err := runSharded(cfg, workload.SliceSource(invs), true, pricing.Tariff{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := run.fleet.pool
+	for i := 0; i < p.made; i++ {
+		if b := <-p.free; cap(b) != shardBatch {
+			t.Fatalf("a handoff batch grew to cap %d, want %d", cap(b), shardBatch)
+		}
+	}
 }

@@ -12,11 +12,10 @@
 // so the disabled path is one predictable branch and zero allocations.
 //
 // Concurrency model: the Registry is owned by a single control thread
-// (router, merge loop, autoscale controller); parallel shard workers get
-// their own Registry each, merged afterwards in shard-index order via
-// MergeRegistryTree — the same pairwise discipline as metrics.MergeTree,
-// so float gauge sums are bit-stable at any shard count. The Tracer is
-// internally locked (workers emit concurrently); Progress is atomics.
+// (router, merge loop, autoscale controller); parallel shard workers never
+// touch it — the fleet engine folds their servers' integer counters in
+// after they finish. The Tracer is internally locked (workers emit
+// concurrently); Progress is atomics.
 package obs
 
 import "github.com/faassched/faassched/internal/metrics"

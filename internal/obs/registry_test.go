@@ -49,73 +49,6 @@ func TestAddGhostStats(t *testing.T) {
 	}
 }
 
-// TestMergeRegistryTree checks that the pairwise fold preserves totals at
-// every width, skips nil entries, and produces identical gauge bytes
-// regardless of how the same shard values would have been interleaved by
-// worker scheduling (the fold order is fixed by index).
-func TestMergeRegistryTree(t *testing.T) {
-	for width := 0; width <= 9; width++ {
-		regs := make([]*Registry, width)
-		var wantC int64
-		var wantG float64
-		for i := range regs {
-			if i == 3 && width > 3 {
-				continue // nil entry: a shard with counting off
-			}
-			r := NewRegistry()
-			r.Counter("c").Add(int64(i + 1))
-			r.Gauge("g").Add(0.1 * float64(i+1))
-			regs[i] = r
-			wantC += int64(i + 1)
-		}
-		vals := make([]float64, width)
-		for i := range vals {
-			if i == 3 && width > 3 {
-				continue
-			}
-			vals[i] = 0.1 * float64(i+1)
-		}
-		root := MergeRegistryTree(regs)
-		if width == 0 {
-			if root != nil {
-				t.Fatalf("width 0: root = %v, want nil", root)
-			}
-			continue
-		}
-		if got := root.Counter("c").Value(); got != wantC {
-			t.Errorf("width %d: counter total %d, want %d", width, got, wantC)
-		}
-		for _, v := range vals {
-			wantG += v
-		}
-		// Gauge totals agree with the linear sum up to float error; exact
-		// byte stability is pinned by the double-run check below.
-		if got := root.Gauge("g").Value(); got < wantG-1e-9 || got > wantG+1e-9 {
-			t.Errorf("width %d: gauge total %v, want ~%v", width, got, wantG)
-		}
-	}
-}
-
-// TestMergeTreeDeterministic pins bit-identical gauge folds: merging the
-// same per-shard values twice yields the same float bits.
-func TestMergeTreeDeterministic(t *testing.T) {
-	build := func() []*Registry {
-		regs := make([]*Registry, 7)
-		for i := range regs {
-			r := NewRegistry()
-			r.Gauge("g").Add(0.1 * float64(i+1))
-			r.Gauge("h").Add(1.0 / float64(i+3))
-			regs[i] = r
-		}
-		return regs
-	}
-	a := MergeRegistryTree(build())
-	b := MergeRegistryTree(build())
-	if a.Gauge("g").Value() != b.Gauge("g").Value() || a.Gauge("h").Value() != b.Gauge("h").Value() {
-		t.Fatal("tree merge of identical inputs produced different float bits")
-	}
-}
-
 func TestDumpAndSnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b").Add(2)

@@ -1,8 +1,9 @@
-// Incremental runs: the fleet engine (cluster.Simulate and
-// cluster.SimulateShardedWindowed) replaces the per-server feeder timers
-// with external admission control — a router goroutine owns the arrival
-// stream and tells every machine how far it may advance (a watermark T is
-// only emitted once every arrival ≤ T has been handed over). Incremental
+// Incremental runs: the fleet engine (cluster.Fleet, behind
+// cluster.Simulate, cluster.SimulateShardedWindowed and autoscale.Run)
+// replaces the per-server feeder timers with external admission control —
+// a router goroutine owns the arrival stream and tells every machine how
+// far it may advance (a watermark T is only emitted once every arrival ≤
+// T has been handed over). Incremental
 // packages the same kernel + retirer-wrapped enclave wiring as ExecStream
 // for that protocol: the caller admits tasks, then steps the clock to
 // each watermark with RunTo, and finally Drain()s. Determinism follows
