@@ -1,6 +1,9 @@
 package cluster
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -268,5 +271,251 @@ func TestColdStartBucketFallback(t *testing.T) {
 	}
 	if res.Set.Records[1].ColdStart != 0 {
 		t.Error("same-bucket repeat paid a cold start")
+	}
+}
+
+// linearPools is the slice pool WarmPools' indexes replaced, kept as the
+// reference their decisions must equal: each server's instances in
+// registration order, and every lookup, prune and budget eviction a scan
+// in that order. Ties therefore break by registration, first wins.
+type linearPools struct {
+	keepAlive time.Duration
+	budgetMB  int
+	servers   []linearPool
+}
+
+type linearPool struct {
+	insts []linearInst
+	memMB int
+}
+
+// linearInst is one tracked instance, in the shape poolState compares.
+type linearInst struct {
+	key      funcKey
+	freeAt   time.Duration
+	expireAt time.Duration
+	memMB    int
+}
+
+func newLinearPools(cfg ColdStartConfig, servers int) *linearPools {
+	return &linearPools{keepAlive: cfg.KeepAlive, budgetMB: cfg.PoolMemMB, servers: make([]linearPool, servers)}
+}
+
+func (l *linearPools) expireAt(freeAt time.Duration) time.Duration {
+	if l.keepAlive <= 0 {
+		return noExpiry
+	}
+	return freeAt + l.keepAlive
+}
+
+func (l *linearPools) prune(s int, now time.Duration) *linearPool {
+	p := &l.servers[s]
+	kept := p.insts[:0]
+	for _, in := range p.insts {
+		if in.freeAt <= now && in.expireAt <= now {
+			p.memMB -= in.memMB
+			continue
+		}
+		kept = append(kept, in)
+	}
+	p.insts = kept
+	return p
+}
+
+// warmIdx returns the idle instance of key to reuse: the largest freeAt,
+// the earliest registration on ties; -1 when there is none.
+func (p *linearPool) warmIdx(key funcKey, now time.Duration) int {
+	best := -1
+	for i, in := range p.insts {
+		if in.key != key || in.freeAt > now || in.expireAt <= now {
+			continue
+		}
+		if best < 0 || in.freeAt > p.insts[best].freeAt {
+			best = i
+		}
+	}
+	return best
+}
+
+func (l *linearPools) hasWarm(s int, inv workload.Invocation, now time.Duration) bool {
+	return l.prune(s, now).warmIdx(keyOf(inv), now) >= 0
+}
+
+func (l *linearPools) book(s int, inv workload.Invocation, now, finish time.Duration) (cold bool) {
+	p := l.prune(s, now)
+	key := keyOf(inv)
+	if i := p.warmIdx(key, now); i >= 0 {
+		p.insts[i].freeAt = finish
+		p.insts[i].expireAt = l.expireAt(finish)
+		return false
+	}
+	in := linearInst{key: key, freeAt: finish, expireAt: l.expireAt(finish), memMB: inv.MemMB}
+	if l.budgetMB > 0 {
+		for p.memMB+in.memMB > l.budgetMB {
+			evict := -1
+			for i, cand := range p.insts {
+				if cand.freeAt > now {
+					continue
+				}
+				if evict < 0 || cand.expireAt < p.insts[evict].expireAt {
+					evict = i
+				}
+			}
+			if evict < 0 {
+				in.expireAt = in.freeAt
+				break
+			}
+			p.memMB -= p.insts[evict].memMB
+			p.insts = append(p.insts[:evict], p.insts[evict+1:]...)
+		}
+	}
+	p.insts = append(p.insts, in)
+	p.memMB += in.memMB
+	return true
+}
+
+func (l *linearPools) count(s int, now time.Duration) int { return len(l.prune(s, now).insts) }
+func (l *linearPools) mem(s int, now time.Duration) int   { return l.prune(s, now).memMB }
+func (l *linearPools) drop(s int)                         { l.servers[s] = linearPool{} }
+func (l *linearPools) add() int {
+	l.servers = append(l.servers, linearPool{})
+	return len(l.servers) - 1
+}
+
+// poolState is server s's tracked instances in registration order.
+func poolState(w *WarmPools, s int) []linearInst {
+	var out []linearInst
+	for _, in := range w.pools[s].insts {
+		out = append(out, linearInst{key: in.key, freeAt: in.freeAt, expireAt: in.expireAt, memMB: in.memMB})
+	}
+	return out
+}
+
+// bookIndexed runs the routing step's warm/cold check and booking on w,
+// reporting whether the booking was a cold start.
+func bookIndexed(t *testing.T, w *WarmPools, s int, inv workload.Invocation, now, finish time.Duration) bool {
+	t.Helper()
+	cold := w.IsCold(s, inv, now)
+	w.Book(s, inv, now, finish, cold)
+	return cold
+}
+
+// TestWarmPoolsMatchLinear drives WarmPools and the linear reference
+// through the same randomized operation sequences — bookings, probes,
+// server teardown and growth — and requires the same answer from every
+// HasWarm, booking outcome, WarmCount and PoolMemMB, and the same
+// instances in the same registration order after every step. Times and
+// durations sit on a 5 ms grid and the keep-alives are multiples of it,
+// so equal freeAt and equal expireAt ties are common; the configurations
+// cover budget eviction, budgets that only busy instances fill
+// (run-don't-retain) and KeepAlive <= 0. Under WarmFirst the warm index's
+// pick must also equal the linear least-loaded HasWarm scan.
+func TestWarmPoolsMatchLinear(t *testing.T) {
+	const latency = 5 * time.Millisecond
+	configs := []ColdStartConfig{
+		{KeepAlive: 50 * time.Millisecond},
+		{KeepAlive: 50 * time.Millisecond, PoolMemMB: 512},
+		{KeepAlive: 25 * time.Millisecond, PoolMemMB: 256},
+		{PoolMemMB: 384},
+		{KeepAlive: -time.Second},
+	}
+	for ci, cfg := range configs {
+		for _, warmFirst := range []bool{false, true} {
+			cfg := cfg
+			cfg.Latency, cfg.WarmFirst = latency, warmFirst
+			for seed := int64(1); seed <= 4; seed++ {
+				name := fmt.Sprintf("cfg%d/warm-first=%v/seed%d", ci, warmFirst, seed)
+				t.Run(name, func(t *testing.T) { runPoolDifferential(t, cfg, seed) })
+			}
+		}
+	}
+}
+
+func runPoolDifferential(t *testing.T, cfg ColdStartConfig, seed int64) {
+	const cores, maxServers = 2, 6
+	rng := rand.New(rand.NewSource(seed))
+	servers := 3
+	w := NewWarmPools(cfg, servers)
+	ref := newLinearPools(cfg, servers)
+	model := NewFleetModel(servers, cores)
+	randInv := func(now time.Duration) workload.Invocation {
+		inv := workload.Invocation{
+			Arrival:  now,
+			Duration: time.Duration(rng.Intn(9)) * 5 * time.Millisecond,
+			MemMB:    128 * (1 + rng.Intn(2)),
+			FibN:     20 + 10*rng.Intn(2),
+		}
+		if rng.Intn(3) > 0 {
+			inv.FuncID = 1 + rng.Intn(4) // MemMB varies within one function
+		}
+		return inv
+	}
+	now := time.Duration(0)
+	for step := 0; step < 3000; step++ {
+		now += time.Duration(rng.Intn(3)) * 5 * time.Millisecond
+		switch op := rng.Intn(40); {
+		case op == 0:
+			s := rng.Intn(servers)
+			w.DropServer(s)
+			ref.drop(s)
+		case op == 1 && servers < maxServers:
+			s, rs := w.AddServer(), ref.add()
+			if s != rs || s != servers {
+				t.Fatalf("step %d: AddServer = %d, reference %d, want %d", step, s, rs, servers)
+			}
+			model.AddServer(now)
+			model.SetEligible(s, true, now)
+			servers++
+		case op < 8:
+			s, inv := rng.Intn(servers), randInv(now)
+			if got, want := w.HasWarm(s, inv, now), ref.hasWarm(s, inv, now); got != want {
+				t.Fatalf("step %d: HasWarm(%d, %+v) = %v, reference %v", step, s, keyOf(inv), got, want)
+			}
+		default:
+			s, inv := rng.Intn(servers), randInv(now)
+			demand := inv.Duration
+			if !ref.hasWarm(s, inv, now) {
+				demand += cfg.Latency
+			}
+			finish := model.AssignDemand(s, now, demand)
+			if got, want := bookIndexed(t, w, s, inv, now, finish), ref.book(s, inv, now, finish); got != want {
+				t.Fatalf("step %d: booking on %d cold=%v, reference cold=%v", step, s, got, want)
+			}
+		}
+		for s := 0; s < servers; s++ {
+			if got, want := w.WarmCount(s, now), ref.count(s, now); got != want {
+				t.Fatalf("step %d: WarmCount(%d) = %d, reference %d", step, s, got, want)
+			}
+			if got, want := w.PoolMemMB(s, now), ref.mem(s, now); got != want {
+				t.Fatalf("step %d: PoolMemMB(%d) = %d, reference %d", step, s, got, want)
+			}
+			if got, want := poolState(w, s), ref.servers[s].insts; !slices.Equal(got, want) {
+				t.Fatalf("step %d: server %d instances\n%+v\nreference\n%+v", step, s, got, want)
+			}
+		}
+		if w.widx != nil {
+			inv := randInv(now)
+			ix := model.index(now)
+			if !ix.usable(servers, now) {
+				t.Fatalf("step %d: load index unusable over the whole fleet", step)
+			}
+			w.sync(now)
+			got, ok := w.widx.best(keyOf(inv), ix)
+			if !ok {
+				got = -1
+			}
+			want, wantLoad := -1, time.Duration(0)
+			for s := 0; s < servers; s++ {
+				if !ref.hasWarm(s, inv, now) {
+					continue
+				}
+				if load := model.Outstanding(s, now); want < 0 || load < wantLoad {
+					want, wantLoad = s, load
+				}
+			}
+			if got != want {
+				t.Fatalf("step %d: warm index best(%+v) = %d, linear scan %d", step, keyOf(inv), got, want)
+			}
+		}
 	}
 }

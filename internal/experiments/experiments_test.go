@@ -37,6 +37,26 @@ func testEnv(t *testing.T) *Env {
 	return sharedEnv
 }
 
+// sharedFigure is one experiment rendered once on testEnv.
+type sharedFigure struct {
+	once sync.Once
+	fig  *Figure
+	err  error
+}
+
+var sharedFigures sync.Map // experiment id -> *sharedFigure
+
+// sharedRun renders experiment id on testEnv once per test binary, so the
+// tests that check the same figure share one run.
+func sharedRun(t *testing.T, id string) (*Figure, error) {
+	t.Helper()
+	e := testEnv(t)
+	v, _ := sharedFigures.LoadOrStore(id, &sharedFigure{})
+	sf := v.(*sharedFigure)
+	sf.once.Do(func() { sf.fig, sf.err = Run(e, id) })
+	return sf.fig, sf.err
+}
+
 func TestScaleParsing(t *testing.T) {
 	if s, err := ParseScale("quick"); err != nil || s != ScaleQuick {
 		t.Errorf("ParseScale(quick) = %v, %v", s, err)
@@ -141,12 +161,12 @@ func TestRegistryCoversEveryMeasurementFigure(t *testing.T) {
 // testEnv; subtests are independent (each builds its own kernels) and run
 // in parallel.
 func TestAllExperimentsRunQuick(t *testing.T) {
-	e := testEnv(t)
+	testEnv(t)
 	for _, id := range IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			fig, err := Run(e, id)
+			fig, err := sharedRun(t, id)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -370,7 +390,7 @@ func TestFigureRendering(t *testing.T) {
 // dispatch×scheduler series), and warm-first dispatch never does worse
 // than plain least-loaded at the same TTL.
 func TestExtColdStartTrend(t *testing.T) {
-	fig, err := Run(testEnv(t), "ext-coldstart")
+	fig, err := sharedRun(t, "ext-coldstart")
 	if err != nil {
 		t.Fatal(err)
 	}

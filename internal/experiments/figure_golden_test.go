@@ -13,24 +13,31 @@ var updateFigureGolden = flag.Bool("update-figure-golden", false, "rewrite testd
 
 const figureGoldenPath = "testdata/figure_golden.json"
 
-// monitorFigures are the figures whose runs the hybrid's §IV-B monitor
-// drives: its recorded utilization, limit and core-count series (fig14,
-// fig16, fig17, fig19) and its rightsizing decisions (fig18, fig19).
-var monitorFigures = []string{"fig14", "fig16", "fig17", "fig18", "fig19"}
+// goldenFigures are the figures whose runs the hybrid's §IV-B monitor
+// drives — its recorded utilization, limit and core-count series (fig14,
+// fig16, fig17, fig19) and its rightsizing decisions (fig18, fig19) — and
+// ext-coldstart, whose every cell books through the warm pools (§10).
+var goldenFigures = []string{"fig14", "fig16", "fig17", "fig18", "fig19", "ext-coldstart"}
 
-// TestFigureGolden pins the quick-scale CSV bytes of the monitor-driven
-// figures by sha256. It builds its own uncapped quick-scale environment,
-// so the digests are those of `faasbench -experiment <id> -scale quick
-// -out DIR` in -short mode too.
+// TestFigureGolden pins the quick-scale CSV bytes of goldenFigures by
+// sha256. The digests are those of `faasbench -experiment <id> -scale
+// quick -out DIR`: outside -short mode the shared test environment is
+// that uncapped quick scale, so the figures come from the runs the other
+// tests already make; in -short mode, where the shared environment is
+// capped, the test builds its own uncapped one.
 //
 // Regenerate (only for an intentional semantic change) with:
 //
 //	go test ./internal/experiments -run TestFigureGolden -update-figure-golden
 func TestFigureGolden(t *testing.T) {
-	e := NewEnv(ScaleQuick)
+	run := sharedRun
+	if testing.Short() {
+		e := NewEnv(ScaleQuick)
+		run = func(_ *testing.T, id string) (*Figure, error) { return Run(e, id) }
+	}
 	got := map[string]string{}
-	for _, id := range monitorFigures {
-		fig, err := Run(e, id)
+	for _, id := range goldenFigures {
+		fig, err := run(t, id)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
