@@ -673,13 +673,85 @@ func BenchmarkDispatchPick(b *testing.B) {
 						continue
 					}
 					var cold time.Duration
-					if pools.IsCold(s, inv, inv.Arrival) {
+					reuse := pools.Warm(s, inv, inv.Arrival)
+					if reuse == nil {
 						cold = cfg.Latency
 					}
 					finish := model.AssignDemand(s, inv.Arrival, inv.Duration+cold)
-					pools.Book(s, inv, inv.Arrival, finish, cold > 0)
+					if err := pools.Book(s, inv, inv.Arrival, finish, reuse); err != nil {
+						b.Fatal(err)
+					}
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkRouterRoute times the full per-arrival routing step,
+// cluster.Router.Route — pick, warm-instance lookup, lane booking and
+// warm-pool booking — rather than Pick alone, with the cold-start model
+// off and on. The fleet is shaped like elastic-warm-crash's: 24 servers
+// of 8 cores at ~70% lane load, 2,000 Zipf-popular functions, the
+// default 10-minute keep-alive, and a warm-up of 15 simulated minutes so
+// pools hold their steady ~100 live instances per server (reported as
+// instances/server) before the timer starts. Before the warm pools were
+// indexed, the on row scanned every instance on the chosen server twice
+// per arrival.
+func BenchmarkRouterRoute(b *testing.B) {
+	const (
+		servers, cores, funcs = 24, 8, 2000
+		interarrival          = 10 * time.Millisecond
+	)
+	meanDemand := servers * cores * interarrival * 7 / 10
+	for _, tc := range []struct {
+		name string
+		cs   cluster.ColdStartConfig
+	}{
+		{"coldstart-off", cluster.ColdStartConfig{}},
+		{"coldstart-on", cluster.ColdStartConfig{Latency: cluster.DefaultColdStartLatency, KeepAlive: cluster.DefaultKeepAlive}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			model := cluster.NewFleetModel(servers, cores)
+			r, err := cluster.NewRouter(cluster.DispatchLeastLoaded, 1, model, tc.cs, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			candidates := make([]int, servers)
+			for s := range candidates {
+				candidates[s] = s
+			}
+			rng := rand.New(rand.NewSource(3))
+			popularity := rand.NewZipf(rng, 1.9, 1, funcs-1)
+			now := time.Duration(0)
+			route := func(idx int) {
+				now += interarrival
+				inv := workload.Invocation{
+					FuncID:   int(popularity.Uint64()) + 1,
+					Arrival:  now,
+					Duration: meanDemand/2 + time.Duration(rng.Int63n(int64(meanDemand))),
+					MemMB:    128,
+				}
+				if _, _, _, err := r.Route(inv, idx, candidates, -1); err != nil {
+					b.Fatal(err)
+				}
+			}
+			warmup := int((cluster.DefaultKeepAlive + 5*time.Minute) / interarrival)
+			for i := 0; i < warmup; i++ {
+				route(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				route(warmup + i)
+			}
+			b.StopTimer()
+			if pools := r.Pools(); pools != nil {
+				live := 0
+				for s := 0; s < servers; s++ {
+					live += pools.WarmCount(s, now)
+				}
+				b.ReportMetric(float64(live)/servers, "instances/server")
+			}
+		})
 	}
 }

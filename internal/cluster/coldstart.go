@@ -23,6 +23,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"time"
 
@@ -81,28 +82,186 @@ func keyOf(inv workload.Invocation) funcKey {
 	return funcKey{fibN: inv.FibN, memMB: inv.MemMB}
 }
 
-// warmInstance is one tracked instance on one server. It is busy until
+// WarmInstance is one tracked instance on one server. It is busy until
 // freeAt (the booked completion under the lane model), then idle until
-// expireAt. server and seq exist for the warm index: seq advances on
-// every rebooking/eviction so pending index transitions for a previous
-// life of the instance are recognizably stale.
-type warmInstance struct {
-	key      funcKey
-	freeAt   time.Duration
-	expireAt time.Duration
-	memMB    int
-	server   int32
-	seq      uint32
+// expireAt; expireAt >= freeAt always holds. stamp is its registration
+// order on its server, the explicit tie key of every pool decision.
+// prev/next link it into its function's list on that server (next also
+// links the free list once it leaves the pool), and slot is its position
+// in the server's expiry heap. server and seq exist for the warm index:
+// seq advances on every rebooking/eviction so pending index transitions
+// for a previous life of the instance are recognizably stale.
+type WarmInstance struct {
+	key        funcKey
+	freeAt     time.Duration
+	expireAt   time.Duration
+	prev, next *WarmInstance
+	stamp      uint64
+	memMB      int32
+	slot       int32
+	server     int32
+	seq        uint32
 }
 
-// serverPool is one server's tracked instances, in registration order —
-// a slice, not a map, so every scan (warm lookup, budget eviction) is
-// deterministic by construction. Pools stay small: the memory budget or
+// funcList is one function's instances on one server, linked through
+// prev/next in registration order.
+type funcList struct{ head, tail *WarmInstance }
+
+// serverPool is one server's tracked instances, indexed twice. byKey
+// lists each live function's instances in registration order, so a warm
+// lookup walks only the arriving function's instances; an entry is
+// deleted when its list empties, so the map stays bounded by the
+// functions live on the server. expiry is a min-heap on (expireAt,
+// stamp), so pruning pops only lapsed instances and budget eviction
+// descends only past busy ones. Pools stay small: the memory budget or
 // the keep-alive TTL bounds them, and even unbounded they cannot exceed
 // the server's peak per-function concurrency times live functions.
 type serverPool struct {
-	insts []*warmInstance
-	memMB int
+	byKey  map[funcKey]funcList
+	expiry []*WarmInstance
+	memMB  int
+	stamps uint64 // registrations so far: the next instance's stamp
+}
+
+// expiresBefore orders the expiry heap: earliest expireAt first, earliest
+// registration on ties.
+func expiresBefore(a, b *WarmInstance) bool {
+	return a.expireAt < b.expireAt || (a.expireAt == b.expireAt && a.stamp < b.stamp)
+}
+
+func (p *serverPool) swap(i, j int) {
+	h := p.expiry
+	h[i], h[j] = h[j], h[i]
+	h[i].slot, h[j].slot = int32(i), int32(j)
+}
+
+func (p *serverPool) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !expiresBefore(p.expiry[i], p.expiry[parent]) {
+			return
+		}
+		p.swap(i, parent)
+		i = parent
+	}
+}
+
+func (p *serverPool) down(i int) {
+	for n := len(p.expiry); ; {
+		m, l := i, 2*i+1
+		if l < n && expiresBefore(p.expiry[l], p.expiry[m]) {
+			m = l
+		}
+		if r := l + 1; r < n && expiresBefore(p.expiry[r], p.expiry[m]) {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		p.swap(i, m)
+		i = m
+	}
+}
+
+// fix restores heap order around slot i after its key changed.
+func (p *serverPool) fix(i int) {
+	p.up(i)
+	p.down(i)
+}
+
+// add registers in as the server's newest instance.
+func (p *serverPool) add(in *WarmInstance) {
+	in.stamp = p.stamps
+	p.stamps++
+	if p.byKey == nil {
+		p.byKey = map[funcKey]funcList{}
+	}
+	l := p.byKey[in.key]
+	in.prev, in.next = l.tail, nil
+	if l.tail != nil {
+		l.tail.next = in
+	} else {
+		l.head = in
+	}
+	l.tail = in
+	p.byKey[in.key] = l
+	in.slot = int32(len(p.expiry))
+	p.expiry = append(p.expiry, in)
+	p.up(int(in.slot))
+	p.memMB += int(in.memMB)
+}
+
+// remove unlinks in from both indexes.
+func (p *serverPool) remove(in *WarmInstance) {
+	if in.prev != nil && in.next != nil {
+		in.prev.next, in.next.prev = in.next, in.prev
+	} else {
+		l := p.byKey[in.key]
+		if in.prev != nil {
+			in.prev.next = in.next
+		} else {
+			l.head = in.next
+		}
+		if in.next != nil {
+			in.next.prev = in.prev
+		} else {
+			l.tail = in.prev
+		}
+		if l.head == nil {
+			delete(p.byKey, in.key)
+		} else {
+			p.byKey[in.key] = l
+		}
+	}
+	i, last := int(in.slot), len(p.expiry)-1
+	if i != last {
+		p.swap(i, last)
+	}
+	p.expiry[last] = nil
+	p.expiry = p.expiry[:last]
+	if i != last {
+		p.fix(i)
+	}
+	in.prev, in.next, in.slot = nil, nil, -1
+	p.memMB -= int(in.memMB)
+}
+
+// holds reports whether in is one of the pool's instances.
+func (p *serverPool) holds(in *WarmInstance) bool {
+	return in.slot >= 0 && int(in.slot) < len(p.expiry) && p.expiry[in.slot] == in
+}
+
+// idleMin returns the idle instance (freeAt <= now) least in (expireAt,
+// stamp) within the expiry heap's subtree at i, or nil. Heap order lets
+// it stop at the first idle instance on every path, so it visits only
+// busy instances and their children.
+func (p *serverPool) idleMin(i int, now time.Duration) *WarmInstance {
+	if i >= len(p.expiry) {
+		return nil
+	}
+	if in := p.expiry[i]; in.freeAt <= now {
+		return in
+	}
+	a, b := p.idleMin(2*i+1, now), p.idleMin(2*i+2, now)
+	if b != nil && (a == nil || expiresBefore(b, a)) {
+		return b
+	}
+	return a
+}
+
+// warm returns the idle instance of key to reuse at now, or nil. Among
+// matches it picks the most recently freed (largest freeAt, earliest
+// registration on ties): reusing the hottest instance leaves the rest
+// idle longest, the standard keep-alive reuse order. The pool must be
+// pruned at now, so every listed instance is unexpired.
+func (p *serverPool) warm(key funcKey, now time.Duration) *WarmInstance {
+	var best *WarmInstance
+	for in := p.byKey[key].head; in != nil; in = in.next {
+		if in.freeAt <= now && (best == nil || in.freeAt > best.freeAt) {
+			best = in
+		}
+	}
+	return best
 }
 
 // WarmPools is the fleet's warm-instance state, indexed by server. Like
@@ -110,20 +269,18 @@ type serverPool struct {
 // loop, in arrival order, so decision time never decreases.
 type WarmPools struct {
 	cfg   ColdStartConfig
-	pools []*serverPool
-	widx  *warmIndex // per-funcKey idle-warm bitmap; nil unless WarmFirst
+	pools []serverPool
+	widx  *warmIndex    // per-funcKey idle-warm bitmap; nil unless WarmFirst
+	free  *WarmInstance // instances that left their pool, linked by next
 }
 
 // NewWarmPools returns empty pools for a fleet of the given size. Under
 // warm-first dispatch the pools also maintain the warm index so picks
 // walk only warm holders instead of every candidate.
 func NewWarmPools(cfg ColdStartConfig, servers int) *WarmPools {
-	w := &WarmPools{cfg: cfg, pools: make([]*serverPool, servers)}
+	w := &WarmPools{cfg: cfg, pools: make([]serverPool, servers)}
 	if cfg.Enabled() && cfg.WarmFirst {
 		w.widx = newWarmIndex()
-	}
-	for s := range w.pools {
-		w.pools[s] = &serverPool{}
 	}
 	return w
 }
@@ -141,7 +298,7 @@ func (w *WarmPools) Servers() int { return len(w.pools) }
 // AddServer grows the fleet by one server with an empty pool (a freshly
 // spun-up server has no warm state), returning its index.
 func (w *WarmPools) AddServer() int {
-	w.pools = append(w.pools, &serverPool{})
+	w.pools = append(w.pools, serverPool{})
 	return len(w.pools) - 1
 }
 
@@ -149,153 +306,125 @@ func (w *WarmPools) AddServer() int {
 // its instances, so a later re-launch into the same fleet slot starts
 // cold. The slot itself stays valid.
 func (w *WarmPools) DropServer(s int) {
-	if w.widx != nil {
-		for _, in := range w.pools[s].insts {
+	p := &w.pools[s]
+	for len(p.expiry) > 0 {
+		in := p.expiry[len(p.expiry)-1]
+		if w.widx != nil {
 			w.widx.retire(in)
 		}
+		w.release(p, in)
 	}
-	w.pools[s] = &serverPool{}
+}
+
+// release removes in from pool p and keeps it for reuse. Recycling is
+// safe for the warm index: an instance leaves its pool either retired
+// (seq bumped, so its pending transitions are stale) or pruned (both
+// transitions already applied), and seq keeps counting across lives.
+func (w *WarmPools) release(p *serverPool, in *WarmInstance) {
+	p.remove(in)
+	in.next, w.free = w.free, in
 }
 
 // expireAt computes when an instance finishing at freeAt falls out of
-// keep-alive.
+// keep-alive, saturating at noExpiry.
 func (w *WarmPools) expireAt(freeAt time.Duration) time.Duration {
-	if w.cfg.KeepAlive <= 0 {
+	if w.cfg.KeepAlive <= 0 || freeAt > noExpiry-w.cfg.KeepAlive {
 		return noExpiry
 	}
 	return freeAt + w.cfg.KeepAlive
 }
 
-// prune evicts instances whose keep-alive lapsed by now: idle since
-// freeAt and now at or past expireAt. Busy instances never expire.
-func (p *serverPool) prune(now time.Duration) {
-	kept := p.insts[:0]
-	for _, in := range p.insts {
-		if in.freeAt <= now && in.expireAt <= now {
-			// The warm index needs no retire here: both of the instance's
-			// transitions are at or before now, so advance already applied
-			// them and no pending event can reference it.
-			p.memMB -= in.memMB
-			continue
-		}
-		kept = append(kept, in)
+// prune evicts server s's instances whose keep-alive lapsed by now
+// (expireAt <= now, which implies they are idle, since expireAt >= freeAt)
+// and returns the pool.
+func (w *WarmPools) prune(s int, now time.Duration) *serverPool {
+	w.sync(now)
+	p := &w.pools[s]
+	for len(p.expiry) > 0 && p.expiry[0].expireAt <= now {
+		// The warm index needs no retire here: both of the instance's
+		// transitions are at or before now, so sync already applied them
+		// and no pending event can reference it.
+		w.release(p, p.expiry[0])
 	}
-	for i := len(kept); i < len(p.insts); i++ {
-		p.insts[i] = nil
-	}
-	p.insts = kept
+	return p
 }
 
-// warmIdx returns the index of the idle warm instance to reuse for key at
-// now, or -1. Among matches it picks the most recently freed (largest
-// freeAt, first in registration order on ties): reusing the hottest
-// instance leaves the rest idle longest, the standard keep-alive reuse
-// order.
-func (p *serverPool) warmIdx(key funcKey, now time.Duration) int {
-	best := -1
-	for i, in := range p.insts {
-		if in.key != key || in.freeAt > now || in.expireAt <= now {
-			continue
-		}
-		if best < 0 || in.freeAt > p.insts[best].freeAt {
-			best = i
-		}
-	}
-	return best
+// Warm returns the idle, unexpired instance of inv's function that a
+// routing to server s at now reuses, or nil when that routing is a cold
+// start. The result is valid only for a Book on s at the same instant.
+func (w *WarmPools) Warm(s int, inv workload.Invocation, now time.Duration) *WarmInstance {
+	return w.prune(s, now).warm(keyOf(inv), now)
 }
 
 // HasWarm reports whether server s holds an idle, unexpired instance of
 // inv's function at time now — a routing there would be a warm hit.
 func (w *WarmPools) HasWarm(s int, inv workload.Invocation, now time.Duration) bool {
-	w.sync(now)
-	p := w.pools[s]
-	p.prune(now)
-	return p.warmIdx(keyOf(inv), now) >= 0
-}
-
-// IsCold reports whether routing inv to server s at time now pays the
-// cold-start penalty.
-func (w *WarmPools) IsCold(s int, inv workload.Invocation, now time.Duration) bool {
-	return !w.HasWarm(s, inv, now)
+	return w.Warm(s, inv, now) != nil
 }
 
 // Book records the routing decision: inv runs on server s from now until
 // the booked completion finish (which already includes the cold-start
-// penalty when cold). A warm hit re-busies the reused instance; a cold
-// start registers a new instance, evicting idle instances
-// earliest-expiry-first (registration order on ties) if the memory
-// budget requires it. If the budget still cannot be met — every other
-// instance is busy — the invocation runs anyway but its instance is not
-// retained (it expires the moment it frees).
-func (w *WarmPools) Book(s int, inv workload.Invocation, now, finish time.Duration, cold bool) {
-	w.sync(now)
-	p := w.pools[s]
-	p.prune(now)
+// penalty when cold). reuse is what Warm returned for s and inv at now:
+// non-nil, a warm hit re-busies that instance in place; nil, a cold start
+// registers a new instance, evicting idle instances earliest-expiry-first
+// (earliest registration on ties) if the memory budget requires it. If
+// the budget still cannot be met — every other instance is busy — the
+// invocation runs anyway but its instance is not retained (it expires
+// the moment it frees). A reuse that is not an idle instance of inv's
+// function on s at now is an error, and nothing is booked.
+func (w *WarmPools) Book(s int, inv workload.Invocation, now, finish time.Duration, reuse *WarmInstance) error {
+	p := w.prune(s, now)
 	key := keyOf(inv)
-	if !cold {
-		i := p.warmIdx(key, now)
-		if i < 0 {
-			// Callers always Book with the IsCold answer from the same
-			// instant, so a missing warm instance here is a programming
-			// error; treat it as a cold start rather than corrupt state.
-			cold = true
-		} else {
-			in := p.insts[i]
-			if w.widx != nil {
-				w.widx.retire(in)
-			}
-			in.freeAt = finish
-			in.expireAt = w.expireAt(finish)
-			if w.widx != nil {
-				w.widx.track(in)
-			}
-			return
+	if reuse != nil {
+		if !p.holds(reuse) || reuse.key != key || reuse.freeAt > now {
+			return fmt.Errorf("cluster: booking at %v reuses an instance that is not idle on server %d", now, s)
 		}
+		if w.widx != nil {
+			w.widx.retire(reuse)
+		}
+		reuse.freeAt = finish
+		reuse.expireAt = w.expireAt(finish)
+		p.fix(int(reuse.slot))
+		if w.widx != nil {
+			w.widx.track(reuse)
+		}
+		return nil
 	}
-	in := &warmInstance{key: key, freeAt: finish, expireAt: w.expireAt(finish), memMB: inv.MemMB, server: int32(s)}
+	in := w.free
+	if in != nil {
+		w.free = in.next
+	} else {
+		in = &WarmInstance{}
+	}
+	*in = WarmInstance{key: key, freeAt: finish, expireAt: w.expireAt(finish), memMB: int32(inv.MemMB), server: int32(s), seq: in.seq}
 	if w.cfg.PoolMemMB > 0 {
-		for p.memMB+in.memMB > w.cfg.PoolMemMB {
-			evict := -1
-			for i, cand := range p.insts {
-				if cand.freeAt > now {
-					continue // busy instances cannot be evicted
-				}
-				if evict < 0 || cand.expireAt < p.insts[evict].expireAt {
-					evict = i
-				}
-			}
-			if evict < 0 {
+		for p.memMB+int(in.memMB) > w.cfg.PoolMemMB {
+			evict := p.idleMin(0, now)
+			if evict == nil {
 				in.expireAt = in.freeAt // run, but do not retain
 				break
 			}
 			if w.widx != nil {
-				w.widx.retire(p.insts[evict])
+				w.widx.retire(evict)
 			}
-			p.memMB -= p.insts[evict].memMB
-			p.insts = append(p.insts[:evict], p.insts[evict+1:]...)
+			w.release(p, evict)
 		}
 	}
-	p.insts = append(p.insts, in)
-	p.memMB += in.memMB
+	p.add(in)
 	if w.widx != nil {
 		w.widx.track(in)
 	}
+	return nil
 }
 
 // WarmCount returns how many instances server s tracks at now (tests).
 func (w *WarmPools) WarmCount(s int, now time.Duration) int {
-	w.sync(now)
-	p := w.pools[s]
-	p.prune(now)
-	return len(p.insts)
+	return len(w.prune(s, now).expiry)
 }
 
 // PoolMemMB returns server s's tracked instance memory at now (tests).
 func (w *WarmPools) PoolMemMB(s int, now time.Duration) int {
-	w.sync(now)
-	p := w.pools[s]
-	p.prune(now)
-	return p.memMB
+	return w.prune(s, now).memMB
 }
 
 // warmFirstDispatch prefers candidates holding an idle warm instance of

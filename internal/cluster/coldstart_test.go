@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -40,28 +42,28 @@ func TestWarmPoolsLifecycle(t *testing.T) {
 	w := NewWarmPools(cs, 1)
 	inv := workload.Invocation{FibN: 30, Duration: 10 * time.Millisecond, MemMB: 128, FuncID: 1}
 
-	if !w.IsCold(0, inv, 0) {
+	if w.HasWarm(0, inv, 0) {
 		t.Fatal("empty pool reported warm")
 	}
-	w.Book(0, inv, 0, 110*time.Millisecond, true)
+	mustBookCold(t, w, 0, inv, 0, 110*time.Millisecond)
 
 	// Busy until the booked finish: a same-function arrival mid-run needs
 	// its own (cold) instance.
-	if !w.IsCold(0, inv, 50*time.Millisecond) {
+	if w.HasWarm(0, inv, 50*time.Millisecond) {
 		t.Error("busy instance reported as warm hit")
 	}
 	// Idle and inside the keep-alive: warm.
-	if w.IsCold(0, inv, 500*time.Millisecond) {
+	if !w.HasWarm(0, inv, 500*time.Millisecond) {
 		t.Error("idle instance inside TTL reported cold")
 	}
 	// A different function never matches.
 	other := inv
 	other.FuncID = 2
-	if !w.IsCold(0, other, 500*time.Millisecond) {
+	if w.HasWarm(0, other, 500*time.Millisecond) {
 		t.Error("warm hit across different functions")
 	}
 	// TTL eviction: idle since 110ms, expires at 1110ms.
-	if !w.IsCold(0, inv, 1110*time.Millisecond) {
+	if w.HasWarm(0, inv, 1110*time.Millisecond) {
 		t.Error("instance survived past its keep-alive")
 	}
 	if w.WarmCount(0, 2*time.Second) != 0 {
@@ -69,19 +71,19 @@ func TestWarmPoolsLifecycle(t *testing.T) {
 	}
 
 	// DropServer destroys warm state.
-	w.Book(0, inv, 2*time.Second, 2*time.Second+110*time.Millisecond, true)
-	if w.IsCold(0, inv, 3*time.Second) {
+	mustBookCold(t, w, 0, inv, 2*time.Second, 2*time.Second+110*time.Millisecond)
+	if !w.HasWarm(0, inv, 3*time.Second) {
 		t.Fatal("instance not warm before drop")
 	}
 	w.DropServer(0)
-	if !w.IsCold(0, inv, 3*time.Second) {
+	if w.HasWarm(0, inv, 3*time.Second) {
 		t.Error("warm state survived DropServer")
 	}
 
 	// KeepAlive <= 0 means never expire.
 	inf := NewWarmPools(ColdStartConfig{Latency: 100 * time.Millisecond}, 1)
-	inf.Book(0, inv, 0, 110*time.Millisecond, true)
-	if inf.IsCold(0, inv, 24*time.Hour) {
+	mustBookCold(t, inf, 0, inv, 0, 110*time.Millisecond)
+	if !inf.HasWarm(0, inv, 24*time.Hour) {
 		t.Error("infinite-TTL instance expired")
 	}
 }
@@ -96,39 +98,92 @@ func TestWarmPoolsMemoryBound(t *testing.T) {
 		return workload.Invocation{FibN: 30, Duration: 10 * time.Millisecond, MemMB: 128, FuncID: id}
 	}
 	// Two 128 MB instances fill the budget.
-	w.Book(0, mk(1), 0, 10*time.Millisecond, true)
-	w.Book(0, mk(2), 0, 20*time.Millisecond, true)
+	mustBookCold(t, w, 0, mk(1), 0, 10*time.Millisecond)
+	mustBookCold(t, w, 0, mk(2), 0, 20*time.Millisecond)
 	if got := w.PoolMemMB(0, 0); got != 256 {
 		t.Fatalf("pool memory = %d, want 256", got)
 	}
 	// A third function at t=30ms (both idle): the earliest-expiring idle
 	// instance (function 1, expiring first) is evicted to make room.
-	w.Book(0, mk(3), 30*time.Millisecond, 40*time.Millisecond, true)
+	mustBookCold(t, w, 0, mk(3), 30*time.Millisecond, 40*time.Millisecond)
 	at := 50 * time.Millisecond
 	if got := w.PoolMemMB(0, at); got != 256 {
 		t.Errorf("pool memory after eviction = %d, want 256", got)
 	}
-	if !w.IsCold(0, mk(1), at) {
+	if w.HasWarm(0, mk(1), at) {
 		t.Error("function 1 not evicted (earliest expiry)")
 	}
-	if w.IsCold(0, mk(2), at) || w.IsCold(0, mk(3), at) {
+	if !w.HasWarm(0, mk(2), at) || !w.HasWarm(0, mk(3), at) {
 		t.Error("wrong instance evicted")
 	}
 	// Budget overflow with everything busy: the new instance runs but is
 	// not retained once it frees.
 	busy := NewWarmPools(ColdStartConfig{Latency: 100 * time.Millisecond, KeepAlive: time.Minute, PoolMemMB: 128}, 1)
-	busy.Book(0, mk(1), 0, time.Second, true) // busy until 1s, holds whole budget
-	busy.Book(0, mk(2), 0, time.Second, true) // cannot evict the busy one
-	if busy.IsCold(0, mk(1), 500*time.Millisecond) == false {
+	mustBookCold(t, busy, 0, mk(1), 0, time.Second) // busy until 1s, holds whole budget
+	mustBookCold(t, busy, 0, mk(2), 0, time.Second) // cannot evict the busy one
+	if busy.HasWarm(0, mk(1), 500*time.Millisecond) {
 		t.Error("busy instance counted as warm")
 	}
 	// After both free: the over-budget instance (function 2) was not
 	// retained, the in-budget one idles on.
-	if busy.IsCold(0, mk(1), 1100*time.Millisecond) {
+	if !busy.HasWarm(0, mk(1), 1100*time.Millisecond) {
 		t.Error("retained instance lost")
 	}
-	if !busy.IsCold(0, mk(2), 1100*time.Millisecond) {
+	if busy.HasWarm(0, mk(2), 1100*time.Millisecond) {
 		t.Error("over-budget instance retained")
+	}
+}
+
+// TestKeepAliveSaturates: a keep-alive too long to add to an instance's
+// finish saturates at "never expires" instead of wrapping negative and
+// evicting the instance the moment it frees.
+func TestKeepAliveSaturates(t *testing.T) {
+	w := NewWarmPools(ColdStartConfig{Latency: time.Millisecond, KeepAlive: math.MaxInt64 - 10}, 1)
+	inv := workload.Invocation{Duration: time.Millisecond, MemMB: 128, FuncID: 1}
+	mustBookCold(t, w, 0, inv, 0, time.Second)
+	if !w.HasWarm(0, inv, 2*time.Second) {
+		t.Error("instance with a near-MaxInt64 keep-alive not warm after it freed")
+	}
+	if got := w.WarmCount(0, 2*time.Second); got != 1 {
+		t.Errorf("WarmCount = %d, want 1", got)
+	}
+}
+
+// TestBookRejectsStaleReuse: Book reuses only what Warm returned for the
+// same server and instant. An instance of another function, on another
+// server, still busy or already expired is an error, and the pools stay
+// as they were.
+func TestBookRejectsStaleReuse(t *testing.T) {
+	w := NewWarmPools(ColdStartConfig{Latency: time.Millisecond, KeepAlive: time.Second}, 2)
+	inv := workload.Invocation{Duration: time.Millisecond, MemMB: 128, FuncID: 1}
+	other := inv
+	other.FuncID = 2
+	mustBookCold(t, w, 0, inv, 0, 10*time.Millisecond)
+	mustBookCold(t, w, 1, inv, 0, 10*time.Millisecond)
+	at := 20 * time.Millisecond
+	reuse := w.Warm(0, inv, at)
+	if reuse == nil {
+		t.Fatal("no warm instance to reuse")
+	}
+	if err := w.Book(0, other, at, at+time.Millisecond, reuse); err == nil {
+		t.Error("Book reused an instance of another function")
+	}
+	if err := w.Book(1, inv, at, at+time.Millisecond, reuse); err == nil {
+		t.Error("Book reused an instance of another server")
+	}
+	for s := 0; s < 2; s++ {
+		if got := w.WarmCount(s, at); got != 1 {
+			t.Errorf("server %d tracks %d instances after rejected bookings, want 1", s, got)
+		}
+	}
+	if err := w.Book(0, inv, at, 100*time.Millisecond, reuse); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Book(0, inv, 50*time.Millisecond, 60*time.Millisecond, reuse); err == nil {
+		t.Error("Book reused a busy instance")
+	}
+	if err := w.Book(0, inv, 2*time.Second, 2*time.Second+time.Millisecond, reuse); err == nil {
+		t.Error("Book reused an expired instance")
 	}
 }
 
@@ -302,7 +357,7 @@ func newLinearPools(cfg ColdStartConfig, servers int) *linearPools {
 }
 
 func (l *linearPools) expireAt(freeAt time.Duration) time.Duration {
-	if l.keepAlive <= 0 {
+	if l.keepAlive <= 0 || freeAt > noExpiry-l.keepAlive {
 		return noExpiry
 	}
 	return freeAt + l.keepAlive
@@ -382,22 +437,58 @@ func (l *linearPools) add() int {
 	return len(l.servers) - 1
 }
 
-// poolState is server s's tracked instances in registration order.
-func poolState(w *WarmPools, s int) []linearInst {
+// poolState is server s's tracked instances in registration order. It
+// also checks the indexes agree: every function list in stamp order, each
+// instance on its own key's list, and every heap slot recorded.
+func poolState(t *testing.T, w *WarmPools, s int) []linearInst {
+	t.Helper()
+	p := &w.pools[s]
+	listed := 0
+	for key, l := range p.byKey {
+		if l.head == nil {
+			t.Fatalf("server %d: empty list kept for %+v", s, key)
+		}
+		for in := l.head; in != nil; in = in.next {
+			if in.key != key || (in.next != nil && in.next.stamp <= in.stamp) || (in.next == nil && in != l.tail) {
+				t.Fatalf("server %d: function list for %+v out of registration order", s, key)
+			}
+			listed++
+		}
+	}
+	if listed != len(p.expiry) {
+		t.Fatalf("server %d: %d listed instances, %d in the expiry heap", s, listed, len(p.expiry))
+	}
+	insts := slices.Clone(p.expiry)
+	for i, in := range insts {
+		if int(in.slot) != i || (i > 0 && expiresBefore(in, insts[(i-1)/2])) {
+			t.Fatalf("server %d: expiry heap broken at slot %d", s, i)
+		}
+	}
+	slices.SortFunc(insts, func(a, b *WarmInstance) int { return cmp.Compare(a.stamp, b.stamp) })
 	var out []linearInst
-	for _, in := range w.pools[s].insts {
-		out = append(out, linearInst{key: in.key, freeAt: in.freeAt, expireAt: in.expireAt, memMB: in.memMB})
+	for _, in := range insts {
+		out = append(out, linearInst{key: in.key, freeAt: in.freeAt, expireAt: in.expireAt, memMB: int(in.memMB)})
 	}
 	return out
 }
 
-// bookIndexed runs the routing step's warm/cold check and booking on w,
+// bookIndexed runs the routing step's warm lookup and booking on w,
 // reporting whether the booking was a cold start.
 func bookIndexed(t *testing.T, w *WarmPools, s int, inv workload.Invocation, now, finish time.Duration) bool {
 	t.Helper()
-	cold := w.IsCold(s, inv, now)
-	w.Book(s, inv, now, finish, cold)
-	return cold
+	reuse := w.Warm(s, inv, now)
+	if err := w.Book(s, inv, now, finish, reuse); err != nil {
+		t.Fatal(err)
+	}
+	return reuse == nil
+}
+
+// mustBookCold books inv on server s as a cold start.
+func mustBookCold(t *testing.T, w *WarmPools, s int, inv workload.Invocation, now, finish time.Duration) {
+	t.Helper()
+	if err := w.Book(s, inv, now, finish, nil); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestWarmPoolsMatchLinear drives WarmPools and the linear reference
@@ -489,7 +580,7 @@ func runPoolDifferential(t *testing.T, cfg ColdStartConfig, seed int64) {
 			if got, want := w.PoolMemMB(s, now), ref.mem(s, now); got != want {
 				t.Fatalf("step %d: PoolMemMB(%d) = %d, reference %d", step, s, got, want)
 			}
-			if got, want := poolState(w, s), ref.servers[s].insts; !slices.Equal(got, want) {
+			if got, want := poolState(t, w, s), ref.servers[s].insts; !slices.Equal(got, want) {
 				t.Fatalf("step %d: server %d instances\n%+v\nreference\n%+v", step, s, got, want)
 			}
 		}

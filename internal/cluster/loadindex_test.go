@@ -344,9 +344,12 @@ func book(m *FleetModel, pools *WarmPools, s int, inv workload.Invocation, cfg C
 		return
 	}
 	var cold time.Duration
-	if pools.IsCold(s, inv, inv.Arrival) {
+	reuse := pools.Warm(s, inv, inv.Arrival)
+	if reuse == nil {
 		cold = cfg.Latency
 	}
 	finish := m.AssignDemand(s, inv.Arrival, inv.Duration+cold)
-	pools.Book(s, inv, inv.Arrival, finish, cold > 0)
+	if err := pools.Book(s, inv, inv.Arrival, finish, reuse); err != nil {
+		panic(err)
+	}
 }

@@ -14,9 +14,10 @@ import (
 )
 
 // Router is the fleet's routing step: the dispatcher's pick among the
-// caller's candidates, the straggler surcharge, the warm/cold check, the
-// booking into the causal fleet model and the warm pools, and the
-// router-side counters. It is front-end state touched only by the
+// caller's candidates, the straggler surcharge, the warm-instance lookup,
+// the booking into the causal fleet model and the warm pools (the
+// instance the lookup found is the one booked, so warm/cold cannot
+// disagree between them), and the router-side counters. It is front-end state touched only by the
 // routing goroutine, so every decision is fixed before the arrival
 // reaches a server.
 type Router struct {
@@ -84,13 +85,18 @@ func (r *Router) Route(inv workload.Invocation, idx int, candidates []int, fallb
 	if r.faults != nil {
 		rt.Slow = r.faults.slow(s, inv.Arrival, inv.Duration)
 	}
-	if r.pools != nil && r.pools.IsCold(s, inv, inv.Arrival) {
-		rt.ColdStart = r.cold
+	var reuse *WarmInstance
+	if r.pools != nil {
+		if reuse = r.pools.Warm(s, inv, inv.Arrival); reuse == nil {
+			rt.ColdStart = r.cold
+		}
 	}
 	finish := r.model.AssignDemand(s, inv.Arrival, inv.Duration+rt.ColdStart+rt.Slow)
 	if r.pools != nil {
-		r.pools.Book(s, inv, inv.Arrival, finish, rt.ColdStart > 0)
-		if rt.ColdStart > 0 {
+		if err := r.pools.Book(s, inv, inv.Arrival, finish, reuse); err != nil {
+			return 0, Routed{}, 0, err
+		}
+		if reuse == nil {
 			if r.coldMisses != nil {
 				r.coldMisses.Inc()
 			}

@@ -23,7 +23,7 @@ import (
 // booking of the instance.
 type warmEvent struct {
 	at   time.Duration
-	inst *warmInstance
+	inst *WarmInstance
 	seq  uint32
 	dead bool
 }
@@ -139,7 +139,7 @@ func (x *warmIndex) advance(t time.Duration) {
 // track registers a freshly booked instance's future transitions. An
 // instance that expires the moment it frees (run-don't-retain overflow)
 // never enters the idle-warm set; a never-expiring one never leaves it.
-func (x *warmIndex) track(in *warmInstance) {
+func (x *warmIndex) track(in *WarmInstance) {
 	if in.expireAt <= in.freeAt {
 		return
 	}
@@ -152,7 +152,7 @@ func (x *warmIndex) track(in *warmInstance) {
 // retire removes in from the idle-warm set if it is currently counted
 // and invalidates its pending transitions — called before a warm-hit
 // rebooking, a budget eviction, or a server teardown mutates it.
-func (x *warmIndex) retire(in *warmInstance) {
+func (x *warmIndex) retire(in *WarmInstance) {
 	if in.freeAt <= x.now && x.now < in.expireAt {
 		x.set(in.key).del(in.server)
 	}

@@ -6,7 +6,8 @@
 #   ./scripts/bench_baseline.sh /dev/stdout  # print without rewriting
 #
 # The set below pairs the substrate micro-benchmarks (dispatch mechanism,
-# CFS runqueue insert/delete, one server's admit-then-run event loop,
+# the full per-arrival routing step, CFS runqueue insert/delete, one
+# server's admit-then-run event loop,
 # end-to-end CFS event throughput, workload build and stream, facade) with a few
 # figure benchmarks as end-to-end sentinels, plus the sharded-fleet group:
 # the provider-scale replay (including the 24 h ×10 cases at 1,000 and
@@ -18,7 +19,7 @@ set -e
 cd "$(dirname "$0")/.."
 OUT="${1:-BENCH_baseline.json}"
 
-MICRO='BenchmarkKernelDispatch$|BenchmarkKernelAdmitRun$|BenchmarkCFSSimulation$|BenchmarkWorkloadBuild$|BenchmarkWorkloadStream$|BenchmarkFacadeSimulate|BenchmarkColdStartDispatch'
+MICRO='BenchmarkKernelDispatch$|BenchmarkKernelAdmitRun$|BenchmarkCFSSimulation$|BenchmarkWorkloadBuild$|BenchmarkWorkloadStream$|BenchmarkFacadeSimulate|BenchmarkColdStartDispatch|BenchmarkRouterRoute'
 FIGS='BenchmarkFig06Hybrid$|BenchmarkTable1Summary$|BenchmarkFig13Preemptions$|BenchmarkStreamedFullscale'
 
 # The CI-sized sharded rows run 3 iterations (mean-of-3) because

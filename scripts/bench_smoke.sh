@@ -12,7 +12,10 @@
 # Gate 2 — sharded-fleet regression (DESIGN.md §11): reruns the small
 # sharded-replay and sweep-runner benchmarks plus the per-arrival
 # dispatch-pick micro-benchmark (DESIGN.md §12 — the load index must
-# keep picks flat in fleet size) and the fault-injected replay
+# keep picks flat in fleet size), the full routing step
+# (BenchmarkRouterRoute, DESIGN.md §10 — the indexed warm pools must not
+# fall back to scanning every instance per arrival) and the
+# fault-injected replay
 # (DESIGN.md §14 — crash sweeps, timeouts, and retry re-admission must
 # stay off the simulator's hot paths) and diffs their ns/op against the
 # committed BENCH_baseline.json via benchfmt -diff, failing on any
@@ -87,6 +90,8 @@ rbtree=$(go test -run '^$' -bench 'BenchmarkRBTreeInsertDelete$' ./internal/queu
 printf '%s\n' "$rbtree"
 admit=$(go test -run '^$' -bench 'BenchmarkKernelAdmitRun$' .)
 printf '%s\n' "$admit"
+route=$(go test -run '^$' -bench 'BenchmarkRouterRoute' -benchmem .)
+printf '%s\n' "$route"
 
 # Gate 3 — zero-alloc hot paths. With no Obs wired in, the hot dispatch
 # path must not allocate (DESIGN.md §13); nor may a runqueue delete +
@@ -159,6 +164,7 @@ trap 'rm -f "$tmp"' EXIT
   go test -run '^$' -bench 'BenchmarkSweepRunner$' -benchtime 3x -timeout 20m .
   go test -run '^$' -bench 'BenchmarkFaultyReplay$' -benchtime 3x -timeout 20m .
   printf '%s\n' "$dispatch"
+  printf '%s\n' "$route"
 } | go run ./cmd/benchfmt > "$tmp"
 
 # Diff lines look like:
@@ -167,13 +173,14 @@ trap 'rm -f "$tmp"' EXIT
 # Headers for benchmarks present on only one side carry no metric lines.
 go run ./cmd/benchfmt -diff BENCH_baseline.json "$tmp" | awk -v max="$MAXPCT" '
   /^[^ ]/ { bench = $1 }
-  $1 == "ns/op" && bench ~ /^Benchmark(ShardedFleetReplay|SweepRunner|DispatchPick|FaultyReplay)/ {
+  $1 == "ns/op" && bench ~ /^Benchmark(ShardedFleetReplay|SweepRunner|DispatchPick|RouterRoute|FaultyReplay)/ {
     pct = $NF
     gsub(/[()%+]/, "", pct)
-    # Sub-µs DispatchPick rows see ±30% scheduler-steal noise even at a
-    # pinned b.N; a lost index shows up as +100× at 10k servers, so a
-    # doubled threshold loses no detection power.
-    lim = (bench ~ /DispatchPick/) ? max * 2 : max
+    # Sub-µs DispatchPick and RouterRoute rows see ±30% scheduler-steal
+    # noise even at a pinned b.N; a lost index shows up as +100× at 10k
+    # servers, and linear warm-pool scans as +150% on the cold-start
+    # RouterRoute row, so a doubled threshold loses no detection power.
+    lim = (bench ~ /DispatchPick|RouterRoute/) ? max * 2 : max
     printf "bench_smoke: %-55s ns/op %+.1f%% (max +%s%%)\n", bench, pct, lim
     n++
     if (pct + 0 > lim + 0) bad = 1
