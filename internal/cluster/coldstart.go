@@ -193,25 +193,21 @@ func (p *serverPool) add(in *WarmInstance) {
 
 // remove unlinks in from both indexes.
 func (p *serverPool) remove(in *WarmInstance) {
-	if in.prev != nil && in.next != nil {
-		in.prev.next, in.next.prev = in.next, in.prev
+	l := p.byKey[in.key]
+	if in.prev != nil {
+		in.prev.next = in.next
 	} else {
-		l := p.byKey[in.key]
-		if in.prev != nil {
-			in.prev.next = in.next
-		} else {
-			l.head = in.next
-		}
-		if in.next != nil {
-			in.next.prev = in.prev
-		} else {
-			l.tail = in.prev
-		}
-		if l.head == nil {
-			delete(p.byKey, in.key)
-		} else {
-			p.byKey[in.key] = l
-		}
+		l.head = in.next
+	}
+	if in.next != nil {
+		in.next.prev = in.prev
+	} else {
+		l.tail = in.prev
+	}
+	if l.head == nil {
+		delete(p.byKey, in.key)
+	} else {
+		p.byKey[in.key] = l
 	}
 	i, last := int(in.slot), len(p.expiry)-1
 	if i != last {
