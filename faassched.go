@@ -631,7 +631,9 @@ type ClusterOptions struct {
 type ServerResult = cluster.ServerResult
 
 // ClusterResult is a finished fleet simulation: the aggregate Result plus
-// the per-server breakdown and the dispatch assignment.
+// the per-server breakdown and the dispatch assignment. Result.Set holds
+// every record in increasing ID order (record ID k, 1 + the invocation's
+// index in the input, at index k-1), and so does each PerServer[s].Set.
 type ClusterResult struct {
 	// Result aggregates the whole fleet (merged metric set, fleet-wide
 	// makespan, summed preemptions).
@@ -1079,6 +1081,7 @@ func SimulateAutoscaledExact(opts AutoscaleOptions, src Source) (*ClusterResult,
 	out := &ClusterResult{
 		Result: Result{
 			Scheduler:   opts.Scheduler,
+			Set:         res.Set,
 			Makespan:    res.Makespan,
 			Preemptions: res.Preemptions,
 		},
@@ -1097,12 +1100,8 @@ func SimulateAutoscaledExact(opts AutoscaleOptions, src Source) (*ClusterResult,
 		}
 		if sv.Set != nil {
 			sr.Set = *sv.Set
-			out.Result.Set.Records = append(out.Result.Set.Records, sv.Set.Records...)
 		}
 		out.PerServer = append(out.PerServer, sr)
 	}
-	sort.Slice(out.Result.Set.Records, func(i, j int) bool {
-		return out.Result.Set.Records[i].ID < out.Result.Set.Records[j].ID
-	})
 	return out, nil
 }

@@ -309,3 +309,82 @@ func BenchmarkFaultyReplay(b *testing.B) {
 	b.ReportMetric(float64(last.Faults.Kills), "kills/run")
 	b.ReportMetric(float64(last.Faults.Retries), "retries/run")
 }
+
+// TestPerServerRecordsInIDOrder: exact-record fleets promise every
+// PerServer[s].Set in strictly increasing ID order, and Result.Set as
+// record ID k at index k-1 holding the very record some server kept.
+// Pinned for the fixed fleet under a crash/retry plan and for the elastic
+// fleet, with and without a terminal crash plan.
+func TestPerServerRecordsInIDOrder(t *testing.T) {
+	t.Parallel()
+	invs := goldenWorkload(t)
+	check := func(name string, res *ClusterResult) {
+		t.Helper()
+		if len(res.Set.Records) != len(invs) {
+			t.Fatalf("%s: %d records for %d invocations", name, len(res.Set.Records), len(invs))
+		}
+		for k, r := range res.Set.Records {
+			if r.ID != uint64(k+1) {
+				t.Fatalf("%s: Set.Records[%d].ID = %d, want %d", name, k, r.ID, k+1)
+			}
+		}
+		held := 0
+		for _, sr := range res.PerServer {
+			recs := sr.Set.Records
+			for i, r := range recs {
+				if i > 0 && recs[i-1].ID >= r.ID {
+					t.Fatalf("%s: server %d record %d has ID %d after ID %d", name, sr.Server, i, r.ID, recs[i-1].ID)
+				}
+				if r != res.Set.Records[r.ID-1] {
+					t.Fatalf("%s: server %d holds a record ID %d the merged set does not", name, sr.Server, r.ID)
+				}
+			}
+			held += len(recs)
+		}
+		if held != len(invs) {
+			t.Errorf("%s: servers hold %d records for %d invocations", name, held, len(invs))
+		}
+	}
+
+	fixed, err := SimulateCluster(ClusterOptions{
+		Servers: 4, CoresPerServer: 4, Dispatch: DispatchRandom,
+		Scheduler: SchedulerHybrid, Seed: 1, Faults: crashPlan(),
+	}, invs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fixed.Faults.Kills == 0 || fixed.Faults.Retries == 0 {
+		t.Fatalf("fixed fleet: plan never fired: %+v", fixed.Faults)
+	}
+	check("fixed fleet with crashes", fixed)
+
+	elastic := AutoscaleOptions{
+		MinServers: 2, MaxServers: 4, CoresPerServer: 4,
+		Dispatch: DispatchLeastLoaded, Scheduler: SchedulerHybrid, Seed: 1,
+		SpinUp: 2 * time.Second, ScalePolicy: ScaleQueueDepth,
+	}
+	res, err := SimulateAutoscaledExact(elastic, SliceSource(invs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("elastic fleet", res)
+	elastic.Faults = FaultOptions{
+		Seed:      5,
+		CrashMTBF: 25 * time.Second,
+		Timeout:   15 * time.Second,
+		Retry:     RetryOptions{MaxAttempts: 3},
+	}
+	if res, err = SimulateAutoscaledExact(elastic, SliceSource(invs)); err != nil {
+		t.Fatal(err)
+	}
+	retried := 0
+	for _, r := range res.Set.Records {
+		if r.Attempts > 1 {
+			retried++
+		}
+	}
+	if retried == 0 {
+		t.Fatal("elastic fleet: crash plan retried nothing")
+	}
+	check("elastic fleet with crashes", res)
+}

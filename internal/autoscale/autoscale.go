@@ -90,7 +90,8 @@ type Config struct {
 	// Sink, when non-nil, supplies each server's completion sink (called
 	// once per server at activation, in server-index order). When nil,
 	// every server records into an exact per-server metrics.Set, exposed
-	// as Server.Set with records sorted by global invocation id.
+	// as Server.Set with records in global invocation order, and
+	// Result.Set merges them all.
 	Sink func(server int) metrics.Sink
 	// TrackAssignment records the global invocation→server assignment in
 	// Result.Assignment (O(invocations) memory; leave off for long runs).
@@ -195,8 +196,9 @@ type Server struct {
 	// Makespan is this server's last completion instant (zero if it never
 	// served).
 	Makespan time.Duration
-	// Set holds this server's records sorted by global invocation id —
-	// only when the run used the default exact sinks (Config.Sink nil).
+	// Set holds this server's records in increasing ID (global
+	// invocation) order — only when the run used the default exact sinks
+	// (Config.Sink nil).
 	Set *metrics.Set
 }
 
@@ -235,6 +237,10 @@ type Result struct {
 	// Assignment maps each invocation index to its server, when
 	// Config.TrackAssignment was set.
 	Assignment []int
+	// Set merges every server's records in global invocation order
+	// (record ID k at index k-1) — only with the default exact sinks
+	// (Config.Sink nil); empty otherwise.
+	Set metrics.Set
 	// Faults aggregates fault-plan activity: Crashes counts unplanned
 	// retirements (controller-side), Kills/Retries/GiveUps come from the
 	// per-server machines. Zero when Config.Faults is disabled.
@@ -517,7 +523,7 @@ func Run(cfg Config, src workload.Source) (*Result, error) {
 	if runErr != nil {
 		return nil, runErr
 	}
-	return c.finish(idx), nil
+	return c.finish(idx)
 }
 
 // processArrival applies the fixed per-arrival scale-event ordering.
@@ -806,7 +812,9 @@ func (c *controller) evalDown(t time.Duration, justLaunched bool) {
 }
 
 // finish assembles the Result after the engine has drained every server.
-func (c *controller) finish(routed int) *Result {
+// With exact sinks it merges the servers' records by ID, which also puts
+// each server's Set in ID order.
+func (c *controller) finish(routed int) (*Result, error) {
 	res := &Result{
 		Dispatch:   c.cfg.Dispatch,
 		Policy:     c.cfg.Policy,
@@ -823,12 +831,21 @@ func (c *controller) finish(routed int) *Result {
 		res.Makespan = max(res.Makespan, sv.Makespan)
 	}
 
+	if c.cfg.Sink == nil {
+		parts := make([][]metrics.Record, len(c.servers))
+		for i, sv := range c.servers {
+			if sv.Set != nil {
+				parts[i] = sv.Set.Records
+			}
+		}
+		var err error
+		if res.Set.Records, err = metrics.MergeByID(parts); err != nil {
+			return nil, fmt.Errorf("autoscale: %w", err)
+		}
+	}
+
 	events := c.events
 	for _, sv := range c.servers {
-		if sv.Set != nil {
-			recs := sv.Set.Records
-			sort.Slice(recs, func(a, b int) bool { return recs[a].ID < recs[b].ID })
-		}
 		switch {
 		case sv.Canceled, sv.Crashed:
 			// RetireAt already set: a cancel bills to the drain instant, a
@@ -912,5 +929,5 @@ func (c *controller) finish(routed int) *Result {
 			tr.ScaleEvent(events[i].Kind.String(), events[i].Server, events[i].Time, events[i].Active)
 		}
 	}
-	return res
+	return res, nil
 }

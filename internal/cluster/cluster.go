@@ -114,7 +114,8 @@ type ServerResult struct {
 	Server int
 	// Invocations is how many invocations were routed here.
 	Invocations int
-	// Set holds this server's per-invocation records.
+	// Set holds this server's per-invocation records in increasing ID
+	// (global invocation) order.
 	Set metrics.Set
 	// Makespan is this server's last completion time.
 	Makespan time.Duration
@@ -136,8 +137,8 @@ type Result struct {
 	Dispatch Dispatch
 	// Servers is the fleet size.
 	Servers int
-	// Set merges every server's records, ordered by invocation index
-	// (Record.ID is 1 + the invocation's index in the source).
+	// Set merges every server's records in increasing ID order: record
+	// ID k (1 + the invocation's index in the source) sits at index k-1.
 	Set metrics.Set
 	// Makespan is the fleet-wide last completion time.
 	Makespan time.Duration

@@ -529,7 +529,8 @@ func SimulateShardedWindowed(cfg Config, src workload.Source, tariff pricing.Tar
 // Simulate routes src across the fleet and simulates every server on the
 // lockstep engine with an exact per-server record Set. Records merge
 // across servers in global invocation order (Record.ID is 1 + the
-// invocation's index in src), so the result is bit-for-bit independent
+// invocation's index in src) by metrics.MergeByID, which also puts each
+// server's Set in that order, so the result is bit-for-bit independent
 // of the shard count. It holds every record in memory; use
 // SimulateShardedWindowed for long horizons.
 func Simulate(cfg Config, src workload.Source) (*Result, error) {
@@ -544,6 +545,7 @@ func Simulate(cfg Config, src workload.Source) (*Result, error) {
 		Assignment: run.assignment,
 	}
 	res.Faults.Accumulate(run.faults)
+	parts := make([][]metrics.Record, cfg.Servers)
 	for s := range res.PerServer {
 		res.PerServer[s].Server = s
 	}
@@ -554,7 +556,7 @@ func Simulate(cfg Config, src workload.Source) (*Result, error) {
 		sr := &res.PerServer[m.Index]
 		sr.Invocations = m.Routed
 		sr.Set = *m.Sink.(*metrics.Set)
-		sort.Slice(sr.Set.Records, func(a, b int) bool { return sr.Set.Records[a].ID < sr.Set.Records[b].ID })
+		parts[m.Index] = sr.Set.Records
 		sr.Makespan = m.Makespan
 		sr.Preemptions = m.Preemptions
 		sr.Stats = m.Stats
@@ -567,11 +569,10 @@ func Simulate(cfg Config, src workload.Source) (*Result, error) {
 		res.Stats.Accumulate(sr.Stats)
 		res.Events += sr.Events
 		res.Faults.Accumulate(sr.Faults)
-		res.Set.Records = append(res.Set.Records, sr.Set.Records...)
 	}
-	sort.Slice(res.Set.Records, func(i, j int) bool {
-		return res.Set.Records[i].ID < res.Set.Records[j].ID
-	})
+	if res.Set.Records, err = metrics.MergeByID(parts); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
 	return res, nil
 }
 
