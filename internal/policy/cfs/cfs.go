@@ -505,6 +505,13 @@ func Vruntime(t *simkern.Task) time.Duration {
 	return 0
 }
 
+// Owns reports whether t holds a CFS record: from the engine's first
+// enqueue of t until its TASK_DEAD or Evict releases the record.
+func Owns(t *simkern.Task) bool {
+	_, ok := t.PolicyData.(*taskData)
+	return ok
+}
+
 // Policy is the standalone ghost.Policy: CFS spanning every enclave core.
 type Policy struct {
 	params Params
