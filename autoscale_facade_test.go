@@ -112,6 +112,32 @@ func TestAutoscaledWindowedMatchesExact(t *testing.T) {
 	}
 }
 
+// TestAutoscaledExactReportsFaults: the exact elastic path reports the
+// same fault counters as the windowed one under a crash plan.
+func TestAutoscaledExactReportsFaults(t *testing.T) {
+	invs := goldenWorkload(t)
+	opts := AutoscaleOptions{
+		MinServers: 2, MaxServers: 4, CoresPerServer: 4,
+		Dispatch: DispatchLeastLoaded, Scheduler: SchedulerHybrid, Seed: 1,
+		SpinUp: 2 * time.Second, ScalePolicy: ScaleQueueDepth,
+		Faults: crashPlan(),
+	}
+	win, err := SimulateAutoscaled(opts, SliceSource(invs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, err := SimulateAutoscaledExact(opts, SliceSource(invs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if win.Faults.Crashes == 0 {
+		t.Fatalf("crash plan never fired: %+v", win.Faults)
+	}
+	if exact.Faults != win.Faults {
+		t.Errorf("exact path faults %+v, windowed %+v", exact.Faults, win.Faults)
+	}
+}
+
 func approxEq(a, b float64) bool {
 	d := a - b
 	return d < 1e-9 && d > -1e-9

@@ -476,10 +476,12 @@ func BenchmarkWorkloadStream(b *testing.B) {
 // BenchmarkKernelAdmitRun times one server's kernel the way the fleet
 // engines drive it: each op admits one 30 s chunk of arrivals in arrival
 // order, then runs the machine to the chunk's end. The chunk is ~70% of
-// an 8-core hybrid server's capacity, repeated op after op, so the
-// machine reaches a steady state in which admission, the event loop and
-// the pooled tasks must not allocate. ns/event is the kernel event
-// loop's cost per event, policy work included.
+// an 8-core server's capacity, repeated op after op, so the machine
+// reaches a steady state in which admission, the event loop and the
+// pooled tasks must not allocate. ns/event is the kernel event loop's
+// cost per event, policy work included; one sub-benchmark per policy
+// (the hybrid and the two engines it is built from) separates the
+// policy's share from the kernel's.
 func BenchmarkKernelAdmitRun(b *testing.B) {
 	const chunk = 30 * time.Second
 	cfg := trace.DefaultConfig()
@@ -503,45 +505,49 @@ func BenchmarkKernelAdmitRun(b *testing.B) {
 		}
 		invs = append(invs, inv)
 	}
-	policy, err := newPolicy(Options{Cores: 8, Scheduler: SchedulerHybrid})
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := simrun.NewIncremental(simkern.DefaultConfig(8), policy, ghost.Config{}, metrics.NewAccumulator(pricing.Default()))
-	if err != nil {
-		b.Fatal(err)
-	}
-	id := simkern.TaskID(0)
-	admitRun := func(i int) {
-		base := time.Duration(i) * chunk
-		for _, inv := range invs {
-			inv.Arrival += base
-			id++
-			if err := m.Admit(m.Pool().Get(inv, id)); err != nil {
+	for _, sched := range []Scheduler{SchedulerHybrid, SchedulerFIFO, SchedulerCFS} {
+		b.Run(string(sched), func(b *testing.B) {
+			policy, err := newPolicy(Options{Cores: 8, Scheduler: sched})
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-		if err := m.RunTo(base + chunk); err != nil {
-			b.Fatal(err)
-		}
+			m, err := simrun.NewIncremental(simkern.DefaultConfig(8), policy, ghost.Config{}, metrics.NewAccumulator(pricing.Default()))
+			if err != nil {
+				b.Fatal(err)
+			}
+			id := simkern.TaskID(0)
+			admitRun := func(i int) {
+				base := time.Duration(i) * chunk
+				for _, inv := range invs {
+					inv.Arrival += base
+					id++
+					if err := m.Admit(m.Pool().Get(inv, id)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := m.RunTo(base + chunk); err != nil {
+					b.Fatal(err)
+				}
+			}
+			// Warm the pools: the first chunks size the task pool, the
+			// event pool and the arrival FIFO.
+			const warm = 8
+			for i := 0; i < warm; i++ {
+				admitRun(i)
+			}
+			before := m.Events()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				admitRun(warm + i)
+			}
+			b.StopTimer()
+			events := m.Events() - before
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+			b.ReportMetric(float64(events)/float64(b.N), "events/op")
+			b.ReportMetric(float64(len(invs)), "invocations/op")
+		})
 	}
-	// Warm the pools: the first chunks size the task pool, the event
-	// pool and the arrival FIFO.
-	const warm = 8
-	for i := 0; i < warm; i++ {
-		admitRun(i)
-	}
-	before := m.Events()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		admitRun(warm + i)
-	}
-	b.StopTimer()
-	events := m.Events() - before
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
-	b.ReportMetric(float64(events)/float64(b.N), "events/op")
-	b.ReportMetric(float64(len(invs)), "invocations/op")
 }
 
 // BenchmarkFacadeSimulate measures the public API end to end.

@@ -634,6 +634,9 @@ type ServerResult = cluster.ServerResult
 // the per-server breakdown and the dispatch assignment. Result.Set holds
 // every record in increasing ID order (record ID k, 1 + the invocation's
 // index in the input, at index k-1), and so does each PerServer[s].Set.
+// On elastic runs (SimulateAutoscaledExact) each PerServer[s].Faults,
+// Stats and Events stays zero, since the elastic fleet does not keep them
+// per server; Faults still holds the fleet-wide fault totals.
 type ClusterResult struct {
 	// Result aggregates the whole fleet (merged metric set, fleet-wide
 	// makespan, summed preemptions).
@@ -731,6 +734,12 @@ func SimulateCluster(opts ClusterOptions, invs []Invocation) (*ClusterResult, er
 	if err != nil {
 		return nil, err
 	}
+	return clusterResult(opts, cres), nil
+}
+
+// clusterResult packages a fixed fleet's engine result for the facade;
+// opts are the resolved options that configured the run.
+func clusterResult(opts ClusterOptions, cres *cluster.Result) *ClusterResult {
 	return &ClusterResult{
 		Result: Result{
 			Scheduler:   opts.Scheduler,
@@ -744,7 +753,7 @@ func SimulateCluster(opts ClusterOptions, invs []Invocation) (*ClusterResult, er
 		PerServer:      cres.PerServer,
 		Assignment:     cres.Assignment,
 		Faults:         cres.Faults,
-	}, nil
+	}
 }
 
 // GhostStats re-exports the per-enclave delegation counters (messages
@@ -1089,6 +1098,7 @@ func SimulateAutoscaledExact(opts AutoscaleOptions, src Source) (*ClusterResult,
 		Servers:        res.Launched(),
 		CoresPerServer: opts.CoresPerServer,
 		Assignment:     res.Assignment,
+		Faults:         res.Faults,
 	}
 	for i := range res.Servers {
 		sv := &res.Servers[i]

@@ -270,24 +270,31 @@ func TestGoldenDigests(t *testing.T) {
 		}
 	}
 
+	checkGoldenFile(t, goldenPath, got)
+}
+
+// checkGoldenFile compares got with the digests committed at path, or
+// rewrites path under -update-golden.
+func checkGoldenFile(t *testing.T, path string, got map[string]string) {
+	t.Helper()
 	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, append(data, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s with %d digests", goldenPath, len(got))
+		t.Logf("rewrote %s with %d digests", path, len(got))
 		return
 	}
 
-	data, err := os.ReadFile(goldenPath)
+	data, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("read %s (generate with -update-golden): %v", goldenPath, err)
+		t.Fatalf("read %s (generate with -update-golden): %v", path, err)
 	}
 	want := map[string]string{}
 	if err := json.Unmarshal(data, &want); err != nil {

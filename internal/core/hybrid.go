@@ -161,23 +161,21 @@ func (c Config) Validate(totalCores int) error {
 	return nil
 }
 
-// group tags which engine currently owns a task.
-type group int
-
-const (
-	groupFIFO group = iota + 1
-	groupCFS
-)
-
 // Hybrid is the two-group scheduler. It implements ghost.Policy and
 // ghost.Ticker.
+//
+// A task's group is read from its CFS record, not kept in a table: the
+// CFS engine attaches the record to Task.PolicyData on the task's first
+// enqueue there and releases it at TASK_DEAD or eviction, and the FIFO
+// engine never touches PolicyData. So cfs.Owns(t) holds exactly while t
+// is in the CFS group, and any other task the hybrid has admitted and not
+// yet retired is in the FIFO group.
 type Hybrid struct {
 	cfg Config
 	env *ghost.Env
 
 	fifoEng *fifo.Engine
 	cfsEng  *cfs.Engine
-	groups  map[simkern.TaskID]group
 
 	limit   time.Duration
 	window  *stats.Window // nil unless the limit adapts (Percentile > 0)
@@ -211,7 +209,6 @@ func New(cfg Config) *Hybrid {
 	cfg = cfg.withDefaults()
 	h := &Hybrid{
 		cfg:             cfg,
-		groups:          make(map[simkern.TaskID]group),
 		limit:           cfg.TimeLimit.Static,
 		limitSeries:     stats.MakeSeries("time-limit"),
 		fifoUtilSeries:  stats.MakeSeries("fifo-util"),
@@ -269,7 +266,6 @@ func (h *Hybrid) OnMessage(m ghost.Message) {
 		if h.cfg.AuxToCFS && isAuxThread(m.Task) {
 			// §VII-4 extension: microVM housekeeping bypasses the FIFO
 			// queue and lands on the long-task group directly.
-			h.groups[m.Task.ID] = groupCFS
 			h.cfsEng.Enqueue(m.Task)
 			h.ensureMonitor()
 			return
@@ -277,41 +273,30 @@ func (h *Hybrid) OnMessage(m ghost.Message) {
 		// Every function task starts in the short-task group (§IV-A:
 		// "tasks are first directed to the global queue of the [FIFO]
 		// group").
-		h.groups[m.Task.ID] = groupFIFO
 		h.fifoEng.Enqueue(m.Task)
 		h.ensureMonitor()
 	case ghost.MsgTaskDead:
 		h.recordCompletion(m.Task)
-		switch h.groups[m.Task.ID] {
-		case groupCFS:
+		// Test ownership before TaskDead releases the record.
+		if cfs.Owns(m.Task) {
 			h.cfsEng.TaskDead(m.Task, m.Core)
-		default:
+		} else {
 			h.fifoEng.TaskDead()
 		}
-		delete(h.groups, m.Task.ID)
 	}
 }
 
 // EvictTask implements ghost.TaskEvictor: the owning engine dequeues or
-// preempts t, and the group entry is dropped. The killed task does NOT
-// feed the adaptive-limit window — recordCompletion sees real
-// completions only, so fault-injected kills cannot skew the limit.
+// preempts t. A task that is dead, or whose completion is in flight, is
+// neither queued nor running, so the FIFO engine reports false for it.
+// The killed task does NOT feed the adaptive-limit window —
+// recordCompletion sees real completions only, so fault-injected kills
+// cannot skew the limit.
 func (h *Hybrid) EvictTask(t *simkern.Task) bool {
-	g, ok := h.groups[t.ID]
-	if !ok {
-		return false
+	if cfs.Owns(t) {
+		return h.cfsEng.Evict(t)
 	}
-	var evicted bool
-	switch g {
-	case groupCFS:
-		evicted = h.cfsEng.Evict(t)
-	default:
-		evicted = h.fifoEng.Evict(t)
-	}
-	if evicted {
-		delete(h.groups, t.ID)
-	}
-	return evicted
+	return h.fifoEng.Evict(t)
 }
 
 // isAuxThread reports whether t is microVM housekeeping rather than
@@ -367,8 +352,8 @@ func (h *Hybrid) NextDecision(now time.Duration) (time.Duration, bool) {
 			}
 			continue
 		}
-		if h.groups[t.ID] != groupFIFO {
-			continue // migration leftover from another group; not ours to limit
+		if cfs.Owns(t) {
+			continue // migration leftover from the CFS group; not ours to limit
 		}
 		cross := now
 		if consumed := h.env.TaskCPUConsumed(t); consumed < h.limit {
@@ -390,7 +375,7 @@ func (h *Hybrid) NextDecision(now time.Duration) (time.Duration, bool) {
 func (h *Hybrid) enforceLimit() {
 	for _, c := range h.fifoEng.Cores() {
 		t := h.env.RunningTask(c)
-		if t == nil || h.groups[t.ID] != groupFIFO {
+		if t == nil || cfs.Owns(t) {
 			continue
 		}
 		if h.env.TaskCPUConsumed(t) < h.limit {
@@ -410,11 +395,9 @@ func (h *Hybrid) spill(t *simkern.Task) {
 	cfsCores := h.cfsEng.Cores()
 	if len(cfsCores) == 0 {
 		// Should not happen (MinCores >= 1); requeue rather than lose it.
-		h.groups[t.ID] = groupFIFO
 		h.fifoEng.Enqueue(t)
 		return
 	}
-	h.groups[t.ID] = groupCFS
 	target := cfsCores[h.rrSpill%len(cfsCores)]
 	h.rrSpill++
 	h.spills++
@@ -533,7 +516,7 @@ func (h *Hybrid) migrateCFSToFIFO(now time.Duration) {
 	// Monitor timers bypass message dispatch, so the reshuffle above must
 	// re-arm the elision pump explicitly.
 	h.env.InvalidateHorizon()
-	h.beginMigration(now, c, func() {
+	h.beginMigration(now, func() {
 		h.fifoEng.AddCore(c) // dispatches queued FIFO work immediately
 	})
 }
@@ -548,35 +531,25 @@ func (h *Hybrid) migrateFIFOToCFS(now time.Duration) {
 	}
 	c := fifoCores[len(fifoCores)-1]
 	h.fifoEng.RemoveCore(c)
-	if t := h.env.RunningTask(c); t != nil && h.groups[t.ID] == groupFIFO {
+	if t := h.env.RunningTask(c); t != nil && !cfs.Owns(t) {
 		if got, err := h.env.CommitPreempt(c); err == nil {
-			h.requeueFIFOFront(got)
+			h.fifoEng.EnqueueFront(got)
 		}
 	}
 	// Monitor timers bypass message dispatch, so the preempt/requeue above
 	// must re-arm the elision pump explicitly.
 	h.env.InvalidateHorizon()
-	h.beginMigration(now, c, func() {
+	h.beginMigration(now, func() {
 		h.cfsEng.AddCore(c)
 		h.cfsEng.Tick() // let the new empty queue pull work immediately
 	})
 }
 
-// requeueFIFOFront puts a displaced FIFO runner back at the queue head.
-func (h *Hybrid) requeueFIFOFront(t *simkern.Task) {
-	// fifo.Engine has no PushFront; emulate by re-enqueueing and letting
-	// Dispatch place it first — the engine dispatches from the head, and
-	// the displaced runner should precede queued work, so use the
-	// dedicated hook below.
-	h.fifoEng.EnqueueFront(t)
-}
-
 // beginMigration models the lock/unlock delay around a core migration.
-func (h *Hybrid) beginMigration(now time.Duration, c simkern.CoreID, done func()) {
+func (h *Hybrid) beginMigration(now time.Duration, done func()) {
 	h.migrating = true
 	h.lastMigration = now
 	h.env.NoteMigration()
-	_ = c
 	h.env.SetTimer(now+h.cfg.MigrationDelay, func() {
 		h.migrating = false
 		done()

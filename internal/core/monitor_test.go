@@ -130,11 +130,11 @@ func TestRecordUtilIsInert(t *testing.T) {
 
 var newSink *core.Hybrid
 
-// TestNewStaticAllocations: a static-limit hybrid is the policy struct and
-// its group map — no duration window, no series storage.
+// TestNewStaticAllocations: a static-limit hybrid is the policy struct
+// alone — no group table, no duration window, no series storage.
 func TestNewStaticAllocations(t *testing.T) {
 	cfg := core.Config{FIFOCores: 4, TimeLimit: core.TimeLimitConfig{Static: core.DefaultStaticLimit}}
-	if allocs := testing.AllocsPerRun(100, func() { newSink = core.New(cfg) }); allocs > 2 {
-		t.Errorf("core.New with a static limit makes %.0f allocations, want at most 2", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { newSink = core.New(cfg) }); allocs > 1 {
+		t.Errorf("core.New with a static limit makes %.0f allocations, want at most 1", allocs)
 	}
 }

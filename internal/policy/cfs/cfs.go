@@ -62,7 +62,9 @@ func (p Params) withDefaults() Params {
 // taskData is the per-task CFS bookkeeping kept in Task.PolicyData. The
 // runqueue node is embedded, so queueing a task allocates nothing, and the
 // record itself is engine-owned: drawn from the engine's free list on
-// first enqueue, zeroed and returned there at TASK_DEAD or Evict.
+// first enqueue, zeroed and returned there at TASK_DEAD or Evict. Its
+// presence is also the hybrid scheduler's group tag: the hybrid reads a
+// task's group through Owns, and keeps no table of its own.
 type taskData struct {
 	node         queue.Node // runqueue link; Value is the task
 	queued       bool       // node is linked into core's tree

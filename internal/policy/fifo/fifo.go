@@ -35,7 +35,9 @@ type Config struct {
 // Engine is the centralized FIFO scheduling core: a global queue plus a
 // dynamic set of cores it dispatches onto. It is driven externally by
 // Enqueue/TaskDead/Tick; the standalone Policy wrapper and the hybrid
-// scheduler both build on it.
+// scheduler both build on it. It keeps no per-task record and never
+// touches Task.PolicyData, which the hybrid reads to tell its groups
+// apart.
 type Engine struct {
 	env     *ghost.Env
 	cores   []simkern.CoreID

@@ -18,10 +18,7 @@ package faassched
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"os"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -101,22 +98,9 @@ func ownershipCrashFleet(t *testing.T, invs []Invocation) (string, *evictCounts,
 	for _, h := range hybrids {
 		n.spills += int(h.Spills())
 	}
-	res := &ClusterResult{
-		Result: Result{
-			Scheduler:   opts.Scheduler,
-			Set:         cres.Set,
-			Makespan:    cres.Makespan,
-			Preemptions: cres.Preemptions,
-		},
-		Dispatch:       cres.Dispatch,
-		Servers:        cres.Servers,
-		CoresPerServer: opts.CoresPerServer,
-		PerServer:      cres.PerServer,
-		Assignment:     cres.Assignment,
-	}
 	h := sha256.New()
 	fmt.Fprintf(h, "cluster=%s faults=%+v spills=%d migrations=%d\n",
-		digestCluster(res), cres.Faults, n.spills, cres.Stats.Migrations)
+		digestCluster(clusterResult(opts, cres)), cres.Faults, n.spills, cres.Stats.Migrations)
 	return hex.EncodeToString(h.Sum(nil)), n, cres
 }
 
@@ -189,36 +173,5 @@ func TestOwnershipDigests(t *testing.T) {
 			aux, hy.Spills(), gstats.Migrations)
 	}
 
-	if *updateGolden {
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(ownershipGoldenPath, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s with %d digests", ownershipGoldenPath, len(got))
-		return
-	}
-	data, err := os.ReadFile(ownershipGoldenPath)
-	if err != nil {
-		t.Fatalf("read %s (generate with -update-golden): %v", ownershipGoldenPath, err)
-	}
-	want := map[string]string{}
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Errorf("digest count %d != committed %d", len(got), len(want))
-	}
-	keys := make([]string, 0, len(want))
-	for k := range want {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if got[k] != want[k] {
-			t.Errorf("ownership digest %s changed: got %.12s… want %.12s…", k, got[k], want[k])
-		}
-	}
+	checkGoldenFile(t, ownershipGoldenPath, got)
 }

@@ -35,9 +35,10 @@
 # guarantee at the allocation level (DESIGN.md §13), that
 # BenchmarkRBTreeInsertDelete does too — CFS runqueues link caller-owned
 # nodes, so a delete + re-insert must never allocate (DESIGN.md §15) —
-# and that BenchmarkKernelAdmitRun does: in steady state a server's
-# admission into the arrival FIFO and its event loop reuse pooled tasks,
-# events and ring slots (DESIGN.md §18).
+# and that all three BenchmarkKernelAdmitRun rows (hybrid, fifo, cfs) do:
+# in steady state a server's admission into the arrival FIFO and its
+# event loop reuse pooled tasks, events and ring slots (DESIGN.md §18),
+# and the hybrid keeps no per-task table (DESIGN.md §19).
 #
 # Gate 4 — sampler events (DESIGN.md §16): the 100-server sharded
 # replay's kernel events per invocation must stay at or under 12. The
@@ -110,7 +111,7 @@ printf '%s\n%s\n%s\n' "$dispatch" "$rbtree" "$admit" | awk '
     if (allocs == "") { printf "bench_smoke: %s reports no allocs/op\n", $1; exit 1 }
     if ($1 ~ /^BenchmarkDispatchPick/) pick++
     else if ($1 ~ /^BenchmarkRBTreeInsertDelete/) tree++
-    else admit++
+    else admit[$1]++
     if (allocs + 0 != 0) {
       printf "bench_smoke: %s allocs/op=%s, want 0 — hot path allocates\n", $1, allocs
       bad = 1
@@ -119,9 +120,14 @@ printf '%s\n%s\n%s\n' "$dispatch" "$rbtree" "$admit" | awk '
   END {
     if (pick == 0) { print "bench_smoke: no DispatchPick rows for zero-alloc gate"; exit 1 }
     if (tree == 0) { print "bench_smoke: no RBTreeInsertDelete row for zero-alloc gate"; exit 1 }
-    if (admit == 0) { print "bench_smoke: no KernelAdmitRun row for zero-alloc gate"; exit 1 }
+    split("hybrid fifo cfs", want, " ")
+    for (i in want) {
+      seen = 0
+      for (row in admit) if (row ~ ("^BenchmarkKernelAdmitRun/" want[i] "(-[0-9]+)?$")) seen = 1
+      if (!seen) { printf "bench_smoke: no KernelAdmitRun/%s row for zero-alloc gate\n", want[i]; exit 1 }
+    }
     if (bad) exit 1
-    printf "bench_smoke: %d DispatchPick rows, %d RBTreeInsertDelete row and %d KernelAdmitRun row allocation-free (zero-alloc gate)\n", pick, tree, admit
+    printf "bench_smoke: %d DispatchPick rows, %d RBTreeInsertDelete row and 3 KernelAdmitRun rows allocation-free (zero-alloc gate)\n", pick, tree
   }'
 
 sharded=$(go test -run '^$' -bench 'BenchmarkShardedFleetReplay/100servers_x1_2h$' -benchtime 3x -benchmem -timeout 20m .)
