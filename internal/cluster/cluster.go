@@ -40,7 +40,12 @@ type Config struct {
 	// …). Every server gets an identical machine.
 	Kernel simkern.Config
 	// Policy returns a fresh per-server scheduling policy. It is called
-	// once per server, sequentially, before simulation starts.
+	// once for each server that receives work, at that server's first
+	// admission, on the routing goroutine, so calls are sequential but
+	// come in first-arrival order, not server order, and a server that
+	// receives nothing never gets a policy. Each call must return an
+	// independent policy; one that returns nil fails the run with an
+	// error naming the server.
 	Policy func() ghost.Policy
 	// Ghost configures each server's delegation enclave.
 	Ghost ghost.Config

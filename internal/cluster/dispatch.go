@@ -44,9 +44,12 @@ func Dispatches() []Dispatch {
 // concurrently (see DESIGN.md §5). The autoscale layer grows the model
 // mid-run through AddServer; a fixed fleet never does.
 type FleetModel struct {
-	cores    int
-	laneFree [][]time.Duration // [server][lane] -> time the lane frees
-	elig     []bool            // target indexed dispatch set (see SetEligible)
+	cores int
+	// laneFree[server][lane] is when the lane frees. A starting-fleet
+	// server's lanes are allocated at its first booking: until then they
+	// are all free from time zero, which a nil slice reads as.
+	laneFree [][]time.Duration
+	elig     []bool // the indexed dispatch set (see SetEligible)
 	eligN    int
 	idx      *loadIndex // load index (DESIGN.md §12); nil until first indexed read
 }
@@ -61,8 +64,7 @@ func NewFleetModel(servers, cores int) *FleetModel {
 		elig:     make([]bool, servers),
 		eligN:    servers,
 	}
-	for s := range m.laneFree {
-		m.laneFree[s] = make([]time.Duration, cores)
+	for s := range m.elig {
 		m.elig[s] = true
 	}
 	return m
@@ -74,7 +76,7 @@ func NewFleetModel(servers, cores int) *FleetModel {
 // fleet) therefore pay none of its per-booking maintenance.
 func (m *FleetModel) index(now time.Duration) *loadIndex {
 	if m.idx == nil {
-		m.idx = buildLoadIndex(m.laneFree, m.elig, m.cores, now)
+		m.idx = buildLoadIndex(m, now)
 	}
 	m.idx.advance(now)
 	return m.idx
@@ -113,6 +115,9 @@ func (m *FleetModel) SetEligible(s int, eligible bool, now time.Duration) {
 	if m.elig[s] == eligible {
 		return
 	}
+	if m.idx != nil {
+		m.idx.advance(now) // drain s's expiries under its old eligibility
+	}
 	m.elig[s] = eligible
 	if eligible {
 		m.eligN++
@@ -120,7 +125,6 @@ func (m *FleetModel) SetEligible(s int, eligible bool, now time.Duration) {
 		m.eligN--
 	}
 	if m.idx != nil {
-		m.idx.advance(now)
 		m.idx.setEligible(s, eligible)
 	}
 }
@@ -184,7 +188,14 @@ func (m *FleetModel) Assign(s int, inv workload.Invocation) time.Duration {
 // that inflate an invocation's demand — the cold-start model adds the
 // instance spin-up latency on cold placements.
 func (m *FleetModel) AssignDemand(s int, arrival, demand time.Duration) time.Duration {
+	if m.idx != nil {
+		m.idx.advance(arrival) // expire lanes before one of them changes
+	}
 	lanes := m.laneFree[s]
+	if lanes == nil {
+		lanes = make([]time.Duration, m.cores)
+		m.laneFree[s] = lanes
+	}
 	best := 0
 	for l := 1; l < len(lanes); l++ {
 		if lanes[l] < lanes[best] {
@@ -198,7 +209,7 @@ func (m *FleetModel) AssignDemand(s int, arrival, demand time.Duration) time.Dur
 	old := lanes[best]
 	lanes[best] = start + demand
 	if m.idx != nil {
-		m.idx.assigned(s, best, old, lanes[best], arrival)
+		m.idx.assigned(s, best, old, lanes[best])
 	}
 	return lanes[best]
 }

@@ -53,6 +53,19 @@ func naiveWarmBest(m *FleetModel, pools *WarmPools, inv workload.Invocation, can
 	return best
 }
 
+// loadIndexCases are the fleet shapes TestLoadIndexMatchesLinearScan
+// drives and FuzzLoadIndex starts from.
+var loadIndexCases = []struct {
+	name    string
+	servers int
+	cores   int
+	seed    int64
+}{
+	{"small_fleet", 7, 2, 1},
+	{"wide_fleet", 64, 4, 7},
+	{"single_core", 16, 1, 42},
+}
+
 // TestLoadIndexMatchesLinearScan drives one fleet model through a long
 // randomized assign sequence with non-decreasing decision times — lanes
 // filling, freeing, and idling across every busy-count bucket — and
@@ -60,16 +73,7 @@ func naiveWarmBest(m *FleetModel, pools *WarmPools, inv workload.Invocation, can
 // scans for least-loaded, join-idle-queue, and the O(1) load/busy
 // aggregates.
 func TestLoadIndexMatchesLinearScan(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		servers int
-		cores   int
-		seed    int64
-	}{
-		{"small_fleet", 7, 2, 1},
-		{"wide_fleet", 64, 4, 7},
-		{"single_core", 16, 1, 42},
-	} {
+	for _, tc := range loadIndexCases {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(tc.seed))
 			m := NewFleetModel(tc.servers, tc.cores)
@@ -118,6 +122,117 @@ func TestLoadIndexMatchesLinearScan(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzLoadIndex runs a byte-scripted sequence of model operations —
+// bookings (zero demand included), clock advances, eligibility toggles,
+// server launches ready in the past or the future, and least-loaded and
+// longest-idle reads — and checks every read against the linear scans
+// over the eligible servers. The index is built at the first read and
+// its longest-idle tree at the first longest-idle read, so both builds
+// land at a scripted step. After every operation on a built index it
+// checks each server's busy count and load against the lanes, and the
+// invariant bucket 0's bitset relies on: a server with no busy lane has
+// sumFree 0.
+func FuzzLoadIndex(f *testing.F) {
+	for _, tc := range loadIndexCases {
+		script := make([]byte, 256)
+		rand.New(rand.NewSource(tc.seed)).Read(script)
+		f.Add(uint8(tc.servers), uint8(tc.cores), script)
+	}
+	f.Fuzz(loadIndexScript)
+}
+
+// loadIndexScript is FuzzLoadIndex's body: one scripted run.
+func loadIndexScript(t *testing.T, servers, cores uint8, script []byte) {
+	if len(script) > 1024 {
+		// Each step checks every server; short runs keep the
+		// fuzzer's minimization of new inputs fast.
+		script = script[:1024]
+	}
+	m := NewFleetModel(int(servers%64)+1, int(cores%8)+1)
+	next := func() int {
+		if len(script) == 0 {
+			return 0
+		}
+		b := script[0]
+		script = script[1:]
+		return int(b)
+	}
+	now := time.Duration(0)
+	for step := 0; len(script) > 0; step++ {
+		switch op := next() % 10; op {
+		case 0, 1, 2:
+			// One booking in eight has zero demand.
+			m.AssignDemand(next()%m.Servers(), now, time.Duration(next()%8*5)*time.Millisecond)
+		case 3:
+			now += time.Duration(next()%5) * time.Millisecond
+		case 4:
+			now += time.Duration(next()) * time.Millisecond
+		case 5:
+			s := next() % m.Servers()
+			m.SetEligible(s, !m.elig[s], now)
+		case 6:
+			ready := now + time.Duration(next()-128)*time.Millisecond
+			m.AddServer(max(ready, 0))
+		case 7, 8:
+			candidates := eligibleSet(m)
+			ix := m.index(now)
+			if got := ix.usable(len(candidates), now); got != (len(candidates) > 0) {
+				t.Fatalf("step %d: usable=%v with %d candidates", step, got, len(candidates))
+			}
+			got, ok := ix.leastLoaded()
+			if op == 8 {
+				got, ok = ix.longestIdle()
+			}
+			want := -1
+			switch {
+			case len(candidates) == 0:
+			case op == 7:
+				want = naiveLeastLoaded(m, candidates, now)
+			default:
+				want = naiveLongestIdle(m, candidates, now)
+			}
+			if !ok {
+				got = -1
+			}
+			if got != want {
+				t.Fatalf("step %d op %d at %v: indexed pick %d, linear %d", step, op, now, got, want)
+			}
+		case 9:
+			if m.idx != nil {
+				candidates := eligibleSet(m)
+				if got, want := m.EligibleBusyLanes(now), busySum(m, candidates, now); got != want {
+					t.Fatalf("step %d: EligibleBusyLanes=%d, linear=%d", step, got, want)
+				}
+			}
+		}
+		if ix := m.idx; ix != nil && ix.now == now {
+			for s := range ix.busy {
+				if ix.busy[s] == 0 && ix.sumFree[s] != 0 {
+					t.Fatalf("step %d: idle server %d has sumFree %v", step, s, ix.sumFree[s])
+				}
+				if got, want := int(ix.busy[s]), m.BusyLanes(s, now); got != want {
+					t.Fatalf("step %d: server %d busy=%d, lanes say %d", step, s, got, want)
+				}
+				if got, want := ix.loadOf(s), m.Outstanding(s, now); got != want {
+					t.Fatalf("step %d: loadOf(%d)=%v, Outstanding=%v", step, s, got, want)
+				}
+			}
+		}
+	}
+}
+
+// eligibleSet lists m's eligible servers in ascending order: the
+// candidate slice the routing loops pass to Pick.
+func eligibleSet(m *FleetModel) []int {
+	var out []int
+	for s, on := range m.elig {
+		if on {
+			out = append(out, s)
+		}
+	}
+	return out
 }
 
 func busySum(m *FleetModel, candidates []int, now time.Duration) int {

@@ -589,8 +589,11 @@ type fixedRun struct {
 // runSharded is the fixed-fleet router behind Simulate and
 // SimulateShardedWindowed: it resolves the contiguous shard ranges and
 // routes src onto the lockstep engine. A server joins its shard on its
-// first arrival, with an exact record Set of its own in exact mode, and
-// otherwise its shard's windowed accumulator (width, billed at tariff).
+// first arrival, with a policy from cfg.Policy and an exact record Set
+// of its own in exact mode, and otherwise its shard's windowed
+// accumulator (width, billed at tariff). A server that receives nothing
+// gets no policy, machine or lanes: it costs a few words of routing
+// state (DESIGN.md §12).
 func runSharded(cfg Config, src workload.Source, exact bool, tariff pricing.Tariff, width time.Duration) (*fixedRun, error) {
 	if cfg.Servers < 1 {
 		return nil, fmt.Errorf("cluster: Servers must be >= 1, got %d", cfg.Servers)
@@ -630,15 +633,6 @@ func runSharded(cfg Config, src workload.Source, exact bool, tariff pricing.Tari
 		}
 	}
 
-	// Policies are built sequentially up front so factories need not be
-	// goroutine-safe.
-	policies := make([]ghost.Policy, cfg.Servers)
-	for s := range policies {
-		if policies[s] = cfg.Policy(); policies[s] == nil {
-			return nil, fmt.Errorf("cluster: Policy factory returned nil for server %d", s)
-		}
-	}
-
 	model := NewFleetModel(cfg.Servers, cfg.Kernel.Cores)
 	router, err := NewRouter(cfg.Dispatch, cfg.Seed, model, cfg.ColdStart, cfg.Obs)
 	if err != nil {
@@ -650,13 +644,10 @@ func runSharded(cfg Config, src workload.Source, exact bool, tariff pricing.Tari
 	for s := range candidates {
 		candidates[s] = s
 	}
-	serverShard := make([]int, cfg.Servers)
-	for i, rg := range ranges {
-		for s := rg[0]; s < rg[1]; s++ {
-			serverShard[s] = i
-		}
+	shardOf := func(s int) int {
+		return sort.Search(len(ranges), func(i int) bool { return ranges[i][1] > s })
 	}
-	run.fleet = NewFleet(cfg.Kernel, cfg.Ghost, cfg.Obs, cfg.Window, len(ranges), func(s int) int { return serverShard[s] })
+	run.fleet = NewFleet(cfg.Kernel, cfg.Ghost, cfg.Obs, cfg.Window, len(ranges), shardOf)
 
 	lastArr := time.Duration(-1)
 	var routeErr error
@@ -683,11 +674,19 @@ func runSharded(cfg Config, src workload.Source, exact bool, tariff pricing.Tari
 		}
 		m := run.members[s]
 		if m == nil {
-			m = &Member{Index: s, Policy: policies[s]}
+			// The server's policy is built at its first admission, on
+			// the routing goroutine, so factories need not be
+			// goroutine-safe and untouched servers cost no policy.
+			policy := cfg.Policy()
+			if policy == nil {
+				routeErr = fmt.Errorf("cluster: Policy factory returned nil for server %d", s)
+				return false
+			}
+			m = &Member{Index: s, Policy: policy}
 			if exact {
 				m.Sink = &metrics.Set{}
 			} else {
-				m.Sink = run.accs[serverShard[s]]
+				m.Sink = run.accs[shardOf(s)]
 			}
 			if cfg.Faults.Enabled() {
 				m.Faults = faults.NewMachine(cfg.Faults, s)

@@ -38,6 +38,9 @@ FIGS='BenchmarkFig06Hybrid$|BenchmarkTable1Summary$|BenchmarkFig13Preemptions$|B
   # The idle 10,000-server fleet at one and two procs: its rows are named
   # -1 and -2, since the router/shard overlap shows only with two.
   go test -run '^$' -bench 'BenchmarkShardedFleetReplay/10000servers_x1_1h$' -cpu 1,2 -benchtime 3x -benchmem -timeout 20m .
+  # The same stream on 100,000 servers: servers that receive no work
+  # must cost next to nothing, so this row tracks the 10k one.
+  go test -run '^$' -bench 'BenchmarkShardedFleetReplay/100000servers_x1_1h$' -benchtime 3x -benchmem -timeout 20m .
   go test -run '^$' -bench 'BenchmarkSweepRunner$' -benchtime 3x -benchmem -timeout 20m .
   go test -run '^$' -bench 'BenchmarkFaultyReplay$' -benchtime 3x -benchmem -timeout 20m .
   FAASSCHED_BIGBENCH=1 go test -run '^$' -bench 'BenchmarkShardedFleetReplay/1000servers_x10_24h$' -benchtime 1x -benchmem -timeout 45m .

@@ -55,6 +55,14 @@
 # the ceiling fails if per-period monitor storage comes back on a fleet
 # replay.
 #
+# Gate 6 — fleet-size memory (DESIGN.md §12): runs the same 10-minute
+# least-loaded hybrid replay on 10,000 and on 100,000 servers and fails if
+# the larger fleet's peak RSS is more than 2.5× the smaller one's. The
+# stream packs onto ~160 servers either way, so only per-server state
+# built for servers that receive no work can tell the two apart: with
+# policies, lanes and index entries built on first use the ratio reads
+# ~1.4×, and with them built for every server up front it read 5.4–5.8×.
+#
 #   ./scripts/bench_smoke.sh              # default ceiling + 20% gate
 #   ./scripts/bench_smoke.sh 60000 35     # custom ceiling, 35% gate
 set -e
@@ -168,7 +176,25 @@ printf '%s\n' "$sharded" | awk '
   }'
 
 tmp=$(mktemp)
-trap 'rm -f "$tmp"' EXIT
+rss=$(mktemp -d)
+trap 'rm -rf "$tmp" "$rss"' EXIT
+
+# Gate 6 — peak RSS at 100,000 servers against 10,000.
+for n in 10000 100000; do
+  go run ./cmd/clustersim -sharded -servers "$n" -minutes 10 -sched hybrid \
+    -dispatch least-loaded -run-report "$rss/$n.json" > /dev/null
+done
+small=$(grep -o '"peak_rss_mb": *[0-9.]*' "$rss/10000.json" | grep -o '[0-9.]*$')
+large=$(grep -o '"peak_rss_mb": *[0-9.]*' "$rss/100000.json" | grep -o '[0-9.]*$')
+awk -v small="$small" -v large="$large" 'BEGIN {
+  if (small == "" || large == "") { print "bench_smoke: no peak_rss_mb in the fleet-size run reports"; exit 1 }
+  ratio = large / small
+  if (ratio > 2.5) {
+    printf "bench_smoke: peak RSS %.1f MB at 100k servers is %.2f× the %.1f MB at 10k (max 2.5×) — per-server state built up front again?\n", large, ratio, small
+    exit 1
+  }
+  printf "bench_smoke: peak RSS %.1f MB at 100k servers, %.2f× the %.1f MB at 10k (max 2.5×)\n", large, ratio, small
+}'
 {
   printf '%s\n' "$sharded"
   go test -run '^$' -bench 'BenchmarkSweepRunner$' -benchtime 3x -timeout 20m .
