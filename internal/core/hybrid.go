@@ -19,6 +19,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"github.com/faassched/faassched/internal/ghost"
@@ -170,6 +171,13 @@ func (c Config) Validate(totalCores int) error {
 // engine never touches PolicyData. So cfs.Owns(t) holds exactly while t
 // is in the CFS group, and any other task the hybrid has admitted and not
 // yet retired is in the FIFO group.
+//
+// The FIFO lane's time-limit crossings are cached per core (see
+// NextDecision): an entry holds while its runner keeps the core, and the
+// hybrid drops it wherever a runner leaves a FIFO core — TASK_DEAD, its
+// own preempts, evictions and core migrations — so a task struct that
+// comes back to the same core (a retry, or a recycled struct carrying a
+// new invocation) never reads its old segment's crossing.
 type Hybrid struct {
 	cfg Config
 	env *ghost.Env
@@ -191,10 +199,30 @@ type Hybrid struct {
 
 	spills int64 // tasks preempted FIFO→CFS
 
+	lane []laneEntry // indexed by CoreID; meaningful on FIFO cores only
+	// laneQuiet is an instant before which no FIFO runner reaches the
+	// limit, so OnTick may skip enforceLimit's scan. NextDecision sets it;
+	// every call that can change the FIFO runners, the limit or the
+	// groups resets it to 0 (scan), so the skip holds even where nothing
+	// re-evaluates the horizon before the next tick (the naive pump never
+	// does).
+	laneQuiet time.Duration
+	laneCheck func(error)
+
 	limitSeries     stats.Series
 	fifoUtilSeries  stats.Series
 	cfsUtilSeries   stats.Series
 	fifoCountSeries stats.Series
+}
+
+// laneEntry caches when a FIFO core's runner reaches the time limit. A
+// runner's consumption at dispatch and its segment start are fixed until
+// it leaves the core, so the crossing is fixed for as long as the runner
+// and the limit it was computed for are.
+type laneEntry struct {
+	task  *simkern.Task
+	limit time.Duration
+	cross time.Duration
 }
 
 var (
@@ -244,6 +272,7 @@ func (h *Hybrid) Attach(env *ghost.Env) {
 	for i := nf; i < total; i++ {
 		cfsCores = append(cfsCores, simkern.CoreID(i))
 	}
+	h.lane = make([]laneEntry, total)
 	h.fifoEng = fifo.NewEngine(env, fifoCores, 0 /* run-to-completion */)
 	h.cfsEng = cfs.NewEngine(env, cfsCores, h.cfg.CFS)
 	if !env.RecordsUtil() && !h.cfg.Rightsize.Enabled {
@@ -261,6 +290,7 @@ func (h *Hybrid) Attach(env *ghost.Env) {
 
 // OnMessage implements ghost.Policy.
 func (h *Hybrid) OnMessage(m ghost.Message) {
+	h.laneQuiet = 0
 	switch m.Type {
 	case ghost.MsgTaskNew:
 		if h.cfg.AuxToCFS && isAuxThread(m.Task) {
@@ -281,6 +311,9 @@ func (h *Hybrid) OnMessage(m ghost.Message) {
 		if cfs.Owns(m.Task) {
 			h.cfsEng.TaskDead(m.Task, m.Core)
 		} else {
+			if h.lane[m.Core].task == m.Task {
+				h.lane[m.Core] = laneEntry{}
+			}
 			h.fifoEng.TaskDead()
 		}
 	}
@@ -293,8 +326,12 @@ func (h *Hybrid) OnMessage(m ghost.Message) {
 // recordCompletion sees real completions only, so fault-injected kills
 // cannot skew the limit.
 func (h *Hybrid) EvictTask(t *simkern.Task) bool {
+	h.laneQuiet = 0
 	if cfs.Owns(t) {
 		return h.cfsEng.Evict(t)
+	}
+	if c := t.Core(); c != simkern.NoCore {
+		h.lane[c] = laneEntry{}
 	}
 	return h.fifoEng.Evict(t)
 }
@@ -332,18 +369,37 @@ func (h *Hybrid) OnTick() {
 
 // NextDecision implements ghost.HorizonTicker: the earliest instant at
 // which OnTick could act, composed from the CFS engine's slice-expiry
-// horizon and the FIFO lane. Per FIFO core: a kernel-idle core next to a
+// horizon and the FIFO lane's. A kernel-idle FIFO core next to a
 // non-empty global queue dispatches at the very next boundary (Dispatch
 // reads kernel state, so a completion whose TASK_DEAD is still in flight
 // already frees the core — the enclave re-evaluates at the completion
-// instant to catch exactly that); a FIFO-group runner crosses the time
-// limit once it consumes limit - consumedNow more CPU, i.e. no earlier
-// than max(now, segment start) + that remainder. Under host interference
-// consumption is slower, so the bound is conservative (an early tick
-// no-ops and re-arms); with the enclave owning its cores it is exact.
+// instant to catch exactly that). A FIFO-group runner reaches the time
+// limit once it consumes limit − consumed-at-dispatch more CPU: at
+// segment start + Interference.Advance over that remainder, an instant
+// fixed for the segment and exact under host interference as well as
+// without it. Each FIFO core caches its runner's crossing, keyed by
+// runner and limit, so a re-evaluation reads only each core's runner
+// pointer; the earliest crossing also tells OnTick when it may skip the
+// limit scan.
 func (h *Hybrid) NextDecision(now time.Duration) (time.Duration, bool) {
 	best, found := h.cfsEng.NextDecision(now)
+	cross, ok := h.fifoLane(now)
+	if ok && (!found || cross < best) {
+		best, found = cross, true
+	}
+	if h.laneCheck != nil {
+		h.laneCheck(h.auditLane())
+	}
+	return best, found
+}
+
+// fifoLane returns the FIFO lane's horizon (see NextDecision), or ok=false
+// when no FIFO core can act, and records the lane's earliest crossing in
+// laneQuiet.
+func (h *Hybrid) fifoLane(now time.Duration) (time.Duration, bool) {
+	h.laneQuiet = 0
 	queued := h.fifoEng.QueueLen() > 0
+	best, found := time.Duration(math.MaxInt64), false
 	for _, c := range h.fifoEng.Cores() {
 		t := h.env.RunningTask(c)
 		if t == nil {
@@ -352,42 +408,110 @@ func (h *Hybrid) NextDecision(now time.Duration) (time.Duration, bool) {
 			}
 			continue
 		}
-		if cfs.Owns(t) {
-			continue // migration leftover from the CFS group; not ours to limit
-		}
-		cross := now
-		if consumed := h.env.TaskCPUConsumed(t); consumed < h.limit {
-			start := t.SegmentStart()
-			if start < now {
-				start = now
+		e := &h.lane[c]
+		if e.task != t || e.limit != h.limit {
+			if cfs.Owns(t) {
+				continue // migration leftover from the CFS group; not ours to limit
 			}
-			cross = start + (h.limit - consumed)
+			*e = laneEntry{task: t, limit: h.limit, cross: h.crossing(t, h.limit)}
 		}
-		if !found || cross < best {
-			best, found = cross, true
+		if e.cross < best {
+			best, found = e.cross, true
 		}
 	}
-	return best, found
+	h.laneQuiet = best
+	return max(best, now), found
+}
+
+// crossing returns when FIFO runner t reaches limit; 0 when it had
+// already consumed limit at dispatch.
+func (h *Hybrid) crossing(t *simkern.Task, limit time.Duration) time.Duration {
+	if t.CPUConsumed() >= limit {
+		return 0
+	}
+	return h.env.CPUReachedAt(t, limit)
+}
+
+// SetLaneCheck installs a verification hook for tests: after every
+// re-evaluation the hybrid audits its crossing cache, and at every tick
+// that skips the limit scan it audits the skip, passing fn the first
+// fault found, or nil. Nil removes the hook.
+func (h *Hybrid) SetLaneCheck(fn func(error)) { h.laneCheck = fn }
+
+// auditLane checks every cache entry against the kernel: an entry may sit
+// only on a FIFO core, and its task must still run there — with the
+// crossing a from-scratch computation gives for the entry's limit — or
+// have finished with its TASK_DEAD not yet handled. Anything else is an
+// entry that outlived its segment, which a returning task struct would
+// read as its own.
+func (h *Hybrid) auditLane() error {
+	for i, e := range h.lane {
+		if e.task == nil {
+			continue
+		}
+		c := simkern.CoreID(i)
+		fifoCore := false
+		for _, fc := range h.fifoEng.Cores() {
+			fifoCore = fifoCore || fc == c
+		}
+		switch t := e.task; {
+		case !fifoCore:
+			return fmt.Errorf("core %d left the FIFO group but still caches task %d", c, t.ID)
+		case t.State() == simkern.StateFinished:
+		case t.State() != simkern.StateRunning || t.Core() != c:
+			return fmt.Errorf("core %d caches task %d, which is %v on core %d", c, t.ID, t.State(), t.Core())
+		case e.cross != h.crossing(t, e.limit):
+			return fmt.Errorf("core %d caches crossing %v for task %d, from scratch %v",
+				c, e.cross, t.ID, h.crossing(t, e.limit))
+		}
+	}
+	return nil
 }
 
 // enforceLimit preempts FIFO-group runners whose consumed CPU exceeds the
-// current limit and spills them round-robin across the CFS cores.
+// current limit and spills them round-robin across the CFS cores, then
+// dispatches queued work. Before the lane's earliest crossing no runner
+// can be over the limit, so the scan is skipped; under the lane-check
+// hook the skip is audited.
 func (h *Hybrid) enforceLimit() {
-	for _, c := range h.fifoEng.Cores() {
-		t := h.env.RunningTask(c)
-		if t == nil || cfs.Owns(t) {
-			continue
+	if h.env.Now() >= h.laneQuiet {
+		for _, c := range h.fifoEng.Cores() {
+			if h.overLimit(c) == nil {
+				continue
+			}
+			got, err := h.env.CommitPreempt(c)
+			if err != nil {
+				continue // completion in flight
+			}
+			h.lane[c] = laneEntry{}
+			h.spill(got)
 		}
-		if h.env.TaskCPUConsumed(t) < h.limit {
-			continue
-		}
-		got, err := h.env.CommitPreempt(c)
-		if err != nil {
-			continue // completion in flight
-		}
-		h.spill(got)
+	} else if h.laneCheck != nil {
+		h.laneCheck(h.auditSkip())
 	}
+	h.laneQuiet = 0
 	h.fifoEng.Dispatch()
+}
+
+// overLimit returns FIFO core c's runner if the time limit governs it and
+// it has consumed the limit, else nil.
+func (h *Hybrid) overLimit(c simkern.CoreID) *simkern.Task {
+	t := h.env.RunningTask(c)
+	if t == nil || cfs.Owns(t) || h.env.TaskCPUConsumed(t) < h.limit {
+		return nil
+	}
+	return t
+}
+
+// auditSkip checks a skipped limit scan: the scan would have found no
+// runner over the limit.
+func (h *Hybrid) auditSkip() error {
+	for _, c := range h.fifoEng.Cores() {
+		if t := h.overLimit(c); t != nil {
+			return fmt.Errorf("limit scan skipped until %v, but task %d on core %d is over the limit", h.laneQuiet, t.ID, c)
+		}
+	}
+	return nil
 }
 
 // spill hands an expired task to the CFS group, round-robin over its cores.
@@ -530,6 +654,8 @@ func (h *Hybrid) migrateFIFOToCFS(now time.Duration) {
 		return
 	}
 	c := fifoCores[len(fifoCores)-1]
+	h.laneQuiet = 0
+	h.lane[c] = laneEntry{}
 	h.fifoEng.RemoveCore(c)
 	if t := h.env.RunningTask(c); t != nil && !cfs.Owns(t) {
 		if got, err := h.env.CommitPreempt(c); err == nil {
@@ -552,6 +678,7 @@ func (h *Hybrid) beginMigration(now time.Duration, done func()) {
 	h.env.NoteMigration()
 	h.env.SetTimer(now+h.cfg.MigrationDelay, func() {
 		h.migrating = false
+		h.laneQuiet = 0
 		done()
 		// The unlock callback moved a core between groups (and may have
 		// dispatched onto it) from a policy timer: re-arm the elision pump.

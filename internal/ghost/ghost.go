@@ -522,6 +522,12 @@ func (v *Env) TaskCPUConsumed(t *simkern.Task) time.Duration {
 	return v.enclave.kernel.TaskCPUConsumed(t)
 }
 
+// CPUReachedAt returns the instant at which running task t's consumption
+// reaches cpu if it keeps its core (see simkern.Kernel.CPUReachedAt).
+func (v *Env) CPUReachedAt(t *simkern.Task, cpu time.Duration) time.Duration {
+	return v.enclave.kernel.CPUReachedAt(t, cpu)
+}
+
 // SetTimer schedules fn at absolute simulation time at.
 func (v *Env) SetTimer(at time.Duration, fn func()) simkern.TimerID {
 	return v.enclave.kernel.SetTimer(at, fn)

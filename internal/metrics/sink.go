@@ -38,6 +38,11 @@ const (
 	accHistBucket = 512
 )
 
+// accLayout is the one bucket layout every Accumulator histogram shares:
+// built once, so a new accumulator (one per metric window per shard)
+// allocates only its counts, and merges check edges by pointer.
+var accLayout = stats.NewLayout(stats.LogEdges(accHistLoMs, accHistHiMs, accHistBucket))
+
 // Accumulator is the streaming Sink: fixed-bucket log-scale histograms
 // per metric plus running cost/preemption/execution totals. It answers
 // the same questions as a Set (quantiles, tariff joins, counts) in O(1)
@@ -62,16 +67,31 @@ type Accumulator struct {
 // NewAccumulator returns an empty accumulator billing at tariff.
 func NewAccumulator(t pricing.Tariff) *Accumulator {
 	a := &Accumulator{tariff: t}
-	edges := stats.LogEdges(accHistLoMs, accHistHiMs, accHistBucket)
-	for i := range a.hists {
-		a.hists[i] = stats.NewHistogram(edges)
-	}
+	a.allocHists()
 	return a
+}
+
+// allocHists gives a its three empty histograms.
+func (a *Accumulator) allocHists() {
+	for i := range a.hists {
+		a.hists[i] = accLayout.NewHistogram()
+	}
 }
 
 // Push implements Sink. Failed records contribute no latency sample but
 // their Wasted CPU is billed, mirroring Set.Cost.
 func (a *Accumulator) Push(r Record) {
+	if a.pushTotals(r) {
+		a.hists[Execution-1].Observe(valueMs(r, Execution))
+		a.hists[Response-1].Observe(valueMs(r, Response))
+		a.hists[Turnaround-1].Observe(valueMs(r, Turnaround))
+	}
+}
+
+// pushTotals folds r into every count and sum — everything Push does but
+// the histograms — and reports whether r completed, i.e. carries latency
+// samples.
+func (a *Accumulator) pushTotals(r Record) bool {
 	a.preemptions += r.Preemptions
 	if n := r.Attempts; n >= 1 {
 		a.attempts += int64(n)
@@ -88,12 +108,9 @@ func (a *Accumulator) Push(r Record) {
 		if r.GiveUp {
 			a.giveUps++
 		}
-		return
+		return false
 	}
 	a.completed++
-	for _, m := range []Metric{Execution, Response, Turnaround} {
-		a.hists[m-1].Observe(valueMs(r, m))
-	}
 	exec := r.Execution()
 	a.totalExec += exec
 	a.billedMs += pricing.BilledMilliseconds(exec)
@@ -102,6 +119,7 @@ func (a *Accumulator) Push(r Record) {
 		a.coldStarts++
 		a.coldLatency += r.ColdStart
 	}
+	return true
 }
 
 // Completed returns the number of completed records seen.
@@ -217,6 +235,13 @@ func (a *Accumulator) Merge(other *Accumulator) error {
 			return err
 		}
 	}
+	a.mergeTotals(other)
+	return nil
+}
+
+// mergeTotals folds other's counts and sums into a: everything Merge does
+// but the histograms.
+func (a *Accumulator) mergeTotals(other *Accumulator) {
 	a.completed += other.completed
 	a.failed += other.failed
 	a.preemptions += other.preemptions
@@ -228,7 +253,6 @@ func (a *Accumulator) Merge(other *Accumulator) error {
 	a.attempts += other.attempts
 	a.giveUps += other.giveUps
 	a.wasted += other.wasted
-	return nil
 }
 
 // Summary is the Set.Summary analog with approximate (histogram)

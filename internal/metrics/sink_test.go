@@ -166,3 +166,33 @@ func TestAccumulatorMergeRejectsTariffMismatch(t *testing.T) {
 		t.Errorf("same-tariff merge rejected: %v", err)
 	}
 }
+
+// BenchmarkSinkPush times one record's push into each streaming sink, in
+// ns per record. The stream is sinkRecords' mix (2% failed) spread over
+// about ten 500 ms windows; it is pushed once before timing, so the windows
+// exist and a steady-state push must not allocate.
+func BenchmarkSinkPush(b *testing.B) {
+	recs := sinkRecords(4096)
+	for _, tc := range []struct {
+		name string
+		mk   func() (Sink, error)
+	}{
+		{"accumulator", func() (Sink, error) { return NewAccumulator(pricing.Default()), nil }},
+		{"windowed", func() (Sink, error) { return NewWindowedAccumulator(pricing.Default(), 500*time.Millisecond) }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			sink, err := tc.mk()
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, r := range recs {
+				sink.Push(r)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sink.Push(recs[i%len(recs)])
+			}
+		})
+	}
+}

@@ -4,6 +4,9 @@
 // stream into fixed-duration windows — each its own fixed-memory
 // Accumulator — while keeping an exact whole-run roll-up, so the figure
 // the 24 h horizon wants costs O(windows) extra memory, not O(records).
+// The roll-up's histograms are never fed per record: every completed
+// record lands in exactly one window, so their sum is the whole run's,
+// and Total assembles it when read.
 
 package metrics
 
@@ -16,10 +19,10 @@ import (
 
 // WindowedAccumulator is a Sink that buckets every completed record into
 // the fixed-duration window containing its completion instant (window i
-// covers [i·width, (i+1)·width)) and additionally folds it into a
-// whole-run total. Completion time is the bucketing key because that is
-// when the provider bills the invocation; failed records carry no timings
-// and are counted in the total only.
+// covers [i·width, (i+1)·width)) and additionally folds its counts and
+// sums into a whole-run total. Completion time is the bucketing key
+// because that is when the provider bills the invocation; failed records
+// carry no timings and are counted in the total only.
 //
 // Like Accumulator it is not safe for concurrent use; fleet runs give
 // each server its own windowed sink and Merge them afterwards in
@@ -27,8 +30,13 @@ import (
 type WindowedAccumulator struct {
 	tariff pricing.Tariff
 	width  time.Duration
-	total  *Accumulator
-	wins   []*Accumulator
+	// total holds the whole-run counts and sums, pushed and merged in
+	// record order so the float cost keeps its summation order. Its
+	// histograms stay nil until Total first assembles them from the
+	// windows; histsFresh says they still equal the windows' sum.
+	total      *Accumulator
+	histsFresh bool
+	wins       []*Accumulator
 }
 
 // NewWindowedAccumulator returns an empty windowed sink billing at tariff
@@ -37,7 +45,7 @@ func NewWindowedAccumulator(t pricing.Tariff, width time.Duration) (*WindowedAcc
 	if width <= 0 {
 		return nil, fmt.Errorf("metrics: window width must be positive, got %v", width)
 	}
-	return &WindowedAccumulator{tariff: t, width: width, total: NewAccumulator(t)}, nil
+	return &WindowedAccumulator{tariff: t, width: width, total: &Accumulator{tariff: t}}, nil
 }
 
 // Width returns the window width.
@@ -45,10 +53,10 @@ func (w *WindowedAccumulator) Width() time.Duration { return w.width }
 
 // Push implements Sink.
 func (w *WindowedAccumulator) Push(r Record) {
-	w.total.Push(r)
-	if r.Failed {
+	if !w.total.pushTotals(r) {
 		return
 	}
+	w.histsFresh = false
 	i := int(r.Finish / w.width)
 	for len(w.wins) <= i {
 		w.wins = append(w.wins, NewAccumulator(w.tariff))
@@ -78,14 +86,35 @@ func (w *WindowedAccumulator) EnsureWindows(n int) {
 func (w *WindowedAccumulator) Window(i int) *Accumulator { return w.wins[i] }
 
 // Total returns the whole-run roll-up: every record pushed, regardless of
-// window — identical to an Accumulator fed the same stream.
-func (w *WindowedAccumulator) Total() *Accumulator { return w.total }
+// window — identical to an Accumulator fed the same stream. Its
+// histograms are the windows' histograms summed bucket by bucket, rebuilt
+// here when a Push or Merge has run since the last call, so the returned
+// accumulator reflects the sink as of this call; call Total again after
+// further pushes. The caller must not modify it.
+func (w *WindowedAccumulator) Total() *Accumulator {
+	if w.histsFresh {
+		return w.total
+	}
+	if w.total.hists[0] == nil {
+		w.total.allocHists()
+	}
+	for i, h := range w.total.hists {
+		h.Reset()
+		for _, win := range w.wins {
+			// Every histogram here is on accLayout, so Merge cannot fail.
+			_ = h.Merge(win.hists[i])
+		}
+	}
+	w.histsFresh = true
+	return w.total
+}
 
 // Merge folds other into w. Widths must match; windows merge pairwise
-// (growing w as needed) and the totals merge, all exactly — counts and
-// histogram buckets are integers, and the float cost totals sum in call
-// order, so merging per-server sinks in server-index order is
-// deterministic.
+// (growing w as needed) and the totals' counts and sums merge, all
+// exactly — counts and histogram buckets are integers, and the float cost
+// totals sum in call order, so merging per-server sinks in server-index
+// order is deterministic. The total's histograms follow from the merged
+// windows at the next Total.
 func (w *WindowedAccumulator) Merge(other *WindowedAccumulator) error {
 	if other == nil {
 		return nil
@@ -107,5 +136,7 @@ func (w *WindowedAccumulator) Merge(other *WindowedAccumulator) error {
 			return err
 		}
 	}
-	return w.total.Merge(other.total)
+	w.total.mergeTotals(other.total)
+	w.histsFresh = false
+	return nil
 }

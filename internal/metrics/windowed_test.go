@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -205,4 +206,111 @@ func TestEnsureWindows(t *testing.T) {
 	if w.Windows() != 7 {
 		t.Errorf("merge did not adopt forced windows: %d", w.Windows())
 	}
+}
+
+// sameAccumulator fails t unless got equals want in every count and sum,
+// every bucket of all three histograms, and the cost's bits.
+func sameAccumulator(t *testing.T, what string, got, want *Accumulator) {
+	t.Helper()
+	type totals struct {
+		completed, failed, preemptions, coldStarts, giveUps int
+		totalExec, coldLatency, wasted                      time.Duration
+		billedMs, attempts                                  int64
+		cost                                                uint64
+	}
+	sum := func(a *Accumulator) totals {
+		return totals{a.completed, a.failed, a.preemptions, a.coldStarts, a.giveUps,
+			a.totalExec, a.coldLatency, a.wasted, a.billedMs, a.attempts, math.Float64bits(a.cost)}
+	}
+	if g, w := sum(got), sum(want); g != w {
+		t.Errorf("%s: totals %+v, want %+v", what, g, w)
+	}
+	for i := range want.hists {
+		g, w := got.hists[i].Counts(), want.hists[i].Counts()
+		for b := range w {
+			if g[b] != w[b] {
+				t.Errorf("%s: %v histogram bucket %d = %d, want %d", what, Metric(i+1), b, g[b], w[b])
+				break
+			}
+		}
+	}
+}
+
+// windowedStream is sinkRecords with cold starts, retries, wasted CPU and
+// give-ups mixed in, so every total the roll-up keeps moves.
+func windowedStream(n int) []Record {
+	recs := sinkRecords(n)
+	for i := range recs {
+		switch {
+		case recs[i].Failed && i%100 == 99:
+			recs[i].GiveUp, recs[i].Attempts, recs[i].Wasted = true, 3, 40*time.Millisecond
+		case i%7 == 3:
+			recs[i].ColdStart, recs[i].Attempts, recs[i].Wasted = 250*time.Millisecond, 2, 5*time.Millisecond
+		}
+	}
+	return recs
+}
+
+// TestWindowedTotalEqualsAccumulator: the roll-up's histograms are
+// assembled from the windows when Total is read, so nothing may be
+// counted twice — not on a second read, not after a Push that follows a
+// read, not after merging sinks whose totals were read, and not because
+// EnsureWindows opened empty windows.
+func TestWindowedTotalEqualsAccumulator(t *testing.T) {
+	tariff := pricing.Default()
+	width := 100 * time.Millisecond
+	recs := windowedStream(1200)
+	half := len(recs) / 2
+	feed := func(rs []Record) (*WindowedAccumulator, *Accumulator) {
+		w, err := NewWindowedAccumulator(tariff, width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flat := NewAccumulator(tariff)
+		for _, r := range rs {
+			w.Push(r)
+			flat.Push(r)
+		}
+		return w, flat
+	}
+
+	w, flat := feed(recs)
+	sameAccumulator(t, "whole stream", w.Total(), flat)
+	sameAccumulator(t, "second read", w.Total(), flat)
+
+	w, flat = feed(recs[:half])
+	sameAccumulator(t, "first half", w.Total(), flat)
+	for _, r := range recs[half:] {
+		w.Push(r)
+		flat.Push(r)
+	}
+	sameAccumulator(t, "push after read", w.Total(), flat)
+
+	a, flatA := feed(recs[:half])
+	b, flatB := feed(recs[half:])
+	a.Total()
+	b.Total()
+	if err := a.Merge(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := flatA.Merge(flatB); err != nil {
+		t.Fatal(err)
+	}
+	sameAccumulator(t, "merge of read sinks", a.Total(), flatA)
+	sameAccumulator(t, "merged sink's source", b.Total(), flatB)
+
+	w, flat = feed(recs)
+	w.Total()
+	w.EnsureWindows(w.Windows() + 5)
+	sameAccumulator(t, "ensured windows", w.Total(), flat)
+	e, err := NewWindowedAccumulator(tariff, width)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.EnsureWindows(3)
+	sameAccumulator(t, "empty ensured sink", e.Total(), NewAccumulator(tariff))
+	if err := w.Merge(e); err != nil {
+		t.Fatal(err)
+	}
+	sameAccumulator(t, "merge of an empty sink", w.Total(), flat)
 }

@@ -133,3 +133,60 @@ func TestPeriodicLongWorkManyCycles(t *testing.T) {
 		t.Errorf("overhead = %v, want ~10ms", overhead)
 	}
 }
+
+// TestCPUReachedAtIsExact: under periodic interference a running task's
+// consumption reaches cpu exactly at CPUReachedAt(t, cpu), and not one
+// nanosecond earlier — in its first segment and in a later one that
+// starts with CPU already consumed.
+func TestCPUReachedAtIsExact(t *testing.T) {
+	k, err := New(Config{
+		Cores: 2, SwitchCost: 5 * time.Microsecond, CachePenalty: 50 * time.Microsecond,
+		Interference: PeriodicInterference{Period: 10 * time.Millisecond, Steal: time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := &Task{ID: 1, Arrival: 3 * time.Millisecond, Work: 300 * time.Millisecond}
+	checks := 0
+	probe := func() {
+		base := task.CPUConsumed()
+		for _, w := range []time.Duration{1, time.Millisecond, 8 * time.Millisecond, 9 * time.Millisecond, 47 * time.Millisecond} {
+			at := k.CPUReachedAt(task, base+w)
+			k.SetTimer(at-1, func() {
+				if got := k.TaskCPUConsumed(task); got >= base+w {
+					t.Errorf("consumed %v at %v, one ns before CPUReachedAt(%v)", got, at-1, base+w)
+				}
+			})
+			k.SetTimer(at, func() {
+				checks++
+				if got := k.TaskCPUConsumed(task); got != base+w {
+					t.Errorf("consumed %v at CPUReachedAt(%v) = %v", got, base+w, at)
+				}
+			})
+		}
+	}
+	k.SetHandler(&hookHandler{arrived: func(*Task) {
+		if err := k.RunTask(1, task); err != nil {
+			t.Fatal(err)
+		}
+		probe()
+		k.SetTimer(k.Now()+60*time.Millisecond, func() {
+			if _, err := k.Preempt(1); err != nil {
+				t.Fatal(err)
+			}
+			if err := k.RunTask(1, task); err != nil {
+				t.Fatal(err)
+			}
+			probe()
+		})
+	}})
+	if err := k.AddTask(task); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if checks != 10 {
+		t.Fatalf("%d checks ran, want 10", checks)
+	}
+}

@@ -553,6 +553,17 @@ func (k *Kernel) TaskCPUConsumed(t *Task) time.Duration {
 	return t.cpuConsumed + done
 }
 
+// CPUReachedAt returns the instant at which running task t's consumption
+// (TaskCPUConsumed) reaches cpu, should t keep its core that long: its
+// segment start plus the interference model's Advance over the CPU still
+// to go. Advance inverts WorkDone, so the instant is exact under
+// interference too, and it is fixed for the segment. cpu must exceed
+// t.CPUConsumed(), the consumption at t's dispatch; an instant past t's
+// completion means t finishes first.
+func (k *Kernel) CPUReachedAt(t *Task, cpu time.Duration) time.Duration {
+	return t.segStart + k.interf.Advance(t.core, t.segStart, cpu-t.cpuConsumed)
+}
+
 // CoreBusy returns core c's cumulative busy time as of now.
 func (k *Kernel) CoreBusy(c CoreID) time.Duration {
 	cr, err := k.core(c)

@@ -7,18 +7,37 @@ import (
 	"strings"
 )
 
-// Histogram is a fixed-bucket histogram over float64 values. It is used by
-// the trace generator's self-checks and by harness summaries.
-type Histogram struct {
-	edges  []float64 // ascending bucket upper bounds; last bucket is open
-	counts []int64
-	total  int64
+// Layout is a histogram's bucket geometry: ascending bucket upper bounds
+// and, when the first bound is positive, a lookup table that takes a value
+// straight to its bucket. A Layout never changes once built, so any number
+// of histograms may share one; histograms on the same Layout merge without
+// comparing edges.
+//
+// The table rests on positive float64s ordering like their bit patterns:
+// bits>>shift keeps the exponent and the top mantissa bits, so it is a
+// monotone cell key, and every value in a cell lies between two adjacent
+// keys' smallest values. NewLayout picks the fewest mantissa bits that
+// leave no two edges in one cell, so a value's bucket is the table's
+// entry for its cell or the next one.
+type Layout struct {
+	edges []float64
+	shift uint    // 52 − mantissa bits kept in the cell key
+	base  uint64  // the first edge's cell key
+	cells []int32 // cells[k]: edges below cell base+k; nil when there is no table
 }
 
-// NewHistogram builds a histogram with the given ascending bucket upper
-// bounds. A final overflow bucket (> last edge) is added automatically.
-// It panics if edges is empty or not strictly ascending (programmer error).
-func NewHistogram(edges []float64) *Histogram {
+// Table bounds: keys keep at most maxCellBits mantissa bits, and a table
+// never exceeds maxCells entries. Edges too dense or spread too wide for
+// that get no table and Observe binary-searches.
+const (
+	maxCellBits = 12
+	maxCells    = 1 << 16
+)
+
+// NewLayout copies edges, which must be strictly ascending, and builds
+// their lookup table. It panics if edges is empty or not strictly
+// ascending (programmer error).
+func NewLayout(edges []float64) *Layout {
 	if len(edges) == 0 {
 		panic("stats: histogram needs at least one edge")
 	}
@@ -27,9 +46,84 @@ func NewHistogram(edges []float64) *Histogram {
 			panic("stats: histogram edges must be strictly ascending")
 		}
 	}
-	e := make([]float64, len(edges))
-	copy(e, edges)
-	return &Histogram{edges: e, counts: make([]int64, len(edges)+1)}
+	l := &Layout{edges: append([]float64(nil), edges...)}
+	// A finite last edge keeps every NaN and +Inf beyond the table's top
+	// cell: their exponent field is all ones.
+	if edges[0] > 0 && !math.IsInf(edges[len(edges)-1], 1) {
+		for bits := uint(0); bits <= maxCellBits && l.cells == nil; bits++ {
+			l.buildTable(52 - bits)
+		}
+	}
+	return l
+}
+
+// buildTable fills the table for cell keys bits>>shift, unless two edges
+// share a cell or the table would exceed maxCells.
+func (l *Layout) buildTable(shift uint) {
+	key := func(v float64) uint64 { return math.Float64bits(v) >> shift }
+	for i := 1; i < len(l.edges); i++ {
+		if key(l.edges[i]) == key(l.edges[i-1]) {
+			return
+		}
+	}
+	base, top := key(l.edges[0]), key(l.edges[len(l.edges)-1])
+	if top-base >= maxCells {
+		return
+	}
+	cells := make([]int32, top-base+1)
+	for k := range cells {
+		lo := math.Float64frombits((base + uint64(k)) << shift)
+		cells[k] = int32(sort.SearchFloat64s(l.edges, lo))
+	}
+	l.shift, l.base, l.cells = shift, base, cells
+}
+
+// Bucket returns v's bucket: the index of the first edge >= v, or the
+// number of edges when v exceeds them all (or is NaN) — exactly
+// sort.SearchFloat64s over the edges. A value inside the table's range
+// costs one table load and at most one comparison; anything else
+// (non-positive values, NaN, values beyond the outer edges' cells, a
+// layout without a table) takes the binary search.
+func (l *Layout) Bucket(v float64) int {
+	if k := math.Float64bits(v)>>l.shift - l.base; k < uint64(len(l.cells)) {
+		i := int(l.cells[k])
+		if v > l.edges[i] {
+			i++
+		}
+		return i
+	}
+	return sort.SearchFloat64s(l.edges, v)
+}
+
+// Edges returns a copy of the bucket upper bounds.
+func (l *Layout) Edges() []float64 { return append([]float64(nil), l.edges...) }
+
+// TableBits reports how many mantissa bits the lookup table keys on, or
+// -1 when the layout has no table.
+func (l *Layout) TableBits() int {
+	if l.cells == nil {
+		return -1
+	}
+	return int(52 - l.shift)
+}
+
+// Histogram is a fixed-bucket histogram over float64 values. It is used by
+// the trace generator's self-checks, by harness summaries and by the
+// streaming accumulators.
+type Histogram struct {
+	layout *Layout
+	counts []int64
+	total  int64
+}
+
+// NewHistogram builds a histogram with the given ascending bucket upper
+// bounds. A final overflow bucket (> last edge) is added automatically.
+// It panics if edges is empty or not strictly ascending (programmer error).
+func NewHistogram(edges []float64) *Histogram { return NewLayout(edges).NewHistogram() }
+
+// NewHistogram returns an empty histogram on layout l.
+func (l *Layout) NewHistogram() *Histogram {
+	return &Histogram{layout: l, counts: make([]int64, len(l.edges)+1)}
 }
 
 // LogEdges returns n strictly ascending edges spaced logarithmically from
@@ -49,13 +143,18 @@ func LogEdges(lo, hi float64, n int) []float64 {
 	return edges
 }
 
-// Observe adds one value. Bucket lookup is a binary search over the
-// sorted edges: Observe sits on the streaming accumulators' per-record
-// hot path, where a linear scan of hundreds of log-spaced edges would
-// dominate the sink's cost.
+// Observe adds one value to the bucket Layout.Bucket picks. Observe sits
+// on the streaming accumulators' per-record hot path, which is why the
+// layout carries a lookup table rather than searching its edges.
 func (h *Histogram) Observe(v float64) {
 	h.total++
-	h.counts[sort.SearchFloat64s(h.edges, v)]++
+	h.counts[h.layout.Bucket(v)]++
+}
+
+// Reset zeroes every bucket.
+func (h *Histogram) Reset() {
+	clear(h.counts)
+	h.total = 0
 }
 
 // Total returns the number of observations.
@@ -92,12 +191,12 @@ func (h *Histogram) Quantile(q float64) (float64, error) {
 		next := cum + float64(c)
 		if next >= target && c > 0 {
 			if i == 0 {
-				return h.edges[0], nil
+				return h.layout.edges[0], nil
 			}
 			if i == len(h.counts)-1 {
-				return h.edges[len(h.edges)-1], nil
+				return h.layout.edges[len(h.layout.edges)-1], nil
 			}
-			lo, hi := h.edges[i-1], h.edges[i]
+			lo, hi := h.layout.edges[i-1], h.layout.edges[i]
 			frac := (target - cum) / float64(c)
 			if lo <= 0 {
 				return lo + (hi-lo)*frac, nil
@@ -106,22 +205,26 @@ func (h *Histogram) Quantile(q float64) (float64, error) {
 		}
 		cum = next
 	}
-	return h.edges[len(h.edges)-1], nil
+	return h.layout.edges[len(h.layout.edges)-1], nil
 }
 
 // Merge adds other's counts into h. The two histograms must share the
-// same edges; merging is exact and commutative (integer addition), which
+// same edges — checked by pointer when they share a Layout, edge by edge
+// otherwise; merging is exact and commutative (integer addition), which
 // is what gives per-server streaming sinks deterministic fleet merges.
 func (h *Histogram) Merge(other *Histogram) error {
 	if other == nil {
 		return nil
 	}
-	if len(h.edges) != len(other.edges) {
-		return fmt.Errorf("stats: merging histograms with %d vs %d edges", len(h.edges), len(other.edges))
-	}
-	for i, e := range h.edges {
-		if e != other.edges[i] {
-			return fmt.Errorf("stats: merging histograms with different edges at %d", i)
+	if h.layout != other.layout {
+		he, oe := h.layout.edges, other.layout.edges
+		if len(he) != len(oe) {
+			return fmt.Errorf("stats: merging histograms with %d vs %d edges", len(he), len(oe))
+		}
+		for i, e := range he {
+			if e != oe[i] {
+				return fmt.Errorf("stats: merging histograms with different edges at %d", i)
+			}
 		}
 	}
 	for i := range h.counts {
@@ -146,9 +249,9 @@ func (h *Histogram) CumulativeAt(i int) float64 {
 // String renders a compact text view, one bucket per line.
 func (h *Histogram) String() string {
 	var b strings.Builder
-	for i, e := range h.edges {
+	for i, e := range h.layout.edges {
 		fmt.Fprintf(&b, "<=%-12.4g %8d (%.1f%%)\n", e, h.counts[i], 100*h.CumulativeAt(i))
 	}
-	fmt.Fprintf(&b, "> %-12.4g %8d\n", h.edges[len(h.edges)-1], h.counts[len(h.counts)-1])
+	fmt.Fprintf(&b, "> %-12.4g %8d\n", h.layout.edges[len(h.layout.edges)-1], h.counts[len(h.counts)-1])
 	return b.String()
 }

@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"math"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -145,5 +147,45 @@ func TestHistogramMerge(t *testing.T) {
 	}
 	if err := a.Merge(nil); err != nil {
 		t.Fatalf("nil merge errored: %v", err)
+	}
+}
+
+// TestLayoutTable: a layout keys its table on the fewest mantissa bits
+// that keep adjacent edges in separate cells, builds none
+// for a non-positive first edge, an infinite last edge or edges too dense
+// to separate, and
+// buckets exactly like sort.SearchFloat64s either way.
+func TestLayoutTable(t *testing.T) {
+	lowNaN := math.Float64frombits(0x7ff0000000000001)
+	probes := []float64{0, math.Copysign(0, -1), -1, math.NaN(), lowNaN, math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, math.MaxFloat64}
+	dense := []float64{1, math.Nextafter(1, 2), math.Nextafter(math.Nextafter(1, 2), 2)}
+	for _, tc := range []struct {
+		name  string
+		edges []float64
+		bits  int
+	}{
+		// Edges 2.5× apart sit in distinct binades: the exponent alone.
+		{"coarse", LogEdges(1, 1e6, 16), 0},
+		// The accumulators' layout: edges ~5% apart need 32 cells a binade.
+		{"accumulator", LogEdges(1e-3, 8.64e7, 512), 5},
+		{"non-positive first edge", []float64{-2, 0, 3, 50}, -1},
+		{"too dense", dense, -1},
+		// A +Inf edge would share its top cell with small-payload NaNs.
+		{"infinite last edge", []float64{1, 1e300, math.Inf(1)}, -1},
+	} {
+		l := NewLayout(tc.edges)
+		if got := l.TableBits(); got != tc.bits {
+			t.Errorf("%s: table bits %d, want %d", tc.name, got, tc.bits)
+		}
+		vs := append([]float64(nil), probes...)
+		for _, e := range tc.edges {
+			vs = append(vs, math.Nextafter(e, math.Inf(-1)), e, math.Nextafter(e, math.Inf(1)), e*1.01)
+		}
+		for _, v := range vs {
+			if got, want := l.Bucket(v), sort.SearchFloat64s(tc.edges, v); got != want {
+				t.Errorf("%s: Bucket(%v) = %d, want %d", tc.name, v, got, want)
+			}
+		}
 	}
 }

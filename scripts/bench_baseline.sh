@@ -6,8 +6,9 @@
 #   ./scripts/bench_baseline.sh /dev/stdout  # print without rewriting
 #
 # The set below pairs the substrate micro-benchmarks (dispatch mechanism,
-# the full per-arrival routing step, CFS runqueue insert/delete, one
-# server's admit-then-run event loop, the exact-record fleets' ID merge,
+# the full per-arrival routing step, CFS runqueue insert/delete, a
+# record's push into the streaming sinks, one server's admit-then-run
+# event loop, the exact-record fleets' ID merge,
 # end-to-end CFS event throughput, workload build and stream, facade) with a few
 # figure benchmarks as end-to-end sentinels, plus the sharded-fleet group:
 # the provider-scale replay (including the 24 h ×10 cases at 1,000 and
@@ -19,7 +20,7 @@ set -e
 cd "$(dirname "$0")/.."
 OUT="${1:-BENCH_baseline.json}"
 
-MICRO='BenchmarkKernelDispatch$|BenchmarkKernelAdmitRun$|BenchmarkCFSSimulation$|BenchmarkWorkloadBuild$|BenchmarkWorkloadStream$|BenchmarkFacadeSimulate|BenchmarkColdStartDispatch|BenchmarkRouterRoute|BenchmarkExactRecordMerge$'
+MICRO='BenchmarkKernelDispatch$|BenchmarkCFSSimulation$|BenchmarkWorkloadBuild$|BenchmarkWorkloadStream$|BenchmarkFacadeSimulate|BenchmarkColdStartDispatch|BenchmarkRouterRoute|BenchmarkExactRecordMerge$'
 FIGS='BenchmarkFig06Hybrid$|BenchmarkTable1Summary$|BenchmarkFig13Preemptions$|BenchmarkStreamedFullscale'
 
 # The CI-sized sharded rows run 3 iterations (mean-of-3) because
@@ -29,6 +30,11 @@ FIGS='BenchmarkFig06Hybrid$|BenchmarkTable1Summary$|BenchmarkFig13Preemptions$|B
 {
   go test -run '^$' -bench "$MICRO" -benchmem .
   go test -run '^$' -bench 'BenchmarkRBTreeInsertDelete$' -benchmem ./internal/queue
+  go test -run '^$' -bench 'BenchmarkSinkPush$' -benchmem ./internal/metrics
+  # One server's admit-then-run loop at a pinned b.N: events/op is a
+  # count that must repeat exactly, and a fixed chunk count times the
+  # same instruction stream on both sides of a diff.
+  go test -run '^$' -bench 'BenchmarkKernelAdmitRun$' -benchtime 300x -benchmem .
   # Fixed-b.N protocol shared with scripts/bench_smoke.sh: the pick
   # stream is deterministic, so a pinned iteration count times the
   # identical instruction stream on both sides of the diff.

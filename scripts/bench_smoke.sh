@@ -35,10 +35,13 @@
 # guarantee at the allocation level (DESIGN.md §13), that
 # BenchmarkRBTreeInsertDelete does too — CFS runqueues link caller-owned
 # nodes, so a delete + re-insert must never allocate (DESIGN.md §15) —
-# and that all three BenchmarkKernelAdmitRun rows (hybrid, fifo, cfs) do:
+# that all three BenchmarkKernelAdmitRun rows (hybrid, fifo, cfs) do:
 # in steady state a server's admission into the arrival FIFO and its
 # event loop reuse pooled tasks, events and ring slots (DESIGN.md §18),
-# and the hybrid keeps no per-task table (DESIGN.md §19).
+# and the hybrid keeps no per-task table (DESIGN.md §19); and that both
+# BenchmarkSinkPush rows (accumulator, windowed) do: a completed record's
+# push into a streaming sink touches only counters and histogram buckets
+# that already exist (DESIGN.md §20).
 #
 # Gate 4 — sampler events (DESIGN.md §16): the 100-server sharded
 # replay's kernel events per invocation must stay at or under 12. The
@@ -101,6 +104,8 @@ rbtree=$(go test -run '^$' -bench 'BenchmarkRBTreeInsertDelete$' ./internal/queu
 printf '%s\n' "$rbtree"
 admit=$(go test -run '^$' -bench 'BenchmarkKernelAdmitRun$' .)
 printf '%s\n' "$admit"
+sink=$(go test -run '^$' -bench 'BenchmarkSinkPush$' ./internal/metrics)
+printf '%s\n' "$sink"
 route=$(go test -run '^$' -bench 'BenchmarkRouterRoute' -benchmem .)
 printf '%s\n' "$route"
 merge=$(go test -run '^$' -bench 'BenchmarkExactRecordMerge$' -benchmem .)
@@ -109,16 +114,18 @@ printf '%s\n' "$merge"
 # Gate 3 — zero-alloc hot paths. With no Obs wired in, the hot dispatch
 # path must not allocate (DESIGN.md §13); nor may a runqueue delete +
 # re-insert (DESIGN.md §15); nor may a server's steady-state admit and
-# run (DESIGN.md §18). Every gated row reports allocs/op
-# (b.ReportAllocs); any nonzero value means an allocation leaked onto a
-# per-arrival, per-event or per-preemption path.
-printf '%s\n%s\n%s\n' "$dispatch" "$rbtree" "$admit" | awk '
-  /^Benchmark(DispatchPick|RBTreeInsertDelete|KernelAdmitRun)/ {
+# run (DESIGN.md §18); nor may a sink push (DESIGN.md §20). Every gated
+# row reports allocs/op (b.ReportAllocs); any nonzero value means an
+# allocation leaked onto a per-arrival, per-event, per-preemption or
+# per-record path.
+printf '%s\n%s\n%s\n%s\n' "$dispatch" "$rbtree" "$admit" "$sink" | awk '
+  /^Benchmark(DispatchPick|RBTreeInsertDelete|KernelAdmitRun|SinkPush)/ {
     allocs = ""
     for (i = 1; i < NF; i++) if ($(i+1) == "allocs/op") allocs = $i
     if (allocs == "") { printf "bench_smoke: %s reports no allocs/op\n", $1; exit 1 }
     if ($1 ~ /^BenchmarkDispatchPick/) pick++
     else if ($1 ~ /^BenchmarkRBTreeInsertDelete/) tree++
+    else if ($1 ~ /^BenchmarkSinkPush/) sink[$1]++
     else admit[$1]++
     if (allocs + 0 != 0) {
       printf "bench_smoke: %s allocs/op=%s, want 0 — hot path allocates\n", $1, allocs
@@ -134,8 +141,14 @@ printf '%s\n%s\n%s\n' "$dispatch" "$rbtree" "$admit" | awk '
       for (row in admit) if (row ~ ("^BenchmarkKernelAdmitRun/" want[i] "(-[0-9]+)?$")) seen = 1
       if (!seen) { printf "bench_smoke: no KernelAdmitRun/%s row for zero-alloc gate\n", want[i]; exit 1 }
     }
+    split("accumulator windowed", sinks, " ")
+    for (i in sinks) {
+      seen = 0
+      for (row in sink) if (row ~ ("^BenchmarkSinkPush/" sinks[i] "(-[0-9]+)?$")) seen = 1
+      if (!seen) { printf "bench_smoke: no SinkPush/%s row for zero-alloc gate\n", sinks[i]; exit 1 }
+    }
     if (bad) exit 1
-    printf "bench_smoke: %d DispatchPick rows, %d RBTreeInsertDelete row and 3 KernelAdmitRun rows allocation-free (zero-alloc gate)\n", pick, tree
+    printf "bench_smoke: %d DispatchPick rows, %d RBTreeInsertDelete row, 3 KernelAdmitRun rows and 2 SinkPush rows allocation-free (zero-alloc gate)\n", pick, tree
   }'
 
 sharded=$(go test -run '^$' -bench 'BenchmarkShardedFleetReplay/100servers_x1_2h$' -benchtime 3x -benchmem -timeout 20m .)

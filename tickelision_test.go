@@ -9,8 +9,9 @@ package faassched
 // record streams. TestGoldenDigests separately pins the same claim against
 // the committed digests; this oracle adds randomized workloads, the
 // adaptive/rightsizing hybrid (whose monitor mutates state from policy
-// timers), and a host-interference machine (where the FIFO time-limit
-// horizon is conservative and must converge through no-op ticks).
+// timers), and a host-interference machine (where consumption lags wall
+// time, so horizons that read wall time are conservative and must
+// converge through no-op ticks).
 
 import (
 	"fmt"
@@ -86,6 +87,45 @@ func oracleStreamed(t *testing.T, kcfg simkern.Config, policy ghost.Policy, invs
 	return set.Records, st
 }
 
+// oracleHybrids are the oracle's two hybrid configurations, shared with
+// the horizon-cache test. The adaptive + rightsizing hybrid covers the
+// policy-timer paths: the monitor migrates cores and the limit moves with
+// completions, both of which must re-arm the horizon via
+// Env.InvalidateHorizon. A short limit and aggressive rightsizing force
+// both mechanisms on this small workload.
+var oracleHybrids = []struct {
+	name string
+	mk   func() *core.Hybrid
+}{
+	{"hybrid", func() *core.Hybrid { return core.New(core.Config{FIFOCores: 4}) }},
+	{"hybrid+dyn", func() *core.Hybrid {
+		return core.New(core.Config{
+			FIFOCores: 4,
+			TimeLimit: core.TimeLimitConfig{Static: 50 * time.Millisecond, Percentile: 0.75},
+			Rightsize: core.RightsizeConfig{Enabled: true, Threshold: 0.05, Cooldown: 500 * time.Millisecond},
+		})
+	}},
+}
+
+// oracleMachines are the oracle's kernels, shared with the horizon-cache
+// test.
+var oracleMachines = []struct {
+	name string
+	kcfg func() simkern.Config
+}{
+	{"clean", func() simkern.Config { return simkern.DefaultConfig(8) }},
+	// Under host interference consumption lags wall time. The hybrid's
+	// FIFO time-limit crossing is still exact (Interference.Advance
+	// inverts the stolen time), but horizons that read wall time are
+	// conservative: the pump must converge through no-op ticks without
+	// ever firing late.
+	{"interference", func() simkern.Config {
+		kcfg := simkern.DefaultConfig(8)
+		kcfg.Interference = simkern.PeriodicInterference{Period: 10 * time.Millisecond, Steal: time.Millisecond}
+		return kcfg
+	}},
+}
+
 func TestTickElisionOracle(t *testing.T) {
 	seeds := []int64{1, 7, 42}
 	maxInvs := 400
@@ -112,37 +152,10 @@ func TestTickElisionOracle(t *testing.T) {
 		// segment-start + quantum horizon is pure wall time like rr's.
 		{"las", func() ghost.Policy { return las.New(las.Config{}) }},
 		{"shinjuku", func() ghost.Policy { return shinjuku.New(shinjuku.Config{}) }},
-		{"hybrid", func() ghost.Policy {
-			return core.New(core.Config{FIFOCores: 4})
-		}},
-		// The adaptive + rightsizing hybrid covers the policy-timer paths:
-		// the monitor migrates cores and the limit moves with completions,
-		// both of which must re-arm the horizon via Env.InvalidateHorizon.
-		// A short limit and aggressive rightsizing force both mechanisms on
-		// this small workload.
-		{"hybrid+dyn", func() ghost.Policy {
-			return core.New(core.Config{
-				FIFOCores: 4,
-				TimeLimit: core.TimeLimitConfig{Static: 50 * time.Millisecond, Percentile: 0.75},
-				Rightsize: core.RightsizeConfig{Enabled: true, Threshold: 0.05, Cooldown: 500 * time.Millisecond},
-			})
-		}},
+		{"hybrid", func() ghost.Policy { return oracleHybrids[0].mk() }},
+		{"hybrid+dyn", func() ghost.Policy { return oracleHybrids[1].mk() }},
 	}
-
-	machines := []struct {
-		name string
-		kcfg func() simkern.Config
-	}{
-		{"clean", func() simkern.Config { return simkern.DefaultConfig(8) }},
-		// Host interference makes the hybrid's FIFO time-limit horizon a
-		// lower bound rather than exact: the pump must converge through
-		// conservative no-op ticks without ever firing late.
-		{"interference", func() simkern.Config {
-			kcfg := simkern.DefaultConfig(8)
-			kcfg.Interference = simkern.PeriodicInterference{Period: 10 * time.Millisecond, Steal: time.Millisecond}
-			return kcfg
-		}},
-	}
+	machines := oracleMachines
 
 	for _, seed := range seeds {
 		invs, err := BuildWorkload(WorkloadSpec{Seed: seed, Minutes: 1, MaxInvocations: maxInvs})
