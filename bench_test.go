@@ -619,40 +619,37 @@ func BenchmarkColdStartDispatch(b *testing.B) {
 
 // BenchmarkExactRecordMerge times the post-drain tail of an exact-record
 // fleet: 250,000 synthetic records spread over 40 servers, each server's
-// slice in completion order, merged into the global ID-ordered set with
-// every server's slice put in ID order too (metrics.MergeByID). Before
-// the placement merge this tail sorted each server's records, appended
-// them to an unsized global slice and sorted that. Restoring the
-// completion order between iterations runs off the timer.
+// store filled in completion order, merged into the global ID-ordered set
+// and every server's ID-ordered slice (metrics.MergeByID). Before the
+// placement merge this tail sorted each server's records, appended them
+// to an unsized global slice and sorted that. The merge leaves its input
+// stores unchanged, so every iteration merges the same ones.
 func BenchmarkExactRecordMerge(b *testing.B) {
 	const n, servers = 250_000, 40
 	rng := rand.New(rand.NewSource(7))
-	pristine := make([][]metrics.Record, servers)
+	parts := make([][]metrics.Record, servers)
 	for id := 1; id <= n; id++ {
 		arrival := time.Duration(id) * 2 * time.Millisecond
 		finish := arrival + time.Duration(rng.Int63n(int64(5*time.Second)))
 		s := rng.Intn(servers)
-		pristine[s] = append(pristine[s], metrics.Record{
+		parts[s] = append(parts[s], metrics.Record{
 			ID: uint64(id), Label: "f", Arrival: arrival, FirstRun: arrival, Finish: finish,
 			CPU: finish - arrival, MemMB: 128,
 		})
 	}
-	for _, p := range pristine {
+	stores := make([]*metrics.Store, servers)
+	for s, p := range parts {
 		sort.Slice(p, func(a, c int) bool { return p[a].Finish < p[c].Finish })
+		stores[s] = &metrics.Store{}
+		for _, r := range p {
+			stores[s].Push(r)
+		}
 	}
-	parts := make([][]metrics.Record, servers)
-	for s, p := range pristine {
-		parts[s] = make([]metrics.Record, len(p))
-	}
+	parts = nil
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		for s, p := range pristine {
-			copy(parts[s], p)
-		}
-		b.StartTimer()
-		all, err := metrics.MergeByID(parts)
+		all, _, err := metrics.MergeByID(stores)
 		if err != nil {
 			b.Fatal(err)
 		}

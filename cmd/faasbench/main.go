@@ -150,7 +150,7 @@ func run(args []string, stdout io.Writer) error {
 		elapsed := time.Since(start)
 		rig.Obs.Tracer().Span("exp:"+fig.ID, 2, 0, start.Sub(runStart), elapsed)
 		if reg := rig.Obs.Registry(); reg != nil {
-			reg.Gauge("bench."+fig.ID+".wall_seconds").Add(elapsed.Seconds())
+			reg.Gauge("bench." + fig.ID + ".wall_seconds").Add(elapsed.Seconds())
 		}
 		if pg := rig.Obs.Progress(); pg != nil {
 			pg.Done.Add(1)

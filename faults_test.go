@@ -12,6 +12,8 @@ package faassched
 import (
 	"testing"
 	"time"
+
+	"github.com/faassched/faassched/internal/metrics"
 )
 
 // crashPlan is the non-empty reference plan: crashes, timeouts, and
@@ -387,4 +389,56 @@ func TestPerServerRecordsInIDOrder(t *testing.T) {
 		t.Fatal("elastic fleet: crash plan retried nothing")
 	}
 	check("elastic fleet with crashes", res)
+}
+
+// TestPerServerSetsAreCapped: every server's records are a sub-slice of
+// one backing array, so appending to PerServer[s].Set.Records must leave
+// every later server's records as they were, and a server that received
+// nothing keeps a nil Set. Five invocations round-robin over eight
+// servers leave the last three untouched, on the fixed fleet and on the
+// elastic one pinned to eight servers.
+func TestPerServerSetsAreCapped(t *testing.T) {
+	t.Parallel()
+	invs := goldenWorkload(t)[:5]
+	fixed, err := SimulateCluster(ClusterOptions{
+		Servers: 8, CoresPerServer: 2, Dispatch: DispatchRoundRobin,
+		Scheduler: SchedulerHybrid, Seed: 1,
+	}, invs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	elastic, err := SimulateAutoscaledExact(AutoscaleOptions{
+		MinServers: 8, MaxServers: 8, CoresPerServer: 2,
+		Dispatch: DispatchRoundRobin, Scheduler: SchedulerHybrid, Seed: 1,
+	}, SliceSource(invs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		res  *ClusterResult
+	}{{"fixed fleet", fixed}, {"elastic fleet", elastic}} {
+		per := tc.res.PerServer
+		if len(per) != 8 {
+			t.Fatalf("%s: %d servers, want 8", tc.name, len(per))
+		}
+		want := make([][]metrics.Record, len(per))
+		for s, sr := range per {
+			if s < len(invs) && len(sr.Set.Records) != 1 {
+				t.Fatalf("%s: server %d holds %d records, want 1", tc.name, s, len(sr.Set.Records))
+			}
+			if s >= len(invs) && sr.Set.Records != nil {
+				t.Fatalf("%s: untouched server %d holds %d records", tc.name, s, len(sr.Set.Records))
+			}
+			want[s] = append([]metrics.Record(nil), sr.Set.Records...)
+		}
+		for s := range per {
+			per[s].Set.Records = append(per[s].Set.Records, metrics.Record{ID: 1 << 40})
+			for o := s + 1; o < len(per); o++ {
+				if len(per[o].Set.Records) != len(want[o]) || (len(want[o]) > 0 && per[o].Set.Records[0] != want[o][0]) {
+					t.Fatalf("%s: appending to server %d changed server %d", tc.name, s, o)
+				}
+			}
+		}
+	}
 }

@@ -35,6 +35,7 @@ import (
 	"sort"
 	"time"
 
+	"github.com/faassched/faassched/internal/chunk"
 	"github.com/faassched/faassched/internal/cluster"
 	"github.com/faassched/faassched/internal/faults"
 	"github.com/faassched/faassched/internal/ghost"
@@ -198,7 +199,8 @@ type Server struct {
 	Makespan time.Duration
 	// Set holds this server's records in increasing ID (global
 	// invocation) order — only when the run used the default exact sinks
-	// (Config.Sink nil).
+	// (Config.Sink nil). Every server's Records is a sub-slice of one
+	// backing array with its capacity capped at its length.
 	Set *metrics.Set
 }
 
@@ -357,6 +359,9 @@ type serverState struct {
 	// for a boot canceled before it); its results are read after the
 	// engine closes.
 	m *cluster.Member
+	// store is the server's exact record sink, from activation on, when
+	// the run uses the default exact sinks; finish merges it into Set.
+	store *metrics.Store
 	// crashAt is the slot's terminal crash instant from the fault plan
 	// (first scheduled crash strictly after ReadyAt), or Never. Fixed at
 	// launch; the controller and the in-kernel machine share it.
@@ -385,7 +390,7 @@ type controller struct {
 	lastUp   time.Duration
 	lastDwn  time.Duration
 	events   []Event
-	assign   []int
+	assign   chunk.Log[int]
 	// faultsOn caches cfg.Faults.Enabled().
 	faultsOn bool
 	// nextCrash is the earliest crashAt among current candidates (may be
@@ -591,8 +596,8 @@ func (c *controller) activate(t time.Duration) error {
 		if c.cfg.Sink != nil {
 			sv.m.Sink = c.cfg.Sink(idx)
 		} else {
-			sv.Set = &metrics.Set{}
-			sv.m.Sink = sv.Set
+			sv.store = &metrics.Store{}
+			sv.m.Sink = sv.store
 		}
 		if c.faultsOn {
 			sv.m.Faults = faults.NewTerminalMachine(c.cfg.Faults, idx, sv.crashAt)
@@ -705,7 +710,7 @@ func (c *controller) route(inv workload.Invocation, idx int) error {
 		sv.ColdStarts++
 	}
 	if c.cfg.TrackAssignment {
-		c.assign = append(c.assign, s)
+		c.assign.Push(s)
 	}
 	c.fleet.Admit(sv.m, r)
 	return nil
@@ -812,14 +817,14 @@ func (c *controller) evalDown(t time.Duration, justLaunched bool) {
 }
 
 // finish assembles the Result after the engine has drained every server.
-// With exact sinks it merges the servers' records by ID, which also puts
-// each server's Set in ID order.
+// With exact sinks it merges the servers' record stores by ID into the
+// fleet's Set and each activated server's Set, all in ID order.
 func (c *controller) finish(routed int) (*Result, error) {
 	res := &Result{
 		Dispatch:   c.cfg.Dispatch,
 		Policy:     c.cfg.Policy,
 		Routed:     routed,
-		Assignment: c.assign,
+		Assignment: c.assign.Flatten(),
 	}
 
 	// Fleet makespan first: surviving servers bill until it.
@@ -832,15 +837,19 @@ func (c *controller) finish(routed int) (*Result, error) {
 	}
 
 	if c.cfg.Sink == nil {
-		parts := make([][]metrics.Record, len(c.servers))
+		stores := make([]*metrics.Store, len(c.servers))
 		for i, sv := range c.servers {
-			if sv.Set != nil {
-				parts[i] = sv.Set.Records
-			}
+			stores[i] = sv.store
 		}
-		var err error
-		if res.Set.Records, err = metrics.MergeByID(parts); err != nil {
+		all, per, err := metrics.MergeByID(stores)
+		if err != nil {
 			return nil, fmt.Errorf("autoscale: %w", err)
+		}
+		res.Set.Records = all
+		for i, sv := range c.servers {
+			if sv.store != nil {
+				sv.Set = &metrics.Set{Records: per[i]}
+			}
 		}
 	}
 

@@ -120,7 +120,10 @@ type ServerResult struct {
 	// Invocations is how many invocations were routed here.
 	Invocations int
 	// Set holds this server's per-invocation records in increasing ID
-	// (global invocation) order.
+	// (global invocation) order; Records is nil if it kept none. Every
+	// server's Records is a sub-slice of one backing array with its
+	// capacity capped at its length, so appending to it reallocates
+	// rather than writing into another server's records.
 	Set metrics.Set
 	// Makespan is this server's last completion time.
 	Makespan time.Duration
@@ -144,6 +147,8 @@ type Result struct {
 	Servers int
 	// Set merges every server's records in increasing ID order: record
 	// ID k (1 + the invocation's index in the source) sits at index k-1.
+	// Its Records is an array of its own, apart from the one that backs
+	// the PerServer sets.
 	Set metrics.Set
 	// Makespan is the fleet-wide last completion time.
 	Makespan time.Duration

@@ -30,6 +30,7 @@ import (
 	"sort"
 	"time"
 
+	"github.com/faassched/faassched/internal/chunk"
 	"github.com/faassched/faassched/internal/faults"
 	"github.com/faassched/faassched/internal/ghost"
 	"github.com/faassched/faassched/internal/metrics"
@@ -527,11 +528,11 @@ func SimulateShardedWindowed(cfg Config, src workload.Source, tariff pricing.Tar
 }
 
 // Simulate routes src across the fleet and simulates every server on the
-// lockstep engine with an exact per-server record Set. Records merge
+// lockstep engine with an exact per-server record Store. Records merge
 // across servers in global invocation order (Record.ID is 1 + the
-// invocation's index in src) by metrics.MergeByID, which also puts each
-// server's Set in that order, so the result is bit-for-bit independent
-// of the shard count. It holds every record in memory; use
+// invocation's index in src) by metrics.MergeByID, which also gives each
+// server's Set its records in that order, so the result is bit-for-bit
+// independent of the shard count. It holds every record in memory; use
 // SimulateShardedWindowed for long horizons.
 func Simulate(cfg Config, src workload.Source) (*Result, error) {
 	run, err := runSharded(cfg, src, true, pricing.Tariff{}, 0)
@@ -542,21 +543,17 @@ func Simulate(cfg Config, src workload.Source) (*Result, error) {
 		Dispatch:   cfg.Dispatch,
 		Servers:    cfg.Servers,
 		PerServer:  make([]ServerResult, cfg.Servers),
-		Assignment: run.assignment,
+		Assignment: run.assignment.Flatten(),
 	}
 	res.Faults.Accumulate(run.faults)
-	parts := make([][]metrics.Record, cfg.Servers)
-	for s := range res.PerServer {
-		res.PerServer[s].Server = s
-	}
+	stores := make([]*metrics.Store, cfg.Servers)
 	for _, m := range run.members {
 		if m == nil {
 			continue
 		}
+		stores[m.Index] = m.Sink.(*metrics.Store)
 		sr := &res.PerServer[m.Index]
 		sr.Invocations = m.Routed
-		sr.Set = *m.Sink.(*metrics.Set)
-		parts[m.Index] = sr.Set.Records
 		sr.Makespan = m.Makespan
 		sr.Preemptions = m.Preemptions
 		sr.Stats = m.Stats
@@ -570,8 +567,13 @@ func Simulate(cfg Config, src workload.Source) (*Result, error) {
 		res.Events += sr.Events
 		res.Faults.Accumulate(sr.Faults)
 	}
-	if res.Set.Records, err = metrics.MergeByID(parts); err != nil {
+	var per [][]metrics.Record
+	if res.Set.Records, per, err = metrics.MergeByID(stores); err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
+	}
+	for s := range res.PerServer {
+		res.PerServer[s].Server = s
+		res.PerServer[s].Set.Records = per[s]
 	}
 	return res, nil
 }
@@ -582,14 +584,14 @@ type fixedRun struct {
 	ranges     [][2]int                       // each shard's contiguous server range
 	members    []*Member                      // by server; nil where nothing was routed
 	accs       []*metrics.WindowedAccumulator // windowed mode's sinks, by shard
-	assignment []int                          // exact mode only
+	assignment chunk.Log[int]                 // exact mode only
 	faults     faults.Stats                   // router-side crash and straggler windows
 }
 
 // runSharded is the fixed-fleet router behind Simulate and
 // SimulateShardedWindowed: it resolves the contiguous shard ranges and
 // routes src onto the lockstep engine. A server joins its shard on its
-// first arrival, with a policy from cfg.Policy and an exact record Set
+// first arrival, with a policy from cfg.Policy and an exact record Store
 // of its own in exact mode, and otherwise its shard's windowed
 // accumulator (width, billed at tariff). A server that receives nothing
 // gets no policy, machine or lanes: it costs a few words of routing
@@ -670,7 +672,7 @@ func runSharded(cfg Config, src workload.Source, exact bool, tariff pricing.Tari
 			return false
 		}
 		if exact {
-			run.assignment = append(run.assignment, s)
+			run.assignment.Push(s)
 		}
 		m := run.members[s]
 		if m == nil {
@@ -684,7 +686,7 @@ func runSharded(cfg Config, src workload.Source, exact bool, tariff pricing.Tari
 			}
 			m = &Member{Index: s, Policy: policy}
 			if exact {
-				m.Sink = &metrics.Set{}
+				m.Sink = &metrics.Store{}
 			} else {
 				m.Sink = run.accs[shardOf(s)]
 			}

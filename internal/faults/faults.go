@@ -223,13 +223,13 @@ type window struct {
 // for the same server sees the identical timeline. Not safe for
 // concurrent use — each consumer builds its own.
 type Schedule struct {
-	cfg       Config
-	crashRng  rng
-	stragRng  rng
-	crashes   []window
+	cfg        Config
+	crashRng   rng
+	stragRng   rng
+	crashes    []window
 	stragglers []window
-	crashGen  time.Duration // timeline generated through (crashes)
-	stragGen  time.Duration // timeline generated through (stragglers)
+	crashGen   time.Duration // timeline generated through (crashes)
+	stragGen   time.Duration // timeline generated through (stragglers)
 }
 
 // NewSchedule derives server s's timeline from cfg.

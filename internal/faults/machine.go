@@ -36,12 +36,12 @@ import (
 //
 // A Machine is single-threaded, owned by its server's event loop.
 type Machine struct {
-	cfg     Config
-	maxAtt  int
-	server  int
-	sched   *Schedule // nil in terminal mode
+	cfg      Config
+	maxAtt   int
+	server   int
+	sched    *Schedule // nil in terminal mode
 	terminal bool
-	crashAt time.Duration // terminal mode: down forever from here; -1 = never
+	crashAt  time.Duration // terminal mode: down forever from here; -1 = never
 
 	env     *ghost.Env
 	evictor ghost.TaskEvictor

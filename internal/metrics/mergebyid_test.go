@@ -79,10 +79,69 @@ func randomPartition(rng *rand.Rand, n, k int, moved float64) [][]Record {
 	return parts
 }
 
+// storesOf pushes each part into a store of its own, in the part's order,
+// the way a server's sink receives its records. A nil part stays a nil
+// store.
+func storesOf(parts [][]Record) []*Store {
+	stores := make([]*Store, len(parts))
+	for s, p := range parts {
+		if p == nil {
+			continue
+		}
+		stores[s] = &Store{}
+		for _, r := range p {
+			stores[s].Push(r)
+		}
+	}
+	return stores
+}
+
+// contents flattens every store, so a test can tell whether a merge
+// changed one.
+func contents(stores []*Store) [][]Record {
+	out := make([][]Record, len(stores))
+	for s, st := range stores {
+		if st != nil {
+			out[s] = st.Flatten()
+		}
+	}
+	return out
+}
+
+// checkMerge merges parts and checks the result against the sort-based
+// reference: the global slice, every server's slice (nil where the part
+// was empty) and every server's capacity cap.
+func checkMerge(t *testing.T, name string, parts [][]Record) {
+	t.Helper()
+	want := clonePartition(parts)
+	wantAll := sortMerge(want)
+	got, per, err := MergeByID(storesOf(parts))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if !reflect.DeepEqual(got, wantAll) {
+		t.Fatalf("%s: global slice differs from the sorted reference", name)
+	}
+	if len(per) != len(parts) {
+		t.Fatalf("%s: %d server slices for %d stores", name, len(per), len(parts))
+	}
+	for s := range parts {
+		if len(want[s]) == 0 {
+			want[s] = nil
+		}
+		if !reflect.DeepEqual(per[s], want[s]) {
+			t.Fatalf("%s: server %d differs from its sorted reference", name, s)
+		}
+		if cap(per[s]) != len(per[s]) {
+			t.Fatalf("%s: server %d has capacity %d for %d records", name, s, cap(per[s]), len(per[s]))
+		}
+	}
+}
+
 // TestMergeByIDMatchesSort: on random partitions of 1..n — empty parts,
 // one part, completion-ordered parts, and records away from their
 // assigned part — MergeByID returns the sort-based reference's global
-// slice and leaves every part equal to its sorted reference.
+// slice and gives every server its sorted reference.
 func TestMergeByIDMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	type shape struct {
@@ -90,9 +149,9 @@ func TestMergeByIDMatchesSort(t *testing.T) {
 		moved float64
 	}
 	shapes := []shape{
-		{1, 1, 0}, {7, 1, 0}, {300, 1, 0},
+		{1, 1, 0}, {7, 1, 0}, {300, 1, 0}, {5000, 1, 0},
 		{1, 5, 0}, {40, 40, 0}, {200, 3, 0}, {500, 17, 0},
-		{200, 3, 0.2}, {500, 17, 0.5}, {1000, 40, 0.05},
+		{200, 3, 0.2}, {500, 17, 0.5}, {1000, 40, 0.05}, {9000, 4, 0.1},
 	}
 	for trial := 0; trial < 40; trial++ {
 		shapes = append(shapes, shape{1 + rng.Intn(800), 1 + rng.Intn(30), rng.Float64() * 0.3})
@@ -103,30 +162,23 @@ func TestMergeByIDMatchesSort(t *testing.T) {
 			if ordered {
 				completionOrder(parts)
 			}
-			want := clonePartition(parts)
-			wantAll := sortMerge(want)
-			got, err := MergeByID(parts)
-			if err != nil {
-				t.Fatalf("n=%d k=%d moved=%.2f: %v", sh.n, sh.k, sh.moved, err)
-			}
-			if !reflect.DeepEqual(got, wantAll) {
-				t.Fatalf("n=%d k=%d moved=%.2f: global slice differs from the sorted reference", sh.n, sh.k, sh.moved)
-			}
-			for s := range parts {
-				if !reflect.DeepEqual(parts[s], want[s]) {
-					t.Fatalf("n=%d k=%d moved=%.2f: part %d differs from its sorted reference", sh.n, sh.k, sh.moved, s)
-				}
-			}
+			checkMerge(t, fmt.Sprintf("n=%d k=%d moved=%.2f ordered=%v", sh.n, sh.k, sh.moved, ordered), parts)
 		}
 	}
 }
 
-// TestMergeByIDEmpty: no parts, or only empty ones, merge to nothing.
+// TestMergeByIDEmpty: no stores, or only nil and empty ones, merge to no
+// records and one nil slice per store.
 func TestMergeByIDEmpty(t *testing.T) {
-	for _, parts := range [][][]Record{nil, {}, {nil, {}, nil}} {
-		got, err := MergeByID(parts)
-		if err != nil || got != nil {
-			t.Errorf("MergeByID(%v) = %v, %v; want nil, nil", parts, got, err)
+	for _, stores := range [][]*Store{nil, {}, {nil, {}, nil}} {
+		got, per, err := MergeByID(stores)
+		if err != nil || got != nil || len(per) != len(stores) {
+			t.Errorf("MergeByID(%d stores) = %v, %d slices, %v; want nil, %d, nil", len(stores), got, len(per), err, len(stores))
+		}
+		for s, p := range per {
+			if p != nil {
+				t.Errorf("store %d: got %v, want nil", s, p)
+			}
 		}
 	}
 }
@@ -135,7 +187,7 @@ func TestMergeByIDEmpty(t *testing.T) {
 // complete run from one with a duplicated and a missing ID. The merge
 // rejects a second record for an ID, an ID past n (a gap in 1..n with
 // the count intact) and ID 0, names the ID and the server that pushed
-// it, and leaves the parts as they were.
+// it, and leaves the stores as they were.
 func TestMergeByIDRejectsBadIDs(t *testing.T) {
 	ids := func(xs ...uint64) []Record {
 		out := make([]Record, len(xs))
@@ -155,10 +207,11 @@ func TestMergeByIDRejectsBadIDs(t *testing.T) {
 		{"far out of range", [][]Record{ids(1<<63, 1)}, []string{fmt.Sprintf("record ID %d from server 0", uint64(1<<63))}},
 	}
 	for _, tc := range cases {
-		before := clonePartition(tc.parts)
-		got, err := MergeByID(tc.parts)
+		stores := storesOf(tc.parts)
+		before := contents(stores)
+		got, per, err := MergeByID(stores)
 		if err == nil {
-			t.Errorf("%s: merged %d records, want an error", tc.name, len(got))
+			t.Errorf("%s: merged %d records into %d servers, want an error", tc.name, len(got), len(per))
 			continue
 		}
 		for _, w := range tc.want {
@@ -166,8 +219,107 @@ func TestMergeByIDRejectsBadIDs(t *testing.T) {
 				t.Errorf("%s: error %q does not say %q", tc.name, err, w)
 			}
 		}
-		if !reflect.DeepEqual(tc.parts, before) {
-			t.Errorf("%s: a rejected merge rewrote the parts", tc.name)
+		if !reflect.DeepEqual(contents(stores), before) {
+			t.Errorf("%s: a rejected merge changed the stores", tc.name)
 		}
 	}
+}
+
+// TestMergeByIDCapsServerSlices: the servers' slices share one backing
+// array, so each is capped at its length. Appending to one server's
+// records must reallocate, not overwrite a later server's records, and a
+// server that kept no records gets a nil slice.
+func TestMergeByIDCapsServerSlices(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	parts := randomPartition(rng, 600, 6, 0.3)
+	parts[2] = nil // a server that kept no records
+	ids := uint64(0)
+	for _, p := range parts {
+		for i := range p {
+			ids++
+			p[i].ID = ids
+		}
+	}
+	_, per, err := MergeByID(storesOf(parts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if per[2] != nil {
+		t.Fatalf("server 2 kept no records but got %d", len(per[2]))
+	}
+	want := clonePartition(per)
+	for s := range per {
+		per[s] = append(per[s], Record{ID: 1 << 40, Label: "appended"})
+		for o := s + 1; o < len(per); o++ {
+			if !reflect.DeepEqual(per[o], want[o]) {
+				t.Fatalf("appending to server %d changed server %d", s, o)
+			}
+		}
+	}
+}
+
+// FuzzMergeByID checks MergeByID against the sort-based reference on
+// byte-scripted partitions. data[0] picks the server count k (1..64);
+// every later byte b is one record, ID 1 + its position, routed to server
+// b % k. A byte of 0xFC..0xFF also corrupts its record's ID: 0xFC
+// repeats the previous ID (ID 0 for the first record), 0xFD puts it past
+// n, 0xFE makes it 0 and 0xFF makes it 2^63 + its position. A corrupted
+// script must fail, naming an ID and a server, and leave the stores
+// unchanged; any other must match the reference.
+func FuzzMergeByID(f *testing.F) {
+	// The shapes TestMergeByIDMatchesSort starts from: one record on one
+	// server, seven on one, one of five servers used, three servers.
+	f.Add([]byte{0, 0})
+	f.Add([]byte{0, 0, 1, 2, 3, 4, 5, 6})
+	f.Add([]byte{4, 3})
+	f.Add([]byte{2, 0, 1, 2, 0, 1, 2, 2, 1, 0, 0})
+	f.Add([]byte{39, 5, 17, 38, 0, 21, 21, 9, 33, 2, 14, 27})
+	// TestMergeByIDRejectsBadIDs' cases: a duplicate, an ID past n, ID 0
+	// and a far out-of-range ID.
+	f.Add([]byte{2, 0, 1, 2, 0xFC})
+	f.Add([]byte{1, 1, 0, 0xFD})
+	f.Add([]byte{3, 0, 0, 0xFE})
+	f.Add([]byte{0, 0xFF, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		k := 1 + int(data[0]%64)
+		script := data[1:]
+		n := len(script)
+		rng := rand.New(rand.NewSource(int64(n)))
+		parts := make([][]Record, k)
+		corrupt := false
+		for i, b := range script {
+			r := mergeRecord(rng, i+1)
+			switch b {
+			case 0xFC:
+				r.ID = uint64(i)
+			case 0xFD:
+				r.ID = uint64(n + 1 + i)
+			case 0xFE:
+				r.ID = 0
+			case 0xFF:
+				r.ID = 1<<63 + uint64(i)
+			}
+			corrupt = corrupt || b >= 0xFC
+			s := int(b) % k
+			parts[s] = append(parts[s], r)
+		}
+		completionOrder(parts)
+		if !corrupt {
+			checkMerge(t, "script", parts)
+			return
+		}
+		stores := storesOf(parts)
+		before := contents(stores)
+		if _, _, err := MergeByID(stores); err == nil {
+			t.Fatal("a corrupted script merged")
+		} else if !strings.Contains(err.Error(), "record ID ") || !strings.Contains(err.Error(), " from server ") {
+			t.Fatalf("error %q names no ID and server", err)
+		}
+		if !reflect.DeepEqual(contents(stores), before) {
+			t.Fatal("a rejected merge changed the stores")
+		}
+	})
 }

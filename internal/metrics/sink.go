@@ -1,7 +1,8 @@
 // Record sinks: the streaming dataflow retires every finished invocation
-// through a Sink instead of holding it for an end-of-run Collect. Two
-// implementations ship — the exact in-memory Set (default scales, golden
-// digests) and the fixed-memory Accumulator (long-horizon runs) — so the
+// through a Sink instead of holding it for an end-of-run Collect. The
+// exact sinks keep every record: the in-memory Set (default scales,
+// golden digests) and the fleets' chunked per-server Store. The
+// fixed-memory Accumulator (long-horizon runs) keeps totals. So the
 // choice of memory/fidelity trade-off is orthogonal to how the simulation
 // is driven.
 
@@ -11,6 +12,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/faassched/faassched/internal/chunk"
 	"github.com/faassched/faassched/internal/pricing"
 	"github.com/faassched/faassched/internal/stats"
 )
@@ -26,6 +28,12 @@ type Sink interface {
 // verbatim, so every Set-derived statistic (CDFs, exact quantiles, golden
 // digests) is available afterwards. Memory is O(records).
 func (s *Set) Push(r Record) { s.Records = append(s.Records, r) }
+
+// Store is the exact-record fleets' per-server Sink: an append-only
+// record log in chunks that double from 16 to 1,024 records, so a push
+// never copies a record the store already holds. MergeByID turns a
+// fleet's stores into ID-ordered Sets.
+type Store = chunk.Log[Record]
 
 // Accumulator histogram calibration: per-metric values in milliseconds on
 // log-spaced buckets from 1 µs to 24 h. 512 buckets over ~10.9 decades

@@ -7,7 +7,7 @@
 #
 # The set below pairs the substrate micro-benchmarks (dispatch mechanism,
 # the full per-arrival routing step, CFS runqueue insert/delete, a
-# record's push into the streaming sinks, one server's admit-then-run
+# record's push into the streaming and exact sinks, one server's admit-then-run
 # event loop, the exact-record fleets' ID merge,
 # end-to-end CFS event throughput, workload build and stream, facade) with a few
 # figure benchmarks as end-to-end sentinels, plus the sharded-fleet group:
