@@ -234,7 +234,7 @@ func BenchmarkCFSSimulation(b *testing.B) {
 // stream with shortened durations (~119 ms mean, ~12 busy cores at the
 // 6,221/min calibrated rate) so a 16-core machine sustains it at ~77%
 // utilization. Sustainability is the point, not a dodge: the streaming
-// memory bound is O(active tasks + look-ahead window), and on an
+// memory bound is O(active tasks + one watermark step), and on an
 // overloaded box every task is active — no dataflow can bound that.
 // Long-horizon runs (ext-diurnal) are exactly the sustained-rate regime
 // this models.
@@ -268,12 +268,13 @@ func fullscaleWorkload(b *testing.B) []workload.Invocation {
 // FIFO (run-to-completion, so the policy itself allocates nothing and the
 // dataflow difference is the whole signal): "materialized" seeds every
 // task up front and Collects every record afterwards — allocs/op scales
-// with total invocations — while "streamed" feeds the same window through
-// lazy admission, task recycling, and a fixed-memory accumulator sink —
-// allocs/op is bounded by active tasks + the look-ahead window. The
-// allocs/op ratio between the sub-benchmarks is the memory win the
-// streaming dataflow exists for (BENCH_baseline.json records it;
-// peak_tasks reports the pool high-water mark).
+// with total invocations — while "streamed" admits the same window lazily
+// into an Incremental stepped at watermarks, recycles tasks, and retires
+// records into a fixed-memory accumulator sink — allocs/op is bounded by
+// active tasks + one watermark step. The allocs/op ratio between the
+// sub-benchmarks is the memory win the streaming dataflow exists for
+// (BENCH_baseline.json records it; peak_tasks reports the pool high-water
+// mark).
 func BenchmarkStreamedFullscale(b *testing.B) {
 	invs := fullscaleWorkload(b)
 	kcfg := simkern.DefaultConfig(16)
@@ -281,7 +282,7 @@ func BenchmarkStreamedFullscale(b *testing.B) {
 	b.Run("materialized", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			k, err := simrun.Exec(kcfg, fifoPolicy(), ghost.Config{}, simrun.AddTasks(workload.Tasks(invs)))
+			k, err := simrun.ExecStats(kcfg, fifoPolicy(), ghost.Config{}, simrun.AddTasks(workload.Tasks(invs)), nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -294,23 +295,35 @@ func BenchmarkStreamedFullscale(b *testing.B) {
 	})
 	b.Run("streamed", func(b *testing.B) {
 		b.ReportAllocs()
+		// A 5 s watermark step (vs the 30 s default) makes the step term
+		// of the O(active + step) bound visible at this rate.
+		const step = 5 * time.Second
 		var poolHighWater int
 		for i := 0; i < b.N; i++ {
-			pool := workload.NewTaskPool()
-			src, stop := simrun.PooledTasks(workload.SliceSource(invs), pool)
 			acc := metrics.NewAccumulator(pricing.Default())
-			// A 5 s look-ahead (vs the 30 s default) makes the window term
-			// of the O(active + look-ahead) bound visible at this rate.
-			_, err := simrun.ExecStream(kcfg, fifoPolicy(), ghost.Config{}, src,
-				simrun.StreamConfig{Window: 5 * time.Second, Sink: acc, Recycle: func(t *simkern.Task) { pool.Put(t) }})
-			stop()
+			inc, err := simrun.NewIncremental(kcfg, fifoPolicy(), ghost.Config{}, acc)
 			if err != nil {
+				b.Fatal(err)
+			}
+			mark := step
+			for j, inv := range invs {
+				for inv.Arrival > mark {
+					if err := inc.RunTo(mark); err != nil {
+						b.Fatal(err)
+					}
+					mark += step
+				}
+				if err := inc.Admit(inc.Pool().Get(inv, simkern.TaskID(j+1))); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := inc.Drain(); err != nil {
 				b.Fatal(err)
 			}
 			if acc.Completed() != len(invs) {
 				b.Fatalf("accumulated %d of %d", acc.Completed(), len(invs))
 			}
-			poolHighWater = pool.FreeLen()
+			poolHighWater = inc.Pool().FreeLen()
 		}
 		b.ReportMetric(float64(len(invs)), "invocations")
 		b.ReportMetric(float64(poolHighWater), "peak_tasks")

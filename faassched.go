@@ -26,7 +26,6 @@ package faassched
 import (
 	"fmt"
 	"os"
-	"sort"
 	"time"
 
 	"github.com/faassched/faassched/internal/autoscale"
@@ -345,11 +344,13 @@ func Simulate(opts Options, invs []Invocation) (*Result, error) {
 func DurationModel() fib.DurationModel { return fib.DefaultModel() }
 
 // Source re-exports the lazy invocation stream: an iter.Seq-style
-// iterator yielding invocations in arrival order. Sources feed the
-// streaming simulation entry points, which keep peak memory proportional
-// to active tasks plus a bounded look-ahead window instead of the total
-// invocation count — the difference between a two-minute snapshot and a
-// multi-hour diurnal horizon.
+// iterator yielding invocations in arrival order. Sources feed the fleet
+// entry points that stream (SimulateShardedReplay, SimulateAutoscaled and
+// SimulateAutoscaledExact); the two windowed ones keep peak memory
+// proportional to active tasks plus one watermark window instead of the
+// total invocation count — the difference between a two-minute snapshot
+// and a multi-hour diurnal horizon. A single machine streams as a
+// one-server fleet.
 type Source = workload.Source
 
 // SliceSource adapts a materialized workload to a Source.
@@ -373,176 +374,6 @@ func BuildWorkloadSource(spec WorkloadSpec) (Source, error) {
 		return nil, err
 	}
 	return b.Stream(tr, 0, minutes)
-}
-
-// streamOpts validates opts for the streaming entry points and returns
-// the policy.
-func streamOpts(opts Options) (Options, ghost.Policy, error) {
-	if opts.Cores == 0 {
-		opts.Cores = 8
-	}
-	if opts.Cores < 2 {
-		return opts, nil, fmt.Errorf("faassched: need at least 2 cores, got %d", opts.Cores)
-	}
-	if opts.Scheduler == "" {
-		opts.Scheduler = SchedulerHybrid
-	}
-	policy, err := newPolicy(opts)
-	if err != nil {
-		return opts, nil, err
-	}
-	return opts, policy, nil
-}
-
-// SimulateStreamed runs src through the streaming dataflow — lazy arrival
-// admission, completion-sink retirement, task recycling — with the exact
-// in-memory record sink, and is observationally identical to Simulate on
-// the materialized equivalent of src, idle gaps included (DESIGN.md §7;
-// TestGoldenDigests pins this per scheduler). Memory for the record set
-// is still O(invocations); use SimulateAccumulated when the horizon makes
-// even that too much.
-func SimulateStreamed(opts Options, src Source) (*Result, error) {
-	opts, policy, err := streamOpts(opts)
-	if err != nil {
-		return nil, err
-	}
-	var set metrics.Set
-	kernel, fleet, err := runStream(opts, policy, src, &set)
-	if err != nil {
-		return nil, err
-	}
-	if len(set.Records) == 0 {
-		return nil, fmt.Errorf("faassched: empty workload")
-	}
-	if reg := opts.Obs.Registry(); reg != nil {
-		reg.Counter(obs.CInvocations).Add(int64(len(set.Records)))
-	}
-	sort.Slice(set.Records, func(i, j int) bool { return set.Records[i].ID < set.Records[j].ID })
-	res := &Result{
-		Scheduler:   opts.Scheduler,
-		Set:         set,
-		Makespan:    kernel.Makespan(),
-		Preemptions: set.TotalPreemptions(),
-	}
-	if fleet != nil {
-		res.LaunchedVMs = fleet.Launched()
-		res.FailedVMs = fleet.Failed()
-		if reg := opts.Obs.Registry(); reg != nil {
-			reg.Counter(obs.CFcLaunchFails).Add(int64(res.FailedVMs))
-		}
-	}
-	return res, nil
-}
-
-// StreamStats is a finished fixed-memory streaming simulation: counts,
-// totals, and histogram-backed quantiles instead of per-invocation
-// records.
-type StreamStats struct {
-	// Scheduler that produced this result.
-	Scheduler Scheduler
-	// Completed and Failed count retired invocations.
-	Completed int
-	Failed    int
-	// Preemptions is the total task preemption count.
-	Preemptions int
-	// Makespan is the completion time of the last task.
-	Makespan time.Duration
-	// CostUSD bills every completed invocation at its own memory size
-	// under the default tariff.
-	CostUSD float64
-
-	acc *metrics.Accumulator
-}
-
-// QuantileMs estimates metric m's q-th quantile in milliseconds from the
-// streaming histograms (log-bucket resolution, a few percent of relative
-// error).
-func (s *StreamStats) QuantileMs(m Metric, q float64) (float64, error) {
-	return s.acc.Quantile(m, q)
-}
-
-// P99Seconds estimates the 99th percentile of metric m in seconds.
-func (s *StreamStats) P99Seconds(m Metric) (float64, error) { return s.acc.P99(m) }
-
-// CostAtUniformMemoryUSD rebills every invocation as if it had memMB.
-func (s *StreamStats) CostAtUniformMemoryUSD(memMB int) float64 {
-	return s.acc.CostAtUniformMemory(memMB)
-}
-
-// Summary returns a one-line digest (quantiles are histogram estimates).
-func (s *StreamStats) Summary() string {
-	return fmt.Sprintf("%s: %s | preemptions=%d makespan=%s cost=$%.6f",
-		s.Scheduler, s.acc.Summary(), s.Preemptions, s.Makespan, s.CostUSD)
-}
-
-// SimulateAccumulated runs src through the streaming dataflow with the
-// fixed-memory accumulator sink: peak memory is O(active tasks +
-// look-ahead window) no matter how long the workload runs. This is the
-// entry point behind the multi-hour ext-diurnal experiment.
-func SimulateAccumulated(opts Options, src Source) (*StreamStats, error) {
-	opts, policy, err := streamOpts(opts)
-	if err != nil {
-		return nil, err
-	}
-	acc := metrics.NewAccumulator(pricing.Default())
-	kernel, fleet, err := runStream(opts, policy, src, acc)
-	if err != nil {
-		return nil, err
-	}
-	if acc.Completed() == 0 {
-		return nil, fmt.Errorf("faassched: empty workload")
-	}
-	if reg := opts.Obs.Registry(); reg != nil {
-		reg.Counter(obs.CInvocations).Add(int64(acc.Completed() + acc.FailedCount()))
-		if fleet != nil {
-			reg.Counter(obs.CFcLaunchFails).Add(int64(fleet.Failed()))
-		}
-	}
-	return &StreamStats{
-		Scheduler:   opts.Scheduler,
-		Completed:   acc.Completed(),
-		Failed:      acc.FailedCount(),
-		Preemptions: acc.TotalPreemptions(),
-		Makespan:    kernel.Makespan(),
-		CostUSD:     acc.Cost(),
-		acc:         acc,
-	}, nil
-}
-
-// runStream executes the shared streaming run: pooled tasks, lazy
-// admission, sink retirement. In Firecracker mode the fleet wrapper
-// draws boot tasks lazily from the source instead (one microVM per
-// invocation, lifecycle state pruned as VMs retire, refused launches
-// retired through the sink as Failed records), so long-horizon microVM
-// experiments no longer need the materialized launcher.
-func runStream(opts Options, policy ghost.Policy, src Source, sink metrics.Sink) (*simkern.Kernel, *firecracker.Fleet, error) {
-	kcfg, gcfg := simkern.DefaultConfig(opts.Cores), ghost.Config{}
-	if tr := opts.Obs.Tracer(); tr != nil {
-		kcfg.Probe = tr.KernelProbe(0)
-		gcfg.Probe = tr.GhostProbe(0)
-	}
-	sink = opts.Obs.WrapSink(0, sink)
-	var gstats ghost.Stats
-	scfg := simrun.StreamConfig{Sink: sink, Stats: &gstats}
-	var k *simkern.Kernel
-	var fleet *firecracker.Fleet
-	var err error
-	if opts.Firecracker {
-		if fleet, err = firecracker.NewFleet(policy, firecracker.Config{ServerMemMB: opts.ServerMemMB}); err != nil {
-			return nil, nil, err
-		}
-		k, err = simrun.ExecStream(kcfg, fleet, gcfg, fleet.Stream(src, sink), scfg)
-	} else {
-		k, err = simrun.ExecStreamPooled(kcfg, policy, gcfg, src, scfg)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	if reg := opts.Obs.Registry(); reg != nil {
-		reg.AddGhostStats(gstats)
-		reg.Counter(obs.CKernEvents).Add(int64(k.EventSeq()))
-	}
-	return k, fleet, nil
 }
 
 // Dispatch re-exports the cluster-level dispatch policy selector.

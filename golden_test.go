@@ -7,9 +7,10 @@ package faassched
 // core must not change a single one, because events must keep firing in
 // exactly the same (time, class, seq) order. Every scheduler runs through
 // BOTH dataflows — materialized (pre-seeded tasks, end-of-run Collect)
-// and streamed (lazy admission, completion sinks, task recycling) — and
-// every fleet both through the lockstep engine (lazy admission) and the
-// pre-seeded oracle; all must hash to the same committed digest.
+// and streamed as a one-server fleet (lazy admission, completion sinks,
+// task recycling) — and every fleet both through the lockstep engine
+// (lazy admission) and the pre-seeded oracle; all must hash to the same
+// committed digest.
 //
 // Regenerate (only when an intentional semantic change is made) with:
 //
@@ -147,11 +148,12 @@ func goldenFleets() []goldenFleet {
 }
 
 // computeStreamedDigests reruns the single-machine half of the golden
-// matrix through the streaming dataflow — lazy arrival admission,
-// completion-sink retirement, task recycling — under the SAME keys as
-// computeDigests: both dataflows must be observationally identical.
-// (The Firecracker entry has no streamed analog: microVM launches need
-// the materialized workload.)
+// matrix as one-server round-robin fleets on the lockstep engine — lazy
+// arrival admission in watermark steps, completion-sink retirement, task
+// recycling — under the SAME keys as computeDigests: a streamed single
+// machine is a one-server fleet, and it must be observationally identical
+// to the pre-seeded run. (The Firecracker entry has no streamed analog:
+// microVM launches need a task-retaining kernel.)
 func computeStreamedDigests(t *testing.T) map[string]string {
 	t.Helper()
 	invs := goldenWorkload(t)
@@ -159,11 +161,13 @@ func computeStreamedDigests(t *testing.T) map[string]string {
 	o := goldenObs(t)
 
 	for _, sched := range Schedulers() {
-		res, err := SimulateStreamed(Options{Cores: 8, Scheduler: sched, Obs: o}, SliceSource(invs))
+		res, err := SimulateCluster(ClusterOptions{
+			Servers: 1, CoresPerServer: 8, Dispatch: DispatchRoundRobin, Scheduler: sched, Obs: o,
+		}, invs)
 		if err != nil {
 			t.Fatalf("streamed %s: %v", sched, err)
 		}
-		out["sim/"+string(sched)] = digestResult(res)
+		out["sim/"+string(sched)] = digestResult(&res.Result)
 	}
 	return out
 }

@@ -2,6 +2,8 @@ package autoscale
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -85,13 +87,22 @@ func TestConfigValidation(t *testing.T) {
 		{"negative spin-up", func(c *Config) { c.SpinUp = -time.Second }},
 		{"inverted thresholds", func(c *Config) { c.UpThreshold = 0.2; c.DownThreshold = 0.8 }},
 		{"util threshold above 1", func(c *Config) { c.UpThreshold = 1.5 }},
+		{"NaN util up threshold", func(c *Config) { c.UpThreshold = math.NaN() }},
+		{"NaN util down threshold", func(c *Config) { c.DownThreshold = math.NaN() }},
+		{"NaN depth up threshold", func(c *Config) { c.Policy = PolicyQueueDepth; c.UpThreshold = math.NaN() }},
+		{"NaN depth down threshold", func(c *Config) { c.Policy = PolicyQueueDepth; c.DownThreshold = math.NaN() }},
+		{"+Inf depth up threshold", func(c *Config) { c.Policy = PolicyQueueDepth; c.UpThreshold = math.Inf(1) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := base()
 			tc.mutate(&cfg)
-			if _, err := Run(cfg, src); err == nil {
-				t.Errorf("%s accepted", tc.name)
+			_, err := Run(cfg, src)
+			if err == nil {
+				t.Fatalf("%s accepted", tc.name)
+			}
+			if strings.Contains(tc.name, "threshold") && !strings.Contains(err.Error(), "Threshold") {
+				t.Errorf("%s: error %q does not name the threshold field", tc.name, err)
 			}
 		})
 	}

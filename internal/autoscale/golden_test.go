@@ -28,6 +28,7 @@ import (
 	"github.com/faassched/faassched/internal/core"
 	"github.com/faassched/faassched/internal/faults"
 	"github.com/faassched/faassched/internal/ghost"
+	"github.com/faassched/faassched/internal/metrics"
 	"github.com/faassched/faassched/internal/workload"
 )
 
@@ -149,7 +150,7 @@ func digestElastic(r *Result) string {
 			continue
 		}
 		for _, rec := range sv.Set.Records {
-			fmt.Fprintf(h, "%+v\n", rec)
+			metrics.WriteDigest(h, rec)
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))

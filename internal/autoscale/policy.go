@@ -7,6 +7,7 @@ package autoscale
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -82,6 +83,9 @@ func (p ScalePolicy) thresholds(up, down float64) (float64, float64, error) {
 		}
 	default:
 		return 0, 0, fmt.Errorf("autoscale: unknown scaling policy %q (have %v)", p, Policies())
+	}
+	if math.IsNaN(up) || math.IsNaN(down) || math.IsInf(up, 0) || math.IsInf(down, 0) {
+		return 0, 0, fmt.Errorf("autoscale: %s UpThreshold %v and DownThreshold %v must be finite", p, up, down)
 	}
 	if up <= 0 || down <= 0 {
 		return 0, 0, fmt.Errorf("autoscale: thresholds must be positive (up %v, down %v)", up, down)

@@ -7,6 +7,7 @@ package cliutil
 import (
 	"flag"
 	"fmt"
+	"math"
 	"time"
 
 	"github.com/faassched/faassched/internal/faults"
@@ -74,8 +75,8 @@ func (f *FaultFlags) Validate() error {
 	if f.Downtime < 0 || f.StragglerDur < 0 {
 		return fmt.Errorf("-fault-downtime/-fault-straggler-duration must be >= 0")
 	}
-	if f.StragglerFactor != 0 && f.StragglerFactor < 1 {
-		return fmt.Errorf("-fault-straggler-factor %v must be >= 1 (or 0 for the default)", f.StragglerFactor)
+	if x := f.StragglerFactor; x != 0 && (math.IsNaN(x) || math.IsInf(x, 0) || x < 1) {
+		return fmt.Errorf("-fault-straggler-factor %v must be finite and >= 1 (or 0 for the default)", x)
 	}
 	if f.Retries < 0 || f.BackoffBase < 0 || f.BackoffCap < 0 {
 		return fmt.Errorf("-fault-retries/-fault-backoff/-fault-backoff-cap must be >= 0")

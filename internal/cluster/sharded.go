@@ -616,7 +616,7 @@ func runSharded(cfg Config, src workload.Source, exact bool, tariff pricing.Tari
 		cfg.Seed = 1
 	}
 	if cfg.Window < 0 {
-		return nil, fmt.Errorf("cluster: negative look-ahead window %v", cfg.Window)
+		return nil, fmt.Errorf("cluster: negative watermark window %v", cfg.Window)
 	}
 	if err := cfg.Faults.Validate(); err != nil {
 		return nil, err

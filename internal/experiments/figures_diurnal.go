@@ -5,11 +5,11 @@ import (
 	"strings"
 	"time"
 
+	"github.com/faassched/faassched/internal/cluster"
 	"github.com/faassched/faassched/internal/core"
 	"github.com/faassched/faassched/internal/ghost"
 	"github.com/faassched/faassched/internal/metrics"
 	"github.com/faassched/faassched/internal/simkern"
-	"github.com/faassched/faassched/internal/simrun"
 	"github.com/faassched/faassched/internal/trace"
 	"github.com/faassched/faassched/internal/workload"
 )
@@ -20,7 +20,7 @@ import (
 // RateScale=1 (the already-downscaled Azure-calibrated rate, §V-B), which
 // keeps the run CPU-bound rather than pointless: the old materialized
 // dataflow could not hold even this volume over 24 h, while streaming
-// admission holds only the look-ahead window regardless of horizon.
+// admission holds only one watermark step regardless of horizon.
 const (
 	quickDiurnalMinutes     = 30
 	fullDiurnalMinutes      = 360  // 6 h
@@ -65,8 +65,8 @@ func (e *Env) diurnalWindow() time.Duration {
 // DiurnalSource synthesizes the long-horizon Azure-calibrated trace and
 // returns its lazy invocation source plus the horizon in minutes. The
 // trace is generated eagerly (O(functions × minutes) counts, a few MB at
-// 24 h); invocations are derived minute by minute as the feeder pulls
-// them, so the workload itself is never materialized.
+// 24 h); invocations are derived minute by minute as the engine's router
+// pulls them, so the workload itself is never materialized.
 func (e *Env) DiurnalSource() (workload.Source, int, error) {
 	minutes := e.diurnalMinutes()
 	cfg := trace.DefaultConfig()
@@ -122,7 +122,7 @@ func ExtDiurnal(e *Env) (*Figure, error) {
 		"scheduler", "n", "p50_exec_ms", "p99_exec_ms", "p50_resp_ms", "p99_resp_ms",
 		"p99_turn_s", "preemptions", "makespan_s", "cost_usd")
 	for _, s := range schedulers {
-		win, makespan, ticks, err := e.RunStreamed(s.mk(), src)
+		win, makespan, ticks, err := e.RunStreamed(s.mk, src)
 		if err != nil {
 			return nil, fmt.Errorf("ext-diurnal %s: %w", s.name, err)
 		}
@@ -190,22 +190,22 @@ func windowTrack(win *metrics.WindowedAccumulator) string {
 		strings.Join(p99s, " "), strings.Join(costs, " "))
 }
 
-// RunStreamed executes one policy over the source through the streaming
-// pipeline with a fixed-memory windowed sink (width from diurnalWindow),
-// returning the sink, the makespan, and the enclave's delegation stats
-// (fired vs elided agent ticks).
-func (e *Env) RunStreamed(policy ghost.Policy, src workload.Source) (*metrics.WindowedAccumulator, time.Duration, ghost.Stats, error) {
-	win, err := metrics.NewWindowedAccumulator(e.Tariff, e.diurnalWindow())
+// RunStreamed executes one policy over the source on a single machine,
+// run as a one-server fleet on the lockstep engine: lazy admission in
+// watermark steps, task recycling, and a fixed-memory windowed sink
+// (width from diurnalWindow). It returns the sink, the makespan, and the
+// enclave's delegation stats (fired vs elided agent ticks).
+func (e *Env) RunStreamed(policy func() ghost.Policy, src workload.Source) (*metrics.WindowedAccumulator, time.Duration, ghost.Stats, error) {
+	rep, err := cluster.SimulateShardedWindowed(cluster.Config{
+		Servers:  1,
+		Dispatch: cluster.DispatchRoundRobin,
+		Kernel:   simkern.DefaultConfig(e.Cores),
+		Policy:   policy,
+	}, src, e.Tariff, e.diurnalWindow())
 	if err != nil {
 		return nil, 0, ghost.Stats{}, err
 	}
-	var st ghost.Stats
-	k, err := simrun.ExecStreamPooled(simkern.DefaultConfig(e.Cores), policy, ghost.Config{}, src,
-		simrun.StreamConfig{Sink: win, Stats: &st})
-	if err != nil {
-		return nil, 0, ghost.Stats{}, err
-	}
-	return win, k.Makespan(), st, nil
+	return rep.Windowed, rep.Makespan, rep.Stats, nil
 }
 
 // tickNote renders fired vs elided agent-tick counters: how much of the

@@ -106,8 +106,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("faults: negative duration (downtime %v, straggler %v)",
 			c.Downtime, c.StragglerDuration)
 	}
-	if c.StragglerFactor != 0 && c.StragglerFactor < 1 {
-		return fmt.Errorf("faults: StragglerFactor %v < 1 would speed servers up", c.StragglerFactor)
+	if f := c.StragglerFactor; f != 0 && (math.IsNaN(f) || math.IsInf(f, 0) || f < 1) {
+		return fmt.Errorf("faults: StragglerFactor %v must be finite and >= 1 (or 0 for the default)", f)
 	}
 	if c.Retry.MaxAttempts < 0 || c.Retry.BackoffBase < 0 || c.Retry.BackoffCap < 0 {
 		return fmt.Errorf("faults: negative retry policy %+v", c.Retry)

@@ -1,6 +1,8 @@
 package faults
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -163,16 +165,30 @@ func TestConfigValidate(t *testing.T) {
 	if err := (Config{}).Validate(); err != nil {
 		t.Errorf("zero config rejected: %v", err)
 	}
-	bad := []Config{
-		{CrashMTBF: -1},
-		{Timeout: -1},
-		{Downtime: -1},
-		{StragglerFactor: 0.5},
-		{Retry: RetryPolicy{MaxAttempts: -1}},
+	if err := (Config{StragglerFactor: 1}).Validate(); err != nil {
+		t.Errorf("StragglerFactor 1 rejected: %v", err)
+	}
+	bad := []struct {
+		cfg   Config
+		field string // named in the error, when set
+	}{
+		{Config{CrashMTBF: -1}, ""},
+		{Config{Timeout: -1}, ""},
+		{Config{Downtime: -1}, ""},
+		{Config{StragglerFactor: 0.5}, "StragglerFactor"},
+		{Config{StragglerFactor: math.NaN()}, "StragglerFactor"},
+		{Config{StragglerFactor: math.Inf(1)}, "StragglerFactor"},
+		{Config{StragglerFactor: math.Inf(-1)}, "StragglerFactor"},
+		{Config{Retry: RetryPolicy{MaxAttempts: -1}}, ""},
 	}
 	for _, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("config %+v accepted", c)
+		err := c.cfg.Validate()
+		if err == nil {
+			t.Errorf("config %+v accepted", c.cfg)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.field) {
+			t.Errorf("config %+v: error %q does not name %s", c.cfg, err, c.field)
 		}
 	}
 }

@@ -19,11 +19,9 @@ package firecracker
 
 import (
 	"fmt"
-	"iter"
 	"time"
 
 	"github.com/faassched/faassched/internal/ghost"
-	"github.com/faassched/faassched/internal/metrics"
 	"github.com/faassched/faassched/internal/simkern"
 	"github.com/faassched/faassched/internal/workload"
 )
@@ -114,22 +112,12 @@ type Fleet struct {
 	inner ghost.Policy
 	env   *ghost.Env
 
-	vms      []*vmState
 	byBoot   map[simkern.TaskID]*vmState
 	byVCPU   map[simkern.TaskID]*vmState
 	memUsed  int
 	peakMem  int
 	launched int
 	failed   int
-
-	// Streaming mode (Stream): VM states are built lazily as the feeder
-	// pulls boot tasks, lifecycle map entries are pruned as VMs retire,
-	// and failed launches push their Failed record into sink directly —
-	// an aborted task emits no TASK_DEAD, so the stream retirer would
-	// never see it (the invariant behind simrun.ExecStream's AbortTask
-	// precondition, discharged here by the fleet itself).
-	streaming bool
-	sink      metrics.Sink
 }
 
 var (
@@ -164,7 +152,7 @@ func (f *Fleet) Attach(env *ghost.Env) {
 
 // newVM builds microVM i's state for inv. Task IDs are assigned as 3·i+1
 // (boot), 3·i+2 (vCPU), 3·i+3 (IO) so records remain traceable to
-// invocations on both the materialized and the streaming path.
+// invocations.
 func (f *Fleet) newVM(i int, inv workload.Invocation) *vmState {
 	guestMB := inv.MemMB
 	if guestMB < f.cfg.VM.MinGuestMB {
@@ -209,42 +197,16 @@ func (f *Fleet) newVM(i int, inv workload.Invocation) *vmState {
 	return vm
 }
 
-// Launch registers one microVM per invocation with the kernel — the
-// materialized path: every VM state and its three thread tasks exist
-// before the clock starts.
+// Launch registers one microVM per invocation with the kernel: every VM
+// state and its three thread tasks exist before the clock starts.
 func (f *Fleet) Launch(kernel *simkern.Kernel, invs []workload.Invocation) error {
 	for i, inv := range invs {
 		vm := f.newVM(i, inv)
-		f.vms = append(f.vms, vm)
 		if err := kernel.AddTask(vm.boot); err != nil {
 			return fmt.Errorf("firecracker: launch vm %d: %w", i, err)
 		}
 	}
 	return nil
-}
-
-// Stream is Launch's lazy sibling: it returns a task source yielding one
-// boot task per invocation as the stream feeder pulls, so VM states
-// materialize only inside the look-ahead window. sink receives the
-// Failed record of every launch refused for memory (the successful path
-// retires vCPU records through the stream retirer as usual), and
-// lifecycle state is pruned as VMs finish — peak memory tracks live VMs,
-// not the workload length.
-func (f *Fleet) Stream(src workload.Source, sink metrics.Sink) func() (*simkern.Task, bool) {
-	f.streaming = true
-	f.sink = sink
-	next, stop := iter.Pull(iter.Seq[workload.Invocation](src))
-	i := 0
-	return func() (*simkern.Task, bool) {
-		inv, ok := next()
-		if !ok {
-			stop()
-			return nil, false
-		}
-		vm := f.newVM(i, inv)
-		i++
-		return vm.boot, true
-	}
 }
 
 // OnMessage implements ghost.Policy: run the VM lifecycle, forward the
@@ -260,16 +222,10 @@ func (f *Fleet) OnMessage(m ghost.Message) {
 	case ghost.MsgTaskDead:
 		if vm, ok := f.byBoot[m.Task.ID]; ok && m.Task.Kind == simkern.KindVMM {
 			f.booted(vm)
-			if f.streaming {
-				delete(f.byBoot, m.Task.ID)
-			}
 		}
 		if vm, ok := f.byVCPU[m.Task.ID]; ok {
 			if f.cfg.Recycle {
 				f.memUsed -= vm.memMB
-			}
-			if f.streaming {
-				delete(f.byVCPU, m.Task.ID)
 			}
 		}
 	}
@@ -278,26 +234,14 @@ func (f *Fleet) OnMessage(m ghost.Message) {
 
 // admit reserves memory for vm; on exhaustion the launch fails: the boot
 // task is aborted and the never-to-run vCPU task surfaces as a failed
-// invocation (the paper's horizontal CDF offset) — on the materialized
-// path by registering and aborting it so metrics.Collect reports it, on
-// the streaming path by pushing its Failed record into the sink directly
-// (aborted tasks emit no TASK_DEAD for the retirer to see).
+// invocation (the paper's horizontal CDF offset): it is registered and
+// aborted, so metrics.Collect reports it. Aborted tasks emit no TASK_DEAD,
+// so the fleet needs a task-retaining kernel (Launch's pre-seeded run),
+// not a driver that retires records from TASK_DEAD messages.
 func (f *Fleet) admit(vm *vmState) bool {
 	if f.memUsed+vm.memMB > f.cfg.ServerMemMB {
 		f.failed++
 		_ = f.env.AbortTask(vm.boot)
-		if f.streaming {
-			f.sink.Push(metrics.Record{
-				ID:     uint64(vm.vcpu.ID),
-				Label:  vm.vcpu.Label,
-				MemMB:  vm.vcpu.MemMB,
-				FibN:   vm.vcpu.FibN,
-				Failed: true,
-			})
-			delete(f.byBoot, vm.boot.ID)
-			delete(f.byVCPU, vm.vcpu.ID)
-			return false
-		}
 		vm.vcpu.Arrival = vm.boot.Arrival
 		if err := f.env.AddTask(vm.vcpu); err == nil {
 			_ = f.env.AbortTask(vm.vcpu)

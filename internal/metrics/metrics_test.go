@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -201,5 +202,20 @@ func TestCDFEmptyErrors(t *testing.T) {
 	}
 	if _, err := s.P99(Execution); err == nil {
 		t.Error("P99 over empty set should fail")
+	}
+}
+
+// TestWriteDigestEncoding pins the golden digests' record line byte for
+// byte: the sampler and elastic goldens hash exactly these bytes.
+func TestWriteDigestEncoding(t *testing.T) {
+	var b strings.Builder
+	WriteDigest(&b, Record{
+		ID: 7, Label: "fib(30)", Arrival: 1500 * time.Millisecond, FirstRun: 2 * time.Second,
+		Finish: 2*time.Second + 250*time.Microsecond, CPU: 250 * time.Microsecond, Preemptions: 3,
+		MemMB: 128, FibN: 30, ColdStart: 0, Failed: true, Attempts: 2, GiveUp: true, Wasted: time.Minute,
+	})
+	const want = "{ID:7 Label:fib(30) Arrival:1.5s FirstRun:2s Finish:2.00025s CPU:250µs Preemptions:3 MemMB:128 FibN:30 ColdStart:0s Failed:true Attempts:2 GiveUp:true Wasted:1m0s}\n"
+	if got := b.String(); got != want {
+		t.Errorf("encoding\n got %q\nwant %q", got, want)
 	}
 }

@@ -1,8 +1,7 @@
 // Record sinks: the streaming dataflow retires every finished invocation
 // through a Sink instead of holding it for an end-of-run Collect. The
-// exact sinks keep every record: the in-memory Set (default scales,
-// golden digests) and the fleets' chunked per-server Store. The
-// fixed-memory Accumulator (long-horizon runs) keeps totals. So the
+// exact sink, the fleets' chunked per-server Store, keeps every record.
+// The fixed-memory Accumulator (long-horizon runs) keeps totals. So the
 // choice of memory/fidelity trade-off is orthogonal to how the simulation
 // is driven.
 
@@ -23,11 +22,6 @@ import (
 type Sink interface {
 	Push(Record)
 }
-
-// Push implements Sink for the exact in-memory set: records are retained
-// verbatim, so every Set-derived statistic (CDFs, exact quantiles, golden
-// digests) is available afterwards. Memory is O(records).
-func (s *Set) Push(r Record) { s.Records = append(s.Records, r) }
 
 // Store is the exact-record fleets' per-server Sink: an append-only
 // record log in chunks that double from 16 to 1,024 records, so a push

@@ -39,10 +39,9 @@ func TestAccumulatorMatchesSet(t *testing.T) {
 	tariff := pricing.Default()
 	recs := sinkRecords(1000)
 
-	var set Set
+	set := Set{Records: recs}
 	acc := NewAccumulator(tariff)
 	for _, r := range recs {
-		set.Push(r)
 		acc.Push(r)
 	}
 

@@ -53,14 +53,16 @@ func sameRecords(t *testing.T, got, want []metrics.Record) {
 }
 
 // TestLazyAdmissionMatchesPreSeeding pins the open-admitter rule
-// (DESIGN.md §7): both lazy drivers — ExecStream's feeder and an
-// externally clocked Incremental — reproduce the fully pre-seeded run of
-// the same workload for every scheduler, at chunk sizes far below the
-// workload's idle gaps. While a lazy admitter is open the kernel counts a
-// not-yet-admitted task as outstanding, exactly as a pre-seeded kernel
-// counts its future arrivals, so a machine that idles across an admission
-// boundary keeps its agent-tick grid, monitor and sampler running instead
-// of letting them die and re-anchor.
+// (DESIGN.md §7): an externally clocked Incremental reproduces the fully
+// pre-seeded run of the same workload for every scheduler, at chunk sizes
+// far below the workload's idle gaps, whether it admits each arrival
+// just before the step that reaches it (incremental, the fleet engine's
+// protocol) or up to two steps ahead of the clock (feeder). While a lazy
+// admitter is open the kernel counts a not-yet-admitted task as
+// outstanding, exactly as a pre-seeded kernel counts its future arrivals,
+// so a machine that idles across an admission boundary keeps its
+// agent-tick grid, monitor and sampler running instead of letting them
+// die and re-anchor.
 func TestLazyAdmissionMatchesPreSeeding(t *testing.T) {
 	invs := testInvocations(t, 200)
 	kcfg := simkern.DefaultConfig(samplerCores)
@@ -70,45 +72,28 @@ func TestLazyAdmissionMatchesPreSeeding(t *testing.T) {
 			t.Fatalf("%s: %v", p.name, err)
 		}
 		want := metrics.Collect(mat).Records
+		drivers := []struct {
+			name string
+			run  func(t *testing.T, inc *Incremental, chunk time.Duration)
+		}{
+			{"feeder", func(t *testing.T, inc *Incremental, chunk time.Duration) { feedIncremental(t, inc, invs, chunk) }},
+			{"incremental", func(t *testing.T, inc *Incremental, chunk time.Duration) { stepIncremental(t, inc, invs, chunk, nil) }},
+		}
 		for _, chunk := range []time.Duration{time.Second, 37 * time.Millisecond} {
-			t.Run(fmt.Sprintf("%s/feeder/%v", p.name, chunk), func(t *testing.T) {
-				var set metrics.Set
-				k, err := ExecStreamPooled(kcfg, p.mk(), ghost.Config{}, workload.SliceSource(invs),
-					StreamConfig{Window: chunk, Sink: &set})
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameRecords(t, set.Records, want)
-				if k.Makespan() != mat.Makespan() {
-					t.Errorf("makespan %v, pre-seeded %v", k.Makespan(), mat.Makespan())
-				}
-			})
-			t.Run(fmt.Sprintf("%s/incremental/%v", p.name, chunk), func(t *testing.T) {
-				var set metrics.Set
-				inc, err := NewIncremental(kcfg, p.mk(), ghost.Config{}, &set)
-				if err != nil {
-					t.Fatal(err)
-				}
-				mark := chunk
-				for i, inv := range invs {
-					for inv.Arrival > mark {
-						if err := inc.RunTo(mark); err != nil {
-							t.Fatal(err)
-						}
-						mark += chunk
-					}
-					if err := inc.Admit(inc.Pool().Get(inv, simkern.TaskID(i+1))); err != nil {
+			for _, d := range drivers {
+				t.Run(fmt.Sprintf("%s/%s/%v", p.name, d.name, chunk), func(t *testing.T) {
+					var store metrics.Store
+					inc, err := NewIncremental(kcfg, p.mk(), ghost.Config{}, &store)
+					if err != nil {
 						t.Fatal(err)
 					}
-				}
-				if err := inc.Drain(); err != nil {
-					t.Fatal(err)
-				}
-				sameRecords(t, set.Records, want)
-				if inc.Makespan() != mat.Makespan() {
-					t.Errorf("makespan %v, pre-seeded %v", inc.Makespan(), mat.Makespan())
-				}
-			})
+					d.run(t, inc, chunk)
+					sameRecords(t, store.Flatten(), want)
+					if inc.Makespan() != mat.Makespan() {
+						t.Errorf("makespan %v, pre-seeded %v", inc.Makespan(), mat.Makespan())
+					}
+				})
+			}
 		}
 	}
 }

@@ -1,15 +1,18 @@
-// Incremental runs: the fleet engine (cluster.Fleet, behind
-// cluster.Simulate, cluster.SimulateShardedWindowed and autoscale.Run)
-// replaces the per-server feeder timers with external admission control —
-// a router goroutine owns the arrival stream and tells every machine how
-// far it may advance (a watermark T is only emitted once every arrival ≤
-// T has been handed over). Incremental
-// packages the same kernel + retirer-wrapped enclave wiring as ExecStream
-// for that protocol: the caller admits tasks, then steps the clock to
-// each watermark with RunTo, and finally Drain()s. Determinism follows
-// from AdmitTask's pre-seeding equivalence and from open admission
-// exactly as on the feeder path: the machine's admission stays open from
-// construction until Drain (DESIGN.md §7, §11).
+// Incremental runs: one machine under external admission control. The
+// fleet engine (cluster.Fleet, behind cluster.Simulate,
+// cluster.SimulateShardedWindowed and autoscale.Run) runs every machine
+// this way, a single machine being a one-server fleet: a router goroutine
+// owns the arrival stream and tells every machine how far it may advance
+// (a watermark T is only emitted once every arrival ≤ T has been handed
+// over). The caller admits tasks, then steps the clock to each watermark
+// with RunTo, and finally Drain()s. Finished tasks are measured into a
+// metrics.Sink and recycled as they retire, so a machine holds only its
+// active tasks. Determinism follows from AdmitTask's pre-seeding
+// equivalence and from open admission: the machine's admission stays open
+// from construction until Drain, so the kernel counts a not-yet-admitted
+// task as outstanding just as a pre-seeded kernel counts its future
+// arrivals (DESIGN.md §7, §11). TestLazyAdmissionMatchesPreSeeding and
+// the sampler golden prove it per scheduler.
 
 package simrun
 
@@ -36,8 +39,10 @@ type Incremental struct {
 // NewIncremental builds a task-discarding kernel with policy attached
 // through a delegation enclave wrapped with the sink retirer (completed
 // tasks are measured into sink and recycled into the machine's pool).
-// The ExecStream precondition carries over: the policy must not use
-// Env.AbortTask.
+//
+// Precondition: the policy must not use Env.AbortTask. An aborted task
+// emits no TASK_DEAD, so the retirer would never sink its record, while
+// the pre-seeded path's metrics.Collect does report it.
 func NewIncremental(kcfg simkern.Config, policy ghost.Policy, gcfg ghost.Config, sink metrics.Sink) (*Incremental, error) {
 	if sink == nil {
 		return nil, fmt.Errorf("simrun: NewIncremental needs a Sink")
@@ -96,3 +101,75 @@ func (inc *Incremental) Stats() ghost.Stats { return inc.enc.Stats() }
 // Events returns how many kernel events the machine has scheduled — the
 // run-telemetry measure of simulation work done.
 func (inc *Incremental) Events() uint64 { return inc.k.EventSeq() }
+
+// DefaultWindow is the fleet engine's default watermark step. Arrivals
+// are minute-structured (evenly spaced within each trace minute), so half
+// a minute keeps a machine's event heap a small constant factor of the
+// per-minute arrival volume without watermark steps dominating the run.
+const DefaultWindow = 30 * time.Second
+
+// retirer wraps the scheduling policy: after the policy has consumed a
+// TASK_DEAD message (and with it dropped its own references), the finished
+// task is measured into the sink and recycled. Only
+// function-like work is recorded, matching metrics.Collect.
+type retirer struct {
+	inner   ghost.Policy
+	sink    metrics.Sink
+	recycle func(*simkern.Task)
+}
+
+// Name implements ghost.Policy.
+func (r *retirer) Name() string { return r.inner.Name() }
+
+// Attach implements ghost.Policy.
+func (r *retirer) Attach(env *ghost.Env) { r.inner.Attach(env) }
+
+// OnMessage implements ghost.Policy.
+func (r *retirer) OnMessage(m ghost.Message) {
+	r.inner.OnMessage(m)
+	if m.Type != ghost.MsgTaskDead {
+		return
+	}
+	t := m.Task
+	if t.Kind == simkern.KindFunction || t.Kind == simkern.KindVCPU {
+		r.sink.Push(metrics.FromTask(t))
+	}
+	r.recycle(t)
+}
+
+// tickingRetirer additionally forwards ghost.Ticker for policies that
+// need agent ticks (the enclave type-asserts the wrapper, not the inner
+// policy).
+type tickingRetirer struct {
+	retirer
+	ticker ghost.Ticker
+}
+
+// TickEvery implements ghost.Ticker.
+func (r *tickingRetirer) TickEvery() time.Duration { return r.ticker.TickEvery() }
+
+// OnTick implements ghost.Ticker.
+func (r *tickingRetirer) OnTick() { r.ticker.OnTick() }
+
+// horizonRetirer additionally forwards ghost.HorizonTicker, so a wrapped
+// CFS/hybrid policy keeps its tick-elision pump.
+type horizonRetirer struct {
+	tickingRetirer
+	horizon ghost.HorizonTicker
+}
+
+// NextDecision implements ghost.HorizonTicker.
+func (r *horizonRetirer) NextDecision(now time.Duration) (time.Duration, bool) {
+	return r.horizon.NextDecision(now)
+}
+
+func wrapRetirer(policy ghost.Policy, sink metrics.Sink, recycle func(*simkern.Task)) ghost.Policy {
+	base := retirer{inner: policy, sink: sink, recycle: recycle}
+	if ht, ok := policy.(ghost.HorizonTicker); ok {
+		return &horizonRetirer{tickingRetirer: tickingRetirer{retirer: base, ticker: ht}, horizon: ht}
+	}
+	if tk, ok := policy.(ghost.Ticker); ok {
+		return &tickingRetirer{retirer: base, ticker: tk}
+	}
+	return &base
+}

@@ -85,16 +85,16 @@ func digestSamplerRun(h hash.Hash, k *simkern.Kernel, hy *core.Hybrid, recs []me
 	digestSeries(h, hy.LimitSeries())
 	digestSeries(h, hy.FIFOCountSeries())
 	for _, r := range recs {
-		fmt.Fprintf(h, "%+v\n", r)
+		metrics.WriteDigest(h, r)
 	}
 }
 
-// computeSamplerDigests runs hybrid+dyn with RecordUtil through the three
-// per-server drivers: materialized (ExecStats), streamed (ExecStream's
-// feeder timers) and externally clocked (the kernel under Incremental,
-// stepped to 30 s watermarks). The incremental run's clock after every
-// step hashes under its own key, incremental-runto, since the other two
-// drivers have no such step; the run itself hashes under incremental.
+// computeSamplerDigests runs hybrid+dyn with RecordUtil through both
+// per-server drivers: pre-seeded (ExecStats) and externally clocked (the
+// kernel under Incremental, stepped to 30 s watermarks). The incremental
+// run's clock after every step hashes under its own key,
+// incremental-runto, since the pre-seeded driver has no such step; the
+// run itself hashes under incremental.
 func computeSamplerDigests(t *testing.T) map[string]string {
 	t.Helper()
 	invs := samplerWorkload(t)
@@ -111,49 +111,26 @@ func computeSamplerDigests(t *testing.T) map[string]string {
 	out["execstats"] = hex.EncodeToString(h.Sum(nil))
 
 	hy = samplerPolicy()
-	var set metrics.Set
-	k, err = ExecStreamPooled(samplerKernelConfig(), hy, ghost.Config{}, workload.SliceSource(invs), StreamConfig{Sink: &set, Stats: &st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h = sha256.New()
-	digestSamplerRun(h, k, hy, set.Records, st)
-	out["execstream"] = hex.EncodeToString(h.Sum(nil))
-
-	hy = samplerPolicy()
-	set = metrics.Set{}
-	inc, err := NewIncremental(samplerKernelConfig(), hy, ghost.Config{}, &set)
+	var store metrics.Store
+	inc, err := NewIncremental(samplerKernelConfig(), hy, ghost.Config{}, &store)
 	if err != nil {
 		t.Fatal(err)
 	}
 	clock := sha256.New()
-	mark := DefaultWindow
-	for i, inv := range invs {
-		for inv.Arrival > mark {
-			if err := inc.RunTo(mark); err != nil {
-				t.Fatal(err)
-			}
-			fmt.Fprintf(clock, "runto %d now=%d\n", int64(mark), int64(inc.k.Now()))
-			mark += DefaultWindow
-		}
-		if err := inc.Admit(inc.Pool().Get(inv, simkern.TaskID(i+1))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := inc.Drain(); err != nil {
-		t.Fatal(err)
-	}
+	stepIncremental(t, inc, invs, DefaultWindow, func(mark time.Duration) {
+		fmt.Fprintf(clock, "runto %d now=%d\n", int64(mark), int64(inc.k.Now()))
+	})
 	out["incremental-runto"] = hex.EncodeToString(clock.Sum(nil))
 	h = sha256.New()
-	digestSamplerRun(h, inc.k, hy, set.Records, inc.Stats())
+	digestSamplerRun(h, inc.k, hy, store.Flatten(), inc.Stats())
 	out["incremental"] = hex.EncodeToString(h.Sum(nil))
 	return out
 }
 
 // TestSamplerGolden pins the kernel's utilization sampler — every grid
 // point, its tie order against same-instant events, where it stops and
-// where it leaves the clock — through the policy that reads it, on all
-// three per-server drivers.
+// where it leaves the clock — through the policy that reads it, on both
+// per-server drivers.
 //
 // Regenerate (only for an intentional semantic change) with:
 //

@@ -1,8 +1,13 @@
 // Package simrun wires one simulated machine together — kernel, delegation
-// enclave, work — and runs it to completion. It is the scaffold shared by
-// the public facade, the experiment harness, and the cluster layer, so the
-// run protocol (enclave before work, drain fully, fail on unfinished
-// tasks) lives in exactly one place.
+// enclave, work — and runs it. It has two drivers. ExecStats seeds every
+// task before the clock starts and runs the machine to completion; it is
+// the driver behind the facade's Simulate and the experiments' per-core
+// analyses, which read the whole kernel afterwards, and the pre-seeded
+// oracle the fleet engine is tested against. Incremental admits tasks
+// under external watermarks and retires records into a sink; it is the
+// fleet engine's per-server driver, and a streamed single-machine run is
+// a one-server fleet. The run protocol (enclave before work, drain fully,
+// fail on unfinished tasks) is the same in both.
 package simrun
 
 import (
@@ -12,17 +17,12 @@ import (
 	"github.com/faassched/faassched/internal/simkern"
 )
 
-// Exec builds a kernel from kcfg, attaches policy through a delegation
-// enclave, seeds work with add, and processes events until the machine
-// drains. It errors if any task is left unfinished.
-func Exec(kcfg simkern.Config, policy ghost.Policy, gcfg ghost.Config, add func(*simkern.Kernel) error) (*simkern.Kernel, error) {
-	return ExecStats(kcfg, policy, gcfg, add, nil)
-}
-
-// ExecStats is Exec with the enclave's delegation counters snapshotted
-// into stats (when non-nil) after the run — the materialized counterpart
-// of StreamConfig.Stats, used by the fleet layers to surface ghost.Stats
-// without retaining the enclave.
+// ExecStats builds a kernel from kcfg, attaches policy through a
+// delegation enclave, seeds work with add, and processes events until the
+// machine drains. It errors if any task is left unfinished. The enclave's
+// delegation counters are snapshotted into stats (when non-nil) after the
+// run. The returned kernel keeps every task unless kcfg.DiscardTasks, so
+// metrics.Collect and the per-core counters can read it.
 func ExecStats(kcfg simkern.Config, policy ghost.Policy, gcfg ghost.Config, add func(*simkern.Kernel) error, stats *ghost.Stats) (*simkern.Kernel, error) {
 	k, err := simkern.New(kcfg)
 	if err != nil {
@@ -47,7 +47,7 @@ func ExecStats(kcfg simkern.Config, policy ghost.Policy, gcfg ghost.Config, add 
 	return k, nil
 }
 
-// AddTasks adapts a task list to Exec's seeding hook.
+// AddTasks adapts a task list to ExecStats' seeding hook.
 func AddTasks(tasks []*simkern.Task) func(*simkern.Kernel) error {
 	return func(k *simkern.Kernel) error {
 		for _, t := range tasks {

@@ -1,8 +1,8 @@
 // Streaming side of the workload pipeline: a Source yields invocations
-// lazily, minute by minute, so consumers (the feeder in internal/simrun)
-// never hold more than one trace minute of arrivals — the first half of
-// turning peak memory from O(total invocations) into O(active tasks +
-// look-ahead window). Build remains the materialized adapter over Stream.
+// lazily, minute by minute, so consumers (the fleet engine's router in
+// internal/cluster) never hold more than one trace minute of arrivals —
+// the first half of turning peak memory from O(total invocations) into
+// O(active tasks + one watermark step). Build remains the materialized adapter over Stream.
 
 package workload
 

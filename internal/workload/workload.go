@@ -212,7 +212,7 @@ func Write(w io.Writer, invs []Invocation) error {
 // Read parses the workload-file format, reconstructing arrivals from the
 // inter-arrival times and durations from the model. It is the thin
 // materializing adapter over ReadSource; long traces that should never be
-// held in memory feed ReadSource to the streaming entry points directly.
+// held in memory feed ReadSource to the fleet entry points directly.
 func Read(r io.Reader, model fib.DurationModel) ([]Invocation, error) {
 	src, readErr, err := ReadSource(r, model)
 	if err != nil {

@@ -251,39 +251,42 @@ func TestTenKServerShardDigests(t *testing.T) {
 
 // TestShardedReplayMatchesCluster: the facade's sharded windowed replay
 // must agree with SimulateCluster on the observables an accumulator
-// keeps — completions, makespan, cost — for the same fleet and workload.
+// keeps — completions, makespan, cost — for the same fleet and workload,
+// a one-server fleet (a streamed single machine) included.
 func TestShardedReplayMatchesCluster(t *testing.T) {
 	t.Parallel()
 	invs := goldenWorkload(t)
-	opts := ClusterOptions{
-		Servers: 3, CoresPerServer: 4, Dispatch: DispatchRoundRobin,
-		Scheduler: SchedulerHybrid, Seed: 1,
-	}
-	flat, err := SimulateCluster(opts, invs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Shards = 3
-	opts.MetricsWindow = 10 * time.Second
-	stats, err := SimulateShardedReplay(opts, SliceSource(invs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Invocations != len(invs) {
-		t.Errorf("replay routed %d invocations, want %d", stats.Invocations, len(invs))
-	}
-	if stats.Total().Completed() != len(flat.Set.Records) {
-		t.Errorf("replay completed %d, cluster %d", stats.Total().Completed(), len(flat.Set.Records))
-	}
-	if stats.Makespan != flat.Makespan {
-		t.Errorf("replay makespan %v, cluster %v", stats.Makespan, flat.Makespan)
-	}
-	wantCost := flat.CostUSD()
-	if got := stats.Total().Cost(); got < wantCost*0.999999 || got > wantCost*1.000001 {
-		t.Errorf("replay cost %v, cluster %v", got, wantCost)
-	}
-	if stats.Summary() == "" || stats.WindowCount() == 0 || stats.WindowWidth() != 10*time.Second {
-		t.Error("replay stats accessors broken")
+	for _, servers := range []int{1, 3} {
+		opts := ClusterOptions{
+			Servers: servers, CoresPerServer: 4, Dispatch: DispatchRoundRobin,
+			Scheduler: SchedulerHybrid, Seed: 1,
+		}
+		flat, err := SimulateCluster(opts, invs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Shards = servers
+		opts.MetricsWindow = 10 * time.Second
+		stats, err := SimulateShardedReplay(opts, SliceSource(invs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Invocations != len(invs) {
+			t.Errorf("%d servers: replay routed %d invocations, want %d", servers, stats.Invocations, len(invs))
+		}
+		if stats.Total().Completed() != len(flat.Set.Records) {
+			t.Errorf("%d servers: replay completed %d, cluster %d", servers, stats.Total().Completed(), len(flat.Set.Records))
+		}
+		if stats.Makespan != flat.Makespan {
+			t.Errorf("%d servers: replay makespan %v, cluster %v", servers, stats.Makespan, flat.Makespan)
+		}
+		wantCost := flat.CostUSD()
+		if got := stats.Total().Cost(); got < wantCost*0.999999 || got > wantCost*1.000001 {
+			t.Errorf("%d servers: replay cost %v, cluster %v", servers, got, wantCost)
+		}
+		if stats.Summary() == "" || stats.WindowCount() == 0 || stats.WindowWidth() != 10*time.Second {
+			t.Error("replay stats accessors broken")
+		}
 	}
 	if _, err := SimulateShardedReplay(ClusterOptions{Scheduler: "bogus"}, SliceSource(invs)); err == nil {
 		t.Error("bad scheduler accepted")

@@ -72,19 +72,35 @@ func oracleMaterialized(t *testing.T, kcfg simkern.Config, policy ghost.Policy, 
 	return metrics.Collect(k).Records, enc.Stats()
 }
 
-// oracleStreamed runs invs through lazy admission + sink retirement and
-// returns the records (sorted back to id order) plus the tick counters.
+// oracleStreamed runs invs on one machine under lazy admission — an
+// Incremental stepped at DefaultWindow watermarks, as the fleet engine
+// drives every server — and returns the records (sorted back to id order)
+// plus the tick counters.
 func oracleStreamed(t *testing.T, kcfg simkern.Config, policy ghost.Policy, invs []Invocation, force bool) ([]metrics.Record, ghost.Stats) {
 	t.Helper()
-	var set metrics.Set
-	var st ghost.Stats
-	_, err := simrun.ExecStreamPooled(kcfg, policy, ghost.Config{ForceTickPump: force},
-		workload.SliceSource(invs), simrun.StreamConfig{Sink: &set, Stats: &st})
+	var store metrics.Store
+	inc, err := simrun.NewIncremental(kcfg, policy, ghost.Config{ForceTickPump: force}, &store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sort.Slice(set.Records, func(i, j int) bool { return set.Records[i].ID < set.Records[j].ID })
-	return set.Records, st
+	mark := simrun.DefaultWindow
+	for i, inv := range invs {
+		for inv.Arrival > mark {
+			if err := inc.RunTo(mark); err != nil {
+				t.Fatal(err)
+			}
+			mark += simrun.DefaultWindow
+		}
+		if err := inc.Admit(inc.Pool().Get(inv, simkern.TaskID(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := inc.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	recs := store.Flatten()
+	sort.Slice(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })
+	return recs, inc.Stats()
 }
 
 // oracleHybrids are the oracle's two hybrid configurations, shared with
