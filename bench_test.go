@@ -630,44 +630,56 @@ func BenchmarkColdStartDispatch(b *testing.B) {
 	}
 }
 
-// BenchmarkExactRecordMerge times the post-drain tail of an exact-record
-// fleet: 250,000 synthetic records spread over 40 servers, each server's
-// store filled in completion order, merged into the global ID-ordered set
-// and every server's ID-ordered slice (metrics.MergeByID). Before the
-// placement merge this tail sorted each server's records, appended them
-// to an unsized global slice and sorted that. The merge leaves its input
-// stores unchanged, so every iteration merges the same ones.
-func BenchmarkExactRecordMerge(b *testing.B) {
-	const n, servers = 250_000, 40
+// BenchmarkExactRecordSlots times an exact-record fleet's record path
+// after retirement: 250,000 synthetic records routed over 40 servers in
+// 8 shards, each server pushing its records in completion order through
+// its writer straight into the slot of their ID, then the close that
+// checks every slot (metrics.Slots). Each iteration allocates the one
+// record array the run keeps. Before the slot writes, each server kept
+// its records in a store of its own and a placement merge copied them
+// twice more after the drain: into the global ID-ordered set and into
+// every server's ID-ordered slice.
+func BenchmarkExactRecordSlots(b *testing.B) {
+	const n, servers, shards = 250_000, 40, 8
 	rng := rand.New(rand.NewSource(7))
 	parts := make([][]metrics.Record, servers)
+	assign := make([]int, n)
 	for id := 1; id <= n; id++ {
 		arrival := time.Duration(id) * 2 * time.Millisecond
 		finish := arrival + time.Duration(rng.Int63n(int64(5*time.Second)))
 		s := rng.Intn(servers)
+		assign[id-1] = s
 		parts[s] = append(parts[s], metrics.Record{
 			ID: uint64(id), Label: "f", Arrival: arrival, FirstRun: arrival, Finish: finish,
 			CPU: finish - arrival, MemMB: 128,
 		})
 	}
-	stores := make([]*metrics.Store, servers)
-	for s, p := range parts {
+	for _, p := range parts {
 		sort.Slice(p, func(a, c int) bool { return p[a].Finish < p[c].Finish })
-		stores[s] = &metrics.Store{}
-		for _, r := range p {
-			stores[s].Push(r)
-		}
 	}
-	parts = nil
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		all, _, err := metrics.MergeByID(stores)
+		slots := metrics.NewSlots(n)
+		views := make([]*metrics.SlotView, shards)
+		for v := range views {
+			views[v] = slots.View()
+		}
+		for _, s := range assign {
+			views[s%shards].Learn(slots.Route())
+		}
+		for s, p := range parts {
+			w := views[s%shards].Writer(s)
+			for _, r := range p {
+				w.Push(r)
+			}
+		}
+		recs, err := slots.Close(assign)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(all) != n {
-			b.Fatalf("merged %d of %d records", len(all), n)
+		if len(recs) != n {
+			b.Fatalf("kept %d of %d records", len(recs), n)
 		}
 	}
 	b.ReportMetric(n, "records")

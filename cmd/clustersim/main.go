@@ -481,7 +481,7 @@ func printPerServer(w io.Writer, res *faassched.ClusterResult) {
 	for _, sr := range res.PerServer {
 		fmt.Fprintf(&b, "  %-8d %-8d %-14s %s\n",
 			sr.Server, sr.Invocations,
-			sr.Set.TotalExecution().Round(time.Millisecond),
+			sr.Busy.Round(time.Millisecond),
 			sr.Makespan.Round(time.Millisecond))
 	}
 	fmt.Fprint(w, b.String())

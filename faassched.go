@@ -464,10 +464,11 @@ type ServerResult = cluster.ServerResult
 // ClusterResult is a finished fleet simulation: the aggregate Result plus
 // the per-server breakdown and the dispatch assignment. Result.Set holds
 // every record in increasing ID order (record ID k, 1 + the invocation's
-// index in the input, at index k-1), and so does each PerServer[s].Set.
-// On elastic runs (SimulateAutoscaledExact) each PerServer[s].Faults,
-// Stats and Events stays zero, since the elastic fleet does not keep them
-// per server; Faults still holds the fleet-wide fault totals.
+// index in the input, at index k-1); server s's records are the ones
+// whose Assignment entry is s. On elastic runs (SimulateAutoscaledExact)
+// each PerServer[s].Faults, Stats and Events stays zero, since the
+// elastic fleet does not keep them per server; Faults still holds the
+// fleet-wide fault totals.
 type ClusterResult struct {
 	// Result aggregates the whole fleet (merged metric set, fleet-wide
 	// makespan, summed preemptions).
@@ -561,7 +562,7 @@ func SimulateCluster(opts ClusterOptions, invs []Invocation) (*ClusterResult, er
 	if len(invs) == 0 {
 		return nil, fmt.Errorf("faassched: empty workload")
 	}
-	cres, err := cluster.Simulate(cfg, workload.SliceSource(invs))
+	cres, err := cluster.Simulate(cfg, invs)
 	if err != nil {
 		return nil, err
 	}
@@ -903,7 +904,7 @@ func SimulateAutoscaled(opts AutoscaleOptions, src Source) (*AutoscaleStats, err
 }
 
 // SimulateAutoscaledExact is SimulateAutoscaled with exact per-record
-// sinks, packaged as a ClusterResult (merged record set, per-server
+// records, packaged as a ClusterResult (record set, per-server
 // breakdown, full assignment). Memory is O(invocations) — it exists for
 // validation: pinned to MinServers == MaxServers == N it reproduces
 // SimulateCluster's results bit for bit (the golden digests pin
@@ -913,7 +914,6 @@ func SimulateAutoscaledExact(opts AutoscaleOptions, src Source) (*ClusterResult,
 	if err != nil {
 		return nil, err
 	}
-	cfg.TrackAssignment = true
 	res, err := autoscale.Run(cfg, workload.Source(src))
 	if err != nil {
 		return nil, err
@@ -933,16 +933,13 @@ func SimulateAutoscaledExact(opts AutoscaleOptions, src Source) (*ClusterResult,
 	}
 	for i := range res.Servers {
 		sv := &res.Servers[i]
-		sr := ServerResult{
+		out.PerServer = append(out.PerServer, ServerResult{
 			Server:      sv.Index,
 			Invocations: sv.Routed,
 			Makespan:    sv.Makespan,
 			Preemptions: sv.Preemptions,
-		}
-		if sv.Set != nil {
-			sr.Set = *sv.Set
-		}
-		out.PerServer = append(out.PerServer, sr)
+			Busy:        sv.Busy,
+		})
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package faassched
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -223,12 +224,9 @@ func TestSimulateClusterDeterministic(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sum := res.Summary()
+				sum := res.Summary() + "|" + digestRecords(res)
 				for _, sr := range res.PerServer {
-					sum += "|" + sr.Set.Summary()
-				}
-				for _, s := range res.Assignment {
-					sum += string(rune('a' + s))
+					sum += fmt.Sprintf("|%d:%v", sr.Server, sr.Busy)
 				}
 				return sum
 			}

@@ -312,39 +312,44 @@ func BenchmarkFaultyReplay(b *testing.B) {
 	b.ReportMetric(float64(last.Faults.Retries), "retries/run")
 }
 
-// TestPerServerRecordsInIDOrder: exact-record fleets promise every
-// PerServer[s].Set in strictly increasing ID order, and Result.Set as
-// record ID k at index k-1 holding the very record some server kept.
-// Pinned for the fixed fleet under a crash/retry plan and for the elastic
-// fleet, with and without a terminal crash plan.
+// serverRecords reads each server's records out of an exact fleet's
+// Set: the records whose Assignment entry is that server, in increasing
+// ID order. The fleet keeps no per-server copy of them.
+func serverRecords(r *ClusterResult) [][]metrics.Record {
+	per := make([][]metrics.Record, len(r.PerServer))
+	for k, rec := range r.Set.Records {
+		s := r.Assignment[k]
+		per[s] = append(per[s], rec)
+	}
+	return per
+}
+
+// TestPerServerRecordsInIDOrder: exact-record fleets promise Result.Set
+// as record ID k at index k-1, and every server's records, read from it
+// through the assignment, agree with the server's own counters: its
+// routed invocations, retired records, preemptions and busy time. Pinned
+// for the fixed fleet under a crash/retry plan and for the elastic fleet,
+// with and without a terminal crash plan.
 func TestPerServerRecordsInIDOrder(t *testing.T) {
 	t.Parallel()
 	invs := goldenWorkload(t)
 	check := func(name string, res *ClusterResult) {
 		t.Helper()
-		if len(res.Set.Records) != len(invs) {
-			t.Fatalf("%s: %d records for %d invocations", name, len(res.Set.Records), len(invs))
+		if len(res.Set.Records) != len(invs) || len(res.Assignment) != len(invs) {
+			t.Fatalf("%s: %d records and %d assignments for %d invocations", name, len(res.Set.Records), len(res.Assignment), len(invs))
 		}
 		for k, r := range res.Set.Records {
 			if r.ID != uint64(k+1) {
 				t.Fatalf("%s: Set.Records[%d].ID = %d, want %d", name, k, r.ID, k+1)
 			}
 		}
-		held := 0
-		for _, sr := range res.PerServer {
-			recs := sr.Set.Records
-			for i, r := range recs {
-				if i > 0 && recs[i-1].ID >= r.ID {
-					t.Fatalf("%s: server %d record %d has ID %d after ID %d", name, sr.Server, i, r.ID, recs[i-1].ID)
-				}
-				if r != res.Set.Records[r.ID-1] {
-					t.Fatalf("%s: server %d holds a record ID %d the merged set does not", name, sr.Server, r.ID)
-				}
+		for s, recs := range serverRecords(res) {
+			sr := res.PerServer[s]
+			set := metrics.Set{Records: recs}
+			if len(recs) != sr.Invocations || set.TotalExecution() != sr.Busy || set.TotalPreemptions() != sr.Preemptions {
+				t.Errorf("%s: server %d holds %d records with busy %v and %d preemptions; it reports %d, %v and %d",
+					name, s, len(recs), set.TotalExecution(), set.TotalPreemptions(), sr.Invocations, sr.Busy, sr.Preemptions)
 			}
-			held += len(recs)
-		}
-		if held != len(invs) {
-			t.Errorf("%s: servers hold %d records for %d invocations", name, held, len(invs))
 		}
 	}
 
@@ -389,56 +394,4 @@ func TestPerServerRecordsInIDOrder(t *testing.T) {
 		t.Fatal("elastic fleet: crash plan retried nothing")
 	}
 	check("elastic fleet with crashes", res)
-}
-
-// TestPerServerSetsAreCapped: every server's records are a sub-slice of
-// one backing array, so appending to PerServer[s].Set.Records must leave
-// every later server's records as they were, and a server that received
-// nothing keeps a nil Set. Five invocations round-robin over eight
-// servers leave the last three untouched, on the fixed fleet and on the
-// elastic one pinned to eight servers.
-func TestPerServerSetsAreCapped(t *testing.T) {
-	t.Parallel()
-	invs := goldenWorkload(t)[:5]
-	fixed, err := SimulateCluster(ClusterOptions{
-		Servers: 8, CoresPerServer: 2, Dispatch: DispatchRoundRobin,
-		Scheduler: SchedulerHybrid, Seed: 1,
-	}, invs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	elastic, err := SimulateAutoscaledExact(AutoscaleOptions{
-		MinServers: 8, MaxServers: 8, CoresPerServer: 2,
-		Dispatch: DispatchRoundRobin, Scheduler: SchedulerHybrid, Seed: 1,
-	}, SliceSource(invs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		res  *ClusterResult
-	}{{"fixed fleet", fixed}, {"elastic fleet", elastic}} {
-		per := tc.res.PerServer
-		if len(per) != 8 {
-			t.Fatalf("%s: %d servers, want 8", tc.name, len(per))
-		}
-		want := make([][]metrics.Record, len(per))
-		for s, sr := range per {
-			if s < len(invs) && len(sr.Set.Records) != 1 {
-				t.Fatalf("%s: server %d holds %d records, want 1", tc.name, s, len(sr.Set.Records))
-			}
-			if s >= len(invs) && sr.Set.Records != nil {
-				t.Fatalf("%s: untouched server %d holds %d records", tc.name, s, len(sr.Set.Records))
-			}
-			want[s] = append([]metrics.Record(nil), sr.Set.Records...)
-		}
-		for s := range per {
-			per[s].Set.Records = append(per[s].Set.Records, metrics.Record{ID: 1 << 40})
-			for o := s + 1; o < len(per); o++ {
-				if len(per[o].Set.Records) != len(want[o]) || (len(want[o]) > 0 && per[o].Set.Records[0] != want[o][0]) {
-					t.Fatalf("%s: appending to server %d changed server %d", tc.name, s, o)
-				}
-			}
-		}
-	}
 }

@@ -10,7 +10,8 @@ package faassched
 // and streamed as a one-server fleet (lazy admission, completion sinks,
 // task recycling) — and every fleet both through the lockstep engine
 // (lazy admission) and the pre-seeded oracle; all must hash to the same
-// committed digest.
+// committed digest. Fleets under fault plans and the cold-start model
+// (the records/* keys) hash every Record field.
 //
 // Regenerate (only when an intentional semantic change is made) with:
 //
@@ -28,7 +29,9 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
+	"github.com/faassched/faassched/internal/metrics"
 	"github.com/faassched/faassched/internal/obs"
 )
 
@@ -90,6 +93,66 @@ func digestCluster(r *ClusterResult) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// digestRecords extends digestCluster with every Record field, in the
+// metrics.WriteDigest encoding, and the fleet's fault counters: the
+// fields digestResult leaves out (ColdStart, Attempts, GiveUp, Wasted)
+// are the ones fault and cold-start runs set.
+func digestRecords(r *ClusterResult) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "cluster=%s faults=%+v\n", digestCluster(r), r.Faults)
+	for _, rec := range r.Set.Records {
+		metrics.WriteDigest(h, rec)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// recordFleet is one fleet of the golden matrix whose records carry
+// fault or cold-start fields. check guards against a vacuous key: it
+// fails when the run did not exercise what the key is named for.
+type recordFleet struct {
+	key   string
+	opts  ClusterOptions
+	check func(*ClusterResult) error
+}
+
+// recordFleets runs the 3×4-core hybrid fleet under a crash plan, a
+// timeout plan, a straggler plan (with a timeout, so stretched work is
+// killed and retried) and the cold-start model.
+func recordFleets() []recordFleet {
+	base := ClusterOptions{Servers: 3, CoresPerServer: 4, Dispatch: DispatchLeastLoaded, Scheduler: SchedulerHybrid, Seed: 1}
+	// Kills, retries and give-ups set Wasted, Attempts and GiveUp.
+	retried := func(r *ClusterResult) error {
+		if f := r.Faults; f.Kills == 0 || f.Retries == 0 || f.GiveUps == 0 {
+			return fmt.Errorf("kills %d retries %d give-ups %d", f.Kills, f.Retries, f.GiveUps)
+		}
+		return nil
+	}
+	crash, timeout, straggler, cold := base, base, base, base
+	crash.Faults = crashPlan()
+	timeout.Faults = FaultOptions{Seed: 5, Timeout: 300 * time.Millisecond, Retry: RetryOptions{MaxAttempts: 3}}
+	straggler.Faults = FaultOptions{
+		Seed: 5, StragglerMTBF: 15 * time.Second, StragglerDuration: 10 * time.Second, StragglerFactor: 4,
+		Timeout: time.Second, Retry: RetryOptions{MaxAttempts: 2},
+	}
+	cold.ColdStart = ColdStartOptions{Latency: 50 * time.Millisecond, KeepAlive: 2 * time.Second}
+	return []recordFleet{
+		{"records/hybrid/crash", crash, retried},
+		{"records/hybrid/timeout", timeout, retried},
+		{"records/hybrid/straggler", straggler, func(r *ClusterResult) error {
+			if r.Faults.StragglerWindows == 0 {
+				return fmt.Errorf("no straggler window entered")
+			}
+			return retried(r)
+		}},
+		{"records/hybrid/coldstart", cold, func(r *ClusterResult) error {
+			if r.Set.ColdStarts() == 0 {
+				return fmt.Errorf("no cold start")
+			}
+			return nil
+		}},
+	}
+}
+
 // computeDigests runs the golden matrix: single machines through the
 // materialized dataflow (pre-seeded tasks, end-of-run Collect), fleets
 // through SimulateCluster's lockstep engine.
@@ -122,6 +185,17 @@ func computeDigests(t *testing.T) map[string]string {
 			t.Fatalf("%s: %v", f.key, err)
 		}
 		out[f.key] = digestCluster(cres)
+	}
+	for _, f := range recordFleets() {
+		f.opts.Obs = o
+		cres, err := SimulateCluster(f.opts, invs)
+		if err != nil {
+			t.Fatalf("%s: %v", f.key, err)
+		}
+		if err := f.check(cres); err != nil {
+			t.Fatalf("%s is vacuous: %v", f.key, err)
+		}
+		out[f.key] = digestRecords(cres)
 	}
 	return out
 }

@@ -21,7 +21,6 @@ import (
 	"github.com/faassched/faassched/internal/cluster"
 	"github.com/faassched/faassched/internal/core"
 	"github.com/faassched/faassched/internal/ghost"
-	"github.com/faassched/faassched/internal/workload"
 )
 
 // laneChecker counts lane audits and reports the first few faults.
@@ -100,7 +99,7 @@ func TestHorizonCacheMatchesScan(t *testing.T) {
 			checkers = append(checkers, lc)
 			return lc.hook(mk().(*core.Hybrid))
 		}
-		res, err := cluster.Simulate(cfg, workload.SliceSource(goldenWorkload(t)))
+		res, err := cluster.Simulate(cfg, goldenWorkload(t))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -90,12 +90,14 @@ type Config struct {
 	Window time.Duration
 	// Sink, when non-nil, supplies each server's completion sink (called
 	// once per server at activation, in server-index order). When nil,
-	// every server records into an exact per-server metrics.Set, exposed
-	// as Server.Set with records in global invocation order, and
-	// Result.Set merges them all.
+	// the run keeps exact records: every server writes each record into
+	// the slot of its ID in Result.Set, in global invocation order, and
+	// the run tracks the assignment, from which a server's own records
+	// are read.
 	Sink func(server int) metrics.Sink
 	// TrackAssignment records the global invocation→server assignment in
 	// Result.Assignment (O(invocations) memory; leave off for long runs).
+	// Runs that keep exact records (Sink nil) always track it.
 	TrackAssignment bool
 	// ColdStart configures the per-function warm-instance model
 	// (cluster.ColdStartConfig; DESIGN.md §10). Retiring a server —
@@ -194,14 +196,11 @@ type Server struct {
 	ColdStarts int
 	// Preemptions sums preemption counts over this server's records.
 	Preemptions int
+	// Busy sums the execution time of this server's completed records.
+	Busy time.Duration
 	// Makespan is this server's last completion instant (zero if it never
 	// served).
 	Makespan time.Duration
-	// Set holds this server's records in increasing ID (global
-	// invocation) order — only when the run used the default exact sinks
-	// (Config.Sink nil). Every server's Records is a sub-slice of one
-	// backing array with its capacity capped at its length.
-	Set *metrics.Set
 }
 
 // BilledSeconds is this server's billed uptime in seconds.
@@ -237,11 +236,11 @@ type Result struct {
 	// KernelEvents sums scheduled kernel events across servers.
 	KernelEvents uint64
 	// Assignment maps each invocation index to its server, when
-	// Config.TrackAssignment was set.
+	// Config.TrackAssignment was set or the run kept exact records.
 	Assignment []int
-	// Set merges every server's records in global invocation order
-	// (record ID k at index k-1) — only with the default exact sinks
-	// (Config.Sink nil); empty otherwise.
+	// Set holds every server's records in global invocation order (record
+	// ID k at index k-1) — only with the default exact sinks (Config.Sink
+	// nil); empty otherwise.
 	Set metrics.Set
 	// Faults aggregates fault-plan activity: Crashes counts unplanned
 	// retirements (controller-side), Kills/Retries/GiveUps come from the
@@ -359,9 +358,6 @@ type serverState struct {
 	// for a boot canceled before it); its results are read after the
 	// engine closes.
 	m *cluster.Member
-	// store is the server's exact record sink, from activation on, when
-	// the run uses the default exact sinks; finish merges it into Set.
-	store *metrics.Store
 	// crashAt is the slot's terminal crash instant from the fault plan
 	// (first scheduled crash strictly after ReadyAt), or Never. Fixed at
 	// launch; the controller and the in-kernel machine share it.
@@ -391,6 +387,8 @@ type controller struct {
 	lastDwn  time.Duration
 	events   []Event
 	assign   chunk.Log[int]
+	// slots are the run's exact records; nil with caller-supplied sinks.
+	slots *metrics.Slots
 	// faultsOn caches cfg.Faults.Enabled().
 	faultsOn bool
 	// nextCrash is the earliest crashAt among current candidates (may be
@@ -409,6 +407,10 @@ type controller struct {
 
 // farFuture is the nextCrash sentinel for "no candidate ever crashes".
 const farFuture = time.Duration(math.MaxInt64)
+
+// recordBlock is how many IDs one block of an exact run's record slots
+// holds: the invocation count is not known up front.
+var recordBlock = metrics.SlotBlockSize
 
 // validate applies Config defaulting and sanity checks.
 func (cfg *Config) validate() (up, down float64, err error) {
@@ -490,10 +492,15 @@ func Run(cfg Config, src workload.Source) (*Result, error) {
 	if reg := cfg.Obs.Registry(); reg != nil && c.faultsOn {
 		c.crashCtr = reg.Counter(obs.CScaleCrashes)
 	}
+	if cfg.Sink == nil {
+		c.slots = metrics.NewBlockSlots(recordBlock)
+		c.cfg.TrackAssignment = true
+	}
 	// Launch indices spread round-robin over the shards; every server
-	// has a sink of its own, so the partition changes no result.
+	// has a sink of its own, or writes its records into their slots, so
+	// the partition changes no result.
 	shards := cluster.DefaultShards(cfg.Max)
-	c.fleet = cluster.NewFleet(cfg.Kernel, cfg.Ghost, cfg.Obs, cfg.Window, shards, func(s int) int { return s % shards })
+	c.fleet = cluster.NewFleet(cfg.Kernel, cfg.Ghost, cfg.Obs, cfg.Window, shards, func(s int) int { return s % shards }, c.slots)
 	// The Min floor is provisioned before the run: launched and ready at
 	// time zero, exactly the fixed fleet's starting state.
 	for i := 0; i < cfg.Min; i++ {
@@ -595,9 +602,6 @@ func (c *controller) activate(t time.Duration) error {
 		sv.m = &cluster.Member{Index: idx, Policy: policy}
 		if c.cfg.Sink != nil {
 			sv.m.Sink = c.cfg.Sink(idx)
-		} else {
-			sv.store = &metrics.Store{}
-			sv.m.Sink = sv.store
 		}
 		if c.faultsOn {
 			sv.m.Faults = faults.NewTerminalMachine(c.cfg.Faults, idx, sv.crashAt)
@@ -817,8 +821,7 @@ func (c *controller) evalDown(t time.Duration, justLaunched bool) {
 }
 
 // finish assembles the Result after the engine has drained every server.
-// With exact sinks it merges the servers' record stores by ID into the
-// fleet's Set and each activated server's Set, all in ID order.
+// With exact records it joins their slots into the fleet's Set.
 func (c *controller) finish(routed int) (*Result, error) {
 	res := &Result{
 		Dispatch:   c.cfg.Dispatch,
@@ -831,25 +834,15 @@ func (c *controller) finish(routed int) (*Result, error) {
 	for _, sv := range c.servers {
 		if sv.m != nil {
 			sv.Makespan = sv.m.Makespan
-			sv.Completed, sv.Failed, sv.Preemptions = sv.m.Completed, sv.m.Failed, sv.m.Preemptions
+			sv.Completed, sv.Failed, sv.Preemptions, sv.Busy = sv.m.Completed, sv.m.Failed, sv.m.Preemptions, sv.m.Busy
 		}
 		res.Makespan = max(res.Makespan, sv.Makespan)
 	}
 
-	if c.cfg.Sink == nil {
-		stores := make([]*metrics.Store, len(c.servers))
-		for i, sv := range c.servers {
-			stores[i] = sv.store
-		}
-		all, per, err := metrics.MergeByID(stores)
-		if err != nil {
+	if c.slots != nil {
+		var err error
+		if res.Set.Records, err = c.slots.Close(res.Assignment); err != nil {
 			return nil, fmt.Errorf("autoscale: %w", err)
-		}
-		res.Set.Records = all
-		for i, sv := range c.servers {
-			if sv.store != nil {
-				sv.Set = &metrics.Set{Records: per[i]}
-			}
 		}
 	}
 

@@ -9,6 +9,7 @@ import (
 
 	"github.com/faassched/faassched/internal/cluster"
 	"github.com/faassched/faassched/internal/ghost"
+	"github.com/faassched/faassched/internal/metrics"
 	"github.com/faassched/faassched/internal/policy/cfs"
 	"github.com/faassched/faassched/internal/policy/fifo"
 	"github.com/faassched/faassched/internal/simkern"
@@ -133,7 +134,7 @@ func TestPinnedFleetMatchesCluster(t *testing.T) {
 				Seed:     7,
 				Kernel:   simkern.DefaultConfig(2),
 				Policy:   cfsFactory,
-			}, workload.SliceSource(invs))
+			}, invs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,20 +166,13 @@ func TestPinnedFleetMatchesCluster(t *testing.T) {
 			}
 			for s := range want.PerServer {
 				ws, gs := want.PerServer[s], got.Servers[s]
-				if gs.Routed != ws.Invocations || gs.Makespan != ws.Makespan || gs.Preemptions != ws.Preemptions {
-					t.Fatalf("server %d: routed/makespan/preempt %d/%v/%d, want %d/%v/%d",
-						s, gs.Routed, gs.Makespan, gs.Preemptions,
-						ws.Invocations, ws.Makespan, ws.Preemptions)
-				}
-				if len(gs.Set.Records) != len(ws.Set.Records) {
-					t.Fatalf("server %d: %d records, want %d", s, len(gs.Set.Records), len(ws.Set.Records))
-				}
-				for i := range ws.Set.Records {
-					if gs.Set.Records[i] != ws.Set.Records[i] {
-						t.Fatalf("server %d record %d: %+v != %+v", s, i, gs.Set.Records[i], ws.Set.Records[i])
-					}
+				if gs.Routed != ws.Invocations || gs.Makespan != ws.Makespan || gs.Preemptions != ws.Preemptions || gs.Busy != ws.Busy {
+					t.Fatalf("server %d: routed/makespan/preempt/busy %d/%v/%d/%v, want %d/%v/%d/%v",
+						s, gs.Routed, gs.Makespan, gs.Preemptions, gs.Busy,
+						ws.Invocations, ws.Makespan, ws.Preemptions, ws.Busy)
 				}
 			}
+			requireSameRecords(t, got.Set.Records, want.Set.Records)
 			// A pinned fleet never scales: exactly Min lifecycle events.
 			if got.Launched() != 3 || got.Drained() != 0 || got.PeakServers != 3 {
 				t.Errorf("pinned fleet launched=%d drained=%d peak=%d, want 3/0/3",
@@ -249,13 +243,10 @@ func TestSpinUpDelaysFirstAdmission(t *testing.T) {
 				t.Errorf("server %d ready %v after launch, want %v", sv.Index, sv.ReadyAt-sv.LaunchAt, cfg.SpinUp)
 			}
 		}
-		if sv.Set == nil {
-			continue
-		}
-		for _, rec := range sv.Set.Records {
-			if rec.Arrival < sv.ReadyAt {
-				t.Fatalf("server %d (ready %v) served invocation arriving %v", sv.Index, sv.ReadyAt, rec.Arrival)
-			}
+	}
+	for k, rec := range res.Set.Records {
+		if sv := &res.Servers[res.Assignment[k]]; rec.Arrival < sv.ReadyAt {
+			t.Fatalf("server %d (ready %v) served invocation arriving %v", sv.Index, sv.ReadyAt, rec.Arrival)
 		}
 	}
 }
@@ -284,9 +275,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		}
 	}
 	for i := range a.Servers {
-		as, bs := a.Servers[i], b.Servers[i]
-		as.Set, bs.Set = nil, nil
-		if as != bs {
+		if as, bs := a.Servers[i], b.Servers[i]; as != bs {
 			t.Errorf("server %d lifecycle differs:\n%+v\n%+v", i, as, bs)
 		}
 	}
@@ -430,7 +419,7 @@ func TestPinnedFleetColdStartMatchesCluster(t *testing.T) {
 		Kernel:    simkern.DefaultConfig(2),
 		Policy:    cfsFactory,
 		ColdStart: cs,
-	}, workload.SliceSource(invs))
+	}, invs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,15 +446,20 @@ func TestPinnedFleetColdStartMatchesCluster(t *testing.T) {
 			t.Fatalf("assignment[%d] = %d, want %d", i, got.Assignment[i], want.Assignment[i])
 		}
 	}
-	for s := range want.PerServer {
-		ws, gs := want.PerServer[s], got.Servers[s]
-		if len(gs.Set.Records) != len(ws.Set.Records) {
-			t.Fatalf("server %d: %d records, want %d", s, len(gs.Set.Records), len(ws.Set.Records))
-		}
-		for i := range ws.Set.Records {
-			if gs.Set.Records[i] != ws.Set.Records[i] {
-				t.Fatalf("server %d record %d: %+v != %+v", s, i, gs.Set.Records[i], ws.Set.Records[i])
-			}
+	requireSameRecords(t, got.Set.Records, want.Set.Records)
+}
+
+// requireSameRecords fails unless got and want hold the same records in
+// the same order. With equal assignments, every server's records then
+// agree too.
+func requireSameRecords(t *testing.T, got, want []metrics.Record) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d records, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("record %d: %+v != %+v", i, got[i], want[i])
 		}
 	}
 }
@@ -499,13 +493,10 @@ func TestAutoscaleColdStartScalingRun(t *testing.T) {
 	if res.ColdStarts == 0 {
 		t.Fatal("no cold starts in a scaling run with the model enabled")
 	}
-	perServer, recorded := 0, 0
+	perServer := 0
 	for i := range res.Servers {
 		sv := &res.Servers[i]
 		perServer += sv.ColdStarts
-		if sv.Set != nil {
-			recorded += sv.Set.ColdStarts()
-		}
 		// A server that served anything paid at least one cold start: it
 		// launches with an empty pool, and drain destroys it for good.
 		if sv.Routed > 0 && sv.ColdStarts == 0 {
@@ -516,7 +507,7 @@ func TestAutoscaleColdStartScalingRun(t *testing.T) {
 	if perServer != res.ColdStarts {
 		t.Errorf("per-server cold starts sum %d != fleet total %d", perServer, res.ColdStarts)
 	}
-	if recorded != res.ColdStarts {
+	if recorded := res.Set.ColdStarts(); recorded != res.ColdStarts {
 		t.Errorf("recorded cold starts %d != routed cold starts %d", recorded, res.ColdStarts)
 	}
 	again := run()

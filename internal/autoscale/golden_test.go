@@ -89,14 +89,9 @@ func elasticScenarios() []elasticScenario {
 		// The all-down fallback queues arrivals on a crashed server: a
 		// record arriving at or after its crash instant proves it ran.
 		fallback := false
-		for i := range r.Servers {
-			sv := &r.Servers[i]
-			if !sv.Crashed || sv.Set == nil {
-				continue
-			}
-			for _, rec := range sv.Set.Records {
-				fallback = fallback || rec.Arrival >= sv.DrainAt
-			}
+		for k, rec := range r.Set.Records {
+			sv := &r.Servers[r.Assignment[k]]
+			fallback = fallback || (sv.Crashed && rec.Arrival >= sv.DrainAt)
 		}
 		switch {
 		case r.Crashed() < 2:
@@ -127,10 +122,22 @@ func elasticScenarios() []elasticScenario {
 	return out
 }
 
+// serverRecords groups an exact run's records by server, each server's
+// in increasing ID order, as the run's assignment routed them.
+func serverRecords(r *Result) [][]metrics.Record {
+	per := make([][]metrics.Record, len(r.Servers))
+	for k, rec := range r.Set.Records {
+		s := r.Assignment[k]
+		per[s] = append(per[s], rec)
+	}
+	return per
+}
+
 // digestElastic hashes everything an exact elastic run decides: every
 // record, the assignment, the scale-event timeline, each server's
 // lifecycle and shares, and the billed server-seconds.
 func digestElastic(r *Result) string {
+	per := serverRecords(r)
 	h := sha256.New()
 	fmt.Fprintf(h, "routed=%d completed=%d failed=%d cold=%d preempt=%d makespan=%d peak=%d seconds=%x crashes=%d\n",
 		r.Routed, r.Completed, r.Failed, r.ColdStarts, r.Preemptions, int64(r.Makespan), r.PeakServers,
@@ -146,10 +153,7 @@ func digestElastic(r *Result) string {
 		fmt.Fprintf(h, "s%d launch=%d ready=%d drain=%d retire=%d canceled=%t crashed=%t routed=%d ok=%d fail=%d cold=%d preempt=%d makespan=%d\n",
 			sv.Index, int64(sv.LaunchAt), int64(sv.ReadyAt), int64(sv.DrainAt), int64(sv.RetireAt),
 			sv.Canceled, sv.Crashed, sv.Routed, sv.Completed, sv.Failed, sv.ColdStarts, sv.Preemptions, int64(sv.Makespan))
-		if sv.Set == nil {
-			continue
-		}
-		for _, rec := range sv.Set.Records {
+		for _, rec := range per[i] {
 			metrics.WriteDigest(h, rec)
 		}
 	}
@@ -254,5 +258,45 @@ func TestElasticShardInvariance(t *testing.T) {
 	}
 	if len(shards) != 3 {
 		t.Errorf("shard counts %v: GOMAXPROCS did not move the partition", shards)
+	}
+}
+
+// TestExactRecordsAcrossBlocks reruns every elastic scenario with record
+// blocks of seven IDs, so the shards learn dozens of blocks from their
+// admits and the run joins them at close. The digests must not move,
+// every record must sit in the slot of its ID, and each server's records
+// (read through the assignment) must match its routed, retired and busy
+// counts — so every record was written exactly once, by its server.
+func TestExactRecordsAcrossBlocks(t *testing.T) {
+	defer func(b int) { recordBlock = b }(recordBlock)
+	for _, sc := range elasticScenarios() {
+		recordBlock = metrics.SlotBlockSize
+		want := digestElastic(runElastic(t, sc))
+		recordBlock = 7
+		r := runElastic(t, sc)
+		if got := digestElastic(r); got != want {
+			t.Errorf("%s: digest %.12s… with 7-ID blocks, %.12s… with %d", sc.name, got, want, metrics.SlotBlockSize)
+		}
+		if len(r.Set.Records) != r.Routed || r.Routed <= 7 {
+			t.Fatalf("%s: %d records for %d routed invocations", sc.name, len(r.Set.Records), r.Routed)
+		}
+		for k, rec := range r.Set.Records {
+			if rec.ID != uint64(k+1) {
+				t.Fatalf("%s: slot %d holds record ID %d", sc.name, k, rec.ID)
+			}
+		}
+		for s, recs := range serverRecords(r) {
+			sv := &r.Servers[s]
+			var busy time.Duration
+			for _, rec := range recs {
+				if !rec.Failed {
+					busy += rec.Execution()
+				}
+			}
+			if len(recs) != sv.Routed || sv.Completed+sv.Failed != sv.Routed || busy != sv.Busy {
+				t.Errorf("%s: server %d holds %d records, routed %d, retired %d+%d, busy %v (records say %v)",
+					sc.name, s, len(recs), sv.Routed, sv.Completed, sv.Failed, sv.Busy, busy)
+			}
+		}
 	}
 }

@@ -1,8 +1,9 @@
 // Package chunk provides Log, an append-only sequence kept in chunks.
-// The exact-record fleets collect every record and every routing decision
-// of a run this way: a growing slice copies all it holds each time it
-// regrows (by 1.25× once large), while a Log never moves a value it
-// already holds.
+// The elastic fleet logs its routing decisions this way, since it does
+// not know their number up front, and metrics.Store keeps a machine's
+// records so: a growing slice copies all it holds each time it regrows
+// (by 1.25× once large), while a Log never moves a value it already
+// holds.
 package chunk
 
 import "iter"

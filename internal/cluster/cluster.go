@@ -117,18 +117,16 @@ func DefaultShards(servers int) int { return max(1, min(servers, 4*runtime.GOMAX
 type ServerResult struct {
 	// Server is the fleet index.
 	Server int
-	// Invocations is how many invocations were routed here.
+	// Invocations is how many invocations were routed here. The
+	// server's records are the Result.Set records whose Assignment entry
+	// is this server; the fleet keeps no per-server copy of them.
 	Invocations int
-	// Set holds this server's per-invocation records in increasing ID
-	// (global invocation) order; Records is nil if it kept none. Every
-	// server's Records is a sub-slice of one backing array with its
-	// capacity capped at its length, so appending to it reallocates
-	// rather than writing into another server's records.
-	Set metrics.Set
 	// Makespan is this server's last completion time.
 	Makespan time.Duration
 	// Preemptions is this server's total preemption count.
 	Preemptions int
+	// Busy sums the execution time of this server's completed records.
+	Busy time.Duration
 	// Stats holds this server's enclave delegation counters (messages,
 	// commits, fired vs elided agent ticks).
 	Stats ghost.Stats
@@ -145,10 +143,9 @@ type Result struct {
 	Dispatch Dispatch
 	// Servers is the fleet size.
 	Servers int
-	// Set merges every server's records in increasing ID order: record
-	// ID k (1 + the invocation's index in the source) sits at index k-1.
-	// Its Records is an array of its own, apart from the one that backs
-	// the PerServer sets.
+	// Set holds every server's records in increasing ID order: record ID
+	// k (1 + the invocation's index in the source) sits at index k-1, the
+	// slot its server wrote it to.
 	Set metrics.Set
 	// Makespan is the fleet-wide last completion time.
 	Makespan time.Duration
@@ -173,10 +170,9 @@ type Result struct {
 func Imbalance(perServer []ServerResult) float64 {
 	var total, max time.Duration
 	for _, s := range perServer {
-		w := s.Set.TotalExecution()
-		total += w
-		if w > max {
-			max = w
+		total += s.Busy
+		if s.Busy > max {
+			max = s.Busy
 		}
 	}
 	if total == 0 {

@@ -66,7 +66,7 @@ func TestConfigValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Simulate(tc.cfg, workload.SliceSource(tc.invs)); err == nil {
+			if _, err := Simulate(tc.cfg, tc.invs); err == nil {
 				t.Errorf("%s accepted", tc.name)
 			}
 		})
@@ -74,14 +74,14 @@ func TestConfigValidation(t *testing.T) {
 
 	unsorted := synthWorkload(3, time.Millisecond, time.Millisecond)
 	unsorted[0].Arrival = 5 * time.Millisecond
-	if _, err := Simulate(testConfig(2, DispatchRoundRobin), workload.SliceSource(unsorted)); err == nil {
+	if _, err := Simulate(testConfig(2, DispatchRoundRobin), unsorted); err == nil {
 		t.Error("unsorted workload accepted")
 	}
 }
 
 func TestRoundRobinAssignment(t *testing.T) {
 	invs := synthWorkload(12, 10*time.Millisecond, time.Millisecond)
-	res, err := Simulate(testConfig(3, DispatchRoundRobin), workload.SliceSource(invs))
+	res, err := Simulate(testConfig(3, DispatchRoundRobin), invs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestAllInvocationsCompleteAndMergeInOrder(t *testing.T) {
 		d := d
 		t.Run(string(d), func(t *testing.T) {
 			t.Parallel()
-			res, err := Simulate(testConfig(4, d), workload.SliceSource(invs))
+			res, err := Simulate(testConfig(4, d), invs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,11 +133,11 @@ func TestAllInvocationsCompleteAndMergeInOrder(t *testing.T) {
 // more even than seeded random under uniform work.
 func TestLeastLoadedBalances(t *testing.T) {
 	invs := synthWorkload(400, time.Millisecond, 10*time.Millisecond)
-	ll, err := Simulate(testConfig(8, DispatchLeastLoaded), workload.SliceSource(invs))
+	ll, err := Simulate(testConfig(8, DispatchLeastLoaded), invs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rnd, err := Simulate(testConfig(8, DispatchRandom), workload.SliceSource(invs))
+	rnd, err := Simulate(testConfig(8, DispatchRandom), invs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestLeastLoadedBalances(t *testing.T) {
 // longest-idle-first and never queues behind a busy server.
 func TestJoinIdleQueuePrefersIdle(t *testing.T) {
 	invs := synthWorkload(50, 20*time.Millisecond, 5*time.Millisecond)
-	res, err := Simulate(testConfig(4, DispatchJoinIdleQueue), workload.SliceSource(invs))
+	res, err := Simulate(testConfig(4, DispatchJoinIdleQueue), invs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestSimulateDeterministic(t *testing.T) {
 			cfg.Seed = 7
 			cfg.Policy = func() ghost.Policy { return cfs.New(cfs.Params{}) }
 			digest := func() string {
-				res, err := Simulate(cfg, workload.SliceSource(invs))
+				res, err := Simulate(cfg, invs)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -243,7 +243,7 @@ func TestSimulateDeterministic(t *testing.T) {
 // servers stay idle; the merge must cope.
 func TestEmptyServerTolerated(t *testing.T) {
 	invs := synthWorkload(3, time.Millisecond, time.Millisecond)
-	res, err := Simulate(testConfig(8, DispatchRoundRobin), workload.SliceSource(invs))
+	res, err := Simulate(testConfig(8, DispatchRoundRobin), invs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -196,7 +196,7 @@ func TestWarmHitPaysNoLatency(t *testing.T) {
 	cs := ColdStartConfig{Latency: latency, KeepAlive: time.Minute}
 	invs := oneFunc(6, 500*time.Millisecond, 10*time.Millisecond)
 
-	res, err := Simulate(coldConfig(1, DispatchLeastLoaded, cs), workload.SliceSource(invs))
+	res, err := Simulate(coldConfig(1, DispatchLeastLoaded, cs), invs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestColdStartRateFallsWithTTL(t *testing.T) {
 	invs := oneFunc(8, 2*time.Second, 10*time.Millisecond)
 	cold := func(ttl time.Duration) int {
 		cfg := coldConfig(1, DispatchLeastLoaded, ColdStartConfig{Latency: 100 * time.Millisecond, KeepAlive: ttl})
-		res, err := Simulate(cfg, workload.SliceSource(invs))
+		res, err := Simulate(cfg, invs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +250,7 @@ func TestColdStartRateFallsWithTTL(t *testing.T) {
 func TestWarmFirstDispatch(t *testing.T) {
 	invs := oneFunc(6, 500*time.Millisecond, 10*time.Millisecond)
 	base := coldConfig(2, DispatchRoundRobin, ColdStartConfig{Latency: 50 * time.Millisecond, KeepAlive: time.Minute})
-	res, err := Simulate(base, workload.SliceSource(invs))
+	res, err := Simulate(base, invs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestWarmFirstDispatch(t *testing.T) {
 
 	warm := base
 	warm.ColdStart.WarmFirst = true
-	wres, err := Simulate(warm, workload.SliceSource(invs))
+	wres, err := Simulate(warm, invs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestWarmFirstDispatch(t *testing.T) {
 // for bit (the golden digests pin the same claim fleet-wide).
 func TestColdStartDisabledIsInert(t *testing.T) {
 	invs := synthWorkload(40, 5*time.Millisecond, 8*time.Millisecond)
-	plain, err := Simulate(testConfig(3, DispatchLeastLoaded), workload.SliceSource(invs))
+	plain, err := Simulate(testConfig(3, DispatchLeastLoaded), invs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestColdStartDisabledIsInert(t *testing.T) {
 	if disabled.ColdStart.Enabled() {
 		t.Fatal("zero-latency config reports enabled")
 	}
-	dres, err := Simulate(disabled, workload.SliceSource(invs))
+	dres, err := Simulate(disabled, invs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestColdStartBucketFallback(t *testing.T) {
 		{Arrival: time.Second, FibN: 30, Duration: 10 * time.Millisecond, MemMB: 256}, // other bucket
 	}
 	cfg := coldConfig(1, DispatchLeastLoaded, ColdStartConfig{Latency: 50 * time.Millisecond, KeepAlive: time.Minute})
-	res, err := Simulate(cfg, workload.SliceSource(invs))
+	res, err := Simulate(cfg, invs)
 	if err != nil {
 		t.Fatal(err)
 	}

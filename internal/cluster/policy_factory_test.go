@@ -9,7 +9,6 @@ import (
 	"github.com/faassched/faassched/internal/core"
 	"github.com/faassched/faassched/internal/ghost"
 	"github.com/faassched/faassched/internal/simkern"
-	"github.com/faassched/faassched/internal/workload"
 )
 
 // hybridFleet is a fixed fleet of 4-core hybrid servers with an
@@ -35,7 +34,7 @@ func TestPolicyFactoryCalledPerTouchedServer(t *testing.T) {
 	calls := 0
 	mk := cfg.Policy
 	cfg.Policy = func() ghost.Policy { calls++; return mk() }
-	res, err := Simulate(cfg, workload.SliceSource(synthWorkload(400, 5*time.Millisecond, 12*time.Millisecond)))
+	res, err := Simulate(cfg, synthWorkload(400, 5*time.Millisecond, 12*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +66,7 @@ func TestPolicyFactoryOrderInvariant(t *testing.T) {
 	for _, d := range []Dispatch{DispatchLeastLoaded, DispatchRoundRobin} {
 		t.Run(string(d), func(t *testing.T) {
 			cfg := hybridFleet(12, d)
-			want, err := Simulate(cfg, workload.SliceSource(invs))
+			want, err := Simulate(cfg, invs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,7 +80,7 @@ func TestPolicyFactoryOrderInvariant(t *testing.T) {
 				built = built[:len(built)-1]
 				return p
 			}
-			got, err := Simulate(rev, workload.SliceSource(invs))
+			got, err := Simulate(rev, invs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,7 +110,7 @@ func TestPolicyFactoryNilFailsNamingServer(t *testing.T) {
 		}
 		return fifoFactory()
 	}
-	_, err := Simulate(cfg, workload.SliceSource(synthWorkload(20, time.Millisecond, time.Millisecond)))
+	_, err := Simulate(cfg, synthWorkload(20, time.Millisecond, time.Millisecond))
 	if err == nil || !strings.Contains(err.Error(), "Policy factory returned nil for server 2") {
 		t.Fatalf("err = %v, want the nil-policy error naming server 2", err)
 	}

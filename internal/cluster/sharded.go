@@ -10,9 +10,10 @@
 // it drains that server at once and drops it. When the source drains,
 // shards drain their remaining machines and the results merge in a fixed
 // order (a pairwise metrics.MergeTree over shards for the windowed
-// replay; an id-sorted record merge for Simulate; per-server sinks for
-// the elastic fleet), so the result is bit-for-bit independent of how
-// the shard goroutines were scheduled. Nothing is materialized up front,
+// replay; per-server sinks for the elastic fleet), or, on an exact fleet,
+// every record was written straight into the slot of its ID
+// (metrics.Slots), so the result is bit-for-bit independent of how the
+// shard goroutines were scheduled. Nothing is materialized up front,
 // so the windowed replay of a 1,000-server ×10 24 h window (~90M
 // invocations) runs in memory bounded by active tasks and windows. See
 // DESIGN.md §11.
@@ -30,7 +31,6 @@ import (
 	"sort"
 	"time"
 
-	"github.com/faassched/faassched/internal/chunk"
 	"github.com/faassched/faassched/internal/faults"
 	"github.com/faassched/faassched/internal/ghost"
 	"github.com/faassched/faassched/internal/metrics"
@@ -53,8 +53,11 @@ const (
 
 // shardMsg is one entry of a router→shard handoff batch.
 type shardMsg struct {
-	r    Routed
-	m    *Member
+	r Routed
+	m *Member
+	// blk is the exact-record block holding an admitted arrival's slot,
+	// on a fleet that keeps exact records.
+	blk  *metrics.SlotBlock
 	mark time.Duration
 	kind msgKind
 }
@@ -81,8 +84,8 @@ const (
 	// idle fleet (~3.2k arrivals), so the router routes the next chunk
 	// while that shard simulates the last instead of taking turns with
 	// it. Fewer batches bring the turns back, more buy little and cost
-	// memory (DESIGN.md §16 has the sweep). At 96 B a message these
-	// batches take ≈390 KB, plus 6 KB for each shard's own.
+	// memory (DESIGN.md §16 has the sweep). At 104 B a message these
+	// batches take ≈430 KB, plus 6.5 KB for each shard's own.
 	handoffRunAhead = 64
 )
 
@@ -129,7 +132,8 @@ type Member struct {
 	Index int
 	// Policy is the server's scheduling policy.
 	Policy ghost.Policy
-	// Sink receives the server's completion records.
+	// Sink receives the server's completion records. It is unused on a
+	// fleet that keeps exact records, which writes them into its slots.
 	Sink metrics.Sink
 	// Faults, when non-nil, is the server's fault machine, interposed on
 	// the policy, the sink and every admitted task (DESIGN.md §14).
@@ -140,6 +144,8 @@ type Member struct {
 	Routed, Completed, Failed int
 	// Preemptions sums preemption counts over the server's records.
 	Preemptions int
+	// Busy sums the execution time of the server's completed records.
+	Busy time.Duration
 	// Makespan is the server's last completion instant.
 	Makespan time.Duration
 	// Stats holds the server enclave's delegation counters.
@@ -153,11 +159,12 @@ type Member struct {
 }
 
 // countingSink tallies a server's records on their way to its sink: the
-// bookkeeping the drain-time conservation check needs, whatever the
-// caller collects.
+// bookkeeping the drain-time conservation check needs, and the server's
+// busy time, whatever the caller collects.
 type countingSink struct {
 	inner                       metrics.Sink
 	completed, failed, preempts int
+	busy                        time.Duration
 }
 
 // Push implements metrics.Sink.
@@ -166,6 +173,7 @@ func (c *countingSink) Push(r metrics.Record) {
 		c.failed++
 	} else {
 		c.completed++
+		c.busy += r.Execution()
 	}
 	c.preempts += r.Preemptions
 	if c.inner != nil {
@@ -182,8 +190,11 @@ type shardWorker struct {
 	live []*Member
 	// members are every server that ever joined, in join order.
 	members []*Member
-	ch      chan []shardMsg // handoff batches, in routing order
-	err     error
+	// slots is the shard's view of the fleet's exact-record slots; nil
+	// unless the fleet keeps exact records.
+	slots *metrics.SlotView
+	ch    chan []shardMsg // handoff batches, in routing order
+	err   error
 }
 
 // run consumes the shard's handoff batches until the router closes the
@@ -197,6 +208,9 @@ func (w *shardWorker) run() {
 			msg := &batch[i]
 			switch msg.kind {
 			case msgAdmit:
+				if msg.blk != nil {
+					w.slots.Learn(msg.blk)
+				}
 				w.admit(msg.m, msg.r)
 			case msgMark:
 				w.runTo(msg.mark)
@@ -233,7 +247,11 @@ func (w *shardWorker) join(m *Member) {
 		gcfg.Probe = tr.GhostProbe(m.Index)
 	}
 	policy := m.Policy
-	m.count.inner = f.obs.WrapSink(m.Index, m.Sink)
+	inner := m.Sink
+	if w.slots != nil {
+		inner = w.slots.Writer(m.Index)
+	}
+	m.count.inner = f.obs.WrapSink(m.Index, inner)
 	var sink metrics.Sink = &m.count
 	if m.Faults != nil {
 		var err error
@@ -302,6 +320,7 @@ func (w *shardWorker) drain(m *Member) {
 		return
 	}
 	m.Completed, m.Failed, m.Preemptions = m.count.completed, m.count.failed, m.count.preempts
+	m.Busy = m.count.busy
 	if m.Completed+m.Failed != m.Routed {
 		w.fail(m, fmt.Errorf("retired %d of %d routed invocations", m.Completed+m.Failed, m.Routed))
 		return
@@ -322,6 +341,7 @@ type Fleet struct {
 	obs     *obs.Obs
 	shardOf func(server int) int
 	workers []*shardWorker
+	slots   *metrics.Slots
 	pool    *batchPool
 	// batches[i] is the batch the router is filling for shard i, nil
 	// until its first message since the last send.
@@ -342,13 +362,18 @@ type Fleet struct {
 // gcfg with o's probes; shardOf maps a server index to its shard; window
 // (≥ 0) is the watermark step, zero meaning simrun.DefaultWindow. Records
 // depend on neither the partition nor the step (DESIGN.md §7, §11).
-func NewFleet(kcfg simkern.Config, gcfg ghost.Config, o *obs.Obs, window time.Duration, shards int, shardOf func(server int) int) *Fleet {
+//
+// A fleet given slots keeps exact records: every server writes each of
+// its records into the slot of its ID, and the caller reads them with
+// slots.Close after Close. Its members' Sinks are unused.
+func NewFleet(kcfg simkern.Config, gcfg ghost.Config, o *obs.Obs, window time.Duration, shards int, shardOf func(server int) int, slots *metrics.Slots) *Fleet {
 	if window == 0 {
 		window = simrun.DefaultWindow
 	}
 	f := &Fleet{
 		kcfg: kcfg, gcfg: gcfg, obs: o, shardOf: shardOf,
 		workers:  make([]*shardWorker, shards),
+		slots:    slots,
 		pool:     newBatchPool(shards),
 		batches:  make([][]shardMsg, shards),
 		done:     make(chan struct{}),
@@ -365,6 +390,9 @@ func NewFleet(kcfg simkern.Config, gcfg ghost.Config, o *obs.Obs, window time.Du
 			fleet: f,
 			shard: i,
 			ch:    make(chan []shardMsg, cap(f.pool.free)), // holds every batch: a send never blocks
+		}
+		if slots != nil {
+			f.workers[i].slots = slots.View()
 		}
 	}
 	for _, w := range f.workers {
@@ -411,9 +439,15 @@ func (f *Fleet) Join(m *Member) {
 	f.push(m.shard, shardMsg{m: m, kind: msgJoin})
 }
 
-// Admit hands the routed arrival r to the joined server m.
+// Admit hands the routed arrival r to the joined server m. On a fleet
+// that keeps exact records, r.Idx must be the number of arrivals admitted
+// before it: its record takes the next slot.
 func (f *Fleet) Admit(m *Member, r Routed) {
-	f.push(m.shard, shardMsg{r: r, m: m, kind: msgAdmit})
+	msg := shardMsg{r: r, m: m, kind: msgAdmit}
+	if f.slots != nil {
+		msg.blk = f.slots.Route()
+	}
+	f.push(m.shard, msg)
 	f.routed++
 }
 
@@ -492,7 +526,7 @@ type ShardedReplay struct {
 // the workload length — this is the entry point for the 1,000-server
 // ×10-volume multi-day replays.
 func SimulateShardedWindowed(cfg Config, src workload.Source, tariff pricing.Tariff, width time.Duration) (*ShardedReplay, error) {
-	run, err := runSharded(cfg, src, false, tariff, width)
+	run, err := runSharded(cfg, src, 0, tariff, width)
 	if err != nil {
 		return nil, err
 	}
@@ -527,15 +561,17 @@ func SimulateShardedWindowed(cfg Config, src workload.Source, tariff pricing.Tar
 	return rep, nil
 }
 
-// Simulate routes src across the fleet and simulates every server on the
-// lockstep engine with an exact per-server record Store. Records merge
-// across servers in global invocation order (Record.ID is 1 + the
-// invocation's index in src) by metrics.MergeByID, which also gives each
-// server's Set its records in that order, so the result is bit-for-bit
-// independent of the shard count. It holds every record in memory; use
-// SimulateShardedWindowed for long horizons.
-func Simulate(cfg Config, src workload.Source) (*Result, error) {
-	run, err := runSharded(cfg, src, true, pricing.Tariff{}, 0)
+// Simulate routes invs across the fleet and simulates every server on
+// the lockstep engine. Each server writes its records straight into the
+// slot of their ID (Record.ID is 1 + the invocation's index in invs) of
+// one array of len(invs) records, which becomes Result.Set, so the result
+// is bit-for-bit independent of the shard count. It holds every record in
+// memory; use SimulateShardedWindowed for long horizons.
+func Simulate(cfg Config, invs []workload.Invocation) (*Result, error) {
+	if len(invs) == 0 {
+		return nil, fmt.Errorf("cluster: empty workload")
+	}
+	run, err := runSharded(cfg, workload.SliceSource(invs), len(invs), pricing.Tariff{}, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -543,19 +579,23 @@ func Simulate(cfg Config, src workload.Source) (*Result, error) {
 		Dispatch:   cfg.Dispatch,
 		Servers:    cfg.Servers,
 		PerServer:  make([]ServerResult, cfg.Servers),
-		Assignment: run.assignment.Flatten(),
+		Assignment: run.assignment,
+	}
+	if res.Set.Records, err = run.slots.Close(run.assignment); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	res.Faults.Accumulate(run.faults)
-	stores := make([]*metrics.Store, cfg.Servers)
-	for _, m := range run.members {
+	for s := range res.PerServer {
+		sr := &res.PerServer[s]
+		sr.Server = s
+		m := run.members[s]
 		if m == nil {
 			continue
 		}
-		stores[m.Index] = m.Sink.(*metrics.Store)
-		sr := &res.PerServer[m.Index]
 		sr.Invocations = m.Routed
 		sr.Makespan = m.Makespan
 		sr.Preemptions = m.Preemptions
+		sr.Busy = m.Busy
 		sr.Stats = m.Stats
 		sr.Events = m.Events
 		if m.Faults != nil {
@@ -567,14 +607,6 @@ func Simulate(cfg Config, src workload.Source) (*Result, error) {
 		res.Events += sr.Events
 		res.Faults.Accumulate(sr.Faults)
 	}
-	var per [][]metrics.Record
-	if res.Set.Records, per, err = metrics.MergeByID(stores); err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	for s := range res.PerServer {
-		res.PerServer[s].Server = s
-		res.PerServer[s].Set.Records = per[s]
-	}
 	return res, nil
 }
 
@@ -584,19 +616,22 @@ type fixedRun struct {
 	ranges     [][2]int                       // each shard's contiguous server range
 	members    []*Member                      // by server; nil where nothing was routed
 	accs       []*metrics.WindowedAccumulator // windowed mode's sinks, by shard
-	assignment chunk.Log[int]                 // exact mode only
+	slots      *metrics.Slots                 // exact mode's records
+	assignment []int                          // exact mode only: each invocation's server
 	faults     faults.Stats                   // router-side crash and straggler windows
 }
 
 // runSharded is the fixed-fleet router behind Simulate and
 // SimulateShardedWindowed: it resolves the contiguous shard ranges and
-// routes src onto the lockstep engine. A server joins its shard on its
-// first arrival, with a policy from cfg.Policy and an exact record Store
-// of its own in exact mode, and otherwise its shard's windowed
-// accumulator (width, billed at tariff). A server that receives nothing
+// routes src onto the lockstep engine. With exact > 0, src yields exactly
+// exact invocations, and the fleet keeps every record in fixed-length
+// slots and the assignment in an array of the same length; otherwise each
+// server records into its shard's windowed accumulator (width, billed at
+// tariff). A server joins its shard on its first arrival, with a policy
+// from cfg.Policy. A server that receives nothing
 // gets no policy, machine or lanes: it costs a few words of routing
 // state (DESIGN.md §12).
-func runSharded(cfg Config, src workload.Source, exact bool, tariff pricing.Tariff, width time.Duration) (*fixedRun, error) {
+func runSharded(cfg Config, src workload.Source, exact int, tariff pricing.Tariff, width time.Duration) (*fixedRun, error) {
 	if cfg.Servers < 1 {
 		return nil, fmt.Errorf("cluster: Servers must be >= 1, got %d", cfg.Servers)
 	}
@@ -626,7 +661,10 @@ func runSharded(cfg Config, src workload.Source, exact bool, tariff pricing.Tari
 		return nil, err
 	}
 	run := &fixedRun{ranges: ranges, members: make([]*Member, cfg.Servers)}
-	if !exact {
+	if exact > 0 {
+		run.slots = metrics.NewSlots(exact)
+		run.assignment = make([]int, exact)
+	} else {
 		run.accs = make([]*metrics.WindowedAccumulator, len(ranges))
 		for i := range run.accs {
 			if run.accs[i], err = metrics.NewWindowedAccumulator(tariff, width); err != nil {
@@ -649,7 +687,7 @@ func runSharded(cfg Config, src workload.Source, exact bool, tariff pricing.Tari
 	shardOf := func(s int) int {
 		return sort.Search(len(ranges), func(i int) bool { return ranges[i][1] > s })
 	}
-	run.fleet = NewFleet(cfg.Kernel, cfg.Ghost, cfg.Obs, cfg.Window, len(ranges), shardOf)
+	run.fleet = NewFleet(cfg.Kernel, cfg.Ghost, cfg.Obs, cfg.Window, len(ranges), shardOf, run.slots)
 
 	lastArr := time.Duration(-1)
 	var routeErr error
@@ -671,8 +709,12 @@ func runSharded(cfg Config, src workload.Source, exact bool, tariff pricing.Tari
 			routeErr = err
 			return false
 		}
-		if exact {
-			run.assignment.Push(s)
+		if exact > 0 {
+			if run.fleet.routed == exact {
+				routeErr = fmt.Errorf("cluster: workload source yielded more than %d invocations", exact)
+				return false
+			}
+			run.assignment[run.fleet.routed] = s
 		}
 		m := run.members[s]
 		if m == nil {
@@ -685,9 +727,7 @@ func runSharded(cfg Config, src workload.Source, exact bool, tariff pricing.Tari
 				return false
 			}
 			m = &Member{Index: s, Policy: policy}
-			if exact {
-				m.Sink = &metrics.Store{}
-			} else {
+			if exact == 0 {
 				m.Sink = run.accs[shardOf(s)]
 			}
 			if cfg.Faults.Enabled() {

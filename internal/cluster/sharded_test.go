@@ -148,7 +148,7 @@ func TestShardedMatchesPreSeeded(t *testing.T) {
 			for _, shards := range []int{1, 3, 7} {
 				name := fmt.Sprintf("%s/%s/shards=%d", d, mk.name, shards)
 				cfg.Shards = shards
-				got, err := Simulate(cfg, workload.SliceSource(invs))
+				got, err := Simulate(cfg, invs)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -188,7 +188,7 @@ func TestShardedBatchBoundaries(t *testing.T) {
 	cfg.Window = chunk
 	for _, shards := range []int{1, 3, 7} {
 		cfg.Shards = shards
-		got, err := Simulate(cfg, workload.SliceSource(invs))
+		got, err := Simulate(cfg, invs)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -218,7 +218,7 @@ func TestShardedFailingShardReportsError(t *testing.T) {
 		cfg.Shards = tc.shards
 		done := make(chan error, 1)
 		go func() {
-			_, err := Simulate(cfg, workload.SliceSource(invs))
+			_, err := Simulate(cfg, invs)
 			done <- err
 		}()
 		select {
@@ -261,7 +261,7 @@ func TestShardedHotShardRunAhead(t *testing.T) {
 	for _, shards := range []int{1, 3, 7, 16} {
 		name := fmt.Sprintf("shards=%d", shards)
 		cfg.Shards = shards
-		got, err := Simulate(cfg, workload.SliceSource(invs))
+		got, err := Simulate(cfg, invs)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -272,7 +272,7 @@ func TestShardedHotShardRunAhead(t *testing.T) {
 			t.Fatalf("server 0 got %d of %d arrivals; the hot-shard shape does not hold", got.PerServer[0].Invocations, len(invs))
 		}
 		requirePreSeeded(t, name, cfg, invs, got)
-		run, err := runSharded(cfg, workload.SliceSource(invs), true, pricing.Tariff{}, 0)
+		run, err := runSharded(cfg, workload.SliceSource(invs), len(invs), pricing.Tariff{}, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -320,7 +320,7 @@ func TestShardedWindowedMatchesExact(t *testing.T) {
 	tariff := pricing.Default()
 	cfg := testConfig(4, DispatchLeastLoaded)
 	cfg.Shards = 3
-	exact, err := Simulate(cfg, workload.SliceSource(invs))
+	exact, err := Simulate(cfg, invs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,17 +356,17 @@ func TestShardedWindowedMatchesExact(t *testing.T) {
 // TestShardedValidation covers the sharded engine's error paths.
 func TestShardedValidation(t *testing.T) {
 	cfg := testConfig(3, DispatchRoundRobin)
-	if _, err := Simulate(cfg, workload.SliceSource(nil)); err == nil {
+	if _, err := Simulate(cfg, nil); err == nil {
 		t.Error("empty workload accepted")
 	}
 	bad := cfg
 	bad.Shards = -1
-	if _, err := Simulate(bad, workload.SliceSource(synthWorkload(4, time.Millisecond, time.Millisecond))); err == nil {
+	if _, err := Simulate(bad, synthWorkload(4, time.Millisecond, time.Millisecond)); err == nil {
 		t.Error("negative shards accepted")
 	}
 	bad = cfg
 	bad.Servers = 0
-	if _, err := Simulate(bad, workload.SliceSource(synthWorkload(4, time.Millisecond, time.Millisecond))); err == nil {
+	if _, err := Simulate(bad, synthWorkload(4, time.Millisecond, time.Millisecond)); err == nil {
 		t.Error("zero servers accepted")
 	}
 	if _, err := SimulateShardedWindowed(cfg, workload.SliceSource(synthWorkload(4, time.Millisecond, time.Millisecond)), pricing.Default(), -time.Second); err == nil {
@@ -387,7 +387,7 @@ func TestShardedColdStartMatchesPreSeeded(t *testing.T) {
 	cfg.Seed = 1
 	cfg.ColdStart = ColdStartConfig{Latency: 5 * time.Millisecond, KeepAlive: 30 * time.Millisecond, WarmFirst: true}
 	cfg.Shards = 3
-	got, err := Simulate(cfg, workload.SliceSource(invs))
+	got, err := Simulate(cfg, invs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +430,7 @@ func TestLostRecordFailsRun(t *testing.T) {
 	// Round-robin sends invocation 4 (task ID 5) to server 0.
 	cfg.Policy = func() ghost.Policy { return &abortingPolicy{Policy: fifoFactory(), abort: 5} }
 	const want = "server 0: retired 19 of 20 routed invocations"
-	if _, err := Simulate(cfg, workload.SliceSource(invs)); err == nil || !strings.Contains(err.Error(), want) {
+	if _, err := Simulate(cfg, invs); err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("Simulate: err = %v, want one containing %q", err, want)
 	}
 	if _, err := SimulateShardedWindowed(cfg, workload.SliceSource(invs), pricing.Default(), time.Second); err == nil || !strings.Contains(err.Error(), want) {
@@ -447,7 +447,7 @@ func TestHandoffBatchesStayBounded(t *testing.T) {
 	invs := synthWorkload(4000, time.Millisecond, time.Millisecond)
 	cfg := testConfig(300, DispatchRandom)
 	cfg.Shards = 1
-	run, err := runSharded(cfg, workload.SliceSource(invs), true, pricing.Tariff{}, 0)
+	run, err := runSharded(cfg, workload.SliceSource(invs), len(invs), pricing.Tariff{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,6 +455,51 @@ func TestHandoffBatchesStayBounded(t *testing.T) {
 	for i := 0; i < p.made; i++ {
 		if b := <-p.free; cap(b) != shardBatch {
 			t.Fatalf("a handoff batch grew to cap %d, want %d", cap(b), shardBatch)
+		}
+	}
+}
+
+// TestFleetWritesEachRecordOnce drives the engine's exact-record path
+// directly, on fixed-length slots and on two-ID blocks that the shards
+// learn from their admits: four arrivals over two servers in two shards
+// land each in the slot of its ID, and a second arrival admitted under
+// an ID already used is rejected, naming the ID and the server.
+func TestFleetWritesEachRecordOnce(t *testing.T) {
+	invs := synthWorkload(4, time.Millisecond, 3*time.Millisecond)
+	for _, blocks := range []bool{false, true} {
+		run := func(idx []int) ([]metrics.Record, error) {
+			slots := metrics.NewSlots(len(idx))
+			if blocks {
+				slots = metrics.NewBlockSlots(2)
+			}
+			f := NewFleet(simkern.DefaultConfig(2), ghost.Config{}, nil, 0, 2, func(s int) int { return s }, slots)
+			members := []*Member{{Index: 0, Policy: fifoFactory()}, {Index: 1, Policy: fifoFactory()}}
+			for _, m := range members {
+				f.Join(m)
+			}
+			assign := make([]int, len(idx))
+			for k, i := range idx {
+				assign[k] = k % 2
+				f.Advance(invs[k].Arrival)
+				f.Admit(members[assign[k]], Routed{Inv: invs[k], Idx: i})
+			}
+			if err := f.Close(); err != nil {
+				return nil, err
+			}
+			return slots.Close(assign)
+		}
+		recs, err := run([]int{0, 1, 2, 3})
+		if err != nil {
+			t.Fatalf("blocks=%v: %v", blocks, err)
+		}
+		for k, r := range recs {
+			if r.ID != uint64(k+1) || r.Arrival != invs[k].Arrival {
+				t.Fatalf("blocks=%v: slot %d holds record ID %d arriving %v", blocks, k, r.ID, r.Arrival)
+			}
+		}
+		_, err = run([]int{0, 1, 0, 3})
+		if err == nil || !strings.Contains(err.Error(), "record ID 1 from server 0 already written") {
+			t.Errorf("blocks=%v: a reused ID closed with %v", blocks, err)
 		}
 	}
 }

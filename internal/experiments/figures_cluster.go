@@ -8,7 +8,6 @@ import (
 	"github.com/faassched/faassched/internal/ghost"
 	"github.com/faassched/faassched/internal/metrics"
 	"github.com/faassched/faassched/internal/simkern"
-	"github.com/faassched/faassched/internal/workload"
 )
 
 // ExtClusterDispatch goes beyond the paper's single 8-core enclave: the
@@ -52,7 +51,7 @@ func ExtClusterDispatch(e *Env) (*Figure, error) {
 					Seed:     e.Seed,
 					Kernel:   simkern.DefaultConfig(coresPer),
 					Policy:   s.factory,
-				}, workload.SliceSource(invs))
+				}, invs)
 				if err != nil {
 					return nil, fmt.Errorf("%d×%s×%s: %w", servers, d, s.name, err)
 				}

@@ -10,7 +10,6 @@ import (
 	"github.com/faassched/faassched/internal/ghost"
 	"github.com/faassched/faassched/internal/metrics"
 	"github.com/faassched/faassched/internal/simkern"
-	"github.com/faassched/faassched/internal/workload"
 )
 
 // faultPlan is one named point of the ext-faults reliability sweep.
@@ -101,7 +100,7 @@ func ExtFaults(e *Env) (*Figure, error) {
 			Faults:   plan.cfg,
 			Kernel:   simkern.DefaultConfig(coresPer),
 			Policy:   sched.factory,
-		}, workload.SliceSource(invs))
+		}, invs)
 		if err != nil {
 			return fmt.Errorf("%s×%s: %w", plan.name, sched.name, err)
 		}

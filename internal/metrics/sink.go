@@ -1,9 +1,9 @@
 // Record sinks: the streaming dataflow retires every finished invocation
 // through a Sink instead of holding it for an end-of-run Collect. The
-// exact sink, the fleets' chunked per-server Store, keeps every record.
-// The fixed-memory Accumulator (long-horizon runs) keeps totals. So the
-// choice of memory/fidelity trade-off is orthogonal to how the simulation
-// is driven.
+// exact fleets' SlotWriter (slots.go) keeps every record, written into
+// the slot of its ID. The fixed-memory Accumulator (long-horizon runs)
+// keeps totals. So the choice of memory/fidelity trade-off is orthogonal
+// to how the simulation is driven.
 
 package metrics
 
@@ -23,10 +23,11 @@ type Sink interface {
 	Push(Record)
 }
 
-// Store is the exact-record fleets' per-server Sink: an append-only
-// record log in chunks that double from 16 to 1,024 records, so a push
-// never copies a record the store already holds. MergeByID turns a
-// fleet's stores into ID-ordered Sets.
+// Store is a Sink that keeps one machine's records in completion order:
+// an append-only record log in chunks that double from 16 to 1,024
+// records, so a push never copies a record the store already holds.
+// Fleets do not use it; their exact records go straight into the slot of
+// their ID (Slots).
 type Store = chunk.Log[Record]
 
 // Accumulator histogram calibration: per-metric values in milliseconds on

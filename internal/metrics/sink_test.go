@@ -170,10 +170,10 @@ func TestAccumulatorMergeRejectsTariffMismatch(t *testing.T) {
 // per record. The stream is sinkRecords' mix (2% failed) spread over
 // about ten 500 ms windows; it is pushed once before timing, so the windows
 // exist and a steady-state push into a streaming sink must not allocate.
-// The exact Store keeps every record, so its push allocates the record's
-// own bytes, one 1,024-record chunk at a time: about one Record per op,
-// well under one allocation per op, and never a copy of a record it
-// already holds.
+// The exact sink writes each record into the slot of its ID in an array
+// allocated up front, so its push allocates nothing; its row includes
+// the array's allocation, amortized over the records it holds: about one
+// Record per op.
 func BenchmarkSinkPush(b *testing.B) {
 	recs := sinkRecords(4096)
 	for _, tc := range []struct {
@@ -198,16 +198,23 @@ func BenchmarkSinkPush(b *testing.B) {
 			}
 		})
 	}
-	// A fresh store every 64Ki records keeps the row's memory bounded
-	// (about 8 MB) whatever b.N is.
+	// Fresh slots every 64Ki records keep the row's memory bounded (about
+	// 8 MB) whatever b.N is; each pushed record takes the next ID.
 	b.Run("exact", func(b *testing.B) {
-		st := &Store{}
+		const n = 1 << 16
+		var w *SlotWriter
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if st.Len() == 1<<16 {
-				st = &Store{}
+			if i%n == 0 {
+				slots := NewSlots(n)
+				w = slots.View().Writer(0)
 			}
-			st.Push(recs[i%len(recs)])
+			r := recs[i%len(recs)]
+			r.ID = uint64(i%n + 1)
+			w.Push(r)
+		}
+		if w.err != nil {
+			b.Fatal(w.err)
 		}
 	})
 }

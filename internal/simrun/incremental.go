@@ -34,6 +34,9 @@ type Incremental struct {
 	enc  *ghost.Enclave
 	pool *workload.TaskPool
 	name string
+	// drained marks a closed admission: Drain has run, and no task the
+	// machine is handed could ever be reported.
+	drained bool
 }
 
 // NewIncremental builds a task-discarding kernel with policy attached
@@ -67,8 +70,14 @@ func NewIncremental(kcfg simkern.Config, policy ghost.Policy, gcfg ghost.Config,
 func (inc *Incremental) Pool() *workload.TaskPool { return inc.pool }
 
 // Admit hands one task to the machine. Arrivals must be non-decreasing
-// and at or after the last RunTo watermark.
-func (inc *Incremental) Admit(t *simkern.Task) error { return inc.k.AdmitTask(t) }
+// and at or after the last RunTo watermark, and admission closes at
+// Drain: a task admitted after it is an error.
+func (inc *Incremental) Admit(t *simkern.Task) error {
+	if inc.drained {
+		return fmt.Errorf("simrun: admission to %s is closed: task %d arrived after Drain", inc.name, t.ID)
+	}
+	return inc.k.AdmitTask(t)
+}
 
 // RunTo advances the machine's clock to the watermark: every event at or
 // before it fires, and the clock lands exactly on it. The caller must
@@ -82,6 +91,7 @@ func (inc *Incremental) RunTo(watermark time.Duration) error {
 // Drain closes admission, runs the machine to quiescence and verifies
 // nothing is left outstanding. No task may be admitted after it.
 func (inc *Incremental) Drain() error {
+	inc.drained = true
 	inc.k.SetAdmissionOpen(false)
 	if _, err := inc.k.Run(0); err != nil {
 		return err

@@ -162,6 +162,27 @@ func TestIncrementalValidation(t *testing.T) {
 	}
 }
 
+// TestAdmitAfterDrainFails: Drain closes admission for good. A task
+// handed to a drained machine would never run or be reported, so Admit
+// must refuse it rather than leave it outstanding.
+func TestAdmitAfterDrainFails(t *testing.T) {
+	inc, err := NewIncremental(simkern.DefaultConfig(2), fifo.New(fifo.Config{}), ghost.Config{}, &metrics.Store{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := inc.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	late := &simkern.Task{ID: 7, Kind: simkern.KindFunction, Arrival: 2 * time.Second, Work: time.Millisecond}
+	err = inc.Admit(late)
+	if err == nil || !strings.Contains(err.Error(), "admission") || !strings.Contains(err.Error(), "closed") {
+		t.Fatalf("Admit after Drain = %v, want an admission-closed error", err)
+	}
+	if n := inc.k.Outstanding(); n != 0 {
+		t.Errorf("a refused task left %d outstanding", n)
+	}
+}
+
 // idlePolicy hears every message and dispatches nothing.
 type idlePolicy struct{}
 

@@ -31,7 +31,6 @@ import (
 	"github.com/faassched/faassched/internal/policy/cfs"
 	"github.com/faassched/faassched/internal/simkern"
 	"github.com/faassched/faassched/internal/simrun"
-	"github.com/faassched/faassched/internal/workload"
 )
 
 const ownershipGoldenPath = "testdata/ownership_digests.json"
@@ -91,7 +90,7 @@ func ownershipCrashFleet(t *testing.T, invs []Invocation) (string, *evictCounts,
 		n.mu.Unlock()
 		return evictProbe{h, n}
 	}
-	cres, err := cluster.Simulate(cfg, workload.SliceSource(invs))
+	cres, err := cluster.Simulate(cfg, invs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@
 # The set below pairs the substrate micro-benchmarks (dispatch mechanism,
 # the full per-arrival routing step, CFS runqueue insert/delete, a
 # record's push into the streaming and exact sinks, one server's admit-then-run
-# event loop, the exact-record fleets' ID merge,
+# event loop, the exact-record fleets' slot writes,
 # end-to-end CFS event throughput, workload build and stream, facade) with a few
 # figure benchmarks as end-to-end sentinels, plus the sharded-fleet group:
 # the provider-scale replay (including the 24 h ×10 cases at 1,000 and
@@ -20,7 +20,7 @@ set -e
 cd "$(dirname "$0")/.."
 OUT="${1:-BENCH_baseline.json}"
 
-MICRO='BenchmarkKernelDispatch$|BenchmarkCFSSimulation$|BenchmarkWorkloadBuild$|BenchmarkWorkloadStream$|BenchmarkFacadeSimulate|BenchmarkColdStartDispatch|BenchmarkRouterRoute|BenchmarkExactRecordMerge$'
+MICRO='BenchmarkKernelDispatch$|BenchmarkCFSSimulation$|BenchmarkWorkloadBuild$|BenchmarkWorkloadStream$|BenchmarkFacadeSimulate|BenchmarkColdStartDispatch|BenchmarkRouterRoute|BenchmarkExactRecordSlots$'
 FIGS='BenchmarkFig06Hybrid$|BenchmarkTable1Summary$|BenchmarkFig13Preemptions$|BenchmarkStreamedFullscale'
 
 # The CI-sized sharded rows run 3 iterations (mean-of-3) because

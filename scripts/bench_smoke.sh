@@ -15,8 +15,8 @@
 # keep picks flat in fleet size), the full routing step
 # (BenchmarkRouterRoute, DESIGN.md §10 — the indexed warm pools must not
 # fall back to scanning every instance per arrival), the exact-record
-# fleets' post-drain merge (BenchmarkExactRecordMerge, DESIGN.md §11 —
-# records go to their ID slots, not through a sort) and the
+# fleets' record path (BenchmarkExactRecordSlots, DESIGN.md §11 —
+# each record is written once, straight into its ID slot) and the
 # fault-injected replay
 # (DESIGN.md §14 — crash sweeps, timeouts, and retry re-admission must
 # stay off the simulator's hot paths) and diffs their ns/op against the
@@ -111,8 +111,8 @@ sink=$(go test -run '^$' -bench 'BenchmarkSinkPush/(accumulator|windowed)$' ./in
 printf '%s\n' "$sink"
 route=$(go test -run '^$' -bench 'BenchmarkRouterRoute' -benchmem .)
 printf '%s\n' "$route"
-merge=$(go test -run '^$' -bench 'BenchmarkExactRecordMerge$' -benchmem .)
-printf '%s\n' "$merge"
+slots=$(go test -run '^$' -bench 'BenchmarkExactRecordSlots$' -benchmem .)
+printf '%s\n' "$slots"
 
 # Gate 3 — zero-alloc hot paths. With no Obs wired in, the hot dispatch
 # path must not allocate (DESIGN.md §13); nor may a runqueue delete +
@@ -217,7 +217,7 @@ awk -v small="$small" -v large="$large" 'BEGIN {
   go test -run '^$' -bench 'BenchmarkFaultyReplay$' -benchtime 3x -timeout 20m .
   printf '%s\n' "$dispatch"
   printf '%s\n' "$route"
-  printf '%s\n' "$merge"
+  printf '%s\n' "$slots"
 } | go run ./cmd/benchfmt > "$tmp"
 
 # Diff lines look like:
@@ -226,16 +226,16 @@ awk -v small="$small" -v large="$large" 'BEGIN {
 # Headers for benchmarks present on only one side carry no metric lines.
 go run ./cmd/benchfmt -diff BENCH_baseline.json "$tmp" | awk -v max="$MAXPCT" '
   /^[^ ]/ { bench = $1 }
-  $1 == "ns/op" && bench ~ /^Benchmark(ShardedFleetReplay|SweepRunner|DispatchPick|RouterRoute|ExactRecordMerge|FaultyReplay)/ {
+  $1 == "ns/op" && bench ~ /^Benchmark(ShardedFleetReplay|SweepRunner|DispatchPick|RouterRoute|ExactRecordSlots|FaultyReplay)/ {
     pct = $NF
     gsub(/[()%+]/, "", pct)
     # Sub-µs DispatchPick and RouterRoute rows see ±30% scheduler-steal
     # noise even at a pinned b.N; a lost index shows up as +100× at 10k
     # servers, and linear warm-pool scans as +150% on the cold-start
     # RouterRoute row, so a doubled threshold loses no detection power.
-    # ExactRecordMerge is memory-bound (~32 MB written per op) and as
-    # noisy; the sorting merge it replaced reads +500%.
-    lim = (bench ~ /DispatchPick|RouterRoute|ExactRecordMerge/) ? max * 2 : max
+    # ExactRecordSlots is memory-bound (~30 MB written per op) and as
+    # noisy; a sorting merge reads +500%.
+    lim = (bench ~ /DispatchPick|RouterRoute|ExactRecordSlots/) ? max * 2 : max
     printf "bench_smoke: %-55s ns/op %+.1f%% (max +%s%%)\n", bench, pct, lim
     n++
     if (pct + 0 > lim + 0) bad = 1

@@ -69,9 +69,9 @@ func preSeeded(t *testing.T, opts ClusterOptions, invs []Invocation, res *Cluste
 		if err != nil {
 			t.Fatalf("pre-seeded server %d: %v", s, err)
 		}
-		sr.Set = metrics.Collect(k)
-		sr.Makespan, sr.Preemptions = k.Makespan(), sr.Set.TotalPreemptions()
-		out.Set.Records = append(out.Set.Records, sr.Set.Records...)
+		set := metrics.Collect(k)
+		sr.Makespan, sr.Preemptions, sr.Busy = k.Makespan(), set.TotalPreemptions(), set.TotalExecution()
+		out.Set.Records = append(out.Set.Records, set.Records...)
 		out.Makespan = max(out.Makespan, sr.Makespan)
 		out.Preemptions += sr.Preemptions
 	}
@@ -84,6 +84,11 @@ func preSeeded(t *testing.T, opts ClusterOptions, invs []Invocation, res *Cluste
 func requirePreSeeded(t *testing.T, name string, opts ClusterOptions, invs []Invocation, res *ClusterResult) {
 	t.Helper()
 	want := preSeeded(t, opts, invs, res)
+	for s, sr := range want.PerServer {
+		if res.PerServer[s].Busy != sr.Busy {
+			t.Fatalf("%s: server %d busy %v, pre-seeded %v", name, s, res.PerServer[s].Busy, sr.Busy)
+		}
+	}
 	if digestCluster(res) == digestCluster(want) {
 		return
 	}
