@@ -3,20 +3,22 @@
 // invocation to the shard owning its server, and broadcasts a watermark T
 // once every arrival ≤ T has been handed over. Each shard worker owns its
 // servers' machines outright: a server joins its shard with its policy,
-// sink and fault machine; on an arrival the shard admits the task
-// (simrun.Incremental, whose open admission makes it equal to a fully
-// pre-seeded run of the server's share, DESIGN.md §7), on a watermark it
-// advances its live servers to T in server-index order, and on a retire
-// it drains that server at once and drops it. When the source drains,
-// shards drain their remaining machines and the results merge in a fixed
-// order (a pairwise metrics.MergeTree over shards for the windowed
-// replay; per-server sinks for the elastic fleet), or, on an exact fleet,
-// every record was written straight into the slot of its ID
-// (metrics.Slots), so the result is bit-for-bit independent of how the
-// shard goroutines were scheduled. Nothing is materialized up front,
-// so the windowed replay of a 1,000-server ×10 24 h window (~90M
-// invocations) runs in memory bounded by active tasks and windows. See
-// DESIGN.md §11.
+// sink and fault machine; an arrival waits in its server's pending queue
+// as the plain Routed value, on a watermark the shard advances its live
+// servers to T in server-index order, admitting each pending arrival as
+// a task only when the server's clock reaches it (simrun.Incremental,
+// whose open admission makes it equal to a fully pre-seeded run of the
+// server's share, DESIGN.md §7), and on a retire it drains that server
+// at once and drops it. When the source drains, shards drain their
+// remaining machines and the results merge in a fixed order (a pairwise
+// metrics.MergeTree over shards for the windowed replay; per-server
+// sinks for the elastic fleet), or, on an exact fleet, every record was
+// written straight into the slot of its ID (metrics.Slots), so the
+// result is bit-for-bit independent of how the shard goroutines were
+// scheduled. Nothing is materialized up front, so the windowed replay of
+// a 1,000-server ×10 24 h window (~90M invocations) runs in memory
+// bounded by due tasks, the pending queues of one watermark step and the
+// windows. See DESIGN.md §11.
 //
 // Watermarks order each shard's work but do not make the router wait: the
 // router keeps routing past a watermark while shards are still simulating
@@ -156,6 +158,11 @@ type Member struct {
 	shard int
 	inc   *simrun.Incremental // nil before the join and after the drain
 	count countingSink
+	// pending holds the routed arrivals the server's clock has not yet
+	// reached, in routing order. The router marks T only after every
+	// arrival ≤ T, so each watermark empties it, and it keeps its
+	// capacity for the next step.
+	pending []Routed
 }
 
 // countingSink tallies a server's records on their way to its sink: the
@@ -211,7 +218,8 @@ func (w *shardWorker) run() {
 				if msg.blk != nil {
 					w.slots.Learn(msg.blk)
 				}
-				w.admit(msg.m, msg.r)
+				// The arrival waits until its server's clock reaches it.
+				msg.m.pending = append(msg.m.pending, msg.r)
 			case msgMark:
 				w.runTo(msg.mark)
 			case msgJoin:
@@ -278,17 +286,35 @@ func (w *shardWorker) join(m *Member) {
 	w.members = append(w.members, m)
 }
 
-// admit hands m the routed task.
-func (w *shardWorker) admit(m *Member, r Routed) {
-	t := r.applyColdStart(m.inc.Pool().Get(r.Inv, simkern.TaskID(r.Idx+1)))
-	if m.Faults != nil {
-		m.Faults.Note(t, r.Inv.Duration, r.Inv.TimeoutMS)
+// admitPending turns m's pending arrivals into tasks, one instant at a
+// time: the machine first runs to the instant before, so a task, its
+// arrival event and its fault state exist only once they are due.
+// Admitted arrivals order before every same-instant event (the admit
+// class), so the run equals one that admitted them all at once.
+func (m *Member) admitPending() error {
+	p := m.pending
+	for i := 0; i < len(p); {
+		at := p[i].Inv.Arrival
+		// at-1 ≥ 1 here: RunTo(0) would mean "no limit".
+		if at-1 > m.inc.Now() {
+			if err := m.inc.RunTo(at - 1); err != nil {
+				return err
+			}
+		}
+		for ; i < len(p) && p[i].Inv.Arrival == at; i++ {
+			r := &p[i]
+			t := r.applyColdStart(m.inc.Pool().Get(r.Inv, simkern.TaskID(r.Idx+1)))
+			if m.Faults != nil {
+				m.Faults.Note(t, r.Inv.Duration, r.Inv.TimeoutMS)
+			}
+			if err := m.inc.Admit(t); err != nil {
+				return err
+			}
+			m.Routed++
+		}
 	}
-	if err := m.inc.Admit(t); err != nil {
-		w.fail(m, err)
-		return
-	}
-	m.Routed++
+	m.pending = p[:0]
+	return nil
 }
 
 // runTo advances every live server to the watermark in server-index
@@ -296,7 +322,11 @@ func (w *shardWorker) admit(m *Member, r Routed) {
 // stream deterministic.
 func (w *shardWorker) runTo(mark time.Duration) {
 	for _, m := range w.live {
-		if err := m.inc.RunTo(mark); err != nil {
+		err := m.admitPending()
+		if err == nil {
+			err = m.inc.RunTo(mark)
+		}
+		if err != nil {
 			w.fail(m, err)
 			return
 		}
@@ -312,13 +342,18 @@ func (w *shardWorker) retire(m *Member) {
 	w.drain(m)
 }
 
-// drain runs m to quiescence, checks that every routed invocation left
-// exactly one record, and keeps m's results.
+// drain admits m's pending arrivals, runs m to quiescence, checks that
+// every routed invocation left exactly one record, and keeps m's results.
 func (w *shardWorker) drain(m *Member) {
-	if err := m.inc.Drain(); err != nil {
+	err := m.admitPending()
+	if err == nil {
+		err = m.inc.Drain()
+	}
+	if err != nil {
 		w.fail(m, err)
 		return
 	}
+	m.pending = nil
 	m.Completed, m.Failed, m.Preemptions = m.count.completed, m.count.failed, m.count.preempts
 	m.Busy = m.count.busy
 	if m.Completed+m.Failed != m.Routed {

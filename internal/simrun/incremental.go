@@ -5,14 +5,18 @@
 // owns the arrival stream and tells every machine how far it may advance
 // (a watermark T is only emitted once every arrival ≤ T has been handed
 // over). The caller admits tasks, then steps the clock to each watermark
-// with RunTo, and finally Drain()s. Finished tasks are measured into a
-// metrics.Sink and recycled as they retire, so a machine holds only its
-// active tasks. Determinism follows from AdmitTask's pre-seeding
-// equivalence and from open admission: the machine's admission stays open
-// from construction until Drain, so the kernel counts a not-yet-admitted
-// task as outstanding just as a pre-seeded kernel counts its future
-// arrivals (DESIGN.md §7, §11). TestLazyAdmissionMatchesPreSeeding and
-// the sampler golden prove it per scheduler.
+// with RunTo, and finally Drain()s. The fleet's shards admit each arrival
+// only when the machine's clock reaches it: they run the machine to the
+// instant before (RunTo, Now) and admit every arrival of that instant, so
+// a machine holds only due tasks, never a watermark step of future ones.
+// Finished tasks are measured into a metrics.Sink and recycled as they
+// retire. Determinism follows from AdmitTask's pre-seeding equivalence
+// and from open admission: the machine's admission stays open from
+// construction until Drain, so the kernel counts a not-yet-admitted task
+// as outstanding just as a pre-seeded kernel counts its future arrivals
+// (DESIGN.md §7, §11). TestLazyAdmissionMatchesPreSeeding and the sampler
+// golden prove it per scheduler, and cluster's FuzzLazyAdmission for the
+// shards' admission at the instant.
 
 package simrun
 
@@ -83,10 +87,18 @@ func (inc *Incremental) Admit(t *simkern.Task) error {
 // before it fires, and the clock lands exactly on it. The caller must
 // have admitted every arrival ≤ watermark first — that is what makes the
 // chunked run observationally identical to a fully pre-seeded one.
+// Watermarks never go back: one behind the machine's clock is an error.
 func (inc *Incremental) RunTo(watermark time.Duration) error {
+	if now := inc.k.Now(); watermark < now {
+		return fmt.Errorf("simrun: watermark %v is behind %s's clock at %v", watermark, inc.name, now)
+	}
 	_, err := inc.k.Run(watermark)
 	return err
 }
+
+// Now returns the machine's clock. An arrival before it can no longer be
+// admitted, and a watermark before it is rejected.
+func (inc *Incremental) Now() time.Duration { return inc.k.Now() }
 
 // Drain closes admission, runs the machine to quiescence and verifies
 // nothing is left outstanding. No task may be admitted after it.
@@ -112,10 +124,12 @@ func (inc *Incremental) Stats() ghost.Stats { return inc.enc.Stats() }
 // run-telemetry measure of simulation work done.
 func (inc *Incremental) Events() uint64 { return inc.k.EventSeq() }
 
-// DefaultWindow is the fleet engine's default watermark step. Arrivals
-// are minute-structured (evenly spaced within each trace minute), so half
-// a minute keeps a machine's event heap a small constant factor of the
-// per-minute arrival volume without watermark steps dominating the run.
+// DefaultWindow is the fleet engine's default watermark step. A machine
+// holds only its due arrivals whatever the step, so the step sets only
+// how often the router and the shards synchronize and how many routed
+// arrivals wait in a server's pending queue; half a minute keeps that
+// queue a fraction of the per-minute arrival volume without watermark
+// steps dominating the run.
 const DefaultWindow = 30 * time.Second
 
 // retirer wraps the scheduling policy: after the policy has consumed a

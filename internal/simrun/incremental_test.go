@@ -162,6 +162,55 @@ func TestIncrementalValidation(t *testing.T) {
 	}
 }
 
+// TestRunToRejectsWatermarkBehindClock: watermarks only move forward. A
+// watermark behind the machine's clock is an error naming both times,
+// and it leaves the clock where it was, so an arrival before the clock
+// is still refused afterwards.
+func TestRunToRejectsWatermarkBehindClock(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		marks []time.Duration
+		bad   int // index of the rejected watermark; -1 if none
+	}{
+		{"forward", []time.Duration{time.Second, 2 * time.Second, 5 * time.Second}, -1},
+		{"repeated", []time.Duration{5 * time.Second, 5 * time.Second}, -1},
+		{"one nanosecond", []time.Duration{1, 2}, -1},
+		{"back", []time.Duration{5 * time.Second, 2 * time.Second}, 1},
+		{"back by one nanosecond", []time.Duration{5 * time.Second, 5*time.Second - 1}, 1},
+		{"back after a forward step", []time.Duration{time.Second, 5 * time.Second, 3 * time.Second}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inc, err := NewIncremental(simkern.DefaultConfig(2), fifo.New(fifo.Config{}), ghost.Config{}, &metrics.Store{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, mark := range tc.marks {
+				before := inc.Now()
+				err := inc.RunTo(mark)
+				if i != tc.bad {
+					if err != nil {
+						t.Fatalf("RunTo(%v) at %v: %v", mark, before, err)
+					}
+					if inc.Now() != mark {
+						t.Fatalf("RunTo(%v) left the clock at %v", mark, inc.Now())
+					}
+					continue
+				}
+				if err == nil || !strings.Contains(err.Error(), mark.String()) || !strings.Contains(err.Error(), before.String()) {
+					t.Fatalf("RunTo(%v) at %v = %v, want an error naming both times", mark, before, err)
+				}
+				if inc.Now() != before {
+					t.Fatalf("rejected RunTo(%v) moved the clock from %v to %v", mark, before, inc.Now())
+				}
+				late := &simkern.Task{ID: 1, Kind: simkern.KindFunction, Arrival: mark, Work: time.Millisecond}
+				if err := inc.Admit(late); err == nil {
+					t.Errorf("arrival at %v accepted with the clock at %v", mark, before)
+				}
+			}
+		})
+	}
+}
+
 // TestAdmitAfterDrainFails: Drain closes admission for good. A task
 // handed to a drained machine would never run or be reported, so Admit
 // must refuse it rather than leave it outstanding.

@@ -17,6 +17,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/faassched/faassched/internal/chunk"
 	"github.com/faassched/faassched/internal/fib"
 	"github.com/faassched/faassched/internal/simkern"
 	"github.com/faassched/faassched/internal/trace"
@@ -299,13 +300,15 @@ func SliceSource(invs []Invocation) Source {
 }
 
 // Materialize drains a source into a slice — the inverse of SliceSource.
+// It collects into fixed-size chunks and copies them once into a slice of
+// exactly the source's length, so no invocation is copied twice.
 func Materialize(src Source) []Invocation {
-	var out []Invocation
+	var log chunk.Log[Invocation]
 	src(func(inv Invocation) bool {
-		out = append(out, inv)
+		log.Push(inv)
 		return true
 	})
-	return out
+	return log.Flatten()
 }
 
 // TaskPool builds simulator tasks from invocations and recycles finished
