@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -577,6 +578,61 @@ func BenchmarkKernelAdmitRun(b *testing.B) {
 			b.ReportMetric(float64(len(invs)), "invocations/op")
 		})
 	}
+}
+
+// BenchmarkShardHandoff times the router-to-shard handoff layer on its
+// own: a fixed stream of 40,000 arrivals, one every 100 µs, routed
+// round-robin over four two-core FIFO servers in two shards before the
+// timer starts, then handed to the lockstep engine (cluster.NewFleet:
+// Join, Advance, Admit, Close) with 100 ms watermark steps. An op is the
+// handoff batches, the servers' pending queues, their admission as each
+// server's clock reaches it and the light FIFO work, at ~37% load. The
+// per-arrival rows (ns, B and allocs) hold the layer's cost apart from
+// routing.
+func BenchmarkShardHandoff(b *testing.B) {
+	const servers, shards, n = 4, 2, 40_000
+	routed := make([]cluster.Routed, n)
+	for i := range routed {
+		routed[i] = cluster.Routed{Idx: i, Inv: workload.Invocation{
+			Arrival:  time.Duration(i) * 100 * time.Microsecond,
+			FibN:     30,
+			Duration: 300 * time.Microsecond,
+			MemMB:    128,
+		}}
+	}
+	kcfg := simkern.DefaultConfig(2)
+	shardOf := func(s int) int { return s % shards }
+	var before, after runtime.MemStats
+	b.ResetTimer()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < b.N; i++ {
+		f := cluster.NewFleet(kcfg, ghost.Config{}, nil, 100*time.Millisecond, shards, shardOf, nil)
+		members := make([]*cluster.Member, servers)
+		for s := range members {
+			members[s] = &cluster.Member{Index: s, Policy: fifoPolicy()}
+			f.Join(members[s])
+		}
+		for j, r := range routed {
+			f.Advance(r.Inv.Arrival)
+			f.Admit(members[j%servers], r)
+		}
+		if err := f.Close(); err != nil {
+			b.Fatal(err)
+		}
+		done := 0
+		for _, m := range members {
+			done += m.Completed
+		}
+		if done != n {
+			b.Fatalf("%d of %d arrivals completed", done, n)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	b.StopTimer()
+	arrivals := float64(b.N) * n
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/arrivals, "ns/arrival")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/arrivals, "B/arrival")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/arrivals, "allocs/arrival")
 }
 
 // BenchmarkFacadeSimulate measures the public API end to end.

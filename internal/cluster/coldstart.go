@@ -264,17 +264,20 @@ func (p *serverPool) warm(key funcKey, now time.Duration) *WarmInstance {
 // the FleetModel it is updated only from the single-threaded routing
 // loop, in arrival order, so decision time never decreases.
 type WarmPools struct {
-	cfg   ColdStartConfig
-	pools []serverPool
-	widx  *warmIndex    // per-funcKey idle-warm bitmap; nil unless WarmFirst
-	free  *WarmInstance // instances that left their pool, linked by next
+	cfg ColdStartConfig
+	// pools holds each server's pool, in pages allocated at the first
+	// lookup on one of their servers (DESIGN.md §12).
+	pools   pages[serverPool]
+	servers int
+	widx    *warmIndex    // per-funcKey idle-warm bitmap; nil unless WarmFirst
+	free    *WarmInstance // instances that left their pool, linked by next
 }
 
 // NewWarmPools returns empty pools for a fleet of the given size. Under
 // warm-first dispatch the pools also maintain the warm index so picks
 // walk only warm holders instead of every candidate.
 func NewWarmPools(cfg ColdStartConfig, servers int) *WarmPools {
-	w := &WarmPools{cfg: cfg, pools: make([]serverPool, servers)}
+	w := &WarmPools{cfg: cfg, pools: newPages[serverPool](servers), servers: servers}
 	if cfg.Enabled() && cfg.WarmFirst {
 		w.widx = newWarmIndex()
 	}
@@ -289,21 +292,22 @@ func (w *WarmPools) sync(now time.Duration) {
 }
 
 // Servers returns the number of tracked servers.
-func (w *WarmPools) Servers() int { return len(w.pools) }
+func (w *WarmPools) Servers() int { return w.servers }
 
 // AddServer grows the fleet by one server with an empty pool (a freshly
 // spun-up server has no warm state), returning its index.
 func (w *WarmPools) AddServer() int {
-	w.pools = append(w.pools, serverPool{})
-	return len(w.pools) - 1
+	w.servers++
+	w.pools.grow(w.servers)
+	return w.servers - 1
 }
 
 // DropServer destroys server s's warm pool: retiring a server tears down
 // its instances, so a later re-launch into the same fleet slot starts
 // cold. The slot itself stays valid.
 func (w *WarmPools) DropServer(s int) {
-	p := &w.pools[s]
-	for len(p.expiry) > 0 {
+	p := w.pools.peek(s)
+	for p != nil && len(p.expiry) > 0 {
 		in := p.expiry[len(p.expiry)-1]
 		if w.widx != nil {
 			w.widx.retire(in)
@@ -335,7 +339,7 @@ func (w *WarmPools) expireAt(freeAt time.Duration) time.Duration {
 // and returns the pool.
 func (w *WarmPools) prune(s int, now time.Duration) *serverPool {
 	w.sync(now)
-	p := &w.pools[s]
+	p := w.pools.at(s)
 	for len(p.expiry) > 0 && p.expiry[0].expireAt <= now {
 		// The warm index needs no retire here: both of the instance's
 		// transitions are at or before now, so sync already applied them
@@ -436,8 +440,9 @@ type warmFirstDispatch struct {
 }
 
 func (d *warmFirstDispatch) Pick(inv workload.Invocation, candidates []int) int {
+	n := d.model.nCandidates(candidates)
 	if w := d.pools.widx; w != nil {
-		if ix := d.model.index(inv.Arrival); ix.usable(len(candidates), inv.Arrival) {
+		if ix := d.model.index(inv.Arrival); ix.usable(n, inv.Arrival) {
 			// Indexed path: walk only the servers holding idle warm state
 			// for this function instead of probing every candidate, then
 			// hand cold placement to the wrapped policy — which is itself
@@ -451,7 +456,8 @@ func (d *warmFirstDispatch) Pick(inv workload.Invocation, candidates []int) int 
 		}
 	}
 	best, bestLoad := -1, time.Duration(0)
-	for _, s := range candidates {
+	for i := range n {
+		s := candidate(candidates, i)
 		if !d.pools.HasWarm(s, inv, inv.Arrival) {
 			continue
 		}

@@ -442,7 +442,7 @@ func (l *linearPools) add() int {
 // instance on its own key's list, and every heap slot recorded.
 func poolState(t *testing.T, w *WarmPools, s int) []linearInst {
 	t.Helper()
-	p := &w.pools[s]
+	p := w.pools.at(s)
 	listed := 0
 	for key, l := range p.byKey {
 		if l.head == nil {

@@ -44,30 +44,56 @@ func Dispatches() []Dispatch {
 // concurrently (see DESIGN.md §5). The autoscale layer grows the model
 // mid-run through AddServer; a fixed fleet never does.
 type FleetModel struct {
-	cores int
-	// laneFree[server][lane] is when the lane frees. A starting-fleet
-	// server's lanes are allocated at its first booking: until then they
-	// are all free from time zero, which a nil slice reads as.
-	laneFree [][]time.Duration
-	elig     []bool // the indexed dispatch set (see SetEligible)
-	eligN    int
-	idx      *loadIndex // load index (DESIGN.md §12); nil until first indexed read
+	cores   int
+	servers int
+	// lanes holds every server's lane-free instants, cores per server, in
+	// pages of pageLen servers (DESIGN.md §12). A page is allocated at the
+	// first booking onto one of its servers: until then its lanes are all
+	// free from time zero, which a nil page reads as.
+	lanes [][]time.Duration
+	// out holds the servers outside the indexed dispatch set (see
+	// SetEligible). It grows only to hold a member, and servers past its
+	// end are eligible, so a fixed fleet keeps it empty.
+	out   serverSet
+	eligN int
+	idx   *loadIndex // load index (DESIGN.md §12); nil until first indexed read
 }
 
 // NewFleetModel returns a model of the given fixed starting fleet; every
 // server's lanes are free from time zero and every server is eligible
 // for indexed dispatch.
 func NewFleetModel(servers, cores int) *FleetModel {
-	m := &FleetModel{
-		cores:    cores,
-		laneFree: make([][]time.Duration, servers),
-		elig:     make([]bool, servers),
-		eligN:    servers,
+	return &FleetModel{
+		cores:   cores,
+		servers: servers,
+		lanes:   make([][]time.Duration, pageCount(servers)),
+		eligN:   servers,
 	}
-	for s := range m.elig {
-		m.elig[s] = true
+}
+
+// laneFree returns server s's lanes, laneFree(s)[lane] being when the
+// lane frees, or nil while s's page is unallocated: every lane free from
+// time zero.
+func (m *FleetModel) laneFree(s int) []time.Duration {
+	pg := m.lanes[s>>pageShift]
+	if pg == nil {
+		return nil
 	}
-	return m
+	o := (s & pageMask) * m.cores
+	return pg[o : o+m.cores : o+m.cores]
+}
+
+// bookLanes is laneFree for a booking: it allocates s's page.
+func (m *FleetModel) bookLanes(s int) []time.Duration {
+	if m.lanes[s>>pageShift] == nil {
+		m.lanes[s>>pageShift] = make([]time.Duration, pageLen*m.cores)
+	}
+	return m.laneFree(s)
+}
+
+// eligible reports whether server s is in the indexed dispatch set.
+func (m *FleetModel) eligible(s int) bool {
+	return s>>6 >= len(m.out.words) || !m.out.has(s)
 }
 
 // index returns the load index advanced to now, materializing it from
@@ -83,7 +109,7 @@ func (m *FleetModel) index(now time.Duration) *loadIndex {
 }
 
 // Servers returns the number of modeled servers.
-func (m *FleetModel) Servers() int { return len(m.laneFree) }
+func (m *FleetModel) Servers() int { return m.servers }
 
 // Cores returns the per-server lane count.
 func (m *FleetModel) Cores() int { return m.cores }
@@ -94,16 +120,21 @@ func (m *FleetModel) Cores() int { return m.cores }
 // indexed dispatch set; the autoscaler opts them in via SetEligible when
 // they activate.
 func (m *FleetModel) AddServer(readyAt time.Duration) int {
-	lanes := make([]time.Duration, m.cores)
+	s := m.servers
+	m.servers++
+	if len(m.lanes) < pageCount(m.servers) {
+		m.lanes = append(m.lanes, nil)
+	}
+	lanes := m.bookLanes(s)
 	for l := range lanes {
 		lanes[l] = readyAt
 	}
-	m.laneFree = append(m.laneFree, lanes)
-	m.elig = append(m.elig, false)
+	m.out.grow(s + 1)
+	m.out.add(s)
 	if m.idx != nil {
 		m.idx.addServer(readyAt)
 	}
-	return len(m.laneFree) - 1
+	return s
 }
 
 // SetEligible marks server s in or out of the indexed dispatch set as of
@@ -112,16 +143,18 @@ func (m *FleetModel) AddServer(readyAt time.Duration) int {
 // whole starting fleet is eligible), the autoscaler calls it at activate
 // and at drain.
 func (m *FleetModel) SetEligible(s int, eligible bool, now time.Duration) {
-	if m.elig[s] == eligible {
+	if m.eligible(s) == eligible {
 		return
 	}
 	if m.idx != nil {
 		m.idx.advance(now) // drain s's expiries under its old eligibility
 	}
-	m.elig[s] = eligible
 	if eligible {
+		m.out.remove(s)
 		m.eligN++
 	} else {
+		m.out.grow(s + 1)
+		m.out.add(s)
 		m.eligN--
 	}
 	if m.idx != nil {
@@ -143,7 +176,7 @@ func (m *FleetModel) EligibleBusyLanes(now time.Duration) int {
 // under the lane model.
 func (m *FleetModel) Outstanding(s int, now time.Duration) time.Duration {
 	var sum time.Duration
-	for _, free := range m.laneFree[s] {
+	for _, free := range m.laneFree(s) {
 		if free > now {
 			sum += free - now
 		}
@@ -155,7 +188,7 @@ func (m *FleetModel) Outstanding(s int, now time.Duration) time.Duration {
 // time now — the autoscaler's utilization signal numerator.
 func (m *FleetModel) BusyLanes(s int, now time.Duration) int {
 	n := 0
-	for _, free := range m.laneFree[s] {
+	for _, free := range m.laneFree(s) {
 		if free > now {
 			n++
 		}
@@ -167,7 +200,7 @@ func (m *FleetModel) BusyLanes(s int, now time.Duration) int {
 // lane freed) and whether it is idle at time now.
 func (m *FleetModel) IdleSince(s int, now time.Duration) (time.Duration, bool) {
 	var last time.Duration
-	for _, free := range m.laneFree[s] {
+	for _, free := range m.laneFree(s) {
 		if free > now {
 			return 0, false
 		}
@@ -191,11 +224,7 @@ func (m *FleetModel) AssignDemand(s int, arrival, demand time.Duration) time.Dur
 	if m.idx != nil {
 		m.idx.advance(arrival) // expire lanes before one of them changes
 	}
-	lanes := m.laneFree[s]
-	if lanes == nil {
-		lanes = make([]time.Duration, m.cores)
-		m.laneFree[s] = lanes
-	}
+	lanes := m.bookLanes(s)
 	best := 0
 	for l := 1; l < len(lanes); l++ {
 		if lanes[l] < lanes[best] {
@@ -218,10 +247,12 @@ func (m *FleetModel) AssignDemand(s int, arrival, demand time.Duration) time.Dur
 // order with the eligible servers in ascending index order; the caller
 // books the chosen server into the shared FleetModel afterwards, so
 // implementations observe the load their own earlier decisions created.
-// A fixed fleet passes every server on every call; the autoscale layer
-// passes only the ready, non-draining subset — with the full set the
-// decisions (and consumed random numbers) are identical to the fixed-fleet
-// dispatcher, which is what pins the min=max golden digests.
+// A nil candidate slice names every server of the model, all of them
+// eligible: a fixed fleet with no server down passes nil rather than a
+// list of every index. The autoscale layer passes only the ready,
+// non-draining subset — with the full set the decisions (and consumed
+// random numbers) are identical to the fixed-fleet dispatcher, which is
+// what pins the min=max golden digests.
 //
 // The load-dependent policies answer from the fleet load index when the
 // candidate slice is the model's eligible set (the routing loops and the
@@ -231,21 +262,41 @@ type Dispatcher interface {
 	Pick(inv workload.Invocation, candidates []int) int
 }
 
+// nCandidates is how many servers candidates names: every server of the
+// model when it is nil.
+func (m *FleetModel) nCandidates(candidates []int) int {
+	if candidates == nil {
+		return m.servers
+	}
+	return len(candidates)
+}
+
+// candidate returns the i-th server candidates names.
+func candidate(candidates []int, i int) int {
+	if candidates == nil {
+		return i
+	}
+	return candidates[i]
+}
+
 type randomDispatch struct {
-	rng *rand.Rand
+	model *FleetModel
+	rng   *rand.Rand
 }
 
 func (d *randomDispatch) Pick(_ workload.Invocation, candidates []int) int {
-	return candidates[d.rng.Intn(len(candidates))]
+	return candidate(candidates, d.rng.Intn(d.model.nCandidates(candidates)))
 }
 
 type roundRobinDispatch struct {
-	next int
+	model *FleetModel
+	next  int
 }
 
 func (d *roundRobinDispatch) Pick(_ workload.Invocation, candidates []int) int {
-	s := candidates[d.next%len(candidates)]
-	d.next = (d.next + 1) % len(candidates)
+	n := d.model.nCandidates(candidates)
+	s := candidate(candidates, d.next%n)
+	d.next = (d.next + 1) % n
 	return s
 }
 
@@ -254,14 +305,16 @@ type leastLoadedDispatch struct {
 }
 
 func (d *leastLoadedDispatch) Pick(inv workload.Invocation, candidates []int) int {
-	if ix := d.model.index(inv.Arrival); ix.usable(len(candidates), inv.Arrival) {
+	n := d.model.nCandidates(candidates)
+	if ix := d.model.index(inv.Arrival); ix.usable(n, inv.Arrival) {
 		if s, ok := ix.leastLoaded(); ok {
 			return s
 		}
 	}
 	// Linear fallback for candidate slices that are not the eligible set.
-	best, bestLoad := candidates[0], time.Duration(-1)
-	for _, s := range candidates {
+	best, bestLoad := candidate(candidates, 0), time.Duration(-1)
+	for i := range n {
+		s := candidate(candidates, i)
 		load := d.model.Outstanding(s, inv.Arrival)
 		if bestLoad < 0 || load < bestLoad {
 			best, bestLoad = s, load
@@ -276,16 +329,18 @@ type joinIdleQueueDispatch struct {
 }
 
 func (d *joinIdleQueueDispatch) Pick(inv workload.Invocation, candidates []int) int {
-	if ix := d.model.index(inv.Arrival); ix.usable(len(candidates), inv.Arrival) {
+	n := d.model.nCandidates(candidates)
+	if ix := d.model.index(inv.Arrival); ix.usable(n, inv.Arrival) {
 		if s, ok := ix.longestIdle(); ok {
 			return s
 		}
 		// No eligible server idle: same random fallback, same RNG stream,
 		// as the linear scan below finding no idle candidate.
-		return candidates[d.rng.Intn(len(candidates))]
+		return candidate(candidates, d.rng.Intn(n))
 	}
 	best, bestSince, found := 0, time.Duration(0), false
-	for _, s := range candidates {
+	for i := range n {
+		s := candidate(candidates, i)
 		since, idle := d.model.IdleSince(s, inv.Arrival)
 		if !idle {
 			continue
@@ -297,16 +352,16 @@ func (d *joinIdleQueueDispatch) Pick(inv workload.Invocation, candidates []int) 
 	if found {
 		return best
 	}
-	return candidates[d.rng.Intn(len(candidates))]
+	return candidate(candidates, d.rng.Intn(n))
 }
 
 // NewDispatcher constructs the dispatcher for d over servers sharing model.
 func NewDispatcher(d Dispatch, seed int64, model *FleetModel) (Dispatcher, error) {
 	switch d {
 	case DispatchRandom:
-		return &randomDispatch{rng: rand.New(rand.NewSource(seed))}, nil
+		return &randomDispatch{model: model, rng: rand.New(rand.NewSource(seed))}, nil
 	case DispatchRoundRobin:
-		return &roundRobinDispatch{}, nil
+		return &roundRobinDispatch{model: model}, nil
 	case DispatchLeastLoaded:
 		return &leastLoadedDispatch{model: model}, nil
 	case DispatchJoinIdleQueue:

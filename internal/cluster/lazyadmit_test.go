@@ -1,13 +1,16 @@
 package cluster
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
 	"github.com/faassched/faassched/internal/core"
 	"github.com/faassched/faassched/internal/ghost"
+	"github.com/faassched/faassched/internal/metrics"
 	"github.com/faassched/faassched/internal/policy/cfs"
 	"github.com/faassched/faassched/internal/policy/fifo"
+	"github.com/faassched/faassched/internal/pricing"
 	"github.com/faassched/faassched/internal/simkern"
 	"github.com/faassched/faassched/internal/simrun"
 	"github.com/faassched/faassched/internal/workload"
@@ -70,6 +73,52 @@ func lazyArrivals(window time.Duration, script []byte) []workload.Invocation {
 	return invs
 }
 
+// simulateRetiring routes invs round-robin straight onto the fleet
+// engine, as the elastic fleet does, and retires each server right after
+// its last arrival: its shard drains it at once, arrivals still pending,
+// while the watermarks go on for the others. It returns what Simulate
+// would, for requirePreSeeded.
+func simulateRetiring(cfg Config, invs []workload.Invocation) (*Result, error) {
+	n := cfg.Servers
+	shards := min(n, 2)
+	slots := metrics.NewSlots(len(invs))
+	f := NewFleet(cfg.Kernel, cfg.Ghost, nil, cfg.Window, shards, func(s int) int { return s % shards }, slots)
+	res := &Result{Servers: n, PerServer: make([]ServerResult, n), Assignment: make([]int, len(invs))}
+	members := make([]*Member, n)
+	for i, inv := range invs {
+		s := i % n
+		f.Advance(inv.Arrival)
+		if members[s] == nil {
+			members[s] = &Member{Index: s, Policy: cfg.Policy()}
+			f.Join(members[s])
+		}
+		f.Admit(members[s], Routed{Inv: inv, Idx: i})
+		res.Assignment[i] = s
+		if i+n >= len(invs) {
+			f.Retire(members[s])
+		}
+	}
+	if err := f.Close(); err != nil {
+		return nil, err
+	}
+	var err error
+	if res.Set.Records, err = slots.Close(res.Assignment); err != nil {
+		return nil, err
+	}
+	for s, m := range members {
+		res.PerServer[s].Server = s
+		if m == nil {
+			continue
+		}
+		res.PerServer[s].Invocations = m.Routed
+		res.PerServer[s].Makespan = m.Makespan
+		res.PerServer[s].Preemptions = m.Preemptions
+		res.Makespan = max(res.Makespan, m.Makespan)
+		res.Preemptions += m.Preemptions
+	}
+	return res, nil
+}
+
 // FuzzLazyAdmission runs random arrival sequences through the fleet
 // engine on one to three servers, whose shards admit each arrival only
 // when the server's clock reaches it, and requires every record, field
@@ -77,8 +126,21 @@ func lazyArrivals(window time.Duration, script []byte) []workload.Invocation {
 // pre-seeded simrun.ExecStats run of its server's share
 // (requirePreSeeded). Bit 7 of policy picks synchronous message
 // delivery, under which an arrival's policy message lands at its own
-// instant, ahead of that instant's ticks and completions.
+// instant, ahead of that instant's ticks and completions. Bit 6 drives
+// the engine through simulateRetiring instead of Simulate, so each
+// server is retired, and drained, with its last arrivals still pending.
 func FuzzLazyAdmission(f *testing.F) {
+	// chunkTie is pendLen+1 arrivals at 185,001 ns, and tie1ns as many at
+	// 1 ns: the tie fills a pending chunk and spills into the next.
+	chunkTie := append([]byte{5<<3 | 7, 3}, bytes.Repeat([]byte{0, 5}, pendLen)...)
+	tie1ns := append([]byte{1, 3}, bytes.Repeat([]byte{0, 5}, pendLen)...)
+	// lastSlotTie puts pendLen-1 arrivals 1 ns apart, then a tie whose
+	// first arrival takes a chunk's last slot, on the first 1 ms
+	// watermark; the next arrival lands 1 ns past the second one.
+	lastSlotTie := append(bytes.Repeat([]byte{1, 2}, pendLen-1), 2, 9, 0, 9, 0, 9, 0, 9, 3, 4, 1, 4)
+	// partChunk is 45 arrivals within 80 µs, so a lone server retired
+	// after its last one still holds a full chunk and a part-filled one.
+	partChunk := bytes.Repeat([]byte{1, 6, 0, 6, 5, 1}, 15)
 	for _, seed := range []struct {
 		servers, window, policy, dispatch uint8
 		script                            []byte
@@ -99,6 +161,21 @@ func FuzzLazyAdmission(f *testing.F) {
 		// input that catches admitting an arrival after its instant's
 		// events have fired instead of before.
 		{75, 0, 1, 1, []byte("0+00000020.0")},
+		// A tie of pendLen+1 arrivals on one server: the machine runs to
+		// the instant before once, not once per chunk (at 1 ns, a second
+		// run would be RunTo(0), "no limit").
+		{0, 0, 0, 0, chunkTie},
+		{0, 3, 2, 0, tie1ns},
+		// A tie that starts in a chunk's last slot, on a watermark.
+		{0, 0, 1, 0, lastSlotTie},
+		{0, 0, 0x82, 0, lastSlotTie},
+		// Retired servers: a lone one with all 45 arrivals pending at its
+		// retire (a full chunk and a part-filled one), three retiring in
+		// turn, and two retiring after a tie on a watermark under
+		// synchronous delivery.
+		{0, 4, 0x40, 0, partChunk},
+		{2, 1, 0x41, 0, partChunk},
+		{1, 0, 0xc2, 1, lastSlotTie},
 	} {
 		f.Add(seed.servers, seed.window, seed.policy, seed.dispatch, seed.script)
 	}
@@ -113,11 +190,15 @@ func FuzzLazyAdmission(f *testing.F) {
 			Dispatch: Dispatches()[int(dispatch)%len(Dispatches())],
 			Seed:     int64(dispatch) + 1,
 			Kernel:   simkern.DefaultConfig(2),
-			Policy:   lazyPolicies[int(policy&0x7f)%len(lazyPolicies)],
+			Policy:   lazyPolicies[int(policy&0x3f)%len(lazyPolicies)],
 			Ghost:    ghost.Config{NoLatency: policy&0x80 != 0},
 			Window:   w,
 		}
-		got, err := Simulate(cfg, invs)
+		run := Simulate
+		if policy&0x40 != 0 {
+			run = simulateRetiring
+		}
+		got, err := run(cfg, invs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,4 +279,66 @@ func TestShardHoldsOnlyDueTasks(t *testing.T) {
 			len(pol.structs), pol.peak, maxTies, bound)
 	}
 	t.Logf("%d task structs, peak %d live tasks, %d-way ties", len(pol.structs), pol.peak, maxTies)
+}
+
+// TestShardRecyclesPendingChunks pins the pending queues' footprint: a
+// shard hands each chunk back as soon as its arrivals are admitted, and
+// each watermark admits everything pending, so over a run of many
+// watermark steps a shard allocates no more chunks than its busiest step
+// fills, plus one part-filled chunk per server. A shard that kept each
+// server's chunks, or allocated afresh each step, would need far more.
+func TestShardRecyclesPendingChunks(t *testing.T) {
+	const window = 100 * time.Millisecond
+	// 200 watermark steps; step k+1 carries 5 + 37·(k mod 7) arrivals,
+	// spread evenly over (k·window, (k+1)·window).
+	var invs []workload.Invocation
+	for k := range 200 {
+		n := 5 + 37*(k%7)
+		for j := range n {
+			at := time.Duration(k)*window + time.Duration(j+1)*window/time.Duration(n+1)
+			invs = append(invs, workload.Invocation{Arrival: at, FibN: 30, Duration: time.Millisecond, MemMB: 128})
+		}
+	}
+	cfg := testConfig(6, DispatchRoundRobin)
+	cfg.Shards = 2
+	cfg.Window = window
+	run, err := runSharded(cfg, workload.SliceSource(invs), len(invs), pricing.Tariff{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// perStep[shard][step][server] counts the arrivals each server had
+	// pending when the shard applied the step's watermark.
+	perStep := make([]map[time.Duration]map[int]int, len(run.ranges))
+	for i := range perStep {
+		perStep[i] = map[time.Duration]map[int]int{}
+	}
+	for i, inv := range invs {
+		s := run.assignment[i]
+		sh := run.fleet.shardOf(s)
+		step := max(1, (inv.Arrival+window-1)/window)
+		if perStep[sh][step] == nil {
+			perStep[sh][step] = map[int]int{}
+		}
+		perStep[sh][step][s]++
+	}
+	for i, w := range run.fleet.workers {
+		peak, unrecycled := 0, 0
+		for _, servers := range perStep[i] {
+			total := 0
+			for _, n := range servers {
+				total += n
+				unrecycled += (n + pendLen - 1) / pendLen
+			}
+			peak = max(peak, total)
+		}
+		bound := (peak+pendLen-1)/pendLen + len(w.members)
+		if unrecycled <= 2*bound {
+			t.Fatalf("shard %d: vacuous workload: %d chunks without recycling, bound %d", i, unrecycled, bound)
+		}
+		if w.made == 0 || w.made > bound {
+			t.Errorf("shard %d allocated %d pending chunks; its busiest step held %d arrivals over %d servers (bound %d, %d without recycling)",
+				i, w.made, peak, len(w.members), bound, unrecycled)
+		}
+		t.Logf("shard %d: %d chunks, bound %d, %d without recycling", i, w.made, bound, unrecycled)
+	}
 }

@@ -224,8 +224,9 @@ type loadIndex struct {
 	model *FleetModel
 	now   time.Duration
 
-	busy    []int32         // lanes with free > now
-	sumFree []time.Duration // Σ lane free over busy lanes; 0 when busy is 0
+	// load holds each server's busy lanes and their free sum, in pages
+	// allocated at a server's first busy lane.
+	load pages[serverLoad]
 
 	eligBusy int64 // Σ busy over eligible servers (autoscaler signal)
 
@@ -248,6 +249,12 @@ type loadIndex struct {
 	queued serverSet
 }
 
+// serverLoad is one server's entry in the index.
+type serverLoad struct {
+	sumFree time.Duration // Σ lane free over busy lanes; 0 when busy is 0
+	busy    int32         // lanes with free > now
+}
+
 // buildLoadIndex materializes an index over m's lane model as of `now`.
 // The lane state fully determines the index — busy lanes are those
 // freeing after now, sumFree is their sum — so the build is exact no
@@ -255,27 +262,27 @@ type loadIndex struct {
 // first indexed read: fleets whose dispatch policy and autoscaler never
 // consult the index skip its per-booking maintenance entirely.
 func buildLoadIndex(m *FleetModel, now time.Duration) *loadIndex {
-	n := len(m.laneFree)
+	n := m.servers
 	ix := &loadIndex{
-		model:   m,
-		now:     now,
-		busy:    make([]int32, n),
-		sumFree: make([]time.Duration, n),
-		byBusy:  make([]minTree, m.cores+1),
-		lazy:    true,
+		model:  m,
+		now:    now,
+		load:   newPages[serverLoad](n),
+		byBusy: make([]minTree, m.cores+1),
+		lazy:   true,
 	}
 	ix.idle0.grow(n)
 	ix.queued.grow(n)
-	for s, lanes := range m.laneFree {
-		for l, free := range lanes {
+	for s := range n {
+		for l, free := range m.laneFree(s) {
 			if free > now {
-				ix.busy[s]++
-				ix.sumFree[s] += free
+				ld := ix.load.at(s)
+				ld.busy++
+				ld.sumFree += free
 				ix.expiries.push(laneExpiry{at: free, server: int32(s), lane: int32(l)})
 			}
 		}
-		if m.elig[s] {
-			ix.eligBusy += int64(ix.busy[s])
+		if m.eligible(s) {
+			ix.eligBusy += int64(ix.load.get(s).busy)
 			ix.place(s)
 		}
 	}
@@ -285,15 +292,13 @@ func buildLoadIndex(m *FleetModel, now time.Duration) *loadIndex {
 // addServer extends the index to the model's newest server, whose lanes
 // all free at readyAt; it is ineligible until setEligible opts it in.
 func (ix *loadIndex) addServer(readyAt time.Duration) {
-	s := len(ix.busy)
-	ix.busy = append(ix.busy, 0)
-	ix.sumFree = append(ix.sumFree, 0)
+	s := ix.model.servers - 1
+	ix.load.grow(s + 1)
 	ix.idle0.grow(s + 1)
 	ix.queued.grow(s + 1)
 	if readyAt > ix.now {
 		// Spinning up: every lane is "busy" until readyAt.
-		ix.busy[s] = int32(ix.model.cores)
-		ix.sumFree[s] = time.Duration(ix.model.cores) * readyAt
+		*ix.load.at(s) = serverLoad{sumFree: time.Duration(ix.model.cores) * readyAt, busy: int32(ix.model.cores)}
 		for l := 0; l < ix.model.cores; l++ {
 			ix.expiries.push(laneExpiry{at: readyAt, server: int32(s), lane: int32(l)})
 		}
@@ -303,14 +308,15 @@ func (ix *loadIndex) addServer(readyAt time.Duration) {
 // place puts eligible server s into the bucket of its busy count, or,
 // while the index is lazy and s is busy, queues it for that.
 func (ix *loadIndex) place(s int) {
-	switch b := ix.busy[s]; {
+	ld := ix.load.get(s)
+	switch b := ld.busy; {
 	case b == 0:
 		ix.idle0.add(s)
 		if ix.idle != nil {
 			ix.idle.update(s, int64(ix.idleSince(s)))
 		}
 	case !ix.lazy:
-		ix.byBusy[b].update(s, int64(ix.sumFree[s]))
+		ix.byBusy[b].update(s, int64(ld.sumFree))
 	case !ix.queued.has(s):
 		ix.queued.add(s)
 		ix.stale = append(ix.stale, int32(s))
@@ -336,8 +342,8 @@ func (ix *loadIndex) eager() {
 	for _, s32 := range ix.stale {
 		s := int(s32)
 		ix.queued.remove(s)
-		if b := ix.busy[s]; b > 0 && ix.model.elig[s] {
-			ix.byBusy[b].update(s, int64(ix.sumFree[s]))
+		if ld := ix.load.get(s); ld.busy > 0 && ix.model.eligible(s) {
+			ix.byBusy[ld.busy].update(s, int64(ld.sumFree))
 		}
 	}
 	ix.stale = ix.stale[:0]
@@ -351,7 +357,7 @@ func (ix *loadIndex) eager() {
 // autoscaler do; anyone else gets the linear fallback via the
 // candidate-count check).
 func (ix *loadIndex) setEligible(s int, on bool) {
-	b := int(ix.busy[s])
+	b := int(ix.load.get(s).busy)
 	if on {
 		ix.eligBusy += int64(b)
 		ix.place(s)
@@ -370,17 +376,17 @@ func (ix *loadIndex) advance(t time.Duration) {
 		return
 	}
 	ix.now = t
-	lanes, elig := ix.model.laneFree, ix.model.elig
 	for len(ix.expiries) > 0 && ix.expiries[0].at <= t {
 		e := ix.expiries.pop()
 		s := int(e.server)
-		if lanes[s][e.lane] != e.at {
+		if ix.model.laneFree(s)[e.lane] != e.at {
 			continue // lane re-booked past e.at; a fresher entry supersedes this one
 		}
-		b := int(ix.busy[s])
-		ix.busy[s]--
-		ix.sumFree[s] -= e.at
-		if elig[s] {
+		ld := ix.load.at(s)
+		b := int(ld.busy)
+		ld.busy--
+		ld.sumFree -= e.at
+		if ix.model.eligible(s) {
 			ix.eligBusy--
 			ix.unplace(s, b)
 			ix.place(s)
@@ -394,14 +400,15 @@ func (ix *loadIndex) advance(t time.Duration) {
 func (ix *loadIndex) assigned(s, lane int, oldFree, newFree time.Duration) {
 	wasBusy := oldFree > ix.now
 	isBusy := newFree > ix.now
-	oldB := int(ix.busy[s])
-	elig := ix.model.elig[s]
+	oldB := int(ix.load.get(s).busy)
+	elig := ix.model.eligible(s)
 	switch {
 	case wasBusy: // lanes only extend, so wasBusy implies isBusy
-		ix.sumFree[s] += newFree - oldFree
+		ix.load.at(s).sumFree += newFree - oldFree
 	case isBusy:
-		ix.busy[s]++
-		ix.sumFree[s] += newFree
+		ld := ix.load.at(s)
+		ld.busy++
+		ld.sumFree += newFree
 		if elig {
 			ix.eligBusy++
 		}
@@ -412,7 +419,7 @@ func (ix *loadIndex) assigned(s, lane int, oldFree, newFree time.Duration) {
 	if !elig {
 		return
 	}
-	if int(ix.busy[s]) != oldB {
+	if int(ix.load.get(s).busy) != oldB {
 		ix.unplace(s, oldB)
 	}
 	// Re-place s even in its old bucket: its sumFree moved, or, after a
@@ -464,7 +471,7 @@ func (ix *loadIndex) leastLoaded() (int, bool) {
 func (ix *loadIndex) longestIdle() (int, bool) {
 	if ix.idle == nil {
 		t := &minTree{}
-		t.ensure(len(ix.busy))
+		t.ensure(ix.model.servers)
 		for w, word := range ix.idle0.words {
 			for ; word != 0; word &= word - 1 {
 				s := w<<6 + bits.TrailingZeros64(word)
@@ -482,7 +489,7 @@ func (ix *loadIndex) longestIdle() (int, bool) {
 // lane, since lanes only extend.
 func (ix *loadIndex) idleSince(s int) time.Duration {
 	var last time.Duration
-	for _, free := range ix.model.laneFree[s] {
+	for _, free := range ix.model.laneFree(s) {
 		last = max(last, free)
 	}
 	return last
@@ -491,5 +498,6 @@ func (ix *loadIndex) idleSince(s int) time.Duration {
 // loadOf returns Outstanding(s, now) at the index's current instant in
 // O(1), for callers that already advanced.
 func (ix *loadIndex) loadOf(s int) time.Duration {
-	return ix.sumFree[s] - time.Duration(ix.busy[s])*ix.now
+	ld := ix.load.get(s)
+	return ld.sumFree - time.Duration(ld.busy)*ix.now
 }

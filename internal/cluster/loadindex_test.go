@@ -171,7 +171,7 @@ func loadIndexScript(t *testing.T, servers, cores uint8, script []byte) {
 			now += time.Duration(next()) * time.Millisecond
 		case 5:
 			s := next() % m.Servers()
-			m.SetEligible(s, !m.elig[s], now)
+			m.SetEligible(s, !m.eligible(s), now)
 		case 6:
 			ready := now + time.Duration(next()-128)*time.Millisecond
 			m.AddServer(max(ready, 0))
@@ -208,11 +208,12 @@ func loadIndexScript(t *testing.T, servers, cores uint8, script []byte) {
 			}
 		}
 		if ix := m.idx; ix != nil && ix.now == now {
-			for s := range ix.busy {
-				if ix.busy[s] == 0 && ix.sumFree[s] != 0 {
-					t.Fatalf("step %d: idle server %d has sumFree %v", step, s, ix.sumFree[s])
+			for s := range m.Servers() {
+				ld := ix.load.get(s)
+				if ld.busy == 0 && ld.sumFree != 0 {
+					t.Fatalf("step %d: idle server %d has sumFree %v", step, s, ld.sumFree)
 				}
-				if got, want := int(ix.busy[s]), m.BusyLanes(s, now); got != want {
+				if got, want := int(ld.busy), m.BusyLanes(s, now); got != want {
 					t.Fatalf("step %d: server %d busy=%d, lanes say %d", step, s, got, want)
 				}
 				if got, want := ix.loadOf(s), m.Outstanding(s, now); got != want {
@@ -227,8 +228,8 @@ func loadIndexScript(t *testing.T, servers, cores uint8, script []byte) {
 // candidate slice the routing loops pass to Pick.
 func eligibleSet(m *FleetModel) []int {
 	var out []int
-	for s, on := range m.elig {
-		if on {
+	for s := range m.Servers() {
+		if m.eligible(s) {
 			out = append(out, s)
 		}
 	}

@@ -65,22 +65,42 @@ func (r *Router) Pools() *WarmPools { return r.pools }
 
 // Route routes the idx-th arrival inv. With candidates (ascending server
 // indices, equal to the model's eligible set) the dispatcher picks among
-// them; with none, inv goes to
-// fallback, which must then be a server (a negative fallback is an
-// error). It returns the chosen server, the Routed message to hand it,
-// and the booked completion instant under the lane model.
+// them; with none, inv goes to fallback, which must then be a server (a
+// negative fallback is an error). It returns the chosen server, the
+// Routed message to hand it, and the booked completion instant under the
+// lane model.
 func (r *Router) Route(inv workload.Invocation, idx int, candidates []int, fallback int) (int, Routed, time.Duration, error) {
-	s := fallback
 	if len(candidates) > 0 {
-		// The candidates are the model's eligible set (SetEligible), so
-		// eligibility is membership.
-		s = r.disp.Pick(inv, candidates)
-		if s < 0 || s >= len(r.model.elig) || !r.model.elig[s] {
-			return 0, Routed{}, 0, fmt.Errorf("cluster: dispatch %q picked non-candidate server %d", r.dispatch, s)
-		}
-	} else if s < 0 {
+		return r.pick(inv, idx, candidates)
+	}
+	if fallback < 0 {
 		return 0, Routed{}, 0, fmt.Errorf("cluster: no routable server at %v", inv.Arrival)
 	}
+	return r.book(inv, idx, fallback)
+}
+
+// RouteAll is Route with every server of the model a candidate, all of
+// them eligible (a fixed fleet with no server down), without a list of
+// every server index.
+func (r *Router) RouteAll(inv workload.Invocation, idx int) (int, Routed, time.Duration, error) {
+	return r.pick(inv, idx, nil)
+}
+
+// pick lets the dispatcher choose among candidates (nil: every server)
+// and books the choice.
+func (r *Router) pick(inv workload.Invocation, idx int, candidates []int) (int, Routed, time.Duration, error) {
+	// The candidates are the model's eligible set (SetEligible), so
+	// eligibility is membership.
+	s := r.disp.Pick(inv, candidates)
+	if s < 0 || s >= r.model.servers || !r.model.eligible(s) {
+		return 0, Routed{}, 0, fmt.Errorf("cluster: dispatch %q picked non-candidate server %d", r.dispatch, s)
+	}
+	return r.book(inv, idx, s)
+}
+
+// book routes inv to server s: the straggler surcharge, the warm lookup
+// and the bookings into the lane model and the warm pools.
+func (r *Router) book(inv workload.Invocation, idx, s int) (int, Routed, time.Duration, error) {
 	rt := Routed{Inv: inv, Idx: idx}
 	if r.faults != nil {
 		rt.Slow = r.faults.slow(s, inv.Arrival, inv.Duration)

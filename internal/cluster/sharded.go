@@ -4,9 +4,10 @@
 // once every arrival ≤ T has been handed over. Each shard worker owns its
 // servers' machines outright: a server joins its shard with its policy,
 // sink and fault machine; an arrival waits in its server's pending queue
-// as the plain Routed value, on a watermark the shard advances its live
-// servers to T in server-index order, admitting each pending arrival as
-// a task only when the server's clock reaches it (simrun.Incremental,
+// as the plain Routed value, in fixed chunks the shard recycles; on a
+// watermark the shard advances its live servers to T in server-index
+// order, admitting each pending arrival as a task only when the server's
+// clock reaches it (simrun.Incremental,
 // whose open admission makes it equal to a fully pre-seeded run of the
 // server's share, DESIGN.md §7), and on a retire it drains that server
 // at once and drops it. When the source drains, shards drain their
@@ -17,8 +18,10 @@
 // result is bit-for-bit independent of how the shard goroutines were
 // scheduled. Nothing is materialized up front, so the windowed replay of
 // a 1,000-server ×10 24 h window (~90M invocations) runs in memory
-// bounded by due tasks, the pending queues of one watermark step and the
-// windows. See DESIGN.md §11.
+// bounded by due tasks, one watermark step's pending arrivals, state for
+// the servers that got work (the routing state indexed by server lives in
+// 64-server pages allocated at first use) and the windows. See DESIGN.md
+// §11 and §12.
 //
 // Watermarks order each shard's work but do not make the router wait: the
 // router keeps routing past a watermark while shards are still simulating
@@ -158,11 +161,28 @@ type Member struct {
 	shard int
 	inc   *simrun.Incremental // nil before the join and after the drain
 	count countingSink
-	// pending holds the routed arrivals the server's clock has not yet
-	// reached, in routing order. The router marks T only after every
-	// arrival ≤ T, so each watermark empties it, and it keeps its
-	// capacity for the next step.
-	pending []Routed
+	// pendHead and pendTail list the chunks holding the routed arrivals
+	// the server's clock has not yet reached, in routing order; both are
+	// nil when none wait. The router marks T only after every arrival ≤
+	// T, so each watermark empties the list and hands every chunk back to
+	// the shard's free list.
+	pendHead, pendTail *pendChunk
+}
+
+// pendLen is how many routed arrivals a pending chunk holds. Chunks are
+// recycled through their shard, so a shard holds about one watermark
+// step's arrivals in chunks plus one part-filled chunk per server with
+// arrivals. Longer chunks hold more empty slots: on the benchmark's
+// sharded fleets 16 allocated 3–8% less than 32, and 64 and 128 more,
+// while 32 halves the chunk changes of 16 (DESIGN.md §7).
+const pendLen = 32
+
+// pendChunk is a run of one server's pending arrivals. next comes first
+// so the collector scans one pointer word, not the whole chunk.
+type pendChunk struct {
+	next *pendChunk
+	n    int
+	r    [pendLen]Routed
 }
 
 // countingSink tallies a server's records on their way to its sink: the
@@ -202,6 +222,10 @@ type shardWorker struct {
 	slots *metrics.SlotView
 	ch    chan []shardMsg // handoff batches, in routing order
 	err   error
+	// free lists the pending chunks no server holds; only the shard's
+	// goroutine touches it. made counts the chunks ever allocated.
+	free *pendChunk
+	made int
 }
 
 // run consumes the shard's handoff batches until the router closes the
@@ -219,7 +243,7 @@ func (w *shardWorker) run() {
 					w.slots.Learn(msg.blk)
 				}
 				// The arrival waits until its server's clock reaches it.
-				msg.m.pending = append(msg.m.pending, msg.r)
+				w.queue(msg.m, msg.r)
 			case msgMark:
 				w.runTo(msg.mark)
 			case msgJoin:
@@ -286,23 +310,50 @@ func (w *shardWorker) join(m *Member) {
 	w.members = append(w.members, m)
 }
 
+// queue appends r to m's pending arrivals, starting a chunk when the
+// tail one is full.
+func (w *shardWorker) queue(m *Member, r Routed) {
+	c := m.pendTail
+	if c == nil || c.n == pendLen {
+		if c = w.free; c != nil {
+			w.free, c.next = c.next, nil
+		} else {
+			c = &pendChunk{}
+			w.made++
+		}
+		if m.pendTail == nil {
+			m.pendHead = c
+		} else {
+			m.pendTail.next = c
+		}
+		m.pendTail = c
+	}
+	c.r[c.n] = r
+	c.n++
+}
+
 // admitPending turns m's pending arrivals into tasks, one instant at a
 // time: the machine first runs to the instant before, so a task, its
 // arrival event and its fault state exist only once they are due.
 // Admitted arrivals order before every same-instant event (the admit
-// class), so the run equals one that admitted them all at once.
-func (m *Member) admitPending() error {
-	p := m.pending
-	for i := 0; i < len(p); {
-		at := p[i].Inv.Arrival
-		// at-1 ≥ 1 here: RunTo(0) would mean "no limit".
-		if at-1 > m.inc.Now() {
-			if err := m.inc.RunTo(at - 1); err != nil {
-				return err
+// class), so the run equals one that admitted them all at once. Each
+// chunk goes back to the free list once its arrivals are admitted; an
+// instant's arrivals may span chunks, and the machine runs up to that
+// instant only once.
+func (w *shardWorker) admitPending(m *Member) error {
+	at := time.Duration(-1)
+	for c := m.pendHead; c != nil; c = m.pendHead {
+		for i := range c.n {
+			r := &c.r[i]
+			if a := r.Inv.Arrival; a != at {
+				at = a
+				// at-1 ≥ 1 here: RunTo(0) would mean "no limit".
+				if at-1 > m.inc.Now() {
+					if err := m.inc.RunTo(at - 1); err != nil {
+						return err
+					}
+				}
 			}
-		}
-		for ; i < len(p) && p[i].Inv.Arrival == at; i++ {
-			r := &p[i]
 			t := r.applyColdStart(m.inc.Pool().Get(r.Inv, simkern.TaskID(r.Idx+1)))
 			if m.Faults != nil {
 				m.Faults.Note(t, r.Inv.Duration, r.Inv.TimeoutMS)
@@ -312,8 +363,10 @@ func (m *Member) admitPending() error {
 			}
 			m.Routed++
 		}
+		m.pendHead, c.next, c.n = c.next, w.free, 0
+		w.free = c
 	}
-	m.pending = p[:0]
+	m.pendTail = nil
 	return nil
 }
 
@@ -322,7 +375,7 @@ func (m *Member) admitPending() error {
 // stream deterministic.
 func (w *shardWorker) runTo(mark time.Duration) {
 	for _, m := range w.live {
-		err := m.admitPending()
+		err := w.admitPending(m)
 		if err == nil {
 			err = m.inc.RunTo(mark)
 		}
@@ -345,7 +398,7 @@ func (w *shardWorker) retire(m *Member) {
 // drain admits m's pending arrivals, runs m to quiescence, checks that
 // every routed invocation left exactly one record, and keeps m's results.
 func (w *shardWorker) drain(m *Member) {
-	err := m.admitPending()
+	err := w.admitPending(m)
 	if err == nil {
 		err = m.inc.Drain()
 	}
@@ -353,7 +406,6 @@ func (w *shardWorker) drain(m *Member) {
 		w.fail(m, err)
 		return
 	}
-	m.pending = nil
 	m.Completed, m.Failed, m.Preemptions = m.count.completed, m.count.failed, m.count.preempts
 	m.Busy = m.count.busy
 	if m.Completed+m.Failed != m.Routed {
@@ -623,7 +675,7 @@ func Simulate(cfg Config, invs []workload.Invocation) (*Result, error) {
 	for s := range res.PerServer {
 		sr := &res.PerServer[s]
 		sr.Server = s
-		m := run.members[s]
+		m := run.members.get(s)
 		if m == nil {
 			continue
 		}
@@ -649,7 +701,7 @@ func Simulate(cfg Config, invs []workload.Invocation) (*Result, error) {
 type fixedRun struct {
 	fleet      *Fleet
 	ranges     [][2]int                       // each shard's contiguous server range
-	members    []*Member                      // by server; nil where nothing was routed
+	members    pages[*Member]                 // by server; nil where nothing was routed
 	accs       []*metrics.WindowedAccumulator // windowed mode's sinks, by shard
 	slots      *metrics.Slots                 // exact mode's records
 	assignment []int                          // exact mode only: each invocation's server
@@ -695,7 +747,7 @@ func runSharded(cfg Config, src workload.Source, exact int, tariff pricing.Tarif
 	if err != nil {
 		return nil, err
 	}
-	run := &fixedRun{ranges: ranges, members: make([]*Member, cfg.Servers)}
+	run := &fixedRun{ranges: ranges, members: newPages[*Member](cfg.Servers)}
 	if exact > 0 {
 		run.slots = metrics.NewSlots(exact)
 		run.assignment = make([]int, exact)
@@ -715,10 +767,6 @@ func runSharded(cfg Config, src workload.Source, exact int, tariff pricing.Tarif
 	}
 	rf := newRouteFaults(cfg.Faults, cfg.Servers, model, router.Pools(), cfg.Obs.Tracer())
 	router.faults = rf
-	candidates := make([]int, cfg.Servers)
-	for s := range candidates {
-		candidates[s] = s
-	}
 	shardOf := func(s int) int {
 		return sort.Search(len(ranges), func(i int) bool { return ranges[i][1] > s })
 	}
@@ -733,13 +781,20 @@ func runSharded(cfg Config, src workload.Source, exact int, tariff pricing.Tarif
 		}
 		lastArr = inv.Arrival
 		run.fleet.Advance(inv.Arrival)
-		cand, fallback := candidates, -1
-		if rf != nil {
-			if cand = rf.route(inv.Arrival); len(cand) == 0 {
+		var (
+			s   int
+			r   Routed
+			err error
+		)
+		if rf == nil {
+			s, r, _, err = router.RouteAll(inv, run.fleet.routed)
+		} else {
+			cand, fallback := rf.route(inv.Arrival), -1
+			if len(cand) == 0 {
 				fallback = rf.fallback()
 			}
+			s, r, _, err = router.Route(inv, run.fleet.routed, cand, fallback)
 		}
-		s, r, _, err := router.Route(inv, run.fleet.routed, cand, fallback)
 		if err != nil {
 			routeErr = err
 			return false
@@ -751,7 +806,7 @@ func runSharded(cfg Config, src workload.Source, exact int, tariff pricing.Tarif
 			}
 			run.assignment[run.fleet.routed] = s
 		}
-		m := run.members[s]
+		m := run.members.get(s)
 		if m == nil {
 			// The server's policy is built at its first admission, on
 			// the routing goroutine, so factories need not be
@@ -768,7 +823,7 @@ func runSharded(cfg Config, src workload.Source, exact int, tariff pricing.Tarif
 			if cfg.Faults.Enabled() {
 				m.Faults = faults.NewMachine(cfg.Faults, s)
 			}
-			run.members[s] = m
+			*run.members.at(s) = m
 			run.fleet.Join(m)
 		}
 		run.fleet.Admit(m, r)

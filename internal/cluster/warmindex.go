@@ -173,7 +173,7 @@ func (x *warmIndex) best(key funcKey, li *loadIndex) (int, bool) {
 		for word != 0 {
 			s := w<<6 + bits.TrailingZeros64(word)
 			word &= word - 1
-			if !li.model.elig[s] {
+			if !li.model.eligible(s) {
 				continue
 			}
 			if load := li.loadOf(s); !found || load < bestLoad {

@@ -8,7 +8,7 @@
 # The set below pairs the substrate micro-benchmarks (dispatch mechanism,
 # the full per-arrival routing step, CFS runqueue insert/delete, a
 # record's push into the streaming and exact sinks, one server's admit-then-run
-# event loop, the exact-record fleets' slot writes,
+# event loop, the router-to-shard handoff, the exact-record fleets' slot writes,
 # end-to-end CFS event throughput, workload build and stream, facade) with a few
 # figure benchmarks as end-to-end sentinels, plus the sharded-fleet group:
 # the provider-scale replay (including the 24 h ×10 cases at 1,000 and
@@ -20,15 +20,20 @@ set -e
 cd "$(dirname "$0")/.."
 OUT="${1:-BENCH_baseline.json}"
 
-MICRO='BenchmarkKernelDispatch$|BenchmarkCFSSimulation$|BenchmarkWorkloadBuild$|BenchmarkWorkloadStream$|BenchmarkFacadeSimulate|BenchmarkColdStartDispatch|BenchmarkRouterRoute|BenchmarkExactRecordSlots$'
+MICRO='BenchmarkKernelDispatch$|BenchmarkCFSSimulation$|BenchmarkWorkloadBuild$|BenchmarkWorkloadStream$|BenchmarkFacadeSimulate|BenchmarkColdStartDispatch'
 FIGS='BenchmarkFig06Hybrid$|BenchmarkTable1Summary$|BenchmarkFig13Preemptions$|BenchmarkStreamedFullscale'
 
 # The CI-sized sharded rows run 3 iterations (mean-of-3) because
 # scripts/bench_smoke.sh diffs their ns/op against this file with the
 # same protocol — single iterations of multi-second benchmarks are too
 # noisy on shared hardware to gate on. The 24 h case stays 1 iteration.
+# The rows bench_smoke.sh reruns, DispatchPick apart, are recorded at
+# -cpu 1, the proc count it reruns them at.
 {
   go test -run '^$' -bench "$MICRO" -benchmem .
+  go test -run '^$' -bench 'BenchmarkRouterRoute|BenchmarkExactRecordSlots$' -cpu 1 -benchmem .
+  # The router-to-shard handoff layer: ns, B and allocs per arrival.
+  go test -run '^$' -bench 'BenchmarkShardHandoff$' -cpu 1 -benchtime 30x -benchmem .
   go test -run '^$' -bench 'BenchmarkRBTreeInsertDelete$' -benchmem ./internal/queue
   go test -run '^$' -bench 'BenchmarkSinkPush$' -benchmem ./internal/metrics
   # One server's admit-then-run loop at a pinned b.N: events/op is a
@@ -40,15 +45,15 @@ FIGS='BenchmarkFig06Hybrid$|BenchmarkTable1Summary$|BenchmarkFig13Preemptions$|B
   # identical instruction stream on both sides of the diff.
   go test -run '^$' -bench 'BenchmarkDispatchPick' -benchtime 2000000x -benchmem -timeout 20m .
   go test -run '^$' -bench "$FIGS" -benchtime 1x -benchmem .
-  go test -run '^$' -bench 'BenchmarkShardedFleetReplay/100servers_x1_2h$' -benchtime 3x -benchmem -timeout 20m .
+  go test -run '^$' -bench 'BenchmarkShardedFleetReplay/100servers_x1_2h$' -cpu 1 -benchtime 3x -benchmem -timeout 20m .
   # The idle 10,000-server fleet at one and two procs: its rows are named
   # -1 and -2, since the router/shard overlap shows only with two.
   go test -run '^$' -bench 'BenchmarkShardedFleetReplay/10000servers_x1_1h$' -cpu 1,2 -benchtime 3x -benchmem -timeout 20m .
   # The same stream on 100,000 servers: servers that receive no work
   # must cost next to nothing, so this row tracks the 10k one.
   go test -run '^$' -bench 'BenchmarkShardedFleetReplay/100000servers_x1_1h$' -benchtime 3x -benchmem -timeout 20m .
-  go test -run '^$' -bench 'BenchmarkSweepRunner$' -benchtime 3x -benchmem -timeout 20m .
-  go test -run '^$' -bench 'BenchmarkFaultyReplay$' -benchtime 3x -benchmem -timeout 20m .
+  go test -run '^$' -bench 'BenchmarkSweepRunner$' -cpu 1 -benchtime 3x -benchmem -timeout 20m .
+  go test -run '^$' -bench 'BenchmarkFaultyReplay$' -cpu 1 -benchtime 3x -benchmem -timeout 20m .
   FAASSCHED_BIGBENCH=1 go test -run '^$' -bench 'BenchmarkShardedFleetReplay/1000servers_x10_24h$' -benchtime 1x -benchmem -timeout 45m .
   FAASSCHED_BIGBENCH=1 go test -run '^$' -bench 'BenchmarkShardedFleetReplay/10000servers_x10_24h$' -benchtime 1x -benchmem -timeout 3h .
 } | go run ./cmd/benchfmt > "$OUT"
