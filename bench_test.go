@@ -707,12 +707,12 @@ func BenchmarkExactRecordSlots(b *testing.B) {
 	const n, servers, shards = 250_000, 40, 8
 	rng := rand.New(rand.NewSource(7))
 	parts := make([][]metrics.Record, servers)
-	assign := make([]int, n)
+	assign := make([]int32, n)
 	for id := 1; id <= n; id++ {
 		arrival := time.Duration(id) * 2 * time.Millisecond
 		finish := arrival + time.Duration(rng.Int63n(int64(5*time.Second)))
 		s := rng.Intn(servers)
-		assign[id-1] = s
+		assign[id-1] = int32(s)
 		parts[s] = append(parts[s], metrics.Record{
 			ID: uint64(id), Label: "f", Arrival: arrival, FirstRun: arrival, Finish: finish,
 			CPU: finish - arrival, MemMB: 128,
@@ -730,7 +730,7 @@ func BenchmarkExactRecordSlots(b *testing.B) {
 			views[v] = slots.View()
 		}
 		for _, s := range assign {
-			views[s%shards].Learn(slots.Route())
+			views[int(s)%shards].Learn(slots.Route())
 		}
 		for s, p := range parts {
 			w := views[s%shards].Writer(s)

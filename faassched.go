@@ -286,6 +286,11 @@ func Simulate(opts Options, invs []Invocation) (*Result, error) {
 	if len(invs) == 0 {
 		return nil, fmt.Errorf("faassched: empty workload")
 	}
+	for i, inv := range invs {
+		if err := inv.CheckRecordFields(i); err != nil {
+			return nil, fmt.Errorf("faassched: %w", err)
+		}
+	}
 	policy, err := newPolicy(opts)
 	if err != nil {
 		return nil, err
@@ -481,8 +486,9 @@ type ClusterResult struct {
 	CoresPerServer int
 	// PerServer holds each server's individual result, by fleet index.
 	PerServer []ServerResult
-	// Assignment maps each input invocation index to its server.
-	Assignment []int
+	// Assignment maps each input invocation index to its server, an
+	// int32 per invocation.
+	Assignment []int32
 	// Faults aggregates fault-plan activity across routing layer and
 	// servers (zero when the plan is disabled).
 	Faults FaultStats

@@ -2,6 +2,7 @@ package faassched
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -328,5 +329,51 @@ func TestDurationModelExported(t *testing.T) {
 	m := DurationModel()
 	if m.Duration(36) <= 0 {
 		t.Error("bad duration model")
+	}
+}
+
+// TestEntryPointsInt32Fields: every entry point takes an invocation
+// whose FibN and MemMB sit at the int32 maximum, and rejects one a step
+// above with its index, since each becomes an int32 record field.
+func TestEntryPointsInt32Fields(t *testing.T) {
+	invsWith := func(fibN, memMB int) []Invocation {
+		invs := make([]Invocation, 4)
+		for i := range invs {
+			invs[i] = Invocation{Arrival: time.Duration(i) * time.Millisecond, FibN: 30, Duration: time.Millisecond, MemMB: 128}
+		}
+		invs[2].FibN, invs[2].MemMB = fibN, memMB
+		return invs
+	}
+	entries := map[string]func([]Invocation) error{
+		"Simulate": func(invs []Invocation) error {
+			_, err := Simulate(Options{}, invs)
+			return err
+		},
+		"SimulateCluster": func(invs []Invocation) error {
+			_, err := SimulateCluster(ClusterOptions{Servers: 2}, invs)
+			return err
+		},
+		"SimulateShardedReplay": func(invs []Invocation) error {
+			_, err := SimulateShardedReplay(ClusterOptions{Servers: 2}, SliceSource(invs))
+			return err
+		},
+		"SimulateAutoscaledExact": func(invs []Invocation) error {
+			_, err := SimulateAutoscaledExact(AutoscaleOptions{}, SliceSource(invs))
+			return err
+		},
+	}
+	for name, run := range entries {
+		if err := run(invsWith(math.MaxInt32, math.MaxInt32)); err != nil {
+			t.Errorf("%s: max fits: %v", name, err)
+		}
+		for field, invs := range map[string][]Invocation{
+			"FibN":  invsWith(math.MaxInt32+1, 128),
+			"MemMB": invsWith(30, math.MaxInt32+1),
+		} {
+			want := "invocation 2: " + field + " 2147483648 outside the int32 range"
+			if err := run(invs); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: %s max+1: err = %v, want one containing %q", name, field, err, want)
+			}
+		}
 	}
 }

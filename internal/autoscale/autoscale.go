@@ -236,8 +236,10 @@ type Result struct {
 	// KernelEvents sums scheduled kernel events across servers.
 	KernelEvents uint64
 	// Assignment maps each invocation index to its server, when
-	// Config.TrackAssignment was set or the run kept exact records.
-	Assignment []int
+	// Config.TrackAssignment was set or the run kept exact records. It
+	// is an int32 per invocation; Run fails before routing to a server
+	// index above math.MaxInt32.
+	Assignment []int32
 	// Set holds every server's records in global invocation order (record
 	// ID k at index k-1) — only with the default exact sinks (Config.Sink
 	// nil); empty otherwise.
@@ -386,7 +388,7 @@ type controller struct {
 	lastUp   time.Duration
 	lastDwn  time.Duration
 	events   []Event
-	assign   chunk.Log[int]
+	assign   chunk.Log[int32]
 	// slots are the run's exact records; nil with caller-supplied sinks.
 	slots *metrics.Slots
 	// faultsOn caches cfg.Faults.Enabled().
@@ -540,6 +542,9 @@ func Run(cfg Config, src workload.Source) (*Result, error) {
 
 // processArrival applies the fixed per-arrival scale-event ordering.
 func (c *controller) processArrival(inv workload.Invocation, idx int) error {
+	if err := inv.CheckRecordFields(idx); err != nil {
+		return fmt.Errorf("autoscale: %w", err)
+	}
 	t := inv.Arrival
 	c.fleet.Advance(t)
 	if err := c.activate(t); err != nil {
@@ -714,7 +719,10 @@ func (c *controller) route(inv workload.Invocation, idx int) error {
 		sv.ColdStarts++
 	}
 	if c.cfg.TrackAssignment {
-		c.assign.Push(s)
+		if s > math.MaxInt32 {
+			return fmt.Errorf("autoscale: invocation %d routed to server %d, beyond an int32 assignment", idx, s)
+		}
+		c.assign.Push(int32(s))
 	}
 	c.fleet.Admit(sv.m, r)
 	return nil

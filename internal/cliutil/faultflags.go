@@ -81,5 +81,8 @@ func (f *FaultFlags) Validate() error {
 	if f.Retries < 0 || f.BackoffBase < 0 || f.BackoffCap < 0 {
 		return fmt.Errorf("-fault-retries/-fault-backoff/-fault-backoff-cap must be >= 0")
 	}
+	if f.Retries > math.MaxInt32 {
+		return fmt.Errorf("-fault-retries %d must be <= %d", f.Retries, math.MaxInt32)
+	}
 	return nil
 }

@@ -9,9 +9,9 @@ import (
 )
 
 // TestFaultFlagsValidate: out-of-range values, non-finite straggler
-// factors included, are rejected with the offending flag's name.
+// factors and a retry budget above the int32 maximum included, are rejected with the offending flag's name.
 func TestFaultFlagsValidate(t *testing.T) {
-	ok := []string{"", "-fault-straggler-factor 1", "-fault-straggler-factor 2.5 -fault-straggler-mtbf 20s"}
+	ok := []string{"", "-fault-straggler-factor 1", "-fault-straggler-factor 2.5 -fault-straggler-mtbf 20s", "-fault-retries 2147483647"}
 	for _, args := range ok {
 		f := parseFaults(t, args)
 		if err := f.Validate(); err != nil {
@@ -26,6 +26,7 @@ func TestFaultFlagsValidate(t *testing.T) {
 		{"-fault-crash-mtbf -1s", "-fault-crash-mtbf"},
 		{"-fault-downtime -1s", "-fault-downtime"},
 		{"-fault-retries -1", "-fault-retries"},
+		{"-fault-retries 2147483648", "-fault-retries"},
 	}
 	for _, c := range bad {
 		err := parseFaults(t, c.args).Validate()
@@ -65,6 +66,8 @@ func FuzzFaultFlags(f *testing.F) {
 	add(0, -1, 0, 0, 0, 0, 0, 0, 0)
 	add(0, 0, -1, -1, 0, -1, 0, 0, 0)
 	add(0, 0, 0, 0, 0, 0, -1, -1, -1)
+	add(0, 0, 0, 0, 0, 0, math.MaxInt32, 0, 0)
+	add(0, 0, 0, 0, 0, 0, math.MaxInt32+1, 0, 0)
 	f.Fuzz(func(t *testing.T, crash, down, stragMTBF, stragDur int64, factor float64, timeout int64, retries int, base, backoffCap int64) {
 		ff := &FaultFlags{
 			CrashMTBF:       time.Duration(crash),

@@ -153,8 +153,10 @@ type Result struct {
 	Preemptions int
 	// PerServer holds each server's individual result, by fleet index.
 	PerServer []ServerResult
-	// Assignment maps each input invocation index to its server.
-	Assignment []int
+	// Assignment maps each input invocation index to its server, an
+	// int32 per invocation: Simulate rejects fleets of more than
+	// math.MaxInt32 servers, so every index fits.
+	Assignment []int32
 	// Stats sums enclave delegation counters across servers.
 	Stats ghost.Stats
 	// Events sums scheduled kernel events across servers.

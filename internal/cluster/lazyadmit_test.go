@@ -83,7 +83,7 @@ func simulateRetiring(cfg Config, invs []workload.Invocation) (*Result, error) {
 	shards := min(n, 2)
 	slots := metrics.NewSlots(len(invs))
 	f := NewFleet(cfg.Kernel, cfg.Ghost, nil, cfg.Window, shards, func(s int) int { return s % shards }, slots)
-	res := &Result{Servers: n, PerServer: make([]ServerResult, n), Assignment: make([]int, len(invs))}
+	res := &Result{Servers: n, PerServer: make([]ServerResult, n), Assignment: make([]int32, len(invs))}
 	members := make([]*Member, n)
 	for i, inv := range invs {
 		s := i % n
@@ -93,7 +93,7 @@ func simulateRetiring(cfg Config, invs []workload.Invocation) (*Result, error) {
 			f.Join(members[s])
 		}
 		f.Admit(members[s], Routed{Inv: inv, Idx: i})
-		res.Assignment[i] = s
+		res.Assignment[i] = int32(s)
 		if i+n >= len(invs) {
 			f.Retire(members[s])
 		}
@@ -313,7 +313,7 @@ func TestShardRecyclesPendingChunks(t *testing.T) {
 		perStep[i] = map[time.Duration]map[int]int{}
 	}
 	for i, inv := range invs {
-		s := run.assignment[i]
+		s := int(run.assignment[i])
 		sh := run.fleet.shardOf(s)
 		step := max(1, (inv.Arrival+window-1)/window)
 		if perStep[sh][step] == nil {

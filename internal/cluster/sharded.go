@@ -33,6 +33,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -653,10 +654,15 @@ func SimulateShardedWindowed(cfg Config, src workload.Source, tariff pricing.Tar
 // slot of their ID (Record.ID is 1 + the invocation's index in invs) of
 // one array of len(invs) records, which becomes Result.Set, so the result
 // is bit-for-bit independent of the shard count. It holds every record in
-// memory; use SimulateShardedWindowed for long horizons.
+// memory; use SimulateShardedWindowed for long horizons. It rejects a
+// fleet of more than math.MaxInt32 servers, whose indices would not fit
+// Result.Assignment.
 func Simulate(cfg Config, invs []workload.Invocation) (*Result, error) {
 	if len(invs) == 0 {
 		return nil, fmt.Errorf("cluster: empty workload")
+	}
+	if cfg.Servers > math.MaxInt32 {
+		return nil, fmt.Errorf("cluster: %d servers, more than an int32 assignment holds", cfg.Servers)
 	}
 	run, err := runSharded(cfg, workload.SliceSource(invs), len(invs), pricing.Tariff{}, 0)
 	if err != nil {
@@ -704,7 +710,7 @@ type fixedRun struct {
 	members    pages[*Member]                 // by server; nil where nothing was routed
 	accs       []*metrics.WindowedAccumulator // windowed mode's sinks, by shard
 	slots      *metrics.Slots                 // exact mode's records
-	assignment []int                          // exact mode only: each invocation's server
+	assignment []int32                        // exact mode only: each invocation's server
 	faults     faults.Stats                   // router-side crash and straggler windows
 }
 
@@ -750,7 +756,7 @@ func runSharded(cfg Config, src workload.Source, exact int, tariff pricing.Tarif
 	run := &fixedRun{ranges: ranges, members: newPages[*Member](cfg.Servers)}
 	if exact > 0 {
 		run.slots = metrics.NewSlots(exact)
-		run.assignment = make([]int, exact)
+		run.assignment = make([]int32, exact)
 	} else {
 		run.accs = make([]*metrics.WindowedAccumulator, len(ranges))
 		for i := range run.accs {
@@ -780,6 +786,10 @@ func runSharded(cfg Config, src workload.Source, exact int, tariff pricing.Tarif
 			return false
 		}
 		lastArr = inv.Arrival
+		if err := inv.CheckRecordFields(run.fleet.routed); err != nil {
+			routeErr = fmt.Errorf("cluster: %w", err)
+			return false
+		}
 		run.fleet.Advance(inv.Arrival)
 		var (
 			s   int
@@ -804,7 +814,7 @@ func runSharded(cfg Config, src workload.Source, exact int, tariff pricing.Tarif
 				routeErr = fmt.Errorf("cluster: workload source yielded more than %d invocations", exact)
 				return false
 			}
-			run.assignment[run.fleet.routed] = s
+			run.assignment[run.fleet.routed] = int32(s)
 		}
 		m := run.members.get(s)
 		if m == nil {

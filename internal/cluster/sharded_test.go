@@ -144,7 +144,7 @@ func TestShardedMatchesPreSeeded(t *testing.T) {
 			cfg := testConfig(5, d)
 			cfg.Policy = mk.factory
 			cfg.Seed = 1
-			var assignment []int
+			var assignment []int32
 			for _, shards := range []int{1, 3, 7} {
 				name := fmt.Sprintf("%s/%s/shards=%d", d, mk.name, shards)
 				cfg.Shards = shards
@@ -477,9 +477,9 @@ func TestFleetWritesEachRecordOnce(t *testing.T) {
 			for _, m := range members {
 				f.Join(m)
 			}
-			assign := make([]int, len(idx))
+			assign := make([]int32, len(idx))
 			for k, i := range idx {
-				assign[k] = k % 2
+				assign[k] = int32(k % 2)
 				f.Advance(invs[k].Arrival)
 				f.Admit(members[assign[k]], Routed{Inv: invs[k], Idx: i})
 			}

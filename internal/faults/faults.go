@@ -41,7 +41,8 @@ const (
 // RetryPolicy governs re-admission of killed or timed-out invocations.
 type RetryPolicy struct {
 	// MaxAttempts is the total admission budget per invocation, first
-	// attempt included; 0 or 1 means fail fast (no retries).
+	// attempt included; 0 or 1 means fail fast (no retries). At most
+	// math.MaxInt32: a record counts its attempts in an int32.
 	MaxAttempts int
 	// BackoffBase is the delay before the first retry; retry k waits
 	// BackoffBase << (k-1), plus deterministic jitter in [0, delay/2).
@@ -111,6 +112,9 @@ func (c Config) Validate() error {
 	}
 	if c.Retry.MaxAttempts < 0 || c.Retry.BackoffBase < 0 || c.Retry.BackoffCap < 0 {
 		return fmt.Errorf("faults: negative retry policy %+v", c.Retry)
+	}
+	if c.Retry.MaxAttempts > math.MaxInt32 {
+		return fmt.Errorf("faults: Retry.MaxAttempts %d above %d, the most a record's Attempts holds", c.Retry.MaxAttempts, math.MaxInt32)
 	}
 	return nil
 }

@@ -168,6 +168,9 @@ func TestConfigValidate(t *testing.T) {
 	if err := (Config{StragglerFactor: 1}).Validate(); err != nil {
 		t.Errorf("StragglerFactor 1 rejected: %v", err)
 	}
+	if err := (Config{Retry: RetryPolicy{MaxAttempts: math.MaxInt32}}).Validate(); err != nil {
+		t.Errorf("MaxAttempts at the int32 maximum rejected: %v", err)
+	}
 	bad := []struct {
 		cfg   Config
 		field string // named in the error, when set
@@ -180,6 +183,7 @@ func TestConfigValidate(t *testing.T) {
 		{Config{StragglerFactor: math.Inf(1)}, "StragglerFactor"},
 		{Config{StragglerFactor: math.Inf(-1)}, "StragglerFactor"},
 		{Config{Retry: RetryPolicy{MaxAttempts: -1}}, ""},
+		{Config{Retry: RetryPolicy{MaxAttempts: math.MaxInt32 + 1}}, "Retry.MaxAttempts 2147483648 above 2147483647"},
 	}
 	for _, c := range bad {
 		err := c.cfg.Validate()

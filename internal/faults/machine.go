@@ -381,11 +381,11 @@ func (m *Machine) retryOrGiveUp(st *attemptState, now time.Duration) {
 			Arrival:     st.origArrival,
 			Finish:      now,
 			Preemptions: t.Preemptions(),
-			MemMB:       st.memMB,
-			FibN:        st.fibN,
+			MemMB:       int32(st.memMB),
+			FibN:        int32(st.fibN),
 			Failed:      true,
 			GiveUp:      true,
-			Attempts:    st.attempts,
+			Attempts:    int32(st.attempts),
 			Wasted:      st.wasted,
 		}
 		m.drop(id, st)
@@ -466,7 +466,7 @@ func (s *faultSink) Push(r metrics.Record) {
 	if st, ok := s.m.st[simkern.TaskID(r.ID)]; ok {
 		if st.attempts > 1 {
 			r.Arrival = st.origArrival
-			r.Attempts = st.attempts
+			r.Attempts = int32(st.attempts)
 			r.Wasted = st.wasted
 		}
 		s.m.drop(simkern.TaskID(r.ID), st)

@@ -50,9 +50,9 @@ func TestFailedRecordBillingSet(t *testing.T) {
 	// Cost: completed execution at its own memory (with the per-request
 	// charge), PLUS both records' wasted CPU at compute rate only — the
 	// give-up never completed but its killed attempts still billed.
-	want := tariff.InvocationCost(ok.Execution(), ok.MemMB) +
-		tariff.ComputeCost(ok.Wasted, ok.MemMB) +
-		tariff.ComputeCost(bad.Wasted, bad.MemMB)
+	want := tariff.InvocationCost(ok.Execution(), int(ok.MemMB)) +
+		tariff.ComputeCost(ok.Wasted, int(ok.MemMB)) +
+		tariff.ComputeCost(bad.Wasted, int(bad.MemMB))
 	if got := s.Cost(tariff); math.Abs(got-want) > 1e-15 {
 		t.Errorf("Cost = %v, want %v", got, want)
 	}

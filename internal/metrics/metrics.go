@@ -19,38 +19,46 @@ import (
 )
 
 // Record is one completed (or failed) invocation's measurements.
+//
+// Exact fleets keep one Record per invocation, so the field order packs
+// it: the eight-byte fields first, then the 32-bit ones, then the two
+// bools side by side — 96 bytes on 64-bit platforms (TestRecordLayout).
+// MemMB, FibN and Attempts are int32: every path that brings them in
+// rejects a value that does not fit (workload.ReadSource,
+// workload.Invocation.CheckRecordFields at each simulation entry point,
+// faults.Config.Validate), so the narrowing never truncates.
 type Record struct {
-	ID          uint64
-	Label       string
-	Arrival     time.Duration
-	FirstRun    time.Duration
-	Finish      time.Duration
-	CPU         time.Duration // CPU actually consumed
-	Preemptions int
-	MemMB       int
-	FibN        int
+	ID       uint64
+	Label    string
+	Arrival  time.Duration
+	FirstRun time.Duration
+	Finish   time.Duration
+	CPU      time.Duration // CPU actually consumed
 	// ColdStart is the instance start latency this invocation paid (zero
 	// on warm hits and when the cold-start model is disabled). The latency
 	// is part of the service demand, so Execution already includes it;
 	// this field breaks it out.
 	ColdStart time.Duration
+	// Wasted is CPU consumed by killed attempts — billed but discarded
+	// work. Completed records carry the waste of their failed earlier
+	// attempts; give-up records carry the waste of every attempt.
+	Wasted      time.Duration
+	Preemptions int
+	MemMB       int32
+	FibN        int32
+	// Attempts counts admissions of this invocation under fault-injected
+	// retries. Zero means "one attempt, fault layer inactive" — records
+	// from fault-free runs are bit-identical to pre-fault ones.
+	Attempts int32
 	// Failed marks invocations that never ran (e.g. microVM launch
 	// failures when server memory is exhausted, §VI-E) or that the fault
 	// layer gave up on after exhausting retries. Failed records carry no
 	// timing metrics and are excluded from every latency quantile, but
 	// their Wasted CPU is still billed.
 	Failed bool
-	// Attempts counts admissions of this invocation under fault-injected
-	// retries. Zero means "one attempt, fault layer inactive" — records
-	// from fault-free runs are bit-identical to pre-fault ones.
-	Attempts int
 	// GiveUp marks a Failed record whose retry budget was exhausted (or
 	// whose server died for good); always false on completed records.
 	GiveUp bool
-	// Wasted is CPU consumed by killed attempts — billed but discarded
-	// work. Completed records carry the waste of their failed earlier
-	// attempts; give-up records carry the waste of every attempt.
-	Wasted time.Duration
 }
 
 // Execution returns Tcompletion − TfirstRun.
@@ -75,8 +83,8 @@ func FromTask(t *simkern.Task) Record {
 		Finish:      t.Finish(),
 		CPU:         t.CPUConsumed(),
 		Preemptions: t.Preemptions(),
-		MemMB:       t.MemMB,
-		FibN:        t.FibN,
+		MemMB:       int32(t.MemMB),
+		FibN:        int32(t.FibN),
 		ColdStart:   t.ColdStart,
 	}
 }
@@ -103,8 +111,8 @@ func Collect(k *simkern.Kernel) Set {
 			s.Records = append(s.Records, Record{
 				ID:     uint64(t.ID),
 				Label:  t.Label,
-				MemMB:  t.MemMB,
-				FibN:   t.FibN,
+				MemMB:  int32(t.MemMB),
+				FibN:   int32(t.FibN),
 				Failed: true,
 			})
 		}
@@ -233,10 +241,10 @@ func (s Set) Cost(t pricing.Tariff) float64 {
 	total := 0.0
 	for _, r := range s.Records {
 		if !r.Failed {
-			total += t.InvocationCost(r.Execution(), r.MemMB)
+			total += t.InvocationCost(r.Execution(), int(r.MemMB))
 		}
 		if r.Wasted > 0 {
-			total += t.ComputeCost(r.Wasted, r.MemMB)
+			total += t.ComputeCost(r.Wasted, int(r.MemMB))
 		}
 	}
 	return total
@@ -276,7 +284,7 @@ func (s Set) RetryAmplification() float64 {
 	}
 	n := 0
 	for _, r := range s.Records {
-		a := r.Attempts
+		a := int(r.Attempts)
 		if a < 1 {
 			a = 1
 		}

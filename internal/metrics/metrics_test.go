@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"github.com/faassched/faassched/internal/pricing"
 	"github.com/faassched/faassched/internal/simkern"
@@ -217,5 +218,36 @@ func TestWriteDigestEncoding(t *testing.T) {
 	const want = "{ID:7 Label:fib(30) Arrival:1.5s FirstRun:2s Finish:2.00025s CPU:250µs Preemptions:3 MemMB:128 FibN:30 ColdStart:0s Failed:true Attempts:2 GiveUp:true Wasted:1m0s}\n"
 	if got := b.String(); got != want {
 		t.Errorf("encoding\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestWriteDigestInt32Extremes: the int32 fields (MemMB, FibN, Attempts)
+// at either end of their range encode exactly as the int fields they
+// replaced did, so narrowing them moved no golden digest.
+func TestWriteDigestInt32Extremes(t *testing.T) {
+	var b strings.Builder
+	WriteDigest(&b, Record{ID: 1, Label: "f", MemMB: math.MaxInt32, FibN: math.MaxInt32, Attempts: math.MaxInt32})
+	WriteDigest(&b, Record{ID: 2, Label: "f", MemMB: math.MinInt32, FibN: math.MinInt32, Attempts: math.MinInt32})
+	const want = "{ID:1 Label:f Arrival:0s FirstRun:0s Finish:0s CPU:0s Preemptions:0 MemMB:2147483647 FibN:2147483647 ColdStart:0s Failed:false Attempts:2147483647 GiveUp:false Wasted:0s}\n" +
+		"{ID:2 Label:f Arrival:0s FirstRun:0s Finish:0s CPU:0s Preemptions:0 MemMB:-2147483648 FibN:-2147483648 ColdStart:0s Failed:false Attempts:-2147483648 GiveUp:false Wasted:0s}\n"
+	if got := b.String(); got != want {
+		t.Errorf("encoding\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestRecordLayout pins the exact fleets' per-invocation record at 96
+// bytes on 64-bit platforms: the eight-byte fields, then the 32-bit ones,
+// then the two bools side by side. A field added or widened shows here
+// first.
+func TestRecordLayout(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the layout is pinned on 64-bit platforms")
+	}
+	var r Record
+	if got := unsafe.Sizeof(r); got != 96 {
+		t.Errorf("unsafe.Sizeof(Record{}) = %d, want 96", got)
+	}
+	if unsafe.Offsetof(r.GiveUp) != unsafe.Offsetof(r.Failed)+1 {
+		t.Errorf("Failed at %d and GiveUp at %d are not side by side", unsafe.Offsetof(r.Failed), unsafe.Offsetof(r.GiveUp))
 	}
 }

@@ -104,7 +104,7 @@ func (a *Accumulator) pushTotals(r Record) bool {
 	if r.Wasted > 0 {
 		a.wasted += r.Wasted
 		a.billedMs += pricing.BilledMilliseconds(r.Wasted)
-		a.cost += a.tariff.ComputeCost(r.Wasted, r.MemMB)
+		a.cost += a.tariff.ComputeCost(r.Wasted, int(r.MemMB))
 	}
 	if r.Failed {
 		a.failed++
@@ -117,7 +117,7 @@ func (a *Accumulator) pushTotals(r Record) bool {
 	exec := r.Execution()
 	a.totalExec += exec
 	a.billedMs += pricing.BilledMilliseconds(exec)
-	a.cost += a.tariff.InvocationCost(exec, r.MemMB)
+	a.cost += a.tariff.InvocationCost(exec, int(r.MemMB))
 	if r.Cold() {
 		a.coldStarts++
 		a.coldLatency += r.ColdStart

@@ -22,7 +22,7 @@ func sinkRecords(n int) []Record {
 			Finish:      finish,
 			CPU:         finish - first,
 			Preemptions: i % 3,
-			MemMB:       []int{128, 256, 1024}[i%3],
+			MemMB:       []int32{128, 256, 1024}[i%3],
 		}
 		if i%50 == 49 {
 			r = Record{ID: r.ID, Failed: true}

@@ -10,7 +10,7 @@ package metrics
 import "fmt"
 
 // SlotBlockSize is how many IDs one block of a Slots holds when the
-// record count is not known up front: 4,096 records, ~480 KB.
+// record count is not known up front: 4,096 records, 384 KB.
 const SlotBlockSize = 1 << 12
 
 // Slots is an exact fleet's record array, written in place by ID. Its
@@ -86,7 +86,7 @@ func (s *Slots) Route() *SlotBlock {
 // outside the routed range, or one already written), on a routed count
 // other than a fixed length, and on an empty slot, each error naming the
 // ID and the server.
-func (s *Slots) Close(assign []int) ([]Record, error) {
+func (s *Slots) Close(assign []int32) ([]Record, error) {
 	for _, v := range s.views {
 		for _, w := range v.writers {
 			if w.err != nil {
@@ -113,7 +113,7 @@ func (s *Slots) Close(assign []int) ([]Record, error) {
 		if recs[k].ID == 0 {
 			server := -1
 			if k < len(assign) {
-				server = assign[k]
+				server = int(assign[k])
 			}
 			return nil, fmt.Errorf("metrics: record ID %d routed to server %d was never written", k+1, server)
 		}

@@ -40,7 +40,7 @@ func slotRecord(rng *rand.Rand, id int) Record {
 		Preemptions: rng.Intn(4),
 		MemMB:       128 << rng.Intn(4),
 		Failed:      rng.Intn(20) == 0,
-		Attempts:    rng.Intn(3),
+		Attempts:    rng.Int31n(3),
 		Wasted:      time.Duration(rng.Intn(3)) * time.Millisecond,
 	}
 }
@@ -61,7 +61,7 @@ func completionOrder(parts [][]Record) {
 type slotRun struct {
 	block  int
 	views  int
-	assign []int
+	assign []int32
 	parts  [][]Record
 }
 
@@ -77,7 +77,7 @@ func (r slotRun) write() ([]Record, error) {
 		views[i] = s.View()
 	}
 	for _, srv := range r.assign {
-		views[srv%r.views].Learn(s.Route())
+		views[int(srv)%r.views].Learn(s.Route())
 	}
 	for srv, p := range r.parts {
 		if p == nil {
@@ -93,12 +93,12 @@ func (r slotRun) write() ([]Record, error) {
 
 // routedPartition routes IDs 1..n over k servers; servers past a random
 // live count are never routed to and keep a nil part.
-func routedPartition(rng *rand.Rand, n, k int) (assign []int, parts [][]Record) {
+func routedPartition(rng *rand.Rand, n, k int) (assign []int32, parts [][]Record) {
 	parts = make([][]Record, k)
 	live := 1 + rng.Intn(k)
 	for id := 1; id <= n; id++ {
 		s := rng.Intn(live)
-		assign = append(assign, s)
+		assign = append(assign, int32(s))
 		parts[s] = append(parts[s], slotRecord(rng, id))
 	}
 	return assign, parts
@@ -164,27 +164,27 @@ func TestSlotsRejectBadIDs(t *testing.T) {
 	ids := func(xs ...uint64) []Record {
 		out := make([]Record, len(xs))
 		for i, x := range xs {
-			out[i] = Record{ID: x, MemMB: int(x)}
+			out[i] = Record{ID: x, MemMB: int32(x)}
 		}
 		return out
 	}
 	cases := []struct {
 		name   string
-		assign []int
+		assign []int32
 		parts  [][]Record
 		want   map[int][]string // by block size; -1 for every mode
 	}{
-		{"duplicate", []int{0, 2, 0}, [][]Record{ids(3, 1), nil, ids(2, 3)},
+		{"duplicate", []int32{0, 2, 0}, [][]Record{ids(3, 1), nil, ids(2, 3)},
 			map[int][]string{-1: {"record ID 3 from server 2 already written"}}},
-		{"gap", []int{1, 0, 1}, [][]Record{ids(2), ids(1, 4)},
+		{"gap", []int32{1, 0, 1}, [][]Record{ids(2), ids(1, 4)},
 			map[int][]string{0: {"record ID 4 from server 1 outside [1, 3]"}, 3: {"record ID 4 from server 1 outside the IDs routed to its shard"}, 4: {"record ID 4 from server 1 outside [1, 3]"}}},
-		{"zero", []int{0, 0, 3}, [][]Record{ids(1, 2), nil, nil, ids(0)},
+		{"zero", []int32{0, 0, 3}, [][]Record{ids(1, 2), nil, nil, ids(0)},
 			map[int][]string{0: {"record ID 0 from server 3 outside [1, 3]"}, 3: {"record ID 0 from server 3 outside the IDs routed"}, 4: {"record ID 0 from server 3 outside the IDs routed"}}},
-		{"far out of range", []int{0}, [][]Record{ids(1<<63, 1)},
+		{"far out of range", []int32{0}, [][]Record{ids(1<<63, 1)},
 			map[int][]string{-1: {fmt.Sprintf("record ID %d from server 0 outside", uint64(1<<63))}}},
-		{"missing", []int{0, 1, 1}, [][]Record{ids(1), ids(3)},
+		{"missing", []int32{0, 1, 1}, [][]Record{ids(1), ids(3)},
 			map[int][]string{-1: {"record ID 2 routed to server 1 was never written"}}},
-		{"another shard's block", []int{0, 0, 0, 1}, [][]Record{ids(1, 2, 3), ids(4, 1)},
+		{"another shard's block", []int32{0, 0, 0, 1}, [][]Record{ids(1, 2, 3), ids(4, 1)},
 			map[int][]string{0: {"record ID 1 from server 1 already written"}, 3: {"record ID 1 from server 1 outside the IDs routed to its shard"}, 4: {"record ID 1 from server 1 already written"}}},
 	}
 	for _, tc := range cases {
@@ -213,7 +213,7 @@ func TestSlotsRejectBadIDs(t *testing.T) {
 		s.Route()
 		w.Push(Record{ID: id})
 	}
-	if _, err := s.Close([]int{0, 0}); err == nil || !strings.Contains(err.Error(), "2 invocations routed to 3 record slots") {
+	if _, err := s.Close([]int32{0, 0}); err == nil || !strings.Contains(err.Error(), "2 invocations routed to 3 record slots") {
 		t.Errorf("short routing closed with %v", err)
 	}
 }
@@ -274,7 +274,7 @@ func FuzzSlots(f *testing.F) {
 				r.ID = 1<<63 + uint64(i)
 			}
 			s := int(b) % k
-			run.assign = append(run.assign, s)
+			run.assign = append(run.assign, int32(s))
 			run.parts[s] = append(run.parts[s], r)
 		}
 		completionOrder(run.parts)
@@ -311,7 +311,7 @@ func FuzzSlots(f *testing.F) {
 		if m[5] != "" {
 			routedTo := -1
 			if inRange {
-				routedTo = run.assign[id-1]
+				routedTo = int(run.assign[id-1])
 			}
 			if srv, _ := strconv.Atoi(m[5]); count != 0 || srv != routedTo {
 				t.Fatalf("%q: the reference holds ID %d %d times, routed to server %d", err, id, count, routedTo)
@@ -340,7 +340,7 @@ func FuzzSlots(f *testing.F) {
 			// or in a block routed only to other shards.
 			learned := false
 			for j, s := range run.assign {
-				learned = learned || (s%run.views == srv%run.views && inRange && (j/block) == int(id-1)/block)
+				learned = learned || (int(s)%run.views == srv%run.views && inRange && (j/block) == int(id-1)/block)
 			}
 			if learned {
 				t.Fatalf("%q: server %d's shard learned ID %d's block", err, srv, id)

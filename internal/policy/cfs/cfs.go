@@ -102,6 +102,35 @@ type Engine struct {
 	list   []*runqueue      // stable iteration order
 	cores  []simkern.CoreID // Cores() view, rebuilt on membership change
 	free   []*taskData      // released records, reused by data
+	// slices[n] is the slice of a runqueue with n runnable tasks (see
+	// sliceTable); floored says every longer runqueue gets MinGranularity.
+	slices  []time.Duration
+	floored bool
+}
+
+// maxSliceTable bounds the slice table for tunables whose floor point
+// lies far out (a tiny MinGranularity); longer runqueues divide.
+const maxSliceTable = 64
+
+// sliceTable returns each runqueue length's slice, SchedLatency/n floored
+// at MinGranularity, for n from 0 (sliced as 1) up to the floor point —
+// the first n whose quotient falls below MinGranularity — and whether it
+// reached it. A non-negative SchedLatency's quotients never grow with n,
+// so past the floor point every slice is MinGranularity. The table is
+// one allocation of its exact length.
+func sliceTable(p Params) ([]time.Duration, bool) {
+	size, floored := maxSliceTable, false
+	for n := 1; n < maxSliceTable; n++ {
+		if p.SchedLatency >= 0 && p.SchedLatency/time.Duration(n) < p.MinGranularity {
+			size, floored = n+1, true
+			break
+		}
+	}
+	table := make([]time.Duration, size)
+	for n := range table {
+		table[n] = max(p.SchedLatency/time.Duration(max(n, 1)), p.MinGranularity)
+	}
+	return table, floored
 }
 
 // NewEngine returns a CFS engine over the given cores.
@@ -110,6 +139,7 @@ func NewEngine(env *ghost.Env, cores []simkern.CoreID, params Params) *Engine {
 		env:    env,
 		params: params.withDefaults(),
 	}
+	e.slices, e.floored = sliceTable(e.params)
 	for _, c := range cores {
 		e.AddCore(c)
 	}
@@ -426,7 +456,7 @@ func (e *Engine) Tick() {
 		if rq.tree.Len() == 0 {
 			continue // sole runnable task keeps the core
 		}
-		slice := e.slice(rq)
+		slice := e.slice(rq.nrRunning())
 		if now-rq.sliceStart < slice {
 			continue
 		}
@@ -473,7 +503,7 @@ func (e *Engine) NextDecision(now time.Duration) (time.Duration, bool) {
 		if rq.tree.Len() == 0 {
 			continue // sole runnable task keeps the core
 		}
-		h := rq.sliceStart + e.slice(rq)
+		h := rq.sliceStart + e.slice(rq.nrRunning())
 		if h < now {
 			h = now
 		}
@@ -484,17 +514,18 @@ func (e *Engine) NextDecision(now time.Duration) (time.Duration, bool) {
 	return best, found
 }
 
-// slice returns the current time slice for rq's runner.
-func (e *Engine) slice(rq *runqueue) time.Duration {
-	n := rq.nrRunning()
-	if n < 1 {
-		n = 1
+// slice returns the time slice of a runqueue's runner with n runnable
+// tasks: SchedLatency shared among them, floored at MinGranularity. It
+// runs for every contended runqueue in each Tick and NextDecision, so it
+// looks the slice up in the engine's table rather than dividing.
+func (e *Engine) slice(n int) time.Duration {
+	if n < len(e.slices) {
+		return e.slices[n]
 	}
-	s := e.params.SchedLatency / time.Duration(n)
-	if s < e.params.MinGranularity {
-		s = e.params.MinGranularity
+	if e.floored {
+		return e.params.MinGranularity
 	}
-	return s
+	return max(e.params.SchedLatency/time.Duration(n), e.params.MinGranularity)
 }
 
 // Vruntime exposes a task's current vruntime (tests and debugging). It is

@@ -147,3 +147,36 @@ func TestEvictReleasesRecord(t *testing.T) {
 		t.Fatal("evict timer never fired")
 	}
 }
+
+// TestSliceTable: the slice looked up for every runqueue length equals
+// SchedLatency/n floored at MinGranularity (n < 1 sliced as 1), for the
+// defaults, for tunables whose floor point lies past the table, for a
+// floor that is never reached and for negative tunables.
+func TestSliceTable(t *testing.T) {
+	for _, p := range []Params{
+		{},
+		{SchedLatency: 6 * time.Millisecond, MinGranularity: 750 * time.Microsecond},
+		{SchedLatency: 24 * time.Millisecond, MinGranularity: 24 * time.Millisecond},
+		{SchedLatency: 10 * time.Millisecond, MinGranularity: 7 * time.Millisecond},
+		{SchedLatency: time.Second, MinGranularity: time.Nanosecond},
+		{SchedLatency: time.Millisecond, MinGranularity: -time.Millisecond},
+		{SchedLatency: -24 * time.Millisecond, MinGranularity: -time.Millisecond},
+		{SchedLatency: -24 * time.Millisecond, MinGranularity: -48 * time.Millisecond},
+	} {
+		p = p.withDefaults()
+		e := &Engine{params: p}
+		e.slices, e.floored = sliceTable(p)
+		for n := 0; n <= 4*maxSliceTable; n++ {
+			want := p.SchedLatency / time.Duration(max(n, 1))
+			if want < p.MinGranularity {
+				want = p.MinGranularity
+			}
+			if got := e.slice(n); got != want {
+				t.Fatalf("%+v: slice(%d) = %v, want %v", p, n, got, want)
+			}
+		}
+	}
+	if slices, floored := sliceTable(Params{}.withDefaults()); !floored || len(slices) != 10 {
+		t.Errorf("default tunables: %d entries (floored %v), want 10 ending at the floor point n=9", len(slices), floored)
+	}
+}

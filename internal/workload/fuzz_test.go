@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -11,8 +12,12 @@ import (
 
 // FuzzReadSource: whatever the file holds, the reader never panics, and
 // either its error function reports a failure or every invocation it
-// yielded has a non-decreasing arrival, a positive duration and at least
-// 1 MB of memory.
+// yielded has a non-decreasing arrival, a positive duration, a fib_n in
+// [1, math.MaxInt32] and a mem_mb in [1, math.MaxInt32] — the range of
+// the record's int32 fields. Each file is read under the default model
+// and under one anchored at fib(math.MaxInt32), where every fib_n up to
+// the int32 maximum models a positive duration, so the fib_n bound is the
+// reader's own check rather than the model's overflow.
 //
 //	go test ./internal/workload -run '^$' -fuzz FuzzReadSource -fuzztime 30s
 func FuzzReadSource(f *testing.F) {
@@ -29,6 +34,10 @@ func FuzzReadSource(f *testing.F) {
 		"iat_us,fib_n,mem_mb\n1,36,128\n1,36,128\n",
 		"iat_us,fib_n,mem_mb\n9223372036854775807,10,128\n",
 		"iat_us,fib_n,mem_mb\n1,2000000000,128\n",
+		"iat_us,fib_n,mem_mb\n1,2147483647,128\n",
+		"iat_us,fib_n,mem_mb\n1,2147483648,128\n",
+		"iat_us,fib_n,mem_mb\n1,36,2147483647\n",
+		"iat_us,fib_n,mem_mb\n1,36,2147483648\n",
 	} {
 		f.Add(seed)
 	}
@@ -44,24 +53,27 @@ func FuzzReadSource(f *testing.F) {
 	f.Add(buf.String())
 
 	f.Fuzz(func(t *testing.T, file string) {
-		src, readErr, err := ReadSource(strings.NewReader(file), fib.DurationModel{})
-		if err != nil {
-			return
-		}
-		var got []Invocation
-		src(func(inv Invocation) bool {
-			got = append(got, inv)
-			return true
-		})
-		if readErr() != nil {
-			return
-		}
-		last := time.Duration(0)
-		for i, inv := range got {
-			if inv.Arrival < last || inv.Duration <= 0 || inv.MemMB < 1 {
-				t.Fatalf("invocation %d of %q: %+v (previous arrival %v)", i, file, inv, last)
+		for _, model := range []fib.DurationModel{{}, topModel} {
+			src, readErr, err := ReadSource(strings.NewReader(file), model)
+			if err != nil {
+				return
 			}
-			last = inv.Arrival
+			var got []Invocation
+			src(func(inv Invocation) bool {
+				got = append(got, inv)
+				return true
+			})
+			if readErr() != nil {
+				continue
+			}
+			last := time.Duration(0)
+			for i, inv := range got {
+				if inv.Arrival < last || inv.Duration <= 0 || inv.FibN < 1 || inv.FibN > math.MaxInt32 ||
+					inv.MemMB < 1 || inv.MemMB > math.MaxInt32 {
+					t.Fatalf("model %+v, invocation %d of %q: %+v (previous arrival %v)", model, i, file, inv, last)
+				}
+				last = inv.Arrival
+			}
 		}
 	})
 }
@@ -83,6 +95,74 @@ func TestReadSourceRejectsOverflow(t *testing.T) {
 		want := map[string]string{"iat": "line 2", "arrival": "line 4", "duration": "line 3"}[name]
 		if err := readErr(); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: err = %v, want one naming %s", name, err, want)
+		}
+	}
+}
+
+// topModel anchors the duration ladder at fib(math.MaxInt32), so every
+// fib_n from about math.MaxInt32-60 up models a positive duration that
+// fits a time.Duration: only the reader's own bound rejects one above the
+// int32 maximum.
+var topModel = fib.DurationModel{BaseN: math.MaxInt32, Base: time.Millisecond}
+
+// TestReadSourceInt32Fields: a fib_n or mem_mb at the int32 maximum is
+// read as it is, and one above it is rejected with the row's line
+// number, since each becomes an int32 field of the invocation's record.
+func TestReadSourceInt32Fields(t *testing.T) {
+	for _, tc := range []struct {
+		name, row string
+		want      string // error substring; empty when the row must read
+	}{
+		{"fib_n max fits", "1,2147483647,128", ""},
+		{"fib_n max+1 rejected", "1,2147483648,128", "line 3: fib_n 2147483648 above 2147483647"},
+		{"mem_mb max fits", "1,2147483647,2147483647", ""},
+		{"mem_mb max+1 rejected", "1,2147483647,2147483648", "line 3: mem_mb 2147483648 above 2147483647"},
+	} {
+		file := "iat_us,fib_n,mem_mb\n1,2147483647,128\n" + tc.row + "\n"
+		src, readErr, err := ReadSource(strings.NewReader(file), topModel)
+		if err != nil {
+			t.Fatalf("%s: header rejected: %v", tc.name, err)
+		}
+		got := Materialize(src)
+		err = readErr()
+		if tc.want == "" {
+			if err != nil || len(got) != 2 {
+				t.Errorf("%s: read %d invocations, err %v", tc.name, len(got), err)
+			} else if got[1].FibN != math.MaxInt32 || got[1].Duration != time.Millisecond {
+				t.Errorf("%s: read %+v", tc.name, got[1])
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestCheckRecordFields: FibN and MemMB at either end of the int32 range
+// pass; one past either end is rejected with the invocation's index.
+func TestCheckRecordFields(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		inv  Invocation
+		want string // error substring; empty when the invocation fits
+	}{
+		{"max fits", Invocation{FibN: math.MaxInt32, MemMB: math.MaxInt32}, ""},
+		{"min fits", Invocation{FibN: math.MinInt32, MemMB: math.MinInt32}, ""},
+		{"FibN max+1 rejected", Invocation{FibN: math.MaxInt32 + 1, MemMB: 128}, "invocation 7: FibN 2147483648 outside the int32 range"},
+		{"FibN min-1 rejected", Invocation{FibN: math.MinInt32 - 1, MemMB: 128}, "invocation 7: FibN -2147483649"},
+		{"MemMB max+1 rejected", Invocation{FibN: 36, MemMB: math.MaxInt32 + 1}, "invocation 7: MemMB 2147483648 outside the int32 range"},
+		{"MemMB min-1 rejected", Invocation{FibN: 36, MemMB: math.MinInt32 - 1}, "invocation 7: MemMB -2147483649"},
+	} {
+		err := tc.inv.CheckRecordFields(7)
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -258,7 +258,8 @@ func ReadSource(r io.Reader, model fib.DurationModel) (Source, func() error, err
 
 // parseInvocation parses one workload-file row. The returned Arrival
 // carries the row's inter-arrival time; the caller accumulates it into an
-// absolute arrival instant.
+// absolute arrival instant. A fib_n or mem_mb above math.MaxInt32 is
+// rejected: each becomes an int32 field of the invocation's record.
 func parseInvocation(text string, line int, model fib.DurationModel) (Invocation, error) {
 	fields := strings.Split(text, ",")
 	if len(fields) != 3 {
@@ -272,9 +273,15 @@ func parseInvocation(text string, line int, model fib.DurationModel) (Invocation
 	if err != nil || n < 1 {
 		return Invocation{}, fmt.Errorf("workload: line %d: bad fib_n %q", line, fields[1])
 	}
+	if n > math.MaxInt32 {
+		return Invocation{}, fmt.Errorf("workload: line %d: fib_n %d above %d", line, n, math.MaxInt32)
+	}
 	mem, err := strconv.Atoi(fields[2])
 	if err != nil || mem < 1 {
 		return Invocation{}, fmt.Errorf("workload: line %d: bad mem_mb %q", line, fields[2])
+	}
+	if mem > math.MaxInt32 {
+		return Invocation{}, fmt.Errorf("workload: line %d: mem_mb %d above %d", line, mem, math.MaxInt32)
 	}
 	dur := model.Duration(n)
 	if dur <= 0 {

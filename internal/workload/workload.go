@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"github.com/faassched/faassched/internal/fib"
@@ -48,6 +49,19 @@ type Invocation struct {
 	// in faults.Config (and means "no timeout" when that is zero too).
 	// Programmatic only: the workload-file format does not carry it.
 	TimeoutMS int
+}
+
+// CheckRecordFields reports an error naming invocation index i when
+// inv's FibN or MemMB lies outside the int32 range: each becomes an int32
+// field of the invocation's metrics.Record, which must not truncate it.
+func (inv Invocation) CheckRecordFields(i int) error {
+	if inv.FibN < math.MinInt32 || inv.FibN > math.MaxInt32 {
+		return fmt.Errorf("invocation %d: FibN %d outside the int32 range", i, inv.FibN)
+	}
+	if inv.MemMB < math.MinInt32 || inv.MemMB > math.MaxInt32 {
+		return fmt.Errorf("invocation %d: MemMB %d outside the int32 range", i, inv.MemMB)
+	}
+	return nil
 }
 
 // Builder derives invocation lists from traces.

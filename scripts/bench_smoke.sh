@@ -45,9 +45,10 @@
 # BenchmarkSinkPush rows (accumulator, windowed) do: a completed record's
 # push into a streaming sink touches only counters and histogram buckets
 # that already exist (DESIGN.md §20). The third SinkPush row, exact, stays
-# out: the exact Store keeps every record, so it allocates ~120 B/op in
-# 1,024-record chunks by design (DESIGN.md §11), and its 0 allocs/op only
-# rounds down one allocation per 1,024 pushes.
+# out: the exact Store keeps every record, so it allocates ~96 B/op (one
+# 96-byte record per push) in 1,024-record chunks by design (DESIGN.md
+# §11), and its 0 allocs/op only rounds down one allocation per 1,024
+# pushes.
 #
 # Gate 4 — sampler events (DESIGN.md §16): the 100-server sharded
 # replay's kernel events per invocation must stay at or under 12. The
@@ -73,6 +74,13 @@
 # reads ~1.01× (5.6–5.8 MB both); with fleet-sized lane, index and member
 # arrays it read 1.46×, and with policies and lanes built for every
 # server up front 5.4–5.8×.
+#
+# Gate 7 — exact-record bytes (DESIGN.md §11): BenchmarkExactRecordSlots
+# writes 250,000 records into their ID slots, and its B/op is the one
+# record array it keeps, so it is deterministic. It must stay at or under
+# 25,000,000 B/op, 100 B per record: the 96-byte packed metrics.Record
+# reads 24.0 MB/op, and the 120-byte record it replaced 30.0 MB/op, so
+# the ceiling fails if a field is added, widened or padded back out.
 #
 #   ./scripts/bench_smoke.sh              # default ceiling + 20% gate
 #   ./scripts/bench_smoke.sh 60000 35     # custom ceiling, 35% gate
@@ -159,6 +167,21 @@ printf '%s\n%s\n%s\n%s\n' "$dispatch" "$rbtree" "$admit" "$sink" | awk '
     printf "bench_smoke: %d DispatchPick rows, %d RBTreeInsertDelete row, 3 KernelAdmitRun rows and 2 SinkPush rows allocation-free (zero-alloc gate)\n", pick, tree
   }'
 
+# Gate 7 — bytes per exact record.
+printf '%s\n' "$slots" | awk '
+  BEGIN { ceiling = 25000000 }
+  /^BenchmarkExactRecordSlots/ {
+    for (i = 1; i < NF; i++) if ($(i+1) == "B/op") v = $i
+  }
+  END {
+    if (v == "") { print "bench_smoke: no B/op metric on BenchmarkExactRecordSlots"; exit 1 }
+    if (v + 0 > ceiling + 0) {
+      printf "bench_smoke: BenchmarkExactRecordSlots %s B/op exceeds ceiling %d (100 B per record) — metrics.Record grew?\n", v, ceiling
+      exit 1
+    }
+    printf "bench_smoke: BenchmarkExactRecordSlots %s B/op within ceiling %d\n", v, ceiling
+  }'
+
 sharded=$(go test -run '^$' -bench 'BenchmarkShardedFleetReplay/100servers_x1_2h$' -cpu 1 -benchtime 3x -benchmem -timeout 20m .)
 printf '%s\n' "$sharded"
 
@@ -238,7 +261,7 @@ go run ./cmd/benchfmt -diff BENCH_baseline.json "$tmp" | awk -v max="$MAXPCT" '
     # noise even at a pinned b.N; a lost index shows up as +100× at 10k
     # servers, and linear warm-pool scans as +150% on the cold-start
     # RouterRoute row, so a doubled threshold loses no detection power.
-    # ExactRecordSlots is memory-bound (~30 MB written per op) and as
+    # ExactRecordSlots is memory-bound (~24 MB written per op) and as
     # noisy; a sorting merge reads +500%.
     lim = (bench ~ /DispatchPick|RouterRoute|ExactRecordSlots/) ? max * 2 : max
     printf "bench_smoke: %-55s ns/op %+.1f%% (max +%s%%)\n", bench, pct, lim
