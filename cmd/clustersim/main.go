@@ -18,11 +18,11 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"github.com/faassched/faassched"
@@ -251,7 +251,7 @@ func run(args []string, stdout io.Writer) error {
 		)
 		fmt.Fprintf(stdout, "# %-16s simulated in %s | %s\n", d, time.Since(start).Round(time.Millisecond), res.Summary())
 		if coldStart.Enabled() {
-			n, done := res.Set.ColdStarts(), len(res.Set.Completed())
+			n, done := res.Set.ColdStarts(), len(res.Set.Records)-res.Set.FailedCount()
 			fmt.Fprintf(stdout, "# cold starts: %d of %d completed (%.2f%%)\n",
 				n, done, 100*float64(n)/float64(max(done, 1)))
 		}
@@ -263,7 +263,9 @@ func run(args []string, stdout io.Writer) error {
 				res.Set.WastedCPU().Round(time.Millisecond))
 		}
 		if !*compare {
-			printPerServer(stdout, res)
+			if err := printPerServer(stdout, res); err != nil {
+				return err
+			}
 		}
 	}
 	fmt.Fprintln(stdout)
@@ -474,15 +476,17 @@ func runSharded(stdout io.Writer, src faassched.Source, a shardedArgs) error {
 	return nil
 }
 
-// printPerServer renders the per-server breakdown of one fleet run.
-func printPerServer(w io.Writer, res *faassched.ClusterResult) {
-	var b strings.Builder
-	fmt.Fprintf(&b, "  %-8s %-8s %-14s %s\n", "server", "invs", "busy", "makespan")
+// printPerServer writes the per-server breakdown of one fleet run, one
+// row per server of the fleet, through a buffer: the table is never
+// held whole.
+func printPerServer(w io.Writer, res *faassched.ClusterResult) error {
+	b := bufio.NewWriter(w)
+	fmt.Fprintf(b, "  %-8s %-8s %-14s %s\n", "server", "invs", "busy", "makespan")
 	for _, sr := range res.PerServer {
-		fmt.Fprintf(&b, "  %-8d %-8d %-14s %s\n",
+		fmt.Fprintf(b, "  %-8d %-8d %-14s %s\n",
 			sr.Server, sr.Invocations,
 			sr.Busy.Round(time.Millisecond),
 			sr.Makespan.Round(time.Millisecond))
 	}
-	fmt.Fprint(w, b.String())
+	return b.Flush()
 }

@@ -26,7 +26,8 @@ import (
 // MemMB, FibN and Attempts are int32: every path that brings them in
 // rejects a value that does not fit (workload.ReadSource,
 // workload.Invocation.CheckRecordFields at each simulation entry point,
-// faults.Config.Validate), so the narrowing never truncates.
+// faults.Config.Validate), so the narrowing never truncates. Its methods
+// take a pointer, so reading a metric never copies the record.
 type Record struct {
 	ID       uint64
 	Label    string
@@ -62,16 +63,16 @@ type Record struct {
 }
 
 // Execution returns Tcompletion − TfirstRun.
-func (r Record) Execution() time.Duration { return r.Finish - r.FirstRun }
+func (r *Record) Execution() time.Duration { return r.Finish - r.FirstRun }
 
 // Response returns TfirstRun − Tarrival.
-func (r Record) Response() time.Duration { return r.FirstRun - r.Arrival }
+func (r *Record) Response() time.Duration { return r.FirstRun - r.Arrival }
 
 // Turnaround returns Tcompletion − Tarrival.
-func (r Record) Turnaround() time.Duration { return r.Finish - r.Arrival }
+func (r *Record) Turnaround() time.Duration { return r.Finish - r.Arrival }
 
 // Cold reports whether this invocation paid a cold start.
-func (r Record) Cold() bool { return r.ColdStart > 0 }
+func (r *Record) Cold() bool { return r.ColdStart > 0 }
 
 // FromTask converts a finished simulator task into a Record.
 func FromTask(t *simkern.Task) Record {
@@ -167,7 +168,7 @@ func (m Metric) String() string {
 }
 
 // valueMs extracts metric m from r in milliseconds.
-func valueMs(r Record, m Metric) float64 {
+func valueMs(r *Record, m Metric) float64 {
 	var d time.Duration
 	switch m {
 	case Execution:
@@ -181,12 +182,14 @@ func valueMs(r Record, m Metric) float64 {
 }
 
 // CDF builds the empirical CDF (milliseconds) of metric m over completed
-// records.
+// records. It reads the records in place: the values are all it
+// allocates.
 func (s Set) CDF(m Metric) (stats.CDF, error) {
-	done := s.Completed()
-	vals := make([]float64, 0, len(done))
-	for _, r := range done {
-		vals = append(vals, valueMs(r, m))
+	vals := make([]float64, 0, len(s.Records)-s.FailedCount())
+	for i := range s.Records {
+		if r := &s.Records[i]; !r.Failed {
+			vals = append(vals, valueMs(r, m))
+		}
 	}
 	return stats.NewCDF(vals)
 }
@@ -204,8 +207,10 @@ func (s Set) P99(m Metric) (float64, error) {
 // TotalExecution sums execution time across completed records.
 func (s Set) TotalExecution() time.Duration {
 	var sum time.Duration
-	for _, r := range s.Completed() {
-		sum += r.Execution()
+	for i := range s.Records {
+		if r := &s.Records[i]; !r.Failed {
+			sum += r.Execution()
+		}
 	}
 	return sum
 }
@@ -358,8 +363,9 @@ func GroupUtil(k *simkern.Kernel, cores []simkern.CoreID, name string) *stats.Se
 
 // Summary is a compact textual digest used by examples and harness logs.
 func (s Set) Summary() string {
-	done := s.Completed()
-	if len(done) == 0 {
+	failed := s.FailedCount()
+	done := len(s.Records) - failed
+	if done == 0 {
 		return "no completed records"
 	}
 	exec, _ := s.CDF(Execution)
@@ -367,7 +373,7 @@ func (s Set) Summary() string {
 	turn, _ := s.CDF(Turnaround)
 	return fmt.Sprintf(
 		"n=%d failed=%d | exec p50=%.1fms p99=%.1fms | resp p50=%.1fms p99=%.1fms | turn p99=%.1fms",
-		len(done), s.FailedCount(),
+		done, failed,
 		exec.Quantile(0.5), exec.Quantile(0.99),
 		resp.Quantile(0.5), resp.Quantile(0.99),
 		turn.Quantile(0.99),

@@ -10,6 +10,7 @@ import (
 
 	"github.com/faassched/faassched/internal/pricing"
 	"github.com/faassched/faassched/internal/simkern"
+	"github.com/faassched/faassched/internal/stats"
 )
 
 func rec(arrival, firstRun, finish time.Duration) Record {
@@ -61,6 +62,33 @@ func TestSetCDFAndP99(t *testing.T) {
 	}
 	if math.Abs(p99-0.099) > 1e-9 { // 99ms in seconds
 		t.Errorf("P99 = %v s, want 0.099", p99)
+	}
+}
+
+// TestSetReadersCopyNoRecords: Set.CDF reads the records in place, so
+// its allocations are the float slice of values and the CDF's sorted
+// copy of it; a copy of the completed records would be a third.
+// TotalExecution allocates nothing.
+func TestSetReadersCopyNoRecords(t *testing.T) {
+	s := Set{Records: sinkRecords(1000)}
+	done := len(s.Records) - s.FailedCount()
+	var c stats.CDF
+	if allocs := testing.AllocsPerRun(20, func() { c, _ = s.CDF(Response) }); allocs != 2 {
+		t.Errorf("Set.CDF allocates %v times, want 2 (values and sorted copy)", allocs)
+	}
+	if c.N() != done {
+		t.Errorf("CDF over %d values, want the %d completed records", c.N(), done)
+	}
+	var sum time.Duration
+	if allocs := testing.AllocsPerRun(20, func() { sum = s.TotalExecution() }); allocs != 0 {
+		t.Errorf("TotalExecution allocates %v times, want 0", allocs)
+	}
+	var want time.Duration
+	for _, r := range s.Completed() {
+		want += r.Execution()
+	}
+	if sum != want {
+		t.Errorf("TotalExecution = %v, want %v", sum, want)
 	}
 }
 

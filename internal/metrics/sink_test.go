@@ -170,6 +170,11 @@ func TestAccumulatorMergeRejectsTariffMismatch(t *testing.T) {
 // per record. The stream is sinkRecords' mix (2% failed) spread over
 // about ten 500 ms windows; it is pushed once before timing, so the windows
 // exist and a steady-state push into a streaming sink must not allocate.
+// The windowed-open row pays for opening windows instead: a fresh
+// windowed sink every 64 records, whose finish instants spread over
+// seven windows, so its B/op is what opening and filling those windows
+// allocates, amortized over the records (an elastic fleet opens a sink
+// per server and windows per sink).
 // The exact sink writes each record into the slot of its ID in an array
 // allocated up front, so its push allocates nothing; its row includes
 // the array's allocation, amortized over the records it holds: about one
@@ -198,6 +203,38 @@ func BenchmarkSinkPush(b *testing.B) {
 			}
 		})
 	}
+	b.Run("windowed-open", func(b *testing.B) {
+		const perSink = 64
+		open := recs[:perSink]
+		var last time.Duration
+		for _, r := range open {
+			last = max(last, r.Finish)
+		}
+		width := last/7 + 1
+		mk := func() *WindowedAccumulator {
+			w, err := NewWindowedAccumulator(pricing.Default(), width)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return w
+		}
+		probe := mk()
+		for _, r := range open {
+			probe.Push(r)
+		}
+		if probe.Windows() != 7 {
+			b.Fatalf("%d records open %d windows, want 7", perSink, probe.Windows())
+		}
+		var w *WindowedAccumulator
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%perSink == 0 {
+				w = mk()
+			}
+			w.Push(open[i%perSink])
+		}
+	})
 	// Fresh slots every 64Ki records keep the row's memory bounded (about
 	// 8 MB) whatever b.N is; each pushed record takes the next ID.
 	b.Run("exact", func(b *testing.B) {

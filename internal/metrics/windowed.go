@@ -32,8 +32,8 @@ type WindowedAccumulator struct {
 	width  time.Duration
 	// total holds the whole-run counts and sums, pushed and merged in
 	// record order so the float cost keeps its summation order. Its
-	// histograms stay nil until Total first assembles them from the
-	// windows; histsFresh says they still equal the windows' sum.
+	// histograms stay empty until Total assembles them from the windows;
+	// histsFresh says they still equal the windows' sum.
 	total      *Accumulator
 	histsFresh bool
 	wins       []*Accumulator
@@ -45,7 +45,7 @@ func NewWindowedAccumulator(t pricing.Tariff, width time.Duration) (*WindowedAcc
 	if width <= 0 {
 		return nil, fmt.Errorf("metrics: window width must be positive, got %v", width)
 	}
-	return &WindowedAccumulator{tariff: t, width: width, total: &Accumulator{tariff: t}}, nil
+	return &WindowedAccumulator{tariff: t, width: width, total: NewAccumulator(t)}, nil
 }
 
 // Width returns the window width.
@@ -53,7 +53,7 @@ func (w *WindowedAccumulator) Width() time.Duration { return w.width }
 
 // Push implements Sink.
 func (w *WindowedAccumulator) Push(r Record) {
-	if !w.total.pushTotals(r) {
+	if !w.total.pushTotals(&r) {
 		return
 	}
 	w.histsFresh = false
@@ -61,7 +61,7 @@ func (w *WindowedAccumulator) Push(r Record) {
 	for len(w.wins) <= i {
 		w.wins = append(w.wins, NewAccumulator(w.tariff))
 	}
-	w.wins[i].Push(r)
+	w.wins[i].push(&r)
 }
 
 // Windows returns how many windows have been opened: 1 + the index of the
@@ -95,14 +95,12 @@ func (w *WindowedAccumulator) Total() *Accumulator {
 	if w.histsFresh {
 		return w.total
 	}
-	if w.total.hists[0] == nil {
-		w.total.allocHists()
-	}
-	for i, h := range w.total.hists {
+	for i := range w.total.hists {
+		h := &w.total.hists[i]
 		h.Reset()
 		for _, win := range w.wins {
 			// Every histogram here is on accLayout, so Merge cannot fail.
-			_ = h.Merge(win.hists[i])
+			_ = h.Merge(&win.hists[i])
 		}
 	}
 	w.histsFresh = true

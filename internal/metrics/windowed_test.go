@@ -2,8 +2,10 @@ package metrics
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/faassched/faassched/internal/pricing"
 )
@@ -45,6 +47,54 @@ func TestWindowedAccumulatorBucketsByFinish(t *testing.T) {
 	}
 	if w.Window(1).FailedCount() != 0 {
 		t.Error("failed record leaked into a window")
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean number of
+// bytes f allocates over runs calls, after one warm-up call.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// sinkEscape keeps the sinks bytesPerRun measures on the heap.
+var sinkEscape Sink
+
+// TestEmptyWindowsAllocateNoPages: a window that no record reaches costs
+// its Accumulator struct and no histogram counts. A sink whose first
+// record lands in window 5 may allocate only five empty accumulators and
+// the longer window list more than one whose record lands in window 0;
+// with dense histograms each empty window cost 12.3 KB of counts, and a
+// page table for each of its three histograms would cost 240 B.
+func TestEmptyWindowsAllocateNoPages(t *testing.T) {
+	tariff := pricing.Default()
+	width := time.Second
+	open := func(win int) uint64 {
+		r := windowedRecord(1, time.Duration(win)*width+500*time.Millisecond)
+		return bytesPerRun(50, func() {
+			w, err := NewWindowedAccumulator(tariff, width)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Push(r)
+			sinkEscape = w
+		})
+	}
+	first, sixth := open(0), open(5)
+	// An allocation's size class is at most 64 B over its size here, and
+	// the window list grows by append from one slot to eight: at most
+	// 120 B of pointer slices beyond the one-slot list.
+	empty := (uint64(unsafe.Sizeof(Accumulator{})) + 63) &^ 63
+	if limit := 5*empty + 120; sixth > first+limit {
+		t.Errorf("first record in window 5 allocates %d B, in window 0 %d B: %d B more, want at most %d (five %d-B empty accumulators and the window list)",
+			sixth, first, sixth-first, limit, empty)
 	}
 }
 

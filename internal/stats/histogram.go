@@ -85,14 +85,25 @@ func (l *Layout) buildTable(shift uint) {
 // (non-positive values, NaN, values beyond the outer edges' cells, a
 // layout without a table) takes the binary search.
 func (l *Layout) Bucket(v float64) int {
+	if i, ok := l.tableBucket(v); ok {
+		return i
+	}
+	return sort.SearchFloat64s(l.edges, v)
+}
+
+// tableBucket is Bucket's table lookup: v's bucket and true when v lies
+// inside the table's range. It makes no call, so it inlines into Observe
+// and a value inside the table costs the histogram no call beyond
+// Observe itself.
+func (l *Layout) tableBucket(v float64) (int, bool) {
 	if k := math.Float64bits(v)>>l.shift - l.base; k < uint64(len(l.cells)) {
 		i := int(l.cells[k])
 		if v > l.edges[i] {
 			i++
 		}
-		return i
+		return i, true
 	}
-	return sort.SearchFloat64s(l.edges, v)
+	return 0, false
 }
 
 // Edges returns a copy of the bucket upper bounds.
@@ -110,20 +121,57 @@ func (l *Layout) TableBits() int {
 // Histogram is a fixed-bucket histogram over float64 values. It is used by
 // the trace generator's self-checks, by harness summaries and by the
 // streaming accumulators.
+//
+// Counts live in pages of pageLen buckets: the page table is allocated at
+// the first Observe or Merge and a page the first time one of its buckets
+// is touched, so a histogram costs only the pages its values fall in. A
+// nil page reads as all zeros. The streaming accumulators hold their
+// histograms by value; copy a Histogram only while it is empty, since a
+// copy would share its pages.
 type Histogram struct {
 	layout *Layout
-	counts []int64
+	pages  []*[pageLen]int64
 	total  int64
 }
+
+// pageLen buckets make a page: 64 keeps an accumulator histogram (513
+// buckets, nine pages) to the few pages its values fall in without
+// allocating a page per handful of buckets (DESIGN.md §7 has the sweep).
+const (
+	pageBits = 6
+	pageLen  = 1 << pageBits
+)
 
 // NewHistogram builds a histogram with the given ascending bucket upper
 // bounds. A final overflow bucket (> last edge) is added automatically.
 // It panics if edges is empty or not strictly ascending (programmer error).
 func NewHistogram(edges []float64) *Histogram { return NewLayout(edges).NewHistogram() }
 
-// NewHistogram returns an empty histogram on layout l.
-func (l *Layout) NewHistogram() *Histogram {
-	return &Histogram{layout: l, counts: make([]int64, len(l.edges)+1)}
+// NewHistogram returns an empty histogram on layout l. It allocates no
+// counts: pages come with the first values.
+func (l *Layout) NewHistogram() *Histogram { return &Histogram{layout: l} }
+
+// buckets is the number of buckets: one per edge plus the overflow bucket.
+func (h *Histogram) buckets() int { return len(h.layout.edges) + 1 }
+
+// page returns page p, allocating it (and the page table) if it does not
+// exist yet.
+func (h *Histogram) page(p int) *[pageLen]int64 {
+	if h.pages == nil {
+		h.pages = make([]*[pageLen]int64, (h.buckets()+pageLen-1)/pageLen)
+	}
+	if h.pages[p] == nil {
+		h.pages[p] = new([pageLen]int64)
+	}
+	return h.pages[p]
+}
+
+// count returns bucket i's count.
+func (h *Histogram) count(i int) int64 {
+	if p := i >> pageBits; p < len(h.pages) && h.pages[p] != nil {
+		return h.pages[p][i&(pageLen-1)]
+	}
+	return 0
 }
 
 // LogEdges returns n strictly ascending edges spaced logarithmically from
@@ -145,15 +193,37 @@ func LogEdges(lo, hi float64, n int) []float64 {
 
 // Observe adds one value to the bucket Layout.Bucket picks. Observe sits
 // on the streaming accumulators' per-record hot path, which is why the
-// layout carries a lookup table rather than searching its edges.
+// layout carries a lookup table rather than searching its edges, and why
+// a value inside the table whose page exists costs one page load and no
+// further call; the page-table bounds check doubles as the test for an
+// allocated table.
 func (h *Histogram) Observe(v float64) {
-	h.total++
-	h.counts[h.layout.Bucket(v)]++
+	if i, ok := h.layout.tableBucket(v); ok {
+		if p := uint(i) >> pageBits; p < uint(len(h.pages)) && h.pages[p] != nil {
+			h.pages[p][i&(pageLen-1)]++
+			h.total++
+			return
+		}
+	}
+	h.observeSlow(v)
 }
 
-// Reset zeroes every bucket.
+// observeSlow is Observe for a value outside the table or a page not yet
+// allocated.
+func (h *Histogram) observeSlow(v float64) {
+	i := h.layout.Bucket(v)
+	h.page(i >> pageBits)[i&(pageLen-1)]++
+	h.total++
+}
+
+// Reset zeroes every bucket. It keeps the pages, so a histogram that is
+// reset and refilled with like values allocates nothing.
 func (h *Histogram) Reset() {
-	clear(h.counts)
+	for _, pg := range h.pages {
+		if pg != nil {
+			clear(pg[:])
+		}
+	}
 	h.total = 0
 }
 
@@ -163,8 +233,12 @@ func (h *Histogram) Total() int64 { return h.total }
 // Counts returns a copy of the per-bucket counts; the final entry is the
 // overflow bucket.
 func (h *Histogram) Counts() []int64 {
-	out := make([]int64, len(h.counts))
-	copy(out, h.counts)
+	out := make([]int64, h.buckets())
+	for p, pg := range h.pages {
+		if pg != nil {
+			copy(out[p*pageLen:], pg[:])
+		}
+	}
 	return out
 }
 
@@ -175,6 +249,7 @@ func (h *Histogram) Counts() []int64 {
 // bucket's width ratio). Values in the underflow bucket report the first
 // edge and values in the overflow bucket the last edge — the histogram
 // cannot know tighter bounds there. Returns ErrNoSamples when empty.
+// Missing pages are skipped: adding their zeros would not move the rank.
 func (h *Histogram) Quantile(q float64) (float64, error) {
 	if h.total == 0 {
 		return 0, ErrNoSamples
@@ -185,33 +260,43 @@ func (h *Histogram) Quantile(q float64) (float64, error) {
 	if q > 1 {
 		q = 1
 	}
+	edges := h.layout.edges
+	last := len(edges)
 	target := q * float64(h.total)
 	var cum float64
-	for i, c := range h.counts {
-		next := cum + float64(c)
-		if next >= target && c > 0 {
-			if i == 0 {
-				return h.layout.edges[0], nil
-			}
-			if i == len(h.counts)-1 {
-				return h.layout.edges[len(h.layout.edges)-1], nil
-			}
-			lo, hi := h.layout.edges[i-1], h.layout.edges[i]
-			frac := (target - cum) / float64(c)
-			if lo <= 0 {
-				return lo + (hi-lo)*frac, nil
-			}
-			return lo * math.Pow(hi/lo, frac), nil
+	for p, pg := range h.pages {
+		if pg == nil {
+			continue
 		}
-		cum = next
+		for j, c := range pg {
+			next := cum + float64(c)
+			if next >= target && c > 0 {
+				i := p*pageLen + j
+				if i == 0 {
+					return edges[0], nil
+				}
+				if i == last {
+					return edges[last-1], nil
+				}
+				lo, hi := edges[i-1], edges[i]
+				frac := (target - cum) / float64(c)
+				if lo <= 0 {
+					return lo + (hi-lo)*frac, nil
+				}
+				return lo * math.Pow(hi/lo, frac), nil
+			}
+			cum = next
+		}
 	}
-	return h.layout.edges[len(h.layout.edges)-1], nil
+	return edges[last-1], nil
 }
 
 // Merge adds other's counts into h. The two histograms must share the
 // same edges — checked by pointer when they share a Layout, edge by edge
 // otherwise; merging is exact and commutative (integer addition), which
 // is what gives per-server streaming sinks deterministic fleet merges.
+// Only other's pages are visited, and h gains a page only where other
+// has one.
 func (h *Histogram) Merge(other *Histogram) error {
 	if other == nil {
 		return nil
@@ -227,8 +312,14 @@ func (h *Histogram) Merge(other *Histogram) error {
 			}
 		}
 	}
-	for i := range h.counts {
-		h.counts[i] += other.counts[i]
+	for p, src := range other.pages {
+		if src == nil {
+			continue
+		}
+		dst := h.page(p)
+		for j, c := range src {
+			dst[j] += c
+		}
 	}
 	h.total += other.total
 	return nil
@@ -240,8 +331,8 @@ func (h *Histogram) CumulativeAt(i int) float64 {
 		return 0
 	}
 	var sum int64
-	for j := 0; j <= i && j < len(h.counts); j++ {
-		sum += h.counts[j]
+	for j := 0; j <= i && j < h.buckets(); j++ {
+		sum += h.count(j)
 	}
 	return float64(sum) / float64(h.total)
 }
@@ -249,9 +340,10 @@ func (h *Histogram) CumulativeAt(i int) float64 {
 // String renders a compact text view, one bucket per line.
 func (h *Histogram) String() string {
 	var b strings.Builder
-	for i, e := range h.layout.edges {
-		fmt.Fprintf(&b, "<=%-12.4g %8d (%.1f%%)\n", e, h.counts[i], 100*h.CumulativeAt(i))
+	edges := h.layout.edges
+	for i, e := range edges {
+		fmt.Fprintf(&b, "<=%-12.4g %8d (%.1f%%)\n", e, h.count(i), 100*h.CumulativeAt(i))
 	}
-	fmt.Fprintf(&b, "> %-12.4g %8d\n", h.layout.edges[len(h.layout.edges)-1], h.counts[len(h.counts)-1])
+	fmt.Fprintf(&b, "> %-12.4g %8d\n", edges[len(edges)-1], h.count(len(edges)))
 	return b.String()
 }

@@ -189,3 +189,237 @@ func TestLayoutTable(t *testing.T) {
 		}
 	}
 }
+
+// denseHist is the reference FuzzHistogramPages checks the paged
+// histogram against: one int64 per bucket, found by sort.SearchFloat64s,
+// and Quantile and CumulativeAt as they read over dense counts. touched
+// marks the pages a value has reached, directly or through a merge.
+type denseHist struct {
+	edges   []float64
+	counts  []int64
+	total   int64
+	touched []bool
+}
+
+func newDenseHist(edges []float64) *denseHist {
+	n := len(edges) + 1
+	return &denseHist{edges: edges, counts: make([]int64, n), touched: make([]bool, (n+pageLen-1)/pageLen)}
+}
+
+func (d *denseHist) observe(v float64) {
+	i := sort.SearchFloat64s(d.edges, v)
+	d.counts[i]++
+	d.total++
+	d.touched[i/pageLen] = true
+}
+
+func (d *denseHist) merge(o *denseHist) {
+	for i, c := range o.counts {
+		d.counts[i] += c
+	}
+	for p, t := range o.touched {
+		d.touched[p] = d.touched[p] || t
+	}
+	d.total += o.total
+}
+
+func (d *denseHist) reset() {
+	clear(d.counts)
+	d.total = 0
+}
+
+func (d *denseHist) quantile(q float64) (float64, error) {
+	if d.total == 0 {
+		return 0, ErrNoSamples
+	}
+	q = math.Max(0, math.Min(1, q))
+	target := q * float64(d.total)
+	var cum float64
+	for i, c := range d.counts {
+		next := cum + float64(c)
+		if next >= target && c > 0 {
+			if i == 0 {
+				return d.edges[0], nil
+			}
+			if i == len(d.counts)-1 {
+				return d.edges[len(d.edges)-1], nil
+			}
+			lo, hi := d.edges[i-1], d.edges[i]
+			frac := (target - cum) / float64(c)
+			if lo <= 0 {
+				return lo + (hi-lo)*frac, nil
+			}
+			return lo * math.Pow(hi/lo, frac), nil
+		}
+		cum = next
+	}
+	return d.edges[len(d.edges)-1], nil
+}
+
+func (d *denseHist) cumulativeAt(i int) float64 {
+	if d.total == 0 {
+		return 0
+	}
+	var sum int64
+	for j := 0; j <= i && j < len(d.counts); j++ {
+		sum += d.counts[j]
+	}
+	return float64(sum) / float64(d.total)
+}
+
+// probeValue maps x to a value near the edges: an edge, its float64
+// neighbours or a point between it and the next edge, or, past the last
+// edge, a value outside every lookup table.
+func probeValue(edges []float64, x uint16) float64 {
+	i := int(x>>2) % (len(edges) + 1)
+	if i == len(edges) {
+		specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1, math.MaxFloat64,
+			math.Float64frombits(0x7ff0000000000001)}
+		return specials[int(x>>2)%len(specials)]
+	}
+	e := edges[i]
+	switch x & 3 {
+	case 0:
+		return e
+	case 1:
+		return math.Nextafter(e, math.Inf(1))
+	case 2:
+		return math.Nextafter(e, math.Inf(-1))
+	}
+	if i+1 < len(edges) {
+		return e + (edges[i+1]-e)/2
+	}
+	return e * 1.5
+}
+
+// pagedEdges builds up to n+1 strictly ascending edges from first, each
+// the previous one grown by step (added, or multiplied when geometric),
+// stopping once a step no longer ascends or reaches +Inf.
+func pagedEdges(first, step float64, n uint8, geometric bool) []float64 {
+	if math.IsNaN(first) || math.IsInf(first, 0) {
+		first = 1
+	}
+	edges := []float64{first}
+	for i := 0; i < int(n); i++ {
+		e := edges[len(edges)-1]
+		next := e + step
+		if geometric {
+			next = e * step
+		}
+		if !(next > e) || math.IsInf(next, 1) {
+			break
+		}
+		edges = append(edges, next)
+	}
+	return edges
+}
+
+// FuzzHistogramPages: a paged histogram answers exactly as dense counts
+// do, through any sequence of Observe, Merge and Reset on two histograms,
+// on the accumulators' layout (513 buckets, nine pages) or on arbitrary
+// edges: Counts, Total, Quantile at several q and CumulativeAt, compared
+// bit for bit. It also pins the allocation rule: a histogram holds a page
+// exactly where a value has reached it, directly or by a merge, and no
+// page table until then. Each op takes three bytes: the op and which
+// histogram in the first, a probe value (probeValue) in the other two.
+//
+//	go test -run '^$' -fuzz FuzzHistogramPages -fuzztime 15s ./internal/stats
+func FuzzHistogramPages(f *testing.F) {
+	// One value per accumulator edge (and the specials past the last),
+	// alternating between the histograms, then merges both ways and
+	// resets.
+	every := make([]byte, 0, 3*520)
+	for i := 0; i < 520; i++ {
+		x := uint16(i<<2) | uint16(i%4)
+		every = append(every, byte(i%2)<<7, byte(x), byte(x>>8))
+	}
+	every = append(every, 2, 0, 0, 0x83, 0, 0, 0x82, 0, 0, 3, 0, 0)
+	f.Add(every, true, 1.0, 1.0, uint8(0), false)
+	f.Add([]byte{0, 0, 0, 0x81, 4, 0, 0x82, 0, 0, 3, 0, 0, 2, 0, 0}, true, 1.0, 1.0, uint8(0), false)
+	// A merge that brings a page the receiver lacks: edge 300 is on page 4.
+	f.Add([]byte{0, 0, 0, 0x81, 0xb0, 0x04, 2, 0, 0}, true, 1.0, 1.0, uint8(0), false)
+	// Layouts of 2, 64, 65 and 66 buckets (one page exactly full, one
+	// bucket over) and 201, with and without a lookup table.
+	for _, n := range []uint8{0, 62, 63, 64, 200} {
+		f.Add(every[:3*210], false, -3.0, 0.5, n, false)
+		f.Add(every[:3*210], false, 1e-3, 1.07, n, true)
+	}
+	qs := []float64{-1, 0, 1e-9, 0.01, 0.25, 0.5, 0.9, 0.99, 1, 2}
+	f.Fuzz(func(t *testing.T, ops []byte, acc bool, first, step float64, n uint8, geometric bool) {
+		edges := LogEdges(1e-3, 8.64e7, 512)
+		if !acc {
+			edges = pagedEdges(first, step, n, geometric)
+		}
+		l := NewLayout(edges)
+		hs := [2]*Histogram{l.NewHistogram(), l.NewHistogram()}
+		refs := [2]*denseHist{newDenseHist(edges), newDenseHist(edges)}
+		// pages checks the allocation rule and the total, cheap enough
+		// for every op; answers checks every reading, after each merge
+		// and reset and at the end.
+		pages := func(w int) {
+			h, ref := hs[w], refs[w]
+			if h.Total() != ref.total {
+				t.Fatalf("histogram %d: Total %d, want %d", w, h.Total(), ref.total)
+			}
+			anyPage := false
+			for p, touched := range ref.touched {
+				anyPage = anyPage || touched
+				if has := p < len(h.pages) && h.pages[p] != nil; has != touched {
+					t.Fatalf("histogram %d: page %d allocated %v, touched %v", w, p, has, touched)
+				}
+			}
+			if (h.pages != nil) != anyPage {
+				t.Fatalf("histogram %d: page table allocated %v with pages touched %v", w, h.pages != nil, anyPage)
+			}
+		}
+		answers := func(w int) {
+			h, ref := hs[w], refs[w]
+			got := h.Counts()
+			if len(got) != len(ref.counts) {
+				t.Fatalf("histogram %d: %d buckets, want %d", w, len(got), len(ref.counts))
+			}
+			for i, c := range ref.counts {
+				if got[i] != c {
+					t.Fatalf("histogram %d: bucket %d = %d, want %d", w, i, got[i], c)
+				}
+			}
+			for _, q := range qs {
+				g, gerr := h.Quantile(q)
+				want, werr := ref.quantile(q)
+				if gerr != werr || math.Float64bits(g) != math.Float64bits(want) {
+					t.Fatalf("histogram %d: Quantile(%v) = %v, %v; want %v, %v", w, q, g, gerr, want, werr)
+				}
+			}
+			for _, i := range []int{-1, 0, len(edges) / 2, len(edges) - 1, len(edges), len(edges) + 3} {
+				if g, want := h.CumulativeAt(i), ref.cumulativeAt(i); math.Float64bits(g) != math.Float64bits(want) {
+					t.Fatalf("histogram %d: CumulativeAt(%d) = %v, want %v", w, i, g, want)
+				}
+			}
+		}
+		if len(ops) > 3*1024 {
+			ops = ops[:3*1024]
+		}
+		for ; len(ops) >= 3; ops = ops[3:] {
+			w := int(ops[0] >> 7)
+			switch ops[0] & 3 {
+			case 0, 1:
+				v := probeValue(edges, uint16(ops[1])|uint16(ops[2])<<8)
+				hs[w].Observe(v)
+				refs[w].observe(v)
+			case 2:
+				if err := hs[w].Merge(hs[1-w]); err != nil {
+					t.Fatal(err)
+				}
+				refs[w].merge(refs[1-w])
+				answers(w)
+			case 3:
+				hs[w].Reset()
+				refs[w].reset()
+				answers(w)
+			}
+			pages(w)
+		}
+		answers(0)
+		answers(1)
+	})
+}

@@ -35,6 +35,9 @@ FIGS='BenchmarkFig06Hybrid$|BenchmarkTable1Summary$|BenchmarkFig13Preemptions$|B
   # The router-to-shard handoff layer: ns, B and allocs per arrival.
   go test -run '^$' -bench 'BenchmarkShardHandoff$' -cpu 1 -benchtime 30x -benchmem .
   go test -run '^$' -bench 'BenchmarkRBTreeInsertDelete$' -benchmem ./internal/queue
+  # Steady-state pushes into each sink, and windowed-open: a fresh
+  # windowed sink every 64 records, whose B/op is what opening windows
+  # allocates.
   go test -run '^$' -bench 'BenchmarkSinkPush$' -benchmem ./internal/metrics
   # One server's admit-then-run loop at a pinned b.N: events/op is a
   # count that must repeat exactly, and a fixed chunk count times the

@@ -44,11 +44,12 @@
 # and the hybrid keeps no per-task table (DESIGN.md §19); and that both
 # BenchmarkSinkPush rows (accumulator, windowed) do: a completed record's
 # push into a streaming sink touches only counters and histogram buckets
-# that already exist (DESIGN.md §20). The third SinkPush row, exact, stays
-# out: the exact Store keeps every record, so it allocates ~96 B/op (one
+# that already exist (DESIGN.md §20). The other two SinkPush rows stay
+# out. The exact Store keeps every record, so it allocates ~96 B/op (one
 # 96-byte record per push) in 1,024-record chunks by design (DESIGN.md
 # §11), and its 0 allocs/op only rounds down one allocation per 1,024
-# pushes.
+# pushes. windowed-open opens a sink every 64 records by design; Gate 8
+# caps its bytes.
 #
 # Gate 4 — sampler events (DESIGN.md §16): the 100-server sharded
 # replay's kernel events per invocation must stay at or under 12. The
@@ -81,6 +82,15 @@
 # 25,000,000 B/op, 100 B per record: the 96-byte packed metrics.Record
 # reads 24.0 MB/op, and the 120-byte record it replaced 30.0 MB/op, so
 # the ceiling fails if a field is added, widened or padded back out.
+#
+# Gate 8 — window-opening bytes (DESIGN.md §20):
+# BenchmarkSinkPush/windowed-open opens a fresh windowed sink every 64
+# records, their finish instants spread over seven windows; at a pinned
+# b.N of 1,000 sinks its B/op is deterministic. It must stay at or under
+# 512 B/op: histogram counts in 64-bucket pages allocated as records
+# reach them read 257 B/op, and dense 513-bucket counts allocated with
+# each window 1,630 B/op, so the ceiling fails if a window's histograms
+# allocate their counts before records reach them.
 #
 #   ./scripts/bench_smoke.sh              # default ceiling + 20% gate
 #   ./scripts/bench_smoke.sh 60000 35     # custom ceiling, 35% gate
@@ -180,6 +190,23 @@ printf '%s\n' "$slots" | awk '
       exit 1
     }
     printf "bench_smoke: BenchmarkExactRecordSlots %s B/op within ceiling %d\n", v, ceiling
+  }'
+
+# Gate 8 — bytes per record when every 64 records open a sink.
+opened=$(go test -run '^$' -bench 'BenchmarkSinkPush/windowed-open$' -benchtime 64000x -benchmem ./internal/metrics)
+printf '%s\n' "$opened"
+printf '%s\n' "$opened" | awk '
+  BEGIN { ceiling = 512 }
+  /^BenchmarkSinkPush\/windowed-open/ {
+    for (i = 1; i < NF; i++) if ($(i+1) == "B/op") v = $i
+  }
+  END {
+    if (v == "") { print "bench_smoke: no B/op metric on BenchmarkSinkPush/windowed-open"; exit 1 }
+    if (v + 0 > ceiling + 0) {
+      printf "bench_smoke: BenchmarkSinkPush/windowed-open %s B/op exceeds ceiling %d — window histograms allocated before records reach them?\n", v, ceiling
+      exit 1
+    }
+    printf "bench_smoke: BenchmarkSinkPush/windowed-open %s B/op within ceiling %d\n", v, ceiling
   }'
 
 sharded=$(go test -run '^$' -bench 'BenchmarkShardedFleetReplay/100servers_x1_2h$' -cpu 1 -benchtime 3x -benchmem -timeout 20m .)
