@@ -714,7 +714,7 @@ func BenchmarkExactRecordSlots(b *testing.B) {
 		s := rng.Intn(servers)
 		assign[id-1] = int32(s)
 		parts[s] = append(parts[s], metrics.Record{
-			ID: uint64(id), Label: "f", Arrival: arrival, FirstRun: arrival, Finish: finish,
+			ID: uint64(id), Arrival: arrival, FirstRun: arrival, Finish: finish,
 			CPU: finish - arrival, MemMB: 128,
 		})
 	}

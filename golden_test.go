@@ -73,7 +73,7 @@ func digestResult(r *Result) string {
 		r.Scheduler, int64(r.Makespan), r.Preemptions, r.LaunchedVMs, r.FailedVMs)
 	for _, rec := range r.Set.Records {
 		fmt.Fprintf(h, "%d|%s|%d|%d|%d|%d|%d|%d|%d|%t\n",
-			rec.ID, rec.Label, int64(rec.Arrival), int64(rec.FirstRun), int64(rec.Finish),
+			rec.ID, rec.Label(), int64(rec.Arrival), int64(rec.FirstRun), int64(rec.Finish),
 			int64(rec.CPU), rec.Preemptions, rec.MemMB, rec.FibN, rec.Failed)
 	}
 	return hex.EncodeToString(h.Sum(nil))

@@ -203,7 +203,7 @@ func (c *countingSink) Push(r metrics.Record) {
 		c.completed++
 		c.busy += r.Execution()
 	}
-	c.preempts += r.Preemptions
+	c.preempts += int(r.Preemptions)
 	if c.inner != nil {
 		c.inner.Push(r)
 	}

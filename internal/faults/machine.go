@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"github.com/faassched/faassched/internal/fib"
 	"github.com/faassched/faassched/internal/ghost"
 	"github.com/faassched/faassched/internal/metrics"
 	"github.com/faassched/faassched/internal/simkern"
@@ -63,7 +64,6 @@ type Machine struct {
 // attemptState tracks one in-flight invocation across its attempts.
 type attemptState struct {
 	task        *simkern.Task
-	label       string
 	origArrival time.Duration
 	base        time.Duration // pristine service demand (no cold start, no slowdown)
 	memMB       int
@@ -149,7 +149,6 @@ func (m *Machine) SetRecycle(fn func(*simkern.Task)) { m.recycle = fn }
 func (m *Machine) Note(t *simkern.Task, base time.Duration, timeoutMS int) {
 	st := m.newState()
 	st.task = t
-	st.label = t.Label
 	st.origArrival = t.Arrival
 	st.base = base
 	st.memMB = t.MemMB
@@ -377,10 +376,9 @@ func (m *Machine) retryOrGiveUp(st *attemptState, now time.Duration) {
 	if !retry {
 		rec := metrics.Record{
 			ID:          uint64(id),
-			Label:       st.label,
 			Arrival:     st.origArrival,
 			Finish:      now,
-			Preemptions: t.Preemptions(),
+			Preemptions: metrics.NarrowPreemptions(uint64(id), t.Preemptions()),
 			MemMB:       int32(st.memMB),
 			FibN:        int32(st.fibN),
 			Failed:      true,
@@ -399,7 +397,7 @@ func (m *Machine) retryOrGiveUp(st *attemptState, now time.Duration) {
 	st.attempts++
 	t.Recycle()
 	t.ID = id
-	t.Label = st.label
+	t.Label = fib.Label(st.fibN)
 	t.Kind = simkern.KindFunction
 	t.Arrival = retryAt
 	t.Work = st.base + m.SlowExtra(retryAt, st.base)

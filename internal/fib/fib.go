@@ -128,3 +128,28 @@ func Calibrate(lo, hi, reps int) (map[int]time.Duration, error) {
 	}
 	return out, nil
 }
+
+// labels holds the "fib(n)" task labels for every n in [0, MaxN], so
+// building a task or reading a record's label does not format a string.
+var labels = func() [MaxN + 1]string {
+	var out [MaxN + 1]string
+	for n := range out {
+		out[n] = fmt.Sprintf("fib(%d)", n)
+	}
+	return out
+}()
+
+// Label returns the label "fib(n)" of a function invocation, from a
+// precomputed table for n in [0, MaxN] and formatted otherwise.
+func Label(n int) string {
+	if n >= 0 && n < len(labels) {
+		return labels[n]
+	}
+	return fmt.Sprintf("fib(%d)", n)
+}
+
+// VMLabel returns the label "vm<vm>-fib(n)" of the vCPU thread that runs
+// fib(n) inside microVM vm (the Firecracker mode, paper §VI-E).
+func VMLabel(vm, n int) string {
+	return fmt.Sprintf("vm%d-%s", vm, Label(n))
+}

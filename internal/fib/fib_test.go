@@ -1,6 +1,7 @@
 package fib
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -139,5 +140,22 @@ func TestCalibrateRejectsBadArgs(t *testing.T) {
 func BenchmarkComputeFib25(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Compute(25)
+	}
+}
+
+// TestLabel: the table and the formatted fallback agree with the
+// "fib(n)" spelling on both sides of the table's bounds, and VMLabel
+// prefixes the microVM index.
+func TestLabel(t *testing.T) {
+	for _, n := range []int{-1, 0, 1, MinN, MaxN, MaxN + 1, 1000} {
+		if got, want := Label(n), fmt.Sprintf("fib(%d)", n); got != want {
+			t.Errorf("Label(%d) = %q, want %q", n, got, want)
+		}
+		if got, want := VMLabel(7, n), fmt.Sprintf("vm7-fib(%d)", n); got != want {
+			t.Errorf("VMLabel(7, %d) = %q, want %q", n, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _ = Label(MaxN) }); allocs != 0 {
+		t.Errorf("Label(MaxN) allocates %v times, want 0 (table lookup)", allocs)
 	}
 }

@@ -19,8 +19,10 @@ package firecracker
 
 import (
 	"fmt"
+	"math"
 	"time"
 
+	"github.com/faassched/faassched/internal/fib"
 	"github.com/faassched/faassched/internal/ghost"
 	"github.com/faassched/faassched/internal/simkern"
 	"github.com/faassched/faassched/internal/workload"
@@ -175,7 +177,7 @@ func (f *Fleet) newVM(i int, inv workload.Invocation) *vmState {
 		// the kernel when boot completes.
 		vcpu: &simkern.Task{
 			ID:    simkern.TaskID(3*i + 2),
-			Label: fmt.Sprintf("vm%d-fib(%d)", i, inv.FibN),
+			Label: fib.VMLabel(i, inv.FibN),
 			Kind:  simkern.KindVCPU,
 			Work:  inv.Duration + f.cfg.VM.GuestOverhead,
 			MemMB: inv.MemMB,
@@ -197,9 +199,25 @@ func (f *Fleet) newVM(i int, inv workload.Invocation) *vmState {
 	return vm
 }
 
+// maxVMs is the most microVMs one Launch starts: a vCPU record stores
+// its microVM's index + 1 in an int32 (metrics.Record.VM).
+const maxVMs = math.MaxInt32
+
+// checkVMCount rejects a launch of n microVMs when the last one's index
+// would not fit metrics.Record.VM.
+func checkVMCount(n int) error {
+	if n > maxVMs {
+		return fmt.Errorf("firecracker: %d microVMs, above %d, the most a record's microVM index holds", n, maxVMs)
+	}
+	return nil
+}
+
 // Launch registers one microVM per invocation with the kernel: every VM
 // state and its three thread tasks exist before the clock starts.
 func (f *Fleet) Launch(kernel *simkern.Kernel, invs []workload.Invocation) error {
+	if err := checkVMCount(len(invs)); err != nil {
+		return err
+	}
 	for i, inv := range invs {
 		vm := f.newVM(i, inv)
 		if err := kernel.AddTask(vm.boot); err != nil {

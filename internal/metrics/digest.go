@@ -11,6 +11,6 @@ import (
 // field joins the encoding only when a golden is meant to pin it.
 func WriteDigest(w io.Writer, r Record) {
 	fmt.Fprintf(w, "{ID:%d Label:%s Arrival:%v FirstRun:%v Finish:%v CPU:%v Preemptions:%d MemMB:%d FibN:%d ColdStart:%v Failed:%t Attempts:%d GiveUp:%t Wasted:%v}\n",
-		r.ID, r.Label, r.Arrival, r.FirstRun, r.Finish, r.CPU, r.Preemptions, r.MemMB, r.FibN,
+		r.ID, r.Label(), r.Arrival, r.FirstRun, r.Finish, r.CPU, r.Preemptions, r.MemMB, r.FibN,
 		r.ColdStart, r.Failed, r.Attempts, r.GiveUp, r.Wasted)
 }

@@ -16,13 +16,13 @@ import (
 
 func faultRecords() (ok, bad Record) {
 	ok = Record{
-		ID: 1, Label: "f", Arrival: 0,
+		ID: 1, Arrival: 0,
 		FirstRun: 10 * time.Millisecond, Finish: 110 * time.Millisecond,
 		CPU: 100 * time.Millisecond, MemMB: 128,
 		Attempts: 2, Wasted: 40 * time.Millisecond,
 	}
 	bad = Record{
-		ID: 2, Label: "f", MemMB: 512,
+		ID: 2, MemMB: 512,
 		Failed: true, GiveUp: true,
 		Attempts: 3, Wasted: 250 * time.Millisecond,
 	}

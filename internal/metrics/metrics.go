@@ -11,8 +11,10 @@ package metrics
 
 import (
 	"fmt"
+	"math"
 	"time"
 
+	"github.com/faassched/faassched/internal/fib"
 	"github.com/faassched/faassched/internal/pricing"
 	"github.com/faassched/faassched/internal/simkern"
 	"github.com/faassched/faassched/internal/stats"
@@ -21,16 +23,18 @@ import (
 // Record is one completed (or failed) invocation's measurements.
 //
 // Exact fleets keep one Record per invocation, so the field order packs
-// it: the eight-byte fields first, then the 32-bit ones, then the two
-// bools side by side — 96 bytes on 64-bit platforms (TestRecordLayout).
-// MemMB, FibN and Attempts are int32: every path that brings them in
-// rejects a value that does not fit (workload.ReadSource,
-// workload.Invocation.CheckRecordFields at each simulation entry point,
-// faults.Config.Validate), so the narrowing never truncates. Its methods
-// take a pointer, so reading a metric never copies the record.
+// it: the eight-byte fields first, then the five 32-bit ones, then the
+// two bools side by side — 80 bytes on 64-bit platforms, with no
+// pointers, so a slot array of records is never scanned by the garbage
+// collector (TestRecordLayout). MemMB, FibN and Attempts are int32:
+// every path that brings them in rejects a value that does not fit
+// (workload.ReadSource, workload.Invocation.CheckRecordFields at each
+// simulation entry point, faults.Config.Validate); Preemptions and VM
+// are narrowed with a check that panics, naming the task
+// (NarrowPreemptions, FromTask), so the narrowing never truncates. Its
+// methods take a pointer, so reading a metric never copies the record.
 type Record struct {
 	ID       uint64
-	Label    string
 	Arrival  time.Duration
 	FirstRun time.Duration
 	Finish   time.Duration
@@ -44,13 +48,17 @@ type Record struct {
 	// work. Completed records carry the waste of their failed earlier
 	// attempts; give-up records carry the waste of every attempt.
 	Wasted      time.Duration
-	Preemptions int
+	Preemptions int32
 	MemMB       int32
 	FibN        int32
 	// Attempts counts admissions of this invocation under fault-injected
 	// retries. Zero means "one attempt, fault layer inactive" — records
 	// from fault-free runs are bit-identical to pre-fault ones.
 	Attempts int32
+	// VM is the index + 1 of the microVM whose vCPU thread ran this
+	// invocation (Firecracker mode, paper §VI-E), and zero for a plain
+	// function invocation.
+	VM int32
 	// Failed marks invocations that never ran (e.g. microVM launch
 	// failures when server memory is exhausted, §VI-E) or that the fault
 	// layer gave up on after exhausting retries. Failed records carry no
@@ -60,6 +68,18 @@ type Record struct {
 	// GiveUp marks a Failed record whose retry budget was exhausted (or
 	// whose server died for good); always false on completed records.
 	GiveUp bool
+}
+
+// Label returns the invocation's task label, derived from FibN and VM:
+// "fib(n)" for a function record and "vm<i>-fib(n)" for the vCPU record
+// of microVM i — the labels workload.Task and the Firecracker fleet give
+// their tasks. A function label up to fib.MaxN comes from a table; a
+// vCPU label is formatted, so it allocates.
+func (r *Record) Label() string {
+	if r.VM > 0 {
+		return fib.VMLabel(int(r.VM)-1, int(r.FibN))
+	}
+	return fib.Label(int(r.FibN))
 }
 
 // Execution returns Tcompletion − TfirstRun.
@@ -74,18 +94,41 @@ func (r *Record) Turnaround() time.Duration { return r.Finish - r.Arrival }
 // Cold reports whether this invocation paid a cold start.
 func (r *Record) Cold() bool { return r.ColdStart > 0 }
 
+// NarrowPreemptions returns task id's preemption count n as a
+// Record.Preemptions value. It panics, naming the task, when n does not
+// fit an int32: no count is silently truncated.
+func NarrowPreemptions(id uint64, n int) int32 {
+	if uint(n) > math.MaxInt32 {
+		panic(fmt.Sprintf("metrics: task %d: %d preemptions do not fit Record.Preemptions (int32)", id, n))
+	}
+	return int32(n)
+}
+
+// vmOf returns t's Record.VM value: its microVM index + 1 for a vCPU
+// task, zero otherwise. It panics, naming the task, on an index that
+// does not fit (firecracker.Fleet refuses to launch that many microVMs).
+func vmOf(t *simkern.Task) int32 {
+	if t.Kind != simkern.KindVCPU {
+		return 0
+	}
+	if uint(t.VMID) >= math.MaxInt32 {
+		panic(fmt.Sprintf("metrics: task %d: microVM index %d does not fit Record.VM (int32)", t.ID, t.VMID))
+	}
+	return int32(t.VMID) + 1
+}
+
 // FromTask converts a finished simulator task into a Record.
 func FromTask(t *simkern.Task) Record {
 	return Record{
 		ID:          uint64(t.ID),
-		Label:       t.Label,
 		Arrival:     t.Arrival,
 		FirstRun:    t.FirstRun(),
 		Finish:      t.Finish(),
 		CPU:         t.CPUConsumed(),
-		Preemptions: t.Preemptions(),
+		Preemptions: NarrowPreemptions(uint64(t.ID), t.Preemptions()),
 		MemMB:       int32(t.MemMB),
 		FibN:        int32(t.FibN),
+		VM:          vmOf(t),
 		ColdStart:   t.ColdStart,
 	}
 }
@@ -111,9 +154,9 @@ func Collect(k *simkern.Kernel) Set {
 		case simkern.StateFailed:
 			s.Records = append(s.Records, Record{
 				ID:     uint64(t.ID),
-				Label:  t.Label,
 				MemMB:  int32(t.MemMB),
 				FibN:   int32(t.FibN),
+				VM:     vmOf(t),
 				Failed: true,
 			})
 		}
@@ -182,8 +225,8 @@ func valueMs(r *Record, m Metric) float64 {
 }
 
 // CDF builds the empirical CDF (milliseconds) of metric m over completed
-// records. It reads the records in place: the values are all it
-// allocates.
+// records. It reads the records in place, and the CDF sorts and keeps
+// the slice of values: that slice is all it allocates.
 func (s Set) CDF(m Metric) (stats.CDF, error) {
 	vals := make([]float64, 0, len(s.Records)-s.FailedCount())
 	for i := range s.Records {
@@ -230,7 +273,7 @@ func (s Set) ColdStarts() int {
 func (s Set) TotalPreemptions() int {
 	n := 0
 	for _, r := range s.Records {
-		n += r.Preemptions
+		n += int(r.Preemptions)
 	}
 	return n
 }

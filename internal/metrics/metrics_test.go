@@ -1,7 +1,9 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -65,16 +67,17 @@ func TestSetCDFAndP99(t *testing.T) {
 	}
 }
 
-// TestSetReadersCopyNoRecords: Set.CDF reads the records in place, so
-// its allocations are the float slice of values and the CDF's sorted
-// copy of it; a copy of the completed records would be a third.
-// TotalExecution allocates nothing.
+// TestSetReadersCopyNoRecords: Set.CDF reads the records in place and
+// hands its float slice of values to stats.NewCDF, which sorts it in
+// place, so that slice is its one allocation; a copy of the completed
+// records, or of the values, would be a second. TotalExecution allocates
+// nothing.
 func TestSetReadersCopyNoRecords(t *testing.T) {
 	s := Set{Records: sinkRecords(1000)}
 	done := len(s.Records) - s.FailedCount()
 	var c stats.CDF
-	if allocs := testing.AllocsPerRun(20, func() { c, _ = s.CDF(Response) }); allocs != 2 {
-		t.Errorf("Set.CDF allocates %v times, want 2 (values and sorted copy)", allocs)
+	if allocs := testing.AllocsPerRun(20, func() { c, _ = s.CDF(Response) }); allocs != 1 {
+		t.Errorf("Set.CDF allocates %v times, want 1 (the values)", allocs)
 	}
 	if c.N() != done {
 		t.Errorf("CDF over %d values, want the %d completed records", c.N(), done)
@@ -239,7 +242,7 @@ func TestCDFEmptyErrors(t *testing.T) {
 func TestWriteDigestEncoding(t *testing.T) {
 	var b strings.Builder
 	WriteDigest(&b, Record{
-		ID: 7, Label: "fib(30)", Arrival: 1500 * time.Millisecond, FirstRun: 2 * time.Second,
+		ID: 7, Arrival: 1500 * time.Millisecond, FirstRun: 2 * time.Second,
 		Finish: 2*time.Second + 250*time.Microsecond, CPU: 250 * time.Microsecond, Preemptions: 3,
 		MemMB: 128, FibN: 30, ColdStart: 0, Failed: true, Attempts: 2, GiveUp: true, Wasted: time.Minute,
 	})
@@ -249,33 +252,92 @@ func TestWriteDigestEncoding(t *testing.T) {
 	}
 }
 
-// TestWriteDigestInt32Extremes: the int32 fields (MemMB, FibN, Attempts)
-// at either end of their range encode exactly as the int fields they
-// replaced did, so narrowing them moved no golden digest.
+// TestWriteDigestInt32Extremes: the int32 fields (Preemptions, MemMB,
+// FibN, Attempts) at either end of their range encode exactly as the int
+// fields they replaced did, so narrowing them moved no golden digest;
+// the label is derived from FibN and VM at any value of either.
 func TestWriteDigestInt32Extremes(t *testing.T) {
 	var b strings.Builder
-	WriteDigest(&b, Record{ID: 1, Label: "f", MemMB: math.MaxInt32, FibN: math.MaxInt32, Attempts: math.MaxInt32})
-	WriteDigest(&b, Record{ID: 2, Label: "f", MemMB: math.MinInt32, FibN: math.MinInt32, Attempts: math.MinInt32})
-	const want = "{ID:1 Label:f Arrival:0s FirstRun:0s Finish:0s CPU:0s Preemptions:0 MemMB:2147483647 FibN:2147483647 ColdStart:0s Failed:false Attempts:2147483647 GiveUp:false Wasted:0s}\n" +
-		"{ID:2 Label:f Arrival:0s FirstRun:0s Finish:0s CPU:0s Preemptions:0 MemMB:-2147483648 FibN:-2147483648 ColdStart:0s Failed:false Attempts:-2147483648 GiveUp:false Wasted:0s}\n"
+	WriteDigest(&b, Record{ID: 1, Preemptions: math.MaxInt32, MemMB: math.MaxInt32, FibN: math.MaxInt32, Attempts: math.MaxInt32})
+	WriteDigest(&b, Record{ID: 2, Preemptions: math.MinInt32, MemMB: math.MinInt32, FibN: math.MinInt32, Attempts: math.MinInt32})
+	WriteDigest(&b, Record{ID: 3, FibN: 36, VM: math.MaxInt32})
+	const want = "{ID:1 Label:fib(2147483647) Arrival:0s FirstRun:0s Finish:0s CPU:0s Preemptions:2147483647 MemMB:2147483647 FibN:2147483647 ColdStart:0s Failed:false Attempts:2147483647 GiveUp:false Wasted:0s}\n" +
+		"{ID:2 Label:fib(-2147483648) Arrival:0s FirstRun:0s Finish:0s CPU:0s Preemptions:-2147483648 MemMB:-2147483648 FibN:-2147483648 ColdStart:0s Failed:false Attempts:-2147483648 GiveUp:false Wasted:0s}\n" +
+		"{ID:3 Label:vm2147483646-fib(36) Arrival:0s FirstRun:0s Finish:0s CPU:0s Preemptions:0 MemMB:0 FibN:36 ColdStart:0s Failed:false Attempts:0 GiveUp:false Wasted:0s}\n"
 	if got := b.String(); got != want {
 		t.Errorf("encoding\n got %q\nwant %q", got, want)
 	}
 }
 
-// TestRecordLayout pins the exact fleets' per-invocation record at 96
+// TestRecordLayout pins the exact fleets' per-invocation record at 80
 // bytes on 64-bit platforms: the eight-byte fields, then the 32-bit ones,
-// then the two bools side by side. A field added or widened shows here
-// first.
+// then the two bools side by side. It also fails on any field that holds
+// a pointer (a string, slice, map, interface, channel, function or
+// pointer, nested or not): a pointer-free record makes the exact fleet's
+// slot array a no-scan allocation the garbage collector never walks.
 func TestRecordLayout(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the layout is pinned on 64-bit platforms")
 	}
 	var r Record
-	if got := unsafe.Sizeof(r); got != 96 {
-		t.Errorf("unsafe.Sizeof(Record{}) = %d, want 96", got)
+	if got := unsafe.Sizeof(r); got != 80 {
+		t.Errorf("unsafe.Sizeof(Record{}) = %d, want 80", got)
 	}
 	if unsafe.Offsetof(r.GiveUp) != unsafe.Offsetof(r.Failed)+1 {
 		t.Errorf("Failed at %d and GiveUp at %d are not side by side", unsafe.Offsetof(r.Failed), unsafe.Offsetof(r.GiveUp))
+	}
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.String, reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+			reflect.Interface, reflect.Chan, reflect.Func:
+			t.Errorf("Record%s is a %s: the record must hold no pointers", path, typ.Kind())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		}
+	}
+	walk("", reflect.TypeOf(r))
+}
+
+// panicMessage runs f and returns what it panicked with, or "".
+func panicMessage(f func()) (msg string) {
+	defer func() {
+		if p := recover(); p != nil {
+			msg = fmt.Sprint(p)
+		}
+	}()
+	f()
+	return ""
+}
+
+// TestFromTaskNarrowsChecked: FromTask narrows the preemption count and
+// a vCPU task's microVM index into int32 fields, keeps every value that
+// fits, and panics, naming the task, on one that does not. The counts
+// are set through the task's test hook, not by running 2³¹ preemptions.
+func TestFromTaskNarrowsChecked(t *testing.T) {
+	fn := &simkern.Task{ID: 42, Kind: simkern.KindFunction, FibN: 36}
+	fn.SetPreemptionsForTest(math.MaxInt32)
+	if r := FromTask(fn); r.Preemptions != math.MaxInt32 || r.VM != 0 {
+		t.Errorf("FromTask at the int32 maximum: Preemptions %d VM %d, want %d and 0", r.Preemptions, r.VM, math.MaxInt32)
+	}
+	fn.SetPreemptionsForTest(math.MaxInt32 + 1)
+	if msg := panicMessage(func() { FromTask(fn) }); !strings.Contains(msg, "task 42") {
+		t.Errorf("FromTask with %d preemptions: panic %q, want one naming task 42", math.MaxInt32+1, msg)
+	}
+
+	vcpu := &simkern.Task{ID: 9, Kind: simkern.KindVCPU, FibN: 36, VMID: math.MaxInt32 - 1}
+	if r := FromTask(vcpu); r.VM != math.MaxInt32 {
+		t.Errorf("FromTask of microVM %d: VM %d, want %d", vcpu.VMID, r.VM, math.MaxInt32)
+	}
+	for _, vm := range []int{math.MaxInt32, -1} {
+		vcpu.VMID = vm
+		if msg := panicMessage(func() { FromTask(vcpu) }); !strings.Contains(msg, "task 9") {
+			t.Errorf("FromTask of microVM %d: panic %q, want one naming task 9", vm, msg)
+		}
 	}
 }

@@ -84,7 +84,7 @@ func NewAccumulator(t pricing.Tariff) *Accumulator {
 // their Wasted CPU is billed, mirroring Set.Cost.
 func (a *Accumulator) Push(r Record) { a.push(&r) }
 
-// push is Push on a record the caller holds: the record is 96 bytes, so
+// push is Push on a record the caller holds: the record is 80 bytes, so
 // the windowed sink and the totals read it in place rather than copy it
 // once per call.
 func (a *Accumulator) push(r *Record) {
@@ -99,7 +99,7 @@ func (a *Accumulator) push(r *Record) {
 // the histograms — and reports whether r completed, i.e. carries latency
 // samples.
 func (a *Accumulator) pushTotals(r *Record) bool {
-	a.preemptions += r.Preemptions
+	a.preemptions += int(r.Preemptions)
 	if n := r.Attempts; n >= 1 {
 		a.attempts += int64(n)
 	} else {

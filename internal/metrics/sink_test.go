@@ -21,7 +21,7 @@ func sinkRecords(n int) []Record {
 			FirstRun:    first,
 			Finish:      finish,
 			CPU:         finish - first,
-			Preemptions: i % 3,
+			Preemptions: int32(i % 3),
 			MemMB:       []int32{128, 256, 1024}[i%3],
 		}
 		if i%50 == 49 {

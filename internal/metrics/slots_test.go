@@ -32,16 +32,17 @@ func slotRecord(rng *rand.Rand, id int) Record {
 	arrival := time.Duration(rng.Int63n(int64(time.Minute)))
 	return Record{
 		ID:          uint64(id),
-		Label:       fmt.Sprintf("f%d", rng.Intn(50)),
+		FibN:        rng.Int31n(50),
 		Arrival:     arrival,
 		FirstRun:    arrival + time.Duration(rng.Int63n(int64(time.Second))),
 		Finish:      arrival + time.Duration(id)*time.Millisecond + time.Second,
 		CPU:         time.Duration(id) * time.Microsecond,
-		Preemptions: rng.Intn(4),
+		Preemptions: rng.Int31n(4),
 		MemMB:       128 << rng.Intn(4),
 		Failed:      rng.Intn(20) == 0,
 		Attempts:    rng.Int31n(3),
 		Wasted:      time.Duration(rng.Intn(3)) * time.Millisecond,
+		VM:          rng.Int31n(3),
 	}
 }
 

@@ -110,7 +110,7 @@ func TestWindowedMatchesFlatAccumulator(t *testing.T) {
 	flat := NewAccumulator(tariff)
 	for i := 1; i <= 200; i++ {
 		r := windowedRecord(uint64(i), time.Duration(i)*17*time.Millisecond)
-		r.Preemptions = i % 3
+		r.Preemptions = int32(i % 3)
 		w.Push(r)
 		flat.Push(r)
 	}

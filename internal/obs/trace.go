@@ -209,7 +209,11 @@ func appendInstantHead(b []byte, name, scope string, pid, tid int, ts time.Durat
 // run→finish, cold-start latency broken out in args), or a "failed"
 // instant for invocations that never ran. Subject to sampling.
 func (t *Tracer) TaskRecord(server int, r metrics.Record) {
-	if t == nil || !t.keepTask(r.ID, r.Label) {
+	if t == nil {
+		return
+	}
+	label := r.Label()
+	if !t.keepTask(r.ID, label) {
 		return
 	}
 	if r.Failed {
@@ -218,7 +222,7 @@ func (t *Tracer) TaskRecord(server int, r metrics.Record) {
 			b = append(b, ",\"cat\":\"task\",\"args\":{\"id\":"...)
 			b = strconv.AppendUint(b, r.ID, 10)
 			b = append(b, ",\"label\":"...)
-			b = strconv.AppendQuote(b, r.Label)
+			b = strconv.AppendQuote(b, label)
 			b = append(b, "}}"...)
 			return b
 		})
@@ -236,7 +240,7 @@ func (t *Tracer) TaskRecord(server int, r metrics.Record) {
 		b = append(b, ",\"cat\":\"task\",\"args\":{\"id\":"...)
 		b = strconv.AppendUint(b, r.ID, 10)
 		b = append(b, ",\"label\":"...)
-		b = strconv.AppendQuote(b, r.Label)
+		b = strconv.AppendQuote(b, label)
 		b = append(b, ",\"preempt\":"...)
 		b = strconv.AppendInt(b, int64(r.Preemptions), 10)
 		if r.ColdStart > 0 {

@@ -28,7 +28,7 @@ func TestTracerDocumentShape(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf, TraceConfig{})
 	tr.TaskRecord(2, metrics.Record{
-		ID: 4, Label: "f1", Arrival: time.Millisecond,
+		ID: 4, FibN: 36, Arrival: time.Millisecond,
 		FirstRun: 2 * time.Millisecond, Finish: 5 * time.Millisecond,
 	})
 	tr.TickMark(1, 7*time.Millisecond, 3)
@@ -91,10 +91,10 @@ func TestTracerNanosecondPrecision(t *testing.T) {
 
 func TestTracerSampling(t *testing.T) {
 	var buf bytes.Buffer
-	tr := NewTracer(&buf, TraceConfig{Every: 3, Funcs: []string{"keep"}})
+	tr := NewTracer(&buf, TraceConfig{Every: 3, Funcs: []string{"fib(36)"}})
 	for id := uint64(0); id < 10; id++ {
-		tr.TaskRecord(0, metrics.Record{ID: id, Label: "keep", Finish: time.Millisecond})
-		tr.TaskRecord(0, metrics.Record{ID: id, Label: "drop", Finish: time.Millisecond})
+		tr.TaskRecord(0, metrics.Record{ID: id, FibN: 36, Finish: time.Millisecond})
+		tr.TaskRecord(0, metrics.Record{ID: id, FibN: 37, Finish: time.Millisecond})
 	}
 	// Marks are never sampled out.
 	tr.TickMark(0, 0, 0)
@@ -102,11 +102,11 @@ func TestTracerSampling(t *testing.T) {
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// IDs 0,3,6,9 with label "keep" → 4 tasks × 2 spans + 2 marks.
+	// IDs 0,3,6,9 with label "fib(36)" → 4 tasks × 2 spans + 2 marks.
 	if got := tr.Events(); got != 10 {
 		t.Fatalf("Events = %d, want 10", got)
 	}
-	if strings.Contains(buf.String(), "drop") {
+	if strings.Contains(buf.String(), "fib(37)") {
 		t.Error("filtered label leaked into the trace")
 	}
 }
@@ -143,7 +143,7 @@ func TestTracerNilSafe(t *testing.T) {
 func TestTracerFailedRecord(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf, TraceConfig{})
-	tr.TaskRecord(0, metrics.Record{ID: 1, Label: "f", Failed: true})
+	tr.TaskRecord(0, metrics.Record{ID: 1, FibN: 36, Failed: true})
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -168,6 +168,11 @@ func (t *Task) ExtraWork() time.Duration { return t.extraWork }
 // Preemptions returns how many times this task has been preempted.
 func (t *Task) Preemptions() int { return t.preemptions }
 
+// SetPreemptionsForTest overwrites the task's preemption count. It is a
+// test hook for the checks that narrow the count into a record: a test
+// can set a count no run reaches. Only the kernel counts preemptions.
+func (t *Task) SetPreemptionsForTest(n int) { t.preemptions = n }
+
 // SegmentStart returns when the current on-CPU segment began consuming CPU
 // (i.e. after the context-switch window). Valid only while Running.
 func (t *Task) SegmentStart() time.Duration { return t.segStart }

@@ -24,20 +24,21 @@ type CDF struct {
 	sorted []float64
 }
 
-// NewCDF builds an empirical CDF from samples. The input slice is copied, so
-// the caller may keep mutating it. It returns ErrNoSamples for empty input.
+// NewCDF builds an empirical CDF from samples and takes ownership of the
+// slice: it sorts samples in place and keeps it, so it allocates nothing,
+// and the caller must not use the slice afterwards (a caller that does
+// passes a copy). It returns ErrNoSamples for empty input.
 func NewCDF(samples []float64) (CDF, error) {
 	if len(samples) == 0 {
 		return CDF{}, ErrNoSamples
 	}
-	s := make([]float64, len(samples))
-	copy(s, samples)
-	sort.Float64s(s)
-	return CDF{sorted: s}, nil
+	sort.Float64s(samples)
+	return CDF{sorted: samples}, nil
 }
 
-// MustCDF is NewCDF that panics on error. It is intended for tests and for
-// call sites that have already validated their input.
+// MustCDF is NewCDF that panics on error, and takes ownership of samples
+// the same way. It is intended for tests and for call sites that have
+// already validated their input.
 func MustCDF(samples []float64) CDF {
 	c, err := NewCDF(samples)
 	if err != nil {
@@ -150,10 +151,10 @@ func KSDistance(a, b CDF) float64 {
 	return maxDiff
 }
 
-// Percentile computes the q-quantile of samples without building a CDF.
-// It returns an error for empty input.
+// Percentile computes the q-quantile of samples. It sorts a copy, so
+// samples is left as it was. It returns an error for empty input.
 func Percentile(samples []float64, q float64) (float64, error) {
-	c, err := NewCDF(samples)
+	c, err := NewCDF(append([]float64(nil), samples...))
 	if err != nil {
 		return 0, err
 	}

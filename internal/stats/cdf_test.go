@@ -14,12 +14,28 @@ func TestNewCDFEmpty(t *testing.T) {
 	}
 }
 
-func TestCDFDoesNotAliasInput(t *testing.T) {
+// TestCDFTakesOwnership: NewCDF sorts the slice it is handed in place
+// and keeps it rather than copying it, while Percentile, which takes a
+// slice it does not own, leaves its input as it was.
+func TestCDFTakesOwnership(t *testing.T) {
 	in := []float64{3, 1, 2}
 	c := MustCDF(in)
-	in[0] = 99
-	if got := c.Max(); got != 3 {
-		t.Fatalf("Max = %v after mutating input, want 3", got)
+	if in[0] != 1 || in[1] != 2 || in[2] != 3 {
+		t.Fatalf("input after NewCDF = %v, want it sorted in place", in)
+	}
+	in[2] = 99
+	if got := c.Max(); got != 99 {
+		t.Fatalf("Max = %v after writing the owned slice, want 99 (no copy)", got)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { c, _ = NewCDF(in) }); allocs != 0 {
+		t.Errorf("NewCDF allocates %v times, want 0", allocs)
+	}
+	keep := []float64{5, 1, 9}
+	if v, err := Percentile(keep, 0.5); err != nil || v != 5 {
+		t.Fatalf("Percentile = %v, %v, want 5", v, err)
+	}
+	if keep[0] != 5 || keep[1] != 1 || keep[2] != 9 {
+		t.Errorf("Percentile reordered its input: %v", keep)
 	}
 }
 

@@ -341,7 +341,7 @@ func (p *TaskPool) Get(inv Invocation, id simkern.TaskID) *simkern.Task {
 		t = &simkern.Task{}
 	}
 	t.ID = id
-	t.Label = FibLabel(inv.FibN)
+	t.Label = fib.Label(inv.FibN)
 	t.Kind = simkern.KindFunction
 	t.Arrival = inv.Arrival
 	t.Work = inv.Duration

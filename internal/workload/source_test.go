@@ -297,18 +297,8 @@ func TestTaskPoolReuse(t *testing.T) {
 	if p.Put(t1) {
 		t.Fatal("pool accepted a live task")
 	}
-	if t1.Label != FibLabel(30) {
-		t.Errorf("pool label %q, want FibLabel(30) = %q", t1.Label, FibLabel(30))
-	}
-}
-
-// TestFibLabel: the table and the formatted fallback agree with the
-// "fib(n)" spelling on both sides of the table's bounds.
-func TestFibLabel(t *testing.T) {
-	for _, n := range []int{-1, 0, 1, fib.MinN, fib.MaxN, fib.MaxN + 1, 1000} {
-		if got, want := FibLabel(n), fmt.Sprintf("fib(%d)", n); got != want {
-			t.Errorf("FibLabel(%d) = %q, want %q", n, got, want)
-		}
+	if t1.Label != fib.Label(30) {
+		t.Errorf("pool label %q, want fib.Label(30) = %q", t1.Label, fib.Label(30))
 	}
 }
 

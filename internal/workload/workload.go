@@ -143,30 +143,11 @@ func DurationCDF(invs []Invocation) (stats.CDF, error) {
 	return stats.NewCDF(vals)
 }
 
-// fibLabels holds the "fib(n)" task labels for every n in [0, fib.MaxN],
-// so building a task does not format a string.
-var fibLabels = func() [fib.MaxN + 1]string {
-	var out [fib.MaxN + 1]string
-	for n := range out {
-		out[n] = fmt.Sprintf("fib(%d)", n)
-	}
-	return out
-}()
-
-// FibLabel returns the task label "fib(n)", from a precomputed table for
-// n in [0, fib.MaxN] and formatted otherwise.
-func FibLabel(n int) string {
-	if n >= 0 && n < len(fibLabels) {
-		return fibLabels[n]
-	}
-	return fmt.Sprintf("fib(%d)", n)
-}
-
 // Task converts one invocation into a simulator task with the given id.
 func Task(inv Invocation, id simkern.TaskID) *simkern.Task {
 	return &simkern.Task{
 		ID:      id,
-		Label:   FibLabel(inv.FibN),
+		Label:   fib.Label(inv.FibN),
 		Kind:    simkern.KindFunction,
 		Arrival: inv.Arrival,
 		Work:    inv.Duration,
