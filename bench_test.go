@@ -580,6 +580,31 @@ func BenchmarkKernelAdmitRun(b *testing.B) {
 	}
 }
 
+// BenchmarkMachineBuild builds one 8-core server the way a fleet shard
+// does when the server joins: its scheduling policy, then the kernel, the
+// delegation enclave and the sink retirer (simrun.NewIncremental), which
+// recycles into the task pool the shard's servers share. Building is
+// deterministic, so allocs/op is a count that must repeat exactly;
+// scripts/bench_smoke.sh Gate 9 caps it.
+func BenchmarkMachineBuild(b *testing.B) {
+	sink := metrics.NewAccumulator(pricing.Default())
+	pool := workload.NewTaskPool()
+	for _, sched := range []Scheduler{SchedulerHybrid, SchedulerCFS} {
+		b.Run(string(sched), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				policy, err := newPolicy(Options{Cores: 8, Scheduler: sched})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := simrun.NewIncremental(simkern.DefaultConfig(8), policy, ghost.Config{}, sink, pool); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkShardHandoff times the router-to-shard handoff layer on its
 // own: a fixed stream of 40,000 arrivals, one every 100 µs, routed
 // round-robin over four two-core FIFO servers in two shards before the

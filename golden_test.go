@@ -289,6 +289,28 @@ func computeAutoscaledDigests(t *testing.T) map[string]string {
 	return out
 }
 
+// computeOneShardRecordDigests reruns the record fleets with every server
+// in one shard. The shard's servers then share one task pool, so a task
+// killed, retried, given up or finished on one server carries a later
+// arrival of another: the digests are compared against the SAME
+// committed keys, the proof that which server's run recycled a task
+// struct changes no record.
+func computeOneShardRecordDigests(t *testing.T) map[string]string {
+	t.Helper()
+	invs := goldenWorkload(t)
+	out := map[string]string{}
+	o := goldenObs(t)
+	for _, f := range recordFleets() {
+		f.opts.Shards, f.opts.Obs = 1, o
+		cres, err := SimulateCluster(f.opts, invs)
+		if err != nil {
+			t.Fatalf("one-shard %s: %v", f.key, err)
+		}
+		out[f.key] = digestRecords(cres)
+	}
+	return out
+}
+
 // computeInstrumentedDigests reruns the fleet half of the golden matrix
 // with the fault seam threaded but every fault rate zero (Instrument:
 // true — machines constructed, routing hooks installed). The digests are
@@ -345,6 +367,14 @@ func TestGoldenDigests(t *testing.T) {
 	for k, v := range instrumented {
 		if got[k] != v {
 			t.Errorf("instrumented fault seam diverges from fault-free run on %s:\n  instrumented %.12s…\n  fault-free   %.12s…", k, v, got[k])
+		}
+	}
+
+	// One shard for all three servers of each record fleet: killed and
+	// retried tasks are reused across servers through the shard's pool.
+	for k, v := range computeOneShardRecordDigests(t) {
+		if got[k] != v {
+			t.Errorf("one-shard record fleet diverges from the default partition on %s:\n  one shard %.12s…\n  default   %.12s…", k, v, got[k])
 		}
 	}
 

@@ -342,3 +342,66 @@ func TestShardRecyclesPendingChunks(t *testing.T) {
 		t.Logf("shard %d: %d chunks, bound %d, %d without recycling", i, w.made, bound, unrecycled)
 	}
 }
+
+// ownerPolicy records which servers each task struct ran on.
+type ownerPolicy struct {
+	*fifo.Policy
+	server int
+	owners map[*simkern.Task]map[int]bool
+}
+
+// OnMessage implements ghost.Policy.
+func (p *ownerPolicy) OnMessage(m ghost.Message) {
+	if m.Type == ghost.MsgTaskNew {
+		if p.owners[m.Task] == nil {
+			p.owners[m.Task] = map[int]bool{}
+		}
+		p.owners[m.Task][p.server] = true
+	}
+	p.Policy.OnMessage(m)
+}
+
+// TestShardSharesTaskPool pins the task pool's scope: a shard's servers
+// draw their tasks from one pool, so a task retired on one server carries
+// a later arrival of another, and the shard holds tasks for its own peak
+// concurrency, not each server's. Four servers in one shard each run one
+// short task at a time, and no task is live at a watermark; per-server
+// pools would need a struct per server, the shard's pool fewer, and after
+// the drain every struct is back in it.
+func TestShardSharesTaskPool(t *testing.T) {
+	const servers = 4
+	var invs []workload.Invocation
+	for k := range 400 {
+		at := time.Duration(k)*10*time.Millisecond + time.Millisecond
+		invs = append(invs, workload.Invocation{Arrival: at, FibN: 30, Duration: time.Millisecond, MemMB: 128})
+	}
+	owners := map[*simkern.Task]map[int]bool{}
+	built := 0
+	cfg := testConfig(servers, DispatchRoundRobin)
+	cfg.Shards = 1
+	cfg.Window = time.Second
+	cfg.Policy = func() ghost.Policy {
+		built++
+		return &ownerPolicy{Policy: fifo.New(fifo.Config{}), server: built, owners: owners}
+	}
+	run, err := runSharded(cfg, workload.SliceSource(invs), len(invs), pricing.Tariff{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if built != servers {
+		t.Fatalf("vacuous run: %d of %d servers built", built, servers)
+	}
+	shared := 0
+	for _, on := range owners {
+		if len(on) > 1 {
+			shared++
+		}
+	}
+	if shared == 0 || len(owners) >= servers {
+		t.Errorf("%d task structs over %d servers, %d of them used on more than one server; want fewer structs than servers, shared across them",
+			len(owners), servers, shared)
+	}
+	if free := run.fleet.workers[0].tasks.FreeLen(); free != len(owners) {
+		t.Errorf("the drained shard's pool holds %d tasks, want all %d structs its servers used", free, len(owners))
+	}
+}

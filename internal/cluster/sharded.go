@@ -223,6 +223,11 @@ type shardWorker struct {
 	slots *metrics.SlotView
 	ch    chan []shardMsg // handoff batches, in routing order
 	err   error
+	// tasks is the task pool every machine of the shard draws its
+	// admitted tasks from and recycles them into, so the shard holds
+	// tasks for its own peak concurrency, not each server's; only the
+	// shard's goroutine touches it.
+	tasks workload.TaskPool
 	// free lists the pending chunks no server holds; only the shard's
 	// goroutine touches it. made counts the chunks ever allocated.
 	free *pendChunk
@@ -294,15 +299,14 @@ func (w *shardWorker) join(m *Member) {
 		}
 		sink = m.Faults.WrapSink(sink)
 	}
-	inc, err := simrun.NewIncremental(kcfg, policy, gcfg, sink)
+	inc, err := simrun.NewIncremental(kcfg, policy, gcfg, sink, &w.tasks)
 	if err != nil {
 		w.fail(m, err)
 		return
 	}
 	m.inc = inc
 	if m.Faults != nil {
-		pool := inc.Pool()
-		m.Faults.SetRecycle(func(t *simkern.Task) { pool.Put(t) })
+		m.Faults.SetRecycle(&w.tasks)
 	}
 	i := sort.Search(len(w.live), func(i int) bool { return w.live[i].Index > m.Index })
 	w.live = append(w.live, nil)
@@ -355,7 +359,7 @@ func (w *shardWorker) admitPending(m *Member) error {
 					}
 				}
 			}
-			t := r.applyColdStart(m.inc.Pool().Get(r.Inv, simkern.TaskID(r.Idx+1)))
+			t := r.applyColdStart(w.tasks.Get(r.Inv, simkern.TaskID(r.Idx+1)))
 			if m.Faults != nil {
 				m.Faults.Note(t, r.Inv.Duration, r.Inv.TimeoutMS)
 			}

@@ -182,8 +182,8 @@ type Hybrid struct {
 	cfg Config
 	env *ghost.Env
 
-	fifoEng *fifo.Engine
-	cfsEng  *cfs.Engine
+	fifoEng fifo.Engine
+	cfsEng  cfs.Engine
 
 	limit   time.Duration
 	window  *stats.Window // nil unless the limit adapts (Percentile > 0)
@@ -264,17 +264,9 @@ func (h *Hybrid) Attach(env *ghost.Env) {
 	if nf >= total {
 		nf = total - 1
 	}
-	fifoCores := make([]simkern.CoreID, 0, nf)
-	for i := 0; i < nf; i++ {
-		fifoCores = append(fifoCores, simkern.CoreID(i))
-	}
-	cfsCores := make([]simkern.CoreID, 0, total-nf)
-	for i := nf; i < total; i++ {
-		cfsCores = append(cfsCores, simkern.CoreID(i))
-	}
 	h.lane = make([]laneEntry, total)
-	h.fifoEng = fifo.NewEngine(env, fifoCores, 0 /* run-to-completion */)
-	h.cfsEng = cfs.NewEngine(env, cfsCores, h.cfg.CFS)
+	h.fifoEng.Init(env, 0, simkern.CoreID(nf), 0 /* run-to-completion */)
+	h.cfsEng.Init(env, simkern.CoreID(nf), simkern.CoreID(total), h.cfg.CFS)
 	if !env.RecordsUtil() && !h.cfg.Rightsize.Enabled {
 		return // nothing reads the monitor
 	}

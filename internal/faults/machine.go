@@ -9,6 +9,7 @@ import (
 	"github.com/faassched/faassched/internal/ghost"
 	"github.com/faassched/faassched/internal/metrics"
 	"github.com/faassched/faassched/internal/simkern"
+	"github.com/faassched/faassched/internal/workload"
 )
 
 // Machine is one server's in-kernel fault executor. It wraps the server's
@@ -46,8 +47,8 @@ type Machine struct {
 
 	env     *ghost.Env
 	evictor ghost.TaskEvictor
-	sink    metrics.Sink // unwrapped sink; give-up records go here directly
-	recycle func(*simkern.Task)
+	sink    metrics.Sink       // unwrapped sink; give-up records go here directly
+	recycle *workload.TaskPool // where given-up tasks go; nil drops them
 
 	st        map[simkern.TaskID]*attemptState
 	free      []*attemptState
@@ -137,10 +138,10 @@ func (m *Machine) WrapSink(inner metrics.Sink) metrics.Sink {
 	return &faultSink{m: m, inner: inner}
 }
 
-// SetRecycle installs the task-pool return hook used when an invocation
-// is given up on (retired without a TASK_DEAD, so the dataflow's own
-// retirer never sees it).
-func (m *Machine) SetRecycle(fn func(*simkern.Task)) { m.recycle = fn }
+// SetRecycle names the task pool a given-up invocation's task returns to
+// (it retires without a TASK_DEAD, so the dataflow's own retirer never
+// sees it): the pool the server's admitted tasks come from.
+func (m *Machine) SetRecycle(pool *workload.TaskPool) { m.recycle = pool }
 
 // Note registers a first attempt. Call it when the task is built, before
 // admission: base is the pristine service demand (inv.Duration — without
@@ -388,7 +389,7 @@ func (m *Machine) retryOrGiveUp(st *attemptState, now time.Duration) {
 		}
 		m.drop(id, st)
 		if m.recycle != nil {
-			m.recycle(t)
+			m.recycle.Put(t)
 		}
 		m.stats.GiveUps++
 		m.sink.Push(rec)

@@ -193,7 +193,7 @@ type Enclave struct {
 	ticker      Ticker // policy, when it implements Ticker
 	tickFn      func() // persistent tick callback (no per-tick closure)
 	tickPending bool
-	env         *Env
+	env         Env // the policy's handle, embedded: no allocation of its own
 
 	// Horizon pump state (hticker non-nil selects it over the naive pump
 	// above; see ensureTick vs hRearm). The grid anchor reproduces the
@@ -239,7 +239,7 @@ func NewEnclave(kernel *simkern.Kernel, policy Policy, cfg Config) (*Enclave, er
 		latency = DefaultMsgLatency
 	}
 	e := &Enclave{kernel: kernel, policy: policy, latency: latency, probe: cfg.Probe}
-	e.env = &Env{enclave: e}
+	e.env.enclave = e
 	e.flushFn = e.flush
 	if ht, ok := policy.(HorizonTicker); ok && !cfg.ForceTickPump {
 		e.hticker = ht
@@ -257,7 +257,7 @@ func NewEnclave(kernel *simkern.Kernel, policy Policy, cfg Config) (*Enclave, er
 		}
 	}
 	kernel.SetHandler(e)
-	policy.Attach(e.env)
+	policy.Attach(&e.env)
 	return e, nil
 }
 

@@ -11,6 +11,7 @@
 package cfs
 
 import (
+	"sync"
 	"time"
 
 	"github.com/faassched/faassched/internal/ghost"
@@ -76,6 +77,7 @@ type taskData struct {
 // runqueue is one core's CFS state.
 type runqueue struct {
 	id         simkern.CoreID
+	in         bool // the core is in the group
 	tree       queue.RBTree
 	minV       time.Duration // monotone floor for newcomers' vruntime
 	curr       *simkern.Task
@@ -94,16 +96,18 @@ func (rq *runqueue) nrRunning() int {
 // lookup is a dense slice indexed by CoreID (this sits on the per-event
 // hot path: the tick slice check, idle balance, and wakeup placement all
 // resolve runqueues, and a map lookup per resolution dominated simulation
-// profiles).
+// profiles). The runqueues are values, one per enclave core, and both
+// slices are sized once for every enclave core, so a core joining or
+// leaving the group never allocates.
 type Engine struct {
 	env    *ghost.Env
 	params Params
-	byCore []*runqueue      // indexed by CoreID; nil = core not in group
-	list   []*runqueue      // stable iteration order
-	cores  []simkern.CoreID // Cores() view, rebuilt on membership change
+	byCore []runqueue       // indexed by CoreID; in marks group members
+	cores  []simkern.CoreID // group members in iteration order
 	free   []*taskData      // released records, reused by data
 	// slices[n] is the slice of a runqueue with n runnable tasks (see
-	// sliceTable); floored says every longer runqueue gets MinGranularity.
+	// sliceTable), shared by every engine with the same Params; floored
+	// says every longer runqueue gets MinGranularity.
 	slices  []time.Duration
 	floored bool
 }
@@ -133,17 +137,46 @@ func sliceTable(p Params) ([]time.Duration, bool) {
 	return table, floored
 }
 
-// NewEngine returns a CFS engine over the given cores.
-func NewEngine(env *ghost.Env, cores []simkern.CoreID, params Params) *Engine {
-	e := &Engine{
-		env:    env,
-		params: params.withDefaults(),
+// sliceTables holds one slice table per Params, shared by every engine
+// built with them: a table is read-only once made, and a fleet builds
+// thousands of engines with the same tunables.
+var sliceTables struct {
+	sync.Mutex
+	m map[Params]sharedSlices
+}
+
+type sharedSlices struct {
+	slices  []time.Duration
+	floored bool
+}
+
+// sharedSliceTable returns p's slice table (sliceTable), making it the
+// first time p is seen.
+func sharedSliceTable(p Params) ([]time.Duration, bool) {
+	sliceTables.Lock()
+	defer sliceTables.Unlock()
+	t, ok := sliceTables.m[p]
+	if !ok {
+		if sliceTables.m == nil {
+			sliceTables.m = make(map[Params]sharedSlices)
+		}
+		t.slices, t.floored = sliceTable(p)
+		sliceTables.m[p] = t
 	}
-	e.slices, e.floored = sliceTable(e.params)
-	for _, c := range cores {
+	return t.slices, t.floored
+}
+
+// Init sets e, a zero Engine, up over the cores [first, end) of env's
+// enclave; the others may join later through AddCore.
+func (e *Engine) Init(env *ghost.Env, first, end simkern.CoreID, params Params) {
+	e.env = env
+	e.params = params.withDefaults()
+	e.slices, e.floored = sharedSliceTable(e.params)
+	e.byCore = make([]runqueue, env.Cores())
+	e.cores = make([]simkern.CoreID, 0, env.Cores())
+	for c := first; c < end; c++ {
 		e.AddCore(c)
 	}
-	return e
 }
 
 // data returns t's CFS record, attaching a clean one from the free list
@@ -197,22 +230,15 @@ func (rq *runqueue) unlink(d *taskData) {
 
 // rq resolves core c's runqueue, nil when c is not in the group.
 func (e *Engine) rq(c simkern.CoreID) *runqueue {
-	if c < 0 || int(c) >= len(e.byCore) {
+	if c < 0 || int(c) >= len(e.byCore) || !e.byCore[c].in {
 		return nil
 	}
-	return e.byCore[c]
+	return &e.byCore[c]
 }
 
-// Cores returns the cores currently in the group in iteration order.
+// Cores returns the cores currently in the group in iteration order (not
+// a copy; callers must not mutate).
 func (e *Engine) Cores() []simkern.CoreID { return e.cores }
-
-// rebuildCores refreshes the cached Cores() view from list.
-func (e *Engine) rebuildCores() {
-	e.cores = e.cores[:0]
-	for _, rq := range e.list {
-		e.cores = append(e.cores, rq.id)
-	}
-}
 
 // NrRunning returns the number of runnable tasks (incl. running) on c.
 func (e *Engine) NrRunning(c simkern.CoreID) int {
@@ -226,24 +252,22 @@ func (e *Engine) NrRunning(c simkern.CoreID) int {
 // TotalRunnable returns the number of runnable tasks across the group.
 func (e *Engine) TotalRunnable() int {
 	n := 0
-	for _, rq := range e.list {
-		n += rq.nrRunning()
+	for _, c := range e.cores {
+		n += e.byCore[c].nrRunning()
 	}
 	return n
 }
 
-// AddCore adds a core with an empty runqueue.
+// AddCore adds an enclave core to the group with an empty runqueue.
 func (e *Engine) AddCore(c simkern.CoreID) {
-	if e.rq(c) != nil {
+	if c < 0 || int(c) >= len(e.byCore) {
+		panic("cfs: AddCore of a core outside the enclave")
+	}
+	if e.byCore[c].in {
 		return
 	}
-	for int(c) >= len(e.byCore) {
-		e.byCore = append(e.byCore, nil)
-	}
-	rq := &runqueue{id: c}
-	e.byCore[c] = rq
-	e.list = append(e.list, rq)
-	e.rebuildCores()
+	e.byCore[c] = runqueue{id: c, in: true}
+	e.cores = append(e.cores, c)
 }
 
 // RemoveCore removes c from the group and returns every task that was
@@ -271,14 +295,13 @@ func (e *Engine) RemoveCore(c simkern.CoreID) []*simkern.Task {
 		out = append(out, t)
 		return true
 	})
-	e.byCore[c] = nil
-	for i, other := range e.list {
-		if other == rq {
-			e.list = append(e.list[:i], e.list[i+1:]...)
+	*rq = runqueue{}
+	for i, id := range e.cores {
+		if id == c {
+			e.cores = append(e.cores[:i], e.cores[i+1:]...)
 			break
 		}
 	}
-	e.rebuildCores()
 	return out
 }
 
@@ -287,10 +310,10 @@ func (e *Engine) RemoveCore(c simkern.CoreID) []*simkern.Task {
 func (e *Engine) Enqueue(t *simkern.Task) {
 	best := simkern.NoCore
 	bestN := int(^uint(0) >> 1)
-	for _, rq := range e.list {
-		if n := rq.nrRunning(); n < bestN {
+	for _, c := range e.cores {
+		if n := e.byCore[c].nrRunning(); n < bestN {
 			bestN = n
-			best = rq.id
+			best = c
 		}
 	}
 	if best == simkern.NoCore {
@@ -373,7 +396,8 @@ func (e *Engine) pickNext(rq *runqueue) {
 // runqueue into rq; it reports whether anything was stolen.
 func (e *Engine) stealInto(rq *runqueue) bool {
 	var busiest *runqueue
-	for _, other := range e.list {
+	for _, c := range e.cores {
+		other := &e.byCore[c]
 		if other == rq || other.tree.Len() == 0 {
 			continue
 		}
@@ -447,8 +471,8 @@ func (e *Engine) TaskDead(t *simkern.Task, c simkern.CoreID) {
 // attempt a pick (which includes idle balance).
 func (e *Engine) Tick() {
 	now := e.env.Now()
-	for _, rq := range e.list {
-		c := rq.id
+	for _, c := range e.cores {
+		rq := &e.byCore[c]
 		if rq.curr == nil {
 			e.pickNext(rq)
 			continue
@@ -485,15 +509,16 @@ func (e *Engine) Tick() {
 // naive pump's boundary tick would.
 func (e *Engine) NextDecision(now time.Duration) (time.Duration, bool) {
 	queued := false
-	for _, rq := range e.list {
-		if rq.tree.Len() > 0 {
+	for _, c := range e.cores {
+		if e.byCore[c].tree.Len() > 0 {
 			queued = true
 			break
 		}
 	}
 	var best time.Duration
 	found := false
-	for _, rq := range e.list {
+	for _, c := range e.cores {
+		rq := &e.byCore[c]
 		if rq.curr == nil {
 			if queued {
 				return now, true
@@ -548,7 +573,7 @@ func Owns(t *simkern.Task) bool {
 // Policy is the standalone ghost.Policy: CFS spanning every enclave core.
 type Policy struct {
 	params Params
-	engine *Engine
+	engine Engine
 }
 
 var (
@@ -567,11 +592,7 @@ func (p *Policy) Name() string { return "cfs" }
 
 // Attach implements ghost.Policy.
 func (p *Policy) Attach(env *ghost.Env) {
-	cores := make([]simkern.CoreID, env.Cores())
-	for i := range cores {
-		cores[i] = simkern.CoreID(i)
-	}
-	p.engine = NewEngine(env, cores, p.params)
+	p.engine.Init(env, 0, simkern.CoreID(env.Cores()), p.params)
 }
 
 // OnMessage implements ghost.Policy.

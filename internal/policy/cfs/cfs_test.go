@@ -181,7 +181,8 @@ func TestEngineRemoveCoreDrains(t *testing.T) {
 	}
 	var eng *cfs.Engine
 	probe := &enginePolicy{build: func(env *ghost.Env) *cfs.Engine {
-		eng = cfs.NewEngine(env, []simkern.CoreID{0, 1}, cfs.Params{})
+		eng = new(cfs.Engine)
+		eng.Init(env, 0, 2, cfs.Params{})
 		return eng
 	}}
 	if _, err := ghost.NewEnclave(k, probe, ghost.Config{NoLatency: true}); err != nil {

@@ -36,7 +36,7 @@ func TestRecycledRecordStartsClean(t *testing.T) {
 	if _, err := k.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	eng := p.engine
+	eng := &p.engine
 	for _, task := range first {
 		if task.PolicyData != nil {
 			t.Errorf("task %d still holds its CFS record after TASK_DEAD", task.ID)
@@ -121,7 +121,7 @@ func TestEvictReleasesRecord(t *testing.T) {
 	fired := false
 	k.SetTimer(time.Millisecond, func() {
 		fired = true
-		eng := p.engine
+		eng := &p.engine
 		for i, task := range []*simkern.Task{queued, running} {
 			if !eng.Evict(task) {
 				t.Fatalf("Evict(task %d) = false", task.ID)
@@ -178,5 +178,26 @@ func TestSliceTable(t *testing.T) {
 	}
 	if slices, floored := sliceTable(Params{}.withDefaults()); !floored || len(slices) != 10 {
 		t.Errorf("default tunables: %d entries (floored %v), want 10 ending at the floor point n=9", len(slices), floored)
+	}
+}
+
+// TestSliceTablesShared: engines built with the same tunables share one
+// slice table, and other tunables get their own.
+func TestSliceTablesShared(t *testing.T) {
+	a, _ := sharedSliceTable(Params{}.withDefaults())
+	b, _ := sharedSliceTable(Params{}.withDefaults())
+	if &a[0] != &b[0] {
+		t.Error("equal tunables built two slice tables")
+	}
+	other := Params{MinGranularity: time.Millisecond}.withDefaults()
+	c, floored := sharedSliceTable(other)
+	want, wantFloored := sliceTable(other)
+	if &c[0] == &a[0] || floored != wantFloored || len(c) != len(want) {
+		t.Fatalf("tunables %+v: shared table of %d entries (floored %v), want its own of %d (floored %v)", other, len(c), floored, len(want), wantFloored)
+	}
+	for n := range want {
+		if c[n] != want[n] {
+			t.Errorf("slice(%d) = %v, want %v", n, c[n], want[n])
+		}
 	}
 }

@@ -37,7 +37,8 @@ func TestEngineAddRemoveCore(t *testing.T) {
 	var eng *fifo.Engine
 	probe := &enginePolicy{build: func(env *ghost.Env) *fifo.Engine {
 		// Start with only core 0; cores 1 and 2 join later.
-		eng = fifo.NewEngine(env, []simkern.CoreID{0}, 0)
+		eng = new(fifo.Engine)
+		eng.Init(env, 0, 1, 0)
 		return eng
 	}}
 	if _, err := ghost.NewEnclave(k, probe, ghost.Config{NoLatency: true}); err != nil {
@@ -84,7 +85,8 @@ func TestEngineEnqueueFrontOrdering(t *testing.T) {
 	}
 	var eng *fifo.Engine
 	probe := &enginePolicy{build: func(env *ghost.Env) *fifo.Engine {
-		eng = fifo.NewEngine(env, []simkern.CoreID{0}, 0)
+		eng = new(fifo.Engine)
+		eng.Init(env, 0, 1, 0)
 		return eng
 	}}
 	if _, err := ghost.NewEnclave(k, probe, ghost.Config{NoLatency: true}); err != nil {
@@ -125,7 +127,8 @@ func TestEngineTickWithoutQuantumIsNoop(t *testing.T) {
 	}
 	var eng *fifo.Engine
 	probe := &enginePolicy{build: func(env *ghost.Env) *fifo.Engine {
-		eng = fifo.NewEngine(env, []simkern.CoreID{0}, 0)
+		eng = new(fifo.Engine)
+		eng.Init(env, 0, 1, 0)
 		return eng
 	}}
 	if _, err := ghost.NewEnclave(k, probe, ghost.Config{NoLatency: true}); err != nil {

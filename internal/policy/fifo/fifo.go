@@ -45,12 +45,17 @@ type Engine struct {
 	quantum time.Duration
 }
 
-// NewEngine returns a FIFO engine over the given cores. quantum <= 0 means
-// run-to-completion.
-func NewEngine(env *ghost.Env, cores []simkern.CoreID, quantum time.Duration) *Engine {
-	cs := make([]simkern.CoreID, len(cores))
-	copy(cs, cores)
-	return &Engine{env: env, cores: cs, quantum: quantum}
+// Init sets e, a zero Engine, up over the cores [first, end) of env's
+// enclave; the others may join later through AddCore, which never
+// allocates: the core list is sized for every enclave core. quantum <= 0
+// means run-to-completion.
+func (e *Engine) Init(env *ghost.Env, first, end simkern.CoreID, quantum time.Duration) {
+	e.env = env
+	e.quantum = quantum
+	e.cores = make([]simkern.CoreID, 0, env.Cores())
+	for c := first; c < end; c++ {
+		e.cores = append(e.cores, c)
+	}
 }
 
 // Cores returns the cores currently in the group (not a copy; callers must
@@ -217,7 +222,7 @@ func (e *Engine) NextDecision(now time.Duration) (time.Duration, bool) {
 // in the enclave.
 type Policy struct {
 	cfg    Config
-	engine *Engine
+	engine Engine
 }
 
 var (
@@ -245,11 +250,7 @@ func (p *Policy) Name() string {
 
 // Attach implements ghost.Policy.
 func (p *Policy) Attach(env *ghost.Env) {
-	cores := make([]simkern.CoreID, env.Cores())
-	for i := range cores {
-		cores[i] = simkern.CoreID(i)
-	}
-	p.engine = NewEngine(env, cores, p.cfg.Quantum)
+	p.engine.Init(env, 0, simkern.CoreID(env.Cores()), p.cfg.Quantum)
 }
 
 // OnMessage implements ghost.Policy.

@@ -28,7 +28,7 @@ type Config struct {
 // Policy is a standalone Round-Robin ghost.Policy.
 type Policy struct {
 	cfg    Config
-	engine *fifo.Engine
+	engine fifo.Engine
 }
 
 var (
@@ -53,11 +53,7 @@ func (p *Policy) Name() string { return "rr" }
 
 // Attach implements ghost.Policy.
 func (p *Policy) Attach(env *ghost.Env) {
-	cores := make([]simkern.CoreID, env.Cores())
-	for i := range cores {
-		cores[i] = simkern.CoreID(i)
-	}
-	p.engine = fifo.NewEngine(env, cores, p.cfg.Quantum)
+	p.engine.Init(env, 0, simkern.CoreID(env.Cores()), p.cfg.Quantum)
 }
 
 // OnMessage implements ghost.Policy.

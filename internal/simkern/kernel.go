@@ -124,9 +124,9 @@ type core struct {
 // by design (determinism).
 type Kernel struct {
 	cfg     Config
-	loop    *eventLoop
+	loop    eventLoop
 	now     time.Duration
-	cores   []*core
+	cores   []core // indexed by CoreID
 	handler Handler
 	interf  Interference
 
@@ -135,7 +135,7 @@ type Kernel struct {
 	finished    int
 	admitting   bool // a lazy admitter may still admit (SetAdmissionOpen)
 	makespan    time.Duration
-	timers      map[TimerID]*event
+	timers      map[TimerID]*event // made by the first cancellable timer
 	nextTimerID TimerID
 
 	// Virtual sampler (DESIGN.md §16): while sampling, the next grid point
@@ -146,7 +146,9 @@ type Kernel struct {
 	sampleSeq uint64
 }
 
-// New validates cfg and returns a kernel.
+// New validates cfg and returns a kernel. Without RecordUtil the kernel,
+// its event loop and its cores take two allocations: the loop is
+// embedded and the cores sit in one slice of values.
 func New(cfg Config) (*Kernel, error) {
 	if cfg.Cores < 1 {
 		return nil, fmt.Errorf("simkern: Cores must be >= 1, got %d", cfg.Cores)
@@ -169,19 +171,13 @@ func New(cfg Config) (*Kernel, error) {
 			return nil, err
 		}
 	}
-	k := &Kernel{
-		cfg:    cfg,
-		loop:   &eventLoop{},
-		interf: interf,
-		timers: make(map[TimerID]*event),
-	}
-	k.cores = make([]*core, cfg.Cores)
+	k := &Kernel{cfg: cfg, interf: interf, cores: make([]core, cfg.Cores)}
 	for i := range k.cores {
-		c := &core{id: CoreID(i)}
+		c := &k.cores[i]
+		c.id = CoreID(i)
 		if cfg.RecordUtil {
 			c.utilHist = stats.NewSeries(fmt.Sprintf("core%d", i))
 		}
-		k.cores[i] = c
 	}
 	return k, nil
 }
@@ -337,7 +333,7 @@ func (k *Kernel) dispatch(ev *event) {
 		task.state = StateRunnable
 		k.handler.OnTaskArrived(task)
 	case evCompletion:
-		k.complete(k.cores[task.core], task)
+		k.complete(&k.cores[task.core], task)
 	case evTimer:
 		if id != 0 {
 			delete(k.timers, id)
@@ -469,13 +465,7 @@ func (k *Kernel) SetTimer(at time.Duration, fn func()) TimerID {
 	if at < k.now {
 		at = k.now
 	}
-	k.nextTimerID++
-	id := k.nextTimerID
-	ev := k.loop.schedule(at, evTimer)
-	ev.fn = fn
-	ev.id = id
-	k.timers[id] = ev
-	return id
+	return k.addTimer(k.loop.schedule(at, evTimer), fn)
 }
 
 // SetFaultTimer is SetTimer with the fault ordering class: the callback
@@ -488,9 +478,17 @@ func (k *Kernel) SetFaultTimer(at time.Duration, fn func()) TimerID {
 	if at < k.now {
 		at = k.now
 	}
+	return k.addTimer(k.loop.scheduleClass(at, evTimer, classFault), fn)
+}
+
+// addTimer files a scheduled timer event under a fresh id for CancelTimer.
+// The table is made on first use: most machines set no cancellable timer.
+func (k *Kernel) addTimer(ev *event, fn func()) TimerID {
+	if k.timers == nil {
+		k.timers = make(map[TimerID]*event)
+	}
 	k.nextTimerID++
 	id := k.nextTimerID
-	ev := k.loop.scheduleClass(at, evTimer, classFault)
 	ev.fn = fn
 	ev.id = id
 	k.timers[id] = ev
@@ -616,7 +614,7 @@ func (k *Kernel) core(c CoreID) (*core, error) {
 	if c < 0 || int(c) >= len(k.cores) {
 		return nil, fmt.Errorf("%w: %d (have %d cores)", ErrBadCore, c, len(k.cores))
 	}
-	return k.cores[c], nil
+	return &k.cores[c], nil
 }
 
 // sampleFirst reports whether the armed grid point fires before ev, the
@@ -660,7 +658,8 @@ func (k *Kernel) sample(ev *event, horizon time.Duration) {
 			last += (limit - first) / every * every
 		}
 	}
-	for _, cr := range k.cores {
+	for i := range k.cores {
+		cr := &k.cores[i]
 		if cr.utilHist != nil {
 			for at := first; at <= last; at += every {
 				cr.publish(at, every)

@@ -10,10 +10,13 @@
 // instant before (RunTo, Now) and admit every arrival of that instant, so
 // a machine holds only due tasks, never a watermark step of future ones.
 // Finished tasks are measured into a metrics.Sink and recycled as they
-// retire. Determinism follows from AdmitTask's pre-seeding equivalence
-// and from open admission: the machine's admission stays open from
-// construction until Drain, so the kernel counts a not-yet-admitted task
-// as outstanding just as a pre-seeded kernel counts its future arrivals
+// retire, into a task pool the machine may share: a fleet shard hands
+// every machine it builds its one pool, so a task retired on one server
+// carries the next arrival of any server of that shard. Determinism
+// follows from AdmitTask's pre-seeding equivalence and from open
+// admission: the machine's admission stays open from construction until
+// Drain, so the kernel counts a not-yet-admitted task as outstanding
+// just as a pre-seeded kernel counts its future arrivals
 // (DESIGN.md §7, §11). TestLazyAdmissionMatchesPreSeeding and the sampler
 // golden prove it per scheduler, and cluster's FuzzLazyAdmission for the
 // shards' admission at the instant.
@@ -45,32 +48,44 @@ type Incremental struct {
 
 // NewIncremental builds a task-discarding kernel with policy attached
 // through a delegation enclave wrapped with the sink retirer (completed
-// tasks are measured into sink and recycled into the machine's pool).
+// tasks are measured into sink and recycled into the task pool).
+// pool, when given and non-nil, is that pool: the machines of one fleet
+// shard share their shard's, which only the shard's goroutine touches.
+// Without it the machine gets a private pool.
 //
 // Precondition: the policy must not use Env.AbortTask. An aborted task
 // emits no TASK_DEAD, so the retirer would never sink its record, while
 // the pre-seeded path's metrics.Collect does report it.
-func NewIncremental(kcfg simkern.Config, policy ghost.Policy, gcfg ghost.Config, sink metrics.Sink) (*Incremental, error) {
+func NewIncremental(kcfg simkern.Config, policy ghost.Policy, gcfg ghost.Config, sink metrics.Sink, pool ...*workload.TaskPool) (*Incremental, error) {
 	if sink == nil {
 		return nil, fmt.Errorf("simrun: NewIncremental needs a Sink")
+	}
+	if len(pool) > 1 {
+		return nil, fmt.Errorf("simrun: NewIncremental takes one task pool, got %d", len(pool))
+	}
+	var tasks *workload.TaskPool
+	if len(pool) == 1 {
+		tasks = pool[0]
+	}
+	if tasks == nil {
+		tasks = workload.NewTaskPool()
 	}
 	kcfg.DiscardTasks = true
 	k, err := simkern.New(kcfg)
 	if err != nil {
 		return nil, err
 	}
-	pool := workload.NewTaskPool()
-	wrapped := wrapRetirer(policy, sink, func(t *simkern.Task) { pool.Put(t) })
+	wrapped := wrapRetirer(policy, sink, tasks)
 	enc, err := ghost.NewEnclave(k, wrapped, gcfg)
 	if err != nil {
 		return nil, err
 	}
 	k.SetAdmissionOpen(true)
-	return &Incremental{k: k, enc: enc, pool: pool, name: policy.Name()}, nil
+	return &Incremental{k: k, enc: enc, pool: tasks, name: policy.Name()}, nil
 }
 
-// Pool returns the machine's task pool; draw admitted tasks from it so
-// retirement recycles them.
+// Pool returns the task pool the machine recycles into; draw admitted
+// tasks from it so retirement recycles them.
 func (inc *Incremental) Pool() *workload.TaskPool { return inc.pool }
 
 // Admit hands one task to the machine. Arrivals must be non-decreasing
@@ -134,12 +149,12 @@ const DefaultWindow = 30 * time.Second
 
 // retirer wraps the scheduling policy: after the policy has consumed a
 // TASK_DEAD message (and with it dropped its own references), the finished
-// task is measured into the sink and recycled. Only
+// task is measured into the sink and recycled into pool. Only
 // function-like work is recorded, matching metrics.Collect.
 type retirer struct {
-	inner   ghost.Policy
-	sink    metrics.Sink
-	recycle func(*simkern.Task)
+	inner ghost.Policy
+	sink  metrics.Sink
+	pool  *workload.TaskPool
 }
 
 // Name implements ghost.Policy.
@@ -158,7 +173,7 @@ func (r *retirer) OnMessage(m ghost.Message) {
 	if t.Kind == simkern.KindFunction || t.Kind == simkern.KindVCPU {
 		r.sink.Push(metrics.FromTask(t))
 	}
-	r.recycle(t)
+	r.pool.Put(t)
 }
 
 // tickingRetirer additionally forwards ghost.Ticker for policies that
@@ -187,8 +202,8 @@ func (r *horizonRetirer) NextDecision(now time.Duration) (time.Duration, bool) {
 	return r.horizon.NextDecision(now)
 }
 
-func wrapRetirer(policy ghost.Policy, sink metrics.Sink, recycle func(*simkern.Task)) ghost.Policy {
-	base := retirer{inner: policy, sink: sink, recycle: recycle}
+func wrapRetirer(policy ghost.Policy, sink metrics.Sink, pool *workload.TaskPool) ghost.Policy {
+	base := retirer{inner: policy, sink: sink, pool: pool}
 	if ht, ok := policy.(ghost.HorizonTicker); ok {
 		return &horizonRetirer{tickingRetirer: tickingRetirer{retirer: base, ticker: ht}, horizon: ht}
 	}

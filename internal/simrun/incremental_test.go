@@ -142,10 +142,59 @@ func TestStreamRecyclesThroughPool(t *testing.T) {
 	}
 }
 
+// TestMachinesShareAPool: machines handed one task pool draw from it and
+// recycle into it, so a task retired on one carries the next machine's
+// arrival; a nil pool means a private one.
+func TestMachinesShareAPool(t *testing.T) {
+	pool := workload.NewTaskPool()
+	var machines []*Incremental
+	for range 2 {
+		inc, err := NewIncremental(simkern.DefaultConfig(2), fifo.New(fifo.Config{}), ghost.Config{}, &metrics.Store{}, pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inc.Pool() != pool {
+			t.Fatal("a machine given a pool recycles elsewhere")
+		}
+		machines = append(machines, inc)
+	}
+	inv := workload.Invocation{Arrival: time.Millisecond, FibN: 30, Duration: time.Millisecond, MemMB: 128}
+	first := pool.Get(inv, 1)
+	for i, inc := range machines {
+		task := first
+		if i > 0 {
+			task = pool.Get(inv, simkern.TaskID(i+1))
+			if task != first {
+				t.Fatal("the second machine's task is not the one the first machine retired")
+			}
+		}
+		if err := inc.Admit(task); err != nil {
+			t.Fatal(err)
+		}
+		if err := inc.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		if pool.FreeLen() != 1 {
+			t.Fatalf("machine %d: shared pool holds %d tasks after the drain, want 1", i, pool.FreeLen())
+		}
+	}
+	private, err := NewIncremental(simkern.DefaultConfig(2), fifo.New(fifo.Config{}), ghost.Config{}, &metrics.Store{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if private.Pool() == nil || private.Pool() == pool {
+		t.Error("a nil pool did not give the machine a private one")
+	}
+}
+
 // TestIncrementalValidation covers the error paths.
 func TestIncrementalValidation(t *testing.T) {
 	if _, err := NewIncremental(simkern.DefaultConfig(2), fifo.New(fifo.Config{}), ghost.Config{}, nil); err == nil {
 		t.Error("missing sink accepted")
+	}
+	two := []*workload.TaskPool{workload.NewTaskPool(), workload.NewTaskPool()}
+	if _, err := NewIncremental(simkern.DefaultConfig(2), fifo.New(fifo.Config{}), ghost.Config{}, &metrics.Store{}, two...); err == nil {
+		t.Error("two task pools accepted")
 	}
 	// An arrival behind the clock must surface as an error, not a task
 	// that runs in the past.

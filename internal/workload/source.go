@@ -321,7 +321,8 @@ func Materialize(src Source) []Invocation {
 // TaskPool builds simulator tasks from invocations and recycles finished
 // ones, so a streaming run allocates task structs proportional to its
 // peak concurrency rather than its total invocation count. A pool is not
-// safe for concurrent use; cluster runs use one per server.
+// safe for concurrent use; a fleet shard's servers share one, which only
+// the shard's goroutine touches. The zero TaskPool is an empty pool.
 type TaskPool struct {
 	free []*simkern.Task
 }

@@ -7,8 +7,9 @@
 #
 # The set below pairs the substrate micro-benchmarks (dispatch mechanism,
 # the full per-arrival routing step, CFS runqueue insert/delete, a
-# record's push into the streaming and exact sinks, one server's admit-then-run
-# event loop, the router-to-shard handoff, the exact-record fleets' slot writes,
+# record's push into the streaming and exact sinks, the cross-shard merge of
+# windowed sinks, one server's machine build and admit-then-run event loop,
+# the router-to-shard handoff, the exact-record fleets' slot writes,
 # end-to-end CFS event throughput, workload build and stream, facade) with a few
 # figure benchmarks as end-to-end sentinels, plus the sharded-fleet group:
 # the provider-scale replay (including the 24 h ×10 cases at 1,000 and
@@ -31,7 +32,14 @@ FIGS='BenchmarkFig06Hybrid$|BenchmarkTable1Summary$|BenchmarkFig13Preemptions$|B
 # -cpu 1, the proc count it reruns them at.
 {
   go test -run '^$' -bench "$MICRO" -benchmem .
-  go test -run '^$' -bench 'BenchmarkRouterRoute|BenchmarkExactRecordSlots$' -cpu 1 -benchmem .
+  go test -run '^$' -bench 'BenchmarkRouterRoute' -cpu 1 -benchmem .
+  # The exact-record slot writes at a pinned 30 iterations, the protocol
+  # scripts/bench_smoke.sh reruns them at: each iteration faults in a
+  # fresh 20 MB array, and a fixed count spreads less than a 1 s benchtime.
+  go test -run '^$' -bench 'BenchmarkExactRecordSlots$' -cpu 1 -benchtime 30x -benchmem .
+  # One 8-core server's build, as a shard builds it on a join: allocs/op
+  # is an exact count (scripts/bench_smoke.sh Gate 9).
+  go test -run '^$' -bench 'BenchmarkMachineBuild' -benchtime 1000x -benchmem .
   # The router-to-shard handoff layer: ns, B and allocs per arrival.
   go test -run '^$' -bench 'BenchmarkShardHandoff$' -cpu 1 -benchtime 30x -benchmem .
   go test -run '^$' -bench 'BenchmarkRBTreeInsertDelete$' -benchmem ./internal/queue
@@ -39,6 +47,9 @@ FIGS='BenchmarkFig06Hybrid$|BenchmarkTable1Summary$|BenchmarkFig13Preemptions$|B
   # windowed sink every 64 records, whose B/op is what opening windows
   # allocates.
   go test -run '^$' -bench 'BenchmarkSinkPush$' -benchmem ./internal/metrics
+  # The windowed replay's cross-shard merge of k shard accumulators, at a
+  # pinned b.N: each op rebuilds the accumulators with the timer stopped.
+  go test -run '^$' -bench 'BenchmarkMergeTree' -benchtime 200x -benchmem ./internal/metrics
   # One server's admit-then-run loop at a pinned b.N: events/op is a
   # count that must repeat exactly, and a fixed chunk count times the
   # same instruction stream on both sides of a diff.

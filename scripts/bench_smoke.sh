@@ -93,6 +93,18 @@
 # each window 1,630 B/op, so the ceiling fails if a window's histograms
 # allocate their counts before records reach them.
 #
+# Gate 9 — machine build (DESIGN.md §7): BenchmarkMachineBuild builds one
+# 8-core server the way a shard does on a join (policy, kernel, enclave,
+# retirer into the shard's task pool), and its allocs/op is a count that
+# repeats exactly. The hybrid row must stay at or under 16 allocs/op and
+# the cfs row at or under 14. With cores and runqueues held as values,
+# the event loop and the policy's Env embedded, core lists sized once, one
+# CFS slice table per tunables and the shard's task pool passed in, they
+# read 13 (2,896 B) and 11 (2,176 B); with a struct per core and
+# runqueue, core lists grown by append and a pool per machine they read
+# 43 (3,112 B) and 45 (2,760 B). So the ceilings fail if per-core or
+# per-runqueue allocations come back (4 or 8 more on an 8-core server).
+#
 #   ./scripts/bench_smoke.sh              # default ceiling + 20% gate
 #   ./scripts/bench_smoke.sh 60000 35     # custom ceiling, 35% gate
 set -e
@@ -135,7 +147,10 @@ sink=$(go test -run '^$' -bench 'BenchmarkSinkPush/(accumulator|windowed)$' ./in
 printf '%s\n' "$sink"
 route=$(go test -run '^$' -bench 'BenchmarkRouterRoute' -cpu 1 -benchmem .)
 printf '%s\n' "$route"
-slots=$(go test -run '^$' -bench 'BenchmarkExactRecordSlots$' -cpu 1 -benchmem .)
+# A pinned 30 iterations: each one allocates and faults in a fresh 20 MB
+# array, so the row's ns/op drifts with the host's page-fault cost; 30
+# iterations spread less than 10 or a 1 s benchtime did.
+slots=$(go test -run '^$' -bench 'BenchmarkExactRecordSlots$' -cpu 1 -benchtime 30x -benchmem .)
 printf '%s\n' "$slots"
 
 # Gate 3 — zero-alloc hot paths. With no Obs wired in, the hot dispatch
@@ -208,6 +223,28 @@ printf '%s\n' "$opened" | awk '
       exit 1
     }
     printf "bench_smoke: BenchmarkSinkPush/windowed-open %s B/op within ceiling %d\n", v, ceiling
+  }'
+
+# Gate 9 — allocations per machine build.
+build=$(go test -run '^$' -bench 'BenchmarkMachineBuild' -benchtime 1000x -benchmem .)
+printf '%s\n' "$build"
+printf '%s\n' "$build" | awk '
+  BEGIN { ceiling["hybrid"] = 16; ceiling["cfs"] = 14 }
+  /^BenchmarkMachineBuild\// {
+    split($1, part, "/")
+    sched = part[2]
+    sub(/-[0-9]+$/, "", sched)
+    for (i = 1; i < NF; i++) if ($(i+1) == "allocs/op") v[sched] = $i
+  }
+  END {
+    for (sched in ceiling) {
+      if (v[sched] == "") { printf "bench_smoke: no allocs/op on BenchmarkMachineBuild/%s\n", sched; exit 1 }
+      if (v[sched] + 0 > ceiling[sched]) {
+        printf "bench_smoke: BenchmarkMachineBuild/%s %s allocs/op exceeds ceiling %d — per-core allocations back in the machine build?\n", sched, v[sched], ceiling[sched]
+        bad = 1
+      } else printf "bench_smoke: BenchmarkMachineBuild/%s %s allocs/op within ceiling %d\n", sched, v[sched], ceiling[sched]
+    }
+    if (bad) exit 1
   }'
 
 sharded=$(go test -run '^$' -bench 'BenchmarkShardedFleetReplay/100servers_x1_2h$' -cpu 1 -benchtime 3x -benchmem -timeout 20m .)
