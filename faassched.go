@@ -274,14 +274,9 @@ func newPolicy(opts Options) (ghost.Policy, error) {
 // Simulate runs invs under the selected scheduler and returns the
 // measurements. The simulation is deterministic for given inputs.
 func Simulate(opts Options, invs []Invocation) (*Result, error) {
-	if opts.Cores == 0 {
-		opts.Cores = 8
-	}
-	if opts.Cores < 2 {
-		return nil, fmt.Errorf("faassched: need at least 2 cores, got %d", opts.Cores)
-	}
-	if opts.Scheduler == "" {
-		opts.Scheduler = SchedulerHybrid
+	opts, newServerPolicy, err := serverPolicy(opts)
+	if err != nil {
+		return nil, err
 	}
 	if len(invs) == 0 {
 		return nil, fmt.Errorf("faassched: empty workload")
@@ -291,10 +286,7 @@ func Simulate(opts Options, invs []Invocation) (*Result, error) {
 			return nil, fmt.Errorf("faassched: %w", err)
 		}
 	}
-	policy, err := newPolicy(opts)
-	if err != nil {
-		return nil, err
-	}
+	policy := newServerPolicy()
 	add := simrun.AddTasks(workload.Tasks(invs))
 	var fleet *firecracker.Fleet
 	if opts.Firecracker {
@@ -510,33 +502,15 @@ func clusterConfig(opts ClusterOptions) (ClusterOptions, cluster.Config, error) 
 	if opts.Servers == 0 {
 		opts.Servers = 4
 	}
-	if opts.Servers < 1 {
-		return opts, cluster.Config{}, fmt.Errorf("faassched: Servers must be >= 1, got %d", opts.Servers)
+	srv, policy, err := serverPolicy(Options{
+		Cores: opts.CoresPerServer, Scheduler: opts.Scheduler, FIFOCores: opts.FIFOCores, TimeLimit: opts.TimeLimit,
+	})
+	if err != nil {
+		return opts, cluster.Config{}, err
 	}
-	if opts.CoresPerServer == 0 {
-		opts.CoresPerServer = 8
-	}
-	if opts.CoresPerServer < 2 {
-		return opts, cluster.Config{}, fmt.Errorf("faassched: need at least 2 cores per server, got %d", opts.CoresPerServer)
-	}
-	if opts.Scheduler == "" {
-		opts.Scheduler = SchedulerHybrid
-	}
-	if opts.Dispatch == "" {
-		opts.Dispatch = DispatchLeastLoaded
-	}
+	opts.CoresPerServer, opts.Scheduler = srv.Cores, srv.Scheduler
 	if opts.MetricsWindow == 0 {
 		opts.MetricsWindow = time.Hour
-	}
-	serverOpts := Options{
-		Cores:     opts.CoresPerServer,
-		Scheduler: opts.Scheduler,
-		FIFOCores: opts.FIFOCores,
-		TimeLimit: opts.TimeLimit,
-	}
-	// Validate the per-server configuration once, up front.
-	if _, err := newPolicy(serverOpts); err != nil {
-		return opts, cluster.Config{}, err
 	}
 	return opts, cluster.Config{
 		Servers:   opts.Servers,
@@ -546,14 +520,34 @@ func clusterConfig(opts ClusterOptions) (ClusterOptions, cluster.Config, error) 
 		Shards:    opts.Shards,
 		Obs:       opts.Obs,
 		Faults:    opts.Faults,
-		Kernel:    simkern.DefaultConfig(opts.CoresPerServer),
-		Policy: func() ghost.Policy {
-			p, err := newPolicy(serverOpts)
-			if err != nil {
-				return nil // unreachable: serverOpts validated above
-			}
-			return p
-		},
+		Kernel:    simkern.DefaultConfig(srv.Cores),
+		Policy:    policy,
+	}, nil
+}
+
+// serverPolicy resolves the per-server options every entry point shares
+// (a single machine is a one-server fleet): 8 cores and the hybrid by
+// default, at least 2 cores, and a policy that builds, checked once up
+// front. It returns the resolved options and the policy factory.
+func serverPolicy(o Options) (Options, func() ghost.Policy, error) {
+	if o.Cores == 0 {
+		o.Cores = 8
+	}
+	if o.Cores < 2 {
+		return o, nil, fmt.Errorf("faassched: need at least 2 cores per server, got %d", o.Cores)
+	}
+	if o.Scheduler == "" {
+		o.Scheduler = SchedulerHybrid
+	}
+	if _, err := newPolicy(o); err != nil {
+		return o, nil, err
+	}
+	return o, func() ghost.Policy {
+		p, err := newPolicy(o)
+		if err != nil {
+			return nil // unreachable: o validated above
+		}
+		return p
 	}, nil
 }
 
@@ -564,9 +558,6 @@ func SimulateCluster(opts ClusterOptions, invs []Invocation) (*ClusterResult, er
 	opts, cfg, err := clusterConfig(opts)
 	if err != nil {
 		return nil, err
-	}
-	if len(invs) == 0 {
-		return nil, fmt.Errorf("faassched: empty workload")
 	}
 	cres, err := cluster.Simulate(cfg, invs)
 	if err != nil {
@@ -622,20 +613,25 @@ type ShardedStats struct {
 	// Faults aggregates fault-plan activity (zero when disabled).
 	Faults FaultStats
 
-	acc *metrics.WindowedAccumulator
+	windows
 }
 
+// windows gives a windowed fleet run's result its per-window and
+// whole-run statistics.
+type windows struct{ acc *metrics.WindowedAccumulator }
+
 // WindowWidth returns the per-window sub-accumulator width.
-func (s *ShardedStats) WindowWidth() time.Duration { return s.acc.Width() }
+func (w windows) WindowWidth() time.Duration { return w.acc.Width() }
 
-// WindowCount returns how many completion windows the replay spans.
-func (s *ShardedStats) WindowCount() int { return s.acc.Windows() }
+// WindowCount returns how many completion windows the run spans.
+func (w windows) WindowCount() int { return w.acc.Windows() }
 
-// Window returns window i's fixed-memory statistics.
-func (s *ShardedStats) Window(i int) *metrics.Accumulator { return s.acc.Window(i) }
+// Window returns window i's fixed-memory statistics (completions whose
+// finish instant fell in [i·width, (i+1)·width)).
+func (w windows) Window(i int) *metrics.Accumulator { return w.acc.Window(i) }
 
 // Total returns the whole-run roll-up accumulator.
-func (s *ShardedStats) Total() *metrics.Accumulator { return s.acc.Total() }
+func (w windows) Total() *metrics.Accumulator { return w.acc.Total() }
 
 // Summary returns a one-line digest.
 func (s *ShardedStats) Summary() string {
@@ -675,7 +671,7 @@ func SimulateShardedReplay(opts ClusterOptions, src Source) (*ShardedStats, erro
 		KernelEvents: rep.Events,
 		PerShard:     rep.PerShard,
 		Faults:       rep.Faults,
-		acc:          rep.Windowed,
+		windows:      windows{rep.Windowed},
 	}, nil
 }
 
@@ -749,24 +745,15 @@ func autoscaleConfig(opts AutoscaleOptions) (AutoscaleOptions, autoscale.Config,
 	if opts.MaxServers == 0 {
 		opts.MaxServers = 4
 	}
-	if opts.CoresPerServer == 0 {
-		opts.CoresPerServer = 8
-	}
-	if opts.CoresPerServer < 2 {
-		return opts, autoscale.Config{}, fmt.Errorf("faassched: need at least 2 cores per server, got %d", opts.CoresPerServer)
-	}
-	if opts.Scheduler == "" {
-		opts.Scheduler = SchedulerHybrid
-	}
-	serverOpts := Options{
-		Cores:     opts.CoresPerServer,
-		Scheduler: opts.Scheduler,
-		FIFOCores: opts.FIFOCores,
-		TimeLimit: opts.TimeLimit,
-	}
-	// Validate the per-server configuration once, up front.
-	if _, err := newPolicy(serverOpts); err != nil {
+	srv, sched, err := serverPolicy(Options{
+		Cores: opts.CoresPerServer, Scheduler: opts.Scheduler, FIFOCores: opts.FIFOCores, TimeLimit: opts.TimeLimit,
+	})
+	if err != nil {
 		return opts, autoscale.Config{}, err
+	}
+	opts.CoresPerServer, opts.Scheduler = srv.Cores, srv.Scheduler
+	if opts.MetricsWindow == 0 {
+		opts.MetricsWindow = time.Hour
 	}
 	return opts, autoscale.Config{
 		Min:       opts.MinServers,
@@ -778,14 +765,8 @@ func autoscaleConfig(opts AutoscaleOptions) (AutoscaleOptions, autoscale.Config,
 		ColdStart: opts.ColdStart,
 		Obs:       opts.Obs,
 		Faults:    opts.Faults,
-		Kernel:    simkern.DefaultConfig(opts.CoresPerServer),
-		Sched: func() ghost.Policy {
-			p, err := newPolicy(serverOpts)
-			if err != nil {
-				return nil // unreachable: serverOpts validated above
-			}
-			return p
-		},
+		Kernel:    simkern.DefaultConfig(srv.Cores),
+		Sched:     sched,
 	}, nil
 }
 
@@ -830,25 +811,12 @@ type AutoscaleStats struct {
 	Crashed int
 	Faults  FaultStats
 
-	acc *metrics.WindowedAccumulator
+	windows
 	res *autoscale.Result
 }
 
 // MeanServers is the time-averaged billed fleet size.
 func (s *AutoscaleStats) MeanServers() float64 { return s.res.MeanServers() }
-
-// WindowWidth returns the per-window sub-accumulator width.
-func (s *AutoscaleStats) WindowWidth() time.Duration { return s.acc.Width() }
-
-// WindowCount returns how many completion windows the run spans.
-func (s *AutoscaleStats) WindowCount() int { return s.acc.Windows() }
-
-// Window returns window i's fixed-memory statistics (completions whose
-// finish instant fell in [i·width, (i+1)·width)).
-func (s *AutoscaleStats) Window(i int) *metrics.Accumulator { return s.acc.Window(i) }
-
-// Total returns the whole-run roll-up accumulator.
-func (s *AutoscaleStats) Total() *metrics.Accumulator { return s.acc.Total() }
 
 // ServerSecondsIn sums billed server uptime overlapping [from, to).
 func (s *AutoscaleStats) ServerSecondsIn(from, to time.Duration) float64 {
@@ -877,11 +845,7 @@ func SimulateAutoscaled(opts AutoscaleOptions, src Source) (*AutoscaleStats, err
 	if err != nil {
 		return nil, err
 	}
-	width := opts.MetricsWindow
-	if width == 0 {
-		width = time.Hour
-	}
-	merged, res, err := autoscale.RunWindowed(cfg, workload.Source(src), pricing.Default(), width)
+	merged, res, err := autoscale.RunWindowed(cfg, workload.Source(src), pricing.Default(), opts.MetricsWindow)
 	if err != nil {
 		return nil, err
 	}
@@ -904,7 +868,7 @@ func SimulateAutoscaled(opts AutoscaleOptions, src Source) (*AutoscaleStats, err
 		Servers:       res.Servers,
 		Crashed:       res.Crashed(),
 		Faults:        res.Faults,
-		acc:           merged,
+		windows:       windows{merged},
 		res:           res,
 	}, nil
 }

@@ -286,6 +286,28 @@ func computeAutoscaledDigests(t *testing.T) map[string]string {
 		}
 		out[f.key] = digestCluster(cres)
 	}
+	// The elastic fault and warm paths: the pinned autoscaler must also
+	// reproduce the record fleets' every field. The crash fleet is left
+	// out because an elastic crash is terminal by design (the slot is
+	// replaced, not restarted), and the straggler fleet because autoscale
+	// rejects straggler plans.
+	for _, f := range recordFleets() {
+		if f.key != "records/hybrid/timeout" && f.key != "records/hybrid/coldstart" {
+			continue
+		}
+		cres, err := SimulateAutoscaledExact(AutoscaleOptions{
+			MinServers: f.opts.Servers, MaxServers: f.opts.Servers, CoresPerServer: f.opts.CoresPerServer,
+			Dispatch: f.opts.Dispatch, Scheduler: f.opts.Scheduler, Seed: f.opts.Seed, Obs: o,
+			ColdStart: f.opts.ColdStart, Faults: f.opts.Faults,
+		}, SliceSource(invs))
+		if err != nil {
+			t.Fatalf("autoscaled %s: %v", f.key, err)
+		}
+		if err := f.check(cres); err != nil {
+			t.Fatalf("autoscaled %s is vacuous: %v", f.key, err)
+		}
+		out[f.key] = digestRecords(cres)
+	}
 	return out
 }
 

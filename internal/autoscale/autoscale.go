@@ -9,12 +9,12 @@
 // run reports an infrastructure cost (server-seconds) alongside the
 // paper's per-invocation execution cost.
 //
-// Execution. The servers run on the fixed fleet's lockstep engine
-// (cluster.Fleet) and are routed by its routing step (cluster.Router): a
-// server joins its shard at activation, carrying its policy, sink and
-// terminal fault machine, and a drain — or the closing of a crashed
-// server — retires it, which drains its machine at once. The controller
-// itself starts no goroutine.
+// Execution. The fleet runs on the fixed fleet's routing loop
+// (cluster.Driver) with this package's controller as its hook: a server
+// joins its shard through the driver at activation, carrying its policy,
+// sink and terminal fault machine, and a drain — or the closing of a
+// crashed server — retires it, which drains its machine at once. The
+// controller itself starts no goroutine.
 //
 // Determinism. The controller's decisions — routing, launches, drains —
 // depend only on the arrival stream and the dispatcher's causal lane
@@ -35,7 +35,6 @@ import (
 	"sort"
 	"time"
 
-	"github.com/faassched/faassched/internal/chunk"
 	"github.com/faassched/faassched/internal/cluster"
 	"github.com/faassched/faassched/internal/faults"
 	"github.com/faassched/faassched/internal/ghost"
@@ -79,8 +78,9 @@ type Config struct {
 	Seed int64
 	// Kernel is the per-server machine configuration.
 	Kernel simkern.Config
-	// Sched returns a fresh per-server scheduling policy. Factories are
-	// called sequentially from the controller, in server-index order.
+	// Sched returns a fresh per-server scheduling policy. The driver
+	// calls it at each server's activation, sequentially on the routing
+	// goroutine, in server-index order.
 	Sched func() ghost.Policy
 	// Ghost configures each server's delegation enclave.
 	Ghost ghost.Config
@@ -88,17 +88,6 @@ type Config struct {
 	// on (zero means simrun.DefaultWindow). Records do not depend on it
 	// (DESIGN.md §7).
 	Window time.Duration
-	// Sink, when non-nil, supplies each server's completion sink (called
-	// once per server at activation, in server-index order). When nil,
-	// the run keeps exact records: every server writes each record into
-	// the slot of its ID in Result.Set, in global invocation order, and
-	// the run tracks the assignment, from which a server's own records
-	// are read.
-	Sink func(server int) metrics.Sink
-	// TrackAssignment records the global invocation→server assignment in
-	// Result.Assignment (O(invocations) memory; leave off for long runs).
-	// Runs that keep exact records (Sink nil) always track it.
-	TrackAssignment bool
 	// ColdStart configures the per-function warm-instance model
 	// (cluster.ColdStartConfig; DESIGN.md §10). Retiring a server —
 	// drained or canceled — destroys its warm pool, so scale-to-zero
@@ -235,14 +224,11 @@ type Result struct {
 	Stats ghost.Stats
 	// KernelEvents sums scheduled kernel events across servers.
 	KernelEvents uint64
-	// Assignment maps each invocation index to its server, when
-	// Config.TrackAssignment was set or the run kept exact records. It
-	// is an int32 per invocation; Run fails before routing to a server
-	// index above math.MaxInt32.
+	// Assignment maps each invocation index to its server, an int32 per
+	// invocation, when the run kept exact records (Run, not RunWindowed).
 	Assignment []int32
 	// Set holds every server's records in global invocation order (record
-	// ID k at index k-1) — only with the default exact sinks (Config.Sink
-	// nil); empty otherwise.
+	// ID k at index k-1), when the run kept exact records; empty otherwise.
 	Set metrics.Set
 	// Faults aggregates fault-plan activity: Crashes counts unplanned
 	// retirements (controller-side), Kills/Retries/GiveUps come from the
@@ -356,8 +342,8 @@ func (r *Result) Timeline(maxSteps int) string {
 // serverState is a Server plus the controller's runtime handles.
 type serverState struct {
 	Server
-	// m is the server's lockstep-engine member, from activation on (nil
-	// for a boot canceled before it); its results are read after the
+	// m is the server's member of the driver's engine, from activation on
+	// (nil for a boot canceled before it); its results are read after the
 	// engine closes.
 	m *cluster.Member
 	// crashAt is the slot's terminal crash instant from the fault plan
@@ -366,15 +352,14 @@ type serverState struct {
 	crashAt time.Duration
 }
 
-// controller is the streaming dispatcher's state, touched only from the
-// caller's goroutine.
+// controller is the elastic fleet's hook on the driver's routing loop
+// (cluster.Controller), touched only from the caller's goroutine.
 type controller struct {
 	cfg      Config
 	up, down float64
+	d        *cluster.Driver
 	model    *cluster.FleetModel
-	router   *cluster.Router
 	pools    *cluster.WarmPools // the router's; nil unless cfg.ColdStart.Enabled()
-	fleet    *cluster.Fleet
 	servers  []*serverState
 	// candidates are the ready, non-draining server indices, ascending.
 	candidates []int
@@ -388,9 +373,6 @@ type controller struct {
 	lastUp   time.Duration
 	lastDwn  time.Duration
 	events   []Event
-	assign   chunk.Log[int32]
-	// slots are the run's exact records; nil with caller-supplied sinks.
-	slots *metrics.Slots
 	// faultsOn caches cfg.Faults.Enabled().
 	faultsOn bool
 	// nextCrash is the earliest crashAt among current candidates (may be
@@ -422,33 +404,15 @@ func (cfg *Config) validate() (up, down float64, err error) {
 	if cfg.Max < cfg.Min {
 		return 0, 0, fmt.Errorf("autoscale: Max %d below Min %d", cfg.Max, cfg.Min)
 	}
-	if cfg.Kernel.Cores < 1 {
-		return 0, 0, fmt.Errorf("autoscale: Kernel.Cores must be >= 1, got %d", cfg.Kernel.Cores)
-	}
-	if cfg.Sched == nil {
-		return 0, 0, fmt.Errorf("autoscale: nil Sched factory")
-	}
-	if cfg.Window < 0 {
-		return 0, 0, fmt.Errorf("autoscale: negative watermark step %v", cfg.Window)
-	}
 	if cfg.SpinUp < 0 || cfg.UpCooldown < 0 || cfg.DownCooldown < 0 {
 		return 0, 0, fmt.Errorf("autoscale: negative latency (spin-up %v, cooldowns %v/%v)",
 			cfg.SpinUp, cfg.UpCooldown, cfg.DownCooldown)
-	}
-	if err := cfg.Faults.Validate(); err != nil {
-		return 0, 0, err
 	}
 	if cfg.Faults.StragglerMTBF > 0 {
 		return 0, 0, fmt.Errorf("autoscale: straggler plans are not supported (terminal crash/timeout/retry only)")
 	}
 	if cfg.Policy == "" {
 		cfg.Policy = PolicyTargetUtilization
-	}
-	if cfg.Dispatch == "" {
-		cfg.Dispatch = cluster.DispatchLeastLoaded
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
 	}
 	if cfg.SpinUp == 0 {
 		cfg.SpinUp = DefaultSpinUp
@@ -462,17 +426,26 @@ func (cfg *Config) validate() (up, down float64, err error) {
 	return cfg.Policy.thresholds(cfg.UpThreshold, cfg.DownThreshold)
 }
 
-// Run consumes src and simulates the elastic fleet. See the package
-// comment for the protocol; the per-arrival processing order is fixed:
-// (1) servers whose spin-up completed become routable, (2) the arrival is
-// routed and booked, (3) scale-up is evaluated, (4) scale-down is
-// evaluated (skipped on an instant that launched — a launch already moved
-// the signal).
-func Run(cfg Config, src workload.Source) (*Result, error) {
+// Run consumes src and simulates the elastic fleet, keeping exact
+// records. See the package comment for the protocol; the per-arrival
+// processing order is fixed: (1) servers whose spin-up completed become
+// routable, (2) the arrival is routed and booked, (3) scale-up is
+// evaluated, (4) scale-down is evaluated (skipped on an instant that
+// launched — a launch already moved the signal).
+func Run(cfg Config, src workload.Source) (*Result, error) { return run(cfg, src, nil) }
+
+// run is Run with each server's completion sink from sink, called at
+// activation in server-index order; nil keeps exact records.
+func run(cfg Config, src workload.Source, sink func(server int) metrics.Sink) (*Result, error) {
 	up, down, err := (&cfg).validate()
 	if err != nil {
 		return nil, err
 	}
+	// Launch indices spread round-robin over the shards; every server
+	// has a sink of its own, or writes its records into their slots, so
+	// the partition changes no result.
+	shards := cluster.DefaultShards(cfg.Max)
+	l := cluster.Layout{Shards: shards, ShardOf: func(s int) int { return s % shards }, Sink: sink, Block: recordBlock}
 	// distantPast keeps the first launch/drain decision free of cooldown
 	// gating without risking subtraction overflow against run timestamps.
 	const distantPast = time.Duration(math.MinInt64 / 2)
@@ -480,75 +453,41 @@ func Run(cfg Config, src workload.Source) (*Result, error) {
 		cfg:       cfg,
 		up:        up,
 		down:      down,
-		model:     cluster.NewFleetModel(0, cfg.Kernel.Cores),
 		track:     newInflight(),
 		lastUp:    distantPast,
 		lastDwn:   distantPast,
 		faultsOn:  cfg.Faults.Enabled(),
 		nextCrash: farFuture,
 	}
-	if c.router, err = cluster.NewRouter(cfg.Dispatch, cfg.Seed, c.model, cfg.ColdStart, cfg.Obs); err != nil {
+	if c.faultsOn {
+		l.Machine = c.machine
+	}
+	if c.d, err = cluster.NewDriver(cluster.Config{
+		Dispatch: cfg.Dispatch, Seed: cfg.Seed, Kernel: cfg.Kernel, Policy: cfg.Sched, Ghost: cfg.Ghost,
+		Window: cfg.Window, ColdStart: cfg.ColdStart, Obs: cfg.Obs, Faults: cfg.Faults,
+	}, l); err != nil {
 		return nil, err
 	}
-	c.pools = c.router.Pools()
+	c.model, c.pools = c.d.Model(), c.d.Router().Pools()
 	if reg := cfg.Obs.Registry(); reg != nil && c.faultsOn {
 		c.crashCtr = reg.Counter(obs.CScaleCrashes)
 	}
-	if cfg.Sink == nil {
-		c.slots = metrics.NewBlockSlots(recordBlock)
-		c.cfg.TrackAssignment = true
-	}
-	// Launch indices spread round-robin over the shards; every server
-	// has a sink of its own, or writes its records into their slots, so
-	// the partition changes no result.
-	shards := cluster.DefaultShards(cfg.Max)
-	c.fleet = cluster.NewFleet(cfg.Kernel, cfg.Ghost, cfg.Obs, cfg.Window, shards, func(s int) int { return s % shards }, c.slots)
 	// The Min floor is provisioned before the run: launched and ready at
 	// time zero, exactly the fixed fleet's starting state.
 	for i := 0; i < cfg.Min; i++ {
 		c.launch(0, 0)
 	}
-
-	idx := 0
-	lastArr := time.Duration(0)
-	var runErr error
-	src(func(inv workload.Invocation) bool {
-		if inv.Arrival < lastArr {
-			runErr = fmt.Errorf("autoscale: source out of order at invocation %d: %v after %v",
-				idx, inv.Arrival, lastArr)
-			return false
-		}
-		lastArr = inv.Arrival
-		if runErr = c.processArrival(inv, idx); runErr != nil {
-			return false
-		}
-		idx++
-		return true
-	})
-	if runErr == nil && idx == 0 {
-		runErr = fmt.Errorf("autoscale: empty workload")
+	if err := c.d.Run(src, c); err != nil {
+		return nil, err
 	}
-
-	// Drain-before-retire, fleet-wide: stop routing and let every live
-	// server finish its in-flight share.
-	if err := c.fleet.Close(); err != nil && runErr == nil {
-		runErr = fmt.Errorf("autoscale: %w", err)
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	return c.finish(idx)
+	return c.finish()
 }
 
-// processArrival applies the fixed per-arrival scale-event ordering.
-func (c *controller) processArrival(inv workload.Invocation, idx int) error {
-	if err := inv.CheckRecordFields(idx); err != nil {
-		return fmt.Errorf("autoscale: %w", err)
-	}
-	t := inv.Arrival
-	c.fleet.Advance(t)
+// Before implements cluster.Controller: it activates the servers due by
+// t, applies the crashes due by t, and names the candidates.
+func (c *controller) Before(t time.Duration) ([]int, int, error) {
 	if err := c.activate(t); err != nil {
-		return err
+		return nil, 0, err
 	}
 	if c.faultsOn {
 		c.sweepCrashes(t)
@@ -557,12 +496,34 @@ func (c *controller) processArrival(inv workload.Invocation, idx int) error {
 	if c.cfg.Policy == PolicyQueueDepth {
 		c.track.advance(t)
 	}
-	if err := c.route(inv, idx); err != nil {
-		return err
+	// An arrival queued on a crashed server is killed on delivery, and its
+	// retry budget, futile against a terminal crash, decides its give-up.
+	fallback := -1
+	if n := len(c.crashedOpen); n > 0 {
+		fallback = c.crashedOpen[n-1]
 	}
-	launched := c.evalUp(t)
-	c.evalDown(t, launched)
-	return nil
+	return c.candidates, fallback, nil
+}
+
+// After implements cluster.Controller: it books the routed arrival and
+// evaluates scale-up, then scale-down.
+func (c *controller) After(s int, r cluster.Routed, finish time.Duration) {
+	if c.cfg.Policy == PolicyQueueDepth {
+		c.track.book(s, finish)
+	}
+	sv := c.servers[s]
+	sv.Routed++
+	if r.ColdStart > 0 {
+		sv.ColdStarts++
+	}
+	t := r.Inv.Arrival
+	c.evalDown(t, c.evalUp(t))
+}
+
+// machine is server s's terminal fault machine, which shares the slot's
+// crash instant.
+func (c *controller) machine(s int) *faults.Machine {
+	return faults.NewTerminalMachine(c.cfg.Faults, s, c.servers[s].crashAt)
 }
 
 // launch registers a new server: billing starts now, routing after
@@ -600,18 +561,10 @@ func (c *controller) activate(t time.Duration) error {
 			break
 		}
 		c.pending = c.pending[1:]
-		policy := c.cfg.Sched()
-		if policy == nil {
-			return fmt.Errorf("autoscale: Sched factory returned nil for server %d", idx)
+		var err error
+		if sv.m, err = c.d.Join(idx); err != nil {
+			return err
 		}
-		sv.m = &cluster.Member{Index: idx, Policy: policy}
-		if c.cfg.Sink != nil {
-			sv.m.Sink = c.cfg.Sink(idx)
-		}
-		if c.faultsOn {
-			sv.m.Faults = faults.NewTerminalMachine(c.cfg.Faults, idx, sv.crashAt)
-		}
-		c.fleet.Join(sv.m)
 		c.candidates = append(c.candidates, idx)
 		if sv.crashAt != Never && sv.crashAt < c.nextCrash {
 			c.nextCrash = sv.crashAt
@@ -690,42 +643,9 @@ func (c *controller) closeCrashed() {
 		return
 	}
 	for _, s := range c.crashedOpen {
-		c.fleet.Retire(c.servers[s].m)
+		c.d.Retire(c.servers[s].m)
 	}
 	c.crashedOpen = c.crashedOpen[:0]
-}
-
-// route dispatches one invocation among the candidates through the
-// fleet's routing step and hands it to the chosen server. When every
-// candidate crashed and the replacements are still booting, it queues on
-// the most recently crashed server: delivery kills the task in-kernel
-// (fail-fast) and the retry budget — futile against a terminal crash —
-// decides its give-up record, so the arrival is still accounted for.
-func (c *controller) route(inv workload.Invocation, idx int) error {
-	fallback := -1
-	if n := len(c.crashedOpen); n > 0 {
-		fallback = c.crashedOpen[n-1]
-	}
-	s, r, finish, err := c.router.Route(inv, idx, c.candidates, fallback)
-	if err != nil {
-		return err
-	}
-	if c.cfg.Policy == PolicyQueueDepth {
-		c.track.book(s, finish)
-	}
-	sv := c.servers[s]
-	sv.Routed++
-	if r.ColdStart > 0 {
-		sv.ColdStarts++
-	}
-	if c.cfg.TrackAssignment {
-		if s > math.MaxInt32 {
-			return fmt.Errorf("autoscale: invocation %d routed to server %d, beyond an int32 assignment", idx, s)
-		}
-		c.assign.Push(int32(s))
-	}
-	c.fleet.Admit(sv.m, r)
-	return nil
 }
 
 // signal computes the scaling signal at t over provisioned capacity
@@ -822,7 +742,7 @@ func (c *controller) evalDown(t time.Duration, justLaunched bool) {
 			// same as at retire time — and the warm state is gone for good.
 			c.pools.DropServer(best)
 		}
-		c.fleet.Retire(sv.m)
+		c.d.Retire(sv.m)
 		c.events = append(c.events, Event{Time: t, Kind: EventDrain, Server: best})
 	}
 	c.lastDwn = t
@@ -830,12 +750,10 @@ func (c *controller) evalDown(t time.Duration, justLaunched bool) {
 
 // finish assembles the Result after the engine has drained every server.
 // With exact records it joins their slots into the fleet's Set.
-func (c *controller) finish(routed int) (*Result, error) {
+func (c *controller) finish() (*Result, error) {
 	res := &Result{
-		Dispatch:   c.cfg.Dispatch,
-		Policy:     c.cfg.Policy,
-		Routed:     routed,
-		Assignment: c.assign.Flatten(),
+		Dispatch: c.d.Dispatch(),
+		Policy:   c.cfg.Policy,
 	}
 
 	// Fleet makespan first: surviving servers bill until it.
@@ -847,11 +765,9 @@ func (c *controller) finish(routed int) (*Result, error) {
 		res.Makespan = max(res.Makespan, sv.Makespan)
 	}
 
-	if c.slots != nil {
-		var err error
-		if res.Set.Records, err = c.slots.Close(res.Assignment); err != nil {
-			return nil, fmt.Errorf("autoscale: %w", err)
-		}
+	var err error
+	if res.Set.Records, res.Assignment, err = c.d.Records(); err != nil {
+		return nil, err
 	}
 
 	events := c.events
@@ -877,6 +793,7 @@ func (c *controller) finish(routed int) (*Result, error) {
 		}
 		events = append(events, Event{Time: sv.RetireAt, Kind: EventRetire, Server: sv.Index})
 
+		res.Routed += sv.Routed
 		res.Completed += sv.Completed
 		res.Failed += sv.Failed
 		res.Preemptions += sv.Preemptions

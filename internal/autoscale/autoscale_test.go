@@ -12,6 +12,7 @@ import (
 	"github.com/faassched/faassched/internal/metrics"
 	"github.com/faassched/faassched/internal/policy/cfs"
 	"github.com/faassched/faassched/internal/policy/fifo"
+	"github.com/faassched/faassched/internal/pricing"
 	"github.com/faassched/faassched/internal/simkern"
 	"github.com/faassched/faassched/internal/workload"
 )
@@ -116,6 +117,20 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Run(base(), workload.SliceSource(unsorted)); err == nil {
 		t.Error("unsorted source accepted")
 	}
+	// An arrival before time zero is rejected as such, naming its index
+	// and value, on both entry points.
+	for _, at := range []time.Duration{-1, -2} {
+		early := steady(3, time.Millisecond, time.Millisecond)
+		early[0].Arrival = at
+		want := fmt.Sprintf("cluster: invocation 0 arrives at %v, before time zero", at)
+		if _, err := Run(base(), workload.SliceSource(early)); err == nil || err.Error() != want {
+			t.Errorf("Run, arrival %v: err = %v, want %q", at, err, want)
+		}
+		_, _, err := RunWindowed(base(), workload.SliceSource(early), pricing.Default(), time.Second)
+		if err == nil || err.Error() != want {
+			t.Errorf("RunWindowed, arrival %v: err = %v, want %q", at, err, want)
+		}
+	}
 }
 
 // TestPinnedFleetMatchesCluster is the package-level half of the
@@ -140,11 +155,10 @@ func TestPinnedFleetMatchesCluster(t *testing.T) {
 			}
 			got, err := Run(Config{
 				Min: 3, Max: 3,
-				Dispatch:        d,
-				Seed:            7,
-				Kernel:          simkern.DefaultConfig(2),
-				Sched:           cfsFactory,
-				TrackAssignment: true,
+				Dispatch: d,
+				Seed:     7,
+				Kernel:   simkern.DefaultConfig(2),
+				Sched:    cfsFactory,
 			}, workload.SliceSource(invs))
 			if err != nil {
 				t.Fatal(err)
@@ -258,7 +272,6 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	run := func() *Result {
 		cfg := fastScaleConfig(1, 4, PolicyTargetUtilization)
 		cfg.Dispatch = cluster.DispatchJoinIdleQueue // exercises the seeded fallback
-		cfg.TrackAssignment = true
 		res, err := Run(cfg, workload.SliceSource(burstyWorkload(0, 2)))
 		if err != nil {
 			t.Fatal(err)
@@ -425,12 +438,11 @@ func TestPinnedFleetColdStartMatchesCluster(t *testing.T) {
 	}
 	got, err := Run(Config{
 		Min: 2, Max: 2,
-		Dispatch:        cluster.DispatchLeastLoaded,
-		Seed:            7,
-		Kernel:          simkern.DefaultConfig(2),
-		Sched:           cfsFactory,
-		ColdStart:       cs,
-		TrackAssignment: true,
+		Dispatch:  cluster.DispatchLeastLoaded,
+		Seed:      7,
+		Kernel:    simkern.DefaultConfig(2),
+		Sched:     cfsFactory,
+		ColdStart: cs,
 	}, workload.SliceSource(invs))
 	if err != nil {
 		t.Fatal(err)

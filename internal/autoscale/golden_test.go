@@ -115,10 +115,6 @@ func elasticScenarios() []elasticScenario {
 		}
 		return cycles(r)
 	}})
-
-	for i := range out {
-		out[i].cfg.TrackAssignment = true
-	}
 	return out
 }
 

@@ -1,12 +1,12 @@
-// RunWindowed is the standard fixed-memory wiring over Run: one windowed
-// sub-accumulator sink per server, merged in server-index order. Both the
-// facade (SimulateAutoscaled) and the ext-autoscale experiment call it,
-// so the sink-collection and merge semantics cannot drift between them.
+// RunWindowed is the standard fixed-memory wiring of the elastic fleet:
+// one windowed sub-accumulator sink per server, merged in server-index
+// order. Both the facade (SimulateAutoscaled) and the ext-autoscale
+// experiment call it, so the sink-collection and merge semantics cannot
+// drift between them.
 
 package autoscale
 
 import (
-	"errors"
 	"time"
 
 	"github.com/faassched/faassched/internal/metrics"
@@ -16,30 +16,22 @@ import (
 
 // RunWindowed runs cfg over src with per-server metrics.WindowedAccumulator
 // sinks of the given width billing at tariff, and returns the merged sink
-// alongside the fleet result. cfg.Sink must be nil — this helper owns the
-// sinks; drive Run directly to collect something else.
+// alongside the fleet result, which keeps no exact records.
 func RunWindowed(cfg Config, src workload.Source, tariff pricing.Tariff, width time.Duration) (*metrics.WindowedAccumulator, *Result, error) {
-	if cfg.Sink != nil {
-		return nil, nil, errors.New("autoscale: RunWindowed owns Sink; drive Run directly for custom sinks")
-	}
-	// Validate the width before Run so the per-server factory can't fail.
+	// Validate the width before the run so the per-server sinks can't fail.
 	merged, err := metrics.NewWindowedAccumulator(tariff, width)
 	if err != nil {
 		return nil, nil, err
 	}
 	var sinks []*metrics.WindowedAccumulator
-	cfg.Sink = func(server int) metrics.Sink {
+	res, err := run(cfg, src, func(server int) metrics.Sink {
 		w, werr := metrics.NewWindowedAccumulator(tariff, width)
 		if werr != nil {
 			panic(werr) // unreachable: width validated above
 		}
-		for len(sinks) <= server {
-			sinks = append(sinks, nil)
-		}
-		sinks[server] = w
+		sinks = append(sinks, w) // servers activate in index order
 		return w
-	}
-	res, err := Run(cfg, src)
+	})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -11,6 +11,7 @@ import (
 	"github.com/faassched/faassched/internal/metrics"
 	"github.com/faassched/faassched/internal/policy/cfs"
 	"github.com/faassched/faassched/internal/policy/fifo"
+	"github.com/faassched/faassched/internal/pricing"
 	"github.com/faassched/faassched/internal/simkern"
 	"github.com/faassched/faassched/internal/workload"
 )
@@ -78,6 +79,21 @@ func TestConfigValidation(t *testing.T) {
 	unsorted[0].Arrival = 5 * time.Millisecond
 	if _, err := Simulate(testConfig(2, DispatchRoundRobin), unsorted); err == nil {
 		t.Error("unsorted workload accepted")
+	}
+
+	// An arrival before time zero is rejected as such, naming its index
+	// and value, on both fixed-fleet entry points.
+	for _, at := range []time.Duration{-1, -2} {
+		early := synthWorkload(3, time.Millisecond, time.Millisecond)
+		early[0].Arrival = at
+		want := fmt.Sprintf("cluster: invocation 0 arrives at %v, before time zero", at)
+		if _, err := Simulate(testConfig(2, DispatchRoundRobin), early); err == nil || err.Error() != want {
+			t.Errorf("Simulate, arrival %v: err = %v, want %q", at, err, want)
+		}
+		_, err := SimulateShardedWindowed(testConfig(2, DispatchRoundRobin), workload.SliceSource(early), pricing.Default(), time.Second)
+		if err == nil || err.Error() != want {
+			t.Errorf("SimulateShardedWindowed, arrival %v: err = %v, want %q", at, err, want)
+		}
 	}
 }
 

@@ -1,9 +1,9 @@
-// Router-side fault handling for the fleet engine's routing loop
-// (runSharded): the fault plan's crash transitions gate dispatch
-// eligibility (a down server takes no new work and loses its warm pool),
-// straggler windows surcharge routed demand, and when the whole fleet is
-// down work queues on the soonest-recovering server. Everything here runs
-// on the single routing thread.
+// Router-side fault handling for the fixed fleet, its controller on the
+// driver's routing loop (driver.go): the fault plan's crash transitions
+// gate dispatch eligibility (a down server takes no new work and loses
+// its warm pool), straggler windows surcharge routed demand, and when the
+// whole fleet is down work queues on the soonest-recovering server.
+// Everything here runs on the single routing thread.
 
 package cluster
 
@@ -69,11 +69,14 @@ func (rf *routeFaults) onUp(s int) {
 	rf.dirty = true
 }
 
-// route applies every fault transition due by arrival and returns the
-// eligible candidate set. Allocation-free when nothing transitioned.
-func (rf *routeFaults) route(arrival time.Duration) []int {
-	rf.now = arrival
-	rf.fleet.Advance(arrival, rf.onDownFn, rf.onUpFn)
+// Before implements Controller: it applies every fault transition due by
+// t and returns the eligible servers, allocation-free when nothing
+// transitioned. With every server down the work queues on the
+// soonest-recovering one (ties to the lowest index), whose machine kills
+// and retries it past recovery, so the load model keeps charging it.
+func (rf *routeFaults) Before(t time.Duration) ([]int, int, error) {
+	rf.now = t
+	rf.fleet.Advance(t, rf.onDownFn, rf.onUpFn)
 	if rf.dirty {
 		rf.candidates = rf.candidates[:0]
 		for s := 0; s < rf.model.Servers(); s++ {
@@ -83,25 +86,20 @@ func (rf *routeFaults) route(arrival time.Duration) []int {
 		}
 		rf.dirty = false
 	}
-	return rf.candidates
+	if len(rf.candidates) == 0 {
+		return nil, rf.fleet.SoonestUp(), nil
+	}
+	return rf.candidates, -1, nil
 }
 
-// fallback returns the routing target when every server is down: the
-// soonest-recovering one (ties to the lowest index). The booking still
-// happens — the work queues there and the in-kernel machine kills and
-// retries it past recovery — so the causal load model keeps charging the
-// queued demand.
-func (rf *routeFaults) fallback() int { return rf.fleet.SoonestUp() }
+// After implements Controller; the fault view books nothing.
+func (rf *routeFaults) After(int, Routed, time.Duration) {}
 
 // slow is the straggler demand surcharge for routing inv's pristine
 // duration to server s at arrival.
 func (rf *routeFaults) slow(s int, arrival, duration time.Duration) time.Duration {
 	return rf.fleet.SlowExtra(s, arrival, duration)
 }
-
-// stats returns the router-side fault counters (crash and straggler
-// windows entered so far).
-func (rf *routeFaults) stats() faults.Stats { return rf.fleet.Stats() }
 
 // addFaultStats folds fault counters into an obs registry.
 func addFaultStats(reg *obs.Registry, st faults.Stats) {

@@ -36,10 +36,10 @@ func TestRouteFaultsHotPathAllocFree(t *testing.T) {
 	// per-server schedules, the transition heap, the candidate slice —
 	// has reached steady capacity.
 	now := 5 * time.Minute
-	rf.route(now)
+	rf.Before(now)
 	inv := workload.Invocation{FuncID: 1, Arrival: now, Duration: 10 * time.Millisecond, MemMB: 128}
 	allocs := testing.AllocsPerRun(1000, func() {
-		cands := rf.route(now)
+		cands, _, _ := rf.Before(now)
 		s := disp.Pick(inv, cands)
 		if s >= 0 {
 			_ = rf.slow(s, now, inv.Duration)

@@ -313,7 +313,7 @@ func TestShardRecyclesPendingChunks(t *testing.T) {
 		perStep[i] = map[time.Duration]map[int]int{}
 	}
 	for i, inv := range invs {
-		s := int(run.assignment[i])
+		s := int(run.assign[i])
 		sh := run.fleet.shardOf(s)
 		step := max(1, (inv.Arrival+window-1)/window)
 		if perStep[sh][step] == nil {

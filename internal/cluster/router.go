@@ -1,7 +1,8 @@
-// The per-arrival routing step, shared by every fleet mode: the fixed
-// fleet's router (runSharded) and the elastic controller
-// (autoscale.Run) each decide which servers are candidates for an
-// arrival, then hand the rest to Router.Route.
+// The per-arrival routing step, shared by every fleet mode: the fleet
+// driver's routing loop (driver.go) asks the fleet's controller hook
+// which servers are candidates for an arrival — every server on a plain
+// fixed fleet, the fault view's eligible servers, or the elastic
+// controller's ready ones — and hands the rest to Router.Route.
 
 package cluster
 
@@ -77,13 +78,6 @@ func (r *Router) Route(inv workload.Invocation, idx int, candidates []int, fallb
 		return 0, Routed{}, 0, fmt.Errorf("cluster: no routable server at %v", inv.Arrival)
 	}
 	return r.book(inv, idx, fallback)
-}
-
-// RouteAll is Route with every server of the model a candidate, all of
-// them eligible (a fixed fleet with no server down), without a list of
-// every server index.
-func (r *Router) RouteAll(inv workload.Invocation, idx int) (int, Routed, time.Duration, error) {
-	return r.pick(inv, idx, nil)
 }
 
 // pick lets the dispatcher choose among candidates (nil: every server)

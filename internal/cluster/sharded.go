@@ -33,7 +33,6 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -625,7 +624,7 @@ func SimulateShardedWindowed(cfg Config, src workload.Source, tariff pricing.Tar
 	rep := &ShardedReplay{
 		Servers:     cfg.Servers,
 		Shards:      len(run.ranges),
-		Dispatch:    cfg.Dispatch,
+		Dispatch:    run.Dispatch(),
 		Invocations: run.fleet.routed,
 		PerShard:    make([]obs.ShardUtil, len(run.ranges)),
 	}
@@ -644,11 +643,9 @@ func SimulateShardedWindowed(cfg Config, src workload.Source, tariff pricing.Tar
 		rep.Events += su.Events
 		rep.PerShard[i] = su
 	}
+	// A fixed fleet has at least one shard, so the merge is never nil.
 	if rep.Windowed, err = metrics.MergeTree(run.accs); err != nil {
 		return nil, err
-	}
-	if rep.Windowed == nil {
-		rep.Windowed, _ = metrics.NewWindowedAccumulator(tariff, width)
 	}
 	return rep, nil
 }
@@ -665,21 +662,17 @@ func Simulate(cfg Config, invs []workload.Invocation) (*Result, error) {
 	if len(invs) == 0 {
 		return nil, fmt.Errorf("cluster: empty workload")
 	}
-	if cfg.Servers > math.MaxInt32 {
-		return nil, fmt.Errorf("cluster: %d servers, more than an int32 assignment holds", cfg.Servers)
-	}
 	run, err := runSharded(cfg, workload.SliceSource(invs), len(invs), pricing.Tariff{}, 0)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{
-		Dispatch:   cfg.Dispatch,
-		Servers:    cfg.Servers,
-		PerServer:  make([]ServerResult, cfg.Servers),
-		Assignment: run.assignment,
+		Dispatch:  run.Dispatch(),
+		Servers:   cfg.Servers,
+		PerServer: make([]ServerResult, cfg.Servers),
 	}
-	if res.Set.Records, err = run.slots.Close(run.assignment); err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
+	if res.Set.Records, res.Assignment, err = run.Records(); err != nil {
+		return nil, err
 	}
 	res.Faults.Accumulate(run.faults)
 	for s := range res.PerServer {
@@ -709,151 +702,59 @@ func Simulate(cfg Config, invs []workload.Invocation) (*Result, error) {
 
 // fixedRun is a finished fixed-fleet run.
 type fixedRun struct {
-	fleet      *Fleet
-	ranges     [][2]int                       // each shard's contiguous server range
-	members    pages[*Member]                 // by server; nil where nothing was routed
-	accs       []*metrics.WindowedAccumulator // windowed mode's sinks, by shard
-	slots      *metrics.Slots                 // exact mode's records
-	assignment []int32                        // exact mode only: each invocation's server
-	faults     faults.Stats                   // router-side crash and straggler windows
+	*Driver
+	ranges [][2]int                       // each shard's contiguous server range
+	accs   []*metrics.WindowedAccumulator // windowed mode's sinks, by shard
+	faults faults.Stats                   // router-side crash and straggler windows
 }
 
-// runSharded is the fixed-fleet router behind Simulate and
+// runSharded is the fixed fleet behind Simulate and
 // SimulateShardedWindowed: it resolves the contiguous shard ranges and
-// routes src onto the lockstep engine. With exact > 0, src yields exactly
-// exact invocations, and the fleet keeps every record in fixed-length
-// slots and the assignment in an array of the same length; otherwise each
-// server records into its shard's windowed accumulator (width, billed at
-// tariff). A server joins its shard on its first arrival, with a policy
-// from cfg.Policy. A server that receives nothing
-// gets no policy, machine or lanes: it costs a few words of routing
-// state (DESIGN.md §12).
+// runs src on the driver. With exact > 0, src yields exactly exact
+// invocations, and the fleet keeps every record in fixed-length slots and
+// the assignment in an array of the same length; otherwise each server
+// records into its shard's windowed accumulator (width, billed at
+// tariff). Under a fault plan every server runs a restartable fault
+// machine, and the router's fault view is the controller. A server that
+// receives nothing gets no policy, machine or lanes: it costs a few words
+// of routing state (DESIGN.md §12).
 func runSharded(cfg Config, src workload.Source, exact int, tariff pricing.Tariff, width time.Duration) (*fixedRun, error) {
 	if cfg.Servers < 1 {
 		return nil, fmt.Errorf("cluster: Servers must be >= 1, got %d", cfg.Servers)
-	}
-	if cfg.Policy == nil {
-		return nil, fmt.Errorf("cluster: nil Policy factory")
-	}
-	if cfg.Kernel.Cores < 1 {
-		return nil, fmt.Errorf("cluster: Kernel.Cores must be >= 1, got %d", cfg.Kernel.Cores)
-	}
-	if src == nil {
-		return nil, fmt.Errorf("cluster: nil workload source")
-	}
-	if cfg.Dispatch == "" {
-		cfg.Dispatch = DispatchLeastLoaded
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	if cfg.Window < 0 {
-		return nil, fmt.Errorf("cluster: negative watermark window %v", cfg.Window)
-	}
-	if err := cfg.Faults.Validate(); err != nil {
-		return nil, err
 	}
 	ranges, err := shardPlan(cfg.Servers, cfg.Shards)
 	if err != nil {
 		return nil, err
 	}
-	run := &fixedRun{ranges: ranges, members: newPages[*Member](cfg.Servers)}
-	if exact > 0 {
-		run.slots = metrics.NewSlots(exact)
-		run.assignment = make([]int32, exact)
-	} else {
+	run := &fixedRun{ranges: ranges}
+	l := Layout{Shards: len(ranges), Exact: exact, ShardOf: func(s int) int {
+		return sort.Search(len(ranges), func(i int) bool { return ranges[i][1] > s })
+	}}
+	if exact == 0 {
 		run.accs = make([]*metrics.WindowedAccumulator, len(ranges))
 		for i := range run.accs {
 			if run.accs[i], err = metrics.NewWindowedAccumulator(tariff, width); err != nil {
 				return nil, err
 			}
 		}
+		l.Sink = func(s int) metrics.Sink { return run.accs[l.ShardOf(s)] }
 	}
-
-	model := NewFleetModel(cfg.Servers, cfg.Kernel.Cores)
-	router, err := NewRouter(cfg.Dispatch, cfg.Seed, model, cfg.ColdStart, cfg.Obs)
-	if err != nil {
+	if cfg.Faults.Enabled() {
+		l.Machine = func(s int) *faults.Machine { return faults.NewMachine(cfg.Faults, s) }
+	}
+	if run.Driver, err = NewDriver(cfg, l); err != nil {
 		return nil, err
 	}
-	rf := newRouteFaults(cfg.Faults, cfg.Servers, model, router.Pools(), cfg.Obs.Tracer())
-	router.faults = rf
-	shardOf := func(s int) int {
-		return sort.Search(len(ranges), func(i int) bool { return ranges[i][1] > s })
+	var ctl Controller
+	rf := newRouteFaults(cfg.Faults, cfg.Servers, run.router.model, run.router.Pools(), cfg.Obs.Tracer())
+	if rf != nil {
+		run.router.faults, ctl = rf, rf
 	}
-	run.fleet = NewFleet(cfg.Kernel, cfg.Ghost, cfg.Obs, cfg.Window, len(ranges), shardOf, run.slots)
-
-	lastArr := time.Duration(-1)
-	var routeErr error
-	src(func(inv workload.Invocation) bool {
-		if inv.Arrival < lastArr {
-			routeErr = fmt.Errorf("cluster: invocations not sorted by arrival at index %d", run.fleet.routed)
-			return false
-		}
-		lastArr = inv.Arrival
-		if err := inv.CheckRecordFields(run.fleet.routed); err != nil {
-			routeErr = fmt.Errorf("cluster: %w", err)
-			return false
-		}
-		run.fleet.Advance(inv.Arrival)
-		var (
-			s   int
-			r   Routed
-			err error
-		)
-		if rf == nil {
-			s, r, _, err = router.RouteAll(inv, run.fleet.routed)
-		} else {
-			cand, fallback := rf.route(inv.Arrival), -1
-			if len(cand) == 0 {
-				fallback = rf.fallback()
-			}
-			s, r, _, err = router.Route(inv, run.fleet.routed, cand, fallback)
-		}
-		if err != nil {
-			routeErr = err
-			return false
-		}
-		if exact > 0 {
-			if run.fleet.routed == exact {
-				routeErr = fmt.Errorf("cluster: workload source yielded more than %d invocations", exact)
-				return false
-			}
-			run.assignment[run.fleet.routed] = int32(s)
-		}
-		m := run.members.get(s)
-		if m == nil {
-			// The server's policy is built at its first admission, on
-			// the routing goroutine, so factories need not be
-			// goroutine-safe and untouched servers cost no policy.
-			policy := cfg.Policy()
-			if policy == nil {
-				routeErr = fmt.Errorf("cluster: Policy factory returned nil for server %d", s)
-				return false
-			}
-			m = &Member{Index: s, Policy: policy}
-			if exact == 0 {
-				m.Sink = run.accs[shardOf(s)]
-			}
-			if cfg.Faults.Enabled() {
-				m.Faults = faults.NewMachine(cfg.Faults, s)
-			}
-			*run.members.at(s) = m
-			run.fleet.Join(m)
-		}
-		run.fleet.Admit(m, r)
-		return true
-	})
-	if err := run.fleet.Close(); err != nil && routeErr == nil {
-		routeErr = fmt.Errorf("cluster: %w", err)
-	}
-	if routeErr != nil {
-		return nil, routeErr
-	}
-	if run.fleet.routed == 0 {
-		return nil, fmt.Errorf("cluster: empty workload")
+	if err := run.Run(src, ctl); err != nil {
+		return nil, err
 	}
 	if rf != nil {
-		run.faults = rf.stats()
+		run.faults = rf.fleet.Stats()
 		if reg := cfg.Obs.Registry(); reg != nil {
 			reg.Counter(obs.CFaultCrashes).Add(run.faults.Crashes)
 			reg.Counter(obs.CFaultStragglers).Add(run.faults.StragglerWindows)

@@ -1,7 +1,8 @@
 // Incremental runs: one machine under external admission control. The
-// fleet engine (cluster.Fleet, behind cluster.Simulate,
-// cluster.SimulateShardedWindowed and autoscale.Run) runs every machine
-// this way, a single machine being a one-server fleet: a router goroutine
+// fleet engine (cluster.Fleet, which the fleet driver cluster.Driver runs
+// behind cluster.Simulate, cluster.SimulateShardedWindowed and the
+// elastic autoscale.Run and RunWindowed) runs every machine this way, a
+// single machine being a one-server fleet: a router goroutine
 // owns the arrival stream and tells every machine how far it may advance
 // (a watermark T is only emitted once every arrival ≤ T has been handed
 // over). The caller admits tasks, then steps the clock to each watermark
