@@ -169,3 +169,42 @@ func TestAutoscaleOptionValidation(t *testing.T) {
 		t.Error("empty workload accepted")
 	}
 }
+
+// TestPinnedAutoscaledSharesMatchCluster: pinned to MinServers ==
+// MaxServers == 3, the elastic fleet reports every server's whole share
+// as the fixed fleet does, enclave, kernel and fault-machine counters
+// included, on the golden matrix's timeout fleet, where timeouts kill.
+func TestPinnedAutoscaledSharesMatchCluster(t *testing.T) {
+	invs := goldenWorkload(t)
+	var opts ClusterOptions
+	for _, f := range recordFleets() {
+		if f.key == "records/hybrid/timeout" {
+			opts = f.opts
+		}
+	}
+	want, err := SimulateCluster(opts, invs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := SimulateAutoscaledExact(AutoscaleOptions{
+		MinServers: opts.Servers, MaxServers: opts.Servers, CoresPerServer: opts.CoresPerServer,
+		Dispatch: opts.Dispatch, Scheduler: opts.Scheduler, Seed: opts.Seed, Faults: opts.Faults,
+	}, SliceSource(invs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.PerServer) != len(want.PerServer) {
+		t.Fatalf("%d servers, want %d", len(got.PerServer), len(want.PerServer))
+	}
+	events, kills := false, false
+	for s, ws := range want.PerServer {
+		if gs := got.PerServer[s]; gs != ws {
+			t.Errorf("server %d: elastic share %+v, fixed %+v", s, gs, ws)
+		}
+		events = events || ws.Events > 0
+		kills = kills || ws.Faults.Kills > 0
+	}
+	if !events || !kills {
+		t.Fatalf("no server scheduled kernel events (%t) or killed a task (%t): the comparison is vacuous", events, kills)
+	}
+}

@@ -646,7 +646,7 @@ func BenchmarkShardHandoff(b *testing.B) {
 		}
 		done := 0
 		for _, m := range members {
-			done += m.Completed
+			done += m.Result.Completed
 		}
 		if done != n {
 			b.Fatalf("%d of %d arrivals completed", done, n)

@@ -462,10 +462,7 @@ type ServerResult = cluster.ServerResult
 // the per-server breakdown and the dispatch assignment. Result.Set holds
 // every record in increasing ID order (record ID k, 1 + the invocation's
 // index in the input, at index k-1); server s's records are the ones
-// whose Assignment entry is s. On elastic runs (SimulateAutoscaledExact)
-// each PerServer[s].Faults, Stats and Events stays zero, since the
-// elastic fleet does not keep them per server; Faults still holds the
-// fleet-wide fault totals.
+// whose Assignment entry is s.
 type ClusterResult struct {
 	// Result aggregates the whole fleet (merged metric set, fleet-wide
 	// makespan, summed preemptions).
@@ -563,22 +560,22 @@ func SimulateCluster(opts ClusterOptions, invs []Invocation) (*ClusterResult, er
 	if err != nil {
 		return nil, err
 	}
-	return clusterResult(opts, cres), nil
+	return clusterResult(opts.Scheduler, opts.CoresPerServer, cres), nil
 }
 
-// clusterResult packages a fixed fleet's engine result for the facade;
-// opts are the resolved options that configured the run.
-func clusterResult(opts ClusterOptions, cres *cluster.Result) *ClusterResult {
+// clusterResult packages a fleet's engine result for the facade, fixed
+// or elastic; sched and cores are the resolved per-server options.
+func clusterResult(sched Scheduler, cores int, cres *cluster.Result) *ClusterResult {
 	return &ClusterResult{
 		Result: Result{
-			Scheduler:   opts.Scheduler,
+			Scheduler:   sched,
 			Set:         cres.Set,
 			Makespan:    cres.Makespan,
 			Preemptions: cres.Preemptions,
 		},
 		Dispatch:       cres.Dispatch,
 		Servers:        cres.Servers,
-		CoresPerServer: opts.CoresPerServer,
+		CoresPerServer: cores,
 		PerServer:      cres.PerServer,
 		Assignment:     cres.Assignment,
 		Faults:         cres.Faults,
@@ -888,28 +885,13 @@ func SimulateAutoscaledExact(opts AutoscaleOptions, src Source) (*ClusterResult,
 	if err != nil {
 		return nil, err
 	}
-	out := &ClusterResult{
-		Result: Result{
-			Scheduler:   opts.Scheduler,
-			Set:         res.Set,
-			Makespan:    res.Makespan,
-			Preemptions: res.Preemptions,
-		},
-		Dispatch:       res.Dispatch,
-		Servers:        res.Launched(),
-		CoresPerServer: opts.CoresPerServer,
-		Assignment:     res.Assignment,
-		Faults:         res.Faults,
-	}
+	per := make([]ServerResult, len(res.Servers))
 	for i := range res.Servers {
-		sv := &res.Servers[i]
-		out.PerServer = append(out.PerServer, ServerResult{
-			Server:      sv.Index,
-			Invocations: sv.Routed,
-			Makespan:    sv.Makespan,
-			Preemptions: sv.Preemptions,
-			Busy:        sv.Busy,
-		})
+		per[i] = res.Servers[i].ServerResult
 	}
-	return out, nil
+	return clusterResult(opts.Scheduler, opts.CoresPerServer, &cluster.Result{
+		Dispatch: res.Dispatch, Servers: len(per), Set: res.Set,
+		Totals:    cluster.Totals{Makespan: res.Makespan, Preemptions: res.Preemptions, Faults: res.Faults},
+		PerServer: per, Assignment: res.Assignment,
+	}), nil
 }

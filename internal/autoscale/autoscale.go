@@ -153,8 +153,11 @@ type Event struct {
 
 // Server is one server's lifecycle and share of an autoscaled run.
 type Server struct {
-	// Index is the launch-order fleet index (also the dispatch index).
-	Index int
+	// ServerResult is the server's share, filled by the shard that
+	// drains it; its Server field is the launch-order fleet index (also
+	// the dispatch index). A boot canceled before activation keeps an
+	// empty share.
+	cluster.ServerResult
 	// LaunchAt is the scale-up decision instant; billing starts here.
 	LaunchAt time.Duration
 	// ReadyAt is LaunchAt + spin-up; no invocation arriving earlier is
@@ -176,20 +179,9 @@ type Server struct {
 	// drain tail), its residents were killed in-kernel, and a cold
 	// replacement was launched if Max allowed.
 	Crashed bool
-	// Routed counts invocations dispatched here; Completed/Failed count
-	// retired records (their sum always equals Routed — drain-before-
-	// retire never drops an admitted task).
-	Routed, Completed, Failed int
 	// ColdStarts counts routed invocations that paid the instance
 	// spin-up penalty here (zero with the cold-start model disabled).
 	ColdStarts int
-	// Preemptions sums preemption counts over this server's records.
-	Preemptions int
-	// Busy sums the execution time of this server's completed records.
-	Busy time.Duration
-	// Makespan is this server's last completion instant (zero if it never
-	// served).
-	Makespan time.Duration
 }
 
 // BilledSeconds is this server's billed uptime in seconds.
@@ -205,7 +197,7 @@ type Result struct {
 	// Events is the fleet-size timeline, sorted by (time, kind, server).
 	Events []Event
 	// Routed counts dispatched invocations; Completed + Failed always
-	// equals Routed.
+	// equals Routed (drain-before-retire never drops an admitted task).
 	Routed, Completed, Failed int
 	// ColdStarts counts routed invocations that paid the instance
 	// spin-up penalty (zero with the cold-start model disabled).
@@ -511,10 +503,8 @@ func (c *controller) After(s int, r cluster.Routed, finish time.Duration) {
 	if c.cfg.Policy == PolicyQueueDepth {
 		c.track.book(s, finish)
 	}
-	sv := c.servers[s]
-	sv.Routed++
 	if r.ColdStart > 0 {
-		sv.ColdStarts++
+		c.servers[s].ColdStarts++
 	}
 	t := r.Inv.Arrival
 	c.evalDown(t, c.evalUp(t))
@@ -536,7 +526,7 @@ func (c *controller) launch(t, ready time.Duration) {
 		c.pools.AddServer() // a fresh server has no warm state
 	}
 	sv := &serverState{Server: Server{
-		Index: idx, LaunchAt: t, ReadyAt: ready, DrainAt: Never, RetireAt: Never,
+		ServerResult: cluster.ServerResult{Server: idx}, LaunchAt: t, ReadyAt: ready, DrainAt: Never, RetireAt: Never,
 	}, crashAt: Never}
 	if c.faultsOn && c.cfg.Faults.CrashMTBF > 0 {
 		// The slot's terminal crash: first scheduled crash strictly after
@@ -590,7 +580,7 @@ func (c *controller) sweepCrashes(t time.Duration) {
 	for _, s := range c.candidates {
 		sv := c.servers[s]
 		if sv.crashAt != Never && sv.crashAt <= t {
-			c.crash(sv, t)
+			c.crash(s, t)
 			crashed++
 		} else {
 			kept = append(kept, s)
@@ -616,23 +606,24 @@ func (c *controller) sweepCrashes(t time.Duration) {
 // machine (which shares crashAt) kills the residents; the server stays in
 // the engine until a live candidate exists, so a fully-down fleet can
 // still queue work here (killed on delivery).
-func (c *controller) crash(sv *serverState, t time.Duration) {
+func (c *controller) crash(s int, t time.Duration) {
+	sv := c.servers[s]
 	at := sv.crashAt
 	sv.DrainAt, sv.RetireAt, sv.Crashed = at, at, true
-	c.model.SetEligible(sv.Index, false, t)
-	c.track.drop(sv.Index)
+	c.model.SetEligible(s, false, t)
+	c.track.drop(s)
 	if c.pools != nil {
-		c.pools.DropServer(sv.Index)
+		c.pools.DropServer(s)
 	}
-	c.crashedOpen = append(c.crashedOpen, sv.Index)
+	c.crashedOpen = append(c.crashedOpen, s)
 	c.crashes++
 	if c.crashCtr != nil {
 		c.crashCtr.Inc()
 	}
 	if tr := c.cfg.Obs.Tracer(); tr != nil {
-		tr.FaultEvent("crash", sv.Index, at)
+		tr.FaultEvent("crash", s, at)
 	}
-	c.events = append(c.events, Event{Time: at, Kind: EventDrain, Server: sv.Index})
+	c.events = append(c.events, Event{Time: at, Kind: EventDrain, Server: s})
 }
 
 // closeCrashed retires crashed servers from the engine once a live
@@ -756,14 +747,17 @@ func (c *controller) finish() (*Result, error) {
 		Policy:   c.cfg.Policy,
 	}
 
-	// Fleet makespan first: surviving servers bill until it.
+	// The fleet totals first: surviving servers bill until its makespan.
+	var t cluster.Totals
 	for _, sv := range c.servers {
 		if sv.m != nil {
-			sv.Makespan = sv.m.Makespan
-			sv.Completed, sv.Failed, sv.Preemptions, sv.Busy = sv.m.Completed, sv.m.Failed, sv.m.Preemptions, sv.m.Busy
+			sv.ServerResult = sv.m.Result
 		}
-		res.Makespan = max(res.Makespan, sv.Makespan)
+		t.Add(&sv.ServerResult)
 	}
+	res.Routed, res.Completed, res.Failed, res.Preemptions = t.Invocations, t.Completed, t.Failed, t.Preemptions
+	res.Makespan, res.Stats, res.KernelEvents, res.Faults = t.Makespan, t.Stats, t.Events, t.Faults
+	res.Faults.Crashes = c.crashes
 
 	var err error
 	if res.Set.Records, res.Assignment, err = c.d.Records(); err != nil {
@@ -771,44 +765,25 @@ func (c *controller) finish() (*Result, error) {
 	}
 
 	events := c.events
-	for _, sv := range c.servers {
+	for s, sv := range c.servers {
 		switch {
 		case sv.Canceled, sv.Crashed:
 			// RetireAt already set: a cancel bills to the drain instant, a
 			// crash to the crash instant (post-crash kernel activity is
 			// kill bookkeeping on a machine no longer billed).
 		case sv.DrainAt != Never:
-			sv.RetireAt = sv.DrainAt
-			if sv.Makespan > sv.RetireAt {
-				sv.RetireAt = sv.Makespan
-			}
+			sv.RetireAt = max(sv.DrainAt, sv.Makespan)
 		default:
 			// Survivors shut down when the run ends — including one still
 			// mid-boot, which (like a canceled boot) bills only the spin-up
 			// fraction bought before the workload drained.
-			sv.RetireAt = res.Makespan
-			if sv.RetireAt < sv.LaunchAt {
-				sv.RetireAt = sv.LaunchAt
-			}
+			sv.RetireAt = max(res.Makespan, sv.LaunchAt)
 		}
-		events = append(events, Event{Time: sv.RetireAt, Kind: EventRetire, Server: sv.Index})
-
-		res.Routed += sv.Routed
-		res.Completed += sv.Completed
-		res.Failed += sv.Failed
-		res.Preemptions += sv.Preemptions
+		events = append(events, Event{Time: sv.RetireAt, Kind: EventRetire, Server: s})
 		res.ColdStarts += sv.ColdStarts
 		res.ServerSeconds += sv.BilledSeconds()
-		if sv.m != nil {
-			res.Stats.Accumulate(sv.m.Stats)
-			res.KernelEvents += sv.m.Events
-			if sv.m.Faults != nil {
-				res.Faults.Accumulate(sv.m.Faults.Stats())
-			}
-		}
 		res.Servers = append(res.Servers, sv.Server)
 	}
-	res.Faults.Crashes = c.crashes
 
 	sort.SliceStable(events, func(i, j int) bool {
 		if events[i].Time != events[j].Time {

@@ -178,14 +178,7 @@ func TestPinnedFleetMatchesCluster(t *testing.T) {
 				t.Errorf("makespan/preemptions %v/%d, want %v/%d",
 					got.Makespan, got.Preemptions, want.Makespan, want.Preemptions)
 			}
-			for s := range want.PerServer {
-				ws, gs := want.PerServer[s], got.Servers[s]
-				if gs.Routed != ws.Invocations || gs.Makespan != ws.Makespan || gs.Preemptions != ws.Preemptions || gs.Busy != ws.Busy {
-					t.Fatalf("server %d: routed/makespan/preempt/busy %d/%v/%d/%v, want %d/%v/%d/%v",
-						s, gs.Routed, gs.Makespan, gs.Preemptions, gs.Busy,
-						ws.Invocations, ws.Makespan, ws.Preemptions, ws.Busy)
-				}
-			}
+			requireSameShares(t, got, want)
 			requireSameRecords(t, got.Set.Records, want.Set.Records)
 			// A pinned fleet never scales: exactly Min lifecycle events.
 			if got.Launched() != 3 || got.Drained() != 0 || got.PeakServers != 3 {
@@ -221,19 +214,19 @@ func TestDrainBeforeRetireNeverDrops(t *testing.T) {
 			total := 0
 			for i := range res.Servers {
 				sv := &res.Servers[i]
-				if sv.Completed+sv.Failed != sv.Routed {
-					t.Errorf("server %d retired %d of %d routed", sv.Index, sv.Completed+sv.Failed, sv.Routed)
+				if sv.Completed+sv.Failed != sv.Invocations {
+					t.Errorf("server %d retired %d of %d routed", sv.Server, sv.Completed+sv.Failed, sv.Invocations)
 				}
 				if sv.DrainAt != Never && !sv.Canceled && sv.RetireAt < sv.Makespan {
-					t.Errorf("server %d retired at %v before its last completion %v", sv.Index, sv.RetireAt, sv.Makespan)
+					t.Errorf("server %d retired at %v before its last completion %v", sv.Server, sv.RetireAt, sv.Makespan)
 				}
-				if sv.Canceled && sv.Routed != 0 {
-					t.Errorf("canceled server %d was routed %d invocations", sv.Index, sv.Routed)
+				if sv.Canceled && sv.Invocations != 0 {
+					t.Errorf("canceled server %d was routed %d invocations", sv.Server, sv.Invocations)
 				}
-				total += sv.Routed
+				total += sv.Invocations
 			}
-			if total != res.Routed {
-				t.Errorf("per-server routed sums to %d, want %d", total, res.Routed)
+			if total != len(invs) || res.Routed != len(invs) {
+				t.Errorf("per-server routed sums to %d, fleet %d, want %d", total, res.Routed, len(invs))
 			}
 		})
 	}
@@ -252,15 +245,15 @@ func TestSpinUpDelaysFirstAdmission(t *testing.T) {
 	}
 	for i := range res.Servers {
 		sv := &res.Servers[i]
-		if sv.Index >= cfg.Min && !sv.Canceled {
+		if sv.Server >= cfg.Min && !sv.Canceled {
 			if sv.ReadyAt-sv.LaunchAt != cfg.SpinUp {
-				t.Errorf("server %d ready %v after launch, want %v", sv.Index, sv.ReadyAt-sv.LaunchAt, cfg.SpinUp)
+				t.Errorf("server %d ready %v after launch, want %v", sv.Server, sv.ReadyAt-sv.LaunchAt, cfg.SpinUp)
 			}
 		}
 	}
 	for k, rec := range res.Set.Records {
 		if sv := &res.Servers[res.Assignment[k]]; rec.Arrival < sv.ReadyAt {
-			t.Fatalf("server %d (ready %v) served invocation arriving %v", sv.Index, sv.ReadyAt, rec.Arrival)
+			t.Fatalf("server %d (ready %v) served invocation arriving %v", sv.Server, sv.ReadyAt, rec.Arrival)
 		}
 	}
 }
@@ -400,9 +393,9 @@ func TestCanceledBootServesNothing(t *testing.T) {
 		sv := &res.Servers[i]
 		if sv.Canceled {
 			canceled++
-			if sv.Routed != 0 || sv.RetireAt != sv.DrainAt || sv.RetireAt >= sv.ReadyAt {
+			if sv.Invocations != 0 || sv.RetireAt != sv.DrainAt || sv.RetireAt >= sv.ReadyAt {
 				t.Errorf("canceled server %d: routed=%d drain=%v retire=%v ready=%v",
-					sv.Index, sv.Routed, sv.DrainAt, sv.RetireAt, sv.ReadyAt)
+					sv.Server, sv.Invocations, sv.DrainAt, sv.RetireAt, sv.ReadyAt)
 			}
 		}
 	}
@@ -458,7 +451,26 @@ func TestPinnedFleetColdStartMatchesCluster(t *testing.T) {
 			t.Fatalf("assignment[%d] = %d, want %d", i, got.Assignment[i], want.Assignment[i])
 		}
 	}
+	requireSameShares(t, got, want)
 	requireSameRecords(t, got.Set.Records, want.Set.Records)
+}
+
+// requireSameShares fails unless every server of the pinned elastic run
+// holds the fixed fleet's whole share of the same index, enclave, kernel
+// and fault-machine counters included.
+func requireSameShares(t *testing.T, got *Result, want *cluster.Result) {
+	t.Helper()
+	if len(got.Servers) != len(want.PerServer) {
+		t.Fatalf("%d servers, want %d", len(got.Servers), len(want.PerServer))
+	}
+	for s, ws := range want.PerServer {
+		if gs := got.Servers[s].ServerResult; gs != ws {
+			t.Fatalf("server %d: share %+v, want %+v", s, gs, ws)
+		}
+		if ws.Events == 0 {
+			t.Fatalf("server %d scheduled no kernel events; the comparison is vacuous", s)
+		}
+	}
 }
 
 // requireSameRecords fails unless got and want hold the same records in
@@ -511,9 +523,9 @@ func TestAutoscaleColdStartScalingRun(t *testing.T) {
 		perServer += sv.ColdStarts
 		// A server that served anything paid at least one cold start: it
 		// launches with an empty pool, and drain destroys it for good.
-		if sv.Routed > 0 && sv.ColdStarts == 0 {
+		if sv.Invocations > 0 && sv.ColdStarts == 0 {
 			t.Errorf("server %d routed %d invocations with no cold start on a fresh pool",
-				sv.Index, sv.Routed)
+				sv.Server, sv.Invocations)
 		}
 	}
 	if perServer != res.ColdStarts {

@@ -147,8 +147,8 @@ func digestElastic(r *Result) string {
 	for i := range r.Servers {
 		sv := &r.Servers[i]
 		fmt.Fprintf(h, "s%d launch=%d ready=%d drain=%d retire=%d canceled=%t crashed=%t routed=%d ok=%d fail=%d cold=%d preempt=%d makespan=%d\n",
-			sv.Index, int64(sv.LaunchAt), int64(sv.ReadyAt), int64(sv.DrainAt), int64(sv.RetireAt),
-			sv.Canceled, sv.Crashed, sv.Routed, sv.Completed, sv.Failed, sv.ColdStarts, sv.Preemptions, int64(sv.Makespan))
+			sv.Server, int64(sv.LaunchAt), int64(sv.ReadyAt), int64(sv.DrainAt), int64(sv.RetireAt),
+			sv.Canceled, sv.Crashed, sv.Invocations, sv.Completed, sv.Failed, sv.ColdStarts, sv.Preemptions, int64(sv.Makespan))
 		for _, rec := range per[i] {
 			metrics.WriteDigest(h, rec)
 		}
@@ -289,9 +289,9 @@ func TestExactRecordsAcrossBlocks(t *testing.T) {
 					busy += rec.Execution()
 				}
 			}
-			if len(recs) != sv.Routed || sv.Completed+sv.Failed != sv.Routed || busy != sv.Busy {
+			if len(recs) != sv.Invocations || sv.Completed+sv.Failed != sv.Invocations || busy != sv.Busy {
 				t.Errorf("%s: server %d holds %d records, routed %d, retired %d+%d, busy %v (records say %v)",
-					sc.name, s, len(recs), sv.Routed, sv.Completed, sv.Failed, sv.Busy, busy)
+					sc.name, s, len(recs), sv.Invocations, sv.Completed, sv.Failed, sv.Busy, busy)
 			}
 		}
 	}

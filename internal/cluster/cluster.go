@@ -113,7 +113,9 @@ func shardPlan(servers, shards int) ([][2]int, error) {
 // load is uneven), capped at the fleet size.
 func DefaultShards(servers int) int { return max(1, min(servers, 4*runtime.GOMAXPROCS(0))) }
 
-// ServerResult is one server's share of a fleet simulation.
+// ServerResult is one server's share of a run, on every fleet, fixed or
+// elastic: the shard that drains the server fills it (Member.Result),
+// and Totals.Add sums a fleet's shares.
 type ServerResult struct {
 	// Server is the fleet index.
 	Server int
@@ -121,6 +123,9 @@ type ServerResult struct {
 	// server's records are the Result.Set records whose Assignment entry
 	// is this server; the fleet keeps no per-server copy of them.
 	Invocations int
+	// Completed and Failed count the server's records; they sum to
+	// Invocations once the server has drained.
+	Completed, Failed int
 	// Makespan is this server's last completion time.
 	Makespan time.Duration
 	// Preemptions is this server's total preemption count.
@@ -137,6 +142,36 @@ type ServerResult struct {
 	Faults faults.Stats
 }
 
+// Totals sums a set of server shares into fleet totals.
+type Totals struct {
+	// Invocations, Completed and Failed sum the shares' counts.
+	Invocations, Completed, Failed int
+	// Makespan is the fleet-wide last completion time.
+	Makespan time.Duration
+	// Preemptions sums preemptions across servers.
+	Preemptions int
+	// Stats sums enclave delegation counters across servers.
+	Stats ghost.Stats
+	// Events sums scheduled kernel events across servers.
+	Events uint64
+	// Faults sums the servers' fault-machine counters; each fleet adds
+	// its own routing-side counts (crash and straggler windows).
+	Faults faults.Stats
+}
+
+// Add folds the share s into t. It is the one place a fleet sums its
+// servers' shares.
+func (t *Totals) Add(s *ServerResult) {
+	t.Invocations += s.Invocations
+	t.Completed += s.Completed
+	t.Failed += s.Failed
+	t.Makespan = max(t.Makespan, s.Makespan)
+	t.Preemptions += s.Preemptions
+	t.Stats.Accumulate(s.Stats)
+	t.Events += s.Events
+	t.Faults.Accumulate(s.Faults)
+}
+
 // Result is a finished fleet simulation.
 type Result struct {
 	// Dispatch that routed the workload.
@@ -147,23 +182,15 @@ type Result struct {
 	// k (1 + the invocation's index in the source) sits at index k-1, the
 	// slot its server wrote it to.
 	Set metrics.Set
-	// Makespan is the fleet-wide last completion time.
-	Makespan time.Duration
-	// Preemptions sums preemptions across servers.
-	Preemptions int
+	// Totals sums PerServer; its Faults also holds the router-side crash
+	// and straggler windows.
+	Totals
 	// PerServer holds each server's individual result, by fleet index.
 	PerServer []ServerResult
 	// Assignment maps each input invocation index to its server, an
 	// int32 per invocation: Simulate rejects fleets of more than
 	// math.MaxInt32 servers, so every index fits.
 	Assignment []int32
-	// Stats sums enclave delegation counters across servers.
-	Stats ghost.Stats
-	// Events sums scheduled kernel events across servers.
-	Events uint64
-	// Faults aggregates fault activity fleet-wide: router-side crash and
-	// straggler windows plus every machine's kills/retries/give-ups.
-	Faults faults.Stats
 }
 
 // Imbalance reports max-over-mean busy work across servers: 1.0 is a

@@ -86,10 +86,11 @@ func TestDriverControllerJoinsAndRetires(t *testing.T) {
 		}
 	}
 	for _, m := range ctl.members {
-		if m.Routed == 0 || m.Completed+m.Failed != m.Routed {
-			t.Errorf("server %d: routed %d, completed %d, failed %d", m.Index, m.Routed, m.Completed, m.Failed)
+		r := m.Result
+		if r.Server != m.Index || r.Invocations == 0 || r.Completed+r.Failed != r.Invocations {
+			t.Errorf("server %d: share of server %d, routed %d, completed %d, failed %d", m.Index, r.Server, r.Invocations, r.Completed, r.Failed)
 		}
-		routed += m.Routed
+		routed += r.Invocations
 	}
 	if routed != len(invs) || d.fleet.routed != len(invs) {
 		t.Errorf("servers routed %d, driver %d, of %d arrivals", routed, d.fleet.routed, len(invs))

@@ -107,14 +107,10 @@ func simulateRetiring(cfg Config, invs []workload.Invocation) (*Result, error) {
 	}
 	for s, m := range members {
 		res.PerServer[s].Server = s
-		if m == nil {
-			continue
+		if m != nil {
+			res.PerServer[s] = m.Result
 		}
-		res.PerServer[s].Invocations = m.Routed
-		res.PerServer[s].Makespan = m.Makespan
-		res.PerServer[s].Preemptions = m.Preemptions
-		res.Makespan = max(res.Makespan, m.Makespan)
-		res.Preemptions += m.Preemptions
+		res.Totals.Add(&res.PerServer[s])
 	}
 	return res, nil
 }

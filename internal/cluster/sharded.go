@@ -143,20 +143,10 @@ type Member struct {
 	// Faults, when non-nil, is the server's fault machine, interposed on
 	// the policy, the sink and every admitted task (DESIGN.md §14).
 	Faults *faults.Machine
-
-	// Routed counts admitted invocations; Completed and Failed count
-	// their records, and always sum to Routed once the server drained.
-	Routed, Completed, Failed int
-	// Preemptions sums preemption counts over the server's records.
-	Preemptions int
-	// Busy sums the execution time of the server's completed records.
-	Busy time.Duration
-	// Makespan is the server's last completion instant.
-	Makespan time.Duration
-	// Stats holds the server enclave's delegation counters.
-	Stats ghost.Stats
-	// Events is how many kernel events the server's run scheduled.
-	Events uint64
+	// Result is the server's share of the run. Its shard counts each
+	// admission and record into it and fills the rest when the server
+	// drains.
+	Result ServerResult
 
 	shard int
 	inc   *simrun.Incremental // nil before the join and after the drain
@@ -185,24 +175,23 @@ type pendChunk struct {
 	r    [pendLen]Routed
 }
 
-// countingSink tallies a server's records on their way to its sink: the
-// bookkeeping the drain-time conservation check needs, and the server's
-// busy time, whatever the caller collects.
+// countingSink tallies a server's records into its share on their way to
+// its sink: the bookkeeping the drain-time conservation check needs, and
+// the server's busy time, whatever the caller collects.
 type countingSink struct {
-	inner                       metrics.Sink
-	completed, failed, preempts int
-	busy                        time.Duration
+	inner metrics.Sink
+	share *ServerResult
 }
 
 // Push implements metrics.Sink.
 func (c *countingSink) Push(r metrics.Record) {
 	if r.Failed {
-		c.failed++
+		c.share.Failed++
 	} else {
-		c.completed++
-		c.busy += r.Execution()
+		c.share.Completed++
+		c.share.Busy += r.Execution()
 	}
-	c.preempts += int(r.Preemptions)
+	c.share.Preemptions += int(r.Preemptions)
 	if c.inner != nil {
 		c.inner.Push(r)
 	}
@@ -288,7 +277,7 @@ func (w *shardWorker) join(m *Member) {
 	if w.slots != nil {
 		inner = w.slots.Writer(m.Index)
 	}
-	m.count.inner = f.obs.WrapSink(m.Index, inner)
+	m.count = countingSink{inner: f.obs.WrapSink(m.Index, inner), share: &m.Result}
 	var sink metrics.Sink = &m.count
 	if m.Faults != nil {
 		var err error
@@ -365,7 +354,7 @@ func (w *shardWorker) admitPending(m *Member) error {
 			if err := m.inc.Admit(t); err != nil {
 				return err
 			}
-			m.Routed++
+			m.Result.Invocations++
 		}
 		m.pendHead, c.next, c.n = c.next, w.free, 0
 		w.free = c
@@ -400,7 +389,8 @@ func (w *shardWorker) retire(m *Member) {
 }
 
 // drain admits m's pending arrivals, runs m to quiescence, checks that
-// every routed invocation left exactly one record, and keeps m's results.
+// every routed invocation left exactly one record, and fills the rest of
+// m's share.
 func (w *shardWorker) drain(m *Member) {
 	err := w.admitPending(m)
 	if err == nil {
@@ -410,15 +400,15 @@ func (w *shardWorker) drain(m *Member) {
 		w.fail(m, err)
 		return
 	}
-	m.Completed, m.Failed, m.Preemptions = m.count.completed, m.count.failed, m.count.preempts
-	m.Busy = m.count.busy
-	if m.Completed+m.Failed != m.Routed {
-		w.fail(m, fmt.Errorf("retired %d of %d routed invocations", m.Completed+m.Failed, m.Routed))
+	r := &m.Result
+	if r.Completed+r.Failed != r.Invocations {
+		w.fail(m, fmt.Errorf("retired %d of %d routed invocations", r.Completed+r.Failed, r.Invocations))
 		return
 	}
-	m.Makespan = m.inc.Makespan()
-	m.Stats = m.inc.Stats()
-	m.Events = m.inc.Events()
+	r.Server, r.Makespan, r.Stats, r.Events = m.Index, m.inc.Makespan(), m.inc.Stats(), m.inc.Events()
+	if m.Faults != nil {
+		r.Faults = m.Faults.Stats()
+	}
 	m.inc = nil
 }
 
@@ -570,15 +560,19 @@ func (f *Fleet) Close() error {
 	if reg == nil {
 		return nil
 	}
-	reg.Counter(obs.CInvocations).Add(int64(f.routed))
+	var t Totals
+	machines := false
 	for _, w := range f.workers {
 		for _, m := range w.members {
-			reg.AddGhostStats(m.Stats)
-			reg.Counter(obs.CKernEvents).Add(int64(m.Events))
-			if m.Faults != nil {
-				addFaultStats(reg, m.Faults.Stats())
-			}
+			t.Add(&m.Result)
+			machines = machines || m.Faults != nil
 		}
+	}
+	reg.Counter(obs.CInvocations).Add(int64(f.routed))
+	reg.AddGhostStats(t.Stats)
+	reg.Counter(obs.CKernEvents).Add(int64(t.Events))
+	if machines {
+		addFaultStats(reg, t.Faults)
 	}
 	return nil
 }
@@ -589,25 +583,15 @@ type ShardedReplay struct {
 	Servers, Shards int
 	// Dispatch that routed the workload.
 	Dispatch Dispatch
-	// Invocations is the total arrival count routed.
-	Invocations int
-	// Makespan is the fleet-wide last completion time.
-	Makespan time.Duration
+	// Totals sums the servers' shares (Invocations is the arrival count
+	// routed); its Faults also holds the router-side crash and straggler
+	// windows.
+	Totals
 	// Windowed holds the merged per-window + whole-run metrics.
 	Windowed *metrics.WindowedAccumulator
-	// Stats aggregates the per-server enclaves' full delegation counters
-	// (messages, commits, fired vs elided ticks, migrations) across the
-	// fleet.
-	Stats ghost.Stats
-	// Events sums scheduled kernel events across servers.
-	Events uint64
 	// PerShard breaks invocations and events down by shard, in shard
 	// order — run-report material for spotting load imbalance.
 	PerShard []obs.ShardUtil
-	// Faults aggregates fault activity fleet-wide (router crash/straggler
-	// windows plus per-machine kills/retries/give-ups); zero when the
-	// plan is disabled.
-	Faults faults.Stats
 }
 
 // SimulateShardedWindowed streams src through a sharded fleet, folding
@@ -622,27 +606,23 @@ func SimulateShardedWindowed(cfg Config, src workload.Source, tariff pricing.Tar
 		return nil, err
 	}
 	rep := &ShardedReplay{
-		Servers:     cfg.Servers,
-		Shards:      len(run.ranges),
-		Dispatch:    run.Dispatch(),
-		Invocations: run.fleet.routed,
-		PerShard:    make([]obs.ShardUtil, len(run.ranges)),
+		Servers:  cfg.Servers,
+		Shards:   len(run.ranges),
+		Dispatch: run.Dispatch(),
+		PerShard: make([]obs.ShardUtil, len(run.ranges)),
+	}
+	for i, w := range run.fleet.workers {
+		var shard Totals
+		for _, m := range w.members {
+			shard.Add(&m.Result)
+			rep.Totals.Add(&m.Result)
+		}
+		rep.PerShard[i] = obs.ShardUtil{
+			Shard: i, Servers: run.ranges[i][1] - run.ranges[i][0],
+			Invocations: shard.Invocations, Events: shard.Events,
+		}
 	}
 	rep.Faults.Accumulate(run.faults)
-	for i, w := range run.fleet.workers {
-		su := obs.ShardUtil{Shard: i, Servers: run.ranges[i][1] - run.ranges[i][0]}
-		for _, m := range w.members {
-			rep.Makespan = max(rep.Makespan, m.Makespan)
-			rep.Stats.Accumulate(m.Stats)
-			if m.Faults != nil {
-				rep.Faults.Accumulate(m.Faults.Stats())
-			}
-			su.Invocations += m.Routed
-			su.Events += m.Events
-		}
-		rep.Events += su.Events
-		rep.PerShard[i] = su
-	}
 	// A fixed fleet has at least one shard, so the merge is never nil.
 	if rep.Windowed, err = metrics.MergeTree(run.accs); err != nil {
 		return nil, err
@@ -674,29 +654,16 @@ func Simulate(cfg Config, invs []workload.Invocation) (*Result, error) {
 	if res.Set.Records, res.Assignment, err = run.Records(); err != nil {
 		return nil, err
 	}
-	res.Faults.Accumulate(run.faults)
+	// A server that got no work keeps an empty share under its index.
 	for s := range res.PerServer {
 		sr := &res.PerServer[s]
 		sr.Server = s
-		m := run.members.get(s)
-		if m == nil {
-			continue
+		if m := run.members.get(s); m != nil {
+			*sr = m.Result
 		}
-		sr.Invocations = m.Routed
-		sr.Makespan = m.Makespan
-		sr.Preemptions = m.Preemptions
-		sr.Busy = m.Busy
-		sr.Stats = m.Stats
-		sr.Events = m.Events
-		if m.Faults != nil {
-			sr.Faults = m.Faults.Stats()
-		}
-		res.Makespan = max(res.Makespan, m.Makespan)
-		res.Preemptions += sr.Preemptions
-		res.Stats.Accumulate(sr.Stats)
-		res.Events += sr.Events
-		res.Faults.Accumulate(sr.Faults)
+		res.Totals.Add(sr)
 	}
+	res.Faults.Accumulate(run.faults)
 	return res, nil
 }
 

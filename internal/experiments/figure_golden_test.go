@@ -16,8 +16,10 @@ const figureGoldenPath = "testdata/figure_golden.json"
 // goldenFigures are the figures whose runs the hybrid's §IV-B monitor
 // drives — its recorded utilization, limit and core-count series (fig14,
 // fig16, fig17, fig19) and its rightsizing decisions (fig18, fig19) — and
-// ext-coldstart, whose every cell books through the warm pools (§10).
-var goldenFigures = []string{"fig14", "fig16", "fig17", "fig18", "fig19", "ext-coldstart"}
+// ext-coldstart, whose every cell books through the warm pools (§10),
+// and the Firecracker figures fig21 and fig22, whose quick-scale server
+// refuses some launches, so the key covers the abort path too.
+var goldenFigures = []string{"fig14", "fig16", "fig17", "fig18", "fig19", "ext-coldstart", "fig21", "fig22"}
 
 // TestFigureGolden pins the quick-scale CSV bytes of goldenFigures by
 // sha256. The digests are those of `faasbench -experiment <id> -scale

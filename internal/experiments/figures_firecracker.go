@@ -9,6 +9,7 @@ import (
 	"github.com/faassched/faassched/internal/metrics"
 	"github.com/faassched/faassched/internal/pricing"
 	"github.com/faassched/faassched/internal/simkern"
+	"github.com/faassched/faassched/internal/simrun"
 	"github.com/faassched/faassched/internal/workload"
 )
 
@@ -39,29 +40,18 @@ func (e *Env) fcWorkload() ([]workload.Invocation, firecracker.Config, error) {
 	return pinned, fcCfg, nil
 }
 
-// runFirecracker executes the Firecracker workload under inner and
-// returns the kernel, fleet, and collected metrics.
+// runFirecracker executes the Firecracker workload under inner, seeding
+// the machine with the fleet's microVM launches, and returns the kernel,
+// fleet, and collected metrics.
 func (e *Env) runFirecracker(inner ghost.Policy, invs []workload.Invocation, fcCfg firecracker.Config) (*RunOutput, *firecracker.Fleet, error) {
-	cfg := simkern.DefaultConfig(e.Cores)
-	k, err := simkern.New(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
 	fleet, err := firecracker.NewFleet(inner, fcCfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	if _, err := ghost.NewEnclave(k, fleet, ghost.Config{}); err != nil {
+	k, err := simrun.ExecStats(simkern.DefaultConfig(e.Cores), fleet, ghost.Config{},
+		func(k *simkern.Kernel) error { return fleet.Launch(k, invs) }, nil)
+	if err != nil {
 		return nil, nil, err
-	}
-	if err := fleet.Launch(k, invs); err != nil {
-		return nil, nil, err
-	}
-	if _, err := k.Run(0); err != nil {
-		return nil, nil, err
-	}
-	if k.Outstanding() != 0 {
-		return nil, nil, fmt.Errorf("experiments: %d firecracker tasks unfinished", k.Outstanding())
 	}
 	return &RunOutput{Kernel: k, Set: metrics.Collect(k), Policy: fleet}, fleet, nil
 }

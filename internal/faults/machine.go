@@ -114,20 +114,14 @@ func newMachine(cfg Config, server int) *Machine {
 // WrapPolicy interposes the machine between the dataflow and policy.
 // Plans that kill (crashes or timeouts) require policy to implement
 // ghost.TaskEvictor; straggler-only and instrument-only plans do not.
-// The wrapper forwards Ticker/HorizonTicker so tick-elision survives.
+// The enclave ticks policy through the wrapper's Unwrap, so tick-elision
+// survives.
 func (m *Machine) WrapPolicy(policy ghost.Policy) (ghost.Policy, error) {
 	m.evictor, _ = policy.(ghost.TaskEvictor)
 	if m.cfg.Kills() && m.evictor == nil {
 		return nil, fmt.Errorf("faults: policy %q cannot evict tasks (no ghost.TaskEvictor); crash/timeout plans need fifo, cfs, or hybrid", policy.Name())
 	}
-	base := faultPolicy{m: m, inner: policy}
-	if ht, ok := policy.(ghost.HorizonTicker); ok {
-		return &horizonFaultPolicy{tickingFaultPolicy: tickingFaultPolicy{faultPolicy: base, ticker: ht}, horizon: ht}, nil
-	}
-	if tk, ok := policy.(ghost.Ticker); ok {
-		return &tickingFaultPolicy{faultPolicy: base, ticker: tk}, nil
-	}
-	return &base, nil
+	return &faultPolicy{m: m, inner: policy}, nil
 }
 
 // WrapSink interposes the machine on the record path: final records of
@@ -409,10 +403,8 @@ func (m *Machine) retryOrGiveUp(st *attemptState, now time.Duration) {
 	_ = m.env.AdmitTask(t)
 }
 
-// faultPolicy interposes the machine on the delegation path; the ticking
-// and horizon variants forward the optional capabilities of the inner
-// policy (the dataflow's retirer type-asserts its inner policy — this
-// wrapper — so the capabilities must surface here).
+// faultPolicy interposes the machine on the delegation path; the enclave
+// reaches the inner policy's ticks through Unwrap (ghost.Wrapper).
 type faultPolicy struct {
 	m     *Machine
 	inner ghost.Policy
@@ -430,26 +422,8 @@ func (p *faultPolicy) Attach(env *ghost.Env) {
 // OnMessage implements ghost.Policy.
 func (p *faultPolicy) OnMessage(msg ghost.Message) { p.m.onMessage(p.inner, msg) }
 
-type tickingFaultPolicy struct {
-	faultPolicy
-	ticker ghost.Ticker
-}
-
-// TickEvery implements ghost.Ticker.
-func (p *tickingFaultPolicy) TickEvery() time.Duration { return p.ticker.TickEvery() }
-
-// OnTick implements ghost.Ticker.
-func (p *tickingFaultPolicy) OnTick() { p.ticker.OnTick() }
-
-type horizonFaultPolicy struct {
-	tickingFaultPolicy
-	horizon ghost.HorizonTicker
-}
-
-// NextDecision implements ghost.HorizonTicker.
-func (p *horizonFaultPolicy) NextDecision(now time.Duration) (time.Duration, bool) {
-	return p.horizon.NextDecision(now)
-}
+// Unwrap implements ghost.Wrapper.
+func (p *faultPolicy) Unwrap() ghost.Policy { return p.inner }
 
 // faultSink restores invocation-level truth on final records: a retried
 // invocation's Record reports the original arrival (so response time

@@ -6,10 +6,12 @@
 // ("we schedule all these threads under our custom ghOSt policies").
 //
 // The fleet also models the resource wall the paper hit: each microVM pins
-// guest memory plus VMM overhead for its lifetime, and once the server's
-// memory is exhausted further launches fail ("some microVM instances fail
-// to launch successfully because we run out of resources" — the paper
-// capped out at 2,952 microVMs on a 512 GB machine).
+// guest memory plus VMM overhead for the rest of the run, and once the
+// server's memory is exhausted further launches fail ("some microVM
+// instances fail to launch successfully because we run out of resources"
+// — the paper capped out at 2,952 microVMs on a 512 GB machine). VMs stay
+// resident after their function completes because that ceiling is a
+// total over the experiment, not a concurrency level.
 //
 // Fleet wraps an inner scheduling policy: it intercepts the delegation
 // message stream to run the VM lifecycle state machine and forwards
@@ -63,10 +65,6 @@ type Config struct {
 	// ServerMemMB is the machine's memory budget; zero defaults to the
 	// paper's 512 GB server.
 	ServerMemMB int
-	// Recycle frees a microVM's memory when its function completes. The
-	// paper's experiment kept VMs resident (the 2,952 ceiling is a total,
-	// not a concurrency level), so the default is false.
-	Recycle bool
 	// VM is the per-VM footprint model.
 	VM VMConfig
 }
@@ -115,7 +113,6 @@ type Fleet struct {
 	env   *ghost.Env
 
 	byBoot   map[simkern.TaskID]*vmState
-	byVCPU   map[simkern.TaskID]*vmState
 	memUsed  int
 	peakMem  int
 	launched int
@@ -139,7 +136,6 @@ func NewFleet(inner ghost.Policy, cfg Config) (*Fleet, error) {
 		cfg:    cfg.withDefaults(),
 		inner:  inner,
 		byBoot: make(map[simkern.TaskID]*vmState),
-		byVCPU: make(map[simkern.TaskID]*vmState),
 	}, nil
 }
 
@@ -195,7 +191,6 @@ func (f *Fleet) newVM(i int, inv workload.Invocation) *vmState {
 		}
 	}
 	f.byBoot[vm.boot.ID] = vm
-	f.byVCPU[vm.vcpu.ID] = vm
 	return vm
 }
 
@@ -241,11 +236,6 @@ func (f *Fleet) OnMessage(m ghost.Message) {
 		if vm, ok := f.byBoot[m.Task.ID]; ok && m.Task.Kind == simkern.KindVMM {
 			f.booted(vm)
 		}
-		if vm, ok := f.byVCPU[m.Task.ID]; ok {
-			if f.cfg.Recycle {
-				f.memUsed -= vm.memMB
-			}
-		}
 	}
 	f.inner.OnMessage(m)
 }
@@ -290,6 +280,9 @@ func (f *Fleet) booted(vm *vmState) {
 }
 
 // TickEvery implements ghost.Ticker by delegating to the inner policy.
+// The fleet forwards the ticks itself, and has no Unwrap (ghost.Wrapper):
+// it aborts refused launches, so the inner policy's tick horizon must stay
+// hidden from the enclave (ghost.HorizonTicker).
 func (f *Fleet) TickEvery() time.Duration {
 	if t, ok := f.inner.(ghost.Ticker); ok {
 		return t.TickEvery()
@@ -310,9 +303,6 @@ func (f *Fleet) Launched() int { return f.launched }
 // Failed returns the number of microVM launches refused for lack of
 // memory.
 func (f *Fleet) Failed() int { return f.failed }
-
-// MemUsedMB returns the currently reserved memory.
-func (f *Fleet) MemUsedMB() int { return f.memUsed }
 
 // PeakMemMB returns the peak reserved memory.
 func (f *Fleet) PeakMemMB() int { return f.peakMem }

@@ -142,22 +142,6 @@ func TestMemoryWallFailsLaunches(t *testing.T) {
 	}
 }
 
-func TestRecycleFreesMemory(t *testing.T) {
-	// With recycling, 5 sequential VMs fit in a 1-VM budget.
-	cfg := Config{ServerMemMB: 200, Recycle: true}
-	invs := invocations(5, 300*time.Millisecond, 20*time.Millisecond, 128)
-	_, fleet := runFleet(t, 2, cfg, fifo.New(fifo.Config{}), invs)
-	if fleet.Failed() != 0 {
-		t.Errorf("failed = %d, want 0 with recycling", fleet.Failed())
-	}
-	if fleet.Launched() != 5 {
-		t.Errorf("launched = %d, want 5", fleet.Launched())
-	}
-	if fleet.MemUsedMB() != 0 {
-		t.Errorf("mem used after drain = %d, want 0", fleet.MemUsedMB())
-	}
-}
-
 func TestFleetUnderCFS(t *testing.T) {
 	// The fleet must work with a ticking inner policy (CFS).
 	invs := invocations(12, 5*time.Millisecond, 80*time.Millisecond, 256)

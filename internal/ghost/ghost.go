@@ -55,7 +55,8 @@ type Message struct {
 //
 // Attach is called exactly once before any message. OnMessage receives
 // every delegation message in deterministic order. Policies that also
-// implement Ticker get periodic OnTick callbacks managed by the enclave.
+// implement Ticker, or wrap one (Wrapper), get periodic OnTick callbacks
+// managed by the enclave.
 type Policy interface {
 	Name() string
 	Attach(env *Env)
@@ -85,16 +86,41 @@ type Ticker interface {
 // NextDecision may be conservative (early) — an early tick is a no-op that
 // recomputes — but must never be late: any instant at which OnTick would
 // act must be covered. A layer that retires work through Env.AbortTask
-// (no TASK_DEAD fires) must either not implement HorizonTicker (the
-// Firecracker fleet wrapper deliberately forwards only Ticker) or call
-// Env.InvalidateHorizon after every abort so the pump re-evaluates — the
-// fault-injection wrapper follows the second discipline.
+// (no TASK_DEAD fires) must either hide its inner policy's horizon — the
+// Firecracker fleet wrapper implements only Ticker itself, forwarding the
+// ticks, and no Unwrap — or call Env.InvalidateHorizon after every abort
+// so the pump re-evaluates, which the fault-injection wrapper does.
 type HorizonTicker interface {
 	Ticker
 	// NextDecision returns the earliest instant >= now at which OnTick
 	// could act given current state, or ok=false when no tick is needed
 	// until further notice.
 	NextDecision(now time.Duration) (deadline time.Duration, ok bool)
+}
+
+// Wrapper is implemented by a message-path layer around an inner policy
+// (the fleet's record retirer, the fault machine) that keeps its inner
+// policy's ticks: a wrapper that is no Ticker itself is ticked through
+// Unwrap. NewEnclave follows the Unwrap chain to the first policy that
+// implements Ticker, and pumps that policy's ticks (and its horizon, when
+// it is a HorizonTicker) directly.
+type Wrapper interface {
+	Unwrap() Policy
+}
+
+// tickerOf returns the policy whose ticks an enclave pumps: p when it is a
+// Ticker, else the first Ticker along its Unwrap chain, else nil.
+func tickerOf(p Policy) Ticker {
+	for {
+		if tk, ok := p.(Ticker); ok {
+			return tk
+		}
+		w, ok := p.(Wrapper)
+		if !ok {
+			return nil
+		}
+		p = w.Unwrap()
+	}
 }
 
 // TaskEvictor is an optional Policy capability: remove a specific task
@@ -190,7 +216,7 @@ type Enclave struct {
 	stats   Stats
 	probe   Probe // optional tick observer (Config.Probe)
 
-	ticker      Ticker // policy, when it implements Ticker
+	ticker      Ticker // policy's Ticker (tickerOf), naive pump only
 	tickFn      func() // persistent tick callback (no per-tick closure)
 	tickPending bool
 	env         Env // the policy's handle, embedded: no allocation of its own
@@ -241,10 +267,11 @@ func NewEnclave(kernel *simkern.Kernel, policy Policy, cfg Config) (*Enclave, er
 	e := &Enclave{kernel: kernel, policy: policy, latency: latency, probe: cfg.Probe}
 	e.env.enclave = e
 	e.flushFn = e.flush
-	if ht, ok := policy.(HorizonTicker); ok && !cfg.ForceTickPump {
+	tk := tickerOf(policy)
+	if ht, ok := tk.(HorizonTicker); ok && !cfg.ForceTickPump {
 		e.hticker = ht
 		e.htickFn = e.horizonTick
-	} else if tk, ok := policy.(Ticker); ok {
+	} else if tk != nil {
 		e.ticker = tk
 		e.tickFn = func() {
 			e.tickPending = false

@@ -76,8 +76,7 @@ func NewIncremental(kcfg simkern.Config, policy ghost.Policy, gcfg ghost.Config,
 	if err != nil {
 		return nil, err
 	}
-	wrapped := wrapRetirer(policy, sink, tasks)
-	enc, err := ghost.NewEnclave(k, wrapped, gcfg)
+	enc, err := ghost.NewEnclave(k, &retirer{inner: policy, sink: sink, pool: tasks}, gcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -151,7 +150,8 @@ const DefaultWindow = 30 * time.Second
 // retirer wraps the scheduling policy: after the policy has consumed a
 // TASK_DEAD message (and with it dropped its own references), the finished
 // task is measured into the sink and recycled into pool. Only
-// function-like work is recorded, matching metrics.Collect.
+// function-like work is recorded, matching metrics.Collect. The enclave
+// ticks the inner policy through Unwrap (ghost.Wrapper).
 type retirer struct {
 	inner ghost.Policy
 	sink  metrics.Sink
@@ -164,6 +164,9 @@ func (r *retirer) Name() string { return r.inner.Name() }
 // Attach implements ghost.Policy.
 func (r *retirer) Attach(env *ghost.Env) { r.inner.Attach(env) }
 
+// Unwrap implements ghost.Wrapper.
+func (r *retirer) Unwrap() ghost.Policy { return r.inner }
+
 // OnMessage implements ghost.Policy.
 func (r *retirer) OnMessage(m ghost.Message) {
 	r.inner.OnMessage(m)
@@ -175,41 +178,4 @@ func (r *retirer) OnMessage(m ghost.Message) {
 		r.sink.Push(metrics.FromTask(t))
 	}
 	r.pool.Put(t)
-}
-
-// tickingRetirer additionally forwards ghost.Ticker for policies that
-// need agent ticks (the enclave type-asserts the wrapper, not the inner
-// policy).
-type tickingRetirer struct {
-	retirer
-	ticker ghost.Ticker
-}
-
-// TickEvery implements ghost.Ticker.
-func (r *tickingRetirer) TickEvery() time.Duration { return r.ticker.TickEvery() }
-
-// OnTick implements ghost.Ticker.
-func (r *tickingRetirer) OnTick() { r.ticker.OnTick() }
-
-// horizonRetirer additionally forwards ghost.HorizonTicker, so a wrapped
-// CFS/hybrid policy keeps its tick-elision pump.
-type horizonRetirer struct {
-	tickingRetirer
-	horizon ghost.HorizonTicker
-}
-
-// NextDecision implements ghost.HorizonTicker.
-func (r *horizonRetirer) NextDecision(now time.Duration) (time.Duration, bool) {
-	return r.horizon.NextDecision(now)
-}
-
-func wrapRetirer(policy ghost.Policy, sink metrics.Sink, pool *workload.TaskPool) ghost.Policy {
-	base := retirer{inner: policy, sink: sink, pool: pool}
-	if ht, ok := policy.(ghost.HorizonTicker); ok {
-		return &horizonRetirer{tickingRetirer: tickingRetirer{retirer: base, ticker: ht}, horizon: ht}
-	}
-	if tk, ok := policy.(ghost.Ticker); ok {
-		return &tickingRetirer{retirer: base, ticker: tk}
-	}
-	return &base
 }

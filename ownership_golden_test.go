@@ -99,7 +99,7 @@ func ownershipCrashFleet(t *testing.T, invs []Invocation) (string, *evictCounts,
 	}
 	h := sha256.New()
 	fmt.Fprintf(h, "cluster=%s faults=%+v spills=%d migrations=%d\n",
-		digestCluster(clusterResult(opts, cres)), cres.Faults, n.spills, cres.Stats.Migrations)
+		digestCluster(clusterResult(opts.Scheduler, opts.CoresPerServer, cres)), cres.Faults, n.spills, cres.Stats.Migrations)
 	return hex.EncodeToString(h.Sum(nil)), n, cres
 }
 
