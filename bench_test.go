@@ -834,7 +834,7 @@ func BenchmarkDispatchPick(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					now += interarrival
 					inv := workload.Invocation{
-						FuncID:   rng.Intn(512) + 1,
+						FuncID:   int32(rng.Intn(512) + 1),
 						Arrival:  now,
 						Duration: meanDemand/2 + time.Duration(rng.Int63n(int64(meanDemand))),
 						MemMB:    128,
@@ -898,7 +898,7 @@ func BenchmarkRouterRoute(b *testing.B) {
 			route := func(idx int) {
 				now += interarrival
 				inv := workload.Invocation{
-					FuncID:   int(popularity.Uint64()) + 1,
+					FuncID:   int32(popularity.Uint64()) + 1,
 					Arrival:  now,
 					Duration: meanDemand/2 + time.Duration(rng.Int63n(int64(meanDemand))),
 					MemMB:    128,

@@ -13,11 +13,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
+	"github.com/faassched/faassched/internal/fib"
 	"github.com/faassched/faassched/internal/realproc"
 	"github.com/faassched/faassched/internal/stats"
 	"github.com/faassched/faassched/internal/trace"
@@ -46,6 +48,9 @@ func run() error {
 
 	cpus, err := parseCPUs(*cpusArg)
 	if err != nil {
+		return err
+	}
+	if err := checkFibBase(*fibN); err != nil {
 		return err
 	}
 	// Build a synthetic workload, then rebase the Fibonacci arguments so a
@@ -91,9 +96,21 @@ func run() error {
 	return nil
 }
 
+// checkFibBase rejects a -fib-base whose rebased ladder
+// fibBase..fibBase+(fib.MaxN-fib.MinN) leaves [1, math.MaxInt32], the
+// arguments an invocation's int32 FibN can carry.
+func checkFibBase(fibBase int) error {
+	if hi := math.MaxInt32 - (fib.MaxN - fib.MinN); fibBase < 1 || fibBase > hi {
+		return fmt.Errorf("-fib-base %d must be in [1, %d]: the rebased arguments fib(%d..%d) must lie in [1, %d]",
+			fibBase, hi, fib.MinN, fib.MaxN, math.MaxInt32)
+	}
+	return nil
+}
+
 // buildSmall derives a short synthetic workload and rebases the Fibonacci
-// arguments from the paper's 36..46 ladder to fibBase..fibBase+10 so a
-// demo run completes in seconds.
+// arguments from the paper's fib.MinN..fib.MaxN ladder to
+// fibBase..fibBase+10 so a demo run completes in seconds. fibBase must
+// pass checkFibBase.
 func buildSmall(n, fibBase int) ([]workload.Invocation, error) {
 	cfg := trace.DefaultConfig()
 	cfg.Minutes = 2
@@ -109,7 +126,7 @@ func buildSmall(n, fibBase int) ([]workload.Invocation, error) {
 	out := make([]workload.Invocation, len(invs))
 	copy(out, invs)
 	for i := range out {
-		out[i].FibN = out[i].FibN - 36 + fibBase
+		out[i].FibN += int32(fibBase - fib.MinN)
 	}
 	return out, nil
 }

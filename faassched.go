@@ -282,7 +282,7 @@ func Simulate(opts Options, invs []Invocation) (*Result, error) {
 		return nil, fmt.Errorf("faassched: empty workload")
 	}
 	for i, inv := range invs {
-		if err := inv.CheckRecordFields(i); err != nil {
+		if err := inv.Validate(i); err != nil {
 			return nil, fmt.Errorf("faassched: %w", err)
 		}
 	}

@@ -333,18 +333,47 @@ func TestDurationModelExported(t *testing.T) {
 }
 
 // TestEntryPointsInt32Fields: every entry point takes an invocation
-// whose FibN and MemMB sit at the int32 maximum, and rejects one a step
-// above with its index, since each becomes an int32 record field.
+// whose FibN and MemMB sit at the int32 maximum.
 func TestEntryPointsInt32Fields(t *testing.T) {
-	invsWith := func(fibN, memMB int) []Invocation {
-		invs := make([]Invocation, 4)
-		for i := range invs {
-			invs[i] = Invocation{Arrival: time.Duration(i) * time.Millisecond, FibN: 30, Duration: time.Millisecond, MemMB: 128}
+	for name, run := range entryPoints() {
+		invs := invsAt(2, func(inv *Invocation) { inv.FibN, inv.MemMB = math.MaxInt32, math.MaxInt32 })
+		if err := run(invs); err != nil {
+			t.Errorf("%s: max fits: %v", name, err)
 		}
-		invs[2].FibN, invs[2].MemMB = fibN, memMB
-		return invs
 	}
-	entries := map[string]func([]Invocation) error{
+}
+
+// TestEntryPointsValidateInvocations: every entry point rejects an
+// invocation with no work or a negative timeout by its index, before it
+// routes it to a server.
+func TestEntryPointsValidateInvocations(t *testing.T) {
+	for name, run := range entryPoints() {
+		for want, invs := range map[string][]Invocation{
+			"invocation 2: non-positive Duration 0s": invsAt(2, func(inv *Invocation) { inv.Duration = 0 }),
+			"invocation 2: negative TimeoutMS -5":    invsAt(2, func(inv *Invocation) { inv.TimeoutMS = -5 }),
+		} {
+			err := run(invs)
+			if err == nil || !strings.Contains(err.Error(), want) || strings.Contains(err.Error(), "shard") {
+				t.Errorf("%s: err = %v, want one containing %q and no shard", name, err, want)
+			}
+		}
+	}
+}
+
+// invsAt returns four 1 ms invocations a millisecond apart, with set
+// applied to the one at index i.
+func invsAt(i int, set func(*Invocation)) []Invocation {
+	invs := make([]Invocation, 4)
+	for j := range invs {
+		invs[j] = Invocation{Arrival: time.Duration(j) * time.Millisecond, FibN: 30, Duration: time.Millisecond, MemMB: 128}
+	}
+	set(&invs[i])
+	return invs
+}
+
+// entryPoints runs a workload through each simulation entry point.
+func entryPoints() map[string]func([]Invocation) error {
+	return map[string]func([]Invocation) error{
 		"Simulate": func(invs []Invocation) error {
 			_, err := Simulate(Options{}, invs)
 			return err
@@ -361,19 +390,5 @@ func TestEntryPointsInt32Fields(t *testing.T) {
 			_, err := SimulateAutoscaledExact(AutoscaleOptions{}, SliceSource(invs))
 			return err
 		},
-	}
-	for name, run := range entries {
-		if err := run(invsWith(math.MaxInt32, math.MaxInt32)); err != nil {
-			t.Errorf("%s: max fits: %v", name, err)
-		}
-		for field, invs := range map[string][]Invocation{
-			"FibN":  invsWith(math.MaxInt32+1, 128),
-			"MemMB": invsWith(30, math.MaxInt32+1),
-		} {
-			want := "invocation 2: " + field + " 2147483648 outside the int32 range"
-			if err := run(invs); err == nil || !strings.Contains(err.Error(), want) {
-				t.Errorf("%s: %s max+1: err = %v, want one containing %q", name, field, err, want)
-			}
-		}
 	}
 }

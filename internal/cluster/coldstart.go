@@ -70,9 +70,9 @@ const noExpiry = time.Duration(math.MaxInt64)
 // funcKey is the identity warm instances are shared under: the explicit
 // FuncID when the workload assigns one, else the (FibN, MemMB) bucket.
 type funcKey struct {
-	funcID int
-	fibN   int
-	memMB  int
+	funcID int32
+	fibN   int32
+	memMB  int32
 }
 
 func keyOf(inv workload.Invocation) funcKey {
@@ -396,7 +396,7 @@ func (w *WarmPools) Book(s int, inv workload.Invocation, now, finish time.Durati
 	} else {
 		in = &WarmInstance{}
 	}
-	*in = WarmInstance{key: key, freeAt: finish, expireAt: w.expireAt(finish), memMB: int32(inv.MemMB), server: int32(s), seq: in.seq}
+	*in = WarmInstance{key: key, freeAt: finish, expireAt: w.expireAt(finish), memMB: inv.MemMB, server: int32(s), seq: in.seq}
 	if w.cfg.PoolMemMB > 0 {
 		for p.memMB+int(in.memMB) > w.cfg.PoolMemMB {
 			evict := p.idleMin(0, now)

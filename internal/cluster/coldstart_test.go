@@ -94,7 +94,7 @@ func TestWarmPoolsLifecycle(t *testing.T) {
 func TestWarmPoolsMemoryBound(t *testing.T) {
 	cs := ColdStartConfig{Latency: 100 * time.Millisecond, KeepAlive: time.Minute, PoolMemMB: 256}
 	w := NewWarmPools(cs, 1)
-	mk := func(id int) workload.Invocation {
+	mk := func(id int32) workload.Invocation {
 		return workload.Invocation{FibN: 30, Duration: 10 * time.Millisecond, MemMB: 128, FuncID: id}
 	}
 	// Two 128 MB instances fill the budget.
@@ -404,7 +404,7 @@ func (l *linearPools) book(s int, inv workload.Invocation, now, finish time.Dura
 		p.insts[i].expireAt = l.expireAt(finish)
 		return false
 	}
-	in := linearInst{key: key, freeAt: finish, expireAt: l.expireAt(finish), memMB: inv.MemMB}
+	in := linearInst{key: key, freeAt: finish, expireAt: l.expireAt(finish), memMB: int(inv.MemMB)}
 	if l.budgetMB > 0 {
 		for p.memMB+in.memMB > l.budgetMB {
 			evict := -1
@@ -533,11 +533,11 @@ func runPoolDifferential(t *testing.T, cfg ColdStartConfig, seed int64) {
 		inv := workload.Invocation{
 			Arrival:  now,
 			Duration: time.Duration(rng.Intn(9)) * 5 * time.Millisecond,
-			MemMB:    128 * (1 + rng.Intn(2)),
-			FibN:     20 + 10*rng.Intn(2),
+			MemMB:    int32(128 * (1 + rng.Intn(2))),
+			FibN:     int32(20 + 10*rng.Intn(2)),
 		}
 		if rng.Intn(3) > 0 {
-			inv.FuncID = 1 + rng.Intn(4) // MemMB varies within one function
+			inv.FuncID = int32(1 + rng.Intn(4)) // MemMB varies within one function
 		}
 		return inv
 	}

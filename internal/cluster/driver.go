@@ -142,7 +142,7 @@ func (d *Driver) route(inv workload.Invocation, ctl Controller, last *time.Durat
 		return fmt.Errorf("cluster: invocations not sorted by arrival at index %d: %v after %v", idx, inv.Arrival, *last)
 	}
 	*last = inv.Arrival
-	if err := inv.CheckRecordFields(idx); err != nil {
+	if err := inv.Validate(idx); err != nil {
 		return fmt.Errorf("cluster: %w", err)
 	}
 	d.fleet.Advance(inv.Arrival)

@@ -376,7 +376,7 @@ func TestDispatcherMatchesNaivePick(t *testing.T) {
 						now += time.Duration(rng.Intn(300)) * time.Millisecond
 					}
 					inv := workload.Invocation{
-						FuncID:   rng.Intn(12) + 1,
+						FuncID:   int32(rng.Intn(12) + 1),
 						Arrival:  now,
 						Duration: time.Duration(rng.Intn(60)) * time.Millisecond,
 						MemMB:    128,

@@ -89,8 +89,8 @@ const (
 	// idle fleet (~3.2k arrivals), so the router routes the next chunk
 	// while that shard simulates the last instead of taking turns with
 	// it. Fewer batches bring the turns back, more buy little and cost
-	// memory (DESIGN.md §16 has the sweep). At 104 B a message these
-	// batches take ≈430 KB, plus 6.5 KB for each shard's own.
+	// memory (DESIGN.md §16 has the sweep). At 88 B a message these
+	// batches take ≈360 KB, plus 5.5 KB for each shard's own.
 	handoffRunAhead = 64
 )
 

@@ -210,12 +210,23 @@ func handoffBound(shards int) int { return (shards + handoffRunAhead) * shardBat
 // arrival keeps consuming its handoff batches, so the router — with many
 // times the fleet's handoff bound still to route — finishes instead of
 // blocking on the batch pool, and the run returns the shard's error.
+// Server 3's machine cannot be built: under a timeout plan its policy
+// must evict tasks, and the one it gets cannot.
 func TestShardedFailingShardReportsError(t *testing.T) {
 	invs := synthWorkload(8*handoffBound(7), time.Millisecond, time.Millisecond)
-	invs[3].Duration = 0 // round-robin sends it to server 3; admission rejects it
 	for _, tc := range []struct{ shards, bad int }{{1, 0}, {7, 3}} {
 		cfg := testConfig(7, DispatchRoundRobin)
 		cfg.Shards = tc.shards
+		cfg.Faults.Timeout = time.Hour
+		joins := 0
+		cfg.Policy = func() ghost.Policy {
+			// Round-robin joins the servers in index order, on the
+			// routing goroutine.
+			if joins++; joins == 4 {
+				return struct{ ghost.Policy }{fifoFactory()} // no ghost.TaskEvictor
+			}
+			return fifoFactory()
+		}
 		done := make(chan error, 1)
 		go func() {
 			_, err := Simulate(cfg, invs)
@@ -223,7 +234,7 @@ func TestShardedFailingShardReportsError(t *testing.T) {
 		}()
 		select {
 		case err := <-done:
-			want := fmt.Sprintf("shard %d ", tc.bad)
+			want := fmt.Sprintf("shard %d server 3: faults: policy", tc.bad)
 			if err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("shards=%d: err = %v, want one naming %q", tc.shards, err, want)
 			}
@@ -381,7 +392,7 @@ func TestShardedValidation(t *testing.T) {
 func TestShardedColdStartMatchesPreSeeded(t *testing.T) {
 	invs := synthWorkload(200, 2*time.Millisecond, 10*time.Millisecond)
 	for i := range invs {
-		invs[i].FuncID = 1 + i%7
+		invs[i].FuncID = int32(1 + i%7)
 	}
 	cfg := testConfig(3, DispatchLeastLoaded)
 	cfg.Seed = 1

@@ -67,8 +67,8 @@ type attemptState struct {
 	task        *simkern.Task
 	origArrival time.Duration
 	base        time.Duration // pristine service demand (no cold start, no slowdown)
-	memMB       int
-	fibN        int
+	memMB       int32
+	fibN        int32
 	timeout     time.Duration
 	attempts    int
 	wasted      time.Duration
@@ -140,8 +140,9 @@ func (m *Machine) SetRecycle(pool *workload.TaskPool) { m.recycle = pool }
 // Note registers a first attempt. Call it when the task is built, before
 // admission: base is the pristine service demand (inv.Duration — without
 // cold-start or straggler inflation), timeoutMS the invocation's own
-// deadline override (0 = Config.Timeout).
-func (m *Machine) Note(t *simkern.Task, base time.Duration, timeoutMS int) {
+// deadline override (0 = Config.Timeout). An int32 of milliseconds is
+// under 25 days, so the deadline never overflows a time.Duration.
+func (m *Machine) Note(t *simkern.Task, base time.Duration, timeoutMS int32) {
 	st := m.newState()
 	st.task = t
 	st.origArrival = t.Arrival
@@ -374,8 +375,8 @@ func (m *Machine) retryOrGiveUp(st *attemptState, now time.Duration) {
 			Arrival:     st.origArrival,
 			Finish:      now,
 			Preemptions: metrics.NarrowPreemptions(uint64(id), t.Preemptions()),
-			MemMB:       int32(st.memMB),
-			FibN:        int32(st.fibN),
+			MemMB:       st.memMB,
+			FibN:        st.fibN,
 			Failed:      true,
 			GiveUp:      true,
 			Attempts:    int32(st.attempts),
@@ -392,7 +393,7 @@ func (m *Machine) retryOrGiveUp(st *attemptState, now time.Duration) {
 	st.attempts++
 	t.Recycle()
 	t.ID = id
-	t.Label = fib.Label(st.fibN)
+	t.Label = fib.Label(int(st.fibN))
 	t.Kind = simkern.KindFunction
 	t.Arrival = retryAt
 	t.Work = st.base + m.SlowExtra(retryAt, st.base)

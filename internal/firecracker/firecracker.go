@@ -152,7 +152,7 @@ func (f *Fleet) Attach(env *ghost.Env) {
 // (boot), 3·i+2 (vCPU), 3·i+3 (IO) so records remain traceable to
 // invocations.
 func (f *Fleet) newVM(i int, inv workload.Invocation) *vmState {
-	guestMB := inv.MemMB
+	guestMB := int(inv.MemMB)
 	if guestMB < f.cfg.VM.MinGuestMB {
 		guestMB = f.cfg.VM.MinGuestMB
 	}
@@ -173,7 +173,7 @@ func (f *Fleet) newVM(i int, inv workload.Invocation) *vmState {
 		// the kernel when boot completes.
 		vcpu: &simkern.Task{
 			ID:    simkern.TaskID(3*i + 2),
-			Label: fib.VMLabel(i, inv.FibN),
+			Label: fib.VMLabel(i, int(inv.FibN)),
 			Kind:  simkern.KindVCPU,
 			Work:  inv.Duration + f.cfg.VM.GuestOverhead,
 			MemMB: inv.MemMB,

@@ -13,7 +13,7 @@ import (
 	"github.com/faassched/faassched/internal/workload"
 )
 
-func invocations(n int, iat, dur time.Duration, memMB int) []workload.Invocation {
+func invocations(n int, iat, dur time.Duration, memMB int32) []workload.Invocation {
 	out := make([]workload.Invocation, 0, n)
 	for i := 0; i < n; i++ {
 		out = append(out, workload.Invocation{

@@ -43,7 +43,7 @@ func FuzzRecordLabel(f *testing.F) {
 	}
 	pool := workload.NewTaskPool()
 	f.Fuzz(func(t *testing.T, vcpu bool, vm uint32, n int32) {
-		inv := workload.Invocation{FibN: int(n), Duration: time.Millisecond, MemMB: 128}
+		inv := workload.Invocation{FibN: n, Duration: time.Millisecond, MemMB: 128}
 		var tasks []*simkern.Task
 		if vcpu {
 			fleet, err := NewFleet(fifo.New(fifo.Config{}), Config{})

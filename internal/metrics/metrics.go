@@ -26,13 +26,13 @@ import (
 // it: the eight-byte fields first, then the five 32-bit ones, then the
 // two bools side by side — 80 bytes on 64-bit platforms, with no
 // pointers, so a slot array of records is never scanned by the garbage
-// collector (TestRecordLayout). MemMB, FibN and Attempts are int32:
-// every path that brings them in rejects a value that does not fit
-// (workload.ReadSource, workload.Invocation.CheckRecordFields at each
-// simulation entry point, faults.Config.Validate); Preemptions and VM
-// are narrowed with a check that panics, naming the task
-// (NarrowPreemptions, FromTask), so the narrowing never truncates. Its
-// methods take a pointer, so reading a metric never copies the record.
+// collector (TestRecordLayout). MemMB and FibN are int32 from the
+// workload.Invocation on, so they are copied, never narrowed; Attempts
+// is int32, and faults.Config.Validate rejects a retry budget that does
+// not fit; Preemptions and VM are narrowed with a check that panics,
+// naming the task (NarrowPreemptions, FromTask), so the narrowing never
+// truncates. Its methods take a pointer, so reading a metric never
+// copies the record.
 type Record struct {
 	ID       uint64
 	Arrival  time.Duration
@@ -126,8 +126,8 @@ func FromTask(t *simkern.Task) Record {
 		Finish:      t.Finish(),
 		CPU:         t.CPUConsumed(),
 		Preemptions: NarrowPreemptions(uint64(t.ID), t.Preemptions()),
-		MemMB:       int32(t.MemMB),
-		FibN:        int32(t.FibN),
+		MemMB:       t.MemMB,
+		FibN:        t.FibN,
 		VM:          vmOf(t),
 		ColdStart:   t.ColdStart,
 	}
@@ -154,8 +154,8 @@ func Collect(k *simkern.Kernel) Set {
 		case simkern.StateFailed:
 			s.Records = append(s.Records, Record{
 				ID:     uint64(t.ID),
-				MemMB:  int32(t.MemMB),
-				FibN:   int32(t.FibN),
+				MemMB:  t.MemMB,
+				FibN:   t.FibN,
 				VM:     vmOf(t),
 				Failed: true,
 			})

@@ -173,7 +173,7 @@ func Run(invs []workload.Invocation, cfg Config) ([]Sample, error) {
 			<-sem
 			return nil, fmt.Errorf("realproc: spawning worker %d: %w", i, err)
 		}
-		samples[i] = Sample{FibN: inv.FibN, Arrival: target, Start: time.Since(start)}
+		samples[i] = Sample{FibN: int(inv.FibN), Arrival: target, Start: time.Since(start)}
 		if len(cfg.CPUs) > 0 {
 			if err := SetAffinity(cmd.Process.Pid, cfg.CPUs); err != nil {
 				samples[i].ExitError = err

@@ -105,8 +105,8 @@ type Task struct {
 	Kind    TaskKind
 	Arrival time.Duration // when the task becomes runnable
 	Work    time.Duration // total CPU service demand
-	MemMB   int           // allocated memory size, drives billing
-	FibN    int           // calibrated Fibonacci argument (0 if n/a)
+	MemMB   int32         // allocated memory size, drives billing
+	FibN    int32         // calibrated Fibonacci argument (0 if n/a)
 	VMID    int           // owning microVM, NoVM for plain functions
 	// ColdStart is the instance start latency folded into Work by the
 	// cluster layer when this invocation spun up a cold instance (zero on

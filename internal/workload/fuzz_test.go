@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"bufio"
 	"bytes"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -12,12 +14,14 @@ import (
 
 // FuzzReadSource: whatever the file holds, the reader never panics, and
 // either its error function reports a failure or every invocation it
-// yielded has a non-decreasing arrival, a positive duration, a fib_n in
-// [1, math.MaxInt32] and a mem_mb in [1, math.MaxInt32] — the range of
-// the record's int32 fields. Each file is read under the default model
-// and under one anchored at fib(math.MaxInt32), where every fib_n up to
-// the int32 maximum models a positive duration, so the fib_n bound is the
-// reader's own check rather than the model's overflow.
+// yielded has a non-decreasing arrival, a positive duration, a positive
+// fib_n and mem_mb, and carries exactly the fib_n and mem_mb integers
+// of its line — a conversion to int32 ahead of the range check would
+// read 4294967332 as 36, and only the round trip catches it. Each file
+// is read under the default model and under one anchored at
+// fib(math.MaxInt32), where every fib_n up to the int32 maximum models
+// a positive duration, so the fib_n bound is the reader's own check
+// rather than the model's overflow.
 //
 //	go test ./internal/workload -run '^$' -fuzz FuzzReadSource -fuzztime 30s
 func FuzzReadSource(f *testing.F) {
@@ -38,6 +42,9 @@ func FuzzReadSource(f *testing.F) {
 		"iat_us,fib_n,mem_mb\n1,2147483648,128\n",
 		"iat_us,fib_n,mem_mb\n1,36,2147483647\n",
 		"iat_us,fib_n,mem_mb\n1,36,2147483648\n",
+		"iat_us,fib_n,mem_mb\n1,4294967332,128\n",
+		"iat_us,fib_n,mem_mb\n1,36,4294967424\n",
+		"iat_us,fib_n,mem_mb\n\n1,36,128\r\n  \n2,31,256\n",
 	} {
 		f.Add(seed)
 	}
@@ -66,16 +73,51 @@ func FuzzReadSource(f *testing.F) {
 			if readErr() != nil {
 				continue
 			}
+			rows := dataRows(t, file)
+			if len(rows) != len(got) {
+				t.Fatalf("model %+v: read %d invocations from %d rows of %q", model, len(got), len(rows), file)
+			}
 			last := time.Duration(0)
 			for i, inv := range got {
-				if inv.Arrival < last || inv.Duration <= 0 || inv.FibN < 1 || inv.FibN > math.MaxInt32 ||
-					inv.MemMB < 1 || inv.MemMB > math.MaxInt32 {
+				if inv.Arrival < last || inv.Duration <= 0 || inv.FibN < 1 || inv.MemMB < 1 {
 					t.Fatalf("model %+v, invocation %d of %q: %+v (previous arrival %v)", model, i, file, inv, last)
+				}
+				if int64(inv.FibN) != rows[i][0] || int64(inv.MemMB) != rows[i][1] {
+					t.Fatalf("model %+v, invocation %d of %q: FibN %d MemMB %d, line holds %d and %d",
+						model, i, file, inv.FibN, inv.MemMB, rows[i][0], rows[i][1])
 				}
 				last = inv.Arrival
 			}
 		}
 	})
+}
+
+// dataRows returns the fib_n and mem_mb integers of each data row of a
+// workload file that ReadSource read without error, splitting lines as
+// the reader does.
+func dataRows(t *testing.T, file string) [][2]int64 {
+	t.Helper()
+	sc := bufio.NewScanner(strings.NewReader(file))
+	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	sc.Scan() // header
+	var rows [][2]int64
+	for sc.Scan() {
+		text := strings.TrimSpace(sc.Text())
+		if text == "" {
+			continue
+		}
+		fields := strings.Split(text, ",")
+		var row [2]int64
+		for j := range row {
+			v, err := strconv.ParseInt(fields[j+1], 10, 64)
+			if err != nil {
+				t.Fatalf("row %q read without error but its field %d is %q: %v", text, j+1, fields[j+1], err)
+			}
+			row[j] = v
+		}
+		rows = append(rows, row)
+	}
+	return rows
 }
 
 // TestReadSourceRejectsOverflow: an inter-arrival time or accumulated
@@ -139,22 +181,22 @@ func TestReadSourceInt32Fields(t *testing.T) {
 	}
 }
 
-// TestCheckRecordFields: FibN and MemMB at either end of the int32 range
-// pass; one past either end is rejected with the invocation's index.
-func TestCheckRecordFields(t *testing.T) {
+// TestValidate: Validate rejects what no simulation runs — a
+// non-positive Duration and a negative TimeoutMS — naming the
+// invocation's index, and accepts the int32 extremes and a zero timeout.
+func TestValidate(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		inv  Invocation
-		want string // error substring; empty when the invocation fits
+		want string // error substring; empty when the invocation is valid
 	}{
-		{"max fits", Invocation{FibN: math.MaxInt32, MemMB: math.MaxInt32}, ""},
-		{"min fits", Invocation{FibN: math.MinInt32, MemMB: math.MinInt32}, ""},
-		{"FibN max+1 rejected", Invocation{FibN: math.MaxInt32 + 1, MemMB: 128}, "invocation 7: FibN 2147483648 outside the int32 range"},
-		{"FibN min-1 rejected", Invocation{FibN: math.MinInt32 - 1, MemMB: 128}, "invocation 7: FibN -2147483649"},
-		{"MemMB max+1 rejected", Invocation{FibN: 36, MemMB: math.MaxInt32 + 1}, "invocation 7: MemMB 2147483648 outside the int32 range"},
-		{"MemMB min-1 rejected", Invocation{FibN: 36, MemMB: math.MinInt32 - 1}, "invocation 7: MemMB -2147483649"},
+		{"int32 extremes", Invocation{Duration: 1, FibN: math.MaxInt32, MemMB: math.MaxInt32, FuncID: math.MaxInt32, TimeoutMS: math.MaxInt32}, ""},
+		{"zero timeout takes the default", Invocation{Duration: time.Second, FibN: 36, MemMB: 128}, ""},
+		{"zero duration rejected", Invocation{FibN: 36, MemMB: 128}, "invocation 7: non-positive Duration 0s"},
+		{"negative duration rejected", Invocation{Duration: -time.Millisecond, FibN: 36, MemMB: 128}, "invocation 7: non-positive Duration -1ms"},
+		{"negative timeout rejected", Invocation{Duration: time.Second, FibN: 36, MemMB: 128, TimeoutMS: -5}, "invocation 7: negative TimeoutMS -5"},
 	} {
-		err := tc.inv.CheckRecordFields(7)
+		err := tc.inv.Validate(7)
 		if tc.want == "" {
 			if err != nil {
 				t.Errorf("%s: %v", tc.name, err)

@@ -66,7 +66,10 @@ func (b Builder) Stream(tr *trace.Trace, startMinute, minutes int) (Source, erro
 	// Clean + bucket + merge (§V-B "Extracting Traces").
 	merged := make(map[bucketKey][]int)
 	for _, row := range tr.CleanRows() {
-		key := bucketKey{fibN: b.Model.NearestN(row.AvgDuration), memMB: row.MemMB}
+		if row.MemMB > math.MaxInt32 {
+			return nil, fmt.Errorf("workload: trace row %d: mem_mb %d above %d", row.ID, row.MemMB, math.MaxInt32)
+		}
+		key := bucketKey{fibN: int32(b.Model.NearestN(row.AvgDuration)), memMB: int32(row.MemMB)}
 		counts, ok := merged[key]
 		if !ok {
 			counts = make([]int, minutes)
@@ -93,9 +96,9 @@ func (b Builder) Stream(tr *trace.Trace, startMinute, minutes int) (Source, erro
 		buckets[ki] = bucket{
 			inv: Invocation{
 				FibN:     key.fibN,
-				Duration: b.Model.Duration(key.fibN),
+				Duration: b.Model.Duration(int(key.fibN)),
 				MemMB:    key.memMB,
-				FuncID:   ki + 1, // stable over the sorted buckets
+				FuncID:   int32(ki + 1), // stable over the sorted buckets
 			},
 			counts: merged[key],
 		}
@@ -259,7 +262,7 @@ func ReadSource(r io.Reader, model fib.DurationModel) (Source, func() error, err
 // parseInvocation parses one workload-file row. The returned Arrival
 // carries the row's inter-arrival time; the caller accumulates it into an
 // absolute arrival instant. A fib_n or mem_mb above math.MaxInt32 is
-// rejected: each becomes an int32 field of the invocation's record.
+// rejected before it is converted to the invocation's int32 field.
 func parseInvocation(text string, line int, model fib.DurationModel) (Invocation, error) {
 	fields := strings.Split(text, ",")
 	if len(fields) != 3 {
@@ -289,9 +292,9 @@ func parseInvocation(text string, line int, model fib.DurationModel) (Invocation
 	}
 	return Invocation{
 		Arrival:  time.Duration(iatUS) * time.Microsecond,
-		FibN:     n,
+		FibN:     int32(n),
 		Duration: dur,
-		MemMB:    mem,
+		MemMB:    int32(mem),
 	}, nil
 }
 
@@ -308,7 +311,9 @@ func SliceSource(invs []Invocation) Source {
 
 // Materialize drains a source into a slice — the inverse of SliceSource.
 // It collects into fixed-size chunks and copies them once into a slice of
-// exactly the source's length, so no invocation is copied twice.
+// exactly the source's length. A Source carries no length, and a
+// ReadSource can be read only once, so at its peak it holds two full
+// copies of the workload: the chunks and the slice.
 func Materialize(src Source) []Invocation {
 	var log chunk.Log[Invocation]
 	src(func(inv Invocation) bool {
@@ -342,7 +347,7 @@ func (p *TaskPool) Get(inv Invocation, id simkern.TaskID) *simkern.Task {
 		t = &simkern.Task{}
 	}
 	t.ID = id
-	t.Label = fib.Label(inv.FibN)
+	t.Label = fib.Label(int(inv.FibN))
 	t.Kind = simkern.KindFunction
 	t.Arrival = inv.Arrival
 	t.Work = inv.Duration

@@ -4,7 +4,9 @@ import (
 	"cmp"
 	"fmt"
 	"maps"
+	"math"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,7 +25,7 @@ func oracleStream(tr *trace.Trace, b Builder, startMinute, minutes int) []Invoca
 		if row.AvgDuration <= 0 || row.AvgDuration > trace.MaxSaneDuration {
 			continue
 		}
-		key := bucketKey{fibN: b.Model.NearestN(row.AvgDuration), memMB: row.MemMB}
+		key := bucketKey{fibN: int32(b.Model.NearestN(row.AvgDuration)), memMB: int32(row.MemMB)}
 		if counts[key] == nil {
 			counts[key] = make([]int, minutes)
 		}
@@ -43,9 +45,9 @@ func oracleStream(tr *trace.Trace, b Builder, startMinute, minutes int) []Invoca
 				minute = append(minute, Invocation{
 					Arrival:  time.Duration(m)*time.Minute + time.Duration(j)*(time.Minute/time.Duration(k)),
 					FibN:     key.fibN,
-					Duration: b.Model.Duration(key.fibN),
+					Duration: b.Model.Duration(int(key.fibN)),
 					MemMB:    key.memMB,
-					FuncID:   i + 1,
+					FuncID:   int32(i + 1),
 				})
 			}
 		}
@@ -220,6 +222,28 @@ func TestStreamValidation(t *testing.T) {
 	}
 	if _, err := (Builder{}).Stream(tr, -1, 1); err == nil {
 		t.Error("negative start accepted")
+	}
+}
+
+// TestStreamInt32MemMB: a trace row's mem_mb at the int32 maximum
+// reaches the invocation as it is, and one above it is rejected up
+// front, naming the row, before it is converted to Invocation.MemMB.
+func TestStreamInt32MemMB(t *testing.T) {
+	row := func(id, mem int) trace.FunctionRow {
+		return trace.FunctionRow{ID: id, AvgDuration: time.Second, MemMB: mem, Counts: []int{2}}
+	}
+	tr := &trace.Trace{Minutes: 1, Rows: []trace.FunctionRow{row(0, 128), row(1, math.MaxInt32)}}
+	invs, err := (Builder{Downscale: 1}).Build(tr, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := invs[len(invs)-1].MemMB; got != math.MaxInt32 {
+		t.Errorf("last invocation MemMB %d, want %d", got, math.MaxInt32)
+	}
+	tr.Rows[1] = row(1, math.MaxInt32+1)
+	want := "trace row 1: mem_mb 2147483648 above 2147483647"
+	if _, err := (Builder{Downscale: 1}).Stream(tr, 0, 1); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("err = %v, want one containing %q", err, want)
 	}
 }
 

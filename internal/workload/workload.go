@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"time"
 
 	"github.com/faassched/faassched/internal/fib"
@@ -26,40 +25,47 @@ import (
 // DefaultDownscale is the paper's trace downscaling factor.
 const DefaultDownscale = 100
 
-// Invocation is one function invocation to replay.
+// Invocation is one function invocation to replay. Its int32 fields
+// follow the two durations, so it packs into 32 bytes on 64-bit
+// platforms: every copy of an arrival, from the source through the
+// router's handoff to a server's pending queue, moves that many.
 type Invocation struct {
 	// Arrival is the offset from workload start.
 	Arrival time.Duration
-	// FibN is the calibrated Fibonacci argument standing in for the
-	// function body.
-	FibN int
 	// Duration is the modeled service demand of fib(FibN).
 	Duration time.Duration
+	// FibN is the calibrated Fibonacci argument standing in for the
+	// function body.
+	FibN int32
 	// MemMB is the allocated memory size (drives billing).
-	MemMB int
+	MemMB int32
 	// FuncID identifies the logical function this invocation belongs to —
 	// the identity warm instances are shared under. Builder.Stream assigns
 	// stable IDs (1..buckets, in sorted bucket order); zero means
 	// unassigned, and consumers fall back to the (FibN, MemMB) bucket as
 	// the function identity.
-	FuncID int
+	FuncID int32
 	// TimeoutMS is this invocation's deadline in milliseconds, measured
 	// from each attempt's (re-)admission; past it the fault layer kills
 	// and retries the attempt. Zero falls back to the fleet-wide default
-	// in faults.Config (and means "no timeout" when that is zero too).
-	// Programmatic only: the workload-file format does not carry it.
-	TimeoutMS int
+	// in faults.Config (and means "no timeout" when that is zero too); a
+	// negative value is rejected (Validate). Programmatic only: the
+	// workload-file format does not carry it.
+	TimeoutMS int32
 }
 
-// CheckRecordFields reports an error naming invocation index i when
-// inv's FibN or MemMB lies outside the int32 range: each becomes an int32
-// field of the invocation's metrics.Record, which must not truncate it.
-func (inv Invocation) CheckRecordFields(i int) error {
-	if inv.FibN < math.MinInt32 || inv.FibN > math.MaxInt32 {
-		return fmt.Errorf("invocation %d: FibN %d outside the int32 range", i, inv.FibN)
+// Validate reports an error naming invocation index i when inv holds a
+// value no simulation runs: a non-positive Duration (a task with no
+// work) or a negative TimeoutMS (only zero takes the fleet default).
+// The int32 fields need no range check: their type is the range a
+// metrics.Record stores, and an int32 of milliseconds cannot overflow
+// the time.Duration deadline the fault layer derives from it.
+func (inv Invocation) Validate(i int) error {
+	if inv.Duration <= 0 {
+		return fmt.Errorf("invocation %d: non-positive Duration %v", i, inv.Duration)
 	}
-	if inv.MemMB < math.MinInt32 || inv.MemMB > math.MaxInt32 {
-		return fmt.Errorf("invocation %d: MemMB %d outside the int32 range", i, inv.MemMB)
+	if inv.TimeoutMS < 0 {
+		return fmt.Errorf("invocation %d: negative TimeoutMS %d", i, inv.TimeoutMS)
 	}
 	return nil
 }
@@ -89,8 +95,8 @@ func (b Builder) withDefaults() Builder {
 // size, the analog of the paper's group-by-duration-bucket step (memory is
 // kept as a secondary key so the billing distribution survives merging).
 type bucketKey struct {
-	fibN  int
-	memMB int
+	fibN  int32
+	memMB int32
 }
 
 // Build derives the invocation list for trace minutes
@@ -147,7 +153,7 @@ func DurationCDF(invs []Invocation) (stats.CDF, error) {
 func Task(inv Invocation, id simkern.TaskID) *simkern.Task {
 	return &simkern.Task{
 		ID:      id,
-		Label:   fib.Label(inv.FibN),
+		Label:   fib.Label(int(inv.FibN)),
 		Kind:    simkern.KindFunction,
 		Arrival: inv.Arrival,
 		Work:    inv.Duration,

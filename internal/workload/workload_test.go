@@ -42,8 +42,8 @@ func TestBuildBasics(t *testing.T) {
 		if inv.FibN < fib.MinN || inv.FibN > fib.MaxN {
 			t.Fatalf("invocation %d has FibN %d outside calibration range", i, inv.FibN)
 		}
-		if inv.Duration != model.Duration(inv.FibN) {
-			t.Fatalf("invocation %d duration %v != model %v", i, inv.Duration, model.Duration(inv.FibN))
+		if inv.Duration != model.Duration(int(inv.FibN)) {
+			t.Fatalf("invocation %d duration %v != model %v", i, inv.Duration, model.Duration(int(inv.FibN)))
 		}
 		if inv.Arrival >= 2*time.Minute {
 			t.Fatalf("invocation %d arrival %v outside window", i, inv.Arrival)
