@@ -411,6 +411,7 @@ func BenchmarkShardedFleetReplay(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(rep.Invocations), "invocations")
 			b.ReportMetric(float64(rep.KernelEvents)/float64(rep.Invocations), "events/inv")
+			b.ReportMetric(float64(rep.SampleSteps), "sample_steps")
 			b.ReportMetric(float64(rep.Shards), "shards")
 			b.ReportMetric(float64(rep.Ghost.TicksElided), "ticks_elided")
 		})

@@ -604,6 +604,9 @@ type ShardedStats struct {
 	Ghost GhostStats
 	// KernelEvents sums scheduled kernel events across servers.
 	KernelEvents uint64
+	// SampleSteps sums the servers' utilization-sampler steps: zero
+	// unless the scheduler reads utilization (hybrid+dyn).
+	SampleSteps uint64
 	// PerShard reports each shard's server range and share of
 	// invocations and kernel events, by shard index.
 	PerShard []ShardUtil
@@ -666,6 +669,7 @@ func SimulateShardedReplay(opts ClusterOptions, src Source) (*ShardedStats, erro
 		Makespan:     rep.Makespan,
 		Ghost:        rep.Stats,
 		KernelEvents: rep.Events,
+		SampleSteps:  rep.SampleSteps,
 		PerShard:     rep.PerShard,
 		Faults:       rep.Faults,
 		windows:      windows{rep.Windowed},

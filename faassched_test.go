@@ -351,6 +351,7 @@ func TestEntryPointsValidateInvocations(t *testing.T) {
 		for want, invs := range map[string][]Invocation{
 			"invocation 2: non-positive Duration 0s": invsAt(2, func(inv *Invocation) { inv.Duration = 0 }),
 			"invocation 2: negative TimeoutMS -5":    invsAt(2, func(inv *Invocation) { inv.TimeoutMS = -5 }),
+			"invocation 1: negative MemMB -1024":     invsAt(1, func(inv *Invocation) { inv.MemMB = -1024 }),
 		} {
 			err := run(invs)
 			if err == nil || !strings.Contains(err.Error(), want) || strings.Contains(err.Error(), "shard") {

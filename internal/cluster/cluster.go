@@ -137,6 +137,10 @@ type ServerResult struct {
 	Stats ghost.Stats
 	// Events is how many kernel events this server's run scheduled.
 	Events uint64
+	// SampleSteps is how many steps the server's utilization sampler
+	// took: zero unless its policy reads utilization or the kernel
+	// records it (simkern.Kernel.SampleSteps).
+	SampleSteps uint64
 	// Faults holds this server's fault-machine counters (kills, retries,
 	// give-ups); zero when the fault plan is disabled.
 	Faults faults.Stats
@@ -154,6 +158,8 @@ type Totals struct {
 	Stats ghost.Stats
 	// Events sums scheduled kernel events across servers.
 	Events uint64
+	// SampleSteps sums the servers' utilization-sampler steps.
+	SampleSteps uint64
 	// Faults sums the servers' fault-machine counters; each fleet adds
 	// its own routing-side counts (crash and straggler windows).
 	Faults faults.Stats
@@ -169,6 +175,7 @@ func (t *Totals) Add(s *ServerResult) {
 	t.Preemptions += s.Preemptions
 	t.Stats.Accumulate(s.Stats)
 	t.Events += s.Events
+	t.SampleSteps += s.SampleSteps
 	t.Faults.Accumulate(s.Faults)
 }
 

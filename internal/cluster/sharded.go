@@ -406,6 +406,7 @@ func (w *shardWorker) drain(m *Member) {
 		return
 	}
 	r.Server, r.Makespan, r.Stats, r.Events = m.Index, m.inc.Makespan(), m.inc.Stats(), m.inc.Events()
+	r.SampleSteps = m.inc.SampleSteps()
 	if m.Faults != nil {
 		r.Faults = m.Faults.Stats()
 	}

@@ -267,7 +267,9 @@ func (h *Hybrid) Attach(env *ghost.Env) {
 	h.lane = make([]laneEntry, total)
 	h.fifoEng.Init(env, 0, simkern.CoreID(nf), 0 /* run-to-completion */)
 	h.cfsEng.Init(env, simkern.CoreID(nf), simkern.CoreID(total), h.cfg.CFS)
-	if !env.RecordsUtil() && !h.cfg.Rightsize.Enabled {
+	if h.cfg.Rightsize.Enabled {
+		env.RegisterUtilReader() // rightsizing reads the sampler
+	} else if !env.RecordsUtil() {
 		return // nothing reads the monitor
 	}
 	h.monitorFn = func() {

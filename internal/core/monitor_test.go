@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -136,5 +137,37 @@ func TestNewStaticAllocations(t *testing.T) {
 	cfg := core.Config{FIFOCores: 4, TimeLimit: core.TimeLimitConfig{Static: core.DefaultStaticLimit}}
 	if allocs := testing.AllocsPerRun(100, func() { newSink = core.New(cfg) }); allocs > 1 {
 		t.Errorf("core.New with a static limit makes %.0f allocations, want at most 1", allocs)
+	}
+}
+
+// TestRightsizingNeedsASampler: rightsizing reads the kernel's sampler,
+// so a rightsizing hybrid registers as a utilization reader and its
+// kernel samples, while a static hybrid leaves the sampler off. On a
+// kernel with SampleEvery 0 the rightsizing hybrid is refused, naming
+// the policy, instead of reading a silent 0.
+func TestRightsizingNeedsASampler(t *testing.T) {
+	for _, rightsize := range []bool{false, true} {
+		h := core.New(core.Config{FIFOCores: 2, Rightsize: core.RightsizeConfig{Enabled: rightsize}})
+		k, err := simkern.New(policytest.KernelConfig(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ghost.NewEnclave(k, h, ghost.Config{}); err != nil {
+			t.Fatal(err)
+		}
+		if k.SamplesUtil() != rightsize {
+			t.Errorf("rightsizing %v: kernel samples %v", rightsize, k.SamplesUtil())
+		}
+	}
+	kcfg := policytest.KernelConfig(4)
+	kcfg.SampleEvery = 0
+	k, err := simkern.New(kcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := core.New(core.Config{FIFOCores: 2, Rightsize: core.RightsizeConfig{Enabled: true}})
+	_, err = ghost.NewEnclave(k, h, ghost.Config{})
+	if err == nil || !strings.Contains(err.Error(), "policy hybrid") || !strings.Contains(err.Error(), "SampleEvery") {
+		t.Errorf("rightsizing hybrid on a kernel with SampleEvery 0: err = %v, want one naming the policy and SampleEvery", err)
 	}
 }

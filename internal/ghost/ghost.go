@@ -53,8 +53,10 @@ type Message struct {
 
 // Policy is a user-space scheduling policy attached to an enclave.
 //
-// Attach is called exactly once before any message. OnMessage receives
-// every delegation message in deterministic order. Policies that also
+// Attach is called exactly once before any message. A policy that reads
+// Env.UtilLast says so there, once, with Env.RegisterUtilReader: only
+// then does its kernel sample utilization. OnMessage receives every
+// delegation message in deterministic order. Policies that also
 // implement Ticker, or wrap one (Wrapper), get periodic OnTick callbacks
 // managed by the enclave.
 type Policy interface {
@@ -246,10 +248,14 @@ type Enclave struct {
 	batchHead int
 	lastDue   time.Duration // due time of the most recently armed batch
 	lastSeq   uint64        // kernel event seq right after arming it
+
+	attachErr error // a failed Env.RegisterUtilReader, reported by NewEnclave
 }
 
 // NewEnclave wires policy into kernel and registers the delegation
-// handler. The kernel must not have another handler.
+// handler. The kernel must not have another handler. It fails, naming
+// the policy, when the policy registers as a utilization reader on a
+// kernel that cannot sample (SampleEvery 0).
 func NewEnclave(kernel *simkern.Kernel, policy Policy, cfg Config) (*Enclave, error) {
 	if kernel == nil {
 		return nil, errors.New("ghost: nil kernel")
@@ -285,6 +291,9 @@ func NewEnclave(kernel *simkern.Kernel, policy Policy, cfg Config) (*Enclave, er
 	}
 	kernel.SetHandler(e)
 	policy.Attach(&e.env)
+	if e.attachErr != nil {
+		return nil, fmt.Errorf("ghost: policy %s reads utilization: %w", policy.Name(), e.attachErr)
+	}
 	return e, nil
 }
 
@@ -566,9 +575,20 @@ func (v *Env) CancelTimer(id simkern.TimerID) bool {
 }
 
 // UtilLast returns core c's utilization over the last completed sampling
-// window (the simulated psutil/shared-memory readout).
+// window (the simulated psutil/shared-memory readout). The kernel samples
+// only for a policy that called RegisterUtilReader at Attach, or under
+// RecordUtil; anywhere else UtilLast panics rather than return 0.
 func (v *Env) UtilLast(c simkern.CoreID) float64 {
 	return v.enclave.kernel.UtilLast(c)
+}
+
+// RegisterUtilReader declares, at Attach, that the policy reads UtilLast,
+// so the kernel samples utilization (simkern.Kernel.RegisterUtilReader).
+// On a kernel with SampleEvery 0 NewEnclave fails, naming the policy.
+func (v *Env) RegisterUtilReader() {
+	if err := v.enclave.kernel.RegisterUtilReader(); err != nil && v.enclave.attachErr == nil {
+		v.enclave.attachErr = err
+	}
 }
 
 // RecordsUtil reports whether the kernel records utilization over time

@@ -33,11 +33,15 @@ type Config struct {
 	// Interference models host-OS time stolen from enclave tasks.
 	// Nil means the enclave owns its cores outright.
 	Interference Interference
-	// SampleEvery enables per-core utilization sampling at this period.
-	// Zero disables sampling. The sampler is virtual: its grid points are
-	// not heap events, so they add nothing to EventSeq or to Run's count,
-	// yet each point is published exactly where a periodic event armed at
-	// the previous point would have fired (DESIGN.md §16).
+	// SampleEvery is the period of the per-core utilization sampler.
+	// The sampler runs only on a kernel that has a reader: a registered
+	// utilization reader (RegisterUtilReader) or RecordUtil. A kernel
+	// nothing reads publishes no points and pays nothing for them. Zero
+	// disables sampling; a reader then is an error (RegisterUtilReader).
+	// The sampler is virtual: its grid points are not heap events, so
+	// they add nothing to EventSeq or to Run's count, yet each point is
+	// published exactly where a periodic event armed at the previous
+	// point would have fired (DESIGN.md §16).
 	SampleEvery time.Duration
 	// RecordUtil keeps the full per-core utilization history (needed by
 	// the utilization-over-time figures). Requires SampleEvery > 0.
@@ -70,8 +74,9 @@ type Probe interface {
 }
 
 // DefaultConfig returns the configuration used throughout the experiments:
-// 5 µs direct switch cost and 50 µs cold-cache penalty, 100 ms utilization
-// sampling.
+// 5 µs direct switch cost and 50 µs cold-cache penalty, and a 100 ms
+// utilization sampling period, which runs only on a kernel with a
+// utilization reader (SampleEvery).
 func DefaultConfig(cores int) Config {
 	return Config{
 		Cores:        cores,
@@ -140,10 +145,14 @@ type Kernel struct {
 
 	// Virtual sampler (DESIGN.md §16): while sampling, the next grid point
 	// is sampleAt and it orders like a classRun event with sequence number
-	// just above sampleSeq, the loop's seq when the point was armed.
-	sampling  bool
-	sampleAt  time.Duration
-	sampleSeq uint64
+	// just above sampleSeq, the loop's seq when the point was armed. It is
+	// armed only when utilReader or RecordUtil is set; sampleSteps counts
+	// its publishing steps.
+	utilReader  bool
+	sampling    bool
+	sampleAt    time.Duration
+	sampleSeq   uint64
+	sampleSteps uint64
 }
 
 // New validates cfg and returns a kernel. Without RecordUtil the kernel,
@@ -194,6 +203,31 @@ func (k *Kernel) CoreCount() int { return len(k.cores) }
 // RecordsUtil reports whether the kernel was built with RecordUtil: the
 // run feeds utilization-over-time figures, so observers should record.
 func (k *Kernel) RecordsUtil() bool { return k.cfg.RecordUtil }
+
+// RegisterUtilReader declares that something will read UtilLast, so Run
+// samples utilization every SampleEvery. Register before the first Run;
+// a kernel nobody registers on (and without RecordUtil) never samples,
+// and UtilLast on it panics. It fails on a kernel with SampleEvery 0,
+// where there is nothing to read.
+func (k *Kernel) RegisterUtilReader() error {
+	if k.cfg.SampleEvery == 0 {
+		return errors.New("simkern: a utilization reader needs SampleEvery > 0, got 0")
+	}
+	k.utilReader = true
+	return nil
+}
+
+// SamplesUtil reports whether Run samples utilization: SampleEvery is
+// set and a reader is registered or RecordUtil is on.
+func (k *Kernel) SamplesUtil() bool {
+	return k.cfg.SampleEvery > 0 && (k.utilReader || k.cfg.RecordUtil)
+}
+
+// SampleSteps returns how many publishing steps the sampler has taken;
+// one step publishes every grid point up to the next real event, so the
+// count is a host-independent measure of the sampler's work. It is 0 on a
+// kernel that does not sample.
+func (k *Kernel) SampleSteps() uint64 { return k.sampleSteps }
 
 // Outstanding returns the number of added tasks that have not finished,
 // plus one while admission is open (SetAdmissionOpen).
@@ -270,21 +304,27 @@ func (k *Kernel) addTask(t *Task, class uint8) error {
 
 // Run processes events until the event queue drains or the horizon is
 // reached (horizon 0 means no limit). It returns the number of events
-// processed; sampler grid points are not events and do not count.
+// processed; sampler grid points are not events and do not count. A
+// Run(h) with h > 0 that finds nothing pending at or before h leaves the
+// clock on h whether or not the kernel samples, unless a stopping
+// sampler returns first (below), so a later arrival or horizon before h
+// is behind the clock. Run never moves the clock back: a horizon behind
+// it runs nothing.
 //
-// With sampling enabled, Run arms the sampler at now+SampleEvery unless
-// it is still armed from an earlier call, and publishes each grid point
-// before any real event it precedes in (time, class, seq) order. The
-// sampler stops at the first point where no real event is pending and no
-// task is outstanding; Run then returns with the clock on that point.
-// A Run(0) whose pending events are gone while tasks are still
-// outstanding — a handler that never dispatched them — returns at once
-// instead of sampling forever; the caller sees Outstanding() > 0.
+// On a kernel that samples (SamplesUtil), Run arms the sampler at
+// now+SampleEvery unless it is still armed from an earlier call, and
+// publishes each grid point before any real event it precedes in (time,
+// class, seq) order. The sampler stops at the first point where no real
+// event is pending and no task is outstanding; Run then returns with the
+// clock on that point, short of a horizon beyond it. A Run(0) whose
+// pending events are gone while tasks are still outstanding — a handler
+// that never dispatched them — returns at once instead of sampling
+// forever; the caller sees Outstanding() > 0.
 func (k *Kernel) Run(horizon time.Duration) (int, error) {
 	if k.handler == nil {
 		return 0, ErrNoHandler
 	}
-	if k.cfg.SampleEvery > 0 && !k.sampling {
+	if !k.sampling && k.SamplesUtil() {
 		k.sampling = true
 		k.sampleAt = k.now + k.cfg.SampleEvery
 		k.sampleSeq = k.loop.seq
@@ -294,20 +334,19 @@ func (k *Kernel) Run(horizon time.Duration) (int, error) {
 		ev := k.loop.peek()
 		if k.sampling && k.sampleFirst(ev) {
 			if horizon > 0 && k.sampleAt > horizon {
-				k.now = horizon
+				k.now = max(k.now, horizon)
 				break
 			}
 			if ev == nil && horizon == 0 && k.Outstanding() > 0 {
 				break // nothing left can ever run the outstanding tasks
 			}
-			k.sample(ev, horizon)
+			if k.sample(ev, horizon) {
+				break // stopped: nothing pending, nothing outstanding
+			}
 			continue
 		}
-		if ev == nil {
-			break
-		}
-		if horizon > 0 && ev.at > horizon {
-			k.now = horizon
+		if ev == nil || (horizon > 0 && ev.at > horizon) {
+			k.now = max(k.now, horizon)
 			break
 		}
 		k.loop.pop(ev)
@@ -591,8 +630,13 @@ func (k *Kernel) CorePreemptions(c CoreID) int64 {
 
 // UtilLast returns core c's utilization in the most recently completed
 // sampling window, in [0, 1]. This mirrors the paper's psutil daemon that
-// publishes per-core utilization through shared memory.
+// publishes per-core utilization through shared memory. It panics on a
+// kernel that does not sample (SamplesUtil): its value would be a silent
+// 0, so a reader must say so first with RegisterUtilReader.
 func (k *Kernel) UtilLast(c CoreID) float64 {
+	if !k.SamplesUtil() {
+		panic("simkern: UtilLast on a kernel that does not sample utilization: call RegisterUtilReader before Run (SampleEvery > 0)")
+	}
 	cr, err := k.core(c)
 	if err != nil {
 		return 0
@@ -634,12 +678,13 @@ func (k *Kernel) sampleFirst(ev *event) bool {
 // sample publishes the armed grid point (the simulated psutil daemon
 // readout) together with every later point that also precedes ev and
 // lies within the horizon, then re-arms the sampler — or stops it when
-// nothing is pending and nothing is outstanding. No core changes state
-// between those points, so only the last window sets UtilLast; with
-// RecordUtil every point is still appended. A re-armed point carries the
-// loop's current seq, so it loses a same-instant tie to ev unless ev is
-// a fault timer.
-func (k *Kernel) sample(ev *event, horizon time.Duration) {
+// nothing is pending and nothing is outstanding, and reports the stop.
+// No core changes state between those points, so only the last window
+// sets UtilLast; with RecordUtil every point is still appended. A
+// re-armed point carries the loop's current seq, so it loses a
+// same-instant tie to ev unless ev is a fault timer.
+func (k *Kernel) sample(ev *event, horizon time.Duration) (stopped bool) {
+	k.sampleSteps++
 	every := k.cfg.SampleEvery
 	first, last := k.sampleAt, k.sampleAt
 	stop := ev == nil && k.Outstanding() == 0
@@ -677,6 +722,7 @@ func (k *Kernel) sample(ev *event, horizon time.Duration) {
 	if stop {
 		k.sampling = false
 	}
+	return stop
 }
 
 // busyAt returns the core's cumulative busy time at instant at, which must

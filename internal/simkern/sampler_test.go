@@ -1,6 +1,7 @@
 package simkern
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -122,7 +123,7 @@ func TestSamplerClockAfterRunTo(t *testing.T) {
 // TestSamplerClockAfterDrain: Run(0) returns with the clock on the first
 // grid point at or after the last real event — also when a completion
 // ties with that point — and without sampling the clock stays on the
-// last real event.
+// last real event. The test reads UtilLast, so it registers as a reader.
 func TestSamplerClockAfterDrain(t *testing.T) {
 	for _, tc := range []struct {
 		work, wantNow time.Duration
@@ -133,6 +134,11 @@ func TestSamplerClockAfterDrain(t *testing.T) {
 		{25 * time.Millisecond, 25 * time.Millisecond, 0},
 	} {
 		k, _ := newTestKernel(t, Config{Cores: 1, SampleEvery: tc.every})
+		if tc.every > 0 {
+			if err := k.RegisterUtilReader(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if err := k.AddTask(&Task{ID: 1, Work: tc.work}); err != nil {
 			t.Fatal(err)
 		}
@@ -211,5 +217,108 @@ func TestRunReturnsOnUndispatchedTask(t *testing.T) {
 	}
 	if k.Now() != 95*time.Millisecond || samplesSoFar(k) != 9 {
 		t.Fatalf("after Run(95ms): now %v with %d points, want 95ms with 9", k.Now(), samplesSoFar(k))
+	}
+}
+
+// TestSamplerArmsOnlyForAReader: a kernel with a sampling period but no
+// reader and no RecordUtil takes no sampler step and drains with the
+// clock on its last event; registering a reader arms the sampler on the
+// same grid. A reader on a kernel with SampleEvery 0 is refused.
+func TestSamplerArmsOnlyForAReader(t *testing.T) {
+	for _, reader := range []bool{false, true} {
+		k, _ := newTestKernel(t, Config{Cores: 1, SampleEvery: testSampleEvery})
+		if reader {
+			if err := k.RegisterUtilReader(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := k.AddTask(&Task{ID: 1, Work: 25 * time.Millisecond}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := k.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		wantNow, wantSteps := 25*time.Millisecond, uint64(0)
+		if reader {
+			// One step publishes 10 and 20 ms before the completion at
+			// 25 ms, one publishes 30 ms and stops.
+			wantNow, wantSteps = 30*time.Millisecond, 2
+		}
+		if k.SamplesUtil() != reader || k.Now() != wantNow || k.SampleSteps() != wantSteps {
+			t.Errorf("reader %v: SamplesUtil %v, drained at %v after %d sampler steps; want %v, %v, %d",
+				reader, k.SamplesUtil(), k.Now(), k.SampleSteps(), reader, wantNow, wantSteps)
+		}
+	}
+	k, _ := newTestKernel(t, Config{Cores: 1})
+	if err := k.RegisterUtilReader(); err == nil || !strings.Contains(err.Error(), "SampleEvery") {
+		t.Errorf("reader on a kernel with SampleEvery 0: err = %v, want one naming SampleEvery", err)
+	}
+}
+
+// TestUtilLastWithoutReaderPanics: reading utilization on a kernel that
+// does not sample fails, naming the call, instead of returning 0.
+func TestUtilLastWithoutReaderPanics(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"no reader":     {Cores: 1, SampleEvery: testSampleEvery},
+		"SampleEvery 0": {Cores: 1},
+	} {
+		k, _ := newTestKernel(t, cfg)
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "UtilLast") || !strings.Contains(msg, "RegisterUtilReader") {
+					t.Errorf("%s: UtilLast panicked with %q, want a message naming UtilLast and RegisterUtilReader", name, msg)
+				}
+			}()
+			k.UtilLast(0)
+		}()
+	}
+}
+
+// TestRunToHorizonWithoutSampler: with nothing pending at or before the
+// horizon, Run(h) puts the clock on h also when no sampler runs, so a
+// later arrival behind h is refused. Run(0) leaves the clock alone.
+func TestRunToHorizonWithoutSampler(t *testing.T) {
+	k, _ := newTestKernel(t, Config{Cores: 1})
+	if _, err := k.Run(0); err != nil || k.Now() != 0 {
+		t.Fatalf("idle Run(0): now %v, err %v; want 0s", k.Now(), err)
+	}
+	if _, err := k.Run(time.Second); err != nil || k.Now() != time.Second {
+		t.Fatalf("idle Run(1s): now %v, err %v; want 1s", k.Now(), err)
+	}
+	if err := k.AdmitTask(&Task{ID: 1, Arrival: 500 * time.Millisecond, Work: time.Millisecond}); err == nil {
+		t.Error("arrival at 500ms admitted with the clock at 1s")
+	}
+	if err := k.AddTask(&Task{ID: 2, Arrival: 1500 * time.Millisecond, Work: time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.Run(2 * time.Second); err != nil || k.Now() != 2*time.Second || k.Outstanding() != 0 {
+		t.Fatalf("Run(2s) past the last completion: now %v, outstanding %d, err %v; want 2s, 0", k.Now(), k.Outstanding(), err)
+	}
+}
+
+// TestRunHorizonBehindClock: a horizon behind the clock runs nothing and
+// leaves the clock where it was, on a sampling kernel and on one that
+// does not sample, so an arrival before the clock stays refused.
+func TestRunHorizonBehindClock(t *testing.T) {
+	for _, reader := range []bool{false, true} {
+		k, _ := newTestKernel(t, Config{Cores: 1, SampleEvery: testSampleEvery})
+		if reader {
+			if err := k.RegisterUtilReader(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := k.AddTask(&Task{ID: 1, Arrival: 2 * time.Second, Work: time.Millisecond}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := k.Run(time.Second); err != nil || k.Now() != time.Second {
+			t.Fatalf("reader %v: Run(1s): now %v, err %v; want 1s", reader, k.Now(), err)
+		}
+		n, err := k.Run(500 * time.Millisecond)
+		if err != nil || n != 0 || k.Now() != time.Second {
+			t.Fatalf("reader %v: Run(500ms) at 1s ran %d events and left the clock at %v (err %v); want 0 and 1s", reader, n, k.Now(), err)
+		}
+		if err := k.AdmitTask(&Task{ID: 2, Arrival: 600 * time.Millisecond, Work: time.Millisecond}); err == nil {
+			t.Errorf("reader %v: arrival at 600ms admitted with the clock at 1s", reader)
+		}
 	}
 }

@@ -99,7 +99,8 @@ func (inc *Incremental) Admit(t *simkern.Task) error {
 }
 
 // RunTo advances the machine's clock to the watermark: every event at or
-// before it fires, and the clock lands exactly on it. The caller must
+// before it fires, and the clock lands exactly on it, whether or not the
+// kernel samples utilization (simkern.Kernel.Run). The caller must
 // have admitted every arrival ≤ watermark first — that is what makes the
 // chunked run observationally identical to a fully pre-seeded one.
 // Watermarks never go back: one behind the machine's clock is an error.
@@ -138,6 +139,11 @@ func (inc *Incremental) Stats() ghost.Stats { return inc.enc.Stats() }
 // Events returns how many kernel events the machine has scheduled — the
 // run-telemetry measure of simulation work done.
 func (inc *Incremental) Events() uint64 { return inc.k.EventSeq() }
+
+// SampleSteps returns how many steps the machine's utilization sampler
+// has taken: zero unless its policy registered as a utilization reader
+// or the kernel records utilization.
+func (inc *Incremental) SampleSteps() uint64 { return inc.k.SampleSteps() }
 
 // DefaultWindow is the fleet engine's default watermark step. A machine
 // holds only its due arrivals whatever the step, so the step sets only

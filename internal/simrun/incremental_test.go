@@ -197,24 +197,63 @@ func TestIncrementalValidation(t *testing.T) {
 		t.Error("two task pools accepted")
 	}
 	// An arrival behind the clock must surface as an error, not a task
-	// that runs in the past.
-	inc, err := NewIncremental(simkern.DefaultConfig(2), fifo.New(fifo.Config{}), ghost.Config{}, &metrics.Store{})
+	// that runs in the past — also on a kernel whose sampler does not
+	// move the clock.
+	for _, kc := range clockKernels() {
+		inc := newClockMachine(t, kc)
+		if err := inc.RunTo(time.Second); err != nil {
+			t.Fatal(err)
+		}
+		late := &simkern.Task{ID: 1, Kind: simkern.KindFunction, Arrival: 500 * time.Millisecond, Work: time.Millisecond}
+		if err := inc.Admit(late); err == nil {
+			t.Errorf("%s: arrival behind the watermark accepted", kc.name)
+		}
+	}
+}
+
+// clockKernel is a kernel configuration the watermark-clock tests run
+// on, and whether its sampler runs.
+type clockKernel struct {
+	name    string
+	cfg     simkern.Config
+	samples bool
+}
+
+// clockKernels returns a sampling kernel and two that do not sample: one
+// with no utilization reader and one with no sampling period at all.
+// Only the first one's sampler moves the clock between events.
+func clockKernels() []clockKernel {
+	recording := simkern.DefaultConfig(2)
+	recording.RecordUtil = true
+	unsampled := simkern.DefaultConfig(2)
+	unsampled.SampleEvery = 0
+	return []clockKernel{
+		{"sampling", recording, true},
+		{"no reader", simkern.DefaultConfig(2), false},
+		{"SampleEvery 0", unsampled, false},
+	}
+}
+
+// newClockMachine builds an idle FIFO machine on kc and checks that its
+// sampler runs exactly when kc says.
+func newClockMachine(t *testing.T, kc clockKernel) *Incremental {
+	t.Helper()
+	inc, err := NewIncremental(kc.cfg, fifo.New(fifo.Config{}), ghost.Config{}, &metrics.Store{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := inc.RunTo(time.Second); err != nil {
-		t.Fatal(err)
+	if inc.k.SamplesUtil() != kc.samples {
+		t.Fatalf("%s: SamplesUtil() = %v, want %v", kc.name, inc.k.SamplesUtil(), kc.samples)
 	}
-	late := &simkern.Task{ID: 1, Kind: simkern.KindFunction, Arrival: 500 * time.Millisecond, Work: time.Millisecond}
-	if err := inc.Admit(late); err == nil {
-		t.Error("arrival behind the watermark accepted")
-	}
+	return inc
 }
 
 // TestRunToRejectsWatermarkBehindClock: watermarks only move forward. A
 // watermark behind the machine's clock is an error naming both times,
 // and it leaves the clock where it was, so an arrival before the clock
-// is still refused afterwards.
+// is still refused afterwards. Each case runs on every clockKernels
+// machine: an accepted RunTo puts the clock on the watermark whether or
+// not a sampler runs.
 func TestRunToRejectsWatermarkBehindClock(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -229,31 +268,30 @@ func TestRunToRejectsWatermarkBehindClock(t *testing.T) {
 		{"back after a forward step", []time.Duration{time.Second, 5 * time.Second, 3 * time.Second}, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			inc, err := NewIncremental(simkern.DefaultConfig(2), fifo.New(fifo.Config{}), ghost.Config{}, &metrics.Store{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, mark := range tc.marks {
-				before := inc.Now()
-				err := inc.RunTo(mark)
-				if i != tc.bad {
-					if err != nil {
-						t.Fatalf("RunTo(%v) at %v: %v", mark, before, err)
+			for _, kc := range clockKernels() {
+				inc := newClockMachine(t, kc)
+				for i, mark := range tc.marks {
+					before := inc.Now()
+					err := inc.RunTo(mark)
+					if i != tc.bad {
+						if err != nil {
+							t.Fatalf("%s: RunTo(%v) at %v: %v", kc.name, mark, before, err)
+						}
+						if inc.Now() != mark {
+							t.Fatalf("%s: RunTo(%v) left the clock at %v", kc.name, mark, inc.Now())
+						}
+						continue
 					}
-					if inc.Now() != mark {
-						t.Fatalf("RunTo(%v) left the clock at %v", mark, inc.Now())
+					if err == nil || !strings.Contains(err.Error(), mark.String()) || !strings.Contains(err.Error(), before.String()) {
+						t.Fatalf("%s: RunTo(%v) at %v = %v, want an error naming both times", kc.name, mark, before, err)
 					}
-					continue
-				}
-				if err == nil || !strings.Contains(err.Error(), mark.String()) || !strings.Contains(err.Error(), before.String()) {
-					t.Fatalf("RunTo(%v) at %v = %v, want an error naming both times", mark, before, err)
-				}
-				if inc.Now() != before {
-					t.Fatalf("rejected RunTo(%v) moved the clock from %v to %v", mark, before, inc.Now())
-				}
-				late := &simkern.Task{ID: 1, Kind: simkern.KindFunction, Arrival: mark, Work: time.Millisecond}
-				if err := inc.Admit(late); err == nil {
-					t.Errorf("arrival at %v accepted with the clock at %v", mark, before)
+					if inc.Now() != before {
+						t.Fatalf("%s: rejected RunTo(%v) moved the clock from %v to %v", kc.name, mark, before, inc.Now())
+					}
+					late := &simkern.Task{ID: 1, Kind: simkern.KindFunction, Arrival: mark, Work: time.Millisecond}
+					if err := inc.Admit(late); err == nil {
+						t.Errorf("%s: arrival at %v accepted with the clock at %v", kc.name, mark, before)
+					}
 				}
 			}
 		})

@@ -195,6 +195,9 @@ func TestValidate(t *testing.T) {
 		{"zero duration rejected", Invocation{FibN: 36, MemMB: 128}, "invocation 7: non-positive Duration 0s"},
 		{"negative duration rejected", Invocation{Duration: -time.Millisecond, FibN: 36, MemMB: 128}, "invocation 7: non-positive Duration -1ms"},
 		{"negative timeout rejected", Invocation{Duration: time.Second, FibN: 36, MemMB: 128, TimeoutMS: -5}, "invocation 7: negative TimeoutMS -5"},
+		{"zero memory accepted", Invocation{Duration: time.Second, FibN: 36}, ""},
+		{"negative memory rejected", Invocation{Duration: time.Second, FibN: 36, MemMB: -1024}, "invocation 7: negative MemMB -1024"},
+		{"int32 minimum memory rejected", Invocation{Duration: time.Second, FibN: 36, MemMB: math.MinInt32}, "invocation 7: negative MemMB -2147483648"},
 	} {
 		err := tc.inv.Validate(7)
 		if tc.want == "" {

@@ -56,7 +56,9 @@ type Invocation struct {
 
 // Validate reports an error naming invocation index i when inv holds a
 // value no simulation runs: a non-positive Duration (a task with no
-// work) or a negative TimeoutMS (only zero takes the fleet default).
+// work), a negative TimeoutMS (only zero takes the fleet default) or a
+// negative MemMB (it would bill a negative compute charge; zero, an
+// unset size, stays accepted).
 // The int32 fields need no range check: their type is the range a
 // metrics.Record stores, and an int32 of milliseconds cannot overflow
 // the time.Duration deadline the fault layer derives from it.
@@ -66,6 +68,9 @@ func (inv Invocation) Validate(i int) error {
 	}
 	if inv.TimeoutMS < 0 {
 		return fmt.Errorf("invocation %d: negative TimeoutMS %d", i, inv.TimeoutMS)
+	}
+	if inv.MemMB < 0 {
+		return fmt.Errorf("invocation %d: negative MemMB %d", i, inv.MemMB)
 	}
 	return nil
 }

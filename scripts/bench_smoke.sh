@@ -51,12 +51,16 @@
 # pushes. windowed-open opens a sink every 64 records by design; Gate 8
 # caps its bytes.
 #
-# Gate 4 — sampler events (DESIGN.md §16): the 100-server sharded
-# replay's kernel events per invocation must stay at or under 12. The
-# utilization sampler is virtual, so its 100 ms grid points schedule no
-# kernel event; the row reads 9.34 events/inv with the virtual sampler
-# and 18.16 with the heap-event sampler it replaced, so the ceiling fails
-# if sampler periods come back as kernel events.
+# Gate 4 — sampler work (DESIGN.md §16): the 100-server sharded
+# replay's kernel events per invocation must stay at or under 12, and its
+# sample_steps must be 0. The utilization sampler is virtual, so its
+# 100 ms grid points schedule no kernel event; the row reads 9.34
+# events/inv with the virtual sampler and 18.16 with the heap-event
+# sampler it replaced, so the ceiling fails if sampler periods come back
+# as kernel events. The sampler also runs only on a machine with a
+# utilization reader, and the row's static hybrid reads none, so any
+# nonzero count means the sampler runs where nothing reads it. Both
+# counts repeat exactly from host to host.
 #
 # Gate 5 — replay memory (DESIGN.md §17): the same 100-server row, run
 # with -benchmem, must allocate at most 8 bytes per invocation
@@ -250,11 +254,15 @@ printf '%s\n' "$build" | awk '
 sharded=$(go test -run '^$' -bench 'BenchmarkShardedFleetReplay/100servers_x1_2h$' -cpu 1 -benchtime 3x -benchmem -timeout 20m .)
 printf '%s\n' "$sharded"
 
-# Gate 4 — sampler events per invocation on the 100-server replay.
+# Gate 4 — sampler events per invocation and sampler steps on the
+# 100-server replay.
 printf '%s\n' "$sharded" | awk '
   BEGIN { ceiling = 12 }
   /^BenchmarkShardedFleetReplay\/100servers_x1_2h/ {
-    for (i = 1; i < NF; i++) if ($(i+1) == "events/inv") v = $i
+    for (i = 1; i < NF; i++) {
+      if ($(i+1) == "events/inv") v = $i
+      if ($(i+1) == "sample_steps") steps = $i
+    }
   }
   END {
     if (v == "") { print "bench_smoke: no events/inv metric on the 100-server replay"; exit 1 }
@@ -262,7 +270,12 @@ printf '%s\n' "$sharded" | awk '
       printf "bench_smoke: events/inv %s exceeds ceiling %s — sampler periods back on the event heap?\n", v, ceiling
       exit 1
     }
-    printf "bench_smoke: 100-server replay events/inv %s within ceiling %s\n", v, ceiling
+    if (steps == "") { print "bench_smoke: no sample_steps metric on the 100-server replay"; exit 1 }
+    if (steps + 0 != 0) {
+      printf "bench_smoke: sample_steps %s, want 0 — the sampler runs where no policy reads it?\n", steps
+      exit 1
+    }
+    printf "bench_smoke: 100-server replay events/inv %s within ceiling %s, sample_steps 0\n", v, ceiling
   }'
 
 # Gate 5 — bytes allocated per invocation on the 100-server replay.
